@@ -131,9 +131,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check oracle answers against brute force")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-d", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="check this many sampled instances instead of all")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 

@@ -277,6 +277,6 @@ class HitSetEngine:
         return outcome
 
 
-def hit_budget(d: int, factor: int = 16) -> int:
+def hit_budget(d: int) -> int:
     """Declared cap for both |hits| and per-query lookups."""
-    return factor * d ** 6 + 16
+    return 16 * d ** 6 + 16

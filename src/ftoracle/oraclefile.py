@@ -1,22 +1,25 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout (all integers little-endian, fixed width):
+Layout, version 2 (all integers little-endian):
 
-    header   magic "FTDO", version, field widths, n, m, d, tie seed,
-             hit bound factor, codec shift, sha256 of the canonical graph text
-    graph    m x (a u32, b u32, w u64), then m tie values u64
-    dist     n*n x (true_len u64, tie_key u64), row-major by (u, v)
-    trees    four n*n u32 matrices: parent, parent edge id, entry index,
-             exit index (0xFFFFFFFF encodes "none")
-    entries  4*n^4 records in (u, v, u', v', b1, b2) order:
-             count u8, d edge ids u32 (0xFFFFFFFF padding),
-             unreachable flag u8, true_len u64, tie_key u64
+    header   magic "FTDO", version u16, 2 zero bytes, n u64, m u64, d u64,
+             tie seed i64, sha256 of the canonical graph text
+    edges    m x (a u32, b u32, w u64, tie value u64)
+    index    n*n x (true_len u64, tie_key u64, parent i32, parent edge i32),
+             row-major by (root, vertex); -1 encodes "none"
+    values   4*n^4 packed length codes i64 in (u, v, u', v', b1, b2) order
+    dstar    4*n^4 indices i32 into enumerate_failure_sets(m, d), same order
+    trailer  sha256 of everything before it
 
-Saving the same build twice is byte-identical, and a load followed by a
-save reproduces the file exactly.
+Every section's size follows from the header, and every section is a
+multiple of 8 bytes, so the two table arrays load as aligned zero-copy
+views.  The length codec, the subset list and the tree intervals are
+derived, not stored.  Saving the same build twice is byte-identical, and
+a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 from typing import BinaryIO
@@ -26,29 +29,20 @@ import numpy as np
 from .graph import CompositeLength, Graph
 from .query import Oracle
 from .spindex import ShortestPathIndex
-from .tables import LengthCodec, OracleTables
+from .tables import LengthCodec, OracleTables, enumerate_failure_sets
 
 MAGIC = b"FTDO"
-VERSION = 1
-_HEADER = struct.Struct("<4sHBBIIIqHBB32s")
-_NONE32 = 0xFFFFFFFF
+VERSION = 2
+_HEADER = struct.Struct("<4sH2xQQQq32s")
+_EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
+_PAIR = np.dtype([("tl", "<u8"), ("tk", "<u8"),
+                  ("parent", "<i4"), ("parent_eid", "<i4")])
+_ENTRY_BYTES = 8 + 4
+_TRAILER = hashlib.sha256().digest_size
 
 
 class OracleFileError(ValueError):
     """Corrupt, truncated or mismatched oracle file."""
-
-
-def _edge_dtype() -> np.dtype:
-    return np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8")])
-
-
-def _dist_dtype() -> np.dtype:
-    return np.dtype([("tl", "<u8"), ("tk", "<u8")])
-
-
-def _entry_dtype(d: int) -> np.dtype:
-    return np.dtype([("cnt", "<u1"), ("ids", "<u4", (d,)),
-                     ("unreach", "<u1"), ("tl", "<u8"), ("tk", "<u8")])
 
 
 def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
@@ -57,57 +51,27 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
         with open(target, "wb") as fh:
             save_oracle(oracle, fh)
         return
-    graph = oracle.graph
-    index = oracle.index
-    tables = oracle.tables
-    n, m, d = graph.n, graph.m, tables.d
-
-    target.write(_HEADER.pack(
-        MAGIC, VERSION, 4, 8, n, m, d, tables.tie_seed,
-        tables.hit_bound_factor, tables.codec.shift, 0,
-        bytes.fromhex(tables.graph_digest)))
-
-    edges = np.zeros(m, dtype=_edge_dtype())
-    for eid, (a, b, w) in enumerate(graph.edges):
-        edges[eid] = (a, b, w)
-    target.write(edges.tobytes())
-    target.write(np.asarray(index.tie, dtype="<u8").tobytes())
-
-    dist = np.zeros(n * n, dtype=_dist_dtype())
-    k = 0
-    for u in range(n):
-        row = index._dist[u]
-        for v in range(n):
-            dist[k] = (row[v].true_len, row[v].tie_key)
-            k += 1
-    target.write(dist.tobytes())
-
-    for source in (index._parent, index._parent_eid, index._in, index._out):
-        mat = np.asarray(source, dtype=np.int64)
-        target.write(np.where(mat < 0, _NONE32, mat).astype("<u4").tobytes())
-
-    codec = tables.codec
-    values = tables.values.reshape(-1)
-    dstar = tables.dstar_idx.reshape(-1)
-    lens = np.array([len(s) for s in tables.subsets], dtype=np.uint8)
-    ids = np.full((len(tables.subsets), d), _NONE32, dtype="<u4")
-    for si, sub in enumerate(tables.subsets):
-        ids[si, :len(sub)] = sub
-    unreach = values >= codec.unreachable_code
-    rec = np.zeros(values.size, dtype=_entry_dtype(d))
-    rec["cnt"] = lens[dstar]
-    rec["ids"] = ids[dstar]
-    rec["unreach"] = unreach
-    rec["tl"] = np.where(unreach, 0, values >> codec.shift)
-    rec["tk"] = np.where(unreach, 0, values & codec.mask)
-    target.write(rec.tobytes())
+    graph, index, tables = oracle.graph, oracle.index, oracle.tables
+    edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
+                     dtype=_EDGE)
+    pairs = np.array([(c.true_len, c.tie_key, p, e)
+                      for drow, prow, erow in zip(index._dist, index._parent,
+                                                  index._parent_eid)
+                      for c, p, e in zip(drow, prow, erow)], dtype=_PAIR)
+    digest = hashlib.sha256()
+    for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
+                              tables.tie_seed, bytes.fromhex(tables.graph_digest)),
+                 edges.tobytes(), pairs.tobytes(),
+                 tables.values.astype("<i8", copy=False).tobytes(),
+                 tables.dstar_idx.astype("<i4", copy=False).tobytes()):
+        digest.update(part)
+        target.write(part)
+    target.write(digest.digest())
 
 
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise OracleFileError(f"truncated oracle file while reading {what}")
-    return buf
+def _file_size(n: int, m: int) -> int:
+    return (_HEADER.size + m * _EDGE.itemsize + n * n * _PAIR.itemsize +
+            4 * n ** 4 * _ENTRY_BYTES + _TRAILER)
 
 
 def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
@@ -115,75 +79,55 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if isinstance(source, str):
         with open(source, "rb") as fh:
             return load_oracle(fh, graph)
-    header = _read_exact(source, _HEADER.size, "header")
-    (magic, version, id_w, len_w, n, m, d, tie_seed,
-     hit_factor, shift, _, digest_raw) = _HEADER.unpack(header)
+    blob = source.read()
+    if len(blob) < _HEADER.size:
+        raise OracleFileError("truncated oracle file while reading header")
+    magic, version, n, m, d, tie_seed, digest = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise OracleFileError(f"not an oracle file (magic {magic!r})")
     if version != VERSION:
-        raise OracleFileError(f"unsupported oracle file version {version}")
-    if (id_w, len_w) != (4, 8):
-        raise OracleFileError(f"unsupported field widths {(id_w, len_w)}")
+        raise OracleFileError(f"unsupported oracle file version {version} "
+                              f"(expected {VERSION}); rebuild the oracle")
+    size = _file_size(n, m)
+    if len(blob) != size:
+        what = "truncated" if len(blob) < size else "trailing data in"
+        raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
+    if hashlib.sha256(memoryview(blob)[:-_TRAILER]).digest() != blob[-_TRAILER:]:
+        raise OracleFileError("oracle file does not match its sha256 digest trailer")
 
-    edges_raw = np.frombuffer(
-        _read_exact(source, m * 16, "edges"), dtype=_edge_dtype())
-    g = Graph(n, [(int(e["a"]), int(e["b"]), int(e["w"])) for e in edges_raw])
+    edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
+    g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),
+                          edges["w"].tolist())))
     g.validate()
-    if g.digest() != digest_raw.hex():
+    if g.digest() != digest.hex():
         raise OracleFileError("stored graph does not match its stored digest")
-    if graph is not None and graph.digest() != digest_raw.hex():
+    if graph is not None and graph.digest() != digest.hex():
         raise OracleFileError("oracle file was built for a different graph")
 
-    tie = np.frombuffer(_read_exact(source, m * 8, "tie values"),
-                        dtype="<u8").astype(int).tolist()
+    pairs = np.frombuffer(blob, _PAIR, n * n, _HEADER.size + m * _EDGE.itemsize)
+    parent, parent_eid = pairs["parent"], pairs["parent_eid"]
+    if parent.min() < -1 or parent.max() >= n or \
+            parent_eid.min() < -1 or parent_eid.max() >= m:
+        raise OracleFileError("tree arrays out of range")
+    dist = [[CompositeLength(tl, tk) for tl, tk in zip(row_tl, row_tk)]
+            for row_tl, row_tk in zip(pairs["tl"].reshape(n, n).tolist(),
+                                      pairs["tk"].reshape(n, n).tolist())]
+    index = ShortestPathIndex.from_arrays(
+        g, edges["tie"].tolist(), dist, parent.reshape(n, n).tolist(),
+        parent_eid.reshape(n, n).tolist())
 
-    dist_raw = np.frombuffer(_read_exact(source, n * n * 16, "distances"),
-                             dtype=_dist_dtype())
-    dist = [[CompositeLength(int(dist_raw[u * n + v]["tl"]),
-                             int(dist_raw[u * n + v]["tk"]))
-             for v in range(n)] for u in range(n)]
-
-    mats = []
-    for what in ("parents", "parent edges", "entry times", "exit times"):
-        raw = np.frombuffer(_read_exact(source, n * n * 4, what), dtype="<u4")
-        mat = raw.astype(np.int64)
-        mat[raw == _NONE32] = -1
-        mats.append(mat.reshape(n, n))
-    parent = [list(map(int, row)) for row in mats[0]]
-    parent_eid = [list(map(int, row)) for row in mats[1]]
-
-    index = ShortestPathIndex.from_arrays(g, tie, dist, parent, parent_eid)
-    if [list(map(int, r)) for r in mats[2]] != index._in or \
-            [list(map(int, r)) for r in mats[3]] != index._out:
-        raise OracleFileError("stored tree intervals disagree with tree arrays")
-
+    codec = LengthCodec(n, m, max((w for _, _, w in g.edges), default=1))
+    subsets = enumerate_failure_sets(m, d)
     count = 4 * n ** 4
-    etype = _entry_dtype(d)
-    rec = np.frombuffer(_read_exact(source, count * etype.itemsize, "entries"),
-                        dtype=etype)
-    if source.read(1):
-        raise OracleFileError("trailing data after table entries")
-
-    codec = LengthCodec.__new__(LengthCodec)
-    codec.shift = shift
-    codec.mask = (1 << shift) - 1
-    codec.unreachable_code = 1 << 62
-
-    tl = rec["tl"].astype(np.int64)
-    tk = rec["tk"].astype(np.int64)
-    values = np.where(rec["unreach"].astype(bool),
-                      np.int64(codec.unreachable_code),
-                      (tl << shift) | tk)
-    rows = np.column_stack([rec["cnt"].astype(np.int64),
-                            rec["ids"].astype(np.int64)])
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    subsets = [tuple(int(x) for x in row[1:1 + int(row[0])]) for row in uniq]
+    offset = size - _TRAILER - count * _ENTRY_BYTES
     shape = (n, n, n, n, 2, 2)
-    tables = OracleTables(g, d, int(tie_seed), codec,
-                          values.reshape(shape),
-                          inverse.astype(np.int32).reshape(shape), subsets)
-    tables.hit_bound_factor = hit_factor
-    return Oracle(index, tables)
+    values = np.frombuffer(blob, "<i8", count, offset).reshape(shape)
+    dstar_idx = np.frombuffer(blob, "<i4", count, offset + count * 8).reshape(shape)
+    if values.min() < 0 or values.max() > codec.unreachable_code or \
+            dstar_idx.min() < 0 or dstar_idx.max() >= len(subsets):
+        raise OracleFileError("table entry out of range")
+    return Oracle(index, OracleTables(g, d, tie_seed, codec, values, dstar_idx,
+                                      subsets))
 
 
 def oracle_file_bytes(oracle: Oracle) -> bytes:

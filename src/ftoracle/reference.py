@@ -217,65 +217,63 @@ def verify_instance(oracle: Oracle, mode: str = "exhaustive",
     ref = ReferenceOracle(graph, oracle.index.tie)
     index = oracle.index
     d = oracle.d
-    budget = hit_budget(d, oracle.tables.hit_bound_factor)
+    budget = hit_budget(d)
     report = VerifyReport(graph.digest(), d, mode,
                           hits_budget=budget, lookup_budget=budget,
                           answers=[] if collect_answers else None)
-    guards_before = oracle.engine.check_guards
-    oracle.engine.check_guards = check_guards
-    try:
-        for u, v, failed in enumerate_instances(graph, d, mode, samples, seed):
-            stats = QueryStats()
-            records: list[tuple[int, int, tuple[int, ...], object]] = []
-            answer = oracle._query_canonical(
-                u, v, failed, stats=stats,
-                observer=lambda a, b, f, o: records.append((a, b, f, o)))
-            truth = ref.dist_avoiding(failed, u, v)
-            report.instances += 1
-            report.case_three_calls += stats.case_three_calls
-            if collect_answers:
-                report.answers.append(answer)
-            if answer != truth:
-                report.mismatches += 1
-                if len(report.mismatch_examples) < 5:
-                    report.mismatch_examples.append(
-                        (u, v, failed, answer, truth))
-            if not truth.is_unreachable:
-                path = ref.replacement_path(failed, u, v)
-                r_uv = ref.rank_of_path(path)
-                if r_uv > report.max_rank:
-                    report.max_rank = r_uv
-                if r_uv > len(failed):
-                    report.rank_violations += 1
-                for w in path[1:-1]:
-                    if index.path_intersects(u, w, failed) and \
-                            index.path_intersects(v, w, failed):
-                        r_uw = ref.rank(failed, u, w)
-                        r_wv = ref.rank(failed, w, v)
-                        if r_uw > r_uv - 1 or r_wv > r_uv - 1:
-                            report.rank_drop_violations += 1
-            for a, b, fset, outcome in records:
-                sub_truth = ref.dist_avoiding(fset, a, b)
-                if outcome.bound != sub_truth:
-                    sub_path = ref.replacement_path(fset, a, b)
-                    on_path = sub_path is not None and \
-                        bool(outcome.hits.intersection(sub_path))
-                    if not on_path:
-                        report.bound_violations += 1
-                for w in outcome.hits:
-                    if not (index.path_intersects(a, w, fset) and
-                            index.path_intersects(b, w, fset)):
-                        report.hit_check_violations += 1
-                if len(outcome.hits) > report.max_hits:
-                    report.max_hits = len(outcome.hits)
-                if len(outcome.hits) > budget:
-                    report.hit_budget_violations += 1
-            if stats.lookups > report.max_lookups:
-                report.max_lookups = stats.lookups
-            if stats.lookups > budget:
-                report.lookup_budget_violations += 1
-            if stats.max_depth > report.max_depth:
-                report.max_depth = stats.max_depth
-    finally:
-        oracle.engine.check_guards = guards_before
+    # a private engine, so the caller's oracle never sees the guard flag
+    checked = Oracle(index, oracle.tables)
+    checked.engine.check_guards = check_guards
+    for u, v, failed in enumerate_instances(graph, d, mode, samples, seed):
+        stats = QueryStats()
+        records: list[tuple[int, int, tuple[int, ...], object]] = []
+        answer = checked._query_canonical(
+            u, v, failed, stats=stats,
+            observer=lambda a, b, f, o: records.append((a, b, f, o)))
+        truth = ref.dist_avoiding(failed, u, v)
+        report.instances += 1
+        report.case_three_calls += stats.case_three_calls
+        if collect_answers:
+            report.answers.append(answer)
+        if answer != truth:
+            report.mismatches += 1
+            if len(report.mismatch_examples) < 5:
+                report.mismatch_examples.append(
+                    (u, v, failed, answer, truth))
+        if not truth.is_unreachable:
+            path = ref.replacement_path(failed, u, v)
+            r_uv = ref.rank_of_path(path)
+            if r_uv > report.max_rank:
+                report.max_rank = r_uv
+            if r_uv > len(failed):
+                report.rank_violations += 1
+            for w in path[1:-1]:
+                if index.path_intersects(u, w, failed) and \
+                        index.path_intersects(v, w, failed):
+                    r_uw = ref.rank(failed, u, w)
+                    r_wv = ref.rank(failed, w, v)
+                    if r_uw > r_uv - 1 or r_wv > r_uv - 1:
+                        report.rank_drop_violations += 1
+        for a, b, fset, outcome in records:
+            sub_truth = ref.dist_avoiding(fset, a, b)
+            if outcome.bound != sub_truth:
+                sub_path = ref.replacement_path(fset, a, b)
+                on_path = sub_path is not None and \
+                    bool(outcome.hits.intersection(sub_path))
+                if not on_path:
+                    report.bound_violations += 1
+            for w in outcome.hits:
+                if not (index.path_intersects(a, w, fset) and
+                        index.path_intersects(b, w, fset)):
+                    report.hit_check_violations += 1
+            if len(outcome.hits) > report.max_hits:
+                report.max_hits = len(outcome.hits)
+            if len(outcome.hits) > budget:
+                report.hit_budget_violations += 1
+        if stats.lookups > report.max_lookups:
+            report.max_lookups = stats.lookups
+        if stats.lookups > budget:
+            report.lookup_budget_violations += 1
+        if stats.max_depth > report.max_depth:
+            report.max_depth = stats.max_depth
     return report

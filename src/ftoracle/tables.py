@@ -27,8 +27,6 @@ import numpy as np
 from .graph import TIE_RANGE_FACTOR, CompositeLength, Graph, UNREACHABLE
 from .spindex import ShortestPathIndex
 
-HIT_BOUND_FACTOR = 16
-
 
 class BuildError(RuntimeError):
     """Table build cannot proceed at this input scale."""
@@ -103,7 +101,6 @@ class OracleTables:
         self.graph = graph
         self.d = d
         self.tie_seed = tie_seed
-        self.hit_bound_factor = HIT_BOUND_FACTOR
         self.codec = codec
         self.values = values          # int64, shape (n, n, n, n, 2, 2)
         self.dstar_idx = dstar_idx    # int32, same shape

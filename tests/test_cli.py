@@ -135,6 +135,19 @@ def test_query_rejects_bad_vertex(g1_path, tmp_path, capsys):
     assert "vertex" in capsys.readouterr().err
 
 
+def test_query_rejects_corrupt_oracle(g1_path, tmp_path, capsys):
+    oracle = build(g1_path, tmp_path, 1)
+    with open(oracle, "r+b") as fh:
+        fh.seek(-100, 2)  # inside the table arrays
+        byte = fh.read(1)[0]
+        fh.seek(-100, 2)
+        fh.write(bytes([byte ^ 1]))
+    capsys.readouterr()
+    rc = cli.main(["query", "-o", oracle, "-s", "0", "-t", "2"])
+    assert rc == 2
+    assert "sha256" in capsys.readouterr().err
+
+
 def test_verify_exhaustive_passes(g1_path, capsys):
     assert cli.main(["verify", "-g", g1_path, "-d", "2"]) == 0
     out = capsys.readouterr().out

@@ -256,4 +256,3 @@ def test_hit_budget_values():
     assert hit_budget(1) == 32
     assert hit_budget(2) == 1040
     assert hit_budget(3) == 11680
-    assert hit_budget(2, factor=1) == 80

@@ -1,8 +1,10 @@
 """Binary oracle files: round trips, byte identity, corruption detection."""
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
@@ -35,6 +37,10 @@ def test_loaded_oracle_answers_match(oracle6_d2, g6):
 def test_loaded_tables_bitwise_equal(oracle1_d2):
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle1_d2)))
     assert np.array_equal(loaded.tables.values, oracle1_d2.tables.values)
+    assert np.array_equal(loaded.tables.dstar_idx, oracle1_d2.tables.dstar_idx)
+    assert loaded.tables.values.dtype == oracle1_d2.tables.values.dtype
+    assert loaded.tables.dstar_idx.dtype == oracle1_d2.tables.dstar_idx.dtype
+    assert loaded.tables.subsets == oracle1_d2.tables.subsets
     for u in range(4):
         for v in range(4):
             assert loaded.tables.lookup(u, v, u, v, 0, 0) == \
@@ -50,9 +56,9 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
 
 def test_file_size_is_fixed_width(oracle1_d2):
     g = oracle1_d2.graph
-    n, m, d = g.n, g.m, 2
-    expect = _HEADER.size + m * 16 + m * 8 + n * n * 16 + 4 * n * n * 4 + \
-        4 * n ** 4 * (1 + 4 * d + 1 + 8 + 8)
+    n, m = g.n, g.m
+    # header, edges with tie values, tree index, values i64 + dstar i32, sha256
+    expect = _HEADER.size + m * 24 + n * n * 24 + 4 * n ** 4 * 12 + 32
     assert len(oracle_file_bytes(oracle1_d2)) == expect
 
 
@@ -95,3 +101,41 @@ def test_rejects_tampered_graph(oracle1_d1):
     blob[off:off + 8] = (9).to_bytes(8, "little")
     with pytest.raises(OracleFileError, match="digest"):
         load_oracle(io.BytesIO(bytes(blob)))
+
+
+def _reseal(blob: bytearray) -> bytes:
+    """Recompute the sha256 trailer, as a deliberately crafted file would."""
+    body = bytes(blob[:-32])
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 5),
+    ("parent", 4), ("parent_eid", 4)])
+def test_rejects_out_of_range_entries(oracle1_d1, section, value):
+    # g1 has n=4, m=4 and, at d=1, five failure sets
+    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    count = 4 * 4 ** 4
+    where = {"values": (len(blob) - 32 - count * 12, 8),
+             "dstar": (len(blob) - 32 - count * 4, 4),
+             "parent": (_HEADER.size + 4 * 24 + 16, 4),
+             "parent_eid": (_HEADER.size + 4 * 24 + 20, 4)}
+    off, width = where[section]
+    blob[off:off + width] = value.to_bytes(width, "little", signed=True)
+    with pytest.raises(OracleFileError, match="out of range"):
+        load_oracle(io.BytesIO(_reseal(blob)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_truncation_or_bit_flip_is_rejected(oracle1_d1, data):
+    blob = oracle_file_bytes(oracle1_d1)
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        bit = data.draw(st.integers(0, len(blob) * 8 - 1), label="bit")
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        bad = bytes(flipped)
+    with pytest.raises(OracleFileError):
+        load_oracle(io.BytesIO(bad))

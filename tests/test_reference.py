@@ -2,6 +2,7 @@
 import pytest
 
 from ftoracle.generate import gen_gnm
+from ftoracle.hitset import HitSetEngine
 from ftoracle.query import build_oracle
 from ftoracle.reference import (ReferenceOracle, enumerate_instances,
                                 verify_instance)
@@ -138,3 +139,25 @@ def test_verify_restores_guard_flag(oracle1_d1):
     assert oracle1_d1.engine.check_guards is False
     verify_instance(oracle1_d1)
     assert oracle1_d1.engine.check_guards is False
+
+
+def test_verify_leaves_guard_flag_alone_while_running(oracle1_d1, monkeypatch):
+    # the caller's engine stays unguarded during the run, not just after it,
+    # while every lookup the run makes is guarded
+    caller_flags, lookup_flags = [], []
+    real_dist, real_lookup = ReferenceOracle.dist_avoiding, HitSetEngine._lookup
+
+    def spy_dist(self, failed, u, v):
+        caller_flags.append(oracle1_d1.engine.check_guards)
+        return real_dist(self, failed, u, v)
+
+    def spy_lookup(self, *args):
+        lookup_flags.append(self.check_guards)
+        return real_lookup(self, *args)
+
+    monkeypatch.setattr(ReferenceOracle, "dist_avoiding", spy_dist)
+    monkeypatch.setattr(HitSetEngine, "_lookup", spy_lookup)
+    report = verify_instance(oracle1_d1)
+    assert report.ok
+    assert caller_flags and not any(caller_flags)
+    assert lookup_flags and all(lookup_flags)
