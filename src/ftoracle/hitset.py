@@ -34,6 +34,13 @@ AUX_ROOT = -1
 Observer = Callable[[int, int, tuple[int, ...], "HitSetOutcome"], None]
 
 
+class GuardError(AssertionError):
+    """A guarded table lookup whose key's constraint the failure set breaks.
+
+    Raised explicitly rather than by assert, so python -O keeps the check.
+    """
+
+
 class HitSetOutcome(NamedTuple):
     bound: CompositeLength
     hits: frozenset[int]
@@ -110,9 +117,9 @@ class HitSetEngine:
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
                 failed: Sequence[int], stats: QueryStats | None) -> TableEntry:
-        if self.check_guards:
-            assert constraint_holds(self.index, failed, (u, v, up, vp, b1, b2)), \
-                f"unguarded lookup {(u, v, up, vp, b1, b2)} under {failed}"
+        if self.check_guards and \
+                not constraint_holds(self.index, failed, (u, v, up, vp, b1, b2)):
+            raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {failed}")
         if stats is not None:
             stats.lookups += 1
         return self.tables.lookup(u, v, up, vp, b1, b2)

@@ -29,7 +29,8 @@ import numpy as np
 from .graph import CompositeLength, Graph
 from .query import Oracle
 from .spindex import ShortestPathIndex
-from .tables import LengthCodec, OracleTables, enumerate_failure_sets
+from .tables import (LengthCodec, OracleTables, enumerate_failure_sets,
+                     failure_set_count)
 
 MAGIC = b"FTDO"
 VERSION = 2
@@ -39,6 +40,7 @@ _PAIR = np.dtype([("tl", "<u8"), ("tk", "<u8"),
                   ("parent", "<i4"), ("parent_eid", "<i4")])
 _ENTRY_BYTES = 8 + 4
 _TRAILER = hashlib.sha256().digest_size
+_MAX_SUBSETS = 2 ** 31  # dstar_idx is int32
 
 
 class OracleFileError(ValueError):
@@ -94,6 +96,11 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
     if hashlib.sha256(memoryview(blob)[:-_TRAILER]).digest() != blob[-_TRAILER:]:
         raise OracleFileError("oracle file does not match its sha256 digest trailer")
+    if d < 1:
+        raise OracleFileError(f"failure budget d={d} out of range")
+    if failure_set_count(m, d, _MAX_SUBSETS) > _MAX_SUBSETS:
+        raise OracleFileError(f"failure budget d={d} with m={m} gives more failure "
+                              f"sets than int32 set indices can address")
 
     edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
     g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),

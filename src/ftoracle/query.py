@@ -15,7 +15,7 @@ from .graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
                     canonical_failures)
 from .hitset import HitSetEngine, Observer, QueryStats
 from .spindex import ShortestPathIndex, build_index_auto
-from .tables import OracleTables, build_tables
+from .tables import OracleTables, build_tables, check_build_size
 
 
 class QueryError(ValueError):
@@ -99,6 +99,7 @@ def build_oracle(graph: Graph, d: int, seed: int = 1,
                  progress=None) -> Oracle:
     """Validate, pick a tie assignment with unique paths, build all tables."""
     graph.validate()
+    check_build_size(graph.n, graph.m, d)
     index, _, used_seed = build_index_auto(graph, seed)
     tables = build_tables(index, d, used_seed, progress)
     return Oracle(index, tables)

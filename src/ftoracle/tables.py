@@ -11,16 +11,30 @@ lookup a sound upper bound.
 The build enumerates candidate sets in ascending order of their sorted
 edge-id sequence and replaces an entry only on a strictly larger composite
 length, so ties resolve to the lexicographically smallest set without a
-second pass.  The per-set update over all keys is vectorized: feasibility
-factors into one (root, vertex, bit) mask per side, and the key space is
-their outer product.
+second pass.
+
+Most (set, row) pairs cannot change anything, and the build skips them.
+Composite lengths make every shortest path unique, so a set F that misses
+the base tree path u->v leaves the u-v distance at its base value.  The
+empty set comes first in the order and is feasible for every key, so every
+key of row (u, v) starts at that base value, and F, which needs a strictly
+larger length to replace it, changes none of them.  Only the damaged rows,
+whose base path F hits, are updated.  For the same reason the deletion
+sweep under F re-settles, from each root, only the vertices whose tree
+path F hits; every other distance stays at its base value.
+
+Feasibility factors into one (root, vertex, bit) mask per side, taken from
+per-edge masks derived once per build; a damaged row's update is the outer
+product of its two sides' masks.
 """
 from __future__ import annotations
 
 import heapq
+import math
+import os
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +91,32 @@ def enumerate_failure_sets(m: int, d: int) -> list[tuple[int, ...]]:
         combinations(range(m), k) for k in range(min(d, m) + 1)))
 
 
+def failure_set_count(m: int, d: int, cap: float = math.inf) -> int:
+    """len(enumerate_failure_sets(m, d)), summed only until it passes cap."""
+    total = 0
+    for k in range(min(d, m) + 1):
+        total += math.comb(m, k)
+        if total > cap:
+            break
+    return total
+
+
+def check_build_size(n: int, m: int, d: int) -> None:
+    """Refuse a build whose tables and subset list exceed physical memory.
+
+    Each of the 4*n^4 keys takes an int64 code and an int32 set index; each
+    subset costs a tuple plus its list slot.  Failing here, before anything
+    is allocated, beats an overcommitted allocation that is killed later.
+    """
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    per_set = 48 + 8 * max(0, min(d, m))
+    need = 48 * n ** 4 + failure_set_count(m, d, phys // per_set) * per_set
+    if need > phys:
+        raise BuildError(
+            f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
+            f"more than the {phys / 2 ** 30:.3g} GiB of physical memory")
+
+
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
                      key: TableKey | tuple[int, int, int, int, int, int]) -> bool:
     """The constraint a failure set must satisfy to be dominated by key's entry."""
@@ -123,74 +163,93 @@ class OracleTables:
 
 
 def _deleted_all_pairs(index: ShortestPathIndex, banned: frozenset[int],
-                       codec: LengthCodec) -> np.ndarray:
-    """Encoded all-pairs composite distances of G minus the banned edges."""
-    graph = index.graph
+                       codec: LengthCodec, base: np.ndarray,
+                       damaged: np.ndarray) -> np.ndarray:
+    """Encoded all-pairs composite distances of G minus the banned edges.
+
+    base holds the encoded distances of G and damaged[r, x] marks the pairs
+    whose tree path r->x meets a banned edge.  Every other pair keeps its
+    base distance, so each root re-settles only its damaged vertices: a
+    Dijkstra over them, seeded from their undamaged neighbours (the
+    affected-subtree repair of Ramalingam and Reps).
+    """
+    adj = index.graph.adj
     tie = index.tie
-    n = graph.n
-    adj = graph.adj
-    unreach = codec.unreachable_code
     shift = codec.shift
-    out = np.full((n, n), unreach, dtype=np.int64)
-    for r in range(n):
-        dist_tl = [-1] * n
-        dist_tk = [0] * n
-        dist_tl[r] = 0
-        done = [False] * n
-        heap = [(0, 0, r)]
+    out = base.copy()
+    for r, bad in enumerate(damaged.tolist()):
+        if not any(bad):
+            continue
+        done = [not b for b in bad]
+        known = index._dist[r]
+        heap = []
+        for y, b in enumerate(bad):
+            if not b:
+                continue
+            out[r, y] = codec.unreachable_code
+            for nb, eid, w in adj[y]:
+                if done[nb] and eid not in banned:
+                    tl, tk = known[nb]
+                    heap.append((tl + w, tk + tie[eid], y))
+        heapq.heapify(heap)
         while heap:
             tl, tk, x = heapq.heappop(heap)
             if done[x]:
                 continue
             done[x] = True
+            out[r, x] = (tl << shift) | tk
             for nb, eid, w in adj[x]:
-                if done[nb] or eid in banned:
-                    continue
-                ctl = tl + w
-                ctk = tk + tie[eid]
-                if dist_tl[nb] < 0 or (ctl, ctk) < (dist_tl[nb], dist_tk[nb]):
-                    dist_tl[nb] = ctl
-                    dist_tk[nb] = ctk
-                    heapq.heappush(heap, (ctl, ctk, nb))
-        row = out[r]
-        for x in range(n):
-            if done[x]:
-                row[x] = (dist_tl[x] << shift) | dist_tk[x]
+                if not done[nb] and eid not in banned:
+                    heapq.heappush(heap, (tl + w, tk + tie[eid], nb))
     return out
 
 
-def _side_masks(index: ShortestPathIndex, sub: tuple[int, ...],
-                tin: np.ndarray, tout: np.ndarray,
-                order: np.ndarray) -> np.ndarray:
+def _edge_masks(index: ShortestPathIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (edge, root, vertex) bool masks, derived once per build.
+
+    on_path[e, r, x]: edge e lies on the tree path r->x, i.e. x sits in the
+    subtree of e's child endpoint.  touches[e, r, x]: the subtree of x,
+    rooted at r, holds an endpoint of e.
+    """
+    graph = index.graph
+    n, m = graph.n, graph.m
+    tin = np.array(index._in, dtype=np.int64)
+    tout = np.array(index._out, dtype=np.int64)
+    roots = np.arange(n)
+    child = np.array(index._tree_child, dtype=np.int64).reshape(n, m).T
+    ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
+
+    def at(num: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # num[r, x[e, r]] as an (edge, root, 1) column against num[r, vertex]
+        return num[roots, x][:, :, None]
+
+    c = np.maximum(child, 0)
+    on_path = (child >= 0)[:, :, None] & (at(tin, c) <= tin) & (tin <= at(tout, c))
+    a, b = at(tin, ends[:, :1]), at(tin, ends[:, 1:])
+    touches = ((tin <= a) & (a <= tout)) | ((tin <= b) & (b <= tout))
+    return on_path, touches
+
+
+def _side_masks(on_path: np.ndarray, touches: np.ndarray,
+                sub: tuple[int, ...]) -> np.ndarray:
     """(root, vertex, bit) feasibility factor for one failure set.
 
     bit 0 requires only a clean tree path root->vertex; bit 1 additionally
-    requires no failed endpoint inside the vertex's subtree.
+    requires no failed endpoint inside the vertex's subtree.  This is the
+    one place that derives which (root, vertex) pairs are clean under F.
     """
-    n = index.graph.n
-    path_ok = np.ones((n, n), dtype=bool)
-    sub_ok = np.ones((n, n), dtype=bool)
-    edges = index.graph.edges
-    for eid in sub:
-        a, b, _ = edges[eid]
-        for r in range(n):
-            c = index._tree_child[r][eid]
-            if c >= 0:
-                row = index._in[r]
-                path_ok[r, order[r, row[c]:index._out[r][c] + 1]] = False
-            ia = tin[r, a]
-            ib = tin[r, b]
-            sub_ok[r] &= ~(((tin[r] <= ia) & (tout[r] >= ia)) |
-                           ((tin[r] <= ib) & (tout[r] >= ib)))
-    return np.stack((path_ok, path_ok & sub_ok), axis=2)
+    rows = list(sub)
+    path_ok = ~on_path[rows].any(axis=0)
+    return np.stack((path_ok, path_ok & ~touches[rows].any(axis=0)), axis=2)
 
 
 def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
                  progress: Callable[[int, int], None] | None = None) -> OracleTables:
     """Exhaustive maximization over failure sets of size <= d.
 
-    Outer loop per candidate set (one shortest-path sweep of G minus the
-    set), inner update over all keys at once.
+    Every key starts at the empty set's entry, the base distance.  Each
+    other set re-settles the vertices it damages and updates only the
+    damaged (u, v) rows.
     """
     if d < 1:
         raise BuildError(f"failure budget must be >= 1, got {d}")
@@ -199,28 +258,39 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     max_w = max((w for _, _, w in graph.edges), default=1)
     codec = LengthCodec(n, graph.m, max_w)
     subsets = enumerate_failure_sets(graph.m, d)
+    on_path, touches = _edge_masks(index)
+    base = np.array([[codec.encode(c) for c in row] for row in index._dist],
+                    dtype=np.int64)
     try:
-        values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
+        values = np.empty((n, n, n, n, 2, 2), dtype=np.int64)
+        values[...] = base[:, :, None, None, None, None]
         dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     except MemoryError:
         raise BuildError(
             f"cannot allocate {4 * n ** 4} table entries for n={n}") from None
 
-    tin = np.array(index._in, dtype=np.int64)
-    tout = np.array(index._out, dtype=np.int64)
-    order = np.array(index._order, dtype=np.int64)
-
+    rows_of_values = values.reshape(n * n, -1)
+    rows_of_dstar = dstar_idx.reshape(n * n, -1)
     total = len(subsets)
     for si, sub in enumerate(subsets):
-        dist = _deleted_all_pairs(index, frozenset(sub), codec)
-        fb = _side_masks(index, sub, tin, tout, order)
-        f1 = fb[:, None, :, None, :, None]
-        f2 = fb[None, :, None, :, None, :]
-        cand = dist[:, :, None, None, None, None]
-        upd = (cand > values) & f1 & f2
-        np.copyto(values, np.broadcast_to(cand, values.shape), where=upd)
-        np.copyto(dstar_idx, np.int32(si), where=upd)
+        fb = _side_masks(on_path, touches, sub)
+        damaged = ~fb[:, :, 0]
+        if damaged.any():
+            dist = _deleted_all_pairs(index, frozenset(sub), codec, base, damaged).ravel()
+            damaged_rows = np.flatnonzero(damaged)
+            # chunks of n damaged rows keep every temporary at O(n^3)
+            for lo in range(0, len(damaged_rows), n):
+                rows = damaged_rows[lo:lo + n]
+                u, v = np.divmod(rows, n)
+                cur = rows_of_values[rows]
+                cand = dist[rows][:, None]
+                upd = fb[u][:, :, None, :, None] & fb[v][:, None, :, None, :]
+                upd = upd.reshape(cur.shape) & (cand > cur)
+                np.copyto(cur, cand, where=upd)
+                rows_of_values[rows] = cur
+                idx = rows_of_dstar[rows]
+                idx[upd] = si
+                rows_of_dstar[rows] = idx
         if progress is not None:
             progress(si + 1, total)
-    assert int(values.min()) >= 0, "every key must be initialized by the empty set"
     return OracleTables(graph, d, tie_seed, codec, values, dstar_idx, subsets)

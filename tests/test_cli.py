@@ -57,6 +57,16 @@ def test_build_outputs_identical_files(g1_path, tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_build_beyond_physical_memory_exits_2(tmp_path, capsys):
+    # a 2000-vertex path would need 48 * 2000**4 bytes of tables
+    path = tmp_path / "path2000.graph"
+    path.write_text("2000 1999\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1999)))
+    out = tmp_path / "x.oracle"
+    assert cli.main(["build", "-g", str(path), "-d", "1", "-o", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_rejects_missing_graph(tmp_path, capsys):
     rc = cli.main(["build", "-g", str(tmp_path / "nope"), "-d", "1",
                    "-o", str(tmp_path / "x")])

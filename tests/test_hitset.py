@@ -4,15 +4,20 @@ The induced-tree invariants are checked against a brute-force rebuild:
 union the pairwise tree paths between failure endpoints (root included),
 count degrees, and apply the degree/endpoint rules directly.
 """
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import ftoracle
 from ftoracle.graph import UNREACHABLE
-from ftoracle.hitset import (AUX_ROOT, HitSetEngine, InducedKeyTree,
+from ftoracle.hitset import (AUX_ROOT, GuardError, HitSetEngine, InducedKeyTree,
                              QueryStats, build_induced_key_tree, hit_budget)
 
-from conftest import tree_path_edges
+from conftest import G1_TEXT, tree_path_edges
 
 
 def brute_induced_edges(index, root, failed):
@@ -208,6 +213,41 @@ def test_case_three_requires_damage(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     with pytest.raises(AssertionError, match="damaged"):
         engine.case_three(0, 1, (2,))
+
+
+def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
+    engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables, check_guards=True)
+    # edge 0 lies on the tree path 0->1, so (0,) breaks the key's constraint
+    with pytest.raises(GuardError, match="unguarded lookup"):
+        engine._lookup(0, 2, 1, 2, 0, 0, (0,), None)
+
+
+GUARD_UNDER_O = f"""
+import sys
+from ftoracle.graph import parse_graph
+from ftoracle.hitset import GuardError, HitSetEngine
+from ftoracle.query import build_oracle
+from ftoracle.tables import constraint_holds
+assert sys.flags.optimize, "not running under -O"
+oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
+assert not constraint_holds(oracle.index, (0,), (0, 2, 1, 2, 0, 0))
+engine = HitSetEngine(oracle.index, oracle.tables, check_guards=True)
+try:
+    engine._lookup(0, 2, 1, 2, 0, 0, (0,), None)
+except GuardError:
+    print("guard raised")
+"""
+
+
+def test_guard_check_survives_optimized_mode():
+    # python -O strips assert statements; the guard must not depend on them
+    src = str(Path(ftoracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", GUARD_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guard raised"
 
 
 def test_case_three_guarded_everywhere(oracle1_d2, oracle6_d1):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
+from ftoracle.generate import gen_gnm
 from ftoracle.query import build_oracle
 from ftoracle.reference import enumerate_instances
 
@@ -124,6 +125,30 @@ def test_rejects_out_of_range_entries(oracle1_d1, section, value):
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
     with pytest.raises(OracleFileError, match="out of range"):
         load_oracle(io.BytesIO(_reseal(blob)))
+
+
+def _with_budget(blob: bytes, d: int) -> bytes:
+    """The file re-sealed with another failure budget d in its header."""
+    out = bytearray(blob)
+    out[24:32] = d.to_bytes(8, "little")  # after magic, version, n and m
+    return _reseal(out)
+
+
+def test_rejects_zero_budget_header(oracle1_d1):
+    with pytest.raises(OracleFileError, match="d=0 out of range"):
+        load_oracle(io.BytesIO(_with_budget(oracle_file_bytes(oracle1_d1), 0)))
+
+
+def test_rejects_budget_beyond_int32_set_indices():
+    # K9 has m=36, so d=36 would ask load to enumerate 2**36 subsets
+    oracle = build_oracle(gen_gnm(9, 36, 5, seed=3), d=1, seed=1)
+    blob = oracle_file_bytes(oracle)
+    with pytest.raises(OracleFileError, match="int32"):
+        load_oracle(io.BytesIO(_with_budget(blob, 36)))
+    with pytest.raises(OracleFileError, match="int32"):
+        load_oracle(io.BytesIO(_with_budget(blob, 2 ** 63 - 1)))
+    # a budget whose subsets int32 can index still loads the stored tables
+    assert load_oracle(io.BytesIO(_with_budget(blob, 2))).d == 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,15 +1,20 @@
 """Table build: constraint predicate, maximization, dominance, packing."""
+import time
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ftoracle.graph import UNREACHABLE, CompositeLength
+from ftoracle.generate import gen_gnm
+from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
+from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (BuildError, LengthCodec, TableKey,
-                             _side_masks, build_tables, constraint_holds,
-                             enumerate_failure_sets)
+                             _deleted_all_pairs, _edge_masks, _side_masks,
+                             build_tables, constraint_holds,
+                             enumerate_failure_sets, failure_set_count)
 
 
 def all_keys(n):
@@ -53,11 +58,9 @@ def test_constraint_blocks_touched_subtree(idx1):
 
 
 def test_constraint_matches_vectorized_masks(idx1, oracle1_d1):
-    tin = np.array(idx1._in, dtype=np.int64)
-    tout = np.array(idx1._out, dtype=np.int64)
-    order = np.array(idx1._order, dtype=np.int64)
+    on_path, touches = _edge_masks(idx1)
     for failed in enumerate_failure_sets(4, 2):
-        fb = _side_masks(idx1, failed, tin, tout, order)
+        fb = _side_masks(on_path, touches, failed)
         for key in all_keys(4):
             expect = constraint_holds(idx1, failed, key)
             assert bool(fb[key.u, key.up, key.b1] and
@@ -75,6 +78,16 @@ def test_enumerate_failure_sets_small():
 
 def test_enumerate_failure_sets_degenerate_budget():
     assert len(enumerate_failure_sets(4, 9)) == 16
+
+
+@pytest.mark.parametrize("m, d", [(0, 1), (4, 2), (4, 9), (7, 3)])
+def test_failure_set_count_matches_enumeration(m, d):
+    assert failure_set_count(m, d) == len(enumerate_failure_sets(m, d))
+
+
+def test_failure_set_count_stops_past_cap():
+    # 2**36 sets in full; the partial sum passes the cap within a few terms
+    assert 100 < failure_set_count(36, 36, cap=100) < 2 ** 36
 
 
 # -- build results on fixtures ---------------------------------------------------
@@ -130,6 +143,106 @@ def test_lookup_rejects_bad_keys(oracle1_d1):
 def test_build_rejects_zero_budget(idx1):
     with pytest.raises(BuildError, match="budget"):
         build_tables(idx1, 0, tie_seed=1)
+
+
+# -- pruned build against the dense all-keys update -----------------------------
+
+def dense_build(index, d):
+    """The all-keys update, kept as the specification of the pruned build.
+
+    Every set runs a full deletion sweep and compares-and-copies over all
+    4*n^4 keys, with side masks derived directly from the tree intervals.
+    """
+    graph = index.graph
+    n = graph.n
+    codec = LengthCodec(n, graph.m, max((w for _, _, w in graph.edges), default=1))
+    tin = np.array(index._in, dtype=np.int64)
+    tout = np.array(index._out, dtype=np.int64)
+    order = np.array(index._order, dtype=np.int64)
+    base = np.array([[codec.encode(c) for c in row] for row in index._dist],
+                    dtype=np.int64)
+    values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
+    dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
+    for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
+        # every pair but (r, r) marked damaged: a from-scratch sweep per root
+        dist = _deleted_all_pairs(index, frozenset(sub), codec, base,
+                                  ~np.eye(n, dtype=bool))
+        path_ok = np.ones((n, n), dtype=bool)
+        sub_ok = np.ones((n, n), dtype=bool)
+        for eid in sub:
+            a, b, _ = graph.edges[eid]
+            for r in range(n):
+                c = index._tree_child[r][eid]
+                if c >= 0:
+                    path_ok[r, order[r, tin[r, c]:tout[r, c] + 1]] = False
+                ia, ib = tin[r, a], tin[r, b]
+                sub_ok[r] &= ~(((tin[r] <= ia) & (tout[r] >= ia)) |
+                               ((tin[r] <= ib) & (tout[r] >= ib)))
+        fb = np.stack((path_ok, path_ok & sub_ok), axis=2)
+        f1 = fb[:, None, :, None, :, None]
+        f2 = fb[None, :, None, :, None, :]
+        cand = dist[:, :, None, None, None, None]
+        upd = (cand > values) & f1 & f2
+        np.copyto(values, np.broadcast_to(cand, values.shape), where=upd)
+        np.copyto(dstar_idx, np.int32(si), where=upd)
+    return values, dstar_idx
+
+
+def _tree(n, wmax, seed):
+    return gen_gnm(n, n - 1, wmax, seed)
+
+
+def _complete(n, wmax, seed):
+    return gen_gnm(n, n * (n - 1) // 2, wmax, seed)
+
+
+def _sparse(n, wmax, seed):
+    return gen_gnm(n, min(n * (n - 1) // 2, n + 2), wmax, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(1, 6), unit=st.booleans(), d=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+@example(shape=_tree, n=1, unit=True, d=3, seed=0)
+@example(shape=_tree, n=2, unit=False, d=1, seed=0)
+@example(shape=_tree, n=2, unit=True, d=3, seed=0)
+@example(shape=_complete, n=5, unit=True, d=3, seed=0)
+def test_pruned_build_equals_dense_update(shape, n, unit, d, seed):
+    # trees give UNREACHABLE through bridges, unit weights give maximal ties
+    index, _, tie_seed = build_index_auto(shape(n, 1 if unit else 9, seed), 1)
+    tables = build_tables(index, d, tie_seed)
+    values, dstar_idx = dense_build(index, d)
+    assert tables.values.dtype == values.dtype
+    assert tables.dstar_idx.dtype == dstar_idx.dtype
+    assert np.array_equal(tables.values, values)
+    assert np.array_equal(tables.dstar_idx, dstar_idx)
+
+
+def test_deleted_distances_match_reference(idx6, ref6):
+    g = idx6.graph
+    codec = LengthCodec(g.n, g.m, max(w for _, _, w in g.edges))
+    on_path, touches = _edge_masks(idx6)
+    base = np.array([[codec.encode(c) for c in row] for row in idx6._dist],
+                    dtype=np.int64)
+    for failed in enumerate_failure_sets(g.m, 2):
+        damaged = ~_side_masks(on_path, touches, failed)[:, :, 0]
+        dist = _deleted_all_pairs(idx6, frozenset(failed), codec, base, damaged)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert codec.decode(int(dist[u, v])) == ref6.dist_avoiding(failed, u, v)
+
+
+# -- pre-flight size check --------------------------------------------------------
+
+def test_build_rejects_tables_beyond_physical_memory():
+    # 48 * 2000**4 bytes is far above any machine's memory; the check must
+    # fire before the index build, which alone would take minutes
+    path = Graph(2000, [(i, i + 1, 1) for i in range(1999)])
+    start = time.perf_counter()
+    with pytest.raises(BuildError, match="physical memory"):
+        build_oracle(path, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the load-bearing inequalities --------------------------------------------
