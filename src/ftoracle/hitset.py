@@ -61,12 +61,10 @@ class InducedKeyTree:
     """Contracted failure-induced subtree of one root's shortest-path tree.
 
     key_edges are (parent, child) pairs walking away from the root; the
-    parent may be AUX_ROOT.  induced_edges are the ids of the underlying
-    tree edges, kept for introspection and tests.
+    parent may be AUX_ROOT.
     """
 
     root: int
-    induced_edges: frozenset[int]
     key_vertices: tuple[int, ...]
     key_edges: tuple[tuple[int, int], ...]
 
@@ -93,17 +91,7 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
         edges.append((stack[-1] if stack else AUX_ROOT, w))
         stack.append(w)
 
-    induced: set[int] = set()
-    marked = {root}
-    for p in pts:
-        v = p
-        while v not in marked:
-            induced.add(index.parent_edge(root, v))
-            marked.add(v)
-            v = index.parent(root, v)
-
-    return InducedKeyTree(root, frozenset(induced),
-                          (AUX_ROOT, *key_real), tuple(edges))
+    return InducedKeyTree(root, (AUX_ROOT, *key_real), tuple(edges))
 
 
 class HitSetEngine:

@@ -14,8 +14,12 @@ Layout, version 2 (all integers little-endian):
 Every section's size follows from the header, and every section is a
 multiple of 8 bytes, so the two table arrays load as aligned zero-copy
 views.  The length codec, the subset list and the tree intervals are
-derived, not stored.  Saving the same build twice is byte-identical, and
-a load followed by a save reproduces the file exactly.
+derived, not stored.  The index section holds the index's packed base
+distances split into their two fields; load range-checks each field (and
+every tie value) before packing, so no stored pair can alias another
+length.  Before it enumerates the subsets a header's d names, load runs
+the same physical-memory check as a build.  Saving the same build twice is
+byte-identical, and a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -26,10 +30,10 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .graph import CompositeLength, Graph
+from .graph import Graph
 from .query import Oracle
-from .spindex import ShortestPathIndex
-from .tables import (LengthCodec, OracleTables, enumerate_failure_sets,
+from .spindex import BuildError, ShortestPathIndex, length_codec
+from .tables import (OracleTables, check_build_size, enumerate_failure_sets,
                      failure_set_count)
 
 MAGIC = b"FTDO"
@@ -56,10 +60,12 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     graph, index, tables = oracle.graph, oracle.index, oracle.tables
     edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
                      dtype=_EDGE)
-    pairs = np.array([(c.true_len, c.tie_key, p, e)
-                      for drow, prow, erow in zip(index._dist, index._parent,
-                                                  index._parent_eid)
-                      for c, p, e in zip(drow, prow, erow)], dtype=_PAIR)
+    pairs = np.empty(graph.n * graph.n, dtype=_PAIR)
+    codes = index.codes.ravel()
+    pairs["tl"] = codes >> index.codec.shift
+    pairs["tk"] = codes & index.codec.mask
+    pairs["parent"] = np.ravel(index._parent)
+    pairs["parent_eid"] = np.ravel(index._parent_eid)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
                               tables.tie_seed, bytes.fromhex(tables.graph_digest)),
@@ -101,6 +107,10 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if failure_set_count(m, d, _MAX_SUBSETS) > _MAX_SUBSETS:
         raise OracleFileError(f"failure budget d={d} with m={m} gives more failure "
                               f"sets than int32 set indices can address")
+    try:
+        check_build_size(n, m, d)
+    except BuildError as exc:
+        raise OracleFileError(f"cannot load: {exc}") from None
 
     edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
     g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),
@@ -116,25 +126,27 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if parent.min() < -1 or parent.max() >= n or \
             parent_eid.min() < -1 or parent_eid.max() >= m:
         raise OracleFileError("tree arrays out of range")
-    dist = [[CompositeLength(tl, tk) for tl, tk in zip(row_tl, row_tk)]
-            for row_tl, row_tk in zip(pairs["tl"].reshape(n, n).tolist(),
-                                      pairs["tk"].reshape(n, n).tolist())]
+    # packing a field past its width would alias another length
+    codec = length_codec(g)
+    tl, tk = pairs["tl"], pairs["tk"]
+    if tl.max() > codec.max_len or tk.max() > codec.mask:
+        raise OracleFileError("tree index lengths out of range")
+    codes = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
     index = ShortestPathIndex.from_arrays(
-        g, edges["tie"].tolist(), dist, parent.reshape(n, n).tolist(),
-        parent_eid.reshape(n, n).tolist())
+        g, edges["tie"].tolist(), codes.reshape(n, n),
+        parent.reshape(n, n).tolist(), parent_eid.reshape(n, n).tolist())
 
-    codec = LengthCodec(n, m, max((w for _, _, w in g.edges), default=1))
     subsets = enumerate_failure_sets(m, d)
     count = 4 * n ** 4
     offset = size - _TRAILER - count * _ENTRY_BYTES
     shape = (n, n, n, n, 2, 2)
     values = np.frombuffer(blob, "<i8", count, offset).reshape(shape)
     dstar_idx = np.frombuffer(blob, "<i4", count, offset + count * 8).reshape(shape)
-    if values.min() < 0 or values.max() > codec.unreachable_code or \
+    if values.min() < 0 or values.max() > index.codec.unreachable_code or \
             dstar_idx.min() < 0 or dstar_idx.max() >= len(subsets):
         raise OracleFileError("table entry out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, codec, values, dstar_idx,
-                                      subsets))
+    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, values,
+                                      dstar_idx, subsets))
 
 
 def oracle_file_bytes(oracle: Oracle) -> bytes:

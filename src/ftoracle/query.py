@@ -42,8 +42,7 @@ class Oracle:
 
     def query_composite(self, u: int, v: int, failures: Iterable[int] = (),
                         stats: QueryStats | None = None,
-                        observer: Observer | None = None,
-                        memo: bool = True) -> CompositeLength:
+                        observer: Observer | None = None) -> CompositeLength:
         n = self.graph.n
         if not (0 <= u < n and 0 <= v < n):
             raise QueryError(f"vertex out of range: {u}, {v}")
@@ -54,18 +53,16 @@ class Oracle:
         if len(failed) > self.d:
             raise QueryError(
                 f"{len(failed)} failures exceed the oracle budget d={self.d}")
-        return self._query_canonical(u, v, failed, stats, observer, memo)
+        return self._query_canonical(u, v, failed, stats, observer)
 
     def _query_canonical(self, u: int, v: int, failed: tuple[int, ...],
                          stats: QueryStats | None = None,
-                         observer: Observer | None = None,
-                         memo: bool = True) -> CompositeLength:
-        table: dict[tuple[int, int, int], CompositeLength] | None = \
-            {} if memo else None
-        return self._query_r(u, v, failed, len(failed), table, stats, observer)
+                         observer: Observer | None = None) -> CompositeLength:
+        return self._query_r(u, v, failed, len(failed), {}, stats, observer)
 
     def _query_r(self, a: int, b: int, failed: tuple[int, ...], r: int,
-                 memo: dict | None, stats: QueryStats | None,
+                 memo: dict[tuple[int, int, int], CompositeLength],
+                 stats: QueryStats | None,
                  observer: Observer | None) -> CompositeLength:
         index = self.index
         if stats is not None:
@@ -76,10 +73,9 @@ class Oracle:
             return index.distance(a, b)
         if r == 0:
             return UNREACHABLE
-        if memo is not None:
-            cached = memo.get((a, b, r))
-            if cached is not None:
-                return cached
+        cached = memo.get((a, b, r))
+        if cached is not None:
+            return cached
         bound, hits = self.engine.case_three(a, b, failed, stats, observer)
         best = bound
         for w in sorted(hits):
@@ -90,8 +86,7 @@ class Oracle:
             cand = left + right
             if cand < best:
                 best = cand
-        if memo is not None:
-            memo[(a, b, r)] = best
+        memo[(a, b, r)] = best
         return best
 
 

@@ -1,18 +1,25 @@
 """All-roots shortest-path trees with O(1) ancestor and damage predicates.
 
-For every root r we run Dijkstra under the composite (length, tie-key)
-order, keep the unique parent tree, and number vertices with Euler-tour
-entry/exit indices so that subtree membership is an interval test.  The
-index also precomputes, per root, the child-side endpoint of every edge
-that happens to be a tree edge, which makes "does this failed edge lie on
-the tree path root->x" a constant-time check per failed edge.
+Composite (length, tie-key) lengths are packed by the index's one
+LengthCodec into integer codes that order like the pairs, and the index
+keeps all base distances as one (n, n) int64 code array.  One settle loop,
+_settle, is the engine's only Dijkstra: the index build seeds it with each
+root, the table build's deletion sweep with a root's damaged vertices.  It
+tracks no parents; the uniqueness check scans every vertex's optimal
+predecessors anyway, and the unique one is the tree parent.  Vertices get
+Euler-tour entry/exit numbers per root, so subtree membership is an
+interval test, and the child-side endpoint of every tree edge per root
+makes "does this failed edge lie on the tree path root->x" constant-time.
 """
 from __future__ import annotations
 
 import heapq
 from typing import Iterable, Sequence
 
-from .graph import CompositeLength, Graph, GraphError, tie_break_values
+import numpy as np
+
+from .graph import (TIE_RANGE_FACTOR, UNREACHABLE, CompositeLength, Graph,
+                    GraphError, tie_break_values)
 
 MAX_TIE_RETRIES = 64
 
@@ -21,53 +28,110 @@ class TieBreakError(RuntimeError):
     """Composite lengths failed to make shortest paths unique for some root."""
 
 
+class BuildError(RuntimeError):
+    """Table build cannot proceed at this input scale."""
+
+
+class LengthCodec:
+    """Packs a composite length into one int64 so numpy can order and merge."""
+
+    def __init__(self, n: int, m: int, max_weight: int):
+        max_tie_sum = max(1, (n - 1) * TIE_RANGE_FACTOR * m * n * n if m else 1)
+        self.shift = max_tie_sum.bit_length() + 1
+        self.mask = (1 << self.shift) - 1
+        self.unreachable_code = 1 << 62
+        self.max_len = (n - 1) * max_weight
+        if m and (self.max_len << self.shift) >= self.unreachable_code:
+            raise BuildError(
+                f"graph too large to pack composite lengths: n={n} m={m} wmax={max_weight}")
+
+    def encode(self, length: CompositeLength) -> int:
+        if length.is_unreachable:
+            return self.unreachable_code
+        return (length.true_len << self.shift) | length.tie_key
+
+    def decode(self, code: int) -> CompositeLength:
+        if code >= self.unreachable_code:
+            return UNREACHABLE
+        return CompositeLength(code >> self.shift, code & self.mask)
+
+
+def length_codec(graph: Graph) -> LengthCodec:
+    """The codec of every packed length derived from graph."""
+    return LengthCodec(graph.n, graph.m, max((w for _, _, w in graph.edges), default=1))
+
+
 class ShortestPathIndex:
     """Per-root tree arrays plus the predicate surface used everywhere else."""
 
     def __init__(self, graph: Graph, tie: Sequence[int]):
-        if len(tie) != graph.m:
-            raise GraphError(f"expected {graph.m} tie values, got {len(tie)}")
-        self.graph = graph
-        self.tie = list(tie)
+        self._set_graph(graph, tie)
         n = graph.n
-        self._dist: list[list[CompositeLength]] = []
-        self._parent: list[list[int]] = []
-        self._parent_eid: list[list[int]] = []
-        self._depth: list[list[int]] = []
-        self._in: list[list[int]] = []
-        self._out: list[list[int]] = []
-        self._order: list[list[int]] = []
-        self._tree_child: list[list[int]] = []
-        self._lift: list[list[list[int]]] = []
-        for r in range(n):
-            dist, parent, parent_eid = _dijkstra(graph, self.tie, r)
-            _check_unique(graph, self.tie, r, dist)
-            self._dist.append(dist)
-            self._parent.append(parent)
-            self._parent_eid.append(parent_eid)
-            self._finish_root(r)
+        rows = [[self.codec.unreachable_code] * n for _ in range(n)]
+        for r, row in enumerate(rows):
+            self._settle(row, [False] * n, [(0, r)], ())
+        parent, parent_eid = zip(*(_check_unique(self._adj, r, row)
+                                   for r, row in enumerate(rows)))
+        self._finish(np.array(rows, dtype=np.int64), list(parent), list(parent_eid))
 
     @classmethod
-    def from_arrays(cls, graph: Graph, tie: Sequence[int],
-                    dist: list[list[CompositeLength]],
+    def from_arrays(cls, graph: Graph, tie: Sequence[int], codes: np.ndarray,
                     parent: list[list[int]],
                     parent_eid: list[list[int]]) -> "ShortestPathIndex":
         """Rebuild from stored arrays (oracle file load); skips Dijkstra."""
         index = cls.__new__(cls)
-        index.graph = graph
-        index.tie = list(tie)
-        index._dist = dist
-        index._parent = parent
-        index._parent_eid = parent_eid
-        index._depth = []
-        index._in = []
-        index._out = []
-        index._order = []
-        index._tree_child = []
-        index._lift = []
-        for r in range(graph.n):
-            index._finish_root(r)
+        index._set_graph(graph, tie)
+        index._finish(codes, parent, parent_eid)
         return index
+
+    def _set_graph(self, graph: Graph, tie: Sequence[int]) -> None:
+        """Check the tie values, derive the codec and the packed edge steps."""
+        if len(tie) != graph.m:
+            raise GraphError(f"expected {graph.m} tie values, got {len(tie)}")
+        hi = TIE_RANGE_FACTOR * graph.m * graph.n * graph.n
+        for eid, t in enumerate(tie):
+            if not 1 <= t <= hi:
+                raise GraphError(f"edge {eid}: tie value {t} outside [1, {hi}]")
+        self.graph = graph
+        self.tie = list(tie)
+        self.codec = length_codec(graph)
+        shift = self.codec.shift
+        # (neighbor, edge id, packed length of the edge)
+        self._adj = [[(nb, eid, (w << shift) + self.tie[eid]) for nb, eid, w in row]
+                     for row in graph.adj]
+
+    def _finish(self, codes: np.ndarray, parent: list[list[int]],
+                parent_eid: list[list[int]]) -> None:
+        self.codes = codes  # int64 (n, n): packed base distance root -> vertex
+        # a connected graph's index holds no UNREACHABLE code
+        self._dist = [list(map(CompositeLength, tl, tk)) for tl, tk in
+                      zip((codes >> self.codec.shift).tolist(),
+                          (codes & self.codec.mask).tolist())]
+        self._parent = parent
+        self._parent_eid = parent_eid
+        self._in, self._out, self._tree_child, self._lift = [], [], [], []
+        for r in range(self.graph.n):
+            self._finish_root(r)
+
+    def _settle(self, row: list[int], done: list[bool],
+                heap: list[tuple[int, int]], banned: Iterable[int]) -> None:
+        """Dijkstra over the vertices not yet done, from (code, vertex) seeds.
+
+        Writes the packed length of every vertex it settles into row and
+        never relaxes an edge in banned; a vertex it cannot reach keeps its
+        row entry.
+        """
+        adj = self._adj
+        heapq.heapify(heap)
+        while heap:
+            code, x = heapq.heappop(heap)
+            if done[x]:
+                continue
+            done[x] = True
+            row[x] = code
+            for nb, eid, step in adj[x]:
+                if not done[nb] and eid not in banned:
+                    heapq.heappush(heap, (code + step, nb))
 
     def _finish_root(self, r: int) -> None:
         """Derive DFS numbering, per-edge child map and lifting table for root r."""
@@ -80,13 +144,9 @@ class ShortestPathIndex:
         for v in range(n):
             if parent[v] >= 0:
                 children[parent[v]].append(v)
-        for c in children:
-            c.sort()
 
         tin = [0] * n
         tout = [0] * n
-        depth = [0] * n
-        order = [0] * n
         clock = 0
         stack: list[tuple[int, bool]] = [(r, False)]
         while stack:
@@ -95,11 +155,9 @@ class ShortestPathIndex:
                 tout[v] = clock - 1
                 continue
             tin[v] = clock
-            order[clock] = v
             clock += 1
             stack.append((v, True))
             for c in reversed(children[v]):
-                depth[c] = depth[v] + 1
                 stack.append((c, False))
 
         tree_child = [-1] * graph.m
@@ -113,10 +171,8 @@ class ShortestPathIndex:
             prev = lift[k - 1]
             lift.append([prev[prev[v]] for v in range(n)])
 
-        self._depth.append(depth)
         self._in.append(tin)
         self._out.append(tout)
-        self._order.append(order)
         self._tree_child.append(tree_child)
         self._lift.append(lift)
 
@@ -130,9 +186,6 @@ class ShortestPathIndex:
 
     def parent_edge(self, root: int, v: int) -> int:
         return self._parent_eid[root][v]
-
-    def depth(self, root: int, v: int) -> int:
-        return self._depth[root][v]
 
     def tree_path(self, root: int, v: int) -> list[int]:
         """Vertices of the tree path root -> v (both inclusive)."""
@@ -191,48 +244,24 @@ class ShortestPathIndex:
             not self.subtree_touches(root, w, failed)
 
 
-def _dijkstra(graph: Graph, tie: Sequence[int], r: int):
-    """Single-root composite-order Dijkstra; graph is connected by contract."""
-    n = graph.n
-    adj = graph.adj
-    dist: list[CompositeLength | None] = [None] * n
+def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,
+                  row: list[int]) -> tuple[list[int], list[int]]:
+    """Parent and parent edge of every vertex: its one optimal predecessor.
+
+    Raises TieBreakError when a non-root vertex has none or several.
+    """
+    n = len(row)
     parent = [-1] * n
     parent_eid = [-1] * n
-    dist[r] = CompositeLength(0, 0)
-    done = [False] * n
-    heap: list[tuple[int, int, int]] = [(0, 0, r)]
-    while heap:
-        tl, tk, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for nb, eid, w in adj[v]:
-            if done[nb]:
-                continue
-            cand = CompositeLength(tl + w, tk + tie[eid])
-            if dist[nb] is None or cand < dist[nb]:
-                dist[nb] = cand
-                parent[nb] = v
-                parent_eid[nb] = eid
-                heapq.heappush(heap, (cand.true_len, cand.tie_key, nb))
-    return dist, parent, parent_eid  # type: ignore[return-value]
-
-
-def _check_unique(graph: Graph, tie: Sequence[int], r: int,
-                  dist: list[CompositeLength]) -> None:
-    """Every non-root vertex must have exactly one optimal predecessor."""
-    for v in range(graph.n):
+    for v in range(n):
         if v == r:
             continue
-        dv = dist[v]
-        count = 0
-        for nb, eid, w in graph.adj[v]:
-            dn = dist[nb]
-            if dn.true_len + w == dv.true_len and dn.tie_key + tie[eid] == dv.tie_key:
-                count += 1
-        if count != 1:
+        preds = [(nb, eid) for nb, eid, step in adj[v] if row[nb] + step == row[v]]
+        if len(preds) != 1:
             raise TieBreakError(
-                f"root {r}: vertex {v} has {count} optimal predecessors")
+                f"root {r}: vertex {v} has {len(preds)} optimal predecessors")
+        parent[v], parent_eid[v] = preds[0]
+    return parent, parent_eid
 
 
 def build_index(graph: Graph, tie: Sequence[int]) -> ShortestPathIndex:

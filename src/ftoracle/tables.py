@@ -21,7 +21,10 @@ key of row (u, v) starts at that base value, and F, which needs a strictly
 larger length to replace it, changes none of them.  Only the damaged rows,
 whose base path F hits, are updated.  For the same reason the deletion
 sweep under F re-settles, from each root, only the vertices whose tree
-path F hits; every other distance stays at its base value.
+path F hits; every other distance stays at its base value.  The sweep is
+the index's one settle loop (spindex), run on the index's packed base
+codes and seeded from the undamaged neighbours of those vertices; table
+values are codes of the index's codec.
 
 Feasibility factors into one (root, vertex, bit) mask per side, taken from
 per-edge masks derived once per build; a damaged row's update is the outer
@@ -29,7 +32,6 @@ product of its two sides' masks.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -38,12 +40,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import TIE_RANGE_FACTOR, CompositeLength, Graph, UNREACHABLE
-from .spindex import ShortestPathIndex
-
-
-class BuildError(RuntimeError):
-    """Table build cannot proceed at this input scale."""
+from .graph import CompositeLength, Graph
+from .spindex import BuildError, LengthCodec, ShortestPathIndex
 
 
 class TableKey(NamedTuple):
@@ -59,30 +57,6 @@ class TableKey(NamedTuple):
 class TableEntry:
     d_star: tuple[int, ...]
     l_star: CompositeLength
-
-
-class LengthCodec:
-    """Packs a composite length into one int64 so numpy can order and merge."""
-
-    def __init__(self, n: int, m: int, max_weight: int):
-        max_tie_sum = max(1, (n - 1) * TIE_RANGE_FACTOR * m * n * n if m else 1)
-        self.shift = max_tie_sum.bit_length() + 1
-        self.mask = (1 << self.shift) - 1
-        self.unreachable_code = 1 << 62
-        max_len = (n - 1) * max_weight
-        if m and (max_len << self.shift) >= self.unreachable_code:
-            raise BuildError(
-                f"graph too large to pack composite lengths: n={n} m={m} wmax={max_weight}")
-
-    def encode(self, length: CompositeLength) -> int:
-        if length.is_unreachable:
-            return self.unreachable_code
-        return (length.true_len << self.shift) | length.tie_key
-
-    def decode(self, code: int) -> CompositeLength:
-        if code >= self.unreachable_code:
-            return UNREACHABLE
-        return CompositeLength(code >> self.shift, code & self.mask)
 
 
 def enumerate_failure_sets(m: int, d: int) -> list[tuple[int, ...]]:
@@ -169,38 +143,26 @@ def _deleted_all_pairs(index: ShortestPathIndex, banned: frozenset[int],
 
     base holds the encoded distances of G and damaged[r, x] marks the pairs
     whose tree path r->x meets a banned edge.  Every other pair keeps its
-    base distance, so each root re-settles only its damaged vertices: a
-    Dijkstra over them, seeded from their undamaged neighbours (the
+    base distance, so each root re-settles only its damaged vertices, by
+    the index's settle loop seeded from their undamaged neighbours (the
     affected-subtree repair of Ramalingam and Reps).
     """
-    adj = index.graph.adj
-    tie = index.tie
-    shift = codec.shift
+    adj = index._adj
     out = base.copy()
     for r, bad in enumerate(damaged.tolist()):
         if not any(bad):
             continue
+        row = out[r].tolist()
         done = [not b for b in bad]
-        known = index._dist[r]
         heap = []
         for y, b in enumerate(bad):
-            if not b:
-                continue
-            out[r, y] = codec.unreachable_code
-            for nb, eid, w in adj[y]:
-                if done[nb] and eid not in banned:
-                    tl, tk = known[nb]
-                    heap.append((tl + w, tk + tie[eid], y))
-        heapq.heapify(heap)
-        while heap:
-            tl, tk, x = heapq.heappop(heap)
-            if done[x]:
-                continue
-            done[x] = True
-            out[r, x] = (tl << shift) | tk
-            for nb, eid, w in adj[x]:
-                if not done[nb] and eid not in banned:
-                    heapq.heappush(heap, (tl + w, tk + tie[eid], nb))
+            if b:
+                row[y] = codec.unreachable_code
+                for nb, eid, step in adj[y]:
+                    if done[nb] and eid not in banned:
+                        heap.append((row[nb] + step, y))
+        index._settle(row, done, heap, banned)
+        out[r] = row
     return out
 
 
@@ -255,12 +217,10 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
         raise BuildError(f"failure budget must be >= 1, got {d}")
     graph = index.graph
     n = graph.n
-    max_w = max((w for _, _, w in graph.edges), default=1)
-    codec = LengthCodec(n, graph.m, max_w)
+    codec = index.codec
     subsets = enumerate_failure_sets(graph.m, d)
     on_path, touches = _edge_masks(index)
-    base = np.array([[codec.encode(c) for c in row] for row in index._dist],
-                    dtype=np.int64)
+    base = index.codes
     try:
         values = np.empty((n, n, n, n, 2, 2), dtype=np.int64)
         values[...] = base[:, :, None, None, None, None]

@@ -1,4 +1,5 @@
 """Command line surface, exercised in-process through main()."""
+import hashlib
 import json
 
 import pytest
@@ -234,3 +235,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_query_rejects_out_of_range_tie_value(g1_path, tmp_path, capsys):
+    # a crafted file: the first edge's tie value zeroed, the trailer re-sealed
+    oracle = build(g1_path, tmp_path, 1)
+    with open(oracle, "rb") as fh:
+        blob = bytearray(fh.read())
+    off = 72 + 16  # header, then the first edge record's tie field
+    blob[off:off + 8] = bytes(8)
+    body = bytes(blob[:-32])
+    with open(oracle, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert cli.main(["query", "-o", oracle, "-s", "0", "-t", "2"]) == 2
+    assert "tie value" in capsys.readouterr().err

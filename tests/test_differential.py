@@ -1,0 +1,83 @@
+"""Differential test of the whole pipeline against the brute-force reference.
+
+build -> save_oracle -> load_oracle -> every (u, v, F) with |F| <= d, each
+answer compared with ReferenceOracle on the same tie values.  Trees make
+bridges (UNREACHABLE answers), unit weights make the most true-length
+ties, and a path at the codec's largest accepted weight checks that
+packing never wraps.
+"""
+import io
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import ftoracle.cli as cli
+from ftoracle import (BuildError, Graph, ReferenceOracle, build_oracle, gen_gnm,
+                      load_oracle, oracle_file_bytes)
+from ftoracle.reference import enumerate_instances
+from ftoracle.tables import LengthCodec
+
+
+def _tree(n, wmax, seed):
+    return gen_gnm(n, n - 1, wmax, seed)
+
+
+def _complete(n, wmax, seed):
+    return gen_gnm(n, n * (n - 1) // 2, wmax, seed)
+
+
+def _sparse(n, wmax, seed):
+    return gen_gnm(n, min(n * (n - 1) // 2, n + 2), wmax, seed)
+
+
+def assert_round_trip_exact(graph, d):
+    built = build_oracle(graph, d, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)), graph=graph)
+    ref = ReferenceOracle(graph, loaded.index.tie)
+    for u, v, failed in enumerate_instances(graph, d):
+        assert loaded.query_composite(u, v, failed) == \
+            ref.dist_avoiding(failed, u, v), (u, v, failed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(1, 6), unit=st.booleans(), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+@example(shape=_tree, n=1, unit=True, seed=0, data=None)
+@example(shape=_tree, n=2, unit=True, seed=0, data=None)
+@example(shape=_complete, n=4, unit=True, seed=0, data=None)
+def test_loaded_oracle_matches_reference(shape, n, unit, seed, data):
+    # d = 3 only for n <= 4, where the reference sweep stays cheap
+    top = 3 if n <= 4 else 2
+    d = top if data is None else data.draw(st.integers(1, top), label="d")
+    assert_round_trip_exact(shape(n, 1 if unit else 32, seed), d)
+
+
+def _path(n, w):
+    return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def _largest_weight(n):
+    """Largest edge weight the codec accepts on an n-vertex path."""
+    shift = LengthCodec(n, n - 1, 1).shift  # the shift does not depend on weights
+    return ((1 << (62 - shift)) - 1) // (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_largest_codec_weight_is_exact(n):
+    w = _largest_weight(n)
+    LengthCodec(n, n - 1, w)
+    assert_round_trip_exact(_path(n, w), 2)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_weight_past_codec_range_is_refused(n, tmp_path, capsys):
+    graph = _path(n, _largest_weight(n) + 1)
+    with pytest.raises(BuildError, match="too large"):
+        build_oracle(graph, 1)
+    path = tmp_path / "heavy.graph"
+    path.write_text(graph.to_text())
+    out = tmp_path / "heavy.oracle"
+    assert cli.main(["build", "-g", str(path), "-d", "1", "-o", str(out)]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert not out.exists()

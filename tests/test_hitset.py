@@ -68,7 +68,6 @@ def test_key_tree_matches_brute_force(idx1, idx6):
             for failed in nonempty_failure_sets(g.m, 2):
                 tree = build_induced_key_tree(index, root, failed)
                 induced = brute_induced_edges(index, root, failed)
-                assert tree.induced_edges == induced
 
                 # degree inside the induced tree, plus the auxiliary edge
                 # glued above the root
@@ -166,8 +165,7 @@ def test_case_two_all_edges_discarded(oracle1_d1):
     # with the single key-tree child sitting below the failure, every edge
     # is discarded and the fold never starts
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
-    stub = InducedKeyTree(0, frozenset({0}), (AUX_ROOT, 1),
-                          ((AUX_ROOT, 1),))
+    stub = InducedKeyTree(0, (AUX_ROOT, 1), ((AUX_ROOT, 1),))
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
     bound, hits = engine.case_two(0, 2, 3, (0,), tree=stub)
     assert bound == UNREACHABLE

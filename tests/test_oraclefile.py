@@ -1,6 +1,7 @@
 """Binary oracle files: round trips, byte identity, corruption detection."""
 import hashlib
 import io
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
+from ftoracle.graph import GraphError
 from ftoracle.query import build_oracle
 from ftoracle.reference import enumerate_instances
 
@@ -164,3 +166,44 @@ def test_any_truncation_or_bit_flip_is_rejected(oracle1_d1, data):
         bad = bytes(flipped)
     with pytest.raises(OracleFileError):
         load_oracle(io.BytesIO(bad))
+
+
+def test_rejects_budget_beyond_physical_memory():
+    # K9 (m=36) at d=11 names 990,134,948 subsets, about 125 GiB as tuples:
+    # within int32 set indices, far beyond memory, and refused before any
+    # subset is enumerated
+    blob = oracle_file_bytes(build_oracle(gen_gnm(9, 36, 5, seed=3), d=1, seed=1))
+    bad = _with_budget(blob, 11)
+    start = time.perf_counter()
+    with pytest.raises(OracleFileError, match="physical memory"):
+        load_oracle(io.BytesIO(bad))
+    assert time.perf_counter() - start < 1.0
+
+
+def _with_pair(blob: bytes, i: int, field: int, value: int) -> bytes:
+    """Tree-index record i (g1: n=4, m=4) with one u64 field replaced, re-sealed."""
+    out = bytearray(blob)
+    off = _HEADER.size + 4 * 24 + i * 24 + field
+    out[off:off + 8] = value.to_bytes(8, "little")
+    return _reseal(out)
+
+
+def test_rejects_index_lengths_that_would_alias(oracle1_d1):
+    blob = oracle_file_bytes(oracle1_d1)
+    codec = oracle1_d1.tables.codec
+    # g1 has n=4 and wmax=5: no simple path is longer than 15
+    for field, value in ((0, 16), (0, 2 ** 64 - 1), (8, codec.mask + 1)):
+        with pytest.raises(OracleFileError, match="lengths out of range"):
+            load_oracle(io.BytesIO(_with_pair(blob, 1, field, value)))
+    # in range, the same record still loads
+    assert load_oracle(io.BytesIO(_with_pair(blob, 1, 0, 15))).d == 1
+
+
+@pytest.mark.parametrize("tie", [0, 8 * 4 * 4 * 4 + 1, 2 ** 64 - 1])
+def test_rejects_out_of_range_tie_values(oracle1_d1, tie):
+    # tie values lie in [1, 8*m*n^2], the range the codec's shift assumes
+    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    off = _HEADER.size + 16  # first edge record, tie field
+    blob[off:off + 8] = tie.to_bytes(8, "little")
+    with pytest.raises((OracleFileError, GraphError), match="tie value"):
+        load_oracle(io.BytesIO(_reseal(blob)))

@@ -1,4 +1,4 @@
-"""Recursive query: exactness, memo transparency, budgets, argument checks."""
+"""Recursive query: exactness, budgets, argument checks."""
 from itertools import combinations
 
 import pytest
@@ -60,13 +60,6 @@ def test_exact_on_all_small_instances(request, oracle_name):
     for u, v, failed in all_instances(oracle.graph, oracle.d):
         assert oracle.query_composite(u, v, failed) == \
             ref.dist_avoiding(failed, u, v), (u, v, failed)
-
-
-def test_memo_is_transparent(oracle6_d2):
-    for u, v, failed in all_instances(oracle6_d2.graph, 2):
-        with_memo = oracle6_d2.query_composite(u, v, failed, memo=True)
-        without = oracle6_d2.query_composite(u, v, failed, memo=False)
-        assert with_memo == without
 
 
 def test_recursion_depth_within_budget(oracle6_d2):

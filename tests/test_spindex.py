@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ftoracle.graph import Graph, edge_length, tie_break_values
+from ftoracle.graph import Graph, GraphError, edge_length, tie_break_values
 from ftoracle.spindex import (ShortestPathIndex, TieBreakError, build_index,
                               build_index_auto)
 
@@ -223,6 +223,14 @@ def test_wrong_tie_count_rejected(g1):
         ShortestPathIndex(g1, [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [0, -3, 8 * 4 * 4 * 4 + 1])
+def test_out_of_range_tie_rejected(g1, bad):
+    # tie values lie in [1, 8*m*n^2], the range the length codec assumes
+    with pytest.raises(GraphError, match="tie value"):
+        ShortestPathIndex(g1, [1, 2, bad, 4])
+    ShortestPathIndex(g1, [1, 2, 8 * 4 * 4 * 4, 4])
+
+
 def test_unique_parent_per_root(idx6):
     for r in range(7):
         roots = [v for v in range(7) if idx6.parent(r, v) < 0]
@@ -232,7 +240,7 @@ def test_unique_parent_per_root(idx6):
 def test_from_arrays_reproduces_predicates(idx6):
     g = idx6.graph
     clone = ShortestPathIndex.from_arrays(
-        g, idx6.tie, idx6._dist, idx6._parent, idx6._parent_eid)
+        g, idx6.tie, idx6.codes, idx6._parent, idx6._parent_eid)
     assert clone._in == idx6._in
     assert clone._out == idx6._out
     for u in range(g.n):

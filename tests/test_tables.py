@@ -155,17 +155,14 @@ def dense_build(index, d):
     """
     graph = index.graph
     n = graph.n
-    codec = LengthCodec(n, graph.m, max((w for _, _, w in graph.edges), default=1))
     tin = np.array(index._in, dtype=np.int64)
     tout = np.array(index._out, dtype=np.int64)
-    order = np.array(index._order, dtype=np.int64)
-    base = np.array([[codec.encode(c) for c in row] for row in index._dist],
-                    dtype=np.int64)
+    order = np.argsort(tin, axis=1)
     values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
     dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
         # every pair but (r, r) marked damaged: a from-scratch sweep per root
-        dist = _deleted_all_pairs(index, frozenset(sub), codec, base,
+        dist = _deleted_all_pairs(index, frozenset(sub), index.codec, index.codes,
                                   ~np.eye(n, dtype=bool))
         path_ok = np.ones((n, n), dtype=bool)
         sub_ok = np.ones((n, n), dtype=bool)
@@ -221,13 +218,11 @@ def test_pruned_build_equals_dense_update(shape, n, unit, d, seed):
 
 def test_deleted_distances_match_reference(idx6, ref6):
     g = idx6.graph
-    codec = LengthCodec(g.n, g.m, max(w for _, _, w in g.edges))
+    codec = idx6.codec
     on_path, touches = _edge_masks(idx6)
-    base = np.array([[codec.encode(c) for c in row] for row in idx6._dist],
-                    dtype=np.int64)
     for failed in enumerate_failure_sets(g.m, 2):
         damaged = ~_side_masks(on_path, touches, failed)[:, :, 0]
-        dist = _deleted_all_pairs(idx6, frozenset(failed), codec, base, damaged)
+        dist = _deleted_all_pairs(idx6, frozenset(failed), codec, idx6.codes, damaged)
         for u in range(g.n):
             for v in range(g.n):
                 assert codec.decode(int(dist[u, v])) == ref6.dist_avoiding(failed, u, v)
