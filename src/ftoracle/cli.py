@@ -35,7 +35,7 @@ def _read_graph(path: str) -> Graph:
 def _progress(done: int, total: int) -> None:
     step = max(1, total // 20)
     if done % step == 0 or done == total:
-        print(f"progress: {done}/{total} failure sets", file=sys.stderr)
+        print(f"progress: {done}/{total} roots", file=sys.stderr)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

@@ -8,32 +8,32 @@ v' (rooted at v).  Any query-time failure set that satisfies the same
 constraints is dominated by the stored one, which is what makes a guarded
 lookup a sound upper bound.
 
-The build enumerates candidate sets in ascending order of their sorted
-edge-id sequence and replaces an entry only on a strictly larger composite
-length, so ties resolve to the lexicographically smallest set without a
-second pass.
+Composite lengths make every shortest path unique, so a set that misses
+the base tree path u->v leaves the u-v distance at its base value, and a
+set that hits it (a damaging set) makes it strictly longer: every other
+path is longer, or none is left.  The empty set is feasible for every key.
+So a key holds the base entry unless some damaging set is feasible, and
+then the first feasible candidate of its row in the order code descending,
+then set index ascending (sets ascend by sorted edge-id sequence, () first).
+The build still filters candidates by code > base explicitly.
 
-Most (set, row) pairs cannot change anything, and the build skips them.
-Composite lengths make every shortest path unique, so a set F that misses
-the base tree path u->v leaves the u-v distance at its base value.  The
-empty set comes first in the order and is feasible for every key, so every
-key of row (u, v) starts at that base value, and F, which needs a strictly
-larger length to replace it, changes none of them.  Only the damaged rows,
-whose base path F hits, are updated.  For the same reason the deletion
-sweep under F re-settles, from each root, only the vertices whose tree
-path F hits; every other distance stays at its base value.  The sweep is
-the index's one settle loop (spindex), run on the index's packed base
-codes and seeded from the undamaged neighbours of those vertices; table
-values are codes of the index's codec.
-
-Feasibility factors into one (root, vertex, bit) mask per side, taken from
-per-edge masks derived once per build; a damaged row's update is the outer
-product of its two sides' masks.
+The build goes root by root.  Root u takes every set's side masks at u
+from per-edge masks made once, repairs its distances under each set that
+damages one of its owned columns (the deletion sweep, on the index's one
+settle loop), and ranks each owned row's candidates.  Their side masks at
+u and at v are packed into bitsets along the candidate axis and ANDed; a
+key's winner is the first set bit, found as the first nonzero byte plus
+that byte's leading zeros.  Lengths are undirected and the constraints of
+(u, v, u', v', b1, b2) and (v, u, v', u', b2, b1) agree, so row (v, u) is
+row (u, v) with its vertex axes and its bit axes swapped.  Root u owns
+(u, v) when (v > u) == (u + v is odd): each pair has one owner, each root
+at most n // 2 columns.
 """
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, NamedTuple, Sequence
@@ -76,14 +76,17 @@ def failure_set_count(m: int, d: int, cap: float = math.inf) -> int:
 
 
 def check_build_size(n: int, m: int, d: int) -> None:
-    """Refuse a build whose tables and subset list exceed physical memory.
+    """Refuse a build whose tables and per-set buffers exceed physical memory.
 
-    Each of the 4*n^4 keys takes an int64 code and an int32 set index; each
-    subset costs a tuple plus its list slot.  Failing here, before anything
-    is allocated, beats an overcommitted allocation that is killed later.
+    Each of the 4*n^4 keys takes an int64 code and an int32 set index.  Each
+    subset costs a tuple and list slot, a row of int32 edge ids, about 4n+8
+    bytes while one root's side masks are derived, and a code and an index
+    in each of that root's at most n // 2 candidate buffers.  Failing before
+    anything is allocated beats an overcommitted allocation killed later.
     """
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    per_set = 48 + 8 * max(0, min(d, m))
+    width = max(0, min(d, m))
+    per_set = 56 + 8 * width + 4 * max(1, width) + 4 * n + 12 * (n // 2)
     need = 48 * n ** 4 + failure_set_count(m, d, phys // per_set) * per_set
     if need > phys:
         raise BuildError(
@@ -136,42 +139,49 @@ class OracleTables:
         return TableEntry(sub, self.codec.decode(code))
 
 
-def _deleted_all_pairs(index: ShortestPathIndex, banned: frozenset[int],
-                       codec: LengthCodec, base: np.ndarray,
-                       damaged: np.ndarray) -> np.ndarray:
-    """Encoded all-pairs composite distances of G minus the banned edges.
+def _deleted_all_pairs(index: ShortestPathIndex, root: int,
+                       subsets: Sequence[tuple[int, ...]], clean: np.ndarray,
+                       cols: list[int]) -> tuple[list[array], list[array]]:
+    """The candidates of each row (root, x), x in cols, by deletion sweep.
 
-    base holds the encoded distances of G and damaged[r, x] marks the pairs
-    whose tree path r->x meets a banned edge.  Every other pair keeps its
-    base distance, so each root re-settles only its damaged vertices, by
-    the index's settle loop seeded from their undamaged neighbours (the
-    affected-subtree repair of Ramalingam and Reps).
+    clean[s, x] is False where set s hits the tree path root->x.  Returns
+    (codes, sets): per column x, distance codes root->x in array('q') and
+    set indices in array('i'); first the empty set at the base distance,
+    then, ascending, each set that damages x and makes it longer.  A set
+    re-settles only its damaged vertices, by the index's settle loop seeded
+    from their undamaged neighbours (Ramalingam-Reps repair).
     """
     adj = index._adj
-    out = base.copy()
-    for r, bad in enumerate(damaged.tolist()):
-        if not any(bad):
-            continue
-        row = out[r].tolist()
-        done = [not b for b in bad]
+    unreachable = index.codec.unreachable_code
+    base = index.codes[root].tolist()
+    codes = [array("q", [base[x]]) for x in cols]
+    sets = [array("i", [0]) for _ in cols]
+    for si in np.flatnonzero(~clean[:, cols].all(axis=1)):
+        banned = subsets[si]
+        row = base[:]
+        done = clean[si].tolist()
+        hit = [col for col in zip(cols, codes, sets) if not done[col[0]]]
         heap = []
-        for y, b in enumerate(bad):
-            if b:
-                row[y] = codec.unreachable_code
+        for y, ok in enumerate(done):
+            if not ok:
+                row[y] = unreachable
                 for nb, eid, step in adj[y]:
                     if done[nb] and eid not in banned:
                         heap.append((row[nb] + step, y))
         index._settle(row, done, heap, banned)
-        out[r] = row
-    return out
+        for x, code_buf, set_buf in hit:
+            if row[x] > base[x]:
+                code_buf.append(row[x])
+                set_buf.append(si)
+    return codes, sets
 
 
-def _edge_masks(index: ShortestPathIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (edge, root, vertex) bool masks, derived once per build.
+def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
+    """Per-edge (edge, root, vertex, bit) bool masks, derived once per build.
 
-    on_path[e, r, x]: edge e lies on the tree path r->x, i.e. x sits in the
-    subtree of e's child endpoint.  touches[e, r, x]: the subtree of x,
-    rooted at r, holds an endpoint of e.
+    [e, r, x, 0]: e lies on the tree path r->x (x is below e's child end);
+    [e, r, x, 1]: that, or x's subtree rooted at r holds an endpoint of e.
+    Row m, the clean edge that pads short sets, is all False.
     """
     graph = index.graph
     n, m = graph.n, graph.m
@@ -186,71 +196,100 @@ def _edge_masks(index: ShortestPathIndex) -> tuple[np.ndarray, np.ndarray]:
         return num[roots, x][:, :, None]
 
     c = np.maximum(child, 0)
-    on_path = (child >= 0)[:, :, None] & (at(tin, c) <= tin) & (tin <= at(tout, c))
     a, b = at(tin, ends[:, :1]), at(tin, ends[:, 1:])
-    touches = ((tin <= a) & (a <= tout)) | ((tin <= b) & (b <= tout))
-    return on_path, touches
+    bad = np.zeros((m + 1, n, n, 2), dtype=bool)
+    bad[:m, :, :, 0] = (child >= 0)[:, :, None] & (at(tin, c) <= tin) & (tin <= at(tout, c))
+    bad[:m, :, :, 1] = bad[:m, :, :, 0] | ((tin <= a) & (a <= tout)) | ((tin <= b) & (b <= tout))
+    return bad
 
 
-def _side_masks(on_path: np.ndarray, touches: np.ndarray,
-                sub: tuple[int, ...]) -> np.ndarray:
-    """(root, vertex, bit) feasibility factor for one failure set.
+def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
+    """(set, vertex, bit) feasibility at root, for ids' rows of edge ids.
 
-    bit 0 requires only a clean tree path root->vertex; bit 1 additionally
-    requires no failed endpoint inside the vertex's subtree.  This is the
-    one place that derives which (root, vertex) pairs are clean under F.
+    root may be an array broadcast against ids' leading axes.  bit 0 needs
+    a clean tree path root->vertex, bit 1 also no failed endpoint in the
+    vertex's subtree.  The one place that derives clean (root, vertex) pairs.
     """
-    rows = list(sub)
-    path_ok = ~on_path[rows].any(axis=0)
-    return np.stack((path_ok, path_ok & ~touches[rows].any(axis=0)), axis=2)
+    fb = bad[ids[..., 0], root]
+    for j in range(1, ids.shape[-1]):
+        fb |= bad[ids[..., j], root]
+    return np.logical_not(fb, out=fb)
+
+
+def _build_root(index: ShortestPathIndex, u: int, subsets: list[tuple[int, ...]],
+                ids: np.ndarray, bad: np.ndarray, values: np.ndarray,
+                dstar_idx: np.ndarray) -> None:
+    """Fill root u's owned rows (u, v) and their mirrors (v, u)."""
+    cols = [v for v in range(index.graph.n) if v != u and (v > u) == ((u + v) % 2 == 1)]
+    rows = list(zip(cols, *_deleted_all_pairs(
+        index, u, subsets, np.ascontiguousarray(_side_masks(bad, ids, u)[:, :, 0]), cols)))
+    # rows go in one batch while its AND stays within 8 bytes per key
+    width = (max((len(row[1]) for row in rows), default=0) + 7) // 8
+    for batch in [rows] if 0 < len(rows) * width <= 8 else [[row] for row in rows]:
+        _fill_rows(u, batch, ids, bad, values, dstar_idx)
+
+
+def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
+               bad: np.ndarray, values: np.ndarray, dstar_idx: np.ndarray) -> None:
+    """Rows (u, v) and (v, u) for a batch of (v, codes, sets) candidates."""
+    n = values.shape[0]
+    count, width = len(batch), max(len(row[1]) for row in batch)
+    code = np.full((count, width), -1, dtype=np.int64)  # sorts after the empty set
+    cand = np.zeros((count, width), dtype=np.int32)
+    for k, (_, code_buf, set_buf) in enumerate(batch):
+        code[k, :len(code_buf)] = np.frombuffer(code_buf, dtype=np.int64)
+        cand[k, :len(set_buf)] = np.frombuffer(set_buf, dtype=np.int32)
+    line = np.arange(count)[:, None]
+    order = np.argsort(-code, axis=1, kind="stable")  # ties keep set order
+    code, cand = code[line, order], cand[line, order]
+    vs = [row[0] for row in batch]
+    # (row, vertex, bit, byte) bitsets at u and at v; bit k is candidate k
+    a, b = (np.packbits(_side_masks(bad, ids[cand], root).transpose(0, 2, 3, 1), axis=-1)
+            for root in (u, np.array(vs)[:, None]))
+    rank = np.empty((count, n, n, 2, 2), dtype=np.int64)
+    for b1 in (0, 1):
+        both = a[:, :, None, b1, None] & b[:, None]  # (row, u', v', b2, byte)
+        first = both.astype(bool).argmax(axis=-1).ravel()
+        byte = both.reshape(first.size, -1)[np.arange(first.size), first]
+        rank[:, :, :, b1] = (first * 8 + _LEAD[byte]).reshape(count, n, n, 2)
+    for table, column in ((values, code), (dstar_idx, cand)):
+        row = column[line[:, :, None, None, None], rank]
+        table[u, vs] = row
+        table[vs, u] = row.transpose(0, 2, 1, 4, 3)
+
+
+# leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
+_LEAD = np.array([8] + [8 - b.bit_length() for b in range(1, 256)], dtype=np.int64)
 
 
 def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
                  progress: Callable[[int, int], None] | None = None) -> OracleTables:
-    """Exhaustive maximization over failure sets of size <= d.
+    """Exhaustive maximization over failure sets of size <= d, row by row.
 
-    Every key starts at the empty set's entry, the base distance.  Each
-    other set re-settles the vertices it damages and updates only the
-    damaged (u, v) rows.
+    Every key starts at the empty set's entry, the base distance; each root
+    then fills its owned rows and their mirrors.  progress(done, n) is
+    called once per root.
     """
     if d < 1:
         raise BuildError(f"failure budget must be >= 1, got {d}")
     graph = index.graph
     n = graph.n
-    codec = index.codec
     subsets = enumerate_failure_sets(graph.m, d)
-    on_path, touches = _edge_masks(index)
-    base = index.codes
+    # (set, slot) edge ids; short sets padded with the clean edge m
+    width = max(1, min(d, graph.m))
+    ids = np.fromiter(chain.from_iterable(s + (graph.m,) * (width - len(s)) for s in subsets),
+                      np.int32, len(subsets) * width).reshape(-1, width)
+    bad = _edge_masks(index)
     try:
         values = np.empty((n, n, n, n, 2, 2), dtype=np.int64)
-        values[...] = base[:, :, None, None, None, None]
+        values[...] = index.codes[:, :, None, None, None, None]
         dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     except MemoryError:
         raise BuildError(
             f"cannot allocate {4 * n ** 4} table entries for n={n}") from None
 
-    rows_of_values = values.reshape(n * n, -1)
-    rows_of_dstar = dstar_idx.reshape(n * n, -1)
-    total = len(subsets)
-    for si, sub in enumerate(subsets):
-        fb = _side_masks(on_path, touches, sub)
-        damaged = ~fb[:, :, 0]
-        if damaged.any():
-            dist = _deleted_all_pairs(index, frozenset(sub), codec, base, damaged).ravel()
-            damaged_rows = np.flatnonzero(damaged)
-            # chunks of n damaged rows keep every temporary at O(n^3)
-            for lo in range(0, len(damaged_rows), n):
-                rows = damaged_rows[lo:lo + n]
-                u, v = np.divmod(rows, n)
-                cur = rows_of_values[rows]
-                cand = dist[rows][:, None]
-                upd = fb[u][:, :, None, :, None] & fb[v][:, None, :, None, :]
-                upd = upd.reshape(cur.shape) & (cand > cur)
-                np.copyto(cur, cand, where=upd)
-                rows_of_values[rows] = cur
-                idx = rows_of_dstar[rows]
-                idx[upd] = si
-                rows_of_dstar[rows] = idx
+    for u in range(n):
+        _build_root(index, u, subsets, ids, bad, values, dstar_idx)
         if progress is not None:
-            progress(si + 1, total)
-    return OracleTables(graph, d, tie_seed, codec, values, dstar_idx, subsets)
+            progress(u + 1, n)
+    return OracleTables(graph, d, tie_seed, index.codec, values, dstar_idx, subsets)

@@ -2,9 +2,9 @@
 
 The sweep fixture builds oracles for twenty seeded random graphs
 (n in 5..9, m up to 14, weights up to 32) and verifies them exhaustively
-for budgets 1 and 2 plus ten thousand sampled instances at budget 3.
-Every later test reads the collected reports, so the expensive part runs
-once; run with -s to see the per-guarantee summary lines.
+for budgets 1, 2 and 3.  Every later test reads the collected reports, so
+the expensive part runs once; run with -s to see the per-guarantee summary
+lines.  One more graph is verified exhaustively at budget 4.
 """
 import io
 import random
@@ -28,7 +28,7 @@ from ftoracle.tables import (TableKey, build_tables, constraint_holds,
 from conftest import G1_TEXT, G3_TEXT, G6_TEXT
 
 GRAPHS = 20
-SAMPLES = 10000
+SAMPLES = 10000  # the sweep checks at least GRAPHS * SAMPLES instances
 
 
 def sweep_graph(i: int) -> Graph:
@@ -41,8 +41,6 @@ def sweep_graph(i: int) -> Graph:
 class SweepRun:
     graph: Graph
     d: int
-    mode: str
-    seed: int
     oracle: Oracle
     report: VerifyReport
 
@@ -52,15 +50,11 @@ def sweep():
     runs = []
     for i in range(GRAPHS):
         graph = sweep_graph(i)
-        for d in (1, 2):
+        for d in (1, 2, 3):
             oracle = build_oracle(graph, d, seed=1)
             report = verify_instance(oracle, mode="exhaustive",
                                      collect_answers=True)
-            runs.append(SweepRun(graph, d, "exhaustive", 0, oracle, report))
-        oracle = build_oracle(graph, 3, seed=1)
-        report = verify_instance(oracle, mode="sampled", samples=SAMPLES,
-                                 seed=5000 + i, collect_answers=True)
-        runs.append(SweepRun(graph, 3, "sampled", 5000 + i, oracle, report))
+            runs.append(SweepRun(graph, d, oracle, report))
     return runs
 
 
@@ -100,6 +94,17 @@ def test_hitting_set_contract(sweep):
     print(f"hitting-set contract: PASS "
           f"(max hits by budget {by_d}, caps "
           f"{ {d: hit_budget(d) for d in (1, 2, 3)} })")
+
+
+def test_exact_at_budget_four():
+    # four failures reach recursion depth 5; every contract field is gated
+    oracle = build_oracle(gen_gnm(6, 9, 32, 1), 4, seed=1)
+    report = verify_instance(oracle, mode="exhaustive")
+    assert report.ok, report.summary()
+    assert report.max_hits <= hit_budget(4)
+    assert report.max_lookups <= hit_budget(4)
+    print(f"exact answers at budget 4: PASS ({report.instances} instances, "
+          f"max depth {report.max_depth}, max lookups {report.max_lookups})")
 
 
 def test_table_dominance_and_tightness():
@@ -168,8 +173,7 @@ def test_persistence_round_trip_determinism(sweep):
         assert oracle_file_bytes(rebuilt) == blob
 
         loaded = load_oracle(io.BytesIO(blob), graph=run.graph)
-        stream = enumerate_instances(run.graph, run.d, run.mode,
-                                     samples=SAMPLES, seed=run.seed)
+        stream = enumerate_instances(run.graph, run.d)
         for answer, (u, v, failed) in zip(run.report.answers, stream,
                                           strict=True):
             assert loaded.query_composite(u, v, failed) == answer

@@ -45,6 +45,13 @@ def test_build_g6_entry_count(g6_path, tmp_path, capsys):
     assert "entries 9604" in capsys.readouterr().out
 
 
+def test_build_reports_progress_per_root(g6_path, tmp_path, capsys):
+    build(g6_path, tmp_path, 1)
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("progress:")]
+    assert lines == [f"progress: {k}/7 roots" for k in range(1, 8)]
+
+
 def test_build_degenerate_budget(g1_path, tmp_path, capsys):
     # budget above m just means the enumeration covers every subset
     build(g1_path, tmp_path, 5)

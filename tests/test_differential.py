@@ -53,6 +53,17 @@ def test_loaded_oracle_matches_reference(shape, n, unit, seed, data):
     assert_round_trip_exact(shape(n, 1 if unit else 32, seed), d)
 
 
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(1, 4), unit=st.booleans(), seed=st.integers(0, 10 ** 6))
+@example(shape=_complete, n=4, unit=True, seed=0)
+@example(shape=_complete, n=4, unit=False, seed=0)
+@example(shape=_tree, n=4, unit=True, seed=0)
+def test_loaded_oracle_matches_reference_at_budget_four(shape, n, unit, seed):
+    # at n <= 4 every graph has m <= 6, so budget 4 covers nearly all subsets
+    assert_round_trip_exact(shape(n, 1 if unit else 32, seed), 4)
+
+
 def _path(n, w):
     return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
 

@@ -17,6 +17,13 @@ from ftoracle.tables import (BuildError, LengthCodec, TableKey,
                              enumerate_failure_sets, failure_set_count)
 
 
+def id_matrix(sets, m, d):
+    """The build's (set, slot) edge ids, short sets padded with edge m."""
+    width = max(1, min(d, m))
+    return np.array([s + (m,) * (width - len(s)) for s in sets],
+                    dtype=np.int32).reshape(-1, width)
+
+
 def all_keys(n):
     for u, v, up, vp, b1, b2 in product(range(n), range(n), range(n),
                                         range(n), (0, 1), (0, 1)):
@@ -58,13 +65,15 @@ def test_constraint_blocks_touched_subtree(idx1):
 
 
 def test_constraint_matches_vectorized_masks(idx1, oracle1_d1):
-    on_path, touches = _edge_masks(idx1)
-    for failed in enumerate_failure_sets(4, 2):
-        fb = _side_masks(on_path, touches, failed)
+    bad = _edge_masks(idx1)
+    sets = enumerate_failure_sets(4, 2)
+    ids = id_matrix(sets, 4, 2)
+    fb = [_side_masks(bad, ids, root) for root in range(4)]
+    for si, failed in enumerate(sets):
         for key in all_keys(4):
             expect = constraint_holds(idx1, failed, key)
-            assert bool(fb[key.u, key.up, key.b1] and
-                        fb[key.v, key.vp, key.b2]) == expect
+            assert bool(fb[key.u][si, key.up, key.b1] and
+                        fb[key.v][si, key.vp, key.b2]) == expect
 
 
 # -- enumeration order ----------------------------------------------------------
@@ -150,8 +159,9 @@ def test_build_rejects_zero_budget(idx1):
 def dense_build(index, d):
     """The all-keys update, kept as the specification of the pruned build.
 
-    Every set runs a full deletion sweep and compares-and-copies over all
-    4*n^4 keys, with side masks derived directly from the tree intervals.
+    Every set runs a from-scratch Dijkstra per root and compares-and-copies
+    over all 4*n^4 keys in set order, with side masks derived directly from
+    the tree intervals.
     """
     graph = index.graph
     n = graph.n
@@ -161,9 +171,11 @@ def dense_build(index, d):
     values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
     dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
-        # every pair but (r, r) marked damaged: a from-scratch sweep per root
-        dist = _deleted_all_pairs(index, frozenset(sub), index.codec, index.codes,
-                                  ~np.eye(n, dtype=bool))
+        dist = np.full((n, n), index.codec.unreachable_code, dtype=np.int64)
+        for r in range(n):
+            row = dist[r].tolist()
+            index._settle(row, [False] * n, [(0, r)], sub)
+            dist[r] = row
         path_ok = np.ones((n, n), dtype=bool)
         sub_ok = np.ones((n, n), dtype=bool)
         for eid in sub:
@@ -205,6 +217,11 @@ def _sparse(n, wmax, seed):
 @example(shape=_tree, n=2, unit=False, d=1, seed=0)
 @example(shape=_tree, n=2, unit=True, d=3, seed=0)
 @example(shape=_complete, n=5, unit=True, d=3, seed=0)
+# every damaging set of a tree disconnects the row: all candidates tie
+# at UNREACHABLE and the lowest set index must win
+@example(shape=_tree, n=6, unit=False, d=3, seed=0)
+# more than 64 candidates per row: the bitsets cross byte and word bounds
+@example(shape=_complete, n=6, unit=True, d=3, seed=0)
 def test_pruned_build_equals_dense_update(shape, n, unit, d, seed):
     # trees give UNREACHABLE through bridges, unit weights give maximal ties
     index, _, tie_seed = build_index_auto(shape(n, 1 if unit else 9, seed), 1)
@@ -216,16 +233,44 @@ def test_pruned_build_equals_dense_update(shape, n, unit, d, seed):
     assert np.array_equal(tables.dstar_idx, dstar_idx)
 
 
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(1, 7), unit=st.booleans(), d=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+@example(shape=_tree, n=7, unit=True, d=3, seed=0)
+@example(shape=_sparse, n=7, unit=False, d=3, seed=0)
+@example(shape=_complete, n=7, unit=True, d=2, seed=0)
+def test_tables_are_symmetric(shape, n, unit, d, seed):
+    # entry (v, u, v', u', b2, b1) == entry (u, v, u', v', b1, b2)
+    index, _, tie_seed = build_index_auto(shape(n, 1 if unit else 9, seed), 1)
+    tables = build_tables(index, d, tie_seed)
+    for table in (tables.values, tables.dstar_idx):
+        assert np.array_equal(table, table.transpose(1, 0, 3, 2, 5, 4))
+
+
+def test_progress_reports_each_root(idx6):
+    calls = []
+    build_tables(idx6, 1, 1, progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(k, 7) for k in range(1, 8)]
+
+
 def test_deleted_distances_match_reference(idx6, ref6):
     g = idx6.graph
     codec = idx6.codec
-    on_path, touches = _edge_masks(idx6)
-    for failed in enumerate_failure_sets(g.m, 2):
-        damaged = ~_side_masks(on_path, touches, failed)[:, :, 0]
-        dist = _deleted_all_pairs(idx6, frozenset(failed), codec, idx6.codes, damaged)
-        for u in range(g.n):
-            for v in range(g.n):
-                assert codec.decode(int(dist[u, v])) == ref6.dist_avoiding(failed, u, v)
+    bad = _edge_masks(idx6)
+    sets = enumerate_failure_sets(g.m, 2)
+    cols = list(range(g.n))
+    for u in cols:
+        clean = _side_masks(bad, id_matrix(sets, g.m, 2), u)[:, :, 0]
+        codes, found = _deleted_all_pairs(idx6, u, sets, clean, cols)
+        for v in cols:
+            # the empty set first, then every damaging set: each is longer
+            damaging = [si for si in range(len(sets)) if not clean[si, v]]
+            assert list(found[v]) == [0] + damaging
+            dist = dict(zip(found[v], codes[v]))
+            for si, failed in enumerate(sets):
+                code = dist.get(si, int(idx6.codes[u, v]))
+                assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
 
 
 # -- pre-flight size check --------------------------------------------------------
