@@ -2,11 +2,11 @@
 from .graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
                     canonical_failures, parse_graph, tie_break_values)
 from .generate import gen_gnm
-from .hitset import GuardError, HitSetEngine, HitSetOutcome, InducedKeyTree, QueryStats
+from .hitset import GuardError, HitSetEngine, HitSetOutcome, QueryStats
 from .oraclefile import OracleFileError, load_oracle, oracle_file_bytes, save_oracle
 from .query import Oracle, QueryError, build_oracle
 from .reference import ReferenceOracle, VerifyReport, verify_instance
-from .spindex import ShortestPathIndex, TieBreakError, build_index, build_index_auto
+from .spindex import ShortestPathIndex, TieBreakError, build_index_auto
 from .tables import BuildError, OracleTables, TableEntry, TableKey, build_tables, constraint_holds
 from .version import __version__
 
@@ -14,11 +14,11 @@ __all__ = [
     "CompositeLength", "Graph", "GraphError", "UNREACHABLE",
     "canonical_failures", "parse_graph", "tie_break_values",
     "gen_gnm",
-    "GuardError", "HitSetEngine", "HitSetOutcome", "InducedKeyTree", "QueryStats",
+    "GuardError", "HitSetEngine", "HitSetOutcome", "QueryStats",
     "OracleFileError", "load_oracle", "oracle_file_bytes", "save_oracle",
     "Oracle", "QueryError", "build_oracle",
     "ReferenceOracle", "VerifyReport", "verify_instance",
-    "ShortestPathIndex", "TieBreakError", "build_index", "build_index_auto",
+    "ShortestPathIndex", "TieBreakError", "build_index_auto",
     "BuildError", "OracleTables", "TableEntry", "TableKey", "build_tables",
     "constraint_holds",
     "__version__",

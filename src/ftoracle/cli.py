@@ -1,9 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification found a violation, 2 bad usage or
-invalid input.  Apart from measured wall times (sent to stderr by build,
-and inherent to bench's report), output for fixed inputs and seeds is
-byte-identical across runs.
+invalid input.  Apart from measured wall times (sent to stderr by build),
+output for fixed inputs and seeds is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import json
 import sys
 import time
 
-from .bench import format_rows, run_bench
 from .generate import gen_gnm
 from .graph import Graph, GraphError, parse_graph
 from .hitset import QueryStats
@@ -98,13 +96,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.graph)
-    rows = run_bench(graph, args.dmin, args.dmax, args.queries, args.seed)
-    print(format_rows(rows))
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftoracle",
@@ -144,14 +135,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="measure build and query cost per budget")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--dmin", type=int, default=1)
-    p.add_argument("--dmax", type=int, default=2)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -195,8 +195,3 @@ def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
         if not (0 <= e < graph.m):
             raise GraphError(f"unknown edge id {e}")
     return tuple(out)
-
-
-def edge_length(graph: Graph, tie: Sequence[int], eid: int) -> CompositeLength:
-    """Composite length of a single edge."""
-    return CompositeLength(graph.weight(eid), tie[eid])

@@ -7,6 +7,11 @@ true replacement path.  Each hit w is only ever admitted after checking
 that failures damage both tree paths u->w and w->v, which is what lets the
 query engine recurse on (u,w) and (w,v) with a smaller budget.
 
+Bounds are packed length codes of the index's LengthCodec, and
+codec.unreachable_code stands for no path.  They come from the tables and
+from the index's base rows and are compared and summed as plain ints;
+nothing here decodes them.  The query decodes once, at the API edge.
+
 The three cases differ in how much is already known:
 
 * case_one  - clean anchor vertices are known on both sides, so a single
@@ -17,19 +22,16 @@ The three cases differ in how much is already known:
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
-the failed endpoints themselves, an auxiliary root glued above the real
-one, and every branching vertex in between.
+the failed endpoints themselves and every branching vertex in between.
+The cases only visit its vertices, so it is kept as that vertex list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import CompositeLength, UNREACHABLE, edge_length
 from .spindex import ShortestPathIndex
-from .tables import OracleTables, TableEntry, constraint_holds
-
-AUX_ROOT = -1
+from .tables import OracleTables, constraint_holds
 
 Observer = Callable[[int, int, tuple[int, ...], "HitSetOutcome"], None]
 
@@ -42,7 +44,7 @@ class GuardError(AssertionError):
 
 
 class HitSetOutcome(NamedTuple):
-    bound: CompositeLength
+    bound: int
     hits: frozenset[int]
 
 
@@ -56,22 +58,12 @@ class QueryStats:
     max_depth: int = 0
 
 
-@dataclass(frozen=True)
-class InducedKeyTree:
-    """Contracted failure-induced subtree of one root's shortest-path tree.
-
-    key_edges are (parent, child) pairs walking away from the root; the
-    parent may be AUX_ROOT.
-    """
-
-    root: int
-    key_vertices: tuple[int, ...]
-    key_edges: tuple[tuple[int, int], ...]
-
-
 def build_induced_key_tree(index: ShortestPathIndex, root: int,
-                           failed: Sequence[int]) -> InducedKeyTree:
-    """O(d log d) construction from failure endpoints sorted in DFS order."""
+                           failed: Sequence[int]) -> list[int]:
+    """Key vertices of root's tree under failed, in DFS order; O(d log d).
+
+    They are the failure endpoints and the LCAs of DFS-adjacent ones.
+    """
     assert failed, "key tree is only defined for a nonempty failure set"
     graph = index.graph
     tin = index._in[root]
@@ -81,17 +73,7 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     cand = set(pts)
     for a, b in zip(pts, pts[1:]):
         cand.add(index.lca(root, a, b))
-    key_real = sorted(cand, key=tin.__getitem__)
-
-    stack: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for w in key_real:
-        while stack and not index.is_ancestor(root, stack[-1], w):
-            stack.pop()
-        edges.append((stack[-1] if stack else AUX_ROOT, w))
-        stack.append(w)
-
-    return InducedKeyTree(root, (AUX_ROOT, *key_real), tuple(edges))
+    return sorted(cand, key=tin.__getitem__)
 
 
 class HitSetEngine:
@@ -104,13 +86,14 @@ class HitSetEngine:
         self.check_guards = check_guards
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
-                failed: Sequence[int], stats: QueryStats | None) -> TableEntry:
+                failed: Sequence[int],
+                stats: QueryStats | None) -> tuple[int, tuple[int, ...]]:
         if self.check_guards and \
                 not constraint_holds(self.index, failed, (u, v, up, vp, b1, b2)):
             raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {failed}")
         if stats is not None:
             stats.lookups += 1
-        return self.tables.lookup(u, v, up, vp, b1, b2)
+        return self.tables.read(u, v, up, vp, b1, b2)
 
     def _add_hit(self, hits: set[int], w: int, u: int, v: int,
                  failed: Sequence[int]) -> None:
@@ -126,17 +109,17 @@ class HitSetEngine:
         index = self.index
         assert index.is_clean(u, up, failed), "source anchor is not clean"
         assert index.is_clean(v, vp, failed), "sink anchor is not clean"
-        entry = self._lookup(u, v, up, vp, 1, 1, failed, stats)
+        code, d_star = self._lookup(u, v, up, vp, 1, 1, failed, stats)
         hits: set[int] = set()
-        for eid in entry.d_star:
+        for eid in d_star:
             a, b = index.graph.endpoints(eid)
             self._add_hit(hits, a, u, v, failed)
             self._add_hit(hits, b, u, v, failed)
-        return HitSetOutcome(entry.l_star, frozenset(hits))
+        return HitSetOutcome(code, frozenset(hits))
 
     def case_two(self, u: int, v: int, anchor: int, failed: Sequence[int],
                  mirrored: bool = False, stats: QueryStats | None = None,
-                 tree: InducedKeyTree | None = None) -> HitSetOutcome:
+                 tree: Sequence[int] | None = None) -> HitSetOutcome:
         """One clean anchor; search the other side along its key tree.
 
         Forward: anchor is clean seen from v, the key tree hangs off u.
@@ -148,20 +131,20 @@ class HitSetEngine:
         if tree is None:
             tree = build_induced_key_tree(index, near, failed)
         failed_set = frozenset(failed)
-        bound = UNREACHABLE
+        bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers: set[int] = set()
         tree_child = index._tree_child[near]
 
-        for _, c in tree.key_edges:
+        for c in tree:
             if index.path_intersects(near, c, failed):
                 continue
             if not mirrored:
-                entry = self._lookup(u, v, c, anchor, 0, 1, failed, stats)
+                code, d_star = self._lookup(u, v, c, anchor, 0, 1, failed, stats)
             else:
-                entry = self._lookup(u, v, anchor, c, 1, 0, failed, stats)
-            bound = min(bound, entry.l_star)
-            for eid in entry.d_star:
+                code, d_star = self._lookup(u, v, anchor, c, 1, 0, failed, stats)
+            bound = min(bound, code)
+            for eid in d_star:
                 if eid in failed_set:
                     continue
                 a, b = index.graph.endpoints(eid)
@@ -204,23 +187,25 @@ class HitSetEngine:
         tree_v = build_induced_key_tree(index, v, failed)
         failed_set = frozenset(failed)
         graph = index.graph
-        tie = index.tie
+        step = index._step
+        base_u = index._rows[u]
+        base_v = index._rows[v]
         child_u = index._tree_child[u]
         child_v = index._tree_child[v]
-        bound = UNREACHABLE
+        bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers_u: set[int] = set()
         helpers_v: set[int] = set()
 
-        for _, cu in tree_u.key_edges:
+        for cu in tree_u:
             if index.path_intersects(u, cu, failed):
                 continue
-            for _, cv in tree_v.key_edges:
+            for cv in tree_v:
                 if index.path_intersects(v, cv, failed):
                     continue
-                entry = self._lookup(u, v, cu, cv, 0, 0, failed, stats)
-                bound = min(bound, entry.l_star)
-                for eid in entry.d_star:
+                code, d_star = self._lookup(u, v, cu, cv, 0, 0, failed, stats)
+                bound = min(bound, code)
+                for eid in d_star:
                     if eid in failed_set:
                         continue
                     a, b = graph.endpoints(eid)
@@ -230,9 +215,7 @@ class HitSetEngine:
                         u_clean = not index.path_intersects(u, x, failed)
                         v_clean = not index.path_intersects(v, y, failed)
                         if u_clean and v_clean:
-                            cand = index.distance(u, x) + \
-                                edge_length(graph, tie, eid) + \
-                                index.distance(y, v)
+                            cand = base_u[x] + step[eid] + base_v[y]
                             if cand < bound:
                                 bound = cand
                         elif not u_clean and not v_clean:

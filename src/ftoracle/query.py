@@ -6,13 +6,20 @@ sound upper bound plus pivot vertices known to sit on the true replacement
 path, and the answer is the minimum of the bound and pivot-split subqueries
 with a decremented budget.  The budget argument makes the recursion finite;
 exactness at budget |D| follows from the pivot contract.
+
+The recursion runs on packed length codes, the hitting-set engine's bounds
+included, and decodes once, at the API edge; an undamaged query returns
+the index's prebuilt base length.  Summing codes is exact for every simple
+path, whose tie sum fits below the codec's shift.  Only a walk that is not
+simple can carry tie bits into the length field or pass unreachable_code,
+and its sum stays above the code of the unique shortest path, so every
+min, and so every answer, is what composite lengths would give.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
-                    canonical_failures)
+from .graph import CompositeLength, Graph, GraphError, canonical_failures
 from .hitset import HitSetEngine, Observer, QueryStats
 from .spindex import ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
@@ -58,21 +65,28 @@ class Oracle:
     def _query_canonical(self, u: int, v: int, failed: tuple[int, ...],
                          stats: QueryStats | None = None,
                          observer: Observer | None = None) -> CompositeLength:
-        return self._query_r(u, v, failed, len(failed), {}, stats, observer)
+        index = self.index
+        if not index.path_intersects(u, v, failed):
+            if stats is not None and stats.max_depth < 1:
+                stats.max_depth = 1
+            return index.distance(u, v)
+        return index.codec.decode(
+            self._query_r(u, v, failed, len(failed), {}, stats, observer))
 
     def _query_r(self, a: int, b: int, failed: tuple[int, ...], r: int,
-                 memo: dict[tuple[int, int, int], CompositeLength],
-                 stats: QueryStats | None,
-                 observer: Observer | None) -> CompositeLength:
+                 memo: dict[tuple[int, int, int], int],
+                 stats: QueryStats | None, observer: Observer | None) -> int:
+        """Packed a-b distance avoiding failed, found with pivot budget r."""
         index = self.index
         if stats is not None:
             depth = len(failed) - r + 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
         if not index.path_intersects(a, b, failed):
-            return index.distance(a, b)
+            return index._rows[a][b]
+        unreachable = index.codec.unreachable_code
         if r == 0:
-            return UNREACHABLE
+            return unreachable
         cached = memo.get((a, b, r))
         if cached is not None:
             return cached
@@ -80,7 +94,7 @@ class Oracle:
         best = bound
         for w in sorted(hits):
             left = self._query_r(a, w, failed, r - 1, memo, stats, observer)
-            if left.is_unreachable:
+            if left >= unreachable:
                 continue
             right = self._query_r(w, b, failed, r - 1, memo, stats, observer)
             cand = left + right

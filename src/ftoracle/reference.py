@@ -210,7 +210,6 @@ class VerifyReport:
 
 def verify_instance(oracle: Oracle, mode: str = "exhaustive",
                     samples: int = 10000, seed: int = 0,
-                    check_guards: bool = True,
                     collect_answers: bool = False) -> VerifyReport:
     """Check oracle answers and internal contracts over an instance stream."""
     graph = oracle.graph
@@ -221,9 +220,9 @@ def verify_instance(oracle: Oracle, mode: str = "exhaustive",
     report = VerifyReport(graph.digest(), d, mode,
                           hits_budget=budget, lookup_budget=budget,
                           answers=[] if collect_answers else None)
-    # a private engine, so the caller's oracle never sees the guard flag
+    # a private guarded engine, so the caller's oracle never sees the flag
     checked = Oracle(index, oracle.tables)
-    checked.engine.check_guards = check_guards
+    checked.engine.check_guards = True
     for u, v, failed in enumerate_instances(graph, d, mode, samples, seed):
         stats = QueryStats()
         records: list[tuple[int, int, tuple[int, ...], object]] = []
@@ -256,7 +255,7 @@ def verify_instance(oracle: Oracle, mode: str = "exhaustive",
                         report.rank_drop_violations += 1
         for a, b, fset, outcome in records:
             sub_truth = ref.dist_avoiding(fset, a, b)
-            if outcome.bound != sub_truth:
+            if index.codec.decode(outcome.bound) != sub_truth:
                 sub_path = ref.replacement_path(fset, a, b)
                 on_path = sub_path is not None and \
                     bool(outcome.hits.intersection(sub_path))

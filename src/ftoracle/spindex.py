@@ -2,14 +2,16 @@
 
 Composite (length, tie-key) lengths are packed by the index's one
 LengthCodec into integer codes that order like the pairs, and the index
-keeps all base distances as one (n, n) int64 code array.  One settle loop,
-_settle, is the engine's only Dijkstra: the index build seeds it with each
-root, the table build's deletion sweep with a root's damaged vertices.  It
-tracks no parents; the uniqueness check scans every vertex's optimal
-predecessors anyway, and the unique one is the tree parent.  Vertices get
-Euler-tour entry/exit numbers per root, so subtree membership is an
-interval test, and the child-side endpoint of every tree edge per root
-makes "does this failed edge lie on the tree path root->x" constant-time.
+keeps all base distances as one (n, n) int64 code array.  The query
+engine reads them as Python-int rows and adds each edge's packed step.
+One settle loop, _settle, is the engine's only Dijkstra: the index build
+seeds it with each root, the table build's deletion sweep with a root's
+damaged vertices.  It tracks no parents; the uniqueness check scans every
+vertex's optimal predecessors anyway, and the unique one is the tree
+parent.  Vertices get Euler-tour entry/exit numbers per root, so subtree
+membership is an interval test, and the child-side endpoint of every tree
+edge per root makes "does this failed edge lie on the tree path root->x"
+constant-time.
 """
 from __future__ import annotations
 
@@ -96,13 +98,15 @@ class ShortestPathIndex:
         self.tie = list(tie)
         self.codec = length_codec(graph)
         shift = self.codec.shift
-        # (neighbor, edge id, packed length of the edge)
-        self._adj = [[(nb, eid, (w << shift) + self.tie[eid]) for nb, eid, w in row]
+        # packed length of each edge, and (neighbor, edge id, that length)
+        self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]
+        self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
                      for row in graph.adj]
 
     def _finish(self, codes: np.ndarray, parent: list[list[int]],
                 parent_eid: list[list[int]]) -> None:
         self.codes = codes  # int64 (n, n): packed base distance root -> vertex
+        self._rows = codes.tolist()  # the same codes as Python ints, for the query
         # a connected graph's index holds no UNREACHABLE code
         self._dist = [list(map(CompositeLength, tl, tk)) for tl, tk in
                       zip((codes >> self.codec.shift).tolist(),
@@ -262,11 +266,6 @@ def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,
                 f"root {r}: vertex {v} has {len(preds)} optimal predecessors")
         parent[v], parent_eid[v] = preds[0]
     return parent, parent_eid
-
-
-def build_index(graph: Graph, tie: Sequence[int]) -> ShortestPathIndex:
-    """Index for a fixed tie assignment; raises TieBreakError on a tie."""
-    return ShortestPathIndex(graph, tie)
 
 
 def build_index_auto(graph: Graph, seed: int,

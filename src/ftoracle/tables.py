@@ -134,9 +134,12 @@ class OracleTables:
             raise ValueError(f"table key out of range: {(u, v, up, vp, b1, b2)}")
         if b1 not in (0, 1) or b2 not in (0, 1):
             raise ValueError(f"table key bits must be 0/1: {(u, v, up, vp, b1, b2)}")
-        code = int(self.values[u, v, up, vp, b1, b2])
-        sub = self.subsets[int(self.dstar_idx[u, v, up, vp, b1, b2])]
-        return TableEntry(sub, self.codec.decode(code))
+        code, d_star = self.read(u, v, up, vp, b1, b2)
+        return TableEntry(d_star, self.codec.decode(code))
+
+    def read(self, *key: int) -> tuple[int, tuple[int, ...]]:
+        """(packed code, D*) stored at key, unchecked; the query engine's read."""
+        return self.values.item(key), self.subsets[self.dstar_idx.item(key)]
 
 
 def _deleted_all_pairs(index: ShortestPathIndex, root: int,

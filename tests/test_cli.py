@@ -230,14 +230,6 @@ def test_gen_rejects_infeasible(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_bench_prints_table(g1_path, capsys):
-    assert cli.main(["bench", "-g", g1_path, "--dmin", "1", "--dmax", "1",
-                     "--queries", "3", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "subsets" in out
-    assert " 1024" in out
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

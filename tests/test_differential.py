@@ -3,8 +3,10 @@
 build -> save_oracle -> load_oracle -> every (u, v, F) with |F| <= d, each
 answer compared with ReferenceOracle on the same tie values.  Trees make
 bridges (UNREACHABLE answers), unit weights make the most true-length
-ties, and a path at the codec's largest accepted weight checks that
-packing never wraps.
+ties, and graphs at the codec's largest accepted weight check that packing
+never wraps: a path, whose damaged answers are all UNREACHABLE, and
+2-connected graphs, whose replacement paths sum packed codes near the top
+of the range.
 """
 import io
 
@@ -68,22 +70,38 @@ def _path(n, w):
     return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
 
 
-def _largest_weight(n):
-    """Largest edge weight the codec accepts on an n-vertex path."""
-    shift = LengthCodec(n, n - 1, 1).shift  # the shift does not depend on weights
+def _largest_weight(n, m):
+    """Largest edge weight the codec accepts on n vertices and m edges."""
+    shift = LengthCodec(n, m, 1).shift  # the shift does not depend on weights
     return ((1 << (62 - shift)) - 1) // (n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_largest_codec_weight_is_exact(n):
-    w = _largest_weight(n)
+    w = _largest_weight(n, n - 1)
     LengthCodec(n, n - 1, w)
     assert_round_trip_exact(_path(n, w), 2)
 
 
+CYCLE5 = [(i, (i + 1) % 5) for i in range(5)]
+K4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+CYCLE6_CHORD = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+
+
+@pytest.mark.parametrize("pairs", [CYCLE5, K4, CYCLE6_CHORD],
+                         ids=["cycle5", "k4", "cycle6-chord"])
+def test_largest_codec_weight_is_exact_when_two_connected(pairs):
+    # every failure set of size <= 3, weights largest - (k mod 3)
+    n = 1 + max(max(p) for p in pairs)
+    w = _largest_weight(n, len(pairs))
+    graph = Graph(n, [(a, b, w - k % 3) for k, (a, b) in enumerate(pairs)])
+    LengthCodec(n, graph.m, w)
+    assert_round_trip_exact(graph, 3)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_weight_past_codec_range_is_refused(n, tmp_path, capsys):
-    graph = _path(n, _largest_weight(n) + 1)
+    graph = _path(n, _largest_weight(n, n - 1) + 1)
     with pytest.raises(BuildError, match="too large"):
         build_oracle(graph, 1)
     path = tmp_path / "heavy.graph"

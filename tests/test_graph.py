@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
-                            ZERO_LENGTH, canonical_failures, edge_length,
-                            parse_graph, tie_break_values)
-from ftoracle.spindex import build_index
+                            ZERO_LENGTH, canonical_failures, parse_graph,
+                            tie_break_values)
+from ftoracle.spindex import ShortestPathIndex
 
 from conftest import G1_TEXT
 
@@ -111,7 +111,7 @@ def test_tiebreakers_deterministic(g1):
 def test_tiebreakers_star_always_unique(g3):
     # a tree has one path per pair, so any assignment passes the tie check
     for seed in range(5):
-        build_index(g3, tie_break_values(g3, seed))
+        ShortestPathIndex(g3, tie_break_values(g3, seed))
 
 
 def test_composite_ordering():
@@ -144,5 +144,8 @@ def test_canonical_failures(g1):
 
 
 def test_edge_length_reads_weight_and_tie(g1):
+    # the index's packed step of an edge is its weight and its tie value
     tie = tie_break_values(g1, 1)
-    assert edge_length(g1, tie, 1) == CompositeLength(2, tie[1])
+    index = ShortestPathIndex(g1, tie)
+    assert index.codec.decode(index._step[1]) == CompositeLength(2, tie[1])
+    assert index._step[1] == index.codec.encode(CompositeLength(2, tie[1]))

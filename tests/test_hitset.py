@@ -14,8 +14,8 @@ import pytest
 
 import ftoracle
 from ftoracle.graph import UNREACHABLE
-from ftoracle.hitset import (AUX_ROOT, GuardError, HitSetEngine, InducedKeyTree,
-                             QueryStats, build_induced_key_tree, hit_budget)
+from ftoracle.hitset import (GuardError, HitSetEngine, QueryStats,
+                             build_induced_key_tree, hit_budget)
 
 from conftest import G1_TEXT, tree_path_edges
 
@@ -36,24 +36,23 @@ def nonempty_failure_sets(m, dmax):
         yield from combinations(range(m), k)
 
 
+def decoded(oracle, bound):
+    """An engine bound (a packed code) as a composite length."""
+    return oracle.index.codec.decode(bound)
+
+
 # -- induced key tree -----------------------------------------------------------
 
 def test_key_tree_g1_tail_failure(idx1):
-    tree = build_induced_key_tree(idx1, 0, (2,))
-    assert tree.key_vertices == (AUX_ROOT, 2, 3)
-    assert tree.key_edges == ((AUX_ROOT, 2), (2, 3))
+    assert build_induced_key_tree(idx1, 0, (2,)) == [2, 3]
 
 
 def test_key_tree_g1_root_failure(idx1):
-    tree = build_induced_key_tree(idx1, 0, (0,))
-    assert tree.key_vertices == (AUX_ROOT, 0, 1)
-    assert tree.key_edges == ((AUX_ROOT, 0), (0, 1))
+    assert build_induced_key_tree(idx1, 0, (0,)) == [0, 1]
 
 
 def test_key_tree_g6_middle_failure(idx6):
-    tree = build_induced_key_tree(idx6, 0, (2,))
-    assert tree.key_vertices == (AUX_ROOT, 2, 3)
-    assert tree.key_edges == ((AUX_ROOT, 2), (2, 3))
+    assert build_induced_key_tree(idx6, 0, (2,)) == [2, 3]
 
 
 def test_key_tree_requires_failures(idx1):
@@ -69,8 +68,8 @@ def test_key_tree_matches_brute_force(idx1, idx6):
                 tree = build_induced_key_tree(index, root, failed)
                 induced = brute_induced_edges(index, root, failed)
 
-                # degree inside the induced tree, plus the auxiliary edge
-                # glued above the root
+                # degree inside the induced tree, plus one for the root,
+                # which counts as if an edge hung above it
                 deg = {}
                 for eid in induced:
                     for p in g.endpoints(eid):
@@ -80,32 +79,19 @@ def test_key_tree_matches_brute_force(idx1, idx6):
                 endpoints = {p for eid in failed for p in g.endpoints(eid)}
                 expect_keys = {v for v, dg in deg.items() if dg >= 3}
                 expect_keys |= endpoints
-                assert set(tree.key_vertices) == expect_keys | {AUX_ROOT}
+                assert set(tree) == expect_keys
+                # each key vertex once, in DFS order
+                tin = [index._in[root][x] for x in tree]
+                assert tin == sorted(set(tin))
                 for v, dg in deg.items():
-                    if v not in tree.key_vertices:
+                    if v not in tree:
                         assert dg == 2
-
-
-def test_key_tree_edges_connect_nearest_key_ancestors(idx6):
-    for failed in nonempty_failure_sets(8, 2):
-        tree = build_induced_key_tree(idx6, 0, failed)
-        keys = set(tree.key_vertices)
-        assert tree.key_edges[0][0] == AUX_ROOT
-        for p, c in tree.key_edges:
-            if p == AUX_ROOT:
-                continue
-            assert idx6.is_ancestor(0, p, c) and p != c
-            # no key vertex strictly between p and c
-            v = idx6.parent(0, c)
-            while v != p:
-                assert v not in keys
-                v = idx6.parent(0, v)
 
 
 def test_key_tree_size_linear_in_failures(idx6):
     for failed in nonempty_failure_sets(8, 3):
         tree = build_induced_key_tree(idx6, 0, failed)
-        assert len(tree.key_vertices) <= 4 * len(failed) + 2
+        assert len(tree) <= 4 * len(failed) + 1
 
 
 # -- case one ---------------------------------------------------------------------
@@ -114,7 +100,7 @@ def test_case_one_g6_detour(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
     bound, hits = engine.case_one(0, 4, 5, 6, (2,))
-    assert bound.true_len == 7
+    assert decoded(oracle6_d1, bound).true_len == 7
     assert hits == frozenset()
 
 
@@ -126,7 +112,7 @@ def test_case_one_empty_max_set(oracle3_d1):
     assert oracle3_d1.tables.lookup(1, 2, 2, 1, 1, 1).d_star == ()
     bound, hits = engine.case_one(1, 2, 2, 1, (2,))
     assert hits == frozenset()
-    assert bound == oracle3_d1.index.distance(1, 2)
+    assert decoded(oracle3_d1, bound) == oracle3_d1.index.distance(1, 2)
 
 
 def test_case_one_rejects_dirty_anchor(oracle1_d2):
@@ -141,14 +127,14 @@ def test_case_two_g1(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
                           check_guards=True)
     bound, _ = engine.case_two(0, 2, 3, (1,))
-    assert bound.true_len == 6
+    assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_two_g6(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
     bound, _ = engine.case_two(0, 4, 6, (2,))
-    assert bound.true_len == 7
+    assert decoded(oracle6_d1, bound).true_len == 7
 
 
 def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
@@ -158,17 +144,16 @@ def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
                           check_guards=True)
     assert oracle6_d1.index.is_clean(0, 5, (2,))
     bound, _ = engine.case_two(0, 4, 5, (2,), mirrored=True)
-    assert bound.true_len == 7
+    assert decoded(oracle6_d1, bound).true_len == 7
 
 
 def test_case_two_all_edges_discarded(oracle1_d1):
     # with the single key-tree child sitting below the failure, every edge
     # is discarded and the fold never starts
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
-    stub = InducedKeyTree(0, (AUX_ROOT, 1), ((AUX_ROOT, 1),))
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
-    bound, hits = engine.case_two(0, 2, 3, (0,), tree=stub)
-    assert bound == UNREACHABLE
+    bound, hits = engine.case_two(0, 2, 3, (0,), tree=[1])
+    assert decoded(oracle1_d1, bound) == UNREACHABLE
     assert hits == frozenset()
 
 
@@ -185,7 +170,7 @@ def test_case_three_g6(oracle6_d1, ref6):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
     bound, hits = engine.case_three(0, 4, (2,))
-    assert bound.true_len == 7
+    assert decoded(oracle6_d1, bound).true_len == 7
     assert not hits.intersection(ref6.replacement_path((2,), 0, 4))
 
 
@@ -193,7 +178,7 @@ def test_case_three_g1(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
                           check_guards=True)
     bound, _ = engine.case_three(0, 2, (1,))
-    assert bound.true_len == 6
+    assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_three_disconnecting_failure(oracle1_d2):
@@ -204,7 +189,7 @@ def test_case_three_disconnecting_failure(oracle1_d2):
         assert oracle1_d2.index.path_intersects(0, w, (1, 2))
         assert oracle1_d2.index.path_intersects(2, w, (1, 2))
     if not hits:
-        assert bound == UNREACHABLE
+        assert decoded(oracle1_d2, bound) == UNREACHABLE
 
 
 def test_case_three_requires_damage(oracle1_d1):

@@ -20,7 +20,8 @@ def all_instances(graph, dmax):
 
 def test_zero_budget_intact_path(oracle1_d1):
     # an undamaged pair answers from the base table even with no budget
-    assert oracle1_d1._query_r(0, 2, (), 0, None, None, None).true_len == 3
+    code = oracle1_d1._query_r(0, 2, (), 0, None, None, None)
+    assert oracle1_d1.index.codec.decode(code).true_len == 3
 
 
 def test_single_failure(oracle1_d1):
@@ -28,7 +29,8 @@ def test_single_failure(oracle1_d1):
 
 
 def test_zero_budget_damaged_path(oracle1_d1):
-    assert oracle1_d1._query_r(0, 2, (1,), 0, None, None, None) == UNREACHABLE
+    code = oracle1_d1._query_r(0, 2, (1,), 0, None, None, None)
+    assert oracle1_d1.index.codec.decode(code) == UNREACHABLE
 
 
 def test_disconnection_reported(oracle1_d2):

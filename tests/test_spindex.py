@@ -4,9 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from ftoracle.graph import Graph, GraphError, edge_length, tie_break_values
-from ftoracle.spindex import (ShortestPathIndex, TieBreakError, build_index,
-                              build_index_auto)
+from ftoracle.graph import Graph, GraphError
+from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
 from conftest import tree_path_edges
 
@@ -77,8 +76,7 @@ def test_parent_edge_recurrence(idx6):
             p = idx6.parent(r, v)
             e = idx6.parent_edge(r, v)
             assert set(g.endpoints(e)) == {p, v}
-            assert idx6.distance(r, v) == \
-                idx6.distance(r, p) + edge_length(g, idx6.tie, e)
+            assert idx6.codes[r, v] == idx6.codes[r, p] + idx6._step[e]
 
 
 def test_subpath_property(idx1, idx6):
@@ -201,7 +199,7 @@ def test_tie_detected_on_even_square():
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     g.validate()
     with pytest.raises(TieBreakError):
-        build_index(g, [1, 1, 1, 1])
+        ShortestPathIndex(g, [1, 1, 1, 1])
 
 
 def test_auto_reseed_clears_square_tie():
