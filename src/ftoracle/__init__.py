@@ -2,7 +2,7 @@
 from .graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
                     canonical_failures, parse_graph, tie_break_values)
 from .generate import gen_gnm
-from .hitset import GuardError, HitSetEngine, HitSetOutcome, QueryStats
+from .hitset import FailureView, GuardError, HitSetEngine, HitSetOutcome, QueryStats
 from .oraclefile import OracleFileError, load_oracle, oracle_file_bytes, save_oracle
 from .query import Oracle, QueryError, build_oracle
 from .reference import ReferenceOracle, VerifyReport, verify_instance
@@ -14,7 +14,7 @@ __all__ = [
     "CompositeLength", "Graph", "GraphError", "UNREACHABLE",
     "canonical_failures", "parse_graph", "tie_break_values",
     "gen_gnm",
-    "GuardError", "HitSetEngine", "HitSetOutcome", "QueryStats",
+    "FailureView", "GuardError", "HitSetEngine", "HitSetOutcome", "QueryStats",
     "OracleFileError", "load_oracle", "oracle_file_bytes", "save_oracle",
     "Oracle", "QueryError", "build_oracle",
     "ReferenceOracle", "VerifyReport", "verify_instance",

@@ -69,6 +69,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             "lookups": stats.lookups,
             "case_three_calls": stats.case_three_calls,
             "recursion_depth": stats.max_depth,
+            "max_hits": stats.max_hits,
+            "memo_hits": stats.memo_hits,
+            "key_trees": stats.key_trees,
         }))
     else:
         print("UNREACHABLE" if length.is_unreachable else length.true_len)

@@ -190,8 +190,8 @@ def tie_break_values(graph: Graph, seed: int) -> list[int]:
 
 def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
     """Sorted duplicate-free edge-id tuple; validates every id."""
-    out = sorted(set(int(e) for e in ids))
-    for e in out:
-        if not (0 <= e < graph.m):
-            raise GraphError(f"unknown edge id {e}")
-    return tuple(out)
+    out = tuple(sorted(set(map(int, ids))))
+    if out and (out[0] < 0 or out[-1] >= graph.m):
+        bad = next(e for e in out if not 0 <= e < graph.m)
+        raise GraphError(f"unknown edge id {bad}")
+    return out

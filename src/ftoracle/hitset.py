@@ -20,10 +20,17 @@ The three cases differ in how much is already known:
   walking the key tree of that side's root.
 * case_three - nothing is known; both sides are searched at once.
 
+All three run on a FailureView: the damage of one failure set D, derived
+once per damaged query as vertex bitmasks and shared by its recursion.
+"D hits the tree path r->x" is path(r) >> x & 1 and "D touches w's
+subtree" is _sub[r][w] & ends.  The guard and verify's hit check keep the
+interval predicates, so a guarded run checks the masks independently.
+
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
 the failed endpoints themselves and every branching vertex in between.
-The cases only visit its vertices, so it is kept as that vertex list.
+The cases only visit its vertices, so it is kept as that vertex list,
+built at most once per root and view.
 """
 from __future__ import annotations
 
@@ -56,6 +63,8 @@ class QueryStats:
     case_three_calls: int = 0
     max_hits: int = 0
     max_depth: int = 0
+    memo_hits: int = 0    # recursion calls answered from the view's memo
+    key_trees: int = 0    # key trees built, at most one per root and query
 
 
 def build_induced_key_tree(index: ShortestPathIndex, root: int,
@@ -76,6 +85,42 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     return sorted(cand, key=tin.__getitem__)
 
 
+class FailureView:
+    """One failure set's damage, derived once and shared by a whole query."""
+
+    def __init__(self, index: ShortestPathIndex, failed: tuple[int, ...]):
+        self.index = index
+        self.failed = failed
+        self.failed_set = frozenset(failed)
+        self.ends = 0
+        for eid in failed:
+            self.ends |= index._ends[eid]
+        self._paths: list[int | None] = [None] * index.graph.n
+        self.trees: dict[int, list[int]] = {}
+        self.memo: dict[tuple[int, int, int], int] = {}
+
+    def path(self, r: int) -> int:
+        """Mask of the vertices x whose tree path r->x a failed edge lies on."""
+        mask = self._paths[r]
+        if mask is None:
+            below = self.index._below[r]
+            mask = 0
+            for eid in self.failed:
+                mask |= below[eid]
+            self._paths[r] = mask
+        return mask
+
+    def clean(self, r: int, w: int) -> bool:
+        """No failure on the tree path r->w and no failed endpoint below w."""
+        return not (self.path(r) >> w & 1 or self.index._sub[r][w] & self.ends)
+
+    def key_tree(self, r: int) -> list[int]:
+        tree = self.trees.get(r)
+        if tree is None:
+            tree = self.trees[r] = build_induced_key_tree(self.index, r, self.failed)
+        return tree
+
+
 class HitSetEngine:
     """Case analysis over guarded table lookups for one (index, tables) pair."""
 
@@ -86,38 +131,28 @@ class HitSetEngine:
         self.check_guards = check_guards
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
-                failed: Sequence[int],
+                view: FailureView,
                 stats: QueryStats | None) -> tuple[int, tuple[int, ...]]:
         if self.check_guards and \
-                not constraint_holds(self.index, failed, (u, v, up, vp, b1, b2)):
-            raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {failed}")
+                not constraint_holds(self.index, view.failed, (u, v, up, vp, b1, b2)):
+            raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {view.failed}")
         if stats is not None:
             stats.lookups += 1
         return self.tables.read(u, v, up, vp, b1, b2)
 
-    def _add_hit(self, hits: set[int], w: int, u: int, v: int,
-                 failed: Sequence[int]) -> None:
-        # only vertices with damage on both sides are useful recursion pivots
-        if self.index.path_intersects(u, w, failed) and \
-                self.index.path_intersects(v, w, failed):
-            hits.add(w)
-
-    def case_one(self, u: int, v: int, up: int, vp: int,
-                 failed: Sequence[int],
+    def case_one(self, u: int, v: int, up: int, vp: int, view: FailureView,
                  stats: QueryStats | None = None) -> HitSetOutcome:
         """Both anchors known clean: one lookup, hits from its stored set."""
-        index = self.index
-        assert index.is_clean(u, up, failed), "source anchor is not clean"
-        assert index.is_clean(v, vp, failed), "sink anchor is not clean"
-        code, d_star = self._lookup(u, v, up, vp, 1, 1, failed, stats)
-        hits: set[int] = set()
-        for eid in d_star:
-            a, b = index.graph.endpoints(eid)
-            self._add_hit(hits, a, u, v, failed)
-            self._add_hit(hits, b, u, v, failed)
+        assert view.clean(u, up), "source anchor is not clean"
+        assert view.clean(v, vp), "sink anchor is not clean"
+        code, d_star = self._lookup(u, v, up, vp, 1, 1, view, stats)
+        # only vertices with damage on both sides are useful recursion pivots
+        both = view.path(u) & view.path(v)
+        edges = self.index.graph.edges
+        hits = {p for eid in d_star for p in edges[eid][:2] if both >> p & 1}
         return HitSetOutcome(code, frozenset(hits))
 
-    def case_two(self, u: int, v: int, anchor: int, failed: Sequence[int],
+    def case_two(self, u: int, v: int, anchor: int, view: FailureView,
                  mirrored: bool = False, stats: QueryStats | None = None,
                  tree: Sequence[int] | None = None) -> HitSetOutcome:
         """One clean anchor; search the other side along its key tree.
@@ -127,66 +162,66 @@ class HitSetEngine:
         """
         index = self.index
         near, far = (u, v) if not mirrored else (v, u)
-        assert index.is_clean(far, anchor, failed), "anchor is not clean"
+        assert view.clean(far, anchor), "anchor is not clean"
         if tree is None:
-            tree = build_induced_key_tree(index, near, failed)
-        failed_set = frozenset(failed)
+            tree = view.key_tree(near)
+        failed_set = view.failed_set
+        near_path, far_path = view.path(near), view.path(far)
+        edges = index.graph.edges
         bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers: set[int] = set()
         tree_child = index._tree_child[near]
 
         for c in tree:
-            if index.path_intersects(near, c, failed):
+            if near_path >> c & 1:
                 continue
             if not mirrored:
-                code, d_star = self._lookup(u, v, c, anchor, 0, 1, failed, stats)
+                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
             else:
-                code, d_star = self._lookup(u, v, anchor, c, 1, 0, failed, stats)
+                code, d_star = self._lookup(u, v, anchor, c, 1, 0, view, stats)
             bound = min(bound, code)
             for eid in d_star:
                 if eid in failed_set:
                     continue
-                a, b = index.graph.endpoints(eid)
+                a, b, _ = edges[eid]
                 if a > b:
                     a, b = b, a
-                if not index.path_intersects(far, a, failed) or \
-                        not index.path_intersects(far, b, failed):
+                # both ends damaged from far, so a hit below is damaged from both
+                if not far_path >> a & far_path >> b & 1:
                     continue
-                if index.path_intersects(near, a, failed):
-                    self._add_hit(hits, a, u, v, failed)
+                if near_path >> a & 1:
+                    hits.add(a)
                     continue
-                if index.path_intersects(near, b, failed):
-                    self._add_hit(hits, b, u, v, failed)
+                if near_path >> b & 1:
+                    hits.add(b)
                     continue
                 child = tree_child[eid]
-                if child < 0:
-                    continue
-                if not index.subtree_touches(near, child, failed):
+                if child >= 0 and not index._sub[near][child] & view.ends:
                     helpers.add(child)
 
         for h in sorted(helpers):
             if not mirrored:
-                sub = self.case_one(u, v, h, anchor, failed, stats)
+                sub = self.case_one(u, v, h, anchor, view, stats)
             else:
-                sub = self.case_one(u, v, anchor, h, failed, stats)
+                sub = self.case_one(u, v, anchor, h, view, stats)
             bound = min(bound, sub.bound)
             hits |= sub.hits
         return HitSetOutcome(bound, frozenset(hits))
 
-    def case_three(self, u: int, v: int, failed: Sequence[int],
+    def case_three(self, u: int, v: int, view: FailureView,
                    stats: QueryStats | None = None,
                    observer: Observer | None = None) -> HitSetOutcome:
         """No anchors known: enumerate key-tree edge pairs on both sides."""
         index = self.index
-        assert failed and index.path_intersects(u, v, failed), \
-            "case_three requires a damaged u-v path"
+        path_u, path_v = view.path(u), view.path(v)
+        assert path_u >> v & 1, "case_three requires a damaged u-v path"
         if stats is not None:
             stats.case_three_calls += 1
-        tree_u = build_induced_key_tree(index, u, failed)
-        tree_v = build_induced_key_tree(index, v, failed)
-        failed_set = frozenset(failed)
-        graph = index.graph
+        tree_u = view.key_tree(u)
+        tree_v = view.key_tree(v)
+        failed_set = view.failed_set
+        edges = index.graph.edges
         step = index._step
         base_u = index._rows[u]
         base_v = index._rows[v]
@@ -197,52 +232,54 @@ class HitSetEngine:
         helpers_u: set[int] = set()
         helpers_v: set[int] = set()
 
+        # a hit x below needs damage on both tree paths u->x and v->x; each
+        # branch adds x only where the branch test already shows both
         for cu in tree_u:
-            if index.path_intersects(u, cu, failed):
+            if path_u >> cu & 1:
                 continue
             for cv in tree_v:
-                if index.path_intersects(v, cv, failed):
+                if path_v >> cv & 1:
                     continue
-                code, d_star = self._lookup(u, v, cu, cv, 0, 0, failed, stats)
+                code, d_star = self._lookup(u, v, cu, cv, 0, 0, view, stats)
                 bound = min(bound, code)
                 for eid in d_star:
                     if eid in failed_set:
                         continue
-                    a, b = graph.endpoints(eid)
+                    a, b, _ = edges[eid]
                     if a > b:
                         a, b = b, a
                     for x, y in ((a, b), (b, a)):
-                        u_clean = not index.path_intersects(u, x, failed)
-                        v_clean = not index.path_intersects(v, y, failed)
+                        u_clean = not path_u >> x & 1
+                        v_clean = not path_v >> y & 1
                         if u_clean and v_clean:
                             cand = base_u[x] + step[eid] + base_v[y]
                             if cand < bound:
                                 bound = cand
                         elif not u_clean and not v_clean:
-                            if index.path_intersects(v, x, failed):
-                                self._add_hit(hits, x, u, v, failed)
+                            if path_v >> x & 1:
+                                hits.add(x)
                         elif u_clean:
                             if child_u[eid] < 0:
-                                if index.path_intersects(u, y, failed):
-                                    self._add_hit(hits, y, u, v, failed)
+                                if path_u >> y & 1:
+                                    hits.add(y)
                             elif child_u[eid] == y:
-                                if not index.subtree_touches(u, y, failed):
+                                if not index._sub[u][y] & view.ends:
                                     helpers_u.add(y)
                         else:
                             if child_v[eid] < 0:
-                                if index.path_intersects(v, x, failed):
-                                    self._add_hit(hits, x, u, v, failed)
+                                if path_v >> x & 1:
+                                    hits.add(x)
                             elif child_v[eid] == x:
-                                if not index.subtree_touches(v, x, failed):
+                                if not index._sub[v][x] & view.ends:
                                     helpers_v.add(x)
 
         for h in sorted(helpers_v):
-            sub = self.case_two(u, v, h, failed, mirrored=False,
+            sub = self.case_two(u, v, h, view, mirrored=False,
                                 stats=stats, tree=tree_u)
             bound = min(bound, sub.bound)
             hits |= sub.hits
         for h in sorted(helpers_u):
-            sub = self.case_two(u, v, h, failed, mirrored=True,
+            sub = self.case_two(u, v, h, view, mirrored=True,
                                 stats=stats, tree=tree_v)
             bound = min(bound, sub.bound)
             hits |= sub.hits
@@ -251,7 +288,7 @@ class HitSetEngine:
         if stats is not None and len(outcome.hits) > stats.max_hits:
             stats.max_hits = len(outcome.hits)
         if observer is not None:
-            observer(u, v, tuple(failed), outcome)
+            observer(u, v, view.failed, outcome)
         return outcome
 
 

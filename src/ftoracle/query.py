@@ -7,6 +7,10 @@ path, and the answer is the minimum of the bound and pivot-split subqueries
 with a decremented budget.  The budget argument makes the recursion finite;
 exactness at budget |D| follows from the pivot contract.
 
+A damaged query builds one FailureView of D and the whole recursion runs
+on it: damage tests are bit tests, each root's key tree is built once and
+the memo lives in the view.  An undamaged query builds no view.
+
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
 the index's prebuilt base length.  Summing codes is exact for every simple
@@ -20,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import CompositeLength, Graph, GraphError, canonical_failures
-from .hitset import HitSetEngine, Observer, QueryStats
+from .hitset import FailureView, HitSetEngine, Observer, QueryStats
 from .spindex import ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
 
@@ -70,33 +74,38 @@ class Oracle:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index.distance(u, v)
-        return index.codec.decode(
-            self._query_r(u, v, failed, len(failed), {}, stats, observer))
+        view = FailureView(index, failed)
+        code = self._query_r(u, v, view, len(failed), stats, observer)
+        if stats is not None:
+            stats.key_trees += len(view.trees)
+        return index.codec.decode(code)
 
-    def _query_r(self, a: int, b: int, failed: tuple[int, ...], r: int,
-                 memo: dict[tuple[int, int, int], int],
+    def _query_r(self, a: int, b: int, view: FailureView, r: int,
                  stats: QueryStats | None, observer: Observer | None) -> int:
-        """Packed a-b distance avoiding failed, found with pivot budget r."""
+        """Packed a-b distance avoiding view's failures, found with pivot budget r."""
         index = self.index
         if stats is not None:
-            depth = len(failed) - r + 1
+            depth = len(view.failed) - r + 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
-        if not index.path_intersects(a, b, failed):
+        if not view.path(a) >> b & 1:
             return index._rows[a][b]
         unreachable = index.codec.unreachable_code
         if r == 0:
             return unreachable
+        memo = view.memo
         cached = memo.get((a, b, r))
         if cached is not None:
+            if stats is not None:
+                stats.memo_hits += 1
             return cached
-        bound, hits = self.engine.case_three(a, b, failed, stats, observer)
+        bound, hits = self.engine.case_three(a, b, view, stats, observer)
         best = bound
         for w in sorted(hits):
-            left = self._query_r(a, w, failed, r - 1, memo, stats, observer)
+            left = self._query_r(a, w, view, r - 1, stats, observer)
             if left >= unreachable:
                 continue
-            right = self._query_r(w, b, failed, r - 1, memo, stats, observer)
+            right = self._query_r(w, b, view, r - 1, stats, observer)
             cand = left + right
             if cand < best:
                 best = cand

@@ -11,7 +11,12 @@ vertex's optimal predecessors anyway, and the unique one is the tree
 parent.  Vertices get Euler-tour entry/exit numbers per root, so subtree
 membership is an interval test, and the child-side endpoint of every tree
 edge per root makes "does this failed edge lie on the tree path root->x"
-constant-time.
+constant-time; the table build and the guarded checks use these.  The
+query engine reads the same facts from Python-int vertex bitmasks built
+in the same DFS: per root r, _sub[r][w] is w's subtree, _below[r][e] the
+vertices below tree edge e (0 off the tree) and _anc[r][v] v's ancestors
+as DFS-entry bits; _ends[e] is e's endpoints.  The LCA of x and y, their
+deepest common ancestor, is _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].
 """
 from __future__ import annotations
 
@@ -102,6 +107,7 @@ class ShortestPathIndex:
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]
         self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
                      for row in graph.adj]
+        self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
 
     def _finish(self, codes: np.ndarray, parent: list[list[int]],
                 parent_eid: list[list[int]]) -> None:
@@ -113,7 +119,8 @@ class ShortestPathIndex:
                           (codes & self.codec.mask).tolist())]
         self._parent = parent
         self._parent_eid = parent_eid
-        self._in, self._out, self._tree_child, self._lift = [], [], [], []
+        self._in, self._out, self._tree_child = [], [], []
+        self._by_tin, self._anc, self._sub, self._below = [], [], [], []
         for r in range(self.graph.n):
             self._finish_root(r)
 
@@ -138,47 +145,45 @@ class ShortestPathIndex:
                     heapq.heappush(heap, (code + step, nb))
 
     def _finish_root(self, r: int) -> None:
-        """Derive DFS numbering, per-edge child map and lifting table for root r."""
+        """Derive DFS numbering, per-edge child map and vertex masks for root r."""
         graph = self.graph
         n = graph.n
         parent = self._parent[r]
         parent_eid = self._parent_eid[r]
 
         children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
+        tree_child = [-1] * graph.m
+        for v in range(n - 1, -1, -1):  # children listed descending, popped ascending
             if parent[v] >= 0:
                 children[parent[v]].append(v)
-
-        tin = [0] * n
-        tout = [0] * n
-        clock = 0
-        stack: list[tuple[int, bool]] = [(r, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                tout[v] = clock - 1
-                continue
-            tin[v] = clock
-            clock += 1
-            stack.append((v, True))
-            for c in reversed(children[v]):
-                stack.append((c, False))
-
-        tree_child = [-1] * graph.m
-        for v in range(n):
             if parent_eid[v] >= 0:
                 tree_child[parent_eid[v]] = v
 
-        logn = max(1, (n - 1).bit_length())
-        lift = [[parent[v] if parent[v] >= 0 else r for v in range(n)]]
-        for k in range(1, logn):
-            prev = lift[k - 1]
-            lift.append([prev[prev[v]] for v in range(n)])
+        by_tin: list[int] = []  # vertices in DFS-entry (preorder) order
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            by_tin.append(v)
+            stack += children[v]
+
+        tin = [0] * n
+        anc = [0] * n
+        anc[r] = 1
+        for i in range(1, len(by_tin)):
+            v = by_tin[i]
+            tin[v] = i
+            anc[v] = anc[parent[v]] | 1 << i
+        sub = [1 << v for v in range(n)]
+        for v in by_tin[:0:-1]:  # children before parents, root left out
+            sub[parent[v]] |= sub[v]
 
         self._in.append(tin)
-        self._out.append(tout)
+        self._out.append([t + s.bit_count() - 1 for t, s in zip(tin, sub)])
         self._tree_child.append(tree_child)
-        self._lift.append(lift)
+        self._by_tin.append(by_tin)
+        self._anc.append(anc)
+        self._sub.append(sub)
+        self._below.append([sub[c] if c >= 0 else 0 for c in tree_child])
 
     # -- distances ---------------------------------------------------------
 
@@ -202,21 +207,9 @@ class ShortestPathIndex:
 
     # -- predicates --------------------------------------------------------
 
-    def is_ancestor(self, root: int, x: int, y: int) -> bool:
-        """True iff x is an ancestor of y (or equal) in the tree rooted at root."""
-        tin = self._in[root]
-        return tin[x] <= tin[y] <= self._out[root][x]
-
     def lca(self, root: int, x: int, y: int) -> int:
-        if self.is_ancestor(root, x, y):
-            return x
-        if self.is_ancestor(root, y, x):
-            return y
-        lift = self._lift[root]
-        for k in range(len(lift) - 1, -1, -1):
-            if not self.is_ancestor(root, lift[k][x], y):
-                x = lift[k][x]
-        return self._parent[root][x]
+        anc = self._anc[root]
+        return self._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
 
     def path_intersects(self, root: int, x: int, failed: Iterable[int]) -> bool:
         """True iff some failed edge lies on the tree path root -> x."""
@@ -241,11 +234,6 @@ class ShortestPathIndex:
             if lo <= tin[a] <= hi or lo <= tin[b] <= hi:
                 return True
         return False
-
-    def is_clean(self, root: int, w: int, failed: Iterable[int]) -> bool:
-        """No failure on the path root -> w and none hanging below w."""
-        return not self.path_intersects(root, w, failed) and \
-            not self.subtree_touches(root, w, failed)
 
 
 def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,

@@ -119,6 +119,10 @@ def test_query_json(g1_path, tmp_path, capsys):
     assert payload["lookups"] >= 1
     assert payload["case_three_calls"] >= 1
     assert payload["recursion_depth"] >= 1
+    # (0, 2) under (1,) is one case_three call, with key trees at 0 and 2
+    assert payload["max_hits"] == 0
+    assert payload["memo_hits"] == 0
+    assert payload["key_trees"] == 2
 
 
 def test_query_stdout_deterministic(g1_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Graph parsing, validation, tie-break assignment and composite lengths."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,6 +142,16 @@ def test_canonical_failures(g1):
     assert canonical_failures(g1, []) == ()
     with pytest.raises(GraphError, match="unknown edge"):
         canonical_failures(g1, [4])
+    # the smallest bad id is named, below the range or above it
+    with pytest.raises(GraphError, match=r"unknown edge id 5$"):
+        canonical_failures(g1, [7, 1, 5, 9])
+    with pytest.raises(GraphError, match=r"unknown edge id -2$"):
+        canonical_failures(g1, [6, -1, 0, -2])
+    with pytest.raises(GraphError, match=r"unknown edge id -1$"):
+        canonical_failures(g1, [-1])
+    ids = canonical_failures(g1, np.array([3, 1, 3], dtype=np.int64))
+    assert ids == (1, 3) and all(type(e) is int for e in ids)
+    assert canonical_failures(g1, iter([3, 0, 3])) == (0, 3)
 
 
 def test_edge_length_reads_weight_and_tie(g1):

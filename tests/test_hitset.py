@@ -14,7 +14,7 @@ import pytest
 
 import ftoracle
 from ftoracle.graph import UNREACHABLE
-from ftoracle.hitset import (GuardError, HitSetEngine, QueryStats,
+from ftoracle.hitset import (FailureView, GuardError, HitSetEngine, QueryStats,
                              build_induced_key_tree, hit_budget)
 
 from conftest import G1_TEXT, tree_path_edges
@@ -34,6 +34,11 @@ def brute_induced_edges(index, root, failed):
 def nonempty_failure_sets(m, dmax):
     for k in range(1, dmax + 1):
         yield from combinations(range(m), k)
+
+
+def view(oracle, failed):
+    """The failure view the query engine runs the cases on."""
+    return FailureView(oracle.index, failed)
 
 
 def decoded(oracle, bound):
@@ -99,7 +104,7 @@ def test_key_tree_size_linear_in_failures(idx6):
 def test_case_one_g6_detour(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
-    bound, hits = engine.case_one(0, 4, 5, 6, (2,))
+    bound, hits = engine.case_one(0, 4, 5, 6, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
     assert hits == frozenset()
 
@@ -110,7 +115,7 @@ def test_case_one_empty_max_set(oracle3_d1):
     engine = HitSetEngine(oracle3_d1.index, oracle3_d1.tables,
                           check_guards=True)
     assert oracle3_d1.tables.lookup(1, 2, 2, 1, 1, 1).d_star == ()
-    bound, hits = engine.case_one(1, 2, 2, 1, (2,))
+    bound, hits = engine.case_one(1, 2, 2, 1, view(oracle3_d1, (2,)))
     assert hits == frozenset()
     assert decoded(oracle3_d1, bound) == oracle3_d1.index.distance(1, 2)
 
@@ -118,7 +123,7 @@ def test_case_one_empty_max_set(oracle3_d1):
 def test_case_one_rejects_dirty_anchor(oracle1_d2):
     engine = HitSetEngine(oracle1_d2.index, oracle1_d2.tables)
     with pytest.raises(AssertionError, match="anchor"):
-        engine.case_one(0, 2, 0, 2, (1,))
+        engine.case_one(0, 2, 0, 2, view(oracle1_d2, (1,)))
 
 
 # -- case two ---------------------------------------------------------------------
@@ -126,14 +131,14 @@ def test_case_one_rejects_dirty_anchor(oracle1_d2):
 def test_case_two_g1(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
                           check_guards=True)
-    bound, _ = engine.case_two(0, 2, 3, (1,))
+    bound, _ = engine.case_two(0, 2, 3, view(oracle1_d1, (1,)))
     assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_two_g6(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
-    bound, _ = engine.case_two(0, 4, 6, (2,))
+    bound, _ = engine.case_two(0, 4, 6, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
 
 
@@ -142,8 +147,9 @@ def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
     # anchor on the 0 side must see the same replacement length
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
-    assert oracle6_d1.index.is_clean(0, 5, (2,))
-    bound, _ = engine.case_two(0, 4, 5, (2,), mirrored=True)
+    assert not oracle6_d1.index.path_intersects(0, 5, (2,))
+    assert not oracle6_d1.index.subtree_touches(0, 5, (2,))
+    bound, _ = engine.case_two(0, 4, 5, view(oracle6_d1, (2,)), mirrored=True)
     assert decoded(oracle6_d1, bound).true_len == 7
 
 
@@ -152,7 +158,7 @@ def test_case_two_all_edges_discarded(oracle1_d1):
     # is discarded and the fold never starts
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
-    bound, hits = engine.case_two(0, 2, 3, (0,), tree=[1])
+    bound, hits = engine.case_two(0, 2, 3, view(oracle1_d1, (0,)), tree=[1])
     assert decoded(oracle1_d1, bound) == UNREACHABLE
     assert hits == frozenset()
 
@@ -160,7 +166,7 @@ def test_case_two_all_edges_discarded(oracle1_d1):
 def test_case_two_counts_lookups(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables)
     stats = QueryStats()
-    engine.case_two(0, 4, 6, (2,), stats=stats)
+    engine.case_two(0, 4, 6, view(oracle6_d1, (2,)), stats=stats)
     assert stats.lookups >= 1
 
 
@@ -169,7 +175,7 @@ def test_case_two_counts_lookups(oracle6_d1):
 def test_case_three_g6(oracle6_d1, ref6):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
-    bound, hits = engine.case_three(0, 4, (2,))
+    bound, hits = engine.case_three(0, 4, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
     assert not hits.intersection(ref6.replacement_path((2,), 0, 4))
 
@@ -177,14 +183,14 @@ def test_case_three_g6(oracle6_d1, ref6):
 def test_case_three_g1(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
                           check_guards=True)
-    bound, _ = engine.case_three(0, 2, (1,))
+    bound, _ = engine.case_three(0, 2, view(oracle1_d1, (1,)))
     assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_three_disconnecting_failure(oracle1_d2):
     engine = HitSetEngine(oracle1_d2.index, oracle1_d2.tables,
                           check_guards=True)
-    bound, hits = engine.case_three(0, 2, (1, 2))
+    bound, hits = engine.case_three(0, 2, view(oracle1_d2, (1, 2)))
     for w in hits:
         assert oracle1_d2.index.path_intersects(0, w, (1, 2))
         assert oracle1_d2.index.path_intersects(2, w, (1, 2))
@@ -195,20 +201,20 @@ def test_case_three_disconnecting_failure(oracle1_d2):
 def test_case_three_requires_damage(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     with pytest.raises(AssertionError, match="damaged"):
-        engine.case_three(0, 1, (2,))
+        engine.case_three(0, 1, view(oracle1_d1, (2,)))
 
 
 def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables, check_guards=True)
     # edge 0 lies on the tree path 0->1, so (0,) breaks the key's constraint
     with pytest.raises(GuardError, match="unguarded lookup"):
-        engine._lookup(0, 2, 1, 2, 0, 0, (0,), None)
+        engine._lookup(0, 2, 1, 2, 0, 0, view(oracle1_d1, (0,)), None)
 
 
 GUARD_UNDER_O = f"""
 import sys
 from ftoracle.graph import parse_graph
-from ftoracle.hitset import GuardError, HitSetEngine
+from ftoracle.hitset import FailureView, GuardError, HitSetEngine
 from ftoracle.query import build_oracle
 from ftoracle.tables import constraint_holds
 assert sys.flags.optimize, "not running under -O"
@@ -216,7 +222,7 @@ oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
 assert not constraint_holds(oracle.index, (0,), (0, 2, 1, 2, 0, 0))
 engine = HitSetEngine(oracle.index, oracle.tables, check_guards=True)
 try:
-    engine._lookup(0, 2, 1, 2, 0, 0, (0,), None)
+    engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)), None)
 except GuardError:
     print("guard raised")
 """
@@ -245,7 +251,7 @@ def test_case_three_guarded_everywhere(oracle1_d2, oracle6_d1):
                     if u == v or not oracle.index.path_intersects(u, v, failed):
                         continue
                     stats = QueryStats()
-                    _, hits = engine.case_three(u, v, failed, stats=stats)
+                    _, hits = engine.case_three(u, v, view(oracle, failed), stats=stats)
                     assert stats.lookups <= budget
                     assert len(hits) <= budget
 
@@ -258,7 +264,7 @@ def test_case_three_double_checks_every_hit(oracle6_d2):
             for v in range(7):
                 if u == v or not index.path_intersects(u, v, failed):
                     continue
-                _, hits = engine.case_three(u, v, failed)
+                _, hits = engine.case_three(u, v, view(oracle6_d2, failed))
                 for w in hits:
                     assert index.path_intersects(u, w, failed)
                     assert index.path_intersects(v, w, failed)
@@ -267,7 +273,7 @@ def test_case_three_double_checks_every_hit(oracle6_d2):
 def test_case_three_notifies_observer(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables)
     seen = []
-    outcome = engine.case_three(0, 4, (2,),
+    outcome = engine.case_three(0, 4, view(oracle6_d1, (2,)),
                                 observer=lambda *args: seen.append(args))
     assert len(seen) == 1
     assert seen[0] == (0, 4, (2,), outcome)

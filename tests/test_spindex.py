@@ -3,8 +3,11 @@ import heapq
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError
+from ftoracle.hitset import FailureView
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
 from conftest import tree_path_edges
@@ -85,7 +88,7 @@ def test_subpath_property(idx1, idx6):
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    if index.is_ancestor(u, w, v):
+                    if index.lca(u, w, v) == w:
                         assert index.distance(u, v) == \
                             index.distance(u, w) + index.distance(w, v)
 
@@ -93,14 +96,15 @@ def test_subpath_property(idx1, idx6):
 # -- predicates ---------------------------------------------------------------
 
 def test_is_ancestor_chain(idx1):
-    assert idx1.is_ancestor(0, 1, 3)
-    assert not idx1.is_ancestor(0, 3, 1)
+    # x is an ancestor of y (or y itself) exactly when lca(r, x, y) == x
+    assert idx1.lca(0, 1, 3) == 1
+    assert not idx1.lca(0, 3, 1) == 3
 
 
 def test_is_ancestor_reflexive(idx1):
     for r in range(4):
         for x in range(4):
-            assert idx1.is_ancestor(r, x, x)
+            assert idx1.lca(r, x, x) == x
 
 
 def test_path_intersects_examples(idx1):
@@ -157,10 +161,16 @@ def test_subtree_touches_matches_interval_free_scan(idx6):
                 assert idx6.subtree_touches(r, w, (eid,)) == expect
 
 
+def is_clean(index, root, w, failed):
+    """No failure on the path root -> w and none hanging below w."""
+    return not index.path_intersects(root, w, failed) and \
+        not index.subtree_touches(root, w, failed)
+
+
 def test_is_clean_examples(idx3, idx6):
-    assert idx3.is_clean(0, 1, (2,))
-    assert idx6.is_clean(0, 5, (2,))
-    assert not idx6.is_clean(0, 1, (2,))
+    assert is_clean(idx3, 0, 1, (2,))
+    assert is_clean(idx6, 0, 5, (2,))
+    assert not is_clean(idx6, 0, 1, (2,))
 
 
 def test_lca_examples(idx1, idx6):
@@ -183,6 +193,48 @@ def test_lca_matches_path_walk(idx6):
                 py = set(idx6.tree_path(r, y))
                 common = [v for v in px if v in py]
                 assert idx6.lca(r, x, y) == common[-1]
+
+
+def _tree(n, seed):
+    return gen_gnm(n, n - 1, 32, seed)
+
+
+def _complete(n, seed):
+    return gen_gnm(n, n * (n - 1) // 2, 32, seed)
+
+
+def _sparse(n, seed):
+    return gen_gnm(n, min(n * (n - 1) // 2, n + 2), 32, seed)
+
+
+def _unit_k5(n, seed):
+    return Graph(5, [(a, b, 1) for a in range(5) for b in range(a + 1, 5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]), n=st.integers(1, 7),
+       seed=st.integers(0, 10 ** 6))
+@example(shape=_unit_k5, n=5, seed=0)
+@example(shape=_complete, n=7, seed=0)
+def test_masks_match_interval_predicates(shape, n, seed):
+    # the query engine's bit tests against the interval predicates and a
+    # path walk, for every root, vertex and failure set of size <= 3
+    index, _, _ = build_index_auto(shape(n, seed), seed=1)
+    g = index.graph
+    for failed in all_failure_sets(g.m, 3):
+        view = FailureView(index, failed)
+        for r in range(g.n):
+            path = view.path(r)
+            sub = index._sub[r]
+            for x in range(g.n):
+                assert path >> x & 1 == index.path_intersects(r, x, failed)
+                assert bool(sub[x] & view.ends) == index.subtree_touches(r, x, failed)
+    for r in range(g.n):
+        for x in range(g.n):
+            px = index.tree_path(r, x)
+            for y in range(g.n):
+                py = set(index.tree_path(r, y))
+                assert index.lca(r, x, y) == [w for w in px if w in py][-1]
 
 
 def test_tree_path_endpoints(idx6):
