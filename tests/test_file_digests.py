@@ -4,12 +4,19 @@ A refactor of the index, the table build or the file writer must leave
 every byte of these files as it was.  A change that alters the file format
 on purpose re-records the digests (run each build below and hash
 oracle_file_bytes) and says so in CHANGES.md.
+
+The same builds also have layout-independent pins: every entry's (true
+length, tie key) and sorted D*, as perfbench's tables_digest hashes them,
+for the built tables and for the tables loaded back from the file.  A
+format change must leave these as they are.
 """
 import hashlib
+import io
 
+import numpy as np
 import pytest
 
-from ftoracle import Graph, build_oracle, gen_gnm, oracle_file_bytes
+from ftoracle import Graph, build_oracle, gen_gnm, load_oracle, oracle_file_bytes
 
 
 def _k5():
@@ -68,3 +75,51 @@ def test_file_digest_is_pinned(name):
     make, d, digest = PINNED[name]
     blob = oracle_file_bytes(build_oracle(make(), d, seed=1))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# name -> sha256 of the tables' logical content (see logical_digest)
+LOGICAL = {
+    "edge-d1": "3c381bf27c0393d0748bc2bc052b9025dbf728d88eef62de7e8fbca2b1059385",
+    "edge-d3": "c942de8b9d6d2018bdb11df70ec03fb3bb58ac08ef0cf3099e6ad6dee5ac8119",
+    "gnm8x12-s0-d2": "6edcd8a2986f21e9f76f3b1eac71c4c2439b5df0a7693da3d0c1c43a56594fc5",
+    "gnm8x12-s1-d2": "fd03322ac046d1954b84d4c6d93c908a6c21cea4f669c6063b691f3d2d2cc3f8",
+    "gnm8x12-s2-d2": "e3b47db308f7d6f76b7875907997340123cbdc506744daaa1bb7d5805ceb54e5",
+    "gnm8x14-s0-d3": "994b22024945ee0543a1e5be5321daf1e4191b1529758fdb881abded38423a79",
+    "k5-d1": "21d11f46c1a8f118568abe787905c1a837aa4f686a39bdf965dcb76fe6b4f016",
+    "k5-d2": "2e2e4e1ad4d016b7d54fc05ed9dd60e58565e05d041bca8013e3bfa9b652c7e1",
+    "k5-d3": "13a41a50cd4df780cff41b89ad6a983a2cd09b0b26d6c88ed630837e3ee40a17",
+    "n1-d1": "51cdfd15463a712da38c49e9390d861030e28cf1f19ebe9f5a8b6901a9df64fc",
+    "n1-d2": "75fa787726b05a0296ffdba4c60cb799529c27ce560e2fff9a11012ce9d66707",
+    "n1-d3": "be58b73a462d9ed4e4c138f64e7acab4eb6e7fa59ffaed111e50f23a3a8cd562",
+    "path5-d2": "5e9f82da51cd62adb31fae46776a0420af0c01725c624b9df84372c1479bc1a2",
+    "tree7-s0-d1": "600d8115b542d22228e4e1111f515ef66e1ea1320aa39bee0e99b9133b4b9e25",
+    "tree7-s0-d2": "de61dfa0b83ab1e70e99fe5357ad398e24ddba30e8ab2542c72ab9a4c4935d87",
+    "tree7-s1-d1": "c16a7af087b48598efc1cd361ac364d0ac0810a3482a0e6cd42e958b3d5732cc",
+    "tree7-s1-d2": "3dd2932d3cf76c484b89c2f48274a1f42f8ead3859a6e15f2ede112ca7079475",
+    "tree7-s2-d1": "c3757a03898443d1810d8c4f2af95c705bf0c0c35d446373ad14e22b82cf3447",
+    "tree7-s2-d2": "fbecdaa1e3032e79b32035d8f47a904534f4bc9b4caab8475ce3ddcce2a4f0ff",
+}
+
+
+def logical_digest(tables) -> str:
+    """sha256 of every entry's (true length, tie key) and sorted D*."""
+    codec = tables.codec
+    values = tables.values.reshape(-1)
+    unreach = values >= codec.unreachable_code
+    lengths = np.stack([np.where(unreach, -1, values >> codec.shift),
+                        np.where(unreach, -1, values & codec.mask)], axis=1)
+    ids = np.full((len(tables.subsets), max(1, tables.d)), -1, dtype=np.int64)
+    for i, sub in enumerate(tables.subsets):
+        ids[i, :len(sub)] = sorted(sub)
+    h = hashlib.sha256(lengths.astype("<i8").tobytes())
+    h.update(ids[tables.dstar_idx.reshape(-1)].astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_logical_digest_is_pinned(name):
+    make, d, _ = PINNED[name]
+    oracle = build_oracle(make(), d, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle)))
+    assert logical_digest(oracle.tables) == LOGICAL[name]
+    assert logical_digest(loaded.tables) == LOGICAL[name]
