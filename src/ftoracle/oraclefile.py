@@ -1,25 +1,32 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 2 (all integers little-endian):
+Layout, version 3 (all integers little-endian):
 
     header   magic "FTDO", version u16, 2 zero bytes, n u64, m u64, d u64,
-             tie seed i64, sha256 of the canonical graph text
+             tie seed i64, sha256 of the canonical graph text, palette
+             entries P u64, palette edge ids I u64
     edges    m x (a u32, b u32, w u64, tie value u64)
     index    n*n x (true_len u64, tie_key u64, parent i32, parent edge i32),
              row-major by (root, vertex); -1 encodes "none"
-    values   4*n^4 packed length codes i64 in (u, v, u', v', b1, b2) order
-    dstar    4*n^4 indices i32 into enumerate_failure_sets(m, d), same order
+    pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
+    codes    P packed length codes i64, palette by palette
+    sizes    P set sizes i64, one per palette entry
+    ids      I edge ids i64, each entry's D* ascending, entry by entry
+    slots    4*n^4 palette slots u16 in (u, v, u', v', b1, b2) order
     trailer  sha256 of everything before it
 
-Every section's size follows from the header, and every section is a
-multiple of 8 bytes, so the two table arrays load as aligned zero-copy
-views.  The length codec, the subset list and the tree intervals are
-derived, not stored.  The index section holds the index's packed base
-distances split into their two fields; load range-checks each field (and
-every tie value) before packing, so no stored pair can alias another
-length.  Before it enumerates the subsets a header's d names, load runs
-the same physical-memory check as a build.  Saving the same build twice is
-byte-identical, and a load followed by a save reproduces the file exactly.
+Row (v, u) uses the palette of pair (u, v).  Every section's size follows
+from the header and is a multiple of 8 bytes, so the arrays load as
+aligned zero-copy views.  No layout depends on d, and sets are edge ids,
+so load never enumerates failure sets.  The length codec and the tree
+intervals are derived, not stored.  The index section holds the index's
+packed base distances split into their two fields; load range-checks each
+field (and every tie value) before packing, so no stored pair can alias
+another length, and checks that each root's arrays form a tree rooted
+there.  Before reading past the header, load runs a build's memory and
+slot-width check.  Other versions, such as the dense version 2, fail with
+a version error.  Saving the same build twice is byte-identical, and a
+load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -30,21 +37,19 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, ShortestPathIndex, length_codec
-from .tables import (OracleTables, check_build_size, enumerate_failure_sets,
-                     failure_set_count)
+from .tables import OracleTables, check_build_size, failure_set_count, pair_grid
 
 MAGIC = b"FTDO"
-VERSION = 2
-_HEADER = struct.Struct("<4sH2xQQQq32s")
+VERSION = 3
+_HEADER = struct.Struct("<4sH2xQQQq32sQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _PAIR = np.dtype([("tl", "<u8"), ("tk", "<u8"),
                   ("parent", "<i4"), ("parent_eid", "<i4")])
-_ENTRY_BYTES = 8 + 4
 _TRAILER = hashlib.sha256().digest_size
-_MAX_SUBSETS = 2 ** 31  # dstar_idx is int32
+_MAX_SUBSETS = 2 ** 31  # the derived dstar_idx view is int32
 
 
 class OracleFileError(ValueError):
@@ -68,18 +73,15 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     pairs["parent_eid"] = np.ravel(index._parent_eid)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
-                              tables.tie_seed, bytes.fromhex(tables.graph_digest)),
+                              tables.tie_seed, bytes.fromhex(tables.graph_digest),
+                              tables.codes.size, tables.ids.size),
                  edges.tobytes(), pairs.tobytes(),
-                 tables.values.astype("<i8", copy=False).tobytes(),
-                 tables.dstar_idx.astype("<i4", copy=False).tobytes()):
+                 np.concatenate((tables.pair_sizes, tables.codes, tables.set_sizes,
+                                 tables.ids)).astype("<i8", copy=False).tobytes(),
+                 tables.slots.astype("<u2", copy=False).tobytes()):
         digest.update(part)
         target.write(part)
     target.write(digest.digest())
-
-
-def _file_size(n: int, m: int) -> int:
-    return (_HEADER.size + m * _EDGE.itemsize + n * n * _PAIR.itemsize +
-            4 * n ** 4 * _ENTRY_BYTES + _TRAILER)
 
 
 def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
@@ -90,18 +92,12 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
-    magic, version, n, m, d, tie_seed, digest = _HEADER.unpack_from(blob)
+    magic, version, n, m, d, tie_seed, digest, entries, id_count = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise OracleFileError(f"not an oracle file (magic {magic!r})")
     if version != VERSION:
         raise OracleFileError(f"unsupported oracle file version {version} "
                               f"(expected {VERSION}); rebuild the oracle")
-    size = _file_size(n, m)
-    if len(blob) != size:
-        what = "truncated" if len(blob) < size else "trailing data in"
-        raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
-    if hashlib.sha256(memoryview(blob)[:-_TRAILER]).digest() != blob[-_TRAILER:]:
-        raise OracleFileError("oracle file does not match its sha256 digest trailer")
     if d < 1:
         raise OracleFileError(f"failure budget d={d} out of range")
     if failure_set_count(m, d, _MAX_SUBSETS) > _MAX_SUBSETS:
@@ -111,6 +107,15 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         check_build_size(n, m, d)
     except BuildError as exc:
         raise OracleFileError(f"cannot load: {exc}") from None
+    offset = _HEADER.size + m * _EDGE.itemsize + n * n * _PAIR.itemsize
+    pairs = n * (n + 1) // 2
+    words = pairs + 2 * entries + id_count
+    size = offset + 8 * words + 8 * n ** 4 + _TRAILER
+    if len(blob) != size:
+        what = "truncated" if len(blob) < size else "trailing data in"
+        raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
+    if hashlib.sha256(memoryview(blob)[:-_TRAILER]).digest() != blob[-_TRAILER:]:
+        raise OracleFileError("oracle file does not match its sha256 digest trailer")
 
     edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
     g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),
@@ -121,32 +126,43 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if graph is not None and graph.digest() != digest.hex():
         raise OracleFileError("oracle file was built for a different graph")
 
-    pairs = np.frombuffer(blob, _PAIR, n * n, _HEADER.size + m * _EDGE.itemsize)
-    parent, parent_eid = pairs["parent"], pairs["parent_eid"]
+    tree = np.frombuffer(blob, _PAIR, n * n, _HEADER.size + m * _EDGE.itemsize)
+    parent, parent_eid = tree["parent"], tree["parent_eid"]
     if parent.min() < -1 or parent.max() >= n or \
             parent_eid.min() < -1 or parent_eid.max() >= m:
         raise OracleFileError("tree arrays out of range")
     # packing a field past its width would alias another length
     codec = length_codec(g)
-    tl, tk = pairs["tl"], pairs["tk"]
+    tl, tk = tree["tl"], tree["tk"]
     if tl.max() > codec.max_len or tk.max() > codec.mask:
         raise OracleFileError("tree index lengths out of range")
-    codes = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
-    index = ShortestPathIndex.from_arrays(
-        g, edges["tie"].tolist(), codes.reshape(n, n),
-        parent.reshape(n, n).tolist(), parent_eid.reshape(n, n).tolist())
+    base = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
+    try:
+        index = ShortestPathIndex.from_arrays(
+            g, edges["tie"].tolist(), base.reshape(n, n),
+            parent.reshape(n, n).tolist(), parent_eid.reshape(n, n).tolist())
+    except GraphError as exc:
+        raise OracleFileError(f"stored index: {exc}") from None
 
-    subsets = enumerate_failure_sets(m, d)
-    count = 4 * n ** 4
-    offset = size - _TRAILER - count * _ENTRY_BYTES
-    shape = (n, n, n, n, 2, 2)
-    values = np.frombuffer(blob, "<i8", count, offset).reshape(shape)
-    dstar_idx = np.frombuffer(blob, "<i4", count, offset + count * 8).reshape(shape)
-    if values.min() < 0 or values.max() > index.codec.unreachable_code or \
-            dstar_idx.min() < 0 or dstar_idx.max() >= len(subsets):
-        raise OracleFileError("table entry out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, values,
-                                      dstar_idx, subsets))
+    pair_sizes, codes, set_sizes, ids = np.split(np.frombuffer(blob, "<i8", words, offset),
+                                                 np.cumsum([pairs, entries, entries]))
+    slots = np.frombuffer(blob, "<u2", 4 * n ** 4, offset + 8 * words).reshape((n,) * 4 + (2, 2))
+    if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
+        raise OracleFileError("palette sizes out of range")
+    if (codes < 0).any() or (codes > codec.unreachable_code).any():
+        raise OracleFileError("palette code out of range")
+    if (set_sizes < 0).any() or (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
+        raise OracleFileError("palette set size out of range")
+    if (ids < 0).any() or (ids >= m).any():
+        raise OracleFileError("palette edge id out of range")
+    rising = np.diff(ids, prepend=-1) > 0  # or starts a set
+    rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
+    if not rising.all():
+        raise OracleFileError("palette set not strictly ascending")
+    if (slots.reshape(n * n, -1).max(axis=1) >= pair_grid(pair_sizes, n).ravel()).any():
+        raise OracleFileError("palette slot out of range")
+    return Oracle(index, OracleTables(g, d, tie_seed, codec, slots, pair_sizes,
+                                      codes, set_sizes, ids))
 
 
 def oracle_file_bytes(oracle: Oracle) -> bytes:

@@ -160,11 +160,14 @@ class ShortestPathIndex:
                 tree_child[parent_eid[v]] = v
 
         by_tin: list[int] = []  # vertices in DFS-entry (preorder) order
-        stack = [r]
+        stack = [r] if parent[r] == parent_eid[r] == -1 else []  # else the walk may cycle
         while stack:
             v = stack.pop()
             by_tin.append(v)
             stack += children[v]
+        if len(by_tin) != n or any(parent_eid[v] < 0 or self._ends[parent_eid[v]] !=
+                                   1 << v | 1 << parent[v] for v in by_tin[1:]):
+            raise GraphError(f"root {r}: parent arrays do not form a tree rooted there")
 
         tin = [0] * n
         anc = [0] * n

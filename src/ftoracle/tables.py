@@ -28,6 +28,13 @@ that byte's leading zeros.  Lengths are undirected and the constraints of
 row (u, v) with its vertex axes and its bit axes swapped.  Root u owns
 (u, v) when (v > u) == (u + v is odd): each pair has one owner, each root
 at most n // 2 columns.
+
+A key's value is the u-v distance in G - D* for its stored D*: within a
+row it is a function of D*, and few sets win any key of a row.  So each
+row keeps a palette of its winners as (code, D*), in candidate order, and
+each key a uint16 slot into it.  Row (v, u) shares row (u, v)'s palette,
+kept per pair u <= v.  A row has 4n^2 keys, so at most 4n^2 entries, and
+its slots fit in uint16 for n <= 128.
 """
 from __future__ import annotations
 
@@ -35,7 +42,8 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,10 +84,11 @@ def failure_set_count(m: int, d: int, cap: float = math.inf) -> int:
 
 
 def check_build_size(n: int, m: int, d: int) -> None:
-    """Refuse a build whose tables and per-set buffers exceed physical memory.
+    """Refuse tables beyond physical memory or beyond uint16 palette slots.
 
-    Each of the 4*n^4 keys takes an int64 code and an int32 set index.  Each
-    subset costs a tuple and list slot, a row of int32 edge ids, about 4n+8
+    Each of the 4*n^4 keys takes a uint16 slot, each palette entry an int64
+    code, set size and edge ids plus their read-path lists, charged at the
+    bound of min(4n^2, sets) entries per pair.  Each subset costs a tuple and list slot, a row of int32 edge ids, about 4n+8
     bytes while one root's side masks are derived, and a code and an index
     in each of that root's at most n // 2 candidate buffers.  Failing before
     anything is allocated beats an overcommitted allocation killed later.
@@ -87,46 +96,73 @@ def check_build_size(n: int, m: int, d: int) -> None:
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     width = max(0, min(d, m))
     per_set = 56 + 8 * width + 4 * max(1, width) + 4 * n + 12 * (n // 2)
-    need = 48 * n ** 4 + failure_set_count(m, d, phys // per_set) * per_set
+    sets = failure_set_count(m, d, phys // per_set)
+    entries = n * (n + 1) // 2 * min(4 * n * n, sets)
+    need = 8 * n ** 4 + entries * (160 + 24 * width) + sets * per_set
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
             f"more than the {phys / 2 ** 30:.3g} GiB of physical memory")
+    if n > 128:
+        raise BuildError(f"n={n} gives rows of {4 * n * n} keys, more than uint16 "
+                         f"palette slots can address (n <= 128)")
 
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
                      key: TableKey | tuple[int, int, int, int, int, int]) -> bool:
     """The constraint a failure set must satisfy to be dominated by key's entry."""
     u, v, up, vp, b1, b2 = key
-    if index.path_intersects(u, up, failed):
-        return False
-    if index.path_intersects(v, vp, failed):
-        return False
-    if b1 and index.subtree_touches(u, up, failed):
-        return False
-    if b2 and index.subtree_touches(v, vp, failed):
-        return False
-    return True
+    return not (index.path_intersects(u, up, failed) or index.path_intersects(v, vp, failed)
+                or b1 and index.subtree_touches(u, up, failed)
+                or b2 and index.subtree_touches(v, vp, failed))
+
+
+def pair_grid(per_pair: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) array holding per_pair's value of pair u <= v at [u, v] and [v, u]."""
+    lo, hi = np.sort(np.indices((n, n)), axis=0)
+    return per_pair[lo * (2 * n + 1 - lo) // 2 + hi - lo]  # pairs before row lo, then hi
 
 
 class OracleTables:
-    """Dense table over all 4*n^4 keys, plus build metadata."""
+    """Palette tables over all 4*n^4 keys, plus build metadata."""
 
     def __init__(self, graph: Graph, d: int, tie_seed: int, codec: LengthCodec,
-                 values: np.ndarray, dstar_idx: np.ndarray,
-                 subsets: list[tuple[int, ...]]):
+                 slots: np.ndarray, pair_sizes: np.ndarray, codes: np.ndarray,
+                 set_sizes: np.ndarray, ids: np.ndarray):
         self.graph = graph
         self.d = d
         self.tie_seed = tie_seed
         self.codec = codec
-        self.values = values          # int64, shape (n, n, n, n, 2, 2)
-        self.dstar_idx = dstar_idx    # int32, same shape
-        self.subsets = subsets
+        self.slots = slots            # uint16 (n, n, n, n, 2, 2), into the row's palette
+        self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
+        self.codes = codes            # int64, packed code per palette entry, pair by pair
+        self.set_sizes = set_sizes    # int64, |D*| per palette entry
+        self.ids = ids                # int64, every D*'s ascending edge ids, entry by entry
         self.graph_digest = graph.digest()
+        # the read path's Python lists; each D* becomes a tuple on first read
+        self._start = pair_grid(np.cumsum(pair_sizes) - pair_sizes, graph.n).tolist()
+        self._codes = codes.tolist()
+        self._bounds = [0] + np.cumsum(set_sizes).tolist()
+        self._sets: list[tuple[int, ...] | None] = [None] * len(self._codes)
 
     @property
     def entry_count(self) -> int:
-        return int(self.values.size)
+        return int(self.slots.size)
+
+    # dense views, derived on first use by tests and benchmarks only: int64
+    # codes, the subsets in enumeration order, int32 indices into them
+    values = cached_property(lambda self: self._dense(self.codes))
+    subsets = cached_property(lambda self: enumerate_failure_sets(self.graph.m, self.d))
+
+    @cached_property
+    def dstar_idx(self) -> np.ndarray:
+        where = {s: i for i, s in enumerate(self.subsets)}
+        bounds = self._bounds
+        return self._dense(np.array([where[tuple(self.ids[a:b].tolist())] for a, b in
+                                     zip(bounds, bounds[1:])], dtype=np.int32))
+
+    def _dense(self, per_entry: np.ndarray) -> np.ndarray:
+        return per_entry[np.array(self._start)[:, :, None, None, None, None] + self.slots]
 
     def lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int) -> TableEntry:
         n = self.graph.n
@@ -137,9 +173,14 @@ class OracleTables:
         code, d_star = self.read(u, v, up, vp, b1, b2)
         return TableEntry(d_star, self.codec.decode(code))
 
-    def read(self, *key: int) -> tuple[int, tuple[int, ...]]:
+    def read(self, u: int, v: int, up: int, vp: int, b1: int,
+             b2: int) -> tuple[int, tuple[int, ...]]:
         """(packed code, D*) stored at key, unchecked; the query engine's read."""
-        return self.values.item(key), self.subsets[self.dstar_idx.item(key)]
+        p = self._start[u][v] + self.slots.item(u, v, up, vp, b1, b2)
+        d_star = self._sets[p]
+        if d_star is None:
+            d_star = self._sets[p] = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
+        return self._codes[p], d_star
 
 
 def _deleted_all_pairs(index: ShortestPathIndex, root: int,
@@ -220,8 +261,8 @@ def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
 
 
 def _build_root(index: ShortestPathIndex, u: int, subsets: list[tuple[int, ...]],
-                ids: np.ndarray, bad: np.ndarray, values: np.ndarray,
-                dstar_idx: np.ndarray) -> None:
+                ids: np.ndarray, bad: np.ndarray, slots: np.ndarray,
+                palettes: dict) -> None:
     """Fill root u's owned rows (u, v) and their mirrors (v, u)."""
     cols = [v for v in range(index.graph.n) if v != u and (v > u) == ((u + v) % 2 == 1)]
     rows = list(zip(cols, *_deleted_all_pairs(
@@ -229,13 +270,13 @@ def _build_root(index: ShortestPathIndex, u: int, subsets: list[tuple[int, ...]]
     # rows go in one batch while its AND stays within 8 bytes per key
     width = (max((len(row[1]) for row in rows), default=0) + 7) // 8
     for batch in [rows] if 0 < len(rows) * width <= 8 else [[row] for row in rows]:
-        _fill_rows(u, batch, ids, bad, values, dstar_idx)
+        _fill_rows(u, batch, ids, bad, slots, palettes)
 
 
 def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
-               bad: np.ndarray, values: np.ndarray, dstar_idx: np.ndarray) -> None:
-    """Rows (u, v) and (v, u) for a batch of (v, codes, sets) candidates."""
-    n = values.shape[0]
+               bad: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
+    """Rows (u, v), (v, u) and their palette for a batch of (v, codes, sets) candidates."""
+    n = slots.shape[0]
     count, width = len(batch), max(len(row[1]) for row in batch)
     code = np.full((count, width), -1, dtype=np.int64)  # sorts after the empty set
     cand = np.zeros((count, width), dtype=np.int32)
@@ -255,10 +296,14 @@ def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
         first = both.astype(bool).argmax(axis=-1).ravel()
         byte = both.reshape(first.size, -1)[np.arange(first.size), first]
         rank[:, :, :, b1] = (first * 8 + _LEAD[byte]).reshape(count, n, n, 2)
-    for table, column in ((values, code), (dstar_idx, cand)):
-        row = column[line[:, :, None, None, None], rank]
-        table[u, vs] = row
-        table[vs, u] = row.transpose(0, 2, 1, 4, 3)
+    used = np.zeros((count, width), dtype=bool)
+    used[line, rank.reshape(count, -1)] = True
+    slot = (np.cumsum(used, axis=1) - 1).astype(np.uint16)
+    row = slot[line[:, :, None, None, None], rank]
+    slots[u, vs] = row
+    slots[vs, u] = row.transpose(0, 2, 1, 4, 3)
+    for k, v in enumerate(vs):
+        palettes[min(u, v), max(u, v)] = code[k, used[k]], cand[k, used[k]]
 
 
 # leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -269,8 +314,8 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
                  progress: Callable[[int, int], None] | None = None) -> OracleTables:
     """Exhaustive maximization over failure sets of size <= d, row by row.
 
-    Every key starts at the empty set's entry, the base distance; each root
-    then fills its owned rows and their mirrors.  progress(done, n) is
+    A diagonal row holds only the empty set's entry, the zero distance;
+    each root fills its owned rows and their mirrors.  progress(done, n) is
     called once per root.
     """
     if d < 1:
@@ -284,15 +329,19 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
                       np.int32, len(subsets) * width).reshape(-1, width)
     bad = _edge_masks(index)
     try:
-        values = np.empty((n, n, n, n, 2, 2), dtype=np.int64)
-        values[...] = index.codes[:, :, None, None, None, None]
-        dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
+        slots = np.zeros((n, n, n, n, 2, 2), dtype=np.uint16)
     except MemoryError:
         raise BuildError(
             f"cannot allocate {4 * n ** 4} table entries for n={n}") from None
-
+    palettes = {(u, u): (index.codes[u, u:u + 1], np.zeros(1, dtype=np.int32))
+                for u in range(n)}
     for u in range(n):
-        _build_root(index, u, subsets, ids, bad, values, dstar_idx)
+        _build_root(index, u, subsets, ids, bad, slots, palettes)
         if progress is not None:
             progress(u + 1, n)
-    return OracleTables(graph, d, tie_seed, index.codec, values, dstar_idx, subsets)
+    code, cand = zip(*(palettes[pair] for pair in combinations_with_replacement(range(n), 2)))
+    winners = [subsets[si] for si in np.concatenate(cand).tolist()]
+    return OracleTables(graph, d, tie_seed, index.codec, slots,
+                        np.array(list(map(len, code)), dtype=np.int64), np.concatenate(code),
+                        np.array(list(map(len, winners)), dtype=np.int64),
+                        np.fromiter(chain.from_iterable(winners), np.int64))

@@ -6,6 +6,7 @@ import pytest
 
 import ftoracle.cli as cli
 from ftoracle.graph import parse_graph
+from ftoracle.oraclefile import _HEADER
 from ftoracle.reference import VerifyReport
 
 from conftest import G1_TEXT, G6_TEXT
@@ -245,7 +246,7 @@ def test_query_rejects_out_of_range_tie_value(g1_path, tmp_path, capsys):
     oracle = build(g1_path, tmp_path, 1)
     with open(oracle, "rb") as fh:
         blob = bytearray(fh.read())
-    off = 72 + 16  # header, then the first edge record's tie field
+    off = _HEADER.size + 16  # header, then the first edge record's tie field
     blob[off:off + 8] = bytes(8)
     body = bytes(blob[:-32])
     with open(oracle, "wb") as fh:

@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "2cb405daf7520e3c1eaffaf29eee95cf253aa04ed93aaf37db36ab5f4f1d86fa"),
+              "19cc6a7c68c53a4b9fe3f261caaf1a09dcd92b81561c4e74137280242dbe9686"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "8603df60846763bc2b873bf191d82d090e84eea1e9299a6a8e9e53b367dc5c93"),
+              "94c3e8f56f8fd4bb6f341b9deccc52ba8cbf6f4b2e0341a5b2a0eb4368f40519"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "ebb8a551b73e33a45108835d20a3f4f13c10341b1c6adc50eee6a4d36da88e31"),
+              "fa8c622432cdffcbdb7dfe7de2e166f59db3e0c96c9b75b31ca8df08753a017d"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "9cebbec240b18ea1831fc2a6e40cd8173b4f8f2a301023fb33a595821a69d982"),
+                "815d13c0cdd269d03d8a6e45bb2fed2932f18b386fbbf363ce9c7cd022f52163"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "9632243d2801663f361a69bade2673c2178a0ea14602bda210cd14822ac8640c"),
+                "6d04b4dfe4230d0e06b583f16e44716fb32fb3db1c2ee7acf8a6d4fa7b7995b8"),
     "path5-d2": (_path5, 2,
-                 "3cbedfd4961f7703a06495f7378410a2d4a16152fa3e557ea13ddac3485448f9"),
+                 "e609bb2f89aff3bfefee54da1a4f8784b3b884223e8bea3362b2e994466a8ed5"),
     "k5-d1": (_k5, 1,
-              "0e37c35b3753c5233d263925563b28a51d328b1bdbbd58cb8665701ec4f23f27"),
+              "edc5a2b7cd97830d68429f0f1a41dc417dfc12dbf0c9a12692f570b1bc2b8c2b"),
     "k5-d2": (_k5, 2,
-              "172e665e12d29bfc46616767ea5aff2fa88939f88872f7129d8a9f7c27301434"),
+              "ee2d8780a3196f72eaec68a367a52aadb4a8b9e5551fa52792a0aa3098a52351"),
     "k5-d3": (_k5, 3,
-              "c16595cecd94e6f04569a576c6690e140975ba23614c89973c5558d126fcf35b"),
+              "336975c10dea79495005035749af50eaf61e296f6b029f30f67b4fd8cda63e21"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "3a28879cc2f08986fdab231c882488672a0418a340d70d5894eac3a41942fe26"),
+                    "abc914290c0804826bc1cf6d25ecfe46aac54479e93d9c0e4af434395753258b"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "cb0cd22705a1590bad41137c5689adcbf4cbbd8118336de8d26d56ab7ad6a437"),
+                    "e514f6f3942b5a2da39d5be381b55d136eac2be983bcf04deb2e9c069593ef71"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "bfa8f350e7bec156df5575a7a9a28b9d11076bfdb42bb44dfe0b0b01c25f594d"),
+                    "894f67a517f3bc6c949274a8e51bf58a1f85923bf8aae7bc4ea5697a0c2ea857"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "0aee74916bf2b2a2ecfd03c6c07191f6a6678569c22d279d857450e81fdf7aa6"),
+                    "d00ecdf514abaedd439e493c971894c4b44dac2f0d90036f143538a9e3d8c5bc"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "57aded1aeabba16e28c456731cb4d4fe746f87f45f5a3655b18a993ba3b50f7f"),
+                    "4f3bd951559b7917c99b2b964e7780a1de6058f6999be015b118978ce64e2d01"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "df70a2efc26e8be079d247844cf011c1cd59a88e9a0d33f91dc71cc4693c8351"),
+                    "e2c94fa00881daecd79acbd2a8187270a34c7587a94aaa14eb3d1981b0d9a3d8"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "c577f821c24cf79b30eea619c92006a2be85f3ffcc4f8e38086c4ab012d1cc8c"),
+                      "afbcd884c66b76bbd7ded7742cd8dda64e3aaba749f4d271f91ff177854f358e"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "7c6c7ef1167ecc8eca6fb6f1b28f98f9a39d818cde19384bdbae54ea004ae2a7"),
+                      "938f4717e1de11decdc6159505c615ad9667b1d0ccd3bb309107a8a43aa63288"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "8524972f11ff17dcdcd4d819c15d6eedc7487beafbc7b986cda52a8614942e50"),
+                      "a2c21ce919970c1f21574f8ebf8bbbef94f5ec583b77c7a6311e63f316e154be"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "9d42b40c2b1e4b7acfd68b46a4b08812bfa35fe93a9adfa2acf56a665d7fe9a6"),
+                      "985b783f16ff9bc7ef611ad1d50e97b93b94edcb548e2514d181beb683305146"),
 }
 
 

@@ -1,12 +1,16 @@
 """Binary oracle files: round trips, byte identity, corruption detection."""
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ftoracle.tables
 from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
@@ -44,6 +48,10 @@ def test_loaded_tables_bitwise_equal(oracle1_d2):
     assert loaded.tables.values.dtype == oracle1_d2.tables.values.dtype
     assert loaded.tables.dstar_idx.dtype == oracle1_d2.tables.dstar_idx.dtype
     assert loaded.tables.subsets == oracle1_d2.tables.subsets
+    for name in ("slots", "pair_sizes", "codes", "set_sizes", "ids"):
+        mine, theirs = getattr(loaded.tables, name), getattr(oracle1_d2.tables, name)
+        assert np.array_equal(mine, theirs)
+        assert mine.dtype == theirs.dtype
     for u in range(4):
         for v in range(4):
             assert loaded.tables.lookup(u, v, u, v, 0, 0) == \
@@ -58,11 +66,17 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
 
 
 def test_file_size_is_fixed_width(oracle1_d2):
-    g = oracle1_d2.graph
+    g, tables = oracle1_d2.graph, oracle1_d2.tables
     n, m = g.n, g.m
-    # header, edges with tie values, tree index, values i64 + dstar i32, sha256
-    expect = _HEADER.size + m * 24 + n * n * 24 + 4 * n ** 4 * 12 + 32
-    assert len(oracle_file_bytes(oracle1_d2)) == expect
+    entries, ids = len(tables.codes), len(tables.ids)
+    blob = oracle_file_bytes(oracle1_d2)
+    # the header names the palette totals, and they fix every section's size
+    assert _HEADER.unpack_from(blob)[-2:] == (entries, ids)
+    # header, edges with tie values, tree index, palette sizes per pair u <= v,
+    # palette codes and set sizes i64, edge ids i64, slots u16, sha256
+    expect = (_HEADER.size + m * 24 + n * n * 24 + n * (n + 1) // 2 * 8 +
+              entries * 16 + ids * 8 + 4 * n ** 4 * 2 + 32)
+    assert len(blob) == expect
 
 
 def test_rejects_other_graph(oracle1_d1, g6):
@@ -112,20 +126,76 @@ def _reseal(blob: bytearray) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-@pytest.mark.parametrize("section, value", [
-    ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 5),
-    ("parent", 4), ("parent_eid", 4)])
-def test_rejects_out_of_range_entries(oracle1_d1, section, value):
-    # g1 has n=4, m=4 and, at d=1, five failure sets
+def _sections(tables) -> dict:
+    """Byte offset of each palette section of g1's file (n=4, m=4)."""
+    off = _HEADER.size + 4 * 24 + 16 * 24
+    sections = {}
+    for name, words in (("pair_sizes", 10), ("codes", len(tables.codes)),
+                        ("set_sizes", len(tables.codes)), ("ids", len(tables.ids)),
+                        ("slots", 0)):
+        sections[name] = off
+        off += 8 * words
+    return sections
+
+
+@pytest.mark.parametrize("section, width, value, match", [
+    ("codes", 8, -1, "code out of range"),
+    ("codes", 8, (1 << 62) + 1, "code out of range"),
+    ("ids", 8, 4, "edge id out of range"),
+    ("ids", 8, -1, "edge id out of range"),
+    ("pair_sizes", 8, 0, "sizes out of range"),
+    ("set_sizes", 8, 1, "set size out of range"),
+    ("slots", 2, 1, "slot out of range"),  # row (0, 0) holds one entry
+    ("parent", 4, 4, "tree arrays out of range"),
+    ("parent_eid", 4, 4, "tree arrays out of range")])
+def test_rejects_out_of_range_entries(oracle1_d1, section, width, value, match):
+    # g1 has n=4, m=4 and, at d=1, five failure sets; the first item is edited
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    count = 4 * 4 ** 4
-    where = {"values": (len(blob) - 32 - count * 12, 8),
-             "dstar": (len(blob) - 32 - count * 4, 4),
-             "parent": (_HEADER.size + 4 * 24 + 16, 4),
-             "parent_eid": (_HEADER.size + 4 * 24 + 20, 4)}
-    off, width = where[section]
+    where = _sections(oracle1_d1.tables)
+    where["parent"] = _HEADER.size + 4 * 24 + 16
+    where["parent_eid"] = _HEADER.size + 4 * 24 + 20
+    off = where[section]
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
-    with pytest.raises(OracleFileError, match="out of range"):
+    with pytest.raises(OracleFileError, match=match):
+        load_oracle(io.BytesIO(_reseal(blob)))
+
+
+def test_rejects_sets_not_strictly_ascending(oracle1_d2):
+    tables = oracle1_d2.tables
+    p = int(np.flatnonzero(tables.set_sizes == 2)[0])
+    lo = int(tables.set_sizes[:p].sum())
+    first, second = tables.ids[lo:lo + 2].tolist()
+    blob = bytearray(oracle_file_bytes(oracle1_d2))
+    off = _sections(tables)["ids"] + 8 * lo
+    for pair in ((second, first), (first, first)):
+        blob[off:off + 16] = np.array(pair, dtype="<i8").tobytes()
+        with pytest.raises(OracleFileError, match="not strictly ascending"):
+            load_oracle(io.BytesIO(_reseal(blob)))
+
+
+def test_rejects_sets_longer_than_budget(oracle1_d2):
+    # g1 at d=2 stores two-edge sets; a header claiming d=1 cannot hold them
+    with pytest.raises(OracleFileError, match="set size out of range"):
+        load_oracle(io.BytesIO(_with_budget(oracle_file_bytes(oracle1_d2), 1)))
+
+
+def test_load_never_enumerates_failure_sets(oracle6_d2, g6, monkeypatch):
+    def refuse(m, d):
+        raise AssertionError("enumerate_failure_sets called")
+    monkeypatch.setattr(ftoracle.tables, "enumerate_failure_sets", refuse)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    for u, v, failed in enumerate_instances(g6, 2):
+        assert loaded.query_composite(u, v, failed) == \
+            oracle6_d2.query_composite(u, v, failed)
+
+
+def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
+    # n=129 has 4*129^2 = 66,564 keys per row; the header alone is refused
+    pages = {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}  # 1 TiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    blob[8:16] = (129).to_bytes(8, "little")
+    with pytest.raises(OracleFileError, match="uint16"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -178,6 +248,66 @@ def test_rejects_budget_beyond_physical_memory():
     with pytest.raises(OracleFileError, match="physical memory"):
         load_oracle(io.BytesIO(bad))
     assert time.perf_counter() - start < 1.0
+
+
+_CYCLIC_ROOT = """
+import hashlib, io, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))  # a hang must not grow for long
+sys.path.insert(0, {tests!r})
+from conftest import G1_TEXT
+from ftoracle import build_oracle, load_oracle, oracle_file_bytes, parse_graph
+from ftoracle.oraclefile import OracleFileError, _HEADER
+oracle = build_oracle(parse_graph(G1_TEXT), 1, seed=1)
+child = oracle.index.tree_path(0, 1)[1]  # a child of root 0
+blob = bytearray(oracle_file_bytes(oracle))
+off = _HEADER.size + 4 * 24 + 16  # parent of vertex 0 in root 0's tree
+blob[off:off + 4] = child.to_bytes(4, "little", signed=True)
+body = bytes(blob[:-32])
+start = time.perf_counter()
+try:
+    load_oracle(io.BytesIO(body + hashlib.sha256(body).digest()))
+except OracleFileError as exc:
+    print(f"{{time.perf_counter() - start:.6f}}", exc)
+"""
+
+
+def test_rejects_root_with_a_parent_without_hanging():
+    # a cycle through the root once made load walk root -> child -> root
+    # forever, so the load runs in a child process that a timeout can stop
+    script = _CYCLIC_ROOT.format(tests=os.path.dirname(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=20, env=env, check=True).stdout
+    seconds, message = out.split(" ", 1)
+    assert "do not form a tree" in message
+    assert float(seconds) < 1.0
+
+
+def test_rejects_trees_that_are_not_trees(oracle1_d1):
+    # g1 is the cycle 0-1-2-3-0 with edges 0:(0,1) 1:(1,2) 2:(2,3) 3:(0,3)
+    parent = np.array(oracle1_d1.index._parent)
+    parent_eid = np.array(oracle1_d1.index._parent_eid)
+    blob = oracle_file_bytes(oracle1_d1)
+
+    def stored(par, eid):
+        out = bytearray(blob)
+        for r in range(4):
+            for v in range(4):
+                off = _HEADER.size + 4 * 24 + (4 * r + v) * 24 + 16
+                out[off:off + 8] = np.array([par[r, v], eid[r, v]], "<i4").tobytes()
+        return _reseal(out)
+
+    assert load_oracle(io.BytesIO(stored(parent, parent_eid))).d == 1
+    # root 0: vertices 1 and 2 name each other as parents over edge 1
+    par, eid = parent.copy(), parent_eid.copy()
+    par[0, 1], par[0, 2], eid[0, 1], eid[0, 2] = 2, 1, 1, 1
+    with pytest.raises(OracleFileError, match="do not form a tree"):
+        load_oracle(io.BytesIO(stored(par, eid)))
+    # root 0: vertex 1's parent edge does not join it to its parent
+    par, eid = parent.copy(), parent_eid.copy()
+    eid[0, 1] = 2
+    with pytest.raises(OracleFileError, match="do not form a tree"):
+        load_oracle(io.BytesIO(stored(par, eid)))
 
 
 def _with_pair(blob: bytes, i: int, field: int, value: int) -> bytes:

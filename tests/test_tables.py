@@ -1,6 +1,7 @@
 """Table build: constraint predicate, maximization, dominance, packing."""
+import os
 import time
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ftoracle.reference import ReferenceOracle
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (BuildError, LengthCodec, TableKey,
                              _deleted_all_pairs, _edge_masks, _side_masks,
-                             build_tables, constraint_holds,
+                             build_tables, check_build_size, constraint_holds,
                              enumerate_failure_sets, failure_set_count)
 
 
@@ -248,6 +249,26 @@ def test_tables_are_symmetric(shape, n, unit, d, seed):
         assert np.array_equal(table, table.transpose(1, 0, 3, 2, 5, 4))
 
 
+@pytest.mark.parametrize("oracle_name", ["oracle1_d2", "oracle6_d2"])
+def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
+    tables = request.getfixturevalue(oracle_name).tables
+    assert tables.slots.dtype == np.uint16
+    sets = [tuple(s.tolist()) for s in np.split(tables.ids, np.cumsum(tables.set_sizes)[:-1])]
+    entries = list(zip(tables.codes.tolist(), sets))
+    pairs = list(combinations_with_replacement(range(tables.graph.n), 2))
+    assert len(tables.pair_sizes) == len(pairs)
+    start = 0
+    for (u, v), size in zip(pairs, tables.pair_sizes.tolist()):
+        palette = entries[start:start + size]
+        start += size
+        # no two entries are equal, codes descend, and each wins a key of both rows
+        assert len(set(palette)) == size
+        assert [code for code, _ in palette] == sorted((c for c, _ in palette), reverse=True)
+        for row in ((u, v), (v, u)):
+            assert np.unique(tables.slots[row]).tolist() == list(range(size))
+    assert start == len(entries)
+
+
 def test_progress_reports_each_root(idx6):
     calls = []
     build_tables(idx6, 1, 1, progress=lambda done, total: calls.append((done, total)))
@@ -283,6 +304,15 @@ def test_build_rejects_tables_beyond_physical_memory():
     with pytest.raises(BuildError, match="physical memory"):
         build_oracle(path, 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_size_check_refuses_rows_beyond_uint16_slots(monkeypatch):
+    # a row has 4n^2 keys: 65,536 slots at n=128, 66,564 at n=129
+    pages = {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}  # 1 TiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    check_build_size(128, 127, 1)
+    with pytest.raises(BuildError, match="uint16"):
+        check_build_size(129, 128, 1)
 
 
 # -- the load-bearing inequalities --------------------------------------------
