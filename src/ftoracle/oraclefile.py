@@ -127,10 +127,16 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError("oracle file was built for a different graph")
 
     tree = np.frombuffer(blob, _PAIR, n * n, _HEADER.size + m * _EDGE.itemsize)
-    parent, parent_eid = tree["parent"], tree["parent_eid"]
+    parent, parent_eid = tree["parent"].reshape(n, n), tree["parent_eid"].reshape(n, n)
     if parent.min() < -1 or parent.max() >= n or \
             parent_eid.min() < -1 or parent_eid.max() >= m:
         raise OracleFileError("tree arrays out of range")
+    # off each root, a vertex's parent edge joins it to its parent
+    vertex = np.arange(n)
+    a, b = (np.append(edges[end], -1)[parent_eid] for end in "ab")
+    if not (((a == vertex) & (b == parent)) | ((b == vertex) & (a == parent)) |
+            (vertex[:, None] == vertex)).all():
+        raise OracleFileError("tree arrays do not form a tree: a parent edge misses its ends")
     # packing a field past its width would alias another length
     codec = length_codec(g)
     tl, tk = tree["tl"], tree["tk"]
@@ -139,8 +145,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     base = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
     try:
         index = ShortestPathIndex.from_arrays(
-            g, edges["tie"].tolist(), base.reshape(n, n),
-            parent.reshape(n, n).tolist(), parent_eid.reshape(n, n).tolist())
+            g, edges["tie"].tolist(), base.reshape(n, n), parent.tolist(), parent_eid.tolist())
     except GraphError as exc:
         raise OracleFileError(f"stored index: {exc}") from None
 

@@ -265,16 +265,17 @@ def _build_root(index: ShortestPathIndex, u: int, subsets: list[tuple[int, ...]]
                 palettes: dict) -> None:
     """Fill root u's owned rows (u, v) and their mirrors (v, u)."""
     cols = [v for v in range(index.graph.n) if v != u and (v > u) == ((u + v) % 2 == 1)]
+    at_u = _side_masks(bad, ids, u)  # every set's, for the sweep and each row's u side
     rows = list(zip(cols, *_deleted_all_pairs(
-        index, u, subsets, np.ascontiguousarray(_side_masks(bad, ids, u)[:, :, 0]), cols)))
+        index, u, subsets, np.ascontiguousarray(at_u[:, :, 0]), cols)))
     # rows go in one batch while its AND stays within 8 bytes per key
     width = (max((len(row[1]) for row in rows), default=0) + 7) // 8
     for batch in [rows] if 0 < len(rows) * width <= 8 else [[row] for row in rows]:
-        _fill_rows(u, batch, ids, bad, slots, palettes)
+        _fill_rows(u, batch, ids, bad, at_u, slots, palettes)
 
 
 def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
-               bad: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
+               bad: np.ndarray, at_u: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
     """Rows (u, v), (v, u) and their palette for a batch of (v, codes, sets) candidates."""
     n = slots.shape[0]
     count, width = len(batch), max(len(row[1]) for row in batch)
@@ -288,18 +289,18 @@ def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
     code, cand = code[line, order], cand[line, order]
     vs = [row[0] for row in batch]
     # (row, vertex, bit, byte) bitsets at u and at v; bit k is candidate k
-    a, b = (np.packbits(_side_masks(bad, ids[cand], root).transpose(0, 2, 3, 1), axis=-1)
-            for root in (u, np.array(vs)[:, None]))
-    rank = np.empty((count, n, n, 2, 2), dtype=np.int64)
+    a, b = (np.packbits(fb.transpose(0, 2, 3, 1), axis=-1)
+            for fb in (at_u[cand], _side_masks(bad, ids[cand], np.array(vs)[:, None])))
+    rank = np.empty((count, n, n, 2, 2), dtype=np.int64)  # into code and cand, flattened
     for b1 in (0, 1):
         both = a[:, :, None, b1, None] & b[:, None]  # (row, u', v', b2, byte)
         first = both.astype(bool).argmax(axis=-1).ravel()
         byte = both.reshape(first.size, -1)[np.arange(first.size), first]
         rank[:, :, :, b1] = (first * 8 + _LEAD[byte]).reshape(count, n, n, 2)
+    rank += line[:, :, None, None, None] * width
     used = np.zeros((count, width), dtype=bool)
-    used[line, rank.reshape(count, -1)] = True
-    slot = (np.cumsum(used, axis=1) - 1).astype(np.uint16)
-    row = slot[line[:, :, None, None, None], rank]
+    used.ravel()[rank] = True
+    row = (np.cumsum(used, axis=1) - 1).astype(np.uint16).ravel()[rank]
     slots[u, vs] = row
     slots[vs, u] = row.transpose(0, 2, 1, 4, 3)
     for k, v in enumerate(vs):

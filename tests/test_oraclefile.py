@@ -127,36 +127,39 @@ def _reseal(blob: bytearray) -> bytes:
 
 
 def _sections(tables) -> dict:
-    """Byte offset of each palette section of g1's file (n=4, m=4)."""
+    """Byte offset of each palette section of g1's file (n=4, m=4).
+
+    The table values are the palette codes, and each D* is its edge ids.
+    """
     off = _HEADER.size + 4 * 24 + 16 * 24
     sections = {}
-    for name, words in (("pair_sizes", 10), ("codes", len(tables.codes)),
-                        ("set_sizes", len(tables.codes)), ("ids", len(tables.ids)),
+    for name, words in (("pair_sizes", 10), ("values", len(tables.codes)),
+                        ("set_sizes", len(tables.codes)), ("dstar", len(tables.ids)),
                         ("slots", 0)):
         sections[name] = off
         off += 8 * words
+    sections["parent"] = _HEADER.size + 4 * 24 + 16
+    sections["parent_eid"] = _HEADER.size + 4 * 24 + 20
     return sections
 
 
-@pytest.mark.parametrize("section, width, value, match", [
-    ("codes", 8, -1, "code out of range"),
-    ("codes", 8, (1 << 62) + 1, "code out of range"),
-    ("ids", 8, 4, "edge id out of range"),
-    ("ids", 8, -1, "edge id out of range"),
-    ("pair_sizes", 8, 0, "sizes out of range"),
-    ("set_sizes", 8, 1, "set size out of range"),
-    ("slots", 2, 1, "slot out of range"),  # row (0, 0) holds one entry
-    ("parent", 4, 4, "tree arrays out of range"),
-    ("parent_eid", 4, 4, "tree arrays out of range")])
-def test_rejects_out_of_range_entries(oracle1_d1, section, width, value, match):
-    # g1 has n=4, m=4 and, at d=1, five failure sets; the first item is edited
+_REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
+             "pair_sizes": "sizes out of range", "set_sizes": "set size out of range",
+             "slots": "slot out of range", "parent": "tree arrays out of range",
+             "parent_eid": "tree arrays out of range"}
+
+
+@pytest.mark.parametrize("section, value", [
+    ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
+    ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1), ("parent", 4), ("parent_eid", 4)])
+def test_rejects_out_of_range_entries(oracle1_d1, section, value):
+    # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
+    # entry; each case edits the first item of its section
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    where = _sections(oracle1_d1.tables)
-    where["parent"] = _HEADER.size + 4 * 24 + 16
-    where["parent_eid"] = _HEADER.size + 4 * 24 + 20
-    off = where[section]
+    off = _sections(oracle1_d1.tables)[section]
+    width = {"slots": 2, "parent": 4, "parent_eid": 4}.get(section, 8)
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
-    with pytest.raises(OracleFileError, match=match):
+    with pytest.raises(OracleFileError, match=_REJECTED[section]):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -166,7 +169,7 @@ def test_rejects_sets_not_strictly_ascending(oracle1_d2):
     lo = int(tables.set_sizes[:p].sum())
     first, second = tables.ids[lo:lo + 2].tolist()
     blob = bytearray(oracle_file_bytes(oracle1_d2))
-    off = _sections(tables)["ids"] + 8 * lo
+    off = _sections(tables)["dstar"] + 8 * lo
     for pair in ((second, first), (first, first)):
         blob[off:off + 16] = np.array(pair, dtype="<i8").tobytes()
         with pytest.raises(OracleFileError, match="not strictly ascending"):
