@@ -88,10 +88,11 @@ def check_build_size(n: int, m: int, d: int) -> None:
 
     Each of the 4*n^4 keys takes a uint16 slot, each palette entry an int64
     code, set size and edge ids plus their read-path lists, charged at the
-    bound of min(4n^2, sets) entries per pair.  Each subset costs a tuple and list slot, a row of int32 edge ids, about 4n+8
-    bytes while one root's side masks are derived, and a code and an index
-    in each of that root's at most n // 2 candidate buffers.  Failing before
-    anything is allocated beats an overcommitted allocation killed later.
+    bound of min(4n^2, sets) entries per pair.  Each subset costs a tuple
+    and list slot, a row of int32 edge ids, about 4n+8 bytes while one
+    root's side masks are derived, and a code and an index in each of that
+    root's at most n // 2 candidate buffers.  Failing before anything is
+    allocated beats an overcommitted allocation killed later.
     """
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     width = max(0, min(d, m))
@@ -112,9 +113,15 @@ def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
                      key: TableKey | tuple[int, int, int, int, int, int]) -> bool:
     """The constraint a failure set must satisfy to be dominated by key's entry."""
     u, v, up, vp, b1, b2 = key
-    return not (index.path_intersects(u, up, failed) or index.path_intersects(v, vp, failed)
-                or b1 and index.subtree_touches(u, up, failed)
-                or b2 and index.subtree_touches(v, vp, failed))
+    if index.path_intersects(u, up, failed):
+        return False
+    if index.path_intersects(v, vp, failed):
+        return False
+    if b1 and index.subtree_touches(u, up, failed):
+        return False
+    if b2 and index.subtree_touches(v, vp, failed):
+        return False
+    return True
 
 
 def pair_grid(per_pair: np.ndarray, n: int) -> np.ndarray:
