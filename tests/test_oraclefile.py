@@ -183,13 +183,20 @@ def test_rejects_sets_longer_than_budget(oracle1_d2):
 
 
 def test_load_never_enumerates_failure_sets(oracle6_d2, g6, monkeypatch):
+    built = build_oracle(g6, d=2, seed=1)
+    blob = oracle_file_bytes(built)
+
     def refuse(m, d):
         raise AssertionError("enumerate_failure_sets called")
     monkeypatch.setattr(ftoracle.tables, "enumerate_failure_sets", refuse)
-    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    loaded = load_oracle(io.BytesIO(blob))
     for u, v, failed in enumerate_instances(g6, 2):
         assert loaded.query_composite(u, v, failed) == \
             oracle6_d2.query_composite(u, v, failed)
+    # build, save, load and query derive none of the dense views
+    for tables in (built.tables, loaded.tables):
+        assert not {"values", "dstar_idx", "subsets"} & set(vars(tables))
+        assert tables.entry_count == 4 * 7 ** 4
 
 
 def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
