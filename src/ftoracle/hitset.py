@@ -16,15 +16,17 @@ The three cases differ in how much is already known:
 
 * case_one  - clean anchor vertices are known on both sides, so a single
   guarded lookup suffices and the hits are read off its stored set.
-* case_two  - one side has a clean anchor; the other side is searched by
-  walking the key tree of that side's root.
+* case_two  - the v side has a clean anchor; the u side is searched by
+  walking the key tree of u.  Row (v, u) is row (u, v) transposed, so the
+  search with the anchor on the u side is case_two with u and v swapped.
 * case_three - nothing is known; both sides are searched at once.
 
 All three run on a FailureView: the damage of one failure set D, derived
 once per damaged query as vertex bitmasks and shared by its recursion.
 "D hits the tree path r->x" is path(r) >> x & 1 and "D touches w's
-subtree" is _sub[r][w] & ends.  The guard and verify's hit check keep the
-interval predicates, so a guarded run checks the masks independently.
+subtree" is _sub[r][w] & ends.  The guard and verify's hit check use the
+index's parent walks, which read no mask, so a guarded run checks the
+masks independently.
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
@@ -75,14 +77,14 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     """
     assert failed, "key tree is only defined for a nonempty failure set"
     graph = index.graph
-    tin = index._in[root]
+    anc = index._anc[root]  # a vertex's highest bit is its DFS entry number
 
     pts = sorted({p for eid in failed for p in graph.endpoints(eid)},
-                 key=tin.__getitem__)
+                 key=anc.__getitem__)
     cand = set(pts)
     for a, b in zip(pts, pts[1:]):
         cand.add(index.lca(root, a, b))
-    return sorted(cand, key=tin.__getitem__)
+    return sorted(cand, key=anc.__getitem__)
 
 
 class FailureView:
@@ -153,33 +155,22 @@ class HitSetEngine:
         return HitSetOutcome(code, frozenset(hits))
 
     def case_two(self, u: int, v: int, anchor: int, view: FailureView,
-                 mirrored: bool = False, stats: QueryStats | None = None,
-                 tree: Sequence[int] | None = None) -> HitSetOutcome:
-        """One clean anchor; search the other side along its key tree.
-
-        Forward: anchor is clean seen from v, the key tree hangs off u.
-        Mirrored: anchor is clean seen from u, the key tree hangs off v.
-        """
+                 stats: QueryStats | None = None) -> HitSetOutcome:
+        """Anchor clean seen from v; search along the key tree of u."""
         index = self.index
-        near, far = (u, v) if not mirrored else (v, u)
-        assert view.clean(far, anchor), "anchor is not clean"
-        if tree is None:
-            tree = view.key_tree(near)
+        assert view.clean(v, anchor), "anchor is not clean"
         failed_set = view.failed_set
-        near_path, far_path = view.path(near), view.path(far)
+        path_u, path_v = view.path(u), view.path(v)
         edges = index.graph.edges
         bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers: set[int] = set()
-        tree_child = index._tree_child[near]
+        tree_child = index._tree_child[u]
 
-        for c in tree:
-            if near_path >> c & 1:
+        for c in view.key_tree(u):
+            if path_u >> c & 1:
                 continue
-            if not mirrored:
-                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
-            else:
-                code, d_star = self._lookup(u, v, anchor, c, 1, 0, view, stats)
+            code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
             bound = min(bound, code)
             for eid in d_star:
                 if eid in failed_set:
@@ -187,24 +178,21 @@ class HitSetEngine:
                 a, b, _ = edges[eid]
                 if a > b:
                     a, b = b, a
-                # both ends damaged from far, so a hit below is damaged from both
-                if not far_path >> a & far_path >> b & 1:
+                # both ends damaged from v, so a hit below is damaged from both
+                if not path_v >> a & path_v >> b & 1:
                     continue
-                if near_path >> a & 1:
+                if path_u >> a & 1:
                     hits.add(a)
                     continue
-                if near_path >> b & 1:
+                if path_u >> b & 1:
                     hits.add(b)
                     continue
                 child = tree_child[eid]
-                if child >= 0 and not index._sub[near][child] & view.ends:
+                if child >= 0 and not index._sub[u][child] & view.ends:
                     helpers.add(child)
 
         for h in sorted(helpers):
-            if not mirrored:
-                sub = self.case_one(u, v, h, anchor, view, stats)
-            else:
-                sub = self.case_one(u, v, anchor, h, view, stats)
+            sub = self.case_one(u, v, h, anchor, view, stats)
             bound = min(bound, sub.bound)
             hits |= sub.hits
         return HitSetOutcome(bound, frozenset(hits))
@@ -273,16 +261,11 @@ class HitSetEngine:
                                 if not index._sub[v][x] & view.ends:
                                     helpers_v.add(x)
 
-        for h in sorted(helpers_v):
-            sub = self.case_two(u, v, h, view, mirrored=False,
-                                stats=stats, tree=tree_u)
-            bound = min(bound, sub.bound)
-            hits |= sub.hits
-        for h in sorted(helpers_u):
-            sub = self.case_two(u, v, h, view, mirrored=True,
-                                stats=stats, tree=tree_v)
-            bound = min(bound, sub.bound)
-            hits |= sub.hits
+        for a, b, helpers in ((u, v, helpers_v), (v, u, helpers_u)):
+            for h in sorted(helpers):
+                sub = self.case_two(a, b, h, view, stats)
+                bound = min(bound, sub.bound)
+                hits |= sub.hits
 
         outcome = HitSetOutcome(bound, frozenset(hits))
         if stats is not None and len(outcome.hits) > stats.max_hits:

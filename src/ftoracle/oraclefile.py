@@ -19,7 +19,7 @@ Row (v, u) uses the palette of pair (u, v).  Every section's size follows
 from the header and is a multiple of 8 bytes, so the arrays load as
 aligned zero-copy views.  No layout depends on d, and sets are edge ids,
 so load never enumerates failure sets.  The length codec and the tree
-intervals are derived, not stored.  The index section holds the index's
+masks are derived, not stored.  The index section holds the index's
 packed base distances split into their two fields; load range-checks each
 field (and every tie value) before packing, so no stored pair can alias
 another length, and checks that each root's arrays form a tree rooted

@@ -9,7 +9,9 @@ exactness at budget |D| follows from the pivot contract.
 
 A damaged query builds one FailureView of D and the whole recursion runs
 on it: damage tests are bit tests, each root's key tree is built once and
-the memo lives in the view.  An undamaged query builds no view.
+the memo lives in the view.  An undamaged query builds no view: bit v is
+clear in the OR of the index's masks _below[u][e] over D, the same OR
+that FailureView.path(u) makes.
 
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
@@ -70,7 +72,11 @@ class Oracle:
                          stats: QueryStats | None = None,
                          observer: Observer | None = None) -> CompositeLength:
         index = self.index
-        if not index.path_intersects(u, v, failed):
+        below = index._below[u]
+        damage = 0
+        for eid in failed:
+            damage |= below[eid]
+        if not damage >> v & 1:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index.distance(u, v)

@@ -1,4 +1,4 @@
-"""All-roots shortest-path trees with O(1) ancestor and damage predicates.
+"""All-roots shortest-path trees with O(1) ancestor and damage masks.
 
 Composite (length, tie-key) lengths are packed by the index's one
 LengthCodec into integer codes that order like the pairs, and the index
@@ -8,20 +8,22 @@ One settle loop, _settle, is the engine's only Dijkstra: the index build
 seeds it with each root, the table build's deletion sweep with a root's
 damaged vertices.  It tracks no parents; the uniqueness check scans every
 vertex's optimal predecessors anyway, and the unique one is the tree
-parent.  Vertices get Euler-tour entry/exit numbers per root, so subtree
-membership is an interval test, and the child-side endpoint of every tree
-edge per root makes "does this failed edge lie on the tree path root->x"
-constant-time; the table build and the guarded checks use these.  The
-query engine reads the same facts from Python-int vertex bitmasks built
-in the same DFS: per root r, _sub[r][w] is w's subtree, _below[r][e] the
-vertices below tree edge e (0 off the tree) and _anc[r][v] v's ancestors
-as DFS-entry bits; _ends[e] is e's endpoints.  The LCA of x and y, their
-deepest common ancestor, is _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].
+parent.  One DFS per root derives the index's one damage encoding, Python-
+int vertex bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
+below tree edge e (0 off the tree), so "e lies on the tree path r->x" is
+_below[r][e] >> x & 1.  The table build unpacks them into numpy masks and
+the query engine ORs them per failure set.  _anc[r][v] holds v's ancestors
+as DFS-entry bits, so v's own entry number is its highest bit, and the
+LCA of x and y, their deepest common ancestor, is
+_by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _tree_child[r][e] is the
+child end of tree edge e (-1 off the tree) and _ends[e] e's endpoints.
+path_intersects and subtree_touches answer the same questions by walking
+the parent arrays, and read no mask, so they check the masks independently.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -119,8 +121,7 @@ class ShortestPathIndex:
                           (codes & self.codec.mask).tolist())]
         self._parent = parent
         self._parent_eid = parent_eid
-        self._in, self._out, self._tree_child = [], [], []
-        self._by_tin, self._anc, self._sub, self._below = [], [], [], []
+        self._tree_child, self._by_tin, self._anc, self._sub, self._below = [], [], [], [], []
         for r in range(self.graph.n):
             self._finish_root(r)
 
@@ -145,7 +146,7 @@ class ShortestPathIndex:
                     heapq.heappush(heap, (code + step, nb))
 
     def _finish_root(self, r: int) -> None:
-        """Derive DFS numbering, per-edge child map and vertex masks for root r."""
+        """Derive DFS order, per-edge child map and vertex masks for root r."""
         graph = self.graph
         n = graph.n
         parent = self._parent[r]
@@ -168,19 +169,15 @@ class ShortestPathIndex:
         if len(by_tin) != n:
             raise GraphError(f"root {r}: parent arrays do not form a tree rooted there")
 
-        tin = [0] * n
         anc = [0] * n
         anc[r] = 1
         for i in range(1, len(by_tin)):
             v = by_tin[i]
-            tin[v] = i
             anc[v] = anc[parent[v]] | 1 << i
         sub = [1 << v for v in range(n)]
         for v in by_tin[:0:-1]:  # children before parents, root left out
             sub[parent[v]] |= sub[v]
 
-        self._in.append(tin)
-        self._out.append([t + s.bit_count() - 1 for t, s in zip(tin, sub)])
         self._tree_child.append(tree_child)
         self._by_tin.append(by_tin)
         self._anc.append(anc)
@@ -213,28 +210,25 @@ class ShortestPathIndex:
         anc = self._anc[root]
         return self._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
 
-    def path_intersects(self, root: int, x: int, failed: Iterable[int]) -> bool:
+    def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff some failed edge lies on the tree path root -> x."""
-        tin = self._in[root]
-        tout = self._out[root]
-        child = self._tree_child[root]
-        tx = tin[x]
-        for eid in failed:
-            c = child[eid]
-            if c >= 0 and tin[c] <= tx <= tout[c]:
+        parent, parent_eid = self._parent[root], self._parent_eid[root]
+        while x != root:
+            if parent_eid[x] in failed:
                 return True
+            x = parent[x]
         return False
 
     def subtree_touches(self, root: int, w: int, failed: Iterable[int]) -> bool:
         """True iff the subtree of w (rooted at root) contains a failed endpoint."""
-        tin = self._in[root]
-        lo = tin[w]
-        hi = self._out[root][w]
+        parent = self._parent[root]
         edges = self.graph.edges
         for eid in failed:
-            a, b, _ = edges[eid]
-            if lo <= tin[a] <= hi or lo <= tin[b] <= hi:
-                return True
+            for p in edges[eid][:2]:
+                while p != w and p != root:
+                    p = parent[p]
+                if p == w:
+                    return True
         return False
 
 

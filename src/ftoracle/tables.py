@@ -230,27 +230,26 @@ def _deleted_all_pairs(index: ShortestPathIndex, root: int,
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
     """Per-edge (edge, root, vertex, bit) bool masks, derived once per build.
 
-    [e, r, x, 0]: e lies on the tree path r->x (x is below e's child end);
-    [e, r, x, 1]: that, or x's subtree rooted at r holds an endpoint of e.
-    Row m, the clean edge that pads short sets, is all False.
+    They unpack the index's vertex bitmasks, the ones the query engine ORs:
+    [e, r, x, 0]: e lies on the tree path r->x, bit x of _below[r][e];
+    [e, r, x, 1]: that, or _sub[r][x], x's subtree rooted at r, holds an
+    endpoint of e.  Row m, the clean edge that pads short sets, is all False.
     """
     graph = index.graph
     n, m = graph.n, graph.m
-    tin = np.array(index._in, dtype=np.int64)
-    tout = np.array(index._out, dtype=np.int64)
-    roots = np.arange(n)
-    child = np.array(index._tree_child, dtype=np.int64).reshape(n, m).T
+    size = (n + 7) // 8
+
+    def unpack(masks: list[list[int]], count: int) -> np.ndarray:
+        # (root, count, vertex) bools, bit x of each mask at [..., x]
+        raw = b"".join(mask.to_bytes(size, "little") for row in masks for mask in row)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return bits.reshape(n, count, 8 * size)[:, :, :n].view(bool)
+
     ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
-
-    def at(num: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # num[r, x[e, r]] as an (edge, root, 1) column against num[r, vertex]
-        return num[roots, x][:, :, None]
-
-    c = np.maximum(child, 0)
-    a, b = at(tin, ends[:, :1]), at(tin, ends[:, 1:])
+    touched = unpack(index._sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
     bad = np.zeros((m + 1, n, n, 2), dtype=bool)
-    bad[:m, :, :, 0] = (child >= 0)[:, :, None] & (at(tin, c) <= tin) & (tin <= at(tout, c))
-    bad[:m, :, :, 1] = bad[:m, :, :, 0] | ((tin <= a) & (a <= tout)) | ((tin <= b) & (b <= tout))
+    bad[:m, :, :, 0] = unpack(index._below, m).transpose(1, 0, 2)
+    bad[:m, :, :, 1] = bad[:m, :, :, 0] | touched.transpose(2, 0, 1)
     return bad
 
 
@@ -259,7 +258,9 @@ def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
 
     root may be an array broadcast against ids' leading axes.  bit 0 needs
     a clean tree path root->vertex, bit 1 also no failed endpoint in the
-    vertex's subtree.  The one place that derives clean (root, vertex) pairs.
+    vertex's subtree.  The one place the build derives clean (root, vertex)
+    pairs, from bad = _edge_masks(index), the index's vertex bitmasks that
+    the query engine's FailureView reads too.
     """
     fb = bad[ids[..., 0], root]
     for j in range(1, ids.shape[-1]):

@@ -85,8 +85,9 @@ def test_key_tree_matches_brute_force(idx1, idx6):
                 expect_keys = {v for v, dg in deg.items() if dg >= 3}
                 expect_keys |= endpoints
                 assert set(tree) == expect_keys
-                # each key vertex once, in DFS order
-                tin = [index._in[root][x] for x in tree]
+                # each key vertex once, in DFS order: a vertex's DFS
+                # entry number is the highest bit of its ancestor mask
+                tin = [index._anc[root][x].bit_length() - 1 for x in tree]
                 assert tin == sorted(set(tin))
                 for v, dg in deg.items():
                     if v not in tree:
@@ -143,22 +144,25 @@ def test_case_two_g6(oracle6_d1):
 
 
 def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
-    # mirroring swaps endpoint roles, so searching from 4 with the clean
-    # anchor on the 0 side must see the same replacement length
+    # row (4, 0) is row (0, 4) transposed, so searching from 4 with the
+    # clean anchor on the 0 side must see the same replacement length
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
                           check_guards=True)
     assert not oracle6_d1.index.path_intersects(0, 5, (2,))
     assert not oracle6_d1.index.subtree_touches(0, 5, (2,))
-    bound, _ = engine.case_two(0, 4, 5, view(oracle6_d1, (2,)), mirrored=True)
+    bound, _ = engine.case_two(4, 0, 5, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
 
 
 def test_case_two_all_edges_discarded(oracle1_d1):
     # with the single key-tree child sitting below the failure, every edge
-    # is discarded and the fold never starts
+    # is discarded and the fold never starts; the view's cached key tree of
+    # root 0 is seeded with that child
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
-    bound, hits = engine.case_two(0, 2, 3, view(oracle1_d1, (0,)), tree=[1])
+    v = view(oracle1_d1, (0,))
+    v.trees[0] = [1]
+    bound, hits = engine.case_two(0, 2, 3, v)
     assert decoded(oracle1_d1, bound) == UNREACHABLE
     assert hits == frozenset()
 

@@ -1,4 +1,4 @@
-"""Tree index: distances, ancestor intervals, damage predicates, uniqueness."""
+"""Tree index: distances, ancestor masks, damage predicates, uniqueness."""
 import heapq
 from itertools import combinations
 
@@ -217,8 +217,9 @@ def _unit_k5(n, seed):
 @example(shape=_unit_k5, n=5, seed=0)
 @example(shape=_complete, n=7, seed=0)
 def test_masks_match_interval_predicates(shape, n, seed):
-    # the query engine's bit tests against the interval predicates and a
-    # path walk, for every root, vertex and failure set of size <= 3
+    # the query engine's bit tests against the parent-walk predicates, for
+    # every root, vertex and failure set of size <= 3, and the LCA against
+    # a path walk
     index, _, _ = build_index_auto(shape(n, seed), seed=1)
     g = index.graph
     for failed in all_failure_sets(g.m, 3):
@@ -291,8 +292,9 @@ def test_from_arrays_reproduces_predicates(idx6):
     g = idx6.graph
     clone = ShortestPathIndex.from_arrays(
         g, idx6.tie, idx6.codes, idx6._parent, idx6._parent_eid)
-    assert clone._in == idx6._in
-    assert clone._out == idx6._out
+    assert clone._anc == idx6._anc
+    assert clone._sub == idx6._sub
+    assert clone._below == idx6._below
     for u in range(g.n):
         for x in range(g.n):
             assert clone.distance(u, x) == idx6.distance(u, x)
@@ -307,4 +309,6 @@ def test_deterministic_across_builds(g6):
     assert tie_a == tie_b
     assert seed_a == seed_b
     assert a._parent == b._parent
-    assert a._in == b._in
+    assert a._anc == b._anc
+    assert a._sub == b._sub
+    assert a._below == b._below

@@ -17,6 +17,8 @@ from ftoracle.tables import (BuildError, LengthCodec, TableKey,
                              build_tables, check_build_size, constraint_holds,
                              enumerate_failure_sets, failure_set_count)
 
+from conftest import tree_path_edges
+
 
 def id_matrix(sets, m, d):
     """The build's (set, slot) edge ids, short sets padded with edge m."""
@@ -65,16 +67,30 @@ def test_constraint_blocks_touched_subtree(idx1):
     assert constraint_holds(idx1, (3,), TableKey(0, 2, 1, 2, 0, 0))
 
 
-def test_constraint_matches_vectorized_masks(idx1, oracle1_d1):
-    bad = _edge_masks(idx1)
-    sets = enumerate_failure_sets(4, 2)
-    ids = id_matrix(sets, 4, 2)
-    fb = [_side_masks(bad, ids, root) for root in range(4)]
-    for si, failed in enumerate(sets):
-        for key in all_keys(4):
-            expect = constraint_holds(idx1, failed, key)
-            assert bool(fb[key.u][si, key.up, key.b1] and
-                        fb[key.v][si, key.vp, key.b2]) == expect
+def side_keys(n):
+    """Keys that constrain one side only: the other side's anchor is its root."""
+    for r, x, b in product(range(n), range(n), (0, 1)):
+        yield TableKey(r, r, x, r, b, 0)
+        yield TableKey(r, r, r, x, 0, b)
+
+
+def test_constraint_matches_vectorized_masks(idx1, idx6):
+    # n = 1 has no edge; at n = 9 the unpacked vertex masks cross a byte.
+    # A key's constraint is its two sides' AND, so on the larger inputs
+    # checking every side alone covers every key.
+    inputs = [(idx1, all_keys), (build_index_auto(gen_gnm(1, 0, 9, 0), 1)[0], all_keys),
+              (idx6, side_keys), (build_index_auto(gen_gnm(9, 11, 9, 0), 1)[0], side_keys)]
+    for index, keys in inputs:
+        n, m = index.graph.n, index.graph.m
+        bad = _edge_masks(index)
+        sets = enumerate_failure_sets(m, 2)
+        ids = id_matrix(sets, m, 2)
+        fb = [_side_masks(bad, ids, root) for root in range(n)]
+        for si, failed in enumerate(sets):
+            for key in keys(n):
+                expect = constraint_holds(index, failed, key)
+                assert bool(fb[key.u][si, key.up, key.b1] and
+                            fb[key.v][si, key.vp, key.b2]) == expect
 
 
 # -- enumeration order ----------------------------------------------------------
@@ -157,18 +173,29 @@ def test_build_rejects_zero_budget(idx1):
 
 # -- pruned build against the dense all-keys update -----------------------------
 
+def walk_subtree(index, root, x):
+    """Vertices whose parent walk toward root passes x (x's subtree)."""
+    out = set()
+    for y in range(index.graph.n):
+        w = y
+        while w not in (x, root):
+            w = index.parent(root, w)
+        if w == x:
+            out.add(y)
+    return out
+
+
 def dense_build(index, d):
     """The all-keys update, kept as the specification of the pruned build.
 
     Every set runs a from-scratch Dijkstra per root and compares-and-copies
-    over all 4*n^4 keys in set order, with side masks derived directly from
-    the tree intervals.
+    over all 4*n^4 keys in set order, with side masks derived directly by
+    walking the parent arrays, not from the index's vertex bitmasks.
     """
     graph = index.graph
     n = graph.n
-    tin = np.array(index._in, dtype=np.int64)
-    tout = np.array(index._out, dtype=np.int64)
-    order = np.argsort(tin, axis=1)
+    on_path = [[tree_path_edges(index, r, x) for x in range(n)] for r in range(n)]
+    subtree = [[walk_subtree(index, r, x) for x in range(n)] for r in range(n)]
     values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
     dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
@@ -177,17 +204,11 @@ def dense_build(index, d):
             row = dist[r].tolist()
             index._settle(row, [False] * n, [(0, r)], sub)
             dist[r] = row
-        path_ok = np.ones((n, n), dtype=bool)
-        sub_ok = np.ones((n, n), dtype=bool)
-        for eid in sub:
-            a, b, _ = graph.edges[eid]
-            for r in range(n):
-                c = index._tree_child[r][eid]
-                if c >= 0:
-                    path_ok[r, order[r, tin[r, c]:tout[r, c] + 1]] = False
-                ia, ib = tin[r, a], tin[r, b]
-                sub_ok[r] &= ~(((tin[r] <= ia) & (tout[r] >= ia)) |
-                               ((tin[r] <= ib) & (tout[r] >= ib)))
+        ends = {p for eid in sub for p in graph.endpoints(eid)}
+        path_ok = np.array([[on_path[r][x].isdisjoint(sub) for x in range(n)]
+                            for r in range(n)], dtype=bool)
+        sub_ok = np.array([[subtree[r][x].isdisjoint(ends) for x in range(n)]
+                           for r in range(n)], dtype=bool)
         fb = np.stack((path_ok, path_ok & sub_ok), axis=2)
         f1 = fb[:, None, :, None, :, None]
         f2 = fb[None, :, None, :, None, :]
