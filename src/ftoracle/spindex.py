@@ -4,12 +4,13 @@ Composite (length, tie-key) lengths are packed by the index's one
 LengthCodec into integer codes that order like the pairs, and the index
 keeps all base distances as one (n, n) int64 code array.  The query
 engine reads them as Python-int rows and adds each edge's packed step.
-One settle loop, _settle, is the engine's only Dijkstra: the index build
-seeds it with each root, the table build's deletion sweep with a root's
-damaged vertices.  It tracks no parents; the uniqueness check scans every
-vertex's optimal predecessors anyway, and the unique one is the tree
-parent.  One DFS per root derives the index's one damage encoding, Python-
-int vertex bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
+One settle loop, _settle, is the engine's only Dijkstra, and it serves
+only the index build, which seeds it with each root; the table build's
+deletion sweep repairs distances by a batched Bellman-Ford instead.  It
+tracks no parents; the uniqueness check scans every vertex's optimal
+predecessors anyway, and the unique one is the tree parent.  One DFS per
+root derives the index's one damage encoding, Python-int vertex
+bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
 below tree edge e (0 off the tree), so "e lies on the tree path r->x" is
 _below[r][e] >> x & 1.  The table build unpacks them into numpy masks and
 the query engine ORs them per failure set.  _anc[r][v] holds v's ancestors

@@ -15,19 +15,22 @@ path is longer, or none is left.  The empty set is feasible for every key.
 So a key holds the base entry unless some damaging set is feasible, and
 then the first feasible candidate of its row in the order code descending,
 then set index ascending (sets ascend by sorted edge-id sequence, () first).
-The build still filters candidates by code > base explicitly.
+Every damaging set is a candidate of the row; one that did not lengthen
+the distance would rank after the empty set and so win no key.
 
-The build goes root by root.  Root u takes every set's side masks at u
-from per-edge masks made once, repairs its distances under each set that
-damages one of its owned columns (the deletion sweep, on the index's one
-settle loop), and ranks each owned row's candidates.  Their side masks at
-u and at v are packed into bitsets along the candidate axis and ANDed; a
-key's winner is the first set bit, found as the first nonzero byte plus
-that byte's leading zeros.  Lengths are undirected and the constraints of
-(u, v, u', v', b1, b2) and (v, u, v', u', b2, b1) agree, so row (v, u) is
-row (u, v) with its vertex axes and its bit axes swapped.  Root u owns
-(u, v) when (v > u) == (u + v is odd): each pair has one owner, each root
-at most n // 2 columns.
+The build goes by groups of consecutive roots whose (root, set) pairs to
+sweep fill a chunk.  A group takes every set's side masks at its roots
+from per-edge masks made once; the deletion sweep (_deleted_all_pairs)
+repairs each root's distances under each set that damages an owned
+column, by batched Bellman-Ford, into the rows' candidate buffers.  Then
+the owned rows' candidates are ranked, small rows of a group together.
+Their side masks at u and at v are packed into bitsets along the candidate
+axis and ANDed; a key's winner is the first set bit, found as the first
+nonzero byte plus that byte's leading zeros.  Lengths are undirected and
+the constraints of (u, v, u', v', b1, b2) and (v, u, v', u', b2, b1)
+agree, so row (v, u) is row (u, v) with its vertex axes and its bit axes
+swapped.  Root u owns (u, v) when (v > u) == (u + v is odd): each pair has
+one owner, each root at most n // 2 columns.
 
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
@@ -50,6 +52,9 @@ import numpy as np
 
 from .graph import CompositeLength, Graph
 from .spindex import BuildError, LengthCodec, ShortestPathIndex
+
+
+CHUNK = 64  # (root, set) pairs the deletion sweep relaxes together
 
 
 class TableKey(NamedTuple):
@@ -89,17 +94,27 @@ def check_build_size(n: int, m: int, d: int) -> None:
     Each of the 4*n^4 keys takes a uint16 slot, each palette entry an int64
     code, set size and edge ids plus their read-path lists, charged at the
     bound of min(4n^2, sets) entries per pair.  Each subset costs a tuple
-    and list slot, a row of int32 edge ids, about 4n+8 bytes while one
-    root's side masks are derived, and a code and an index in each of that
-    root's at most n // 2 candidate buffers.  Failing before anything is
-    allocated beats an overcommitted allocation killed later.
+    and list slot and a row of int32 edge ids.  The sweep's group of roots
+    costs, per subset and root, its side masks (about 4n + 8 bytes while
+    derived), a code and an index in each of the root's at most n // 2
+    candidate buffers, a hit flag per buffer and a pair index.  A group
+    holds at most 1 + (CHUNK - 1) // k roots, k the sets that hold a given
+    edge, since every root before its last sweeps at least k pairs and all
+    of them fewer than CHUNK.  A chunk adds, per pair, an int64 sum, its
+    copy in numpy's broadcast buffer and a ban flag per arc (2m arcs), the
+    set's edge flags, an int64 code, best code and damage flag per vertex
+    and the extracted codes and ranks per column.  Failing before anything
+    is allocated beats an overcommitted allocation killed later.
     """
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     width = max(0, min(d, m))
-    per_set = 56 + 8 * width + 4 * max(1, width) + 4 * n + 12 * (n // 2)
-    sets = failure_set_count(m, d, phys // per_set)
+    per_set = 56 + 8 * width + 4 * max(1, width)
+    per_root = 4 * n + 8 + 13 * (n // 2) + 4
+    sets = failure_set_count(m, d, phys // (per_set + per_root))
+    roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
-    need = 8 * n ** 4 + entries * (160 + 24 * width) + sets * per_set
+    need = (8 * n ** 4 + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
+            + CHUNK * (35 * m + 17 * n + 24 * (n // 2)))
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
@@ -190,43 +205,6 @@ class OracleTables:
         return self._codes[p], d_star
 
 
-def _deleted_all_pairs(index: ShortestPathIndex, root: int,
-                       subsets: Sequence[tuple[int, ...]], clean: np.ndarray,
-                       cols: list[int]) -> tuple[list[array], list[array]]:
-    """The candidates of each row (root, x), x in cols, by deletion sweep.
-
-    clean[s, x] is False where set s hits the tree path root->x.  Returns
-    (codes, sets): per column x, distance codes root->x in array('q') and
-    set indices in array('i'); first the empty set at the base distance,
-    then, ascending, each set that damages x and makes it longer.  A set
-    re-settles only its damaged vertices, by the index's settle loop seeded
-    from their undamaged neighbours (Ramalingam-Reps repair).
-    """
-    adj = index._adj
-    unreachable = index.codec.unreachable_code
-    base = index.codes[root].tolist()
-    codes = [array("q", [base[x]]) for x in cols]
-    sets = [array("i", [0]) for _ in cols]
-    for si in np.flatnonzero(~clean[:, cols].all(axis=1)):
-        banned = subsets[si]
-        row = base[:]
-        done = clean[si].tolist()
-        hit = [col for col in zip(cols, codes, sets) if not done[col[0]]]
-        heap = []
-        for y, ok in enumerate(done):
-            if not ok:
-                row[y] = unreachable
-                for nb, eid, step in adj[y]:
-                    if done[nb] and eid not in banned:
-                        heap.append((row[nb] + step, y))
-        index._settle(row, done, heap, banned)
-        for x, code_buf, set_buf in hit:
-            if row[x] > base[x]:
-                code_buf.append(row[x])
-                set_buf.append(si)
-    return codes, sets
-
-
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
     """Per-edge (edge, root, vertex, bit) bool masks, derived once per build.
 
@@ -268,37 +246,153 @@ def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
     return np.logical_not(fb, out=fb)
 
 
-def _build_root(index: ShortestPathIndex, u: int, subsets: list[tuple[int, ...]],
-                ids: np.ndarray, bad: np.ndarray, slots: np.ndarray,
-                palettes: dict) -> None:
-    """Fill root u's owned rows (u, v) and their mirrors (v, u)."""
-    cols = [v for v in range(index.graph.n) if v != u and (v > u) == ((u + v) % 2 == 1)]
-    at_u = _side_masks(bad, ids, u)  # every set's, for the sweep and each row's u side
-    rows = list(zip(cols, *_deleted_all_pairs(
-        index, u, subsets, np.ascontiguousarray(at_u[:, :, 0]), cols)))
-    # rows go in one batch while its AND stays within 8 bytes per key
-    width = (max((len(row[1]) for row in rows), default=0) + 7) // 8
-    for batch in [rows] if 0 < len(rows) * width <= 8 else [[row] for row in rows]:
-        _fill_rows(u, batch, ids, bad, at_u, slots, palettes)
+class _Arcs(NamedTuple):
+    """The sweep's vertex order and its directed arcs, slot by slot.
+
+    Vertices go by degree, descending, order[p] at position p.  Slot k holds
+    the k-th arc into each vertex of degree above k, so into positions
+    0 .. sizes[k] - 1; a connected graph with n >= 2 puts every vertex in
+    slot 0.  Per arc, slot by slot: its tail's position, edge id and packed
+    step.
+    """
+    order: np.ndarray
+    tail: np.ndarray
+    edge: np.ndarray
+    step: np.ndarray
+    sizes: list[int]
 
 
-def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
-               bad: np.ndarray, at_u: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
-    """Rows (u, v), (v, u) and their palette for a batch of (v, codes, sets) candidates."""
+def _arc_list(index: ShortestPathIndex) -> _Arcs:
+    """The sweep's arcs of index's graph, made once per build."""
+    adj = index._adj
+    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
+    slots = [[adj[v][k] for v in order if len(adj[v]) > k] for k in range(len(adj[order[0]]))]
+    arcs = np.array([arc for slot in slots for arc in slot], dtype=np.int64).reshape(-1, 3)
+    return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1], arcs[:, 2],
+                list(map(len, slots)))
+
+
+def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
+                       roots: Sequence[int], cols: Sequence[list[int]],
+                       clean: np.ndarray) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+    """The candidates of each row (root, x), x in cols, by deletion sweep.
+
+    Root roots[i] owns the columns cols[i], and clean[i, s, x] is False
+    where set s (edge ids ids[s]) hits the tree path roots[i]->x.  Returns
+    per root its rows (x, codes, sets): int64 codes root->x and int32 set
+    indices, first the empty set at the base distance, then, ascending,
+    each set that damages x.
+
+    The (root, set) pairs whose set damages an owned column go, root by
+    root, in chunks of CHUNK to one Bellman-Ford, _relax, over (vertex,
+    pair) codes, vertices in arcs.order.  A pair starts at the root's base
+    codes with the set's damaged vertices at unreachable_code.  A round
+    adds each arc's packed step to its tail's code, overwrites the sums
+    over the set's arcs with unreachable_code, and takes the min by head,
+    slot by slot, and with the codes; the rounds end after one that lowers
+    nothing.  Exact: undamaged codes are right from the start, as deletions
+    only lengthen paths, and an entry is always unreachable_code or the sum
+    over a walk avoiding the set, which never undercuts the unique shortest
+    path's code (see the query module).  int64, the dtype of index.codes,
+    holds every sum: entries are at most 2^62 and steps below 2^62 (the
+    codec's bound on max_len << shift), and overwriting after the add keeps
+    it so, where unreachable_code as the step of a banned arc would reach
+    2^63 and wrap.
+    """
+    unreachable = index.codec.unreachable_code
+    roots = np.array(roots, dtype=np.int64)
+    width = max(map(len, cols), default=0)
+    # each root's columns, padded with the root, which no set damages
+    at = np.array([c + [r] * (width - len(c)) for r, c in zip(roots.tolist(), cols)],
+                  dtype=np.int64).reshape(len(roots), width)
+    hit = ~clean.transpose(0, 2, 1)[np.arange(len(roots))[:, None], at]  # (root, column, set)
+    pairs = np.flatnonzero(hit.any(axis=1)).astype(np.int32)  # i * sets + s, ascending
+    hit[:, :, 0] = True  # the empty set, which damages nothing, opens every row
+    size = hit.sum(axis=2)
+    start = np.cumsum(size).reshape(size.shape) - size  # each row's empty-set entry
+    codes = np.empty(size.sum(), dtype=np.int64)
+    codes[start] = index.codes[roots[:, None], at]
+    # pair p's entry in row (i, j) is start[i, j] plus its rank among the
+    # row's damaging sets: the running count of hits over all pairs so
+    # far, less that of the roots before i
+    offset = start - np.cumsum(size - 1, axis=0) + size - 1
+    place = np.argsort(arcs.order)[at]  # the columns' positions in the sweep's order
+    ran = np.zeros(width, dtype=np.int64)
+    for lo in range(0, len(pairs), CHUNK):
+        r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
+        row = index.codes[roots[r], arcs.order[:, None]]  # (position, pair)
+        row[~clean[r, s, arcs.order[:, None]]] = unreachable
+        banned = np.zeros((index.graph.m + 1, len(s)), dtype=bool)
+        banned[ids[s].T, np.arange(len(s))] = True
+        _relax(row, banned[arcs.edge], arcs, unreachable)
+        hp = hit[r, :, s]
+        rank = ran + np.cumsum(hp, axis=0)
+        ran = rank[-1]
+        codes[(offset[r] + rank)[hp]] = row[place[r], np.arange(len(s))[:, None]][hp]
+    sets = np.flatnonzero(hit)  # (i * width + j) * sets + s: the rows' sets, in order
+    sets = (sets % len(ids)).astype(np.int32)
+    bounds = np.append(start, len(codes)).tolist()
+    return [[(x, codes[bounds[k]:bounds[k + 1]], sets[bounds[k]:bounds[k + 1]])
+             for k, x in enumerate(c, i * width)] for i, c in enumerate(cols)]
+
+
+def _relax(row: np.ndarray, banned: np.ndarray, arcs: _Arcs, unreachable: int) -> None:
+    """The rounds of _deleted_all_pairs on a chunk's codes, in place."""
+    sums = np.empty((len(arcs.tail), row.shape[1]), dtype=np.int64)
+    best = sums[:len(row)]  # slot 0, then the min over every slot
+    while True:
+        np.take(row, arcs.tail, axis=0, out=sums, mode="clip")  # "raise" would buffer a copy
+        sums += arcs.step[:, None]
+        sums[banned] = unreachable
+        lo = len(row)
+        for size in arcs.sizes[1:]:
+            np.minimum(best[:size], sums[lo:lo + size], out=best[:size])
+            lo += size
+        if not (best < row).any():
+            return
+        np.minimum(row, best, out=row)
+
+
+def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
+                 cols: list[list[int]], ids: np.ndarray, bad: np.ndarray, slots: np.ndarray,
+                 palettes: dict, progress: Callable[[int, int], None] | None) -> None:
+    """Fill the rows (u, v), v in cols[i], of a group of roots u = roots[i],
+    and their mirrors."""
+    at = _side_masks(bad, ids, np.array(roots)[:, None])  # (root, set, vertex, bit)
+    swept = _deleted_all_pairs(index, arcs, ids, roots, cols, at[..., 0])
+    # consecutive rows, of any roots, share a batch while its AND stays
+    # within 8 bytes per key
+    batch = []
+    for row in [(i, u, *row) for i, u in enumerate(roots) for row in swept[i]]:
+        if batch and (len(batch) + 1) * ((max(len(r[3]) for r in [row, *batch]) + 7) // 8) > 8:
+            _fill_rows(batch, ids, bad, at, slots, palettes)
+            batch = []
+        batch.append(row)
+    if batch:
+        _fill_rows(batch, ids, bad, at, slots, palettes)
+    if progress is not None:
+        for u in roots:
+            progress(u + 1, slots.shape[0])
+
+
+def _fill_rows(batch: list[tuple[int, int, int, np.ndarray, np.ndarray]], ids: np.ndarray,
+               bad: np.ndarray, at: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
+    """Rows (u, v), (v, u) and their palette for a batch of (i, u, v, codes,
+    sets) candidates; at[i] holds root u's side masks."""
     n = slots.shape[0]
-    count, width = len(batch), max(len(row[1]) for row in batch)
+    count, width = len(batch), max(len(row[3]) for row in batch)
     code = np.full((count, width), -1, dtype=np.int64)  # sorts after the empty set
     cand = np.zeros((count, width), dtype=np.int32)
-    for k, (_, code_buf, set_buf) in enumerate(batch):
-        code[k, :len(code_buf)] = np.frombuffer(code_buf, dtype=np.int64)
-        cand[k, :len(set_buf)] = np.frombuffer(set_buf, dtype=np.int32)
+    for k, (*_, code_buf, set_buf) in enumerate(batch):
+        code[k, :len(code_buf)] = code_buf
+        cand[k, :len(set_buf)] = set_buf
     line = np.arange(count)[:, None]
     order = np.argsort(-code, axis=1, kind="stable")  # ties keep set order
     code, cand = code[line, order], cand[line, order]
-    vs = [row[0] for row in batch]
+    i, us, vs = map(np.array, list(zip(*batch))[:3])
     # (row, vertex, bit, byte) bitsets at u and at v; bit k is candidate k
     a, b = (np.packbits(fb.transpose(0, 2, 3, 1), axis=-1)
-            for fb in (at_u[cand], _side_masks(bad, ids[cand], np.array(vs)[:, None])))
+            for fb in (at[i[:, None], cand], _side_masks(bad, ids[cand], vs[:, None])))
     rank = np.empty((count, n, n, 2, 2), dtype=np.int64)  # into code and cand, flattened
     for b1 in (0, 1):
         both = a[:, :, None, b1, None] & b[:, None]  # (row, u', v', b2, byte)
@@ -309,9 +403,9 @@ def _fill_rows(u: int, batch: list[tuple[int, array, array]], ids: np.ndarray,
     used = np.zeros((count, width), dtype=bool)
     used.ravel()[rank] = True
     row = (np.cumsum(used, axis=1) - 1).astype(np.uint16).ravel()[rank]
-    slots[u, vs] = row
-    slots[vs, u] = row.transpose(0, 2, 1, 4, 3)
-    for k, v in enumerate(vs):
+    slots[us, vs] = row
+    slots[vs, us] = row.transpose(0, 2, 1, 4, 3)
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         palettes[min(u, v), max(u, v)] = code[k, used[k]], cand[k, used[k]]
 
 
@@ -331,11 +425,11 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
         raise BuildError(f"failure budget must be >= 1, got {d}")
     graph = index.graph
     n = graph.n
-    subsets = enumerate_failure_sets(graph.m, d)
-    # (set, slot) edge ids; short sets padded with the clean edge m
+    # (set, slot) edge ids, sets in enumeration order; short sets padded with
+    # the clean edge m.  No tuple of a set outlives this line.
     width = max(1, min(d, graph.m))
-    ids = np.fromiter(chain.from_iterable(s + (graph.m,) * (width - len(s)) for s in subsets),
-                      np.int32, len(subsets) * width).reshape(-1, width)
+    ids = np.array([s + (graph.m,) * (width - len(s)) for s in enumerate_failure_sets(graph.m, d)],
+                   dtype=np.int32).reshape(-1, width)
     bad = _edge_masks(index)
     try:
         slots = np.zeros((n, n, n, n, 2, 2), dtype=np.uint16)
@@ -344,13 +438,23 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             f"cannot allocate {4 * n ** 4} table entries for n={n}") from None
     palettes = {(u, u): (index.codes[u, u:u + 1], np.zeros(1, dtype=np.int32))
                 for u in range(n)}
+    arcs = _arc_list(index)
+    cols = [[v for v in range(n) if v != u and (v > u) == ((u + v) % 2 == 1)] for u in range(n)]
+    # groups of consecutive roots, each closed once its swept pairs fill a
+    # chunk; root u sweeps the sets that meet a tree path to an owned column
+    lo, swept = 0, 0
     for u in range(n):
-        _build_root(index, u, subsets, ids, bad, slots, palettes)
-        if progress is not None:
-            progress(u + 1, n)
+        owned = sum(1 << v for v in cols[u])
+        swept += len(ids) - failure_set_count(
+            graph.m - sum(1 for below in index._below[u] if below & owned), d)
+        if swept >= CHUNK or u == n - 1:
+            _build_roots(index, arcs, list(range(lo, u + 1)), cols[lo:u + 1], ids, bad, slots,
+                         palettes, progress)
+            lo, swept = u + 1, 0
+    del arcs, bad, cols  # the assembly below sets the build's memory peak
     code, cand = zip(*(palettes[pair] for pair in combinations_with_replacement(range(n), 2)))
-    winners = [subsets[si] for si in np.concatenate(cand).tolist()]
+    winners = ids[np.concatenate(cand)]
+    real = winners < graph.m
     return OracleTables(graph, d, tie_seed, index.codec, slots,
                         np.array(list(map(len, code)), dtype=np.int64), np.concatenate(code),
-                        np.array(list(map(len, winners)), dtype=np.int64),
-                        np.fromiter(chain.from_iterable(winners), np.int64))
+                        real.sum(axis=1, dtype=np.int64), winners[real].astype(np.int64))

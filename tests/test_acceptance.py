@@ -12,8 +12,10 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
 import pytest
 
+from ftoracle import tables as tables_module
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, parse_graph
 from ftoracle.hitset import hit_budget
@@ -25,7 +27,7 @@ from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (TableKey, build_tables, constraint_holds,
                              enumerate_failure_sets)
 
-from conftest import G1_TEXT, G3_TEXT, G6_TEXT
+from conftest import G1_TEXT, G3_TEXT, G6_TEXT, tree_path_edges
 
 GRAPHS = 20
 SAMPLES = 10000  # the sweep checks at least GRAPHS * SAMPLES instances
@@ -163,6 +165,42 @@ def test_preprocessing_scales_with_enumeration():
         ratios.append(f"d={lo}->{hi} time x{time_ratio:.1f} "
                       f"vs sets x{set_ratio:.1f}")
     print(f"preprocessing tracks the enumeration size: PASS ({'; '.join(ratios)})")
+
+
+def test_sweep_relaxes_each_damaging_pair_once(monkeypatch):
+    # the deterministic side of the scaling claim above: on the same graph,
+    # the deletion sweep relaxes exactly the (root, set) pairs whose set
+    # meets a tree path from the root to one of its owned columns, each once
+    graph = gen_gnm(8, 14, 32, seed=42)
+    index, _, used = build_index_auto(graph, 1)
+    groups, relaxed = [], []
+    sweep, relax = tables_module._deleted_all_pairs, tables_module._relax
+
+    def spy_sweep(index, arcs, ids, roots, cols, clean):
+        groups.append(list(roots))
+        return sweep(index, arcs, ids, roots, cols, clean)
+
+    def spy_relax(row, banned, arcs, unreachable):
+        for p in range(row.shape[1]):  # before the rounds only the root is at 0
+            relaxed.append((int(arcs.order[row[:, p] == 0][0]),
+                            tuple(sorted(set(arcs.edge[banned[:, p]].tolist())))))
+        relax(row, banned, arcs, unreachable)
+
+    monkeypatch.setattr(tables_module, "_deleted_all_pairs", spy_sweep)
+    monkeypatch.setattr(tables_module, "_relax", spy_relax)
+    owned = [[v for v in range(8) if v != u and (v > u) == ((u + v) % 2 == 1)]
+             for u in range(8)]
+    paths = [[tree_path_edges(index, u, v) for v in owned[u]] for u in range(8)]
+    for d in (1, 2, 3):
+        groups.clear()
+        relaxed.clear()
+        build_tables(index, d, used)
+        expect = [(u, s) for u in range(8) for s in enumerate_failure_sets(graph.m, d)
+                  if any(path & set(s) for path in paths[u])]
+        assert sorted(relaxed) == expect
+        assert [u for group in groups for u in group] == list(range(8))
+    print(f"the sweep relaxes each damaging (root, set) pair once: PASS "
+          f"({len(expect)} pairs at d=3)")
 
 
 def test_persistence_round_trip_determinism(sweep):

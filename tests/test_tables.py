@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ftoracle import tables as tables_module
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
 from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle
 from ftoracle.spindex import build_index_auto
-from ftoracle.tables import (BuildError, LengthCodec, TableKey,
-                             _deleted_all_pairs, _edge_masks, _side_masks,
+from ftoracle.tables import (CHUNK, BuildError, LengthCodec, TableKey,
+                             _arc_list, _deleted_all_pairs, _edge_masks, _side_masks,
                              build_tables, check_build_size, constraint_holds,
                              enumerate_failure_sets, failure_set_count)
 
@@ -304,7 +305,8 @@ def test_deleted_distances_match_reference(idx6, ref6):
     cols = list(range(g.n))
     for u in cols:
         clean = _side_masks(bad, id_matrix(sets, g.m, 2), u)[:, :, 0]
-        codes, found = _deleted_all_pairs(idx6, u, sets, clean, cols)
+        _, codes, found = zip(*_deleted_all_pairs(idx6, _arc_list(idx6), id_matrix(sets, g.m, 2),
+                                                  [u], [cols], clean[None])[0])
         for v in cols:
             # the empty set first, then every damaging set: each is longer
             damaging = [si for si in range(len(sets)) if not clean[si, v]]
@@ -313,6 +315,118 @@ def test_deleted_distances_match_reference(idx6, ref6):
             for si, failed in enumerate(sets):
                 code = dist.get(si, int(idx6.codes[u, v]))
                 assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
+
+
+def sweep_against_reference(index, d, roots, cols=None):
+    """Run the sweep over one group of roots and check every row it returns.
+
+    Each row (x, codes, sets) must hold the empty set, then exactly the
+    sets that hit the tree path root->x (by parent walks), ascending, and
+    each code must equal ReferenceOracle.dist_avoiding's length: exactly
+    unreachable_code where the set disconnects x, never negative.  Returns
+    the (root, set) pairs of every chunk the sweep relaxed, in order.
+    """
+    graph, codec = index.graph, index.codec
+    ref = ReferenceOracle(graph, index.tie)
+    sets = enumerate_failure_sets(graph.m, d)
+    ids = id_matrix(sets, graph.m, d)
+    cols = [list(range(graph.n))] * len(roots) if cols is None else cols
+    clean = _side_masks(_edge_masks(index), ids, np.array(roots)[:, None])[..., 0]
+    chunks = []
+    relax = tables_module._relax
+
+    def spy(row, banned, arcs, unreachable):
+        # before the rounds only a pair's root sits at code 0
+        chunks.append([(int(arcs.order[row[:, p] == 0][0]),
+                        tuple(sorted(set(arcs.edge[banned[:, p]].tolist()))))
+                       for p in range(row.shape[1])])
+        relax(row, banned, arcs, unreachable)
+
+    tables_module._relax = spy
+    try:
+        swept = _deleted_all_pairs(index, _arc_list(index), ids, roots, cols, clean)
+    finally:
+        tables_module._relax = relax
+    assert len(swept) == len(roots)
+    for u, owned, rows in zip(roots, cols, swept):
+        assert [row[0] for row in rows] == owned
+        for x, codes, found in rows:
+            assert codes.dtype == np.int64 and found.dtype == np.int32
+            path = tree_path_edges(index, u, x)
+            assert found.tolist() == [0] + [si for si, s in enumerate(sets) if path & set(s)]
+            for si, code in zip(found.tolist(), codes.tolist()):
+                expect = ref.dist_avoiding(sets[si], u, x)
+                assert codec.decode(code) == expect, (u, x, sets[si])
+                assert 0 <= code <= codec.unreachable_code
+                assert (code == codec.unreachable_code) == (expect == UNREACHABLE)
+    assert all(0 < len(chunk) <= CHUNK for chunk in chunks)
+    return chunks
+
+
+def test_sweep_disconnecting_sets_give_unreachable_exactly():
+    path = Graph(5, [(0, 1, 3), (1, 2, 1), (2, 3, 4), (3, 4, 2)])
+    bridge = Graph(6, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 5),
+                       (3, 4, 1), (4, 5, 2), (3, 5, 2)])
+    for graph in (path, bridge):
+        index = build_index_auto(graph, 1)[0]
+        sweep_against_reference(index, 2, list(range(graph.n)))
+    # on a path every damaging set disconnects its column
+    index = build_index_auto(path, 1)[0]
+    ids = id_matrix(enumerate_failure_sets(4, 2), 4, 2)
+    clean = _side_masks(_edge_masks(index), ids, 0)[None, :, :, 0]
+    (rows,) = _deleted_all_pairs(index, _arc_list(index), ids, [0], [[4]], clean)
+    assert rows[0][1][1:].tolist() == [index.codec.unreachable_code] * (len(rows[0][1]) - 1)
+
+
+def test_sweep_repairs_long_detours_on_a_cycle():
+    # a 24-cycle with 2 chords: cutting one cycle edge sends the repair
+    # around the cycle, over many Bellman-Ford rounds
+    graph = Graph(24, [(i, (i + 1) % 24, 1 + i % 3) for i in range(24)] + [(0, 12, 9), (6, 18, 9)])
+    index = build_index_auto(graph, 1)[0]
+    sweep_against_reference(index, 2, [0, 5, 11])
+
+
+def test_sweep_with_unit_weights():
+    index = build_index_auto(gen_gnm(9, 16, 1, 3), 1)[0]
+    sweep_against_reference(index, 2, list(range(9)))
+
+
+@pytest.mark.parametrize("graph", [Graph(1, []), Graph(2, [(0, 1, 5)])], ids=["n1", "n2"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_sweep_on_one_and_two_vertices(graph, d):
+    index = build_index_auto(graph, 1)[0]
+    chunks = sweep_against_reference(index, d, list(range(graph.n)))
+    # n = 2: edge 0 is each root's path to the other vertex
+    assert chunks == ([[(0, (0,)), (1, (0,))]] if graph.n == 2 else [])
+
+
+@pytest.mark.parametrize("n, m, wmax", [(2, 1, 2 ** 55 - 1), (5, 7, 2 ** 46 - 1)])
+def test_sweep_near_the_codec_limit(n, m, wmax):
+    # max_len << shift within 2x of 2^62: a sum over a banned arc reaches
+    # nearly 2^63 before it is overwritten, and must not wrap
+    edges = gen_gnm(n, m, wmax, 0).edges
+    index = build_index_auto(Graph(n, [(a, b, wmax) for a, b, _ in edges[:1]] + edges[1:]), 1)[0]
+    codec = index.codec
+    assert 2 ** 61 <= codec.max_len << codec.shift < 2 ** 62
+    sweep_against_reference(index, 2, list(range(n)))
+
+
+def test_sweep_chunks_stack_across_roots():
+    # d=4, m=8: 64 sets meet a given edge, so a root whose column hangs
+    # on one tree edge sweeps exactly one chunk
+    index = build_index_auto(gen_gnm(6, 8, 9, 0), 1)[0]
+    near = [[next(x for x in range(6) if index.parent(u, x) == u)] for u in (0, 1)]
+    chunks = sweep_against_reference(index, 4, [0, 1], near)
+    assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0], [1]]
+    # K6 at d=2: every root sweeps 65 sets, so chunks straddle roots
+    index = build_index_auto(gen_gnm(6, 15, 9, 0), 1)[0]
+    chunks = sweep_against_reference(index, 2, [0, 1, 2])
+    assert list(map(len, chunks)) == [64, 64, 64, 3]
+    assert [root for chunk in chunks for root, _ in chunk] == [0] * 65 + [1] * 65 + [2] * 65
+    # a path at d=1: 5 roots of 4 pairs each share one chunk
+    index = build_index_auto(Graph(5, [(i, i + 1, 1 + i) for i in range(4)]), 1)[0]
+    chunks = sweep_against_reference(index, 1, list(range(5)))
+    assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0, 1, 2, 3, 4]]
 
 
 # -- pre-flight size check --------------------------------------------------------
