@@ -102,16 +102,16 @@ def check_build_size(n: int, m: int, d: int) -> None:
     edge, since every root before its last sweeps at least k pairs and all
     of them fewer than CHUNK.  A chunk adds, per pair, an int64 sum, its
     copy in numpy's broadcast buffer and a ban flag per arc (2m arcs), the
-    set's edge flags, an int64 code, best code and damage flag per vertex
-    and the extracted codes and ranks per column.  Failing before anything
-    is allocated beats an overcommitted allocation killed later.
+    set's edge flags, an int64 code and a damage flag per vertex, and the
+    extracted codes and ranks per column.  Failing before anything is
+    allocated beats an overcommitted allocation killed later.
     """
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     width = max(0, min(d, m))
     per_set = 56 + 8 * width + 4 * max(1, width)
     per_root = 4 * n + 8 + 13 * (n // 2) + 4
     sets = failure_set_count(m, d, phys // (per_set + per_root))
-    roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1)))
+    roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
     need = (8 * n ** 4 + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (35 * m + 17 * n + 24 * (n // 2)))
@@ -362,12 +362,14 @@ def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
     swept = _deleted_all_pairs(index, arcs, ids, roots, cols, at[..., 0])
     # consecutive rows, of any roots, share a batch while its AND stays
     # within 8 bytes per key
-    batch = []
+    batch, most = [], 0  # most: the batch's widest row, in bytes per key
     for row in [(i, u, *row) for i, u in enumerate(roots) for row in swept[i]]:
-        if batch and (len(batch) + 1) * ((max(len(r[3]) for r in [row, *batch]) + 7) // 8) > 8:
+        wide = (len(row[3]) + 7) // 8
+        if batch and (len(batch) + 1) * max(most, wide) > 8:
             _fill_rows(batch, ids, bad, at, slots, palettes)
-            batch = []
+            batch, most = [], 0
         batch.append(row)
+        most = max(most, wide)
     if batch:
         _fill_rows(batch, ids, bad, at, slots, palettes)
     if progress is not None:
