@@ -417,6 +417,7 @@ def test_sweep_chunks_stack_across_roots():
     index = build_index_auto(gen_gnm(6, 8, 9, 0), 1)[0]
     near = [[next(x for x in range(6) if index.parent(u, x) == u)] for u in (0, 1)]
     chunks = sweep_against_reference(index, 4, [0, 1], near)
+    assert list(map(len, chunks)) == [64, 64]
     assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0], [1]]
     # K6 at d=2: every root sweeps 65 sets, so chunks straddle roots
     index = build_index_auto(gen_gnm(6, 15, 9, 0), 1)[0]
