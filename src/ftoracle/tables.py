@@ -313,11 +313,11 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
     codes = np.empty(size.sum(), dtype=np.int64)
     codes[start] = index.codes[roots[:, None], at]
     # pair p's entry in row (i, j) is start[i, j] plus its rank among the
-    # row's damaging sets: the running count of hits over all pairs so
-    # far, less that of the roots before i
+    # row's damaging sets: the count of hits in column j over all pairs up
+    # to p, less that of the roots before i
     offset = start - np.cumsum(size - 1, axis=0) + size - 1
     place = np.argsort(arcs.order)[at]  # the columns' positions in the sweep's order
-    ran = np.zeros(width, dtype=np.int64)
+    seen = np.zeros(width, dtype=np.int64)  # hits per column in the chunks so far
     for lo in range(0, len(pairs), CHUNK):
         r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
         row = index.codes[roots[r], arcs.order[:, None]]  # (position, pair)
@@ -326,8 +326,8 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
         banned[ids[s].T, np.arange(len(s))] = True
         _relax(row, banned[arcs.edge], arcs, unreachable)
         hp = hit[r, :, s]
-        rank = ran + np.cumsum(hp, axis=0)
-        ran = rank[-1]
+        rank = seen + np.cumsum(hp, axis=0)
+        seen = rank[-1]
         codes[(offset[r] + rank)[hp]] = row[place[r], np.arange(len(s))[:, None]][hp]
     sets = np.flatnonzero(hit)  # (i * width + j) * sets + s: the rows' sets, in order
     sets = (sets % len(ids)).astype(np.int32)
