@@ -22,15 +22,18 @@ The build goes by groups of consecutive roots whose (root, set) pairs to
 sweep fill a chunk.  A group takes every set's side masks at its roots
 from per-edge masks made once; the deletion sweep (_deleted_all_pairs)
 repairs each root's distances under each set that damages an owned
-column, by batched Bellman-Ford, into the rows' candidate buffers.  Then
-the owned rows' candidates are ranked, small rows of a group together.
-Their side masks at u and at v are packed into bitsets along the candidate
-axis and ANDed; a key's winner is the first set bit, found as the first
-nonzero byte plus that byte's leading zeros.  Lengths are undirected and
-the constraints of (u, v, u', v', b1, b2) and (v, u, v', u', b2, b1)
-agree, so row (v, u) is row (u, v) with its vertex axes and its bit axes
-swapped.  Root u owns (u, v) when (v > u) == (u + v is odd): each pair has
-one owner, each root at most n // 2 columns.
+column, by Bellman-Ford over CHUNK pairs at a time, into the rows'
+candidate buffers.  It is exact, as undamaged distances are right from
+the start and no walk's code sum undercuts the unique shortest path's,
+and it stays in int64, as banned arcs' sums are overwritten, not added
+to.  Then the owned rows' candidates are ranked, small rows of a group
+together.  Their side masks at u and at v are packed into bitsets along
+the candidate axis and ANDed; a key's winner is the first set bit, found
+as the first nonzero byte plus that byte's leading zeros.  Lengths are
+undirected and the constraints of (u, v, u', v', b1, b2) and (v, u, v',
+u', b2, b1) agree, so row (v, u) is row (u, v) with its vertex axes and
+its bit axes swapped.  Root u owns (u, v) when (v > u) == (u + v is odd):
+each pair has one owner, each root at most n // 2 columns.
 
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
