@@ -21,6 +21,11 @@ The three cases differ in how much is already known:
   search with the anchor on the u side is case_two with u and v swapped.
 * case_three - nothing is known; both sides are searched at once.
 
+What a D* edge adds in case_two or case_three (a bound, a hit, a helper)
+depends only on (u, v, F, edge), not on the key whose lookup returned it,
+so a case takes the min of its lookups' codes and visits each distinct
+unfailed edge of their D* once: min and set union ignore repeats and order.
+
 All three run on a FailureView: the damage of one failure set D, derived
 once per damaged query as vertex bitmasks and shared by its recursion.
 "D hits the tree path r->x" is path(r) >> x & 1 and "D touches w's
@@ -73,18 +78,21 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
                            failed: Sequence[int]) -> list[int]:
     """Key vertices of root's tree under failed, in DFS order; O(d log d).
 
-    They are the failure endpoints and the LCAs of DFS-adjacent ones.
+    They are the failure endpoints and the LCAs of DFS-adjacent ones, read
+    off the marks _anc[root][x], x's ancestors' DFS entry bits: x's own entry
+    is its mark's highest bit, so marks sort in DFS order, and the LCA of x
+    and y enters at the highest bit their marks share.  Entries are kept as
+    bit lengths, one above the bit, and mapped back through _by_tin.
     """
     assert failed, "key tree is only defined for a nonempty failure set"
-    graph = index.graph
-    anc = index._anc[root]  # a vertex's highest bit is its DFS entry number
-
-    pts = sorted({p for eid in failed for p in graph.endpoints(eid)},
-                 key=anc.__getitem__)
-    cand = set(pts)
-    for a, b in zip(pts, pts[1:]):
-        cand.add(index.lca(root, a, b))
-    return sorted(cand, key=anc.__getitem__)
+    edges, anc, by_tin = index.graph.edges, index._anc[root], index._by_tin[root]
+    marks = []
+    for eid in failed:
+        a, b, _ = edges[eid]
+        marks += anc[a], anc[b]
+    marks.sort()
+    marks += map(int.__and__, marks[:-1], marks[1:])
+    return [by_tin[t - 1] for t in sorted(set(map(int.bit_length, marks)))]
 
 
 class FailureView:
@@ -159,37 +167,33 @@ class HitSetEngine:
         """Anchor clean seen from v; search along the key tree of u."""
         index = self.index
         assert view.clean(v, anchor), "anchor is not clean"
-        failed_set = view.failed_set
         path_u, path_v = view.path(u), view.path(v)
         edges = index.graph.edges
         bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers: set[int] = set()
+        union: set[int] = set()
         tree_child = index._tree_child[u]
 
         for c in view.key_tree(u):
-            if path_u >> c & 1:
+            if not path_u >> c & 1:
+                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
+                bound = min(bound, code)
+                union.update(d_star)
+        union -= view.failed_set
+        for eid in union:
+            a, b, _ = edges[eid]
+            if a > b:
+                a, b = b, a
+            # both ends damaged from v, so a hit below is damaged from both
+            if not path_v >> a & path_v >> b & 1:
                 continue
-            code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
-            bound = min(bound, code)
-            for eid in d_star:
-                if eid in failed_set:
-                    continue
-                a, b, _ = edges[eid]
-                if a > b:
-                    a, b = b, a
-                # both ends damaged from v, so a hit below is damaged from both
-                if not path_v >> a & path_v >> b & 1:
-                    continue
-                if path_u >> a & 1:
-                    hits.add(a)
-                    continue
-                if path_u >> b & 1:
-                    hits.add(b)
-                    continue
-                child = tree_child[eid]
-                if child >= 0 and not index._sub[u][child] & view.ends:
-                    helpers.add(child)
+            if path_u >> a & 1:
+                hits.add(a)
+            elif path_u >> b & 1:
+                hits.add(b)
+            elif (child := tree_child[eid]) >= 0 and not index._sub[u][child] & view.ends:
+                helpers.add(child)
 
         for h in sorted(helpers):
             sub = self.case_one(u, v, h, anchor, view, stats)
@@ -207,59 +211,52 @@ class HitSetEngine:
         if stats is not None:
             stats.case_three_calls += 1
         tree_u = view.key_tree(u)
-        tree_v = view.key_tree(v)
-        failed_set = view.failed_set
+        tree_v = [cv for cv in view.key_tree(v) if not path_v >> cv & 1]
         edges = index.graph.edges
         step = index._step
-        base_u = index._rows[u]
-        base_v = index._rows[v]
-        child_u = index._tree_child[u]
-        child_v = index._tree_child[v]
+        base_u, base_v = index._rows[u], index._rows[v]
+        child_u, child_v = index._tree_child[u], index._tree_child[v]
         bound = index.codec.unreachable_code
+        union: set[int] = set()
         hits: set[int] = set()
         helpers_u: set[int] = set()
         helpers_v: set[int] = set()
 
+        for cu in tree_u:
+            if not path_u >> cu & 1:
+                for cv in tree_v:
+                    code, d_star = self._lookup(u, v, cu, cv, 0, 0, view, stats)
+                    bound = min(bound, code)
+                    union.update(d_star)
         # a hit x below needs damage on both tree paths u->x and v->x; each
         # branch adds x only where the branch test already shows both
-        for cu in tree_u:
-            if path_u >> cu & 1:
-                continue
-            for cv in tree_v:
-                if path_v >> cv & 1:
-                    continue
-                code, d_star = self._lookup(u, v, cu, cv, 0, 0, view, stats)
-                bound = min(bound, code)
-                for eid in d_star:
-                    if eid in failed_set:
-                        continue
-                    a, b, _ = edges[eid]
-                    if a > b:
-                        a, b = b, a
-                    for x, y in ((a, b), (b, a)):
-                        u_clean = not path_u >> x & 1
-                        v_clean = not path_v >> y & 1
-                        if u_clean and v_clean:
-                            cand = base_u[x] + step[eid] + base_v[y]
-                            if cand < bound:
-                                bound = cand
-                        elif not u_clean and not v_clean:
-                            if path_v >> x & 1:
-                                hits.add(x)
-                        elif u_clean:
-                            if child_u[eid] < 0:
-                                if path_u >> y & 1:
-                                    hits.add(y)
-                            elif child_u[eid] == y:
-                                if not index._sub[u][y] & view.ends:
-                                    helpers_u.add(y)
-                        else:
-                            if child_v[eid] < 0:
-                                if path_v >> x & 1:
-                                    hits.add(x)
-                            elif child_v[eid] == x:
-                                if not index._sub[v][x] & view.ends:
-                                    helpers_v.add(x)
+        union -= view.failed_set
+        for eid in union:
+            a, b, _ = edges[eid]
+            for x, y in ((a, b), (b, a)):
+                u_clean = not path_u >> x & 1
+                v_clean = not path_v >> y & 1
+                if u_clean and v_clean:
+                    cand = base_u[x] + step[eid] + base_v[y]
+                    if cand < bound:
+                        bound = cand
+                elif not u_clean and not v_clean:
+                    if path_v >> x & 1:
+                        hits.add(x)
+                elif u_clean:
+                    if child_u[eid] < 0:
+                        if path_u >> y & 1:
+                            hits.add(y)
+                    elif child_u[eid] == y:
+                        if not index._sub[u][y] & view.ends:
+                            helpers_u.add(y)
+                else:
+                    if child_v[eid] < 0:
+                        if path_v >> x & 1:
+                            hits.add(x)
+                    elif child_v[eid] == x:
+                        if not index._sub[v][x] & view.ends:
+                            helpers_v.add(x)
 
         for a, b, helpers in ((u, v, helpers_v), (v, u, helpers_u)):
             for h in sorted(helpers):

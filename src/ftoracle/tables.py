@@ -163,7 +163,6 @@ class OracleTables:
         self.codes = codes            # int64, packed code per palette entry, pair by pair
         self.set_sizes = set_sizes    # int64, |D*| per palette entry
         self.ids = ids                # int64, every D*'s ascending edge ids, entry by entry
-        self.graph_digest = graph.digest()
         # the read path's Python lists; each D* becomes a tuple on first read
         self._start = pair_grid(np.cumsum(pair_sizes) - pair_sizes, graph.n).tolist()
         self._codes = codes.tolist()
@@ -173,6 +172,9 @@ class OracleTables:
     @property
     def entry_count(self) -> int:
         return int(self.slots.size)
+
+    # only saving reads it; load_oracle has already hashed the graph it checks
+    graph_digest = cached_property(lambda self: self.graph.digest())
 
     # dense views, derived on first use by tests and benchmarks only: int64
     # codes, the subsets in enumeration order, int32 indices into them

@@ -4,6 +4,7 @@ The induced-tree invariants are checked against a brute-force rebuild:
 union the pairwise tree paths between failure endpoints (root included),
 count degrees, and apply the degree/endpoint rules directly.
 """
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import ftoracle
+from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE
 from ftoracle.hitset import (FailureView, GuardError, HitSetEngine, QueryStats,
                              build_induced_key_tree, hit_budget)
+from ftoracle.query import build_oracle
 
 from conftest import G1_TEXT, tree_path_edges
 
@@ -46,6 +49,11 @@ def decoded(oracle, bound):
     return oracle.index.codec.decode(bound)
 
 
+@pytest.fixture(scope="module")
+def oracle_gnm10_d3():
+    return build_oracle(gen_gnm(10, 18, 32, 0), d=3, seed=1)
+
+
 # -- induced key tree -----------------------------------------------------------
 
 def test_key_tree_g1_tail_failure(idx1):
@@ -65,11 +73,11 @@ def test_key_tree_requires_failures(idx1):
         build_induced_key_tree(idx1, 0, ())
 
 
-def test_key_tree_matches_brute_force(idx1, idx6):
-    for index in (idx1, idx6):
+def test_key_tree_matches_brute_force(idx1, idx6, oracle_gnm10_d3):
+    for index, dmax in ((idx1, 2), (idx6, 2), (oracle_gnm10_d3.index, 3)):
         g = index.graph
         for root in range(g.n):
-            for failed in nonempty_failure_sets(g.m, 2):
+            for failed in nonempty_failure_sets(g.m, dmax):
                 tree = build_induced_key_tree(index, root, failed)
                 induced = brute_induced_edges(index, root, failed)
 
@@ -89,6 +97,8 @@ def test_key_tree_matches_brute_force(idx1, idx6):
                 # entry number is the highest bit of its ancestor mask
                 tin = [index._anc[root][x].bit_length() - 1 for x in tree]
                 assert tin == sorted(set(tin))
+                marks = [index._anc[root][x] for x in tree]
+                assert marks == sorted(marks)
                 for v, dg in deg.items():
                     if v not in tree:
                         assert dg == 2
@@ -272,6 +282,38 @@ def test_case_three_double_checks_every_hit(oracle6_d2):
                 for w in hits:
                     assert index.path_intersects(u, w, failed)
                     assert index.path_intersects(v, w, failed)
+
+
+def case_three_digest(oracle):
+    """sha256 over case_three's (bound, hits, lookups) on every damaged query."""
+    engine = HitSetEngine(oracle.index, oracle.tables)
+    index, g = oracle.index, oracle.graph
+    digest = hashlib.sha256()
+    for failed in nonempty_failure_sets(g.m, oracle.d):
+        fv = view(oracle, failed)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v or not index.path_intersects(u, v, failed):
+                    continue
+                stats = QueryStats()
+                bound, hits = engine.case_three(u, v, fv, stats=stats)
+                row = (u, v, failed, bound, sorted(hits), stats.lookups)
+                digest.update(repr(row).encode("ascii"))
+    return digest.hexdigest()
+
+
+# recorded by case_three_digest on the kernel that ran one block per
+# (lookup, D* edge); a faster kernel must keep every outcome and count
+CASE_THREE_DIGESTS = {
+    "g6-d2": "fef5e26fe4b221390a38a91cae11b4335f037daad8151ddcf7996ed6a0ab1ea9",
+    "gnm10-d3": "9348c0cc86bc807aa91ecefef2310e35f0a2d533ba302a8f6c8d10d202ca557e",
+}
+
+
+def test_case_three_outcomes_pinned(oracle6_d2, oracle_gnm10_d3):
+    got = {"g6-d2": case_three_digest(oracle6_d2),
+           "gnm10-d3": case_three_digest(oracle_gnm10_d3)}
+    assert got == CASE_THREE_DIGESTS
 
 
 def test_case_three_notifies_observer(oracle6_d1):
