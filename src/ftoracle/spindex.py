@@ -4,10 +4,10 @@ Composite (length, tie-key) lengths are packed by the index's one
 LengthCodec into integer codes that order like the pairs, and the index
 keeps all base distances as one (n, n) int64 code array.  The query
 engine reads them as Python-int rows and adds each edge's packed step.
-One settle loop, _settle, is the engine's only Dijkstra, and it serves
-only the index build, which seeds it with each root; the table build's
-deletion sweep repairs distances by a batched Bellman-Ford instead.  It
-tracks no parents; the uniqueness check scans every vertex's optimal
+One batched Bellman-Ford, _relax, is the engine's only shortest-path
+routine: the index build runs it once over all roots from scratch, with no
+arc banned, and the table build's deletion sweep runs it per failure set.
+It tracks no parents; the uniqueness check scans every vertex's optimal
 predecessors anyway, and the unique one is the tree parent.  One DFS per
 root derives the index's one damage encoding, Python-int vertex
 bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
@@ -23,8 +23,7 @@ the parent arrays, and read no mask, so they check the masks independently.
 """
 from __future__ import annotations
 
-import heapq
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,20 +74,27 @@ class ShortestPathIndex:
     """Per-root tree arrays plus the predicate surface used everywhere else."""
 
     def __init__(self, graph: Graph, tie: Sequence[int]):
+        graph.validate()
         self._set_graph(graph, tie)
         n = graph.n
-        rows = [[self.codec.unreachable_code] * n for _ in range(n)]
-        for r, row in enumerate(rows):
-            self._settle(row, [False] * n, [(0, r)], ())
+        # one column per root, the deletion sweep's empty set started from
+        # scratch: every vertex unreachable but the root itself
+        arcs = _arc_list(self)
+        place = np.argsort(arcs.order)
+        dist = np.full((n, n), self.codec.unreachable_code, dtype=np.int64)
+        dist[place, np.arange(n)] = 0
+        _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
+        codes = dist[place].T.copy()  # (root, vertex)
+        rows = codes.tolist()
         parent, parent_eid = zip(*(_check_unique(self._adj, r, row)
                                    for r, row in enumerate(rows)))
-        self._finish(np.array(rows, dtype=np.int64), list(parent), list(parent_eid))
+        self._finish(codes, list(parent), list(parent_eid))
 
     @classmethod
     def from_arrays(cls, graph: Graph, tie: Sequence[int], codes: np.ndarray,
                     parent: list[list[int]],
                     parent_eid: list[list[int]]) -> "ShortestPathIndex":
-        """Rebuild from stored arrays (oracle file load); skips Dijkstra."""
+        """Rebuild from stored arrays (oracle file load); skips the Bellman-Ford."""
         index = cls.__new__(cls)
         index._set_graph(graph, tie)
         index._finish(codes, parent, parent_eid)
@@ -125,26 +131,6 @@ class ShortestPathIndex:
         self._tree_child, self._by_tin, self._anc, self._sub, self._below = [], [], [], [], []
         for r in range(self.graph.n):
             self._finish_root(r)
-
-    def _settle(self, row: list[int], done: list[bool],
-                heap: list[tuple[int, int]], banned: Iterable[int]) -> None:
-        """Dijkstra over the vertices not yet done, from (code, vertex) seeds.
-
-        Writes the packed length of every vertex it settles into row and
-        never relaxes an edge in banned; a vertex it cannot reach keeps its
-        row entry.
-        """
-        adj = self._adj
-        heapq.heapify(heap)
-        while heap:
-            code, x = heapq.heappop(heap)
-            if done[x]:
-                continue
-            done[x] = True
-            row[x] = code
-            for nb, eid, step in adj[x]:
-                if not done[nb] and eid not in banned:
-                    heapq.heappush(heap, (code + step, nb))
 
     def _finish_root(self, r: int) -> None:
         """Derive DFS order, per-edge child map and vertex masks for root r."""
@@ -190,26 +176,7 @@ class ShortestPathIndex:
     def distance(self, u: int, v: int) -> CompositeLength:
         return self._dist[u][v]
 
-    def parent(self, root: int, v: int) -> int:
-        return self._parent[root][v]
-
-    def parent_edge(self, root: int, v: int) -> int:
-        return self._parent_eid[root][v]
-
-    def tree_path(self, root: int, v: int) -> list[int]:
-        """Vertices of the tree path root -> v (both inclusive)."""
-        path = [v]
-        parent = self._parent[root]
-        while path[-1] != root:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
     # -- predicates --------------------------------------------------------
-
-    def lca(self, root: int, x: int, y: int) -> int:
-        anc = self._anc[root]
-        return self._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
 
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff some failed edge lies on the tree path root -> x."""
@@ -253,16 +220,67 @@ def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,
     return parent, parent_eid
 
 
-def build_index_auto(graph: Graph, seed: int,
-                     max_retries: int = MAX_TIE_RETRIES):
+class _Arcs(NamedTuple):
+    """_relax's vertex order and its directed arcs, slot by slot.
+
+    Vertices go by degree, descending, order[p] at position p.  Slot k holds
+    the k-th arc into each vertex of degree above k, so into positions
+    0 .. sizes[k] - 1; a connected graph with n >= 2 puts every vertex in
+    slot 0.  Per arc, slot by slot: its tail's position, edge id and packed
+    step.
+    """
+    order: np.ndarray
+    tail: np.ndarray
+    edge: np.ndarray
+    step: np.ndarray
+    sizes: list[int]
+
+
+def _arc_list(index: ShortestPathIndex) -> _Arcs:
+    """The arcs of index's graph, made once per index and once per table build."""
+    adj = index._adj
+    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
+    slots = [[adj[v][k] for v in order if len(adj[v]) > k] for k in range(len(adj[order[0]]))]
+    arcs = np.array([arc for slot in slots for arc in slot], dtype=np.int64).reshape(-1, 3)
+    return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1], arcs[:, 2],
+                list(map(len, slots)))
+
+
+def _relax(row: np.ndarray, banned: np.ndarray, arcs: _Arcs, unreachable: int) -> None:
+    """Bellman-Ford on (position, column) codes, in place, never over banned arcs.
+
+    Column p holds, vertices in arcs.order, codes of walks from its root or
+    unreachable, and banned[a, p] marks arc a as deleted for it.  A round
+    adds each arc's packed step to its tail's code, overwrites the banned
+    arcs' sums with unreachable, and takes the min by head, slot by slot,
+    and with the codes; the rounds end after one that lowers nothing.  The
+    index build and the table build's deletion sweep (_deleted_all_pairs)
+    both run it.
+    """
+    sums = np.empty((len(arcs.tail), row.shape[1]), dtype=np.int64)
+    best = sums[:len(row)]  # slot 0, then the min over every slot
+    while True:
+        np.take(row, arcs.tail, axis=0, out=sums, mode="clip")  # "raise" would buffer a copy
+        sums += arcs.step[:, None]
+        sums[banned] = unreachable
+        lo = len(row)
+        for size in arcs.sizes[1:]:
+            np.minimum(best[:size], sums[lo:lo + size], out=best[:size])
+            lo += size
+        if not (best < row).any():
+            return
+        np.minimum(row, best, out=row)
+
+
+def build_index_auto(graph: Graph, seed: int):
     """Draw tie values from seed, bump the seed until shortest paths are unique.
 
-    Returns (index, tie_values, used_seed).  Gives up after max_retries
+    Returns (index, tie_values, used_seed).  Gives up after MAX_TIE_RETRIES
     consecutive seeds, which at the documented tie range has vanishing
     probability on any real input.
     """
     last: TieBreakError | None = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_TIE_RETRIES):
         used = seed + attempt
         tie = tie_break_values(graph, used)
         try:
@@ -270,4 +288,4 @@ def build_index_auto(graph: Graph, seed: int,
         except TieBreakError as exc:
             last = exc
     raise TieBreakError(
-        f"no tie-free assignment after {max_retries} seeds starting at {seed}: {last}")
+        f"no tie-free assignment after {MAX_TIE_RETRIES} seeds starting at {seed}: {last}")

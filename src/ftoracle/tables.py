@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import CompositeLength, Graph
-from .spindex import BuildError, LengthCodec, ShortestPathIndex
+from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_list, _relax
 
 
 CHUNK = 64  # (root, set) pairs the deletion sweep relaxes together
@@ -251,32 +251,6 @@ def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
     return np.logical_not(fb, out=fb)
 
 
-class _Arcs(NamedTuple):
-    """The sweep's vertex order and its directed arcs, slot by slot.
-
-    Vertices go by degree, descending, order[p] at position p.  Slot k holds
-    the k-th arc into each vertex of degree above k, so into positions
-    0 .. sizes[k] - 1; a connected graph with n >= 2 puts every vertex in
-    slot 0.  Per arc, slot by slot: its tail's position, edge id and packed
-    step.
-    """
-    order: np.ndarray
-    tail: np.ndarray
-    edge: np.ndarray
-    step: np.ndarray
-    sizes: list[int]
-
-
-def _arc_list(index: ShortestPathIndex) -> _Arcs:
-    """The sweep's arcs of index's graph, made once per build."""
-    adj = index._adj
-    order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
-    slots = [[adj[v][k] for v in order if len(adj[v]) > k] for k in range(len(adj[order[0]]))]
-    arcs = np.array([arc for slot in slots for arc in slot], dtype=np.int64).reshape(-1, 3)
-    return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1], arcs[:, 2],
-                list(map(len, slots)))
-
-
 def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
                        roots: Sequence[int], cols: Sequence[list[int]],
                        clean: np.ndarray) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
@@ -290,19 +264,16 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
 
     The (root, set) pairs whose set damages an owned column go, root by
     root, in chunks of CHUNK to one Bellman-Ford, _relax, over (vertex,
-    pair) codes, vertices in arcs.order.  A pair starts at the root's base
-    codes with the set's damaged vertices at unreachable_code.  A round
-    adds each arc's packed step to its tail's code, overwrites the sums
-    over the set's arcs with unreachable_code, and takes the min by head,
-    slot by slot, and with the codes; the rounds end after one that lowers
-    nothing.  Exact: undamaged codes are right from the start, as deletions
-    only lengthen paths, and an entry is always unreachable_code or the sum
-    over a walk avoiding the set, which never undercuts the unique shortest
-    path's code (see the query module).  int64, the dtype of index.codes,
-    holds every sum: entries are at most 2^62 and steps below 2^62 (the
-    codec's bound on max_len << shift), and overwriting after the add keeps
-    it so, where unreachable_code as the step of a banned arc would reach
-    2^63 and wrap.
+    pair) codes, vertices in arcs.order, with the set's arcs banned.  A
+    pair starts at the root's base codes with the set's damaged vertices at
+    unreachable_code.  Exact: undamaged codes are right from the start, as
+    deletions only lengthen paths, and an entry is always unreachable_code
+    or the sum over a walk avoiding the set, which never undercuts the
+    unique shortest path's code (see the query module).  int64, the dtype
+    of index.codes, holds every sum: entries are at most 2^62 and steps
+    below 2^62 (the codec's bound on max_len << shift), and overwriting
+    after the add keeps it so, where unreachable_code as the step of a
+    banned arc would reach 2^63 and wrap.
     """
     unreachable = index.codec.unreachable_code
     roots = np.array(roots, dtype=np.int64)
@@ -321,7 +292,7 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
     # row's damaging sets: the count of hits in column j over all pairs up
     # to p, less that of the roots before i
     offset = start - np.cumsum(size - 1, axis=0) + size - 1
-    place = np.argsort(arcs.order)[at]  # the columns' positions in the sweep's order
+    place = np.argsort(arcs.order)[at]  # the columns' positions in arcs.order
     seen = np.zeros(width, dtype=np.int64)  # hits per column in the chunks so far
     for lo in range(0, len(pairs), CHUNK):
         r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
@@ -339,23 +310,6 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
     bounds = np.append(start, len(codes)).tolist()
     return [[(x, codes[bounds[k]:bounds[k + 1]], sets[bounds[k]:bounds[k + 1]])
              for k, x in enumerate(c, i * width)] for i, c in enumerate(cols)]
-
-
-def _relax(row: np.ndarray, banned: np.ndarray, arcs: _Arcs, unreachable: int) -> None:
-    """The rounds of _deleted_all_pairs on a chunk's codes, in place."""
-    sums = np.empty((len(arcs.tail), row.shape[1]), dtype=np.int64)
-    best = sums[:len(row)]  # slot 0, then the min over every slot
-    while True:
-        np.take(row, arcs.tail, axis=0, out=sums, mode="clip")  # "raise" would buffer a copy
-        sums += arcs.step[:, None]
-        sums[banned] = unreachable
-        lo = len(row)
-        for size in arcs.sizes[1:]:
-            np.minimum(best[:size], sums[lo:lo + size], out=best[:size])
-            lo += size
-        if not (best < row).any():
-            return
-        np.minimum(row, best, out=row)
 
 
 def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],

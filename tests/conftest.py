@@ -119,6 +119,21 @@ def tree_path_edges(index, root, x):
     out = set()
     v = x
     while v != root:
-        out.add(index.parent_edge(root, v))
-        v = index.parent(root, v)
+        out.add(index._parent_eid[root][v])
+        v = index._parent[root][v]
     return out
+
+
+def tree_path(index, root, v):
+    """Vertices of the tree path root -> v (both inclusive)."""
+    path = [v]
+    while path[-1] != root:
+        path.append(index._parent[root][path[-1]])
+    path.reverse()
+    return path
+
+
+def lca(index, root, x, y):
+    """Deepest common ancestor of x and y, read off the DFS-entry marks."""
+    anc = index._anc[root]
+    return index._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]

@@ -264,11 +264,11 @@ _CYCLIC_ROOT = """
 import hashlib, io, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))  # a hang must not grow for long
 sys.path.insert(0, {tests!r})
-from conftest import G1_TEXT
+from conftest import G1_TEXT, tree_path
 from ftoracle import build_oracle, load_oracle, oracle_file_bytes, parse_graph
 from ftoracle.oraclefile import OracleFileError, _HEADER
 oracle = build_oracle(parse_graph(G1_TEXT), 1, seed=1)
-child = oracle.index.tree_path(0, 1)[1]  # a child of root 0
+child = tree_path(oracle.index, 0, 1)[1]  # a child of root 0
 blob = bytearray(oracle_file_bytes(oracle))
 off = _HEADER.size + 4 * 24 + 16  # parent of vertex 0 in root 0's tree
 blob[off:off + 4] = child.to_bytes(4, "little", signed=True)

@@ -7,6 +7,8 @@ from ftoracle.query import build_oracle
 from ftoracle.reference import (ReferenceOracle, enumerate_instances,
                                 verify_instance)
 
+from conftest import tree_path
+
 
 def test_dist_avoiding_examples(ref1):
     assert ref1.dist_avoiding((1,), 0, 2).true_len == 6
@@ -38,7 +40,7 @@ def test_replacement_path_without_failures_is_tree_path(oracle6_d1, ref6):
     for u in range(7):
         for v in range(7):
             assert ref6.replacement_path((), u, v) == \
-                oracle6_d1.index.tree_path(u, v)
+                tree_path(oracle6_d1.index, u, v)
 
 
 def test_rank_of_detour(ref1):
@@ -49,7 +51,7 @@ def test_rank_of_detour(ref1):
 def test_rank_zero_for_intact_shortest_paths(oracle6_d1, ref6):
     for u in range(7):
         for v in range(7):
-            assert ref6.rank_of_path(oracle6_d1.index.tree_path(u, v)) == 0
+            assert ref6.rank_of_path(tree_path(oracle6_d1.index, u, v)) == 0
 
 
 def test_rank_trivial_path(ref1):

@@ -1,16 +1,19 @@
 """Tree index: distances, ancestor masks, damage predicates, uniqueness."""
 import heapq
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ftoracle import spindex
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError
 from ftoracle.hitset import FailureView
+from ftoracle.reference import dijkstra_composite
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
-from conftest import tree_path_edges
+from conftest import lca, tree_path, tree_path_edges
 
 
 def plain_dijkstra(graph, source):
@@ -34,13 +37,36 @@ def all_failure_sets(m, d):
         yield from combinations(range(m), k)
 
 
+def _tree(n, seed):
+    return gen_gnm(n, n - 1, 32, seed)
+
+
+def _complete(n, seed):
+    return gen_gnm(n, n * (n - 1) // 2, 32, seed)
+
+
+def _sparse(n, seed):
+    return gen_gnm(n, min(n * (n - 1) // 2, n + 2), 32, seed)
+
+
+def _path(n, seed):
+    # vertex labels shuffled, so the arcs' slot order is no path order
+    rng = random.Random(seed)
+    label = rng.sample(range(n), n)
+    return Graph(n, [(label[i], label[i + 1], rng.randint(1, 32)) for i in range(n - 1)])
+
+
+def _unit_complete(n, seed):
+    return Graph(n, [(a, b, 1) for a in range(n) for b in range(a + 1, n)])
+
+
 # -- tree shape and distances -----------------------------------------------
 
 def test_g1_root0_parents(idx1):
-    assert idx1.parent(0, 1) == 0
-    assert idx1.parent(0, 2) == 1
-    assert idx1.parent(0, 3) == 2
-    assert idx1.parent(0, 0) == -1
+    assert idx1._parent[0][1] == 0
+    assert idx1._parent[0][2] == 1
+    assert idx1._parent[0][3] == 2
+    assert idx1._parent[0][0] == -1
 
 
 def test_g1_distances(idx1):
@@ -49,18 +75,27 @@ def test_g1_distances(idx1):
 
 
 def test_g6_root0_shape(idx6):
-    assert idx6.parent(0, 5) == 1
-    assert idx6.parent(0, 6) == 3
+    assert idx6._parent[0][5] == 1
+    assert idx6._parent[0][6] == 3
     assert idx6.distance(0, 6).true_len == 4
 
 
-def test_true_lengths_match_plain_dijkstra(idx1, idx6):
-    for index in (idx1, idx6):
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_tree, _path, _unit_complete]), n=st.integers(1, 12),
+       seed=st.integers(0, 10 ** 6))
+@example(shape=_tree, n=1, seed=0)
+@example(shape=_path, n=12, seed=0)  # 11 hops from either end
+@example(shape=_unit_complete, n=12, seed=0)  # every path ties but for its tie key
+def test_true_lengths_match_plain_dijkstra(idx1, idx6, shape, n, seed):
+    # every code, tie key included, against the reference's own Dijkstra
+    for index in (idx1, idx6, build_index_auto(shape(n, seed), seed=1)[0]):
         g = index.graph
         for r in range(g.n):
             plain = plain_dijkstra(g, r)
+            composite, _ = dijkstra_composite(g, index.tie, r)
             for v in range(g.n):
                 assert index.distance(r, v).true_len == plain[v]
+                assert index.codes[r, v] == index.codec.encode(composite[v])
 
 
 def test_distance_symmetric(idx6):
@@ -76,8 +111,8 @@ def test_parent_edge_recurrence(idx6):
         for v in range(g.n):
             if v == r:
                 continue
-            p = idx6.parent(r, v)
-            e = idx6.parent_edge(r, v)
+            p = idx6._parent[r][v]
+            e = idx6._parent_eid[r][v]
             assert set(g.endpoints(e)) == {p, v}
             assert idx6.codes[r, v] == idx6.codes[r, p] + idx6._step[e]
 
@@ -88,7 +123,7 @@ def test_subpath_property(idx1, idx6):
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    if index.lca(u, w, v) == w:
+                    if lca(index, u, w, v) == w:
                         assert index.distance(u, v) == \
                             index.distance(u, w) + index.distance(w, v)
 
@@ -97,14 +132,14 @@ def test_subpath_property(idx1, idx6):
 
 def test_is_ancestor_chain(idx1):
     # x is an ancestor of y (or y itself) exactly when lca(r, x, y) == x
-    assert idx1.lca(0, 1, 3) == 1
-    assert not idx1.lca(0, 3, 1) == 3
+    assert lca(idx1, 0, 1, 3) == 1
+    assert not lca(idx1, 0, 3, 1) == 3
 
 
 def test_is_ancestor_reflexive(idx1):
     for r in range(4):
         for x in range(4):
-            assert idx1.lca(r, x, x) == x
+            assert lca(idx1, r, x, x) == x
 
 
 def test_path_intersects_examples(idx1):
@@ -146,8 +181,8 @@ def test_subtree_touches_matches_interval_free_scan(idx6):
     for r in range(g.n):
         children = [[] for _ in range(g.n)]
         for v in range(g.n):
-            if idx6.parent(r, v) >= 0:
-                children[idx6.parent(r, v)].append(v)
+            if idx6._parent[r][v] >= 0:
+                children[idx6._parent[r][v]].append(v)
         for w in range(g.n):
             sub = set()
             stack = [w]
@@ -174,14 +209,14 @@ def test_is_clean_examples(idx3, idx6):
 
 
 def test_lca_examples(idx1, idx6):
-    assert idx1.lca(0, 2, 3) == 2
-    assert idx6.lca(0, 5, 4) == 1
+    assert lca(idx1, 0, 2, 3) == 2
+    assert lca(idx6, 0, 5, 4) == 1
 
 
 def test_lca_self(idx6):
     for r in range(7):
         for x in range(7):
-            assert idx6.lca(r, x, x) == x
+            assert lca(idx6, r, x, x) == x
 
 
 def test_lca_matches_path_walk(idx6):
@@ -189,32 +224,16 @@ def test_lca_matches_path_walk(idx6):
     for r in range(7):
         for x in range(7):
             for y in range(7):
-                px = idx6.tree_path(r, x)
-                py = set(idx6.tree_path(r, y))
+                px = tree_path(idx6, r, x)
+                py = set(tree_path(idx6, r, y))
                 common = [v for v in px if v in py]
-                assert idx6.lca(r, x, y) == common[-1]
-
-
-def _tree(n, seed):
-    return gen_gnm(n, n - 1, 32, seed)
-
-
-def _complete(n, seed):
-    return gen_gnm(n, n * (n - 1) // 2, 32, seed)
-
-
-def _sparse(n, seed):
-    return gen_gnm(n, min(n * (n - 1) // 2, n + 2), 32, seed)
-
-
-def _unit_k5(n, seed):
-    return Graph(5, [(a, b, 1) for a in range(5) for b in range(a + 1, 5)])
+                assert lca(idx6, r, x, y) == common[-1]
 
 
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from([_tree, _complete, _sparse]), n=st.integers(1, 7),
        seed=st.integers(0, 10 ** 6))
-@example(shape=_unit_k5, n=5, seed=0)
+@example(shape=_unit_complete, n=5, seed=0)
 @example(shape=_complete, n=7, seed=0)
 def test_masks_match_interval_predicates(shape, n, seed):
     # the query engine's bit tests against the parent-walk predicates, for
@@ -232,16 +251,16 @@ def test_masks_match_interval_predicates(shape, n, seed):
                 assert bool(sub[x] & view.ends) == index.subtree_touches(r, x, failed)
     for r in range(g.n):
         for x in range(g.n):
-            px = index.tree_path(r, x)
+            px = tree_path(index, r, x)
             for y in range(g.n):
-                py = set(index.tree_path(r, y))
-                assert index.lca(r, x, y) == [w for w in px if w in py][-1]
+                py = set(tree_path(index, r, y))
+                assert lca(index, r, x, y) == [w for w in px if w in py][-1]
 
 
 def test_tree_path_endpoints(idx6):
     for r in range(7):
         for v in range(7):
-            path = idx6.tree_path(r, v)
+            path = tree_path(idx6, r, v)
             assert path[0] == r
             assert path[-1] == v
 
@@ -263,10 +282,21 @@ def test_auto_reseed_clears_square_tie():
     assert index.distance(0, 2).true_len == 2
 
 
-def test_auto_gives_up_after_retries():
+def test_auto_gives_up_after_retries(monkeypatch):
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    monkeypatch.setattr(spindex, "MAX_TIE_RETRIES", 0)
     with pytest.raises(TieBreakError, match="no tie-free"):
-        build_index_auto(g, seed=1, max_retries=0)
+        build_index_auto(g, seed=1)
+
+
+@pytest.mark.parametrize("graph", [Graph(3, [(0, 1, 1)]), Graph(4, [(0, 1, 1), (2, 3, 1)])],
+                         ids=["isolated-vertex", "two-components"])
+def test_disconnected_graph_rejected(graph):
+    # a typed error at once, not a tie error after every reseed
+    with pytest.raises(GraphError, match="disconnected"):
+        ShortestPathIndex(graph, [1] * graph.m)
+    with pytest.raises(GraphError, match="disconnected"):
+        build_index_auto(graph, seed=1)
 
 
 def test_wrong_tie_count_rejected(g1):
@@ -284,7 +314,7 @@ def test_out_of_range_tie_rejected(g1, bad):
 
 def test_unique_parent_per_root(idx6):
     for r in range(7):
-        roots = [v for v in range(7) if idx6.parent(r, v) < 0]
+        roots = [v for v in range(7) if idx6._parent[r][v] < 0]
         assert roots == [r]
 
 

@@ -11,7 +11,7 @@ from ftoracle import tables as tables_module
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
 from ftoracle.query import build_oracle
-from ftoracle.reference import ReferenceOracle
+from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, TableKey,
                              _arc_list, _deleted_all_pairs, _edge_masks, _side_masks,
@@ -180,7 +180,7 @@ def walk_subtree(index, root, x):
     for y in range(index.graph.n):
         w = y
         while w not in (x, root):
-            w = index.parent(root, w)
+            w = index._parent[root][w]
         if w == x:
             out.add(y)
     return out
@@ -189,9 +189,10 @@ def walk_subtree(index, root, x):
 def dense_build(index, d):
     """The all-keys update, kept as the specification of the pruned build.
 
-    Every set runs a from-scratch Dijkstra per root and compares-and-copies
-    over all 4*n^4 keys in set order, with side masks derived directly by
-    walking the parent arrays, not from the index's vertex bitmasks.
+    Every set runs the reference's Dijkstra from scratch per root and
+    compares-and-copies over all 4*n^4 keys in set order, with side masks
+    derived directly by walking the parent arrays, not from the index's
+    vertex bitmasks.
     """
     graph = index.graph
     n = graph.n
@@ -200,11 +201,9 @@ def dense_build(index, d):
     values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
     dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
-        dist = np.full((n, n), index.codec.unreachable_code, dtype=np.int64)
-        for r in range(n):
-            row = dist[r].tolist()
-            index._settle(row, [False] * n, [(0, r)], sub)
-            dist[r] = row
+        dist = np.array([list(map(index.codec.encode,
+                                  dijkstra_composite(graph, index.tie, r, frozenset(sub))[0]))
+                         for r in range(n)], dtype=np.int64)
         ends = {p for eid in sub for p in graph.endpoints(eid)}
         path_ok = np.array([[on_path[r][x].isdisjoint(sub) for x in range(n)]
                             for r in range(n)], dtype=bool)
@@ -415,7 +414,7 @@ def test_sweep_chunks_stack_across_roots():
     # d=4, m=8: 64 sets meet a given edge, so a root whose column hangs
     # on one tree edge sweeps exactly one chunk
     index = build_index_auto(gen_gnm(6, 8, 9, 0), 1)[0]
-    near = [[next(x for x in range(6) if index.parent(u, x) == u)] for u in (0, 1)]
+    near = [[next(x for x in range(6) if index._parent[u][x] == u)] for u in (0, 1)]
     chunks = sweep_against_reference(index, 4, [0, 1], near)
     assert list(map(len, chunks)) == [64, 64]
     assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0], [1]]
