@@ -85,6 +85,8 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     bit lengths, one above the bit, and mapped back through _by_tin.
     """
     assert failed, "key tree is only defined for a nonempty failure set"
+    if index._anc[root] is None:
+        index._finish_root(root)
     edges, anc, by_tin = index.graph.edges, index._anc[root], index._by_tin[root]
     marks = []
     for eid in failed:
@@ -114,6 +116,8 @@ class FailureView:
         mask = self._paths[r]
         if mask is None:
             below = self.index._below[r]
+            if below is None:
+                below = self.index._finish_root(r)
             mask = 0
             for eid in self.failed:
                 mask |= below[eid]

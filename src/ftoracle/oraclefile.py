@@ -22,10 +22,11 @@ so load never enumerates failure sets.  The length codec and the tree
 masks are derived, not stored.  The index section holds the index's
 packed base distances split into their two fields; load range-checks each
 field (and every tie value) before packing, so no stored pair can alias
-another length, and checks that each root's arrays form a tree rooted
-there.  Before reading past the header, load runs a build's memory and
-slot-width check.  Other versions, such as the dense version 2, fail with
-a version error.  Saving the same build twice is byte-identical, and a
+another length, and checks by pointer doubling, all roots at once, that
+each root's arrays form a tree rooted there; no root's masks are derived
+before its first query.  Before reading past the header, load runs a
+build's memory and slot-width check.  Other versions, such as the dense
+version 2, fail with a version error.  Saving the same build twice is byte-identical, and a
 load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
@@ -145,7 +146,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     base = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
     try:
         index = ShortestPathIndex.from_arrays(
-            g, edges["tie"].tolist(), base.reshape(n, n), parent.tolist(), parent_eid.tolist())
+            g, edges["tie"].tolist(), base.reshape(n, n), parent, parent_eid)
     except GraphError as exc:
         raise OracleFileError(f"stored index: {exc}") from None
 

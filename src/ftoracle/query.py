@@ -73,13 +73,15 @@ class Oracle:
                          observer: Observer | None = None) -> CompositeLength:
         index = self.index
         below = index._below[u]
+        if below is None:
+            below = index._finish_root(u)
         damage = 0
         for eid in failed:
             damage |= below[eid]
         if not damage >> v & 1:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
-            return index.distance(u, v)
+            return index._dist[u][v]
         view = FailureView(index, failed)
         code = self._query_r(u, v, view, len(failed), stats, observer)
         if stats is not None:

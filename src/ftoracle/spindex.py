@@ -20,12 +20,17 @@ _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _tree_child[r][e] is the
 child end of tree edge e (-1 off the tree) and _ends[e] e's endpoints.
 path_intersects and subtree_touches answer the same questions by walking
 the parent arrays, and read no mask, so they check the masks independently.
+A built index derives every root; a loaded one derives root r on first
+use, and until then r's slots in the six per-root lists hold None.  The
+query's fast path, FailureView.path, distance and the key tree test for
+None; every other reader runs after FailureView.path(r).
 """
 from __future__ import annotations
 
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .graph import (TIE_RANGE_FACTOR, UNREACHABLE, CompositeLength, Graph,
                     GraphError, tie_break_values)
@@ -89,15 +94,21 @@ class ShortestPathIndex:
         parent, parent_eid = zip(*(_check_unique(self._adj, r, row)
                                    for r, row in enumerate(rows)))
         self._finish(codes, list(parent), list(parent_eid))
+        for r in range(n):  # the table build reads every root
+            self._finish_root(r)
 
     @classmethod
     def from_arrays(cls, graph: Graph, tie: Sequence[int], codes: np.ndarray,
-                    parent: list[list[int]],
-                    parent_eid: list[list[int]]) -> "ShortestPathIndex":
-        """Rebuild from stored arrays (oracle file load); skips the Bellman-Ford."""
+                    parent: ArrayLike, parent_eid: ArrayLike) -> "ShortestPathIndex":
+        """Rebuild from stored (root, vertex) arrays (oracle file load).
+
+        Skips the Bellman-Ford, checks every root's tree and derives none.
+        """
+        parent, parent_eid = np.asarray(parent), np.asarray(parent_eid)
+        _check_trees(parent, parent_eid)
         index = cls.__new__(cls)
         index._set_graph(graph, tie)
-        index._finish(codes, parent, parent_eid)
+        index._finish(codes, parent.tolist(), parent_eid.tolist())
         return index
 
     def _set_graph(self, graph: Graph, tie: Sequence[int]) -> None:
@@ -122,22 +133,24 @@ class ShortestPathIndex:
                 parent_eid: list[list[int]]) -> None:
         self.codes = codes  # int64 (n, n): packed base distance root -> vertex
         self._rows = codes.tolist()  # the same codes as Python ints, for the query
-        # a connected graph's index holds no UNREACHABLE code
-        self._dist = [list(map(CompositeLength, tl, tk)) for tl, tk in
-                      zip((codes >> self.codec.shift).tolist(),
-                          (codes & self.codec.mask).tolist())]
         self._parent = parent
         self._parent_eid = parent_eid
-        self._tree_child, self._by_tin, self._anc, self._sub, self._below = [], [], [], [], []
-        for r in range(self.graph.n):
-            self._finish_root(r)
+        n = self.graph.n  # per root, None until _finish_root derives it
+        self._dist, self._tree_child, self._by_tin, self._anc, self._sub, self._below = \
+            ([None] * n for _ in range(6))
 
-    def _finish_root(self, r: int) -> None:
-        """Derive DFS order, per-edge child map and vertex masks for root r."""
+    def _finish_root(self, r: int) -> list[int]:
+        """Derive root r's base lengths, DFS order, child map and masks.
+
+        Returns _below[r].  r's parent arrays must form a tree rooted at r.
+        """
         graph = self.graph
         n = graph.n
         parent = self._parent[r]
         parent_eid = self._parent_eid[r]
+        shift, mask = self.codec.shift, self.codec.mask
+        # a connected graph's index holds no UNREACHABLE code
+        self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
 
         children: list[list[int]] = [[] for _ in range(n)]
         tree_child = [-1] * graph.m
@@ -148,32 +161,33 @@ class ShortestPathIndex:
                 tree_child[parent_eid[v]] = v
 
         by_tin: list[int] = []  # vertices in DFS-entry (preorder) order
-        stack = [r] if parent[r] == parent_eid[r] == -1 else []  # else the walk may cycle
+        stack = [r]
         while stack:
             v = stack.pop()
             by_tin.append(v)
             stack += children[v]
-        if len(by_tin) != n:
-            raise GraphError(f"root {r}: parent arrays do not form a tree rooted there")
 
         anc = [0] * n
         anc[r] = 1
-        for i in range(1, len(by_tin)):
+        for i in range(1, n):
             v = by_tin[i]
             anc[v] = anc[parent[v]] | 1 << i
         sub = [1 << v for v in range(n)]
         for v in by_tin[:0:-1]:  # children before parents, root left out
             sub[parent[v]] |= sub[v]
 
-        self._tree_child.append(tree_child)
-        self._by_tin.append(by_tin)
-        self._anc.append(anc)
-        self._sub.append(sub)
-        self._below.append([sub[c] if c >= 0 else 0 for c in tree_child])
+        self._tree_child[r] = tree_child
+        self._by_tin[r] = by_tin
+        self._anc[r] = anc
+        self._sub[r] = sub
+        below = self._below[r] = [sub[c] if c >= 0 else 0 for c in tree_child]
+        return below
 
     # -- distances ---------------------------------------------------------
 
     def distance(self, u: int, v: int) -> CompositeLength:
+        if self._dist[u] is None:
+            self._finish_root(u)
         return self._dist[u][v]
 
     # -- predicates --------------------------------------------------------
@@ -198,6 +212,27 @@ class ShortestPathIndex:
                 if p == w:
                     return True
         return False
+
+
+def _check_trees(parent: np.ndarray, parent_eid: np.ndarray) -> None:
+    """Raise GraphError unless each root r's row forms a tree rooted at r.
+
+    Root r has no parent, every other vertex has one, and with r made its
+    own parent, ceil(log2 n) rounds of pointer doubling take every vertex
+    2^k >= n - 1 steps up, to r.
+    """
+    n = len(parent)
+    diag = np.arange(n)
+    up = parent.astype(np.intp)  # a copy
+    up[diag, diag] = diag
+    # checked, not left to indexing, where -1 would name vertex n - 1
+    bad = (parent.diagonal() != -1) | (parent_eid.diagonal() != -1) | (up < 0).any(axis=1)
+    for _ in range((n - 1).bit_length()):
+        up = up[diag[:, None], up]
+    bad |= (up != diag[:, None]).any(axis=1)
+    if bad.any():
+        raise GraphError(
+            f"root {bad.argmax()}: parent arrays do not form a tree rooted there")
 
 
 def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,

@@ -137,3 +137,22 @@ def lca(index, root, x, y):
     """Deepest common ancestor of x and y, read off the DFS-entry marks."""
     anc = index._anc[root]
     return index._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
+
+
+# the index's per-root lists: filled for every root by a build, and for
+# root r by _finish_root(r) on r's first use after a load
+PER_ROOT = ("_dist", "_tree_child", "_by_tin", "_anc", "_sub", "_below")
+
+
+def derived_roots(index):
+    """Roots whose per-root lists are filled; a root has all six or none."""
+    filled = [{getattr(index, name)[r] is not None for name in PER_ROOT}
+              for r in range(index.graph.n)]
+    assert all(len(f) == 1 for f in filled), filled
+    return {r for r, f in enumerate(filled) if True in f}
+
+
+def underive(index):
+    """Empty every per-root slot, as load leaves them."""
+    for name in PER_ROOT:
+        setattr(index, name, [None] * index.graph.n)

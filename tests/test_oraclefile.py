@@ -15,8 +15,12 @@ from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import GraphError
-from ftoracle.query import build_oracle
+from ftoracle.hitset import build_induced_key_tree
+from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
+from ftoracle.spindex import ShortestPathIndex
+
+from conftest import PER_ROOT, derived_roots, underive
 
 
 def test_same_build_same_bytes(g1):
@@ -29,6 +33,55 @@ def test_load_then_save_is_identity(oracle6_d1):
     blob = oracle_file_bytes(oracle6_d1)
     loaded = load_oracle(io.BytesIO(blob))
     assert oracle_file_bytes(loaded) == blob
+
+
+def test_load_derives_no_root(oracle6_d2, monkeypatch):
+    blob = oracle_file_bytes(oracle6_d2)
+    calls = []
+    finish = ShortestPathIndex._finish_root
+    monkeypatch.setattr(ShortestPathIndex, "_finish_root",
+                        lambda self, r: calls.append(r) or finish(self, r))
+    loaded = load_oracle(io.BytesIO(blob))
+    assert calls == []
+    assert derived_roots(loaded.index) == set()
+    # a key tree derives its root, as a distance does
+    assert build_induced_key_tree(loaded.index, 3, (0, 5)) == \
+        build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
+    assert calls == [3]
+
+
+def test_queries_derive_only_the_roots_they_visit(oracle6_d2, g6, monkeypatch):
+    built = oracle6_d2
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
+    ends = set()
+    query_r = Oracle._query_r
+
+    def spy(self, a, b, *rest):
+        ends.update((a, b))
+        return query_r(self, a, b, *rest)
+
+    monkeypatch.setattr(Oracle, "_query_r", spy)
+    damaged = 0
+    for u, v, failed in enumerate_instances(g6, 2):
+        underive(loaded.index)
+        ends.clear()
+        assert loaded.query_composite(u, v, failed) == built.query_composite(u, v, failed)
+        if not built.index.path_intersects(u, v, failed):
+            assert derived_roots(loaded.index) == {u}
+        else:
+            damaged += 1
+            assert u in derived_roots(loaded.index) <= ends
+    assert damaged > 0
+
+
+def test_derived_roots_equal_the_built_index(oracle6_d2):
+    built = oracle6_d2.index
+    index = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
+    for r in range(index.graph.n):
+        index.distance(r, r)
+    assert derived_roots(index) == set(range(index.graph.n))
+    for name in PER_ROOT:
+        assert getattr(index, name) == getattr(built, name), name
 
 
 def test_loaded_oracle_answers_match(oracle6_d2, g6):
