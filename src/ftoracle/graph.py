@@ -181,7 +181,7 @@ def tie_break_values(graph: Graph, seed: int) -> list[int]:
     that re-drawing with a bumped seed quickly clears any shortest-path tie.
     """
     m = graph.m
-    if m == 0:
+    if m == 0 or graph.n < 1:  # nothing to draw; the index rejects n < 1
         return []
     hi = TIE_RANGE_FACTOR * m * graph.n * graph.n
     rng = random.Random(seed)

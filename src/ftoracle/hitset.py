@@ -27,11 +27,12 @@ so a case takes the min of its lookups' codes and visits each distinct
 unfailed edge of their D* once: min and set union ignore repeats and order.
 
 All three run on a FailureView: the damage of one failure set D, derived
-once per damaged query as vertex bitmasks and shared by its recursion.
-"D hits the tree path r->x" is path(r) >> x & 1 and "D touches w's
-subtree" is _sub[r][w] & ends.  The guard and verify's hit check use the
-index's parent walks, which read no mask, so a guarded run checks the
-masks independently.
+once per damaged query as vertex bitmasks and shared by its recursion
+with the query's stats and observer.  "D hits the tree path r->x" is
+path(r) >> x & 1, "D touches w's subtree" is _sub[r][w] & ends, and tree
+edge e's child end is the end in _below[r][e], 0 off the tree.  The guard
+and verify's hit check use the index's parent walks, which read no mask,
+so a guarded run checks the masks independently.
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
@@ -100,9 +101,12 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
 class FailureView:
     """One failure set's damage, derived once and shared by a whole query."""
 
-    def __init__(self, index: ShortestPathIndex, failed: tuple[int, ...]):
+    def __init__(self, index: ShortestPathIndex, failed: tuple[int, ...],
+                 stats: QueryStats | None = None, observer: Observer | None = None):
         self.index = index
         self.failed = failed
+        self.stats = stats
+        self.observer = observer
         self.failed_set = frozenset(failed)
         self.ends = 0
         for eid in failed:
@@ -145,29 +149,26 @@ class HitSetEngine:
         self.check_guards = check_guards
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
-                view: FailureView,
-                stats: QueryStats | None) -> tuple[int, tuple[int, ...]]:
+                view: FailureView) -> tuple[int, tuple[int, ...]]:
         if self.check_guards and \
                 not constraint_holds(self.index, view.failed, (u, v, up, vp, b1, b2)):
             raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {view.failed}")
-        if stats is not None:
-            stats.lookups += 1
+        if view.stats is not None:
+            view.stats.lookups += 1
         return self.tables.read(u, v, up, vp, b1, b2)
 
-    def case_one(self, u: int, v: int, up: int, vp: int, view: FailureView,
-                 stats: QueryStats | None = None) -> HitSetOutcome:
+    def case_one(self, u: int, v: int, up: int, vp: int, view: FailureView) -> HitSetOutcome:
         """Both anchors known clean: one lookup, hits from its stored set."""
         assert view.clean(u, up), "source anchor is not clean"
         assert view.clean(v, vp), "sink anchor is not clean"
-        code, d_star = self._lookup(u, v, up, vp, 1, 1, view, stats)
+        code, d_star = self._lookup(u, v, up, vp, 1, 1, view)
         # only vertices with damage on both sides are useful recursion pivots
         both = view.path(u) & view.path(v)
         edges = self.index.graph.edges
         hits = {p for eid in d_star for p in edges[eid][:2] if both >> p & 1}
         return HitSetOutcome(code, frozenset(hits))
 
-    def case_two(self, u: int, v: int, anchor: int, view: FailureView,
-                 stats: QueryStats | None = None) -> HitSetOutcome:
+    def case_two(self, u: int, v: int, anchor: int, view: FailureView) -> HitSetOutcome:
         """Anchor clean seen from v; search along the key tree of u."""
         index = self.index
         assert view.clean(v, anchor), "anchor is not clean"
@@ -177,11 +178,11 @@ class HitSetEngine:
         hits: set[int] = set()
         helpers: set[int] = set()
         union: set[int] = set()
-        tree_child = index._tree_child[u]
+        below_u = index._below[u]
 
         for c in view.key_tree(u):
             if not path_u >> c & 1:
-                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view, stats)
+                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view)
                 bound = min(bound, code)
                 union.update(d_star)
         union -= view.failed_set
@@ -196,22 +197,21 @@ class HitSetEngine:
                 hits.add(a)
             elif path_u >> b & 1:
                 hits.add(b)
-            elif (child := tree_child[eid]) >= 0 and not index._sub[u][child] & view.ends:
-                helpers.add(child)
+            elif (low := below_u[eid]) and not low & view.ends:
+                helpers.add((low & index._ends[eid]).bit_length() - 1)
 
         for h in sorted(helpers):
-            sub = self.case_one(u, v, h, anchor, view, stats)
+            sub = self.case_one(u, v, h, anchor, view)
             bound = min(bound, sub.bound)
             hits |= sub.hits
         return HitSetOutcome(bound, frozenset(hits))
 
-    def case_three(self, u: int, v: int, view: FailureView,
-                   stats: QueryStats | None = None,
-                   observer: Observer | None = None) -> HitSetOutcome:
+    def case_three(self, u: int, v: int, view: FailureView) -> HitSetOutcome:
         """No anchors known: enumerate key-tree edge pairs on both sides."""
         index = self.index
         path_u, path_v = view.path(u), view.path(v)
         assert path_u >> v & 1, "case_three requires a damaged u-v path"
+        stats = view.stats
         if stats is not None:
             stats.case_three_calls += 1
         tree_u = view.key_tree(u)
@@ -219,7 +219,7 @@ class HitSetEngine:
         edges = index.graph.edges
         step = index._step
         base_u, base_v = index._rows[u], index._rows[v]
-        child_u, child_v = index._tree_child[u], index._tree_child[v]
+        below_u, below_v = index._below[u], index._below[v]
         bound = index.codec.unreachable_code
         union: set[int] = set()
         hits: set[int] = set()
@@ -229,7 +229,7 @@ class HitSetEngine:
         for cu in tree_u:
             if not path_u >> cu & 1:
                 for cv in tree_v:
-                    code, d_star = self._lookup(u, v, cu, cv, 0, 0, view, stats)
+                    code, d_star = self._lookup(u, v, cu, cv, 0, 0, view)
                     bound = min(bound, code)
                     union.update(d_star)
         # a hit x below needs damage on both tree paths u->x and v->x; each
@@ -248,31 +248,31 @@ class HitSetEngine:
                     if path_v >> x & 1:
                         hits.add(x)
                 elif u_clean:
-                    if child_u[eid] < 0:
+                    low = below_u[eid]
+                    if not low:
                         if path_u >> y & 1:
                             hits.add(y)
-                    elif child_u[eid] == y:
-                        if not index._sub[u][y] & view.ends:
-                            helpers_u.add(y)
+                    elif low >> y & 1 and not low & view.ends:
+                        helpers_u.add(y)
                 else:
-                    if child_v[eid] < 0:
+                    low = below_v[eid]
+                    if not low:
                         if path_v >> x & 1:
                             hits.add(x)
-                    elif child_v[eid] == x:
-                        if not index._sub[v][x] & view.ends:
-                            helpers_v.add(x)
+                    elif low >> x & 1 and not low & view.ends:
+                        helpers_v.add(x)
 
         for a, b, helpers in ((u, v, helpers_v), (v, u, helpers_u)):
             for h in sorted(helpers):
-                sub = self.case_two(a, b, h, view, stats)
+                sub = self.case_two(a, b, h, view)
                 bound = min(bound, sub.bound)
                 hits |= sub.hits
 
         outcome = HitSetOutcome(bound, frozenset(hits))
         if stats is not None and len(outcome.hits) > stats.max_hits:
             stats.max_hits = len(outcome.hits)
-        if observer is not None:
-            observer(u, v, view.failed, outcome)
+        if view.observer is not None:
+            view.observer(u, v, view.failed, outcome)
         return outcome
 
 

@@ -8,10 +8,10 @@ with a decremented budget.  The budget argument makes the recursion finite;
 exactness at budget |D| follows from the pivot contract.
 
 A damaged query builds one FailureView of D and the whole recursion runs
-on it: damage tests are bit tests, each root's key tree is built once and
-the memo lives in the view.  An undamaged query builds no view: bit v is
-clear in the OR of the index's masks _below[u][e] over D, the same OR
-that FailureView.path(u) makes.
+on it: damage tests are bit tests, each root's key tree is built once, and
+the memo, the query's stats and its observer live in the view.  An
+undamaged query builds no view: bit v is clear in the OR of the index's
+masks _below[u][e] over D, the same OR that FailureView.path(u) makes.
 
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
@@ -54,8 +54,7 @@ class Oracle:
         return None if length.is_unreachable else length.true_len
 
     def query_composite(self, u: int, v: int, failures: Iterable[int] = (),
-                        stats: QueryStats | None = None,
-                        observer: Observer | None = None) -> CompositeLength:
+                        stats: QueryStats | None = None) -> CompositeLength:
         n = self.graph.n
         if not (0 <= u < n and 0 <= v < n):
             raise QueryError(f"vertex out of range: {u}, {v}")
@@ -66,7 +65,7 @@ class Oracle:
         if len(failed) > self.d:
             raise QueryError(
                 f"{len(failed)} failures exceed the oracle budget d={self.d}")
-        return self._query_canonical(u, v, failed, stats, observer)
+        return self._query_canonical(u, v, failed, stats)
 
     def _query_canonical(self, u: int, v: int, failed: tuple[int, ...],
                          stats: QueryStats | None = None,
@@ -82,16 +81,16 @@ class Oracle:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index._dist[u][v]
-        view = FailureView(index, failed)
-        code = self._query_r(u, v, view, len(failed), stats, observer)
+        view = FailureView(index, failed, stats, observer)
+        code = self._query_r(u, v, view, len(failed))
         if stats is not None:
             stats.key_trees += len(view.trees)
         return index.codec.decode(code)
 
-    def _query_r(self, a: int, b: int, view: FailureView, r: int,
-                 stats: QueryStats | None, observer: Observer | None) -> int:
+    def _query_r(self, a: int, b: int, view: FailureView, r: int) -> int:
         """Packed a-b distance avoiding view's failures, found with pivot budget r."""
         index = self.index
+        stats = view.stats
         if stats is not None:
             depth = len(view.failed) - r + 1
             if depth > stats.max_depth:
@@ -107,13 +106,13 @@ class Oracle:
             if stats is not None:
                 stats.memo_hits += 1
             return cached
-        bound, hits = self.engine.case_three(a, b, view, stats, observer)
+        bound, hits = self.engine.case_three(a, b, view)
         best = bound
         for w in sorted(hits):
-            left = self._query_r(a, w, view, r - 1, stats, observer)
+            left = self._query_r(a, w, view, r - 1)
             if left >= unreachable:
                 continue
-            right = self._query_r(w, b, view, r - 1, stats, observer)
+            right = self._query_r(w, b, view, r - 1)
             cand = left + right
             if cand < best:
                 best = cand
@@ -123,8 +122,7 @@ class Oracle:
 
 def build_oracle(graph: Graph, d: int, seed: int = 1,
                  progress=None) -> Oracle:
-    """Validate, pick a tie assignment with unique paths, build all tables."""
-    graph.validate()
+    """Pick a tie assignment with unique paths (the index validates), build all tables."""
     check_build_size(graph.n, graph.m, d)
     index, _, used_seed = build_index_auto(graph, seed)
     tables = build_tables(index, d, used_seed, progress)

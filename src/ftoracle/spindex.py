@@ -16,14 +16,15 @@ _below[r][e] >> x & 1.  The table build unpacks them into numpy masks and
 the query engine ORs them per failure set.  _anc[r][v] holds v's ancestors
 as DFS-entry bits, so v's own entry number is its highest bit, and the
 LCA of x and y, their deepest common ancestor, is
-_by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _tree_child[r][e] is the
-child end of tree edge e (-1 off the tree) and _ends[e] e's endpoints.
-path_intersects and subtree_touches answer the same questions by walking
-the parent arrays, and read no mask, so they check the masks independently.
-A built index derives every root; a loaded one derives root r on first
-use, and until then r's slots in the six per-root lists hold None.  The
-query's fast path, FailureView.path, distance and the key tree test for
-None; every other reader runs after FailureView.path(r).
+_by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _ends[e] is e's
+endpoints, so the child end of tree edge e, the one end below it, is
+_below[r][e] & _ends[e].  path_intersects and subtree_touches answer the
+same questions by walking the parent arrays, and read no mask, so they
+check the masks independently.  A built index derives every root; a
+loaded one derives root r on first use, and until then r's slots in the
+five per-root lists hold None.  The query's fast path, FailureView.path,
+distance and build_induced_key_tree test for None; every other reader
+runs after FailureView.path(r).
 """
 from __future__ import annotations
 
@@ -136,11 +137,11 @@ class ShortestPathIndex:
         self._parent = parent
         self._parent_eid = parent_eid
         n = self.graph.n  # per root, None until _finish_root derives it
-        self._dist, self._tree_child, self._by_tin, self._anc, self._sub, self._below = \
-            ([None] * n for _ in range(6))
+        self._dist, self._by_tin, self._anc, self._sub, self._below = \
+            ([None] * n for _ in range(5))
 
     def _finish_root(self, r: int) -> list[int]:
-        """Derive root r's base lengths, DFS order, child map and masks.
+        """Derive root r's base lengths, DFS order and masks.
 
         Returns _below[r].  r's parent arrays must form a tree rooted at r.
         """
@@ -153,12 +154,9 @@ class ShortestPathIndex:
         self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
 
         children: list[list[int]] = [[] for _ in range(n)]
-        tree_child = [-1] * graph.m
         for v in range(n - 1, -1, -1):  # children listed descending, popped ascending
             if parent[v] >= 0:
                 children[parent[v]].append(v)
-            if parent_eid[v] >= 0:
-                tree_child[parent_eid[v]] = v
 
         by_tin: list[int] = []  # vertices in DFS-entry (preorder) order
         stack = [r]
@@ -173,14 +171,15 @@ class ShortestPathIndex:
             v = by_tin[i]
             anc[v] = anc[parent[v]] | 1 << i
         sub = [1 << v for v in range(n)]
+        below = [0] * graph.m  # 0 off the tree
         for v in by_tin[:0:-1]:  # children before parents, root left out
             sub[parent[v]] |= sub[v]
+            below[parent_eid[v]] = sub[v]
 
-        self._tree_child[r] = tree_child
         self._by_tin[r] = by_tin
         self._anc[r] = anc
         self._sub[r] = sub
-        below = self._below[r] = [sub[c] if c >= 0 else 0 for c in tree_child]
+        self._below[r] = below
         return below
 
     # -- distances ---------------------------------------------------------

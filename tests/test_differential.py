@@ -8,6 +8,8 @@ never wraps: a path, whose damaged answers are all UNREACHABLE, and
 2-connected graphs, whose replacement paths sum packed codes near the top
 of the range.
 """
+import dataclasses
+import hashlib
 import io
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import ftoracle.cli as cli
 from ftoracle import (BuildError, Graph, ReferenceOracle, build_oracle, gen_gnm,
                       load_oracle, oracle_file_bytes)
+from ftoracle.hitset import QueryStats
 from ftoracle.reference import enumerate_instances
 from ftoracle.tables import LengthCodec
 
@@ -47,6 +50,28 @@ def test_answers_do_not_depend_on_derivation_order():
             built.query_composite(u, v, failed), (u, v, failed)
         count += 1
     assert count == 232 * 42
+
+
+# recorded over the counters of every query below, when query_composite
+# still passed stats by hand through _query_r and the three cases
+QUERY_STATS_DIGEST = "a0bae9fb065d302c3ed52597a2ca753ef2946511be90fdf5d363478816b0db85"
+
+
+def test_query_stats_pinned():
+    # the same counts on the built oracle and on a loaded one that derives
+    # every root afresh for each query
+    graph = gen_gnm(7, 11, 32, 0)
+    built = build_oracle(graph, 3, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)), graph=graph)
+    for oracle, fresh in ((built, False), (loaded, True)):
+        digest = hashlib.sha256()
+        for u, v, failed in enumerate_instances(graph, 3):
+            if fresh:
+                underive(oracle.index)
+            stats = QueryStats()
+            oracle.query_composite(u, v, failed, stats=stats)
+            digest.update(repr(dataclasses.astuple(stats)).encode("ascii"))
+        assert digest.hexdigest() == QUERY_STATS_DIGEST, fresh
 
 
 def assert_round_trip_exact(graph, d):

@@ -9,6 +9,7 @@ from ftoracle.generate import gen_gnm
 from ftoracle.graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
                             ZERO_LENGTH, canonical_failures, parse_graph,
                             tie_break_values)
+from ftoracle.query import build_oracle
 from ftoracle.spindex import ShortestPathIndex
 
 from conftest import G1_TEXT
@@ -71,6 +72,18 @@ def test_validate_rejects_duplicate_either_orientation():
 def test_validate_rejects_bad_endpoint():
     with pytest.raises(GraphError, match="out of range"):
         Graph(2, [(0, 2, 1)]).validate()
+
+
+@pytest.mark.parametrize("graph, pattern", [
+    (Graph(0, [(0, 1, 1)]), "vertex count"),
+    (Graph(2, [(0, 2, 1)]), "out of range"),
+    (Graph(3, [(0, 1, 1)]), "disconnected"),
+])
+def test_build_oracle_rejects_invalid_graph(graph, pattern):
+    # build_oracle leaves validation to the index build; tie values are
+    # drawn before it and must not fail first with an untyped error
+    with pytest.raises(GraphError, match=pattern):
+        build_oracle(graph, 1)
 
 
 def test_roundtrip_fixtures(g1, g6):

@@ -39,9 +39,9 @@ def nonempty_failure_sets(m, dmax):
         yield from combinations(range(m), k)
 
 
-def view(oracle, failed):
+def view(oracle, failed, stats=None, observer=None):
     """The failure view the query engine runs the cases on."""
-    return FailureView(oracle.index, failed)
+    return FailureView(oracle.index, failed, stats, observer)
 
 
 def decoded(oracle, bound):
@@ -180,7 +180,7 @@ def test_case_two_all_edges_discarded(oracle1_d1):
 def test_case_two_counts_lookups(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables)
     stats = QueryStats()
-    engine.case_two(0, 4, 6, view(oracle6_d1, (2,)), stats=stats)
+    engine.case_two(0, 4, 6, view(oracle6_d1, (2,), stats=stats))
     assert stats.lookups >= 1
 
 
@@ -222,7 +222,7 @@ def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables, check_guards=True)
     # edge 0 lies on the tree path 0->1, so (0,) breaks the key's constraint
     with pytest.raises(GuardError, match="unguarded lookup"):
-        engine._lookup(0, 2, 1, 2, 0, 0, view(oracle1_d1, (0,)), None)
+        engine._lookup(0, 2, 1, 2, 0, 0, view(oracle1_d1, (0,)))
 
 
 GUARD_UNDER_O = f"""
@@ -236,7 +236,7 @@ oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
 assert not constraint_holds(oracle.index, (0,), (0, 2, 1, 2, 0, 0))
 engine = HitSetEngine(oracle.index, oracle.tables, check_guards=True)
 try:
-    engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)), None)
+    engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)))
 except GuardError:
     print("guard raised")
 """
@@ -265,7 +265,7 @@ def test_case_three_guarded_everywhere(oracle1_d2, oracle6_d1):
                     if u == v or not oracle.index.path_intersects(u, v, failed):
                         continue
                     stats = QueryStats()
-                    _, hits = engine.case_three(u, v, view(oracle, failed), stats=stats)
+                    _, hits = engine.case_three(u, v, view(oracle, failed, stats=stats))
                     assert stats.lookups <= budget
                     assert len(hits) <= budget
 
@@ -295,8 +295,8 @@ def case_three_digest(oracle):
             for v in range(g.n):
                 if u == v or not index.path_intersects(u, v, failed):
                     continue
-                stats = QueryStats()
-                bound, hits = engine.case_three(u, v, fv, stats=stats)
+                stats = fv.stats = QueryStats()
+                bound, hits = engine.case_three(u, v, fv)
                 row = (u, v, failed, bound, sorted(hits), stats.lookups)
                 digest.update(repr(row).encode("ascii"))
     return digest.hexdigest()
@@ -319,8 +319,8 @@ def test_case_three_outcomes_pinned(oracle6_d2, oracle_gnm10_d3):
 def test_case_three_notifies_observer(oracle6_d1):
     engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables)
     seen = []
-    outcome = engine.case_three(0, 4, view(oracle6_d1, (2,)),
-                                observer=lambda *args: seen.append(args))
+    outcome = engine.case_three(0, 4, view(oracle6_d1, (2,),
+                                           observer=lambda *args: seen.append(args)))
     assert len(seen) == 1
     assert seen[0] == (0, 4, (2,), outcome)
 

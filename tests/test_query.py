@@ -20,7 +20,7 @@ def all_instances(graph, dmax):
 
 def test_zero_budget_intact_path(oracle1_d1):
     # an undamaged pair answers from the base table even with no budget
-    code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, ()), 0, None, None)
+    code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, ()), 0)
     assert oracle1_d1.index.codec.decode(code).true_len == 3
 
 
@@ -29,7 +29,7 @@ def test_single_failure(oracle1_d1):
 
 
 def test_zero_budget_damaged_path(oracle1_d1):
-    code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, (1,)), 0, None, None)
+    code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, (1,)), 0)
     assert oracle1_d1.index.codec.decode(code) == UNREACHABLE
 
 

@@ -258,6 +258,19 @@ def test_masks_match_interval_predicates(shape, n, seed):
             for y in range(g.n):
                 py = set(tree_path(index, r, y))
                 assert lca(index, r, x, y) == [w for w in px if w in py][-1]
+    # the query's tree-child rule: e's end in _below[r][e] is the vertex whose
+    # parent edge e is, and an edge off the tree has neither end there; on a
+    # clone each root is derived on its first use here
+    clone = ShortestPathIndex.from_arrays(g, index.tie, index.codes,
+                                          index._parent, index._parent_eid)
+    assert derived_roots(clone) == set()
+    for ix in (index, clone):
+        for r in range(g.n):
+            below = ix._below[r] if ix._below[r] is not None else ix._finish_root(r)
+            child = {eid: c for c, eid in enumerate(ix._parent_eid[r]) if eid >= 0}
+            for eid in range(g.m):
+                want = 1 << child[eid] if eid in child else 0
+                assert below[eid] & ix._ends[eid] == want, (r, eid)
 
 
 def test_tree_path_endpoints(idx6):
