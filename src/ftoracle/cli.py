@@ -36,6 +36,13 @@ def _progress(done: int, total: int) -> None:
         print(f"progress: {done}/{total} roots", file=sys.stderr)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     t0 = time.perf_counter()
@@ -125,7 +132,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check oracle answers against brute force")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=positive_int, default=None,
                    help="check this many sampled instances instead of all")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)

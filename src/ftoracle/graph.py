@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 TIE_RANGE_FACTOR = 8
@@ -50,8 +51,11 @@ class Graph:
     """Undirected weighted graph; the edge id of an edge is its list position."""
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
-        self.n = int(n)
-        self.edges = [(int(a), int(b), int(w)) for a, b, w in edges]
+        try:  # operator.index takes numpy integers but no float or str
+            self.n = index(n)
+            self.edges = [(index(a), index(b), index(w)) for a, b, w in edges]
+        except TypeError as exc:
+            raise GraphError(f"vertex count and edge fields must be integers: {exc}") from None
         self._adj: list[list[tuple[int, int, int]]] | None = None
         self._pair_ids: dict[tuple[int, int], int] | None = None
 
@@ -69,13 +73,6 @@ class Graph:
                 adj[b].append((a, eid, w))
             self._adj = adj
         return self._adj
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        a, b, _ = self.edges[eid]
-        return a, b
-
-    def weight(self, eid: int) -> int:
-        return self.edges[eid][2]
 
     def edge_id(self, a: int, b: int) -> int:
         """Edge id for an unordered endpoint pair; GraphError if absent."""
@@ -190,7 +187,10 @@ def tie_break_values(graph: Graph, seed: int) -> list[int]:
 
 def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
     """Sorted duplicate-free edge-id tuple; validates every id."""
-    out = tuple(sorted(set(map(int, ids))))
+    try:
+        out = tuple(sorted(set(map(index, ids))))
+    except TypeError as exc:
+        raise GraphError(f"edge ids must be integers: {exc}") from None
     if out and (out[0] < 0 or out[-1] >= graph.m):
         bad = next(e for e in out if not 0 <= e < graph.m)
         raise GraphError(f"unknown edge id {bad}")

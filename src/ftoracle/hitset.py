@@ -28,11 +28,11 @@ unfailed edge of their D* once: min and set union ignore repeats and order.
 
 All three run on a FailureView: the damage of one failure set D, derived
 once per damaged query as vertex bitmasks and shared by its recursion
-with the query's stats and observer.  "D hits the tree path r->x" is
-path(r) >> x & 1, "D touches w's subtree" is _sub[r][w] & ends, and tree
-edge e's child end is the end in _below[r][e], 0 off the tree.  The guard
-and verify's hit check use the index's parent walks, which read no mask,
-so a guarded run checks the masks independently.
+with the query's stats.  "D hits the tree path r->x" is path(r) >> x & 1,
+"D touches w's subtree" is _sub[r][w] & ends, and tree edge e's child end
+is the end in _below[r][e], 0 off the tree.  Lookups here are unguarded;
+verify's reference.CheckedEngine guards each by the index's parent walks,
+which read no mask, so a verify run checks the masks independently.
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
@@ -43,19 +43,10 @@ built at most once per root and view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .spindex import ShortestPathIndex
-from .tables import OracleTables, constraint_holds
-
-Observer = Callable[[int, int, tuple[int, ...], "HitSetOutcome"], None]
-
-
-class GuardError(AssertionError):
-    """A guarded table lookup whose key's constraint the failure set breaks.
-
-    Raised explicitly rather than by assert, so python -O keeps the check.
-    """
+from .tables import OracleTables
 
 
 class HitSetOutcome(NamedTuple):
@@ -102,11 +93,10 @@ class FailureView:
     """One failure set's damage, derived once and shared by a whole query."""
 
     def __init__(self, index: ShortestPathIndex, failed: tuple[int, ...],
-                 stats: QueryStats | None = None, observer: Observer | None = None):
+                 stats: QueryStats | None = None):
         self.index = index
         self.failed = failed
         self.stats = stats
-        self.observer = observer
         self.failed_set = frozenset(failed)
         self.ends = 0
         for eid in failed:
@@ -142,17 +132,12 @@ class FailureView:
 class HitSetEngine:
     """Case analysis over guarded table lookups for one (index, tables) pair."""
 
-    def __init__(self, index: ShortestPathIndex, tables: OracleTables,
-                 check_guards: bool = False):
+    def __init__(self, index: ShortestPathIndex, tables: OracleTables):
         self.index = index
         self.tables = tables
-        self.check_guards = check_guards
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
                 view: FailureView) -> tuple[int, tuple[int, ...]]:
-        if self.check_guards and \
-                not constraint_holds(self.index, view.failed, (u, v, up, vp, b1, b2)):
-            raise GuardError(f"unguarded lookup {(u, v, up, vp, b1, b2)} under {view.failed}")
         if view.stats is not None:
             view.stats.lookups += 1
         return self.tables.read(u, v, up, vp, b1, b2)
@@ -268,12 +253,9 @@ class HitSetEngine:
                 bound = min(bound, sub.bound)
                 hits |= sub.hits
 
-        outcome = HitSetOutcome(bound, frozenset(hits))
-        if stats is not None and len(outcome.hits) > stats.max_hits:
-            stats.max_hits = len(outcome.hits)
-        if view.observer is not None:
-            view.observer(u, v, view.failed, outcome)
-        return outcome
+        if stats is not None and len(hits) > stats.max_hits:
+            stats.max_hits = len(hits)
+        return HitSetOutcome(bound, frozenset(hits))
 
 
 def hit_budget(d: int) -> int:

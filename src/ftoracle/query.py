@@ -9,9 +9,9 @@ exactness at budget |D| follows from the pivot contract.
 
 A damaged query builds one FailureView of D and the whole recursion runs
 on it: damage tests are bit tests, each root's key tree is built once, and
-the memo, the query's stats and its observer live in the view.  An
-undamaged query builds no view: bit v is clear in the OR of the index's
-masks _below[u][e] over D, the same OR that FailureView.path(u) makes.
+the memo and the query's stats live in the view.  An undamaged query
+builds no view: bit v is clear in the OR of the index's masks _below[u][e]
+over D, the same OR that FailureView.path(u) makes.
 
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import CompositeLength, Graph, GraphError, canonical_failures
-from .hitset import FailureView, HitSetEngine, Observer, QueryStats
+from .hitset import FailureView, HitSetEngine, QueryStats
 from .spindex import ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
 
@@ -65,11 +65,6 @@ class Oracle:
         if len(failed) > self.d:
             raise QueryError(
                 f"{len(failed)} failures exceed the oracle budget d={self.d}")
-        return self._query_canonical(u, v, failed, stats)
-
-    def _query_canonical(self, u: int, v: int, failed: tuple[int, ...],
-                         stats: QueryStats | None = None,
-                         observer: Observer | None = None) -> CompositeLength:
         index = self.index
         below = index._below[u]
         if below is None:
@@ -81,7 +76,7 @@ class Oracle:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index._dist[u][v]
-        view = FailureView(index, failed, stats, observer)
+        view = FailureView(index, failed, stats)
         code = self._query_r(u, v, view, len(failed))
         if stats is not None:
             stats.key_trees += len(view.trees)

@@ -6,7 +6,8 @@ machinery.  The verifier also exercises the structural guarantees the
 query path relies on: replacement paths decompose into few shortest-path
 segments (their "rank" is at most the failure count), recursion pivots
 strictly decrease that rank, and every hitting-set outcome either returns
-the exact distance or names a vertex of the true replacement path.
+the exact distance or names a vertex of the true replacement path.  Its
+CheckedEngine guards every lookup and records every case_three outcome.
 """
 from __future__ import annotations
 
@@ -17,8 +18,34 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .graph import CompositeLength, Graph, UNREACHABLE, ZERO_LENGTH
-from .hitset import QueryStats, hit_budget
+from .hitset import FailureView, HitSetEngine, HitSetOutcome, QueryStats, hit_budget
 from .query import Oracle
+from .spindex import ShortestPathIndex
+from .tables import OracleTables, constraint_holds
+
+
+class GuardError(AssertionError):
+    """A lookup whose failure set breaks its key's constraint; raised, not asserted, for -O."""
+
+
+class CheckedEngine(HitSetEngine):
+    """Verify's engine: guards each lookup, records (u, v, failed, outcome) per case_three."""
+
+    def __init__(self, index: ShortestPathIndex, tables: OracleTables):
+        super().__init__(index, tables)
+        self.records: list[tuple[int, int, tuple[int, ...], HitSetOutcome]] = []
+
+    def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
+                view: FailureView) -> tuple[int, tuple[int, ...]]:
+        key = (u, v, up, vp, b1, b2)
+        if not constraint_holds(self.index, view.failed, key):
+            raise GuardError(f"unguarded lookup {key} under {view.failed}")
+        return super()._lookup(u, v, up, vp, b1, b2, view)
+
+    def case_three(self, u: int, v: int, view: FailureView) -> HitSetOutcome:
+        outcome = super().case_three(u, v, view)
+        self.records.append((u, v, view.failed, outcome))
+        return outcome
 
 
 def dijkstra_composite(graph: Graph, tie: Sequence[int], source: int,
@@ -61,13 +88,9 @@ class ReferenceOracle:
         hit = self._cache.get(failed)
         if hit is None:
             banned = frozenset(failed)
-            dists = []
-            parents = []
-            for r in range(self.graph.n):
-                d, p = dijkstra_composite(self.graph, self.tie, r, banned)
-                dists.append(d)
-                parents.append(p)
-            hit = (dists, parents)
+            runs = [dijkstra_composite(self.graph, self.tie, r, banned)
+                    for r in range(self.graph.n)]
+            hit = ([d for d, _ in runs], [p for _, p in runs])
             self._cache[failed] = hit
         return hit
 
@@ -102,7 +125,7 @@ class ReferenceOracle:
         pref_tk = [0] * (k + 1)
         for i in range(k):
             eid = self.graph.edge_id(path[i], path[i + 1])
-            pref_tl[i + 1] = pref_tl[i] + self.graph.weight(eid)
+            pref_tl[i + 1] = pref_tl[i] + self.graph.edges[eid][2]
             pref_tk[i + 1] = pref_tk[i] + self.tie[eid]
 
         def shortest(i: int, j: int) -> bool:
@@ -220,15 +243,14 @@ def verify_instance(oracle: Oracle, mode: str = "exhaustive",
     report = VerifyReport(graph.digest(), d, mode,
                           hits_budget=budget, lookup_budget=budget,
                           answers=[] if collect_answers else None)
-    # a private guarded engine, so the caller's oracle never sees the flag
+    # a private oracle, so the caller's keeps its own plain engine
     checked = Oracle(index, oracle.tables)
-    checked.engine.check_guards = True
+    engine = checked.engine = CheckedEngine(index, oracle.tables)
+    records = engine.records
     for u, v, failed in enumerate_instances(graph, d, mode, samples, seed):
         stats = QueryStats()
-        records: list[tuple[int, int, tuple[int, ...], object]] = []
-        answer = checked._query_canonical(
-            u, v, failed, stats=stats,
-            observer=lambda a, b, f, o: records.append((a, b, f, o)))
+        records.clear()
+        answer = checked.query_composite(u, v, failed, stats=stats)
         truth = ref.dist_avoiding(failed, u, v)
         report.instances += 1
         report.case_three_calls += stats.case_three_calls

@@ -22,9 +22,9 @@ _below[r][e] & _ends[e].  path_intersects and subtree_touches answer the
 same questions by walking the parent arrays, and read no mask, so they
 check the masks independently.  A built index derives every root; a
 loaded one derives root r on first use, and until then r's slots in the
-five per-root lists hold None.  The query's fast path, FailureView.path,
-distance and build_induced_key_tree test for None; every other reader
-runs after FailureView.path(r).
+five per-root lists hold None.  The query's fast path, FailureView.path
+and build_induced_key_tree test for None; every other reader runs after
+FailureView.path(r).
 """
 from __future__ import annotations
 
@@ -181,13 +181,6 @@ class ShortestPathIndex:
         self._sub[r] = sub
         self._below[r] = below
         return below
-
-    # -- distances ---------------------------------------------------------
-
-    def distance(self, u: int, v: int) -> CompositeLength:
-        if self._dist[u] is None:
-            self._finish_root(u)
-        return self._dist[u][v]
 
     # -- predicates --------------------------------------------------------
 

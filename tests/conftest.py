@@ -124,6 +124,13 @@ def tree_path_edges(index, root, x):
     return out
 
 
+def base_length(index, u, v):
+    """Base u-v length; derives root u first, as a loaded index may not have."""
+    if index._dist[u] is None:
+        index._finish_root(u)
+    return index._dist[u][v]
+
+
 def tree_path(index, root, v):
     """Vertices of the tree path root -> v (both inclusive)."""
     path = [v]

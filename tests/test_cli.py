@@ -189,6 +189,17 @@ def test_verify_sampled(g6_path, capsys):
     assert "mode=sampled" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_sample_count_below_one(g6_path, samples, capsys):
+    # zero samples would check nothing and still report PASS
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "-g", g6_path, "-d", "2", "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_verify_failure_exits_one(g1_path, capsys, monkeypatch):
     bad = VerifyReport("x" * 64, 2, "exhaustive", mismatches=1)
     monkeypatch.setattr(cli, "verify_instance", lambda *a, **k: bad)

@@ -167,6 +167,30 @@ def test_canonical_failures(g1):
     assert canonical_failures(g1, iter([3, 0, 3])) == (0, 3)
 
 
+@pytest.mark.parametrize("ids", [[0.7], ["1"], [1, 2.0], [None]])
+def test_canonical_failures_rejects_non_integers(g1, ids):
+    # int() would truncate 0.7 to edge 0 and parse "1" as edge 1
+    with pytest.raises(GraphError, match="must be integers"):
+        canonical_failures(g1, ids)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1, 1.9), (1, 2, 2.5), (0, 2, 3.7)]),
+    (3.0, [(0, 1, 1), (1, 2, 1)]),
+    (2, [("0", 1, 1)]),
+    (2, [(0, 1, np.float64(4))]),
+])
+def test_graph_rejects_non_integer_fields(n, edges):
+    with pytest.raises(GraphError, match="must be integers"):
+        Graph(n, edges)
+
+
+def test_graph_accepts_numpy_integers():
+    g = Graph(np.int64(3), [(np.int32(0), np.int64(1), np.uint8(2)), (1, 2, 5)])
+    assert g == Graph(3, [(0, 1, 2), (1, 2, 5)])
+    assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+
+
 def test_edge_length_reads_weight_and_tie(g1):
     # the index's packed step of an edge is its weight and its tie value
     tie = tie_break_values(g1, 1)

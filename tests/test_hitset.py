@@ -16,15 +16,16 @@ import pytest
 import ftoracle
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE
-from ftoracle.hitset import (FailureView, GuardError, HitSetEngine, QueryStats,
+from ftoracle.hitset import (FailureView, HitSetEngine, QueryStats,
                              build_induced_key_tree, hit_budget)
 from ftoracle.query import build_oracle
+from ftoracle.reference import CheckedEngine, GuardError
 
-from conftest import G1_TEXT, tree_path_edges
+from conftest import G1_TEXT, base_length, tree_path_edges
 
 
 def brute_induced_edges(index, root, failed):
-    pts = {p for eid in failed for p in index.graph.endpoints(eid)}
+    pts = {p for eid in failed for p in index.graph.edges[eid][:2]}
     pts.add(root)
     out = set()
     for a in pts:
@@ -39,9 +40,9 @@ def nonempty_failure_sets(m, dmax):
         yield from combinations(range(m), k)
 
 
-def view(oracle, failed, stats=None, observer=None):
+def view(oracle, failed, stats=None):
     """The failure view the query engine runs the cases on."""
-    return FailureView(oracle.index, failed, stats, observer)
+    return FailureView(oracle.index, failed, stats)
 
 
 def decoded(oracle, bound):
@@ -85,11 +86,11 @@ def test_key_tree_matches_brute_force(idx1, idx6, oracle_gnm10_d3):
                 # which counts as if an edge hung above it
                 deg = {}
                 for eid in induced:
-                    for p in g.endpoints(eid):
+                    for p in g.edges[eid][:2]:
                         deg[p] = deg.get(p, 0) + 1
                 deg[root] = deg.get(root, 0) + 1
 
-                endpoints = {p for eid in failed for p in g.endpoints(eid)}
+                endpoints = {p for eid in failed for p in g.edges[eid][:2]}
                 expect_keys = {v for v, dg in deg.items() if dg >= 3}
                 expect_keys |= endpoints
                 assert set(tree) == expect_keys
@@ -113,8 +114,7 @@ def test_key_tree_size_linear_in_failures(idx6):
 # -- case one ---------------------------------------------------------------------
 
 def test_case_one_g6_detour(oracle6_d1):
-    engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
     bound, hits = engine.case_one(0, 4, 5, 6, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
     assert hits == frozenset()
@@ -123,12 +123,11 @@ def test_case_one_g6_detour(oracle6_d1):
 def test_case_one_empty_max_set(oracle3_d1):
     # the stored maximizer for this key is the empty set, so no candidate
     # hits exist and the bound collapses to the intact distance
-    engine = HitSetEngine(oracle3_d1.index, oracle3_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle3_d1.index, oracle3_d1.tables)
     assert oracle3_d1.tables.lookup(1, 2, 2, 1, 1, 1).d_star == ()
     bound, hits = engine.case_one(1, 2, 2, 1, view(oracle3_d1, (2,)))
     assert hits == frozenset()
-    assert decoded(oracle3_d1, bound) == oracle3_d1.index.distance(1, 2)
+    assert decoded(oracle3_d1, bound) == base_length(oracle3_d1.index, 1, 2)
 
 
 def test_case_one_rejects_dirty_anchor(oracle1_d2):
@@ -140,15 +139,13 @@ def test_case_one_rejects_dirty_anchor(oracle1_d2):
 # -- case two ---------------------------------------------------------------------
 
 def test_case_two_g1(oracle1_d1):
-    engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle1_d1.index, oracle1_d1.tables)
     bound, _ = engine.case_two(0, 2, 3, view(oracle1_d1, (1,)))
     assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_two_g6(oracle6_d1):
-    engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
     bound, _ = engine.case_two(0, 4, 6, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
 
@@ -156,8 +153,7 @@ def test_case_two_g6(oracle6_d1):
 def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
     # row (4, 0) is row (0, 4) transposed, so searching from 4 with the
     # clean anchor on the 0 side must see the same replacement length
-    engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
     assert not oracle6_d1.index.path_intersects(0, 5, (2,))
     assert not oracle6_d1.index.subtree_touches(0, 5, (2,))
     bound, _ = engine.case_two(4, 0, 5, view(oracle6_d1, (2,)))
@@ -187,23 +183,20 @@ def test_case_two_counts_lookups(oracle6_d1):
 # -- case three -------------------------------------------------------------------
 
 def test_case_three_g6(oracle6_d1, ref6):
-    engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
     bound, hits = engine.case_three(0, 4, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
     assert not hits.intersection(ref6.replacement_path((2,), 0, 4))
 
 
 def test_case_three_g1(oracle1_d1):
-    engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle1_d1.index, oracle1_d1.tables)
     bound, _ = engine.case_three(0, 2, view(oracle1_d1, (1,)))
     assert decoded(oracle1_d1, bound).true_len == 6
 
 
 def test_case_three_disconnecting_failure(oracle1_d2):
-    engine = HitSetEngine(oracle1_d2.index, oracle1_d2.tables,
-                          check_guards=True)
+    engine = CheckedEngine(oracle1_d2.index, oracle1_d2.tables)
     bound, hits = engine.case_three(0, 2, view(oracle1_d2, (1, 2)))
     for w in hits:
         assert oracle1_d2.index.path_intersects(0, w, (1, 2))
@@ -219,7 +212,7 @@ def test_case_three_requires_damage(oracle1_d1):
 
 
 def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
-    engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables, check_guards=True)
+    engine = CheckedEngine(oracle1_d1.index, oracle1_d1.tables)
     # edge 0 lies on the tree path 0->1, so (0,) breaks the key's constraint
     with pytest.raises(GuardError, match="unguarded lookup"):
         engine._lookup(0, 2, 1, 2, 0, 0, view(oracle1_d1, (0,)))
@@ -228,13 +221,14 @@ def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
 GUARD_UNDER_O = f"""
 import sys
 from ftoracle.graph import parse_graph
-from ftoracle.hitset import FailureView, GuardError, HitSetEngine
+from ftoracle.hitset import FailureView
 from ftoracle.query import build_oracle
+from ftoracle.reference import CheckedEngine, GuardError
 from ftoracle.tables import constraint_holds
 assert sys.flags.optimize, "not running under -O"
 oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
 assert not constraint_holds(oracle.index, (0,), (0, 2, 1, 2, 0, 0))
-engine = HitSetEngine(oracle.index, oracle.tables, check_guards=True)
+engine = CheckedEngine(oracle.index, oracle.tables)
 try:
     engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)))
 except GuardError:
@@ -254,9 +248,9 @@ def test_guard_check_survives_optimized_mode():
 
 
 def test_case_three_guarded_everywhere(oracle1_d2, oracle6_d1):
-    # check_guards revalidates the constraint behind every single lookup
+    # CheckedEngine revalidates the constraint behind every single lookup
     for oracle in (oracle1_d2, oracle6_d1):
-        engine = HitSetEngine(oracle.index, oracle.tables, check_guards=True)
+        engine = CheckedEngine(oracle.index, oracle.tables)
         g = oracle.graph
         budget = hit_budget(oracle.d)
         for failed in nonempty_failure_sets(g.m, oracle.d):
@@ -316,11 +310,10 @@ def test_case_three_outcomes_pinned(oracle6_d2, oracle_gnm10_d3):
     assert got == CASE_THREE_DIGESTS
 
 
-def test_case_three_notifies_observer(oracle6_d1):
-    engine = HitSetEngine(oracle6_d1.index, oracle6_d1.tables)
-    seen = []
-    outcome = engine.case_three(0, 4, view(oracle6_d1, (2,),
-                                           observer=lambda *args: seen.append(args)))
+def test_case_three_records_outcome(oracle6_d1):
+    engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
+    seen = engine.records
+    outcome = engine.case_three(0, 4, view(oracle6_d1, (2,)))
     assert len(seen) == 1
     assert seen[0] == (0, 4, (2,), outcome)
 

@@ -1,12 +1,15 @@
 """Recursive query: exactness, budgets, argument checks."""
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ftoracle.graph import UNREACHABLE
 from ftoracle.hitset import FailureView, QueryStats
 from ftoracle.query import QueryError
 from ftoracle.reference import ReferenceOracle
+
+from conftest import base_length
 
 
 def all_instances(graph, dmax):
@@ -51,7 +54,7 @@ def test_no_failures_equals_base_distance(oracle6_d1):
     for u in range(7):
         for v in range(7):
             assert oracle6_d1.query(u, v) == \
-                oracle6_d1.index.distance(u, v).true_len
+                base_length(oracle6_d1.index, u, v).true_len
 
 
 @pytest.mark.parametrize("oracle_name", ["oracle1_d2", "oracle3_d1",
@@ -89,6 +92,17 @@ def test_vertex_out_of_range(oracle1_d1):
 def test_unknown_edge_id(oracle1_d1):
     with pytest.raises(QueryError, match="unknown edge"):
         oracle1_d1.query(0, 2, (9,))
+
+
+@pytest.mark.parametrize("failures", [[0.7], ["1"], [np.float64(2)]])
+def test_non_integer_edge_id(oracle1_d1, failures):
+    with pytest.raises(QueryError, match="must be integers"):
+        oracle1_d1.query(0, 2, failures)
+
+
+def test_numpy_integer_edge_ids(oracle1_d1):
+    failed = np.array([1], dtype=np.int64)
+    assert oracle1_d1.query(0, 2, failed) == oracle1_d1.query(0, 2, [1]) == 6
 
 
 def test_d_property(oracle1_d2, oracle6_d1):

@@ -1,13 +1,15 @@
 """Brute-force reference: avoidance distances, path ranks, the verifier."""
 import pytest
 
+from ftoracle import reference
 from ftoracle.generate import gen_gnm
-from ftoracle.hitset import HitSetEngine
-from ftoracle.query import build_oracle
-from ftoracle.reference import (ReferenceOracle, enumerate_instances,
-                                verify_instance)
+from ftoracle.hitset import HitSetEngine, HitSetOutcome
+from ftoracle.query import Oracle, build_oracle
+from ftoracle.reference import (CheckedEngine, GuardError, ReferenceOracle,
+                                enumerate_instances, verify_instance)
+from ftoracle.tables import constraint_holds
 
-from conftest import tree_path
+from conftest import base_length, tree_path
 
 
 def test_dist_avoiding_examples(ref1):
@@ -20,7 +22,7 @@ def test_dist_avoiding_empty_set_matches_index(oracle6_d1, ref6):
     for u in range(7):
         for v in range(7):
             assert ref6.dist_avoiding((), u, v) == \
-                oracle6_d1.index.distance(u, v)
+                base_length(oracle6_d1.index, u, v)
 
 
 def test_replacement_path_g1(ref1):
@@ -137,29 +139,97 @@ def test_verify_summary_reports_failures(oracle1_d1):
     assert "counterexample" in report.summary()
 
 
-def test_verify_restores_guard_flag(oracle1_d1):
-    assert oracle1_d1.engine.check_guards is False
+def test_verify_leaves_caller_engine(oracle1_d1):
+    engine = oracle1_d1.engine
+    assert type(engine) is HitSetEngine
     verify_instance(oracle1_d1)
-    assert oracle1_d1.engine.check_guards is False
+    assert oracle1_d1.engine is engine
+    assert type(engine) is HitSetEngine
 
 
-def test_verify_leaves_guard_flag_alone_while_running(oracle1_d1, monkeypatch):
-    # the caller's engine stays unguarded during the run, not just after it,
-    # while every lookup the run makes is guarded
-    caller_flags, lookup_flags = [], []
+def test_verify_guards_every_lookup_while_running(oracle1_d1, monkeypatch):
+    # the caller's engine stays the same plain engine during the run, not
+    # just after it, while every lookup the run makes is guarded first
+    engine = oracle1_d1.engine
+    caller_engines, lookup_engines, guards = [], [], []
     real_dist, real_lookup = ReferenceOracle.dist_avoiding, HitSetEngine._lookup
 
     def spy_dist(self, failed, u, v):
-        caller_flags.append(oracle1_d1.engine.check_guards)
+        caller_engines.append(oracle1_d1.engine)
         return real_dist(self, failed, u, v)
 
     def spy_lookup(self, *args):
-        lookup_flags.append(self.check_guards)
+        lookup_engines.append(type(self))
         return real_lookup(self, *args)
+
+    def spy_guard(*args):
+        guards.append(args)
+        return constraint_holds(*args)
 
     monkeypatch.setattr(ReferenceOracle, "dist_avoiding", spy_dist)
     monkeypatch.setattr(HitSetEngine, "_lookup", spy_lookup)
+    monkeypatch.setattr(reference, "constraint_holds", spy_guard)
     report = verify_instance(oracle1_d1)
     assert report.ok
-    assert caller_flags and not any(caller_flags)
-    assert lookup_flags and all(lookup_flags)
+    assert caller_engines and all(e is engine for e in caller_engines)
+    assert type(engine) is HitSetEngine
+    assert lookup_engines and all(t is CheckedEngine for t in lookup_engines)
+    assert len(guards) == len(lookup_engines)
+
+
+def test_verify_records_every_case_three(oracle6_d2, monkeypatch):
+    # the outcomes checked per instance are exactly its case_three calls
+    counts = []
+    real = Oracle.query_composite
+
+    def spy(self, u, v, failures=(), stats=None):
+        answer = real(self, u, v, failures, stats)
+        counts.append((len(self.engine.records), stats.case_three_calls))
+        return answer
+
+    monkeypatch.setattr(Oracle, "query_composite", spy)
+    report = verify_instance(oracle6_d2)
+    assert report.ok
+    assert len(counts) == report.instances
+    assert all(got == want for got, want in counts)
+    assert sum(want for _, want in counts) == report.case_three_calls > 0
+
+
+def test_verify_flags_bound_below_truth(oracle6_d1, monkeypatch):
+    # a bound one code under the true distance with no hit to excuse it
+    real = HitSetEngine.case_three
+
+    def short(self, u, v, view):
+        return HitSetOutcome(real(self, u, v, view).bound - 1, frozenset())
+
+    monkeypatch.setattr(HitSetEngine, "case_three", short)
+    report = verify_instance(oracle6_d1)
+    assert report.bound_violations > 0
+    assert not report.ok
+
+
+def test_verify_flags_hit_off_damaged_paths(oracle6_d1, monkeypatch):
+    # u itself is never on a damaged tree path from u, so it fails the check
+    real = HitSetEngine.case_three
+
+    def extra(self, u, v, view):
+        bound, hits = real(self, u, v, view)
+        return HitSetOutcome(bound, hits | {u})
+
+    monkeypatch.setattr(HitSetEngine, "case_three", extra)
+    report = verify_instance(oracle6_d1)
+    assert report.hit_check_violations > 0
+    assert not report.ok
+
+
+def test_verify_raises_on_unguarded_lookup(oracle6_d1, monkeypatch):
+    # anchor v is on a damaged path from u whenever case_three runs
+    real = HitSetEngine.case_three
+
+    def unguarded(self, u, v, view):
+        self._lookup(u, v, v, v, 0, 0, view)
+        return real(self, u, v, view)
+
+    monkeypatch.setattr(HitSetEngine, "case_three", unguarded)
+    with pytest.raises(GuardError, match="unguarded lookup"):
+        verify_instance(oracle6_d1)

@@ -204,7 +204,7 @@ def dense_build(index, d):
         dist = np.array([list(map(index.codec.encode,
                                   dijkstra_composite(graph, index.tie, r, frozenset(sub))[0]))
                          for r in range(n)], dtype=np.int64)
-        ends = {p for eid in sub for p in graph.endpoints(eid)}
+        ends = {p for eid in sub for p in graph.edges[eid][:2]}
         path_ok = np.array([[on_path[r][x].isdisjoint(sub) for x in range(n)]
                             for r in range(n)], dtype=bool)
         sub_ok = np.array([[subtree[r][x].isdisjoint(ends) for x in range(n)]
