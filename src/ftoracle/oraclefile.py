@@ -1,13 +1,11 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 3 (all integers little-endian):
+Layout, version 4 (all integers little-endian):
 
     header   magic "FTDO", version u16, 2 zero bytes, n u64, m u64, d u64,
              tie seed i64, sha256 of the canonical graph text, palette
              entries P u64, palette edge ids I u64
     edges    m x (a u32, b u32, w u64, tie value u64)
-    index    n*n x (true_len u64, tie_key u64, parent i32, parent edge i32),
-             row-major by (root, vertex); -1 encodes "none"
     pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
     codes    P packed length codes i64, palette by palette
     sizes    P set sizes i64, one per palette entry
@@ -18,16 +16,15 @@ Layout, version 3 (all integers little-endian):
 Row (v, u) uses the palette of pair (u, v).  Every section's size follows
 from the header and is a multiple of 8 bytes, so the arrays load as
 aligned zero-copy views.  No layout depends on d, and sets are edge ids,
-so load never enumerates failure sets.  The length codec and the tree
-masks are derived, not stored.  The index section holds the index's
-packed base distances split into their two fields; load range-checks each
-field (and every tie value) before packing, so no stored pair can alias
-another length, and checks by pointer doubling, all roots at once, that
-each root's arrays form a tree rooted there; no root's masks are derived
-before its first query.  Before reading past the header, load runs a
-build's memory and slot-width check.  Other versions, such as the dense
-version 2, fail with a version error.  Saving the same build twice is byte-identical, and a
-load followed by a save reproduces the file exactly.
+so load never enumerates failure sets.  The length codec and the whole
+shortest-path index are derived, not stored: load range-checks the tie
+values and runs the build's Bellman-Ford on the stored graph, so the index
+cannot disagree with the graph, and each root's tree, whose uniqueness
+check may raise TieBreakError, is derived on its first query.  Before
+reading past the header, load runs a build's memory and slot-width check.
+Other versions, such as version 3 with its stored index, fail with a
+version error.  Saving the same build twice is byte-identical, and a load
+followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -40,15 +37,13 @@ import numpy as np
 
 from .graph import Graph, GraphError
 from .query import Oracle
-from .spindex import BuildError, ShortestPathIndex, length_codec
+from .spindex import BuildError, ShortestPathIndex
 from .tables import OracleTables, check_build_size, failure_set_count, pair_grid
 
 MAGIC = b"FTDO"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<4sH2xQQQq32sQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
-_PAIR = np.dtype([("tl", "<u8"), ("tk", "<u8"),
-                  ("parent", "<i4"), ("parent_eid", "<i4")])
 _TRAILER = hashlib.sha256().digest_size
 _MAX_SUBSETS = 2 ** 31  # the derived dstar_idx view is int32
 
@@ -66,17 +61,11 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     graph, index, tables = oracle.graph, oracle.index, oracle.tables
     edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
                      dtype=_EDGE)
-    pairs = np.empty(graph.n * graph.n, dtype=_PAIR)
-    codes = index.codes.ravel()
-    pairs["tl"] = codes >> index.codec.shift
-    pairs["tk"] = codes & index.codec.mask
-    pairs["parent"] = np.ravel(index._parent)
-    pairs["parent_eid"] = np.ravel(index._parent_eid)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
                               tables.tie_seed, bytes.fromhex(tables.graph_digest),
                               tables.codes.size, tables.ids.size),
-                 edges.tobytes(), pairs.tobytes(),
+                 edges.tobytes(),
                  np.concatenate((tables.pair_sizes, tables.codes, tables.set_sizes,
                                  tables.ids)).astype("<i8", copy=False).tobytes(),
                  tables.slots.astype("<u2", copy=False).tobytes()):
@@ -108,7 +97,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         check_build_size(n, m, d)
     except BuildError as exc:
         raise OracleFileError(f"cannot load: {exc}") from None
-    offset = _HEADER.size + m * _EDGE.itemsize + n * n * _PAIR.itemsize
+    offset = _HEADER.size + m * _EDGE.itemsize
     pairs = n * (n + 1) // 2
     words = pairs + 2 * entries + id_count
     size = offset + 8 * words + 8 * n ** 4 + _TRAILER
@@ -127,35 +116,17 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if graph is not None and graph.digest() != digest.hex():
         raise OracleFileError("oracle file was built for a different graph")
 
-    tree = np.frombuffer(blob, _PAIR, n * n, _HEADER.size + m * _EDGE.itemsize)
-    parent, parent_eid = tree["parent"].reshape(n, n), tree["parent_eid"].reshape(n, n)
-    if parent.min() < -1 or parent.max() >= n or \
-            parent_eid.min() < -1 or parent_eid.max() >= m:
-        raise OracleFileError("tree arrays out of range")
-    # off each root, a vertex's parent edge joins it to its parent
-    vertex = np.arange(n)
-    a, b = (np.append(edges[end], -1)[parent_eid] for end in "ab")
-    if not (((a == vertex) & (b == parent)) | ((b == vertex) & (a == parent)) |
-            (vertex[:, None] == vertex)).all():
-        raise OracleFileError("tree arrays do not form a tree: a parent edge misses its ends")
-    # packing a field past its width would alias another length
-    codec = length_codec(g)
-    tl, tk = tree["tl"], tree["tk"]
-    if tl.max() > codec.max_len or tk.max() > codec.mask:
-        raise OracleFileError("tree index lengths out of range")
-    base = (tl.astype(np.int64) << codec.shift) | tk.astype(np.int64)
     try:
-        index = ShortestPathIndex.from_arrays(
-            g, edges["tie"].tolist(), base.reshape(n, n), parent, parent_eid)
+        index = ShortestPathIndex.from_arrays(g, edges["tie"].tolist())
     except GraphError as exc:
-        raise OracleFileError(f"stored index: {exc}") from None
+        raise OracleFileError(f"stored tie values: {exc}") from None
 
     pair_sizes, codes, set_sizes, ids = np.split(np.frombuffer(blob, "<i8", words, offset),
                                                  np.cumsum([pairs, entries, entries]))
     slots = np.frombuffer(blob, "<u2", 4 * n ** 4, offset + 8 * words).reshape((n,) * 4 + (2, 2))
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
-    if (codes < 0).any() or (codes > codec.unreachable_code).any():
+    if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
         raise OracleFileError("palette code out of range")
     if (set_sizes < 0).any() or (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
@@ -167,7 +138,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError("palette set not strictly ascending")
     if (slots.reshape(n * n, -1).max(axis=1) >= pair_grid(pair_sizes, n).ravel()).any():
         raise OracleFileError("palette slot out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, codec, slots, pair_sizes,
+    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, slots, pair_sizes,
                                       codes, set_sizes, ids))
 
 

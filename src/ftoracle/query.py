@@ -23,6 +23,7 @@ min, and so every answer, is what composite lengths would give.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .graph import CompositeLength, Graph, GraphError, canonical_failures
@@ -56,6 +57,10 @@ class Oracle:
     def query_composite(self, u: int, v: int, failures: Iterable[int] = (),
                         stats: QueryStats | None = None) -> CompositeLength:
         n = self.graph.n
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError as exc:
+            raise QueryError(f"vertices must be integers: {exc}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise QueryError(f"vertex out of range: {u}, {v}")
         try:

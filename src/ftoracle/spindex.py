@@ -5,11 +5,12 @@ LengthCodec into integer codes that order like the pairs, and the index
 keeps all base distances as one (n, n) int64 code array.  The query
 engine reads them as Python-int rows and adds each edge's packed step.
 One batched Bellman-Ford, _relax, is the engine's only shortest-path
-routine: the index build runs it once over all roots from scratch, with no
-arc banned, and the table build's deletion sweep runs it per failure set.
-It tracks no parents; the uniqueness check scans every vertex's optimal
-predecessors anyway, and the unique one is the tree parent.  One DFS per
-root derives the index's one damage encoding, Python-int vertex
+routine: the index build and the oracle file load (from_arrays) run it
+once over all roots from scratch, with no arc banned, and the table
+build's deletion sweep runs it per failure set.  It tracks no parents;
+each root's uniqueness check scans every vertex's optimal predecessors
+anyway, and the unique one is the tree parent.  After that check, one
+DFS per root derives the index's one damage encoding, Python-int vertex
 bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
 below tree edge e (0 off the tree), so "e lies on the tree path r->x" is
 _below[r][e] >> x & 1.  The table build unpacks them into numpy masks and
@@ -22,16 +23,16 @@ _below[r][e] & _ends[e].  path_intersects and subtree_touches answer the
 same questions by walking the parent arrays, and read no mask, so they
 check the masks independently.  A built index derives every root; a
 loaded one derives root r on first use, and until then r's slots in the
-five per-root lists hold None.  The query's fast path, FailureView.path
-and build_induced_key_tree test for None; every other reader runs after
-FailureView.path(r).
+seven per-root lists (parents, parent edges, lengths, DFS order and the
+three masks) hold None.  The query's fast path, FailureView.path,
+build_induced_key_tree and the two parent-walk predicates test for None;
+every other reader runs after FailureView.path(r).
 """
 from __future__ import annotations
 
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .graph import (TIE_RANGE_FACTOR, UNREACHABLE, CompositeLength, Graph,
                     GraphError, tie_break_values)
@@ -81,6 +82,22 @@ class ShortestPathIndex:
 
     def __init__(self, graph: Graph, tie: Sequence[int]):
         graph.validate()
+        self._base(graph, tie)
+        for r in range(graph.n):  # the table build reads every root
+            self._finish_root(r)
+
+    @classmethod
+    def from_arrays(cls, graph: Graph, tie: Sequence[int]) -> "ShortestPathIndex":
+        """Rebuild from a stored graph and its tie values (oracle file load).
+
+        Runs the build's Bellman-Ford and derives no root.
+        """
+        index = cls.__new__(cls)
+        index._base(graph, tie)
+        return index
+
+    def _base(self, graph: Graph, tie: Sequence[int]) -> None:
+        """Base codes of every (root, vertex) pair, by one _relax from scratch."""
         self._set_graph(graph, tie)
         n = graph.n
         # one column per root, the deletion sweep's empty set started from
@@ -90,27 +107,11 @@ class ShortestPathIndex:
         dist = np.full((n, n), self.codec.unreachable_code, dtype=np.int64)
         dist[place, np.arange(n)] = 0
         _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
-        codes = dist[place].T.copy()  # (root, vertex)
-        rows = codes.tolist()
-        parent, parent_eid = zip(*(_check_unique(self._adj, r, row)
-                                   for r, row in enumerate(rows)))
-        self._finish(codes, list(parent), list(parent_eid))
-        for r in range(n):  # the table build reads every root
-            self._finish_root(r)
-
-    @classmethod
-    def from_arrays(cls, graph: Graph, tie: Sequence[int], codes: np.ndarray,
-                    parent: ArrayLike, parent_eid: ArrayLike) -> "ShortestPathIndex":
-        """Rebuild from stored (root, vertex) arrays (oracle file load).
-
-        Skips the Bellman-Ford, checks every root's tree and derives none.
-        """
-        parent, parent_eid = np.asarray(parent), np.asarray(parent_eid)
-        _check_trees(parent, parent_eid)
-        index = cls.__new__(cls)
-        index._set_graph(graph, tie)
-        index._finish(codes, parent.tolist(), parent_eid.tolist())
-        return index
+        self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
+        self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
+        # per root, None until _finish_root derives it
+        (self._parent, self._parent_eid, self._dist, self._by_tin, self._anc,
+         self._sub, self._below) = ([None] * n for _ in range(7))
 
     def _set_graph(self, graph: Graph, tie: Sequence[int]) -> None:
         """Check the tie values, derive the codec and the packed edge steps."""
@@ -130,25 +131,15 @@ class ShortestPathIndex:
                      for row in graph.adj]
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
 
-    def _finish(self, codes: np.ndarray, parent: list[list[int]],
-                parent_eid: list[list[int]]) -> None:
-        self.codes = codes  # int64 (n, n): packed base distance root -> vertex
-        self._rows = codes.tolist()  # the same codes as Python ints, for the query
-        self._parent = parent
-        self._parent_eid = parent_eid
-        n = self.graph.n  # per root, None until _finish_root derives it
-        self._dist, self._by_tin, self._anc, self._sub, self._below = \
-            ([None] * n for _ in range(5))
-
     def _finish_root(self, r: int) -> list[int]:
-        """Derive root r's base lengths, DFS order and masks.
+        """Derive root r's tree, base lengths, DFS order and masks.
 
-        Returns _below[r].  r's parent arrays must form a tree rooted at r.
+        Returns _below[r].  Raises TieBreakError, before it writes
+        anything, unless r's shortest paths are unique.
         """
+        parent, parent_eid = _check_unique(self._adj, r, self._rows[r])
         graph = self.graph
         n = graph.n
-        parent = self._parent[r]
-        parent_eid = self._parent_eid[r]
         shift, mask = self.codec.shift, self.codec.mask
         # a connected graph's index holds no UNREACHABLE code
         self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
@@ -176,6 +167,8 @@ class ShortestPathIndex:
             sub[parent[v]] |= sub[v]
             below[parent_eid[v]] = sub[v]
 
+        self._parent[r] = parent
+        self._parent_eid[r] = parent_eid
         self._by_tin[r] = by_tin
         self._anc[r] = anc
         self._sub[r] = sub
@@ -186,6 +179,8 @@ class ShortestPathIndex:
 
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff some failed edge lies on the tree path root -> x."""
+        if self._parent[root] is None:
+            self._finish_root(root)
         parent, parent_eid = self._parent[root], self._parent_eid[root]
         while x != root:
             if parent_eid[x] in failed:
@@ -195,6 +190,8 @@ class ShortestPathIndex:
 
     def subtree_touches(self, root: int, w: int, failed: Iterable[int]) -> bool:
         """True iff the subtree of w (rooted at root) contains a failed endpoint."""
+        if self._parent[root] is None:
+            self._finish_root(root)
         parent = self._parent[root]
         edges = self.graph.edges
         for eid in failed:
@@ -204,27 +201,6 @@ class ShortestPathIndex:
                 if p == w:
                     return True
         return False
-
-
-def _check_trees(parent: np.ndarray, parent_eid: np.ndarray) -> None:
-    """Raise GraphError unless each root r's row forms a tree rooted at r.
-
-    Root r has no parent, every other vertex has one, and with r made its
-    own parent, ceil(log2 n) rounds of pointer doubling take every vertex
-    2^k >= n - 1 steps up, to r.
-    """
-    n = len(parent)
-    diag = np.arange(n)
-    up = parent.astype(np.intp)  # a copy
-    up[diag, diag] = diag
-    # checked, not left to indexing, where -1 would name vertex n - 1
-    bad = (parent.diagonal() != -1) | (parent_eid.diagonal() != -1) | (up < 0).any(axis=1)
-    for _ in range((n - 1).bit_length()):
-        up = up[diag[:, None], up]
-    bad |= (up != diag[:, None]).any(axis=1)
-    if bad.any():
-        raise GraphError(
-            f"root {bad.argmax()}: parent arrays do not form a tree rooted there")
 
 
 def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,

@@ -148,11 +148,11 @@ def lca(index, root, x, y):
 
 # the index's per-root lists: filled for every root by a build, and for
 # root r by _finish_root(r) on r's first use after a load
-PER_ROOT = ("_dist", "_by_tin", "_anc", "_sub", "_below")
+PER_ROOT = ("_parent", "_parent_eid", "_dist", "_by_tin", "_anc", "_sub", "_below")
 
 
 def derived_roots(index):
-    """Roots whose per-root lists are filled; a root has all five or none."""
+    """Roots whose per-root lists are filled; a root has all seven or none."""
     filled = [{getattr(index, name)[r] is not None for name in PER_ROOT}
               for r in range(index.graph.n)]
     assert all(len(f) == 1 for f in filled), filled

@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "19cc6a7c68c53a4b9fe3f261caaf1a09dcd92b81561c4e74137280242dbe9686"),
+              "d2db9e87d8fc99390fcf12223c50d761b4ae225fba280bfba55c21819157501f"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "94c3e8f56f8fd4bb6f341b9deccc52ba8cbf6f4b2e0341a5b2a0eb4368f40519"),
+              "fe6af2682116851f2def103b7a7c4c3de6d7f3d88d15ff669f57fbd0e6871b0b"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "fa8c622432cdffcbdb7dfe7de2e166f59db3e0c96c9b75b31ca8df08753a017d"),
+              "f2f887a9ccf584b274468f05a69fb9f923c4cf511d1ea3dddb465c258a4d3261"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "815d13c0cdd269d03d8a6e45bb2fed2932f18b386fbbf363ce9c7cd022f52163"),
+                "5ce41e9b294308ed55215e47f6bff3e5d47240df5cf32b3efc189f468c7ceecb"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "6d04b4dfe4230d0e06b583f16e44716fb32fb3db1c2ee7acf8a6d4fa7b7995b8"),
+                "f908957ba3e7d0fa31633df02da7d985817a0d7f54f555db2baa09672da5e837"),
     "path5-d2": (_path5, 2,
-                 "e609bb2f89aff3bfefee54da1a4f8784b3b884223e8bea3362b2e994466a8ed5"),
+                 "3e4ab306c8bc515c87d31efc313a078985202ad364a23f08d0f6d7b5fbdfa428"),
     "k5-d1": (_k5, 1,
-              "edc5a2b7cd97830d68429f0f1a41dc417dfc12dbf0c9a12692f570b1bc2b8c2b"),
+              "71dca9da3c4cb16a96a6c74e00c4ff8af524afa673c3868310738efb682ba308"),
     "k5-d2": (_k5, 2,
-              "ee2d8780a3196f72eaec68a367a52aadb4a8b9e5551fa52792a0aa3098a52351"),
+              "d67d0303f95933268578be3b73bb84357854801c02406f94f7cbf49a3f497076"),
     "k5-d3": (_k5, 3,
-              "336975c10dea79495005035749af50eaf61e296f6b029f30f67b4fd8cda63e21"),
+              "71eb60cdf5a6adb4fc7bbece72ad92d399d5ee986fd0a79b8c199af272300490"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "abc914290c0804826bc1cf6d25ecfe46aac54479e93d9c0e4af434395753258b"),
+                    "9c84d91cd4da17be25c1d1f3fe1c29abd170b6be59d7b50b73b72bcc4dcaa824"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "e514f6f3942b5a2da39d5be381b55d136eac2be983bcf04deb2e9c069593ef71"),
+                    "ba001eae705818d89ecf2bb524f9d4c0a13abbc723194bc49b6980be51f1727b"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "894f67a517f3bc6c949274a8e51bf58a1f85923bf8aae7bc4ea5697a0c2ea857"),
+                    "8460817e7368f00365356a7a382c38aa1077d7ee9aea0b6200284b075fab4fd5"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "d00ecdf514abaedd439e493c971894c4b44dac2f0d90036f143538a9e3d8c5bc"),
+                    "38cee7061b06b7111d980530245b4e66d44dd212cb1d5a4c45802064d29bd4b6"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "4f3bd951559b7917c99b2b964e7780a1de6058f6999be015b118978ce64e2d01"),
+                    "17baa2ce527ebbfc7c15c884ea61d8d10778f522b715eecccc03b435402ee8cc"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "e2c94fa00881daecd79acbd2a8187270a34c7587a94aaa14eb3d1981b0d9a3d8"),
+                    "b76861954d955f6773ba385eed048f07a383c33d62008c3b67d12d5d5987cc00"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "afbcd884c66b76bbd7ded7742cd8dda64e3aaba749f4d271f91ff177854f358e"),
+                      "a590f6c5ed3aafef3d913815fc8a5bfdb4fb570fa777bb7b51d853de41bfbf35"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "938f4717e1de11decdc6159505c615ad9667b1d0ccd3bb309107a8a43aa63288"),
+                      "1c2975d755cfa73082d8016b0e7191e569696950b5449060b2f77b0784ac6d9f"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "a2c21ce919970c1f21574f8ebf8bbbef94f5ec583b77c7a6311e63f316e154be"),
+                      "4d438244da101463a3e6ea0adf7eab7e6a23ee07f44ab337542f21a9dfaea00e"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "985b783f16ff9bc7ef611ad1d50e97b93b94edcb548e2514d181beb683305146"),
+                      "9b48053111413e109ec261ac1754c4aaba0ef260aa438f86de10398747c8ff5b"),
 }
 
 

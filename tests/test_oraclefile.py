@@ -1,26 +1,28 @@
 """Binary oracle files: round trips, byte identity, corruption detection."""
 import hashlib
 import io
+import itertools
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ftoracle.cli as cli
 import ftoracle.tables
 from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import GraphError
+from ftoracle.graph import Graph, GraphError
 from ftoracle.hitset import build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
-from ftoracle.spindex import ShortestPathIndex
+from ftoracle.spindex import ShortestPathIndex, TieBreakError
+from ftoracle.tables import constraint_holds, enumerate_failure_sets
 
 from conftest import PER_ROOT, base_length, derived_roots, underive
+from test_file_digests import PINNED
 
 
 def test_same_build_same_bytes(g1):
@@ -75,13 +77,35 @@ def test_queries_derive_only_the_roots_they_visit(oracle6_d2, g6, monkeypatch):
 
 
 def test_derived_roots_equal_the_built_index(oracle6_d2):
-    built = oracle6_d2.index
-    index = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
-    for r in range(index.graph.n):
-        base_length(index, r, r)
-    assert derived_roots(index) == set(range(index.graph.n))
-    for name in PER_ROOT:
-        assert getattr(index, name) == getattr(built, name), name
+    # g6 and every pinned build, loaded; and the largest n a file may hold,
+    # whose index from_arrays rebuilds as load does (its tables would not fit)
+    oracles = [oracle6_d2] + [build_oracle(make(), d, seed=1) for make, d, _ in PINNED.values()]
+    pairs = [(o.index, load_oracle(io.BytesIO(oracle_file_bytes(o))).index) for o in oracles]
+    path = Graph(128, [(i, i + 1, 1) for i in range(127)])
+    path_index = ShortestPathIndex(path, list(range(1, 128)))
+    pairs.append((path_index, ShortestPathIndex.from_arrays(path, path_index.tie)))
+    for built, index in pairs:
+        assert derived_roots(index) == set()
+        assert np.array_equal(index.codes, built.codes)
+        assert index.codes.dtype == built.codes.dtype
+        for r in range(index.graph.n):
+            base_length(index, r, r)
+        assert derived_roots(index) == set(range(index.graph.n))
+        for name in PER_ROOT:
+            assert getattr(index, name) == getattr(built, name), name
+
+
+def test_constraints_match_on_a_fresh_load(oracle6_d2, g6):
+    # the parent-walk predicates derive their roots on first use
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    assert derived_roots(loaded.index) == set()
+    sets = enumerate_failure_sets(g6.m, 2)
+    for key in itertools.product(range(g6.n), repeat=4):
+        for b1, b2 in itertools.product((0, 1), repeat=2):
+            for failed in sets:
+                assert constraint_holds(loaded.index, failed, key + (b1, b2)) == \
+                    constraint_holds(oracle6_d2.index, failed, key + (b1, b2))
+    assert derived_roots(loaded.index) == set(range(g6.n))
 
 
 def test_loaded_oracle_answers_match(oracle6_d2, g6):
@@ -125,9 +149,9 @@ def test_file_size_is_fixed_width(oracle1_d2):
     blob = oracle_file_bytes(oracle1_d2)
     # the header names the palette totals, and they fix every section's size
     assert _HEADER.unpack_from(blob)[-2:] == (entries, ids)
-    # header, edges with tie values, tree index, palette sizes per pair u <= v,
-    # palette codes and set sizes i64, edge ids i64, slots u16, sha256
-    expect = (_HEADER.size + m * 24 + n * n * 24 + n * (n + 1) // 2 * 8 +
+    # header, edges with tie values, palette sizes per pair u <= v, palette
+    # codes and set sizes i64, edge ids i64, slots u16, sha256; no index
+    expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
               entries * 16 + ids * 8 + 4 * n ** 4 * 2 + 32)
     assert len(blob) == expect
 
@@ -165,12 +189,16 @@ def test_rejects_trailing_data(oracle1_d1):
 
 
 def test_rejects_tampered_graph(oracle1_d1):
-    # flip one edge weight; the stored digest no longer matches
+    # change one edge weight: the trailer catches it; re-sealed, the
+    # trailer passes and the stored graph fails the header's graph digest
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     off = _HEADER.size + 8  # first edge record, weight field
     blob[off:off + 8] = (9).to_bytes(8, "little")
-    with pytest.raises(OracleFileError, match="digest"):
+    with pytest.raises(OracleFileError, match="does not match its sha256 digest trailer"):
         load_oracle(io.BytesIO(bytes(blob)))
+    with pytest.raises(OracleFileError,
+                       match="stored graph does not match its stored digest"):
+        load_oracle(io.BytesIO(_reseal(blob)))
 
 
 def _reseal(blob: bytearray) -> bytes:
@@ -184,33 +212,30 @@ def _sections(tables) -> dict:
 
     The table values are the palette codes, and each D* is its edge ids.
     """
-    off = _HEADER.size + 4 * 24 + 16 * 24
+    off = _HEADER.size + 4 * 24
     sections = {}
     for name, words in (("pair_sizes", 10), ("values", len(tables.codes)),
                         ("set_sizes", len(tables.codes)), ("dstar", len(tables.ids)),
                         ("slots", 0)):
         sections[name] = off
         off += 8 * words
-    sections["parent"] = _HEADER.size + 4 * 24 + 16
-    sections["parent_eid"] = _HEADER.size + 4 * 24 + 20
     return sections
 
 
 _REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
              "pair_sizes": "sizes out of range", "set_sizes": "set size out of range",
-             "slots": "slot out of range", "parent": "tree arrays out of range",
-             "parent_eid": "tree arrays out of range"}
+             "slots": "slot out of range"}
 
 
 @pytest.mark.parametrize("section, value", [
     ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
-    ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1), ("parent", 4), ("parent_eid", 4)])
+    ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1)])
 def test_rejects_out_of_range_entries(oracle1_d1, section, value):
     # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
     # entry; each case edits the first item of its section
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     off = _sections(oracle1_d1.tables)[section]
-    width = {"slots": 2, "parent": 4, "parent_eid": 4}.get(section, 8)
+    width = 2 if section == "slots" else 8
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
     with pytest.raises(OracleFileError, match=_REJECTED[section]):
         load_oracle(io.BytesIO(_reseal(blob)))
@@ -313,83 +338,24 @@ def test_rejects_budget_beyond_physical_memory():
     assert time.perf_counter() - start < 1.0
 
 
-_CYCLIC_ROOT = """
-import hashlib, io, resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))  # a hang must not grow for long
-sys.path.insert(0, {tests!r})
-from conftest import G1_TEXT, tree_path
-from ftoracle import build_oracle, load_oracle, oracle_file_bytes, parse_graph
-from ftoracle.oraclefile import OracleFileError, _HEADER
-oracle = build_oracle(parse_graph(G1_TEXT), 1, seed=1)
-child = tree_path(oracle.index, 0, 1)[1]  # a child of root 0
-blob = bytearray(oracle_file_bytes(oracle))
-off = _HEADER.size + 4 * 24 + 16  # parent of vertex 0 in root 0's tree
-blob[off:off + 4] = child.to_bytes(4, "little", signed=True)
-body = bytes(blob[:-32])
-start = time.perf_counter()
-try:
-    load_oracle(io.BytesIO(body + hashlib.sha256(body).digest()))
-except OracleFileError as exc:
-    print(f"{{time.perf_counter() - start:.6f}}", exc)
-"""
-
-
-def test_rejects_root_with_a_parent_without_hanging():
-    # a cycle through the root once made load walk root -> child -> root
-    # forever, so the load runs in a child process that a timeout can stop
-    script = _CYCLIC_ROOT.format(tests=os.path.dirname(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=20, env=env, check=True).stdout
-    seconds, message = out.split(" ", 1)
-    assert "do not form a tree" in message
-    assert float(seconds) < 1.0
-
-
-def test_rejects_trees_that_are_not_trees(oracle1_d1):
-    # g1 is the cycle 0-1-2-3-0 with edges 0:(0,1) 1:(1,2) 2:(2,3) 3:(0,3)
-    parent = np.array(oracle1_d1.index._parent)
-    parent_eid = np.array(oracle1_d1.index._parent_eid)
-    blob = oracle_file_bytes(oracle1_d1)
-
-    def stored(par, eid):
-        out = bytearray(blob)
-        for r in range(4):
-            for v in range(4):
-                off = _HEADER.size + 4 * 24 + (4 * r + v) * 24 + 16
-                out[off:off + 8] = np.array([par[r, v], eid[r, v]], "<i4").tobytes()
-        return _reseal(out)
-
-    assert load_oracle(io.BytesIO(stored(parent, parent_eid))).d == 1
-    # root 0: vertices 1 and 2 name each other as parents over edge 1
-    par, eid = parent.copy(), parent_eid.copy()
-    par[0, 1], par[0, 2], eid[0, 1], eid[0, 2] = 2, 1, 1, 1
-    with pytest.raises(OracleFileError, match="do not form a tree"):
-        load_oracle(io.BytesIO(stored(par, eid)))
-    # root 0: vertex 1's parent edge does not join it to its parent
-    par, eid = parent.copy(), parent_eid.copy()
-    eid[0, 1] = 2
-    with pytest.raises(OracleFileError, match="do not form a tree"):
-        load_oracle(io.BytesIO(stored(par, eid)))
-
-
-def _with_pair(blob: bytes, i: int, field: int, value: int) -> bytes:
-    """Tree-index record i (g1: n=4, m=4) with one u64 field replaced, re-sealed."""
-    out = bytearray(blob)
-    off = _HEADER.size + 4 * 24 + i * 24 + field
-    out[off:off + 8] = value.to_bytes(8, "little")
-    return _reseal(out)
-
-
-def test_rejects_index_lengths_that_would_alias(oracle1_d1):
-    blob = oracle_file_bytes(oracle1_d1)
-    codec = oracle1_d1.tables.codec
-    # g1 has n=4 and wmax=5: no simple path is longer than 15
-    for field, value in ((0, 16), (0, 2 ** 64 - 1), (8, codec.mask + 1)):
-        with pytest.raises(OracleFileError, match="lengths out of range"):
-            load_oracle(io.BytesIO(_with_pair(blob, 1, field, value)))
-    # in range, the same record still loads
-    assert load_oracle(io.BytesIO(_with_pair(blob, 1, 0, 15))).d == 1
+def test_tied_file_loads_and_its_query_raises(tmp_path):
+    # a unit-weight 4-cycle re-sealed with every tie value 1: 0 reaches 2
+    # both ways round at the same composite length.  The index is derived
+    # from the stored graph, so it cannot hide the tie; the first query
+    # that visits root 0 raises
+    square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    blob = bytearray(oracle_file_bytes(build_oracle(square, d=1, seed=1)))
+    for eid in range(4):
+        off = _HEADER.size + 24 * eid + 16  # edge record eid, tie field
+        blob[off:off + 8] = (1).to_bytes(8, "little")
+    tied = _reseal(blob)
+    loaded = load_oracle(io.BytesIO(tied))
+    assert loaded.index.tie == [1, 1, 1, 1]
+    with pytest.raises(TieBreakError, match="root 0: vertex 2 has 2 optimal predecessors"):
+        loaded.query(0, 2)
+    path = tmp_path / "tied.oracle"
+    path.write_bytes(tied)
+    assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "2"]) == 2
 
 
 @pytest.mark.parametrize("tie", [0, 8 * 4 * 4 * 4 + 1, 2 ** 64 - 1])

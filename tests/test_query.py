@@ -100,9 +100,23 @@ def test_non_integer_edge_id(oracle1_d1, failures):
         oracle1_d1.query(0, 2, failures)
 
 
+@pytest.mark.parametrize("u, v, failures", [
+    (1.0, 2, ()), (0, 2.0, [1]), ("1", 2, ()), (0, np.float64(2), [1]), (None, 2, ())],
+    ids=["float-u", "float-v-damaged", "str-u", "numpy-float-v-damaged", "none-u"])
+def test_non_integer_vertex(oracle1_d1, u, v, failures):
+    # undamaged and damaged queries alike: refused, never truncated
+    with pytest.raises(QueryError, match="vertices must be integers"):
+        oracle1_d1.query(u, v, failures)
+
+
 def test_numpy_integer_edge_ids(oracle1_d1):
     failed = np.array([1], dtype=np.int64)
     assert oracle1_d1.query(0, 2, failed) == oracle1_d1.query(0, 2, [1]) == 6
+
+
+def test_numpy_integer_vertices(oracle1_d1):
+    assert oracle1_d1.query(np.int64(0), np.int32(2), [1]) == 6
+    assert oracle1_d1.query(np.uint8(1), np.int64(3)) == oracle1_d1.query(1, 3)
 
 
 def test_d_property(oracle1_d2, oracle6_d1):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -261,8 +262,7 @@ def test_masks_match_interval_predicates(shape, n, seed):
     # the query's tree-child rule: e's end in _below[r][e] is the vertex whose
     # parent edge e is, and an edge off the tree has neither end there; on a
     # clone each root is derived on its first use here
-    clone = ShortestPathIndex.from_arrays(g, index.tie, index.codes,
-                                          index._parent, index._parent_eid)
+    clone = ShortestPathIndex.from_arrays(g, index.tie)
     assert derived_roots(clone) == set()
     for ix in (index, clone):
         for r in range(g.n):
@@ -336,12 +336,14 @@ def test_unique_parent_per_root(idx6):
 
 def test_from_arrays_reproduces_predicates(idx6):
     g = idx6.graph
-    clone = ShortestPathIndex.from_arrays(
-        g, idx6.tie, idx6.codes, idx6._parent, idx6._parent_eid)
+    clone = ShortestPathIndex.from_arrays(g, idx6.tie)
     assert derived_roots(clone) == set()
+    assert np.array_equal(clone.codes, idx6.codes)
     for r in range(g.n):
         clone._finish_root(r)
         assert derived_roots(clone) == set(range(r + 1))
+        assert clone._parent[r] == idx6._parent[r]
+        assert clone._parent_eid[r] == idx6._parent_eid[r]
         assert clone._anc[r] == idx6._anc[r]
         assert clone._sub[r] == idx6._sub[r]
         assert clone._below[r] == idx6._below[r]
@@ -356,66 +358,28 @@ def test_from_arrays_reproduces_predicates(idx6):
                     idx6.path_intersects(u, x, (eid,))
 
 
-@pytest.fixture(scope="module")
-def path128():
-    # the largest n a file may hold; root 0 reaches vertex 127 at depth 127
-    graph = Graph(128, [(i, i + 1, 1) for i in range(127)])
-    return ShortestPathIndex(graph, list(range(1, 128)))
-
-
-def _from_arrays_with(index, root, v, parent, parent_eid):
-    """from_arrays on index's arrays with root's entry for v replaced."""
-    par = [row[:] for row in index._parent]
-    eid = [row[:] for row in index._parent_eid]
-    par[root][v], eid[root][v] = parent, parent_eid
-    return ShortestPathIndex.from_arrays(index.graph, index.tie, index.codes, par, eid)
-
-
-def test_tree_check_at_depth(path128):
-    index = path128
-    assert index._parent[0][127] == 126
-    # depth 127 needs every one of the 7 doubling rounds
-    clone = ShortestPathIndex.from_arrays(
-        index.graph, index.tie, index.codes, index._parent, index._parent_eid)
-    assert clone._parent == index._parent
-    assert derived_roots(clone) == set()
-    assert base_length(clone, 0, 127) == base_length(index, 0, 127)
-    assert derived_roots(clone) == {0}
-    # 2-cycle at depth 100: vertices 100 and 101 name each other over edge 100
-    with pytest.raises(GraphError, match="root 0: parent arrays do not form a tree"):
-        _from_arrays_with(index, 0, 100, 101, 100)
-    # a second parentless vertex: as an index, -1 names vertex 127, here
-    # the root itself, so only an explicit check refuses it
-    with pytest.raises(GraphError, match="root 127: parent arrays do not form a tree"):
-        _from_arrays_with(index, 127, 64, -1, -1)
-    # root 5 with parent 4, whose own parent is 5
-    with pytest.raises(GraphError, match="root 5: parent arrays do not form a tree"):
-        _from_arrays_with(index, 5, 5, 4, 4)
-
-
 TREE_CHECK_UNDER_O = """
 import sys
-from ftoracle.graph import Graph, GraphError
-from ftoracle.spindex import ShortestPathIndex
+from ftoracle.graph import Graph
+from ftoracle.spindex import ShortestPathIndex, TieBreakError
 assert sys.flags.optimize, "not running under -O"
-index = ShortestPathIndex(Graph(128, [(i, i + 1, 1) for i in range(127)]), list(range(1, 128)))
-parent = [row[:] for row in index._parent]
-parent_eid = [row[:] for row in index._parent_eid]
-parent[127][64] = parent_eid[127][64] = -1
+square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+index = ShortestPathIndex.from_arrays(square, [1, 1, 1, 1])
 try:
-    ShortestPathIndex.from_arrays(index.graph, index.tie, index.codes, parent, parent_eid)
-except GraphError as exc:
+    index.path_intersects(0, 2, ())
+except TieBreakError as exc:
     print(exc)
 """
 
 
 def test_tree_check_survives_optimized_mode():
-    # python -O strips assert statements; the tree check must not depend on them
+    # python -O strips assert statements; the uniqueness check that makes a
+    # loaded root's parents a tree must not depend on them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-O", "-c", TREE_CHECK_UNDER_O], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert "root 127: parent arrays do not form a tree" in done.stdout
+    assert "root 0: vertex 2 has 2 optimal predecessors" in done.stdout
 
 
 def test_deterministic_across_builds(g6):
