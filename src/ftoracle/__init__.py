@@ -7,7 +7,7 @@ from .oraclefile import OracleFileError, load_oracle, oracle_file_bytes, save_or
 from .query import Oracle, QueryError, build_oracle
 from .reference import CheckedEngine, GuardError, ReferenceOracle, VerifyReport, verify_instance
 from .spindex import ShortestPathIndex, TieBreakError, build_index_auto
-from .tables import BuildError, OracleTables, TableEntry, TableKey, build_tables, constraint_holds
+from .tables import BuildError, OracleTables, TableEntry, build_tables, constraint_holds
 from .version import __version__
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Oracle", "QueryError", "build_oracle",
     "CheckedEngine", "GuardError", "ReferenceOracle", "VerifyReport", "verify_instance",
     "ShortestPathIndex", "TieBreakError", "build_index_auto",
-    "BuildError", "OracleTables", "TableEntry", "TableKey", "build_tables",
-    "constraint_holds",
+    "BuildError", "OracleTables", "TableEntry", "build_tables", "constraint_holds",
     "__version__",
 ]

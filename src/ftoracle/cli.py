@@ -88,9 +88,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     oracle = build_oracle(graph, args.d, seed=args.seed)
-    mode = "sampled" if args.samples is not None else "exhaustive"
-    report = verify_instance(oracle, mode=mode,
-                             samples=args.samples or 0, seed=args.seed)
+    report = verify_instance(oracle, samples=args.samples, seed=args.seed)
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -74,11 +74,10 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     off the marks _anc[root][x], x's ancestors' DFS entry bits: x's own entry
     is its mark's highest bit, so marks sort in DFS order, and the LCA of x
     and y enters at the highest bit their marks share.  Entries are kept as
-    bit lengths, one above the bit, and mapped back through _by_tin.
+    bit lengths, one above the bit, and mapped back through _by_tin.  Root
+    must be derived: FailureView.key_tree(r) runs after view.path(r).
     """
     assert failed, "key tree is only defined for a nonempty failure set"
-    if index._anc[root] is None:
-        index._finish_root(root)
     edges, anc, by_tin = index.graph.edges, index._anc[root], index._by_tin[root]
     marks = []
     for eid in failed:

@@ -21,10 +21,10 @@ shortest-path index are derived, not stored: load range-checks the tie
 values and runs the build's Bellman-Ford on the stored graph, so the index
 cannot disagree with the graph, and each root's tree, whose uniqueness
 check may raise TieBreakError, is derived on its first query.  Before
-reading past the header, load runs a build's memory and slot-width check.
-Other versions, such as version 3 with its stored index, fail with a
-version error.  Saving the same build twice is byte-identical, and a load
-followed by a save reproduces the file exactly.
+reading past the header, load runs the build's budget gate,
+check_build_size.  Other versions, such as version 3 with its stored
+index, fail with a version error.  Saving the same build twice is
+byte-identical, and a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -38,14 +38,13 @@ import numpy as np
 from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, ShortestPathIndex
-from .tables import OracleTables, check_build_size, failure_set_count, pair_grid
+from .tables import OracleTables, check_build_size, pair_grid
 
 MAGIC = b"FTDO"
 VERSION = 4
 _HEADER = struct.Struct("<4sH2xQQQq32sQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
-_MAX_SUBSETS = 2 ** 31  # the derived dstar_idx view is int32
 
 
 class OracleFileError(ValueError):
@@ -63,7 +62,7 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
                      dtype=_EDGE)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
-                              tables.tie_seed, bytes.fromhex(tables.graph_digest),
+                              tables.tie_seed, bytes.fromhex(graph.digest()),
                               tables.codes.size, tables.ids.size),
                  edges.tobytes(),
                  np.concatenate((tables.pair_sizes, tables.codes, tables.set_sizes,
@@ -88,11 +87,6 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if version != VERSION:
         raise OracleFileError(f"unsupported oracle file version {version} "
                               f"(expected {VERSION}); rebuild the oracle")
-    if d < 1:
-        raise OracleFileError(f"failure budget d={d} out of range")
-    if failure_set_count(m, d, _MAX_SUBSETS) > _MAX_SUBSETS:
-        raise OracleFileError(f"failure budget d={d} with m={m} gives more failure "
-                              f"sets than int32 set indices can address")
     try:
         check_build_size(n, m, d)
     except BuildError as exc:

@@ -88,16 +88,18 @@ class Oracle:
         return index.codec.decode(code)
 
     def _query_r(self, a: int, b: int, view: FailureView, r: int) -> int:
-        """Packed a-b distance avoiding view's failures, found with pivot budget r."""
-        index = self.index
+        """Packed a-b distance avoiding view's failures, found with pivot budget r.
+
+        Every call is on a damaged pair, view.path(a) >> b & 1: the fast
+        path answers an undamaged top call, and a pivot w is a hit, so a
+        failure lies on both tree paths a->w and w->b.
+        """
         stats = view.stats
         if stats is not None:
             depth = len(view.failed) - r + 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
-        if not view.path(a) >> b & 1:
-            return index._rows[a][b]
-        unreachable = index.codec.unreachable_code
+        unreachable = self.index.codec.unreachable_code
         if r == 0:
             return unreachable
         memo = view.memo

@@ -231,10 +231,10 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_instance(oracle: Oracle, mode: str = "exhaustive",
-                    samples: int = 10000, seed: int = 0,
+def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
                     collect_answers: bool = False) -> VerifyReport:
-    """Check oracle answers and internal contracts over an instance stream."""
+    """Check answers and contracts on every instance, or on samples drawn from seed."""
+    mode = "exhaustive" if samples is None else "sampled"
     graph = oracle.graph
     ref = ReferenceOracle(graph, oracle.index.tie)
     index = oracle.index
@@ -247,7 +247,7 @@ def verify_instance(oracle: Oracle, mode: str = "exhaustive",
     checked = Oracle(index, oracle.tables)
     engine = checked.engine = CheckedEngine(index, oracle.tables)
     records = engine.records
-    for u, v, failed in enumerate_instances(graph, d, mode, samples, seed):
+    for u, v, failed in enumerate_instances(graph, d, mode, samples or 0, seed):
         stats = QueryStats()
         records.clear()
         answer = checked.query_composite(u, v, failed, stats=stats)

@@ -24,9 +24,9 @@ same questions by walking the parent arrays, and read no mask, so they
 check the masks independently.  A built index derives every root; a
 loaded one derives root r on first use, and until then r's slots in the
 seven per-root lists (parents, parent edges, lengths, DFS order and the
-three masks) hold None.  The query's fast path, FailureView.path,
-build_induced_key_tree and the two parent-walk predicates test for None;
-every other reader runs after FailureView.path(r).
+three masks) hold None.  The query's fast path, FailureView.path and the
+two parent-walk predicates test for None; every other reader runs after
+FailureView.path(r).
 """
 from __future__ import annotations
 
@@ -61,20 +61,10 @@ class LengthCodec:
             raise BuildError(
                 f"graph too large to pack composite lengths: n={n} m={m} wmax={max_weight}")
 
-    def encode(self, length: CompositeLength) -> int:
-        if length.is_unreachable:
-            return self.unreachable_code
-        return (length.true_len << self.shift) | length.tie_key
-
     def decode(self, code: int) -> CompositeLength:
         if code >= self.unreachable_code:
             return UNREACHABLE
         return CompositeLength(code >> self.shift, code & self.mask)
-
-
-def length_codec(graph: Graph) -> LengthCodec:
-    """The codec of every packed length derived from graph."""
-    return LengthCodec(graph.n, graph.m, max((w for _, _, w in graph.edges), default=1))
 
 
 class ShortestPathIndex:
@@ -97,9 +87,24 @@ class ShortestPathIndex:
         return index
 
     def _base(self, graph: Graph, tie: Sequence[int]) -> None:
-        """Base codes of every (root, vertex) pair, by one _relax from scratch."""
-        self._set_graph(graph, tie)
-        n = graph.n
+        """Check the tie values; derive the codec, the packed edge steps and,
+        by one _relax from scratch, the base codes of every (root, vertex) pair."""
+        n, m = graph.n, graph.m
+        if len(tie) != m:
+            raise GraphError(f"expected {m} tie values, got {len(tie)}")
+        hi = TIE_RANGE_FACTOR * m * n * n
+        for eid, t in enumerate(tie):
+            if not 1 <= t <= hi:
+                raise GraphError(f"edge {eid}: tie value {t} outside [1, {hi}]")
+        self.graph = graph
+        self.tie = list(tie)
+        self.codec = LengthCodec(n, m, max((w for _, _, w in graph.edges), default=1))
+        shift = self.codec.shift
+        # packed length of each edge, and (neighbor, edge id, that length)
+        self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]
+        self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
+                     for row in graph.adj]
+        self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
         # one column per root, the deletion sweep's empty set started from
         # scratch: every vertex unreachable but the root itself
         arcs = _arc_list(self)
@@ -112,24 +117,6 @@ class ShortestPathIndex:
         # per root, None until _finish_root derives it
         (self._parent, self._parent_eid, self._dist, self._by_tin, self._anc,
          self._sub, self._below) = ([None] * n for _ in range(7))
-
-    def _set_graph(self, graph: Graph, tie: Sequence[int]) -> None:
-        """Check the tie values, derive the codec and the packed edge steps."""
-        if len(tie) != graph.m:
-            raise GraphError(f"expected {graph.m} tie values, got {len(tie)}")
-        hi = TIE_RANGE_FACTOR * graph.m * graph.n * graph.n
-        for eid, t in enumerate(tie):
-            if not 1 <= t <= hi:
-                raise GraphError(f"edge {eid}: tie value {t} outside [1, {hi}]")
-        self.graph = graph
-        self.tie = list(tie)
-        self.codec = length_codec(graph)
-        shift = self.codec.shift
-        # packed length of each edge, and (neighbor, edge id, that length)
-        self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]
-        self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
-                     for row in graph.adj]
-        self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
 
     def _finish_root(self, r: int) -> list[int]:
         """Derive root r's tree, base lengths, DFS order and masks.

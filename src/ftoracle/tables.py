@@ -49,7 +49,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,15 +58,6 @@ from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_lis
 
 
 CHUNK = 64  # (root, set) pairs the deletion sweep relaxes together
-
-
-class TableKey(NamedTuple):
-    u: int
-    v: int
-    up: int
-    vp: int
-    b1: int
-    b2: int
 
 
 @dataclass(frozen=True)
@@ -92,28 +83,36 @@ def failure_set_count(m: int, d: int, cap: float = math.inf) -> int:
 
 
 def check_build_size(n: int, m: int, d: int) -> None:
-    """Refuse tables beyond physical memory or beyond uint16 palette slots.
+    """The one budget gate of build and load; raises BuildError.
 
-    Each of the 4*n^4 keys takes a uint16 slot, each palette entry an int64
-    code, set size and edge ids plus their read-path lists, charged at the
-    bound of min(4n^2, sets) entries per pair.  Each subset costs a tuple
-    and list slot and a row of int32 edge ids.  The sweep's group of roots
-    costs, per subset and root, its side masks (about 4n + 8 bytes while
-    derived), a code and an index in each of the root's at most n // 2
-    candidate buffers, a hit flag per buffer and a pair index.  A group
-    holds at most 1 + (CHUNK - 1) // k roots, k the sets that hold a given
-    edge, since every root before its last sweeps at least k pairs and all
-    of them fewer than CHUNK.  A chunk adds, per pair, an int64 sum, its
-    copy in numpy's broadcast buffer and a ban flag per arc (2m arcs), the
-    set's edge flags, an int64 code and a damage flag per vertex, and the
-    extracted codes and ranks per column.  Failing before anything is
-    allocated beats an overcommitted allocation killed later.
+    In order, it refuses d < 1, more than 2^31 failure sets (the build's
+    pair, set and candidate indices are int32), more than physical memory,
+    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each of
+    the 4*n^4 keys takes a uint16 slot, each palette entry an int64 code,
+    set size and edge ids plus their read-path lists, charged at the bound
+    of min(4n^2, sets) entries per pair.  Each subset costs a tuple and list
+    slot and a row of int32 edge ids.  The sweep's group of roots costs, per
+    subset and root, its side masks (about 4n + 8 bytes while derived), a
+    code and an index in each of the root's at most n // 2 candidate
+    buffers, a hit flag per buffer and a pair index.  A group holds at most
+    1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
+    every root before its last sweeps at least k pairs and all of them fewer
+    than CHUNK.  A chunk adds, per pair, an int64 sum, its copy in numpy's
+    broadcast buffer and a ban flag per arc (2m arcs), the set's edge flags,
+    an int64 code and a damage flag per vertex, and the extracted codes and
+    ranks per column.  Failing before anything is allocated beats an
+    overcommitted allocation killed later.
     """
+    if d < 1:
+        raise BuildError(f"failure budget d={d} out of range, must be >= 1")
+    sets = failure_set_count(m, d, 2 ** 31)
+    if sets > 2 ** 31:
+        raise BuildError(f"failure budget d={d} with m={m} gives more failure "
+                         f"sets than int32 set indices can address")
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    width = max(0, min(d, m))
+    width = min(d, m)
     per_set = 56 + 8 * width + 4 * max(1, width)
     per_root = 4 * n + 8 + 13 * (n // 2) + 4
-    sets = failure_set_count(m, d, phys // (per_set + per_root))
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
     need = (8 * n ** 4 + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
@@ -128,7 +127,7 @@ def check_build_size(n: int, m: int, d: int) -> None:
 
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
-                     key: TableKey | tuple[int, int, int, int, int, int]) -> bool:
+                     key: tuple[int, int, int, int, int, int]) -> bool:
     """The constraint a failure set must satisfy to be dominated by key's entry."""
     u, v, up, vp, b1, b2 = key
     if index.path_intersects(u, up, failed):
@@ -172,9 +171,6 @@ class OracleTables:
     @property
     def entry_count(self) -> int:
         return int(self.slots.size)
-
-    # only saving reads it; load_oracle has already hashed the graph it checks
-    graph_digest = cached_property(lambda self: self.graph.digest())
 
     # dense views, derived on first use by tests and benchmarks only: int64
     # codes, the subsets in enumeration order, int32 indices into them
@@ -382,10 +378,9 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     each root fills its owned rows and their mirrors.  progress(done, n) is
     called once per root.
     """
-    if d < 1:
-        raise BuildError(f"failure budget must be >= 1, got {d}")
     graph = index.graph
     n = graph.n
+    check_build_size(n, graph.m, d)
     # (set, slot) edge ids, sets in enumeration order; short sets padded with
     # the clean edge m.  No tuple of a set outlives this line.
     width = max(1, min(d, graph.m))

@@ -6,6 +6,8 @@ fails.  Everything derived from them (indexes, tables, reference oracles)
 is built once per session; the graphs are tiny, but table builds are still
 the slowest thing the unit tests do.
 """
+from typing import NamedTuple
+
 import pytest
 
 from ftoracle.graph import parse_graph
@@ -112,6 +114,23 @@ def ref3(oracle3_d1):
 @pytest.fixture(scope="session")
 def ref6(oracle6_d2):
     return ReferenceOracle(oracle6_d2.graph, oracle6_d2.index.tie)
+
+
+class TableKey(NamedTuple):
+    """A table key (u, v, u', v', b1, b2) with named fields."""
+    u: int
+    v: int
+    up: int
+    vp: int
+    b1: int
+    b2: int
+
+
+def encode(codec, length):
+    """Packed code of a composite length, the inverse of codec.decode."""
+    if length.is_unreachable:
+        return codec.unreachable_code
+    return (length.true_len << codec.shift) | length.tie_key
 
 
 def tree_path_edges(index, root, x):

@@ -24,10 +24,9 @@ from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import (ReferenceOracle, VerifyReport,
                                 enumerate_instances, verify_instance)
 from ftoracle.spindex import build_index_auto
-from ftoracle.tables import (TableKey, build_tables, constraint_holds,
-                             enumerate_failure_sets)
+from ftoracle.tables import build_tables, constraint_holds, enumerate_failure_sets
 
-from conftest import G1_TEXT, G3_TEXT, G6_TEXT, tree_path_edges
+from conftest import G1_TEXT, G3_TEXT, G6_TEXT, TableKey, tree_path_edges
 
 GRAPHS = 20
 SAMPLES = 10000  # the sweep checks at least GRAPHS * SAMPLES instances
@@ -54,8 +53,7 @@ def sweep():
         graph = sweep_graph(i)
         for d in (1, 2, 3):
             oracle = build_oracle(graph, d, seed=1)
-            report = verify_instance(oracle, mode="exhaustive",
-                                     collect_answers=True)
+            report = verify_instance(oracle, collect_answers=True)
             runs.append(SweepRun(graph, d, oracle, report))
     return runs
 
@@ -101,7 +99,7 @@ def test_hitting_set_contract(sweep):
 def test_exact_at_budget_four():
     # four failures reach recursion depth 5; every contract field is gated
     oracle = build_oracle(gen_gnm(6, 9, 32, 1), 4, seed=1)
-    report = verify_instance(oracle, mode="exhaustive")
+    report = verify_instance(oracle)
     assert report.ok, report.summary()
     assert report.max_hits <= hit_budget(4)
     assert report.max_lookups <= hit_budget(4)

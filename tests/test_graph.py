@@ -12,7 +12,7 @@ from ftoracle.graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
 from ftoracle.query import build_oracle
 from ftoracle.spindex import ShortestPathIndex
 
-from conftest import G1_TEXT
+from conftest import G1_TEXT, encode
 
 
 def test_parse_g1():
@@ -196,4 +196,4 @@ def test_edge_length_reads_weight_and_tie(g1):
     tie = tie_break_values(g1, 1)
     index = ShortestPathIndex(g1, tie)
     assert index.codec.decode(index._step[1]) == CompositeLength(2, tie[1])
-    assert index._step[1] == index.codec.encode(CompositeLength(2, tie[1]))
+    assert index._step[1] == encode(index.codec, CompositeLength(2, tie[1]))

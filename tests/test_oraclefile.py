@@ -15,7 +15,7 @@ from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError
-from ftoracle.hitset import build_induced_key_tree
+from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
 from ftoracle.spindex import ShortestPathIndex, TieBreakError
@@ -46,9 +46,11 @@ def test_load_derives_no_root(oracle6_d2, monkeypatch):
     loaded = load_oracle(io.BytesIO(blob))
     assert calls == []
     assert derived_roots(loaded.index) == set()
-    # a key tree derives its root, as a distance does
-    assert build_induced_key_tree(loaded.index, 3, (0, 5)) == \
-        build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
+    # a view derives root 3 for its path, and its key tree reads that root
+    view = FailureView(loaded.index, (0, 5))
+    view.path(3)
+    assert calls == [3]
+    assert view.key_tree(3) == build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
     assert calls == [3]
 
 

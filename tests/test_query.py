@@ -1,15 +1,18 @@
 """Recursive query: exactness, budgets, argument checks."""
+import io
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE
 from ftoracle.hitset import FailureView, QueryStats
-from ftoracle.query import QueryError
-from ftoracle.reference import ReferenceOracle
+from ftoracle.oraclefile import load_oracle, oracle_file_bytes
+from ftoracle.query import Oracle, QueryError, build_oracle
+from ftoracle.reference import ReferenceOracle, enumerate_instances
 
-from conftest import base_length
+from conftest import base_length, underive
 
 
 def all_instances(graph, dmax):
@@ -21,12 +24,6 @@ def all_instances(graph, dmax):
                         yield u, v, failed
 
 
-def test_zero_budget_intact_path(oracle1_d1):
-    # an undamaged pair answers from the base table even with no budget
-    code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, ()), 0)
-    assert oracle1_d1.index.codec.decode(code).true_len == 3
-
-
 def test_single_failure(oracle1_d1):
     assert oracle1_d1.query_composite(0, 2, (1,)).true_len == 6
 
@@ -34,6 +31,34 @@ def test_single_failure(oracle1_d1):
 def test_zero_budget_damaged_path(oracle1_d1):
     code = oracle1_d1._query_r(0, 2, FailureView(oracle1_d1.index, (1,)), 0)
     assert oracle1_d1.index.codec.decode(code) == UNREACHABLE
+
+
+def test_every_recursive_call_is_on_a_damaged_pair(monkeypatch):
+    # _query_r has no undamaged return: the fast path answers an undamaged
+    # top call, and each pivot is a hit, damaged from both ends.  Checked
+    # on the built oracle and on a loaded one that derives roots afresh.
+    graph = gen_gnm(7, 11, 32, 0)
+    built = build_oracle(graph, 3, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)), graph=graph)
+    query_r = Oracle._query_r
+    calls = []
+
+    def spy(self, a, b, view, r):
+        assert view.path(a) >> b & 1, (a, b, view.failed, r)
+        calls.append((a, b))
+        return query_r(self, a, b, view, r)
+
+    monkeypatch.setattr(Oracle, "_query_r", spy)
+    for oracle, fresh in ((built, False), (loaded, True)):
+        calls.clear()
+        count = 0
+        for u, v, failed in enumerate_instances(graph, 3):
+            if fresh:
+                underive(oracle.index)
+            oracle.query_composite(u, v, failed)
+            count += 1
+        assert count == 9744
+        assert calls, fresh
 
 
 def test_disconnection_reported(oracle1_d2):

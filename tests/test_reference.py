@@ -122,11 +122,10 @@ def test_verify_random_graph():
 
 
 def test_verify_sampled_collects_answers(oracle6_d2):
-    report = verify_instance(oracle6_d2, mode="sampled", samples=50, seed=3)
+    report = verify_instance(oracle6_d2, samples=50, seed=3)
     assert report.instances == 50
     assert report.answers is None
-    replay = verify_instance(oracle6_d2, mode="sampled", samples=50, seed=3,
-                             collect_answers=True)
+    replay = verify_instance(oracle6_d2, samples=50, seed=3, collect_answers=True)
     assert len(replay.answers) == 50
 
 

@@ -17,7 +17,7 @@ from ftoracle.hitset import FailureView
 from ftoracle.reference import dijkstra_composite
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
-from conftest import base_length, derived_roots, lca, tree_path, tree_path_edges
+from conftest import base_length, derived_roots, encode, lca, tree_path, tree_path_edges
 
 
 def plain_dijkstra(graph, source):
@@ -99,7 +99,7 @@ def test_true_lengths_match_plain_dijkstra(idx1, idx6, shape, n, seed):
             composite, _ = dijkstra_composite(g, index.tie, r)
             for v in range(g.n):
                 assert base_length(index, r, v).true_len == plain[v]
-                assert index.codes[r, v] == index.codec.encode(composite[v])
+                assert index.codes[r, v] == encode(index.codec, composite[v])
 
 
 def test_distance_symmetric(idx6):

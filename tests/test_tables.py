@@ -13,12 +13,11 @@ from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
 from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
-from ftoracle.tables import (CHUNK, BuildError, LengthCodec, TableKey,
-                             _arc_list, _deleted_all_pairs, _edge_masks, _side_masks,
-                             build_tables, check_build_size, constraint_holds,
-                             enumerate_failure_sets, failure_set_count)
+from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
+                             _edge_masks, _side_masks, build_tables, check_build_size,
+                             constraint_holds, enumerate_failure_sets, failure_set_count)
 
-from conftest import tree_path_edges
+from conftest import TableKey, encode, tree_path_edges
 
 
 def id_matrix(sets, m, d):
@@ -201,8 +200,8 @@ def dense_build(index, d):
     values = np.full((n, n, n, n, 2, 2), -1, dtype=np.int64)
     dstar_idx = np.zeros((n, n, n, n, 2, 2), dtype=np.int32)
     for si, sub in enumerate(enumerate_failure_sets(graph.m, d)):
-        dist = np.array([list(map(index.codec.encode,
-                                  dijkstra_composite(graph, index.tie, r, frozenset(sub))[0]))
+        dist = np.array([[encode(index.codec, length) for length in
+                          dijkstra_composite(graph, index.tie, r, frozenset(sub))[0]]
                          for r in range(n)], dtype=np.int64)
         ends = {p for eid in sub for p in graph.edges[eid][:2]}
         path_ok = np.array([[on_path[r][x].isdisjoint(sub) for x in range(n)]
@@ -450,6 +449,17 @@ def test_size_check_refuses_rows_beyond_uint16_slots(monkeypatch):
         check_build_size(129, 128, 1)
 
 
+def test_size_check_refuses_sets_beyond_int32_indices(monkeypatch):
+    # K9 (m=36) names 2,241,812,648 failure sets at d=12, more than the
+    # build's int32 pair, set and candidate indices address, and 990,134,948
+    # at d=11, fewer; 1 TiB of memory would admit both
+    pages = {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}  # 1 TiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    check_build_size(9, 36, 11)
+    with pytest.raises(BuildError, match="int32"):
+        check_build_size(9, 36, 12)
+
+
 # -- the load-bearing inequalities --------------------------------------------
 
 @pytest.mark.parametrize("oracle_name, d", [
@@ -511,16 +521,16 @@ def test_codec_round_trip():
     codec = LengthCodec(n=9, m=14, max_weight=32)
     for length in (CompositeLength(0, 0), CompositeLength(7, 12345),
                    CompositeLength(8 * 32, 1)):
-        assert codec.decode(codec.encode(length)) == length
-    assert codec.decode(codec.encode(UNREACHABLE)) == UNREACHABLE
+        assert codec.decode(encode(codec, length)) == length
+    assert codec.decode(encode(codec, UNREACHABLE)) == UNREACHABLE
 
 
 def test_codec_encoding_preserves_order():
     codec = LengthCodec(n=9, m=14, max_weight=32)
     a = CompositeLength(3, 500)
     b = CompositeLength(4, 2)
-    assert codec.encode(a) < codec.encode(b)
-    assert codec.encode(b) < codec.encode(UNREACHABLE)
+    assert encode(codec, a) < encode(codec, b)
+    assert encode(codec, b) < encode(codec, UNREACHABLE)
 
 
 def test_codec_rejects_oversized_inputs():
