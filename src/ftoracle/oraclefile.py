@@ -1,30 +1,37 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 4 (all integers little-endian):
+Layout, version 5 (all integers little-endian):
 
-    header   magic "FTDO", version u16, 2 zero bytes, n u64, m u64, d u64,
-             tie seed i64, sha256 of the canonical graph text, palette
-             entries P u64, palette edge ids I u64
+    header   magic "FTDO", version u16, slot width W u16 (1 or 2), n u64,
+             m u64, d u64, tie seed i64, sha256 of the canonical graph
+             text, palette entries P u64, palette edge ids I u64
     edges    m x (a u32, b u32, w u64, tie value u64)
     pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
     codes    P packed length codes i64, palette by palette
     sizes    P set sizes i64, one per palette entry
     ids      I edge ids i64, each entry's D* ascending, entry by entry
-    slots    4*n^4 palette slots u16 in (u, v, u', v', b1, b2) order
+    slots    2n^3(n-1) palette slots of W bytes, 4n^2 per pair u < v, in
+             (pair, u', v', b1, b2) order, pairs row-major
     trailer  sha256 of everything before it
 
-Row (v, u) uses the palette of pair (u, v).  Every section's size follows
-from the header and is a multiple of 8 bytes, so the arrays load as
-aligned zero-copy views.  No layout depends on d, and sets are edge ids,
-so load never enumerates failure sets.  The length codec and the whole
-shortest-path index are derived, not stored: load range-checks the tie
-values and runs the build's Bellman-Ford on the stored graph, so the index
-cannot disagree with the graph, and each root's tree, whose uniqueness
-check may raise TieBreakError, is derived on its first query.  Before
-reading past the header, load runs the build's budget gate,
-check_build_size.  Other versions, such as version 3 with its stored
-index, fail with a version error.  Saving the same build twice is
-byte-identical, and a load followed by a save reproduces the file exactly.
+Row (v, u) is row (u, v) with its u' and v' axes and its b1 and b2 axes
+swapped, and it uses the same palette, so each pair u < v stores its row
+once.  A diagonal row holds only slot 0 and is not stored.  W is 1 when
+every palette has at most 256 entries, else 2.  Every section's size
+follows from the header, and each before the slots is a multiple of 8
+bytes, so the palette arrays load as aligned zero-copy views; the slots
+are copied once, behind the diagonal rows' zero slot.  No layout depends
+on d, and sets are edge ids, so load never enumerates failure sets.  The
+length codec and the whole shortest-path index are derived, not stored:
+load range-checks the tie values and runs the build's Bellman-Ford on the
+stored graph, so the index cannot disagree with the graph, and each root's
+tree, whose uniqueness check may raise TieBreakError, is derived on its
+first query.  Before reading past the header, load runs the build's budget
+gate, check_build_size.  Every slot must lie below its pair's palette
+size.  Other versions, such as version 4 with its uint16 slots for every
+ordered pair, fail with a version error, and so does any slot width but 1
+or 2.  Saving the same build twice is byte-identical, and a load followed
+by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -38,11 +45,11 @@ import numpy as np
 from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, ShortestPathIndex
-from .tables import OracleTables, check_build_size, pair_grid
+from .tables import OracleTables, check_build_size
 
 MAGIC = b"FTDO"
-VERSION = 4
-_HEADER = struct.Struct("<4sH2xQQQq32sQQ")
+VERSION = 5
+_HEADER = struct.Struct("<4sHHQQQq32sQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
 
@@ -60,14 +67,15 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     graph, index, tables = oracle.graph, oracle.index, oracle.tables
     edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
                      dtype=_EDGE)
+    width = tables.slots.itemsize
     digest = hashlib.sha256()
-    for part in (_HEADER.pack(MAGIC, VERSION, graph.n, graph.m, tables.d,
+    for part in (_HEADER.pack(MAGIC, VERSION, width, graph.n, graph.m, tables.d,
                               tables.tie_seed, bytes.fromhex(graph.digest()),
                               tables.codes.size, tables.ids.size),
                  edges.tobytes(),
                  np.concatenate((tables.pair_sizes, tables.codes, tables.set_sizes,
                                  tables.ids)).astype("<i8", copy=False).tobytes(),
-                 tables.slots.astype("<u2", copy=False).tobytes()):
+                 tables.slots.astype(f"<u{width}", copy=False).tobytes()):
         digest.update(part)
         target.write(part)
     target.write(digest.digest())
@@ -81,12 +89,15 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
-    magic, version, n, m, d, tie_seed, digest, entries, id_count = _HEADER.unpack_from(blob)
+    magic, version, width, n, m, d, tie_seed, digest, entries, id_count = \
+        _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise OracleFileError(f"not an oracle file (magic {magic!r})")
     if version != VERSION:
         raise OracleFileError(f"unsupported oracle file version {version} "
                               f"(expected {VERSION}); rebuild the oracle")
+    if width not in (1, 2):
+        raise OracleFileError(f"unsupported slot width {width} (expected 1 or 2)")
     try:
         check_build_size(n, m, d)
     except BuildError as exc:
@@ -94,7 +105,8 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     offset = _HEADER.size + m * _EDGE.itemsize
     pairs = n * (n + 1) // 2
     words = pairs + 2 * entries + id_count
-    size = offset + 8 * words + 8 * n ** 4 + _TRAILER
+    stored = 2 * n ** 3 * (n - 1)  # slots of the pairs u < v
+    size = offset + 8 * words + width * stored + _TRAILER
     if len(blob) != size:
         what = "truncated" if len(blob) < size else "trailing data in"
         raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
@@ -117,7 +129,8 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
 
     pair_sizes, codes, set_sizes, ids = np.split(np.frombuffer(blob, "<i8", words, offset),
                                                  np.cumsum([pairs, entries, entries]))
-    slots = np.frombuffer(blob, "<u2", 4 * n ** 4, offset + 8 * words).reshape((n,) * 4 + (2, 2))
+    cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
+    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, offset + 8 * words)
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
     if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
@@ -130,9 +143,11 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
     if not rising.all():
         raise OracleFileError("palette set not strictly ascending")
-    if (slots.reshape(n * n, -1).max(axis=1) >= pair_grid(pair_sizes, n).ravel()).any():
+    rows = cells[1:].reshape(n * (n - 1) // 2, 4 * n * n)
+    u = np.arange(n)
+    if (rows.max(axis=1) >= np.delete(pair_sizes, u * n - u * (u - 1) // 2)).any():  # u < v
         raise OracleFileError("palette slot out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, slots, pair_sizes,
+    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, pair_sizes,
                                       codes, set_sizes, ids))
 
 

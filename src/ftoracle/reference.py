@@ -234,6 +234,8 @@ class VerifyReport:
 def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
                     collect_answers: bool = False) -> VerifyReport:
     """Check answers and contracts on every instance, or on samples drawn from seed."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     mode = "exhaustive" if samples is None else "sampled"
     graph = oracle.graph
     ref = ReferenceOracle(graph, oracle.index.tie)

@@ -22,7 +22,7 @@ The build goes by groups of consecutive roots whose (root, set) pairs to
 sweep fill a chunk.  A group takes every set's side masks at its roots
 from per-edge masks made once; the deletion sweep (_deleted_all_pairs)
 repairs each root's distances under each set that damages an owned
-column, by Bellman-Ford over CHUNK pairs at a time, into the rows'
+column, by Bellman-Ford over CHUNK = 128 pairs at a time, into the rows'
 candidate buffers.  It is exact, as undamaged distances are right from
 the start and no walk's code sum undercuts the unique shortest path's,
 and it stays in int64, as banned arcs' sums are overwritten, not added
@@ -38,9 +38,14 @@ each pair has one owner, each root at most n // 2 columns.
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
 row keeps a palette of its winners as (code, D*), in candidate order, and
-each key a uint16 slot into it.  Row (v, u) shares row (u, v)'s palette,
-kept per pair u <= v.  A row has 4n^2 keys, so at most 4n^2 entries, and
-its slots fit in uint16 for n <= 128.
+each key a slot into it.  Row (v, u) shares row (u, v)'s palette, kept per
+pair u <= v, and its slots too: they are stored once, for u < v, in
+(pair, u', v', b1, b2) order, and a read of row (v, u) takes them with the
+strides of u' and v', and of b1 and b2, swapped.  A diagonal row holds
+only slot 0, its palette's one entry, the zero distance, so it is not
+stored.  Slots are uint8 while every palette fits, else uint16: a row has
+4n^2 keys, so at most 4n^2 entries, and its slots fit in uint16 for
+n <= 128.
 """
 from __future__ import annotations
 
@@ -57,7 +62,8 @@ from .graph import CompositeLength, Graph
 from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_list, _relax
 
 
-CHUNK = 64  # (root, set) pairs the deletion sweep relaxes together
+CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
+UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
 
 
 @dataclass(frozen=True)
@@ -88,20 +94,21 @@ def check_build_size(n: int, m: int, d: int) -> None:
     In order, it refuses d < 1, more than 2^31 failure sets (the build's
     pair, set and candidate indices are int32), more than physical memory,
     and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each of
-    the 4*n^4 keys takes a uint16 slot, each palette entry an int64 code,
-    set size and edge ids plus their read-path lists, charged at the bound
-    of min(4n^2, sets) entries per pair.  Each subset costs a tuple and list
-    slot and a row of int32 edge ids.  The sweep's group of roots costs, per
-    subset and root, its side masks (about 4n + 8 bytes while derived), a
-    code and an index in each of the root's at most n // 2 candidate
-    buffers, a hit flag per buffer and a pair index.  A group holds at most
-    1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
-    every root before its last sweeps at least k pairs and all of them fewer
-    than CHUNK.  A chunk adds, per pair, an int64 sum, its copy in numpy's
-    broadcast buffer and a ban flag per arc (2m arcs), the set's edge flags,
-    an int64 code and a damage flag per vertex, and the extracted codes and
-    ranks per column.  Failing before anything is allocated beats an
-    overcommitted allocation killed later.
+    the 4n^2 keys of each pair u < v takes a uint8 slot, or, where a palette
+    may outgrow uint8, a uint16 slot plus the uint8 one it widens from.  Each
+    palette entry takes an int64 code, set size and edge ids plus their
+    read-path lists, charged at the bound of min(4n^2, sets) entries per
+    pair.  Each subset costs a tuple and list slot and a row of int32 edge
+    ids.  The sweep's group of roots costs, per subset and root, its side
+    masks (about 4n + 8 bytes while derived), a code and an index in each of
+    the root's at most n // 2 candidate buffers, a hit flag per buffer and a
+    pair index.  A group holds at most 1 + (CHUNK - 1) // k roots, k the sets
+    that hold a given edge, since every root before its last sweeps at least
+    k pairs and all of them fewer than CHUNK, 128.  A chunk adds, per pair,
+    an int64 sum, its copy in numpy's broadcast buffer and a ban flag per arc
+    (2m arcs), the set's edge flags, an int64 code and a damage flag per
+    vertex, and the extracted codes and ranks per column.  Failing before
+    anything is allocated beats an overcommitted allocation killed later.
     """
     if d < 1:
         raise BuildError(f"failure budget d={d} out of range, must be >= 1")
@@ -115,7 +122,8 @@ def check_build_size(n: int, m: int, d: int) -> None:
     per_root = 4 * n + 8 + 13 * (n // 2) + 4
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
-    need = (8 * n ** 4 + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
+    slots = 2 * n ** 3 * (n - 1) * (1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 3)
+    need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (35 * m + 17 * n + 24 * (n // 2)))
     if need > phys:
         raise BuildError(
@@ -141,36 +149,44 @@ def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
     return True
 
 
-def pair_grid(per_pair: np.ndarray, n: int) -> np.ndarray:
-    """(n, n) array holding per_pair's value of pair u <= v at [u, v] and [v, u]."""
-    lo, hi = np.sort(np.indices((n, n)), axis=0)
-    return per_pair[lo * (2 * n + 1 - lo) // 2 + hi - lo]  # pairs before row lo, then hi
-
-
 class OracleTables:
     """Palette tables over all 4*n^4 keys, plus build metadata."""
 
     def __init__(self, graph: Graph, d: int, tie_seed: int, codec: LengthCodec,
-                 slots: np.ndarray, pair_sizes: np.ndarray, codes: np.ndarray,
+                 cells: np.ndarray, pair_sizes: np.ndarray, codes: np.ndarray,
                  set_sizes: np.ndarray, ids: np.ndarray):
+        n = graph.n
         self.graph = graph
         self.d = d
         self.tie_seed = tie_seed
         self.codec = codec
-        self.slots = slots            # uint16 (n, n, n, n, 2, 2), into the row's palette
+        # uint8 or uint16, (pair u < v, u', v', b1, b2), into the pair's palette
+        self.slots = cells[1:].reshape(n * (n - 1) // 2, n, n, 2, 2)
         self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
         self.codes = codes            # int64, packed code per palette entry, pair by pair
         self.set_sizes = set_sizes    # int64, |D*| per palette entry
         self.ids = ids                # int64, every D*'s ascending edge ids, entry by entry
-        # the read path's Python lists; each D* becomes a tuple on first read
-        self._start = pair_grid(np.cumsum(pair_sizes) - pair_sizes, graph.n).tolist()
-        self._codes = codes.tolist()
+        # the read path: cells[0] is the diagonal rows' zero slot, then the
+        # slots; per ordered pair its palette start, its row's first cell and
+        # the strides of u', v', b1 and b2.  Each palette entry becomes a
+        # (code, D*) tuple on first read
+        self._cells = memoryview(cells)
+        starts = iter((np.cumsum(pair_sizes) - pair_sizes).tolist())  # pairs u <= v
+        self._rows = rows = [[None] * n for _ in range(n)]
+        base = 1
+        for u in range(n):
+            rows[u][u] = (next(starts), 0, 0, 0, 0, 0)
+            for v in range(u + 1, n):
+                start = next(starts)
+                rows[u][v] = (start, base, 4 * n, 4, 2, 1)
+                rows[v][u] = (start, base, 4, 4 * n, 1, 2)
+                base += 4 * n * n
         self._bounds = [0] + np.cumsum(set_sizes).tolist()
-        self._sets: list[tuple[int, ...] | None] = [None] * len(self._codes)
+        self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
 
     @property
     def entry_count(self) -> int:
-        return int(self.slots.size)
+        return 4 * self.graph.n ** 4
 
     # dense views, derived on first use by tests and benchmarks only: int64
     # codes, the subsets in enumeration order, int32 indices into them
@@ -185,7 +201,13 @@ class OracleTables:
                                      zip(bounds, bounds[1:])], dtype=np.int32))
 
     def _dense(self, per_entry: np.ndarray) -> np.ndarray:
-        return per_entry[np.array(self._start)[:, :, None, None, None, None] + self.slots]
+        n = self.graph.n
+        slots = np.zeros((n, n, n, n, 2, 2), dtype=np.int64)
+        lo, hi = np.triu_indices(n, 1)
+        slots[lo, hi] = self.slots
+        slots[hi, lo] = self.slots.transpose(0, 2, 1, 4, 3)
+        start = np.array([[row[0] for row in rows] for rows in self._rows], dtype=np.int64)
+        return per_entry[start.reshape(n, n, 1, 1, 1, 1) + slots]
 
     def lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int) -> TableEntry:
         n = self.graph.n
@@ -199,11 +221,13 @@ class OracleTables:
     def read(self, u: int, v: int, up: int, vp: int, b1: int,
              b2: int) -> tuple[int, tuple[int, ...]]:
         """(packed code, D*) stored at key, unchecked; the query engine's read."""
-        p = self._start[u][v] + self.slots.item(u, v, up, vp, b1, b2)
-        d_star = self._sets[p]
-        if d_star is None:
-            d_star = self._sets[p] = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
-        return self._codes[p], d_star
+        start, base, su, sv, s1, s2 = self._rows[u][v]
+        p = start + self._cells[base + up * su + vp * sv + b1 * s1 + b2 * s2]
+        entry = self._entries[p]
+        if entry is None:
+            d_star = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
+            entry = self._entries[p] = (self.codes.item(p), d_star)
+        return entry
 
 
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
@@ -309,10 +333,10 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
 
 
 def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
-                 cols: list[list[int]], ids: np.ndarray, bad: np.ndarray, slots: np.ndarray,
-                 palettes: dict, progress: Callable[[int, int], None] | None) -> None:
-    """Fill the rows (u, v), v in cols[i], of a group of roots u = roots[i],
-    and their mirrors."""
+                 cols: list[list[int]], ids: np.ndarray, bad: np.ndarray, cells: np.ndarray,
+                 palettes: dict, progress: Callable[[int, int], None] | None) -> np.ndarray:
+    """Fill the rows (u, v), v in cols[i], of a group of roots u = roots[i];
+    returns cells, widened if a palette outgrew them."""
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (root, set, vertex, bit)
     swept = _deleted_all_pairs(index, arcs, ids, roots, cols, at[..., 0])
     # consecutive rows, of any roots, share a batch while its AND stays
@@ -321,22 +345,25 @@ def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
     for row in [(i, u, *row) for i, u in enumerate(roots) for row in swept[i]]:
         wide = (len(row[3]) + 7) // 8
         if batch and (len(batch) + 1) * max(most, wide) > 8:
-            _fill_rows(batch, ids, bad, at, slots, palettes)
+            cells = _fill_rows(batch, ids, bad, at, cells, palettes)
             batch, most = [], 0
         batch.append(row)
         most = max(most, wide)
     if batch:
-        _fill_rows(batch, ids, bad, at, slots, palettes)
+        cells = _fill_rows(batch, ids, bad, at, cells, palettes)
     if progress is not None:
         for u in roots:
-            progress(u + 1, slots.shape[0])
+            progress(u + 1, index.graph.n)
+    return cells
 
 
 def _fill_rows(batch: list[tuple[int, int, int, np.ndarray, np.ndarray]], ids: np.ndarray,
-               bad: np.ndarray, at: np.ndarray, slots: np.ndarray, palettes: dict) -> None:
-    """Rows (u, v), (v, u) and their palette for a batch of (i, u, v, codes,
-    sets) candidates; at[i] holds root u's side masks."""
-    n = slots.shape[0]
+               bad: np.ndarray, at: np.ndarray, cells: np.ndarray, palettes: dict) -> np.ndarray:
+    """Rows (u, v) and their palette for a batch of (i, u, v, codes, sets)
+    candidates; at[i] holds root u's side masks.  Each row goes to its pair's
+    slots in cells, as is when u < v, else with its axes swapped.  Returns
+    cells, widened to uint16 if a palette outgrew uint8."""
+    n = at.shape[2]
     count, width = len(batch), max(len(row[3]) for row in batch)
     code = np.full((count, width), -1, dtype=np.int64)  # sorts after the empty set
     cand = np.zeros((count, width), dtype=np.int32)
@@ -359,11 +386,16 @@ def _fill_rows(batch: list[tuple[int, int, int, np.ndarray, np.ndarray]], ids: n
     rank += line[:, :, None, None, None] * width
     used = np.zeros((count, width), dtype=bool)
     used.ravel()[rank] = True
-    row = (np.cumsum(used, axis=1) - 1).astype(np.uint16).ravel()[rank]
-    slots[us, vs] = row
-    slots[vs, us] = row.transpose(0, 2, 1, 4, 3)
-    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        palettes[min(u, v), max(u, v)] = code[k, used[k]], cand[k, used[k]]
+    if cells.dtype == np.uint8 and used.sum(axis=1).max() > UINT8_ENTRIES:
+        cells = cells.astype(np.uint16)
+    row = (np.cumsum(used, axis=1) - 1).astype(cells.dtype).ravel()[rank]
+    flip = us > vs
+    row[flip] = row[flip].transpose(0, 2, 1, 4, 3)
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    cells[1:].reshape(-1, n, n, 2, 2)[lo * (2 * n - 1 - lo) // 2 + hi - lo - 1] = row
+    for k, (u, v) in enumerate(zip(lo.tolist(), hi.tolist())):
+        palettes[u, v] = code[k, used[k]], cand[k, used[k]]
+    return cells
 
 
 # leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -375,8 +407,8 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     """Exhaustive maximization over failure sets of size <= d, row by row.
 
     A diagonal row holds only the empty set's entry, the zero distance;
-    each root fills its owned rows and their mirrors.  progress(done, n) is
-    called once per root.
+    each root fills its owned rows, which cover each pair u < v once.
+    progress(done, n) is called once per root.
     """
     graph = index.graph
     n = graph.n
@@ -387,11 +419,11 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     ids = np.array([s + (graph.m,) * (width - len(s)) for s in enumerate_failure_sets(graph.m, d)],
                    dtype=np.int32).reshape(-1, width)
     bad = _edge_masks(index)
-    try:
-        slots = np.zeros((n, n, n, n, 2, 2), dtype=np.uint16)
+    try:  # the diagonal rows' zero slot, then 4n^2 slots per pair u < v
+        cells = np.zeros(1 + 2 * n ** 3 * (n - 1), dtype=np.uint8)
     except MemoryError:
         raise BuildError(
-            f"cannot allocate {4 * n ** 4} table entries for n={n}") from None
+            f"cannot allocate {2 * n ** 3 * (n - 1)} table slots for n={n}") from None
     palettes = {(u, u): (index.codes[u, u:u + 1], np.zeros(1, dtype=np.int32))
                 for u in range(n)}
     arcs = _arc_list(index)
@@ -404,13 +436,13 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
         swept += len(ids) - failure_set_count(
             graph.m - sum(1 for below in index._below[u] if below & owned), d)
         if swept >= CHUNK or u == n - 1:
-            _build_roots(index, arcs, list(range(lo, u + 1)), cols[lo:u + 1], ids, bad, slots,
-                         palettes, progress)
+            cells = _build_roots(index, arcs, list(range(lo, u + 1)), cols[lo:u + 1], ids, bad,
+                                 cells, palettes, progress)
             lo, swept = u + 1, 0
     del arcs, bad, cols  # the assembly below sets the build's memory peak
     code, cand = zip(*(palettes[pair] for pair in combinations_with_replacement(range(n), 2)))
     winners = ids[np.concatenate(cand)]
     real = winners < graph.m
-    return OracleTables(graph, d, tie_seed, index.codec, slots,
+    return OracleTables(graph, d, tie_seed, index.codec, cells,
                         np.array(list(map(len, code)), dtype=np.int64), np.concatenate(code),
                         real.sum(axis=1, dtype=np.int64), winners[real].astype(np.int64))

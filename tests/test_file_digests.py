@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "d2db9e87d8fc99390fcf12223c50d761b4ae225fba280bfba55c21819157501f"),
+              "9aef79903671a3afc09e52e248f87946dae22b49cefc59b2cf552005eaf7d607"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "fe6af2682116851f2def103b7a7c4c3de6d7f3d88d15ff669f57fbd0e6871b0b"),
+              "014ffa2b0f06adeb6a662816b57e7cff8298b2508288c0c7690cbdedb3b21712"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "f2f887a9ccf584b274468f05a69fb9f923c4cf511d1ea3dddb465c258a4d3261"),
+              "373eaa912d2b606a80e26ba0ab85687fee166a355bdee8f7fd3d23b8ad0249af"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "5ce41e9b294308ed55215e47f6bff3e5d47240df5cf32b3efc189f468c7ceecb"),
+                "07addc3e34e111e9b7b535183f6fdd692af6720c86110adf497bdd16fd1ab54e"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "f908957ba3e7d0fa31633df02da7d985817a0d7f54f555db2baa09672da5e837"),
+                "5f99413d9c6549b4beda5c6af76e728ebd8de243cd66b108009ea333efca97da"),
     "path5-d2": (_path5, 2,
-                 "3e4ab306c8bc515c87d31efc313a078985202ad364a23f08d0f6d7b5fbdfa428"),
+                 "d88ae6051107b4bfc8d1e1e966b447619f91dc68790b504c2b7cd6bf7352389e"),
     "k5-d1": (_k5, 1,
-              "71dca9da3c4cb16a96a6c74e00c4ff8af524afa673c3868310738efb682ba308"),
+              "bad93bbb5360ab1c7f19d499f3568d8ff8a1aa1a28dc43c8bf105d46bb03e641"),
     "k5-d2": (_k5, 2,
-              "d67d0303f95933268578be3b73bb84357854801c02406f94f7cbf49a3f497076"),
+              "d4884dd06602a8c7d6c45b9f890897527fc0ec7def099e961b29930e39718ed0"),
     "k5-d3": (_k5, 3,
-              "71eb60cdf5a6adb4fc7bbece72ad92d399d5ee986fd0a79b8c199af272300490"),
+              "ff7791bf8c6c6a07da6676a59d2057deb34221049b979ec99aab943e4b47911d"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "9c84d91cd4da17be25c1d1f3fe1c29abd170b6be59d7b50b73b72bcc4dcaa824"),
+                    "85902e3c27066547293274449d8a926d7b41f2d8296166c054804e1deaf909d6"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "ba001eae705818d89ecf2bb524f9d4c0a13abbc723194bc49b6980be51f1727b"),
+                    "c3feecfa9aaec7f4dd5b9362088b2e8a04f11c2ac429b0be056aa2a6062ec98a"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "8460817e7368f00365356a7a382c38aa1077d7ee9aea0b6200284b075fab4fd5"),
+                    "2c0cc1af35d3e9a656f678a39ca1946af8fb8faec5d593d47eb6ef0741b3aa77"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "38cee7061b06b7111d980530245b4e66d44dd212cb1d5a4c45802064d29bd4b6"),
+                    "acb545a3a837a86de559adbee2597761681abe795c598cb88f20bd6c47d7d94a"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "17baa2ce527ebbfc7c15c884ea61d8d10778f522b715eecccc03b435402ee8cc"),
+                    "7f02bfdb6ae662913db02eb626346ce323f0d862941d42023dbb244ac03ecba3"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "b76861954d955f6773ba385eed048f07a383c33d62008c3b67d12d5d5987cc00"),
+                    "1cd9b29dfea9f41a4d2ccfd53c3d1b737350dc0639baa62616f53d6d5869b681"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "a590f6c5ed3aafef3d913815fc8a5bfdb4fb570fa777bb7b51d853de41bfbf35"),
+                      "fe129c798c5cd7bf79e9d767a1b010d9cb3c36a3b983a9e492d6a4709f2ed28f"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "1c2975d755cfa73082d8016b0e7191e569696950b5449060b2f77b0784ac6d9f"),
+                      "1200b1bcbae1ddda1936b3f919d772b5bc3fa9f330160d031cd40edd17a6620b"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "4d438244da101463a3e6ea0adf7eab7e6a23ee07f44ab337542f21a9dfaea00e"),
+                      "c379be7866afd1718630c09eba616c1b20fcaffb363a108e3c846c4b66ae661f"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "9b48053111413e109ec261ac1754c4aaba0ef260aa438f86de10398747c8ff5b"),
+                      "dec4eba23dab2a4a9a4cc18a83c800b53fb59c2c11da22c5f00fa55a6697582d"),
 }
 
 

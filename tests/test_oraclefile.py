@@ -22,7 +22,7 @@ from ftoracle.spindex import ShortestPathIndex, TieBreakError
 from ftoracle.tables import constraint_holds, enumerate_failure_sets
 
 from conftest import PER_ROOT, base_length, derived_roots, underive
-from test_file_digests import PINNED
+from test_file_digests import PINNED, logical_digest
 
 
 def test_same_build_same_bytes(g1):
@@ -152,9 +152,11 @@ def test_file_size_is_fixed_width(oracle1_d2):
     # the header names the palette totals, and they fix every section's size
     assert _HEADER.unpack_from(blob)[-2:] == (entries, ids)
     # header, edges with tie values, palette sizes per pair u <= v, palette
-    # codes and set sizes i64, edge ids i64, slots u16, sha256; no index
+    # codes and set sizes i64, edge ids i64, 4n^2 u8 slots per pair u < v,
+    # sha256; no index, no mirrored and no diagonal rows
+    assert _HEADER.unpack_from(blob)[2] == tables.slots.itemsize == 1
     expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
-              entries * 16 + ids * 8 + 4 * n ** 4 * 2 + 32)
+              entries * 16 + ids * 8 + n * (n - 1) // 2 * 4 * n * n + 32)
     assert len(blob) == expect
 
 
@@ -175,6 +177,24 @@ def test_rejects_unknown_version(oracle1_d1):
     blob[4:6] = (99).to_bytes(2, "little")
     with pytest.raises(OracleFileError, match="version"):
         load_oracle(io.BytesIO(bytes(blob)))
+
+
+def test_rejects_version_4(oracle1_d1):
+    # version 4 stored a uint16 slot row for every ordered pair
+    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    blob[4:6] = (4).to_bytes(2, "little")
+    with pytest.raises(OracleFileError,
+                       match=r"unsupported oracle file version 4 \(expected 5\)"):
+        load_oracle(io.BytesIO(_reseal(blob)))
+
+
+@pytest.mark.parametrize("width", [0, 3, 4, 8, 2 ** 16 - 1])
+def test_rejects_other_slot_widths(oracle1_d1, width):
+    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    blob[6:8] = width.to_bytes(2, "little")  # after magic and version
+    with pytest.raises(OracleFileError, match=f"unsupported slot width {width} "
+                                              r"\(expected 1 or 2\)"):
+        load_oracle(io.BytesIO(_reseal(blob)))
 
 
 def test_rejects_truncation(oracle1_d1):
@@ -213,6 +233,7 @@ def _sections(tables) -> dict:
     """Byte offset of each palette section of g1's file (n=4, m=4).
 
     The table values are the palette codes, and each D* is its edge ids.
+    The slots start with the row of pair (0, 1), the first one stored.
     """
     off = _HEADER.size + 4 * 24
     sections = {}
@@ -234,10 +255,16 @@ _REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
     ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1)])
 def test_rejects_out_of_range_entries(oracle1_d1, section, value):
     # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
-    # entry; each case edits the first item of its section
+    # entry; each case edits the first item of its section.  A slot's value
+    # counts from the last entry of its row's palette, pair (0, 1)'s, so
+    # slots-1 writes the first slot out of range
+    tables = oracle1_d1.tables
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    off = _sections(oracle1_d1.tables)[section]
-    width = 2 if section == "slots" else 8
+    off = _sections(tables)[section]
+    width = 8
+    if section == "slots":
+        width = tables.slots.itemsize
+        value += int(tables.pair_sizes[1]) - 1  # pairs u <= v: (0, 0), then (0, 1)
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
     with pytest.raises(OracleFileError, match=_REJECTED[section]):
         load_oracle(io.BytesIO(_reseal(blob)))
@@ -287,6 +314,50 @@ def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
     blob[8:16] = (129).to_bytes(8, "little")
     with pytest.raises(OracleFileError, match="uint16"):
         load_oracle(io.BytesIO(_reseal(blob)))
+
+
+def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch):
+    # no palette of a real build has outgrown uint8 so far; with the limit
+    # at 9 g6's pair (1, 4), 10 entries, does, after rows of pairs up to 9
+    # entries were written as uint8, so the build widens them once
+    narrow = oracle6_d2
+    widths = []
+    fill = ftoracle.tables._fill_rows
+
+    def spy(batch, ids, bad, at, cells, palettes):
+        out = fill(batch, ids, bad, at, cells, palettes)
+        widths.append((cells.itemsize, out.itemsize))
+        return out
+
+    monkeypatch.setattr(ftoracle.tables, "UINT8_ENTRIES", 9)
+    monkeypatch.setattr(ftoracle.tables, "_fill_rows", spy)
+    wide = build_oracle(g6, d=2, seed=1)
+    monkeypatch.undo()
+    assert widths[:3] == [(1, 1), (1, 1), (1, 2)] and set(widths[3:]) == {(2, 2)}
+    blob = oracle_file_bytes(wide)
+    loaded = load_oracle(io.BytesIO(blob))
+    assert oracle_file_bytes(loaded) == blob
+    assert _HEADER.unpack_from(blob)[2] == 2
+    assert narrow.tables.slots.dtype == np.uint8
+    for tables in (wide.tables, loaded.tables):
+        assert tables.slots.dtype == np.uint16
+        assert np.array_equal(tables.slots, narrow.tables.slots)
+        assert logical_digest(tables) == logical_digest(narrow.tables)
+    for u, v, failed in enumerate_instances(g6, 2):
+        assert loaded.query_composite(u, v, failed) == narrow.query_composite(u, v, failed)
+    # at both widths load refuses a slot at or above its pair's palette size
+    for oracle in (narrow, wide):
+        width = oracle.tables.slots.itemsize
+        blob = bytearray(oracle_file_bytes(oracle))
+        last = len(blob) - 32 - width  # the last slot, of pair (5, 6)
+        size = int(oracle.tables.pair_sizes[-2])  # pairs u <= v: ..., (5, 6), (6, 6)
+        for value in (size - 1, size, 256 ** width - 1):
+            blob[last:last + width] = value.to_bytes(width, "little")
+            if value < size:
+                load_oracle(io.BytesIO(_reseal(blob)))
+                continue
+            with pytest.raises(OracleFileError, match="slot out of range"):
+                load_oracle(io.BytesIO(_reseal(blob)))
 
 
 def _with_budget(blob: bytes, d: int) -> bytes:

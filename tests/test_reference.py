@@ -129,6 +129,13 @@ def test_verify_sampled_collects_answers(oracle6_d2):
     assert len(replay.answers) == 50
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_refuses_sample_counts_below_one(oracle1_d1, samples):
+    # such a count would check nothing and still report a pass
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        verify_instance(oracle1_d1, samples=samples)
+
+
 def test_verify_summary_reports_failures(oracle1_d1):
     report = verify_instance(oracle1_d1)
     report.mismatches = 1

@@ -272,11 +272,16 @@ def test_tables_are_symmetric(shape, n, unit, d, seed):
 @pytest.mark.parametrize("oracle_name", ["oracle1_d2", "oracle6_d2"])
 def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     tables = request.getfixturevalue(oracle_name).tables
-    assert tables.slots.dtype == np.uint16
+    n = tables.graph.n
+    assert tables.slots.dtype == np.uint8
+    assert tables.slots.shape == (n * (n - 1) // 2, n, n, 2, 2)
     sets = [tuple(s.tolist()) for s in np.split(tables.ids, np.cumsum(tables.set_sizes)[:-1])]
     entries = list(zip(tables.codes.tolist(), sets))
-    pairs = list(combinations_with_replacement(range(tables.graph.n), 2))
+    pairs = list(combinations_with_replacement(range(n), 2))
     assert len(tables.pair_sizes) == len(pairs)
+    # every key's palette entry, as the read path finds it
+    entry = {key: tables.read(*key) for key in product(*[range(n)] * 4, (0, 1), (0, 1))}
+    stored = iter(tables.slots)  # the rows of pairs u < v, row-major
     start = 0
     for (u, v), size in zip(pairs, tables.pair_sizes.tolist()):
         palette = entries[start:start + size]
@@ -285,8 +290,13 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
         assert len(set(palette)) == size
         assert [code for code, _ in palette] == sorted((c for c, _ in palette), reverse=True)
         for row in ((u, v), (v, u)):
-            assert np.unique(tables.slots[row]).tolist() == list(range(size))
+            won = {entry[row + key] for key in product(*[range(n)] * 2, (0, 1), (0, 1))}
+            assert won == set(palette)
+        # the row of pair u < v is stored once, and uses every slot
+        if u < v:
+            assert np.unique(next(stored)).tolist() == list(range(size))
     assert start == len(entries)
+    assert next(stored, None) is None
 
 
 def test_progress_reports_each_root(idx6):
@@ -410,18 +420,23 @@ def test_sweep_near_the_codec_limit(n, m, wmax):
 
 
 def test_sweep_chunks_stack_across_roots():
-    # d=4, m=8: 64 sets meet a given edge, so a root whose column hangs
-    # on one tree edge sweeps exactly one chunk
-    index = build_index_auto(gen_gnm(6, 8, 9, 0), 1)[0]
-    near = [[next(x for x in range(6) if index._parent[u][x] == u)] for u in (0, 1)]
-    chunks = sweep_against_reference(index, 4, [0, 1], near)
-    assert list(map(len, chunks)) == [64, 64]
+    # at d=2, the sets that meet a given edge are the edge alone and with
+    # each other edge: m sets.  With m=CHUNK, a root whose column hangs on
+    # one tree edge sweeps exactly one chunk
+    def near(index, u):  # a child of u in u's tree
+        return [next(x for x in range(index.graph.n) if index._parent[u][x] == u)]
+
+    n = next(k for k in range(2, CHUNK) if k * (k - 1) // 2 > CHUNK)  # room for CHUNK+1 edges
+    index = build_index_auto(gen_gnm(n, CHUNK, 9, 0), 1)[0]
+    chunks = sweep_against_reference(index, 2, [0, 1], [near(index, u) for u in (0, 1)])
+    assert list(map(len, chunks)) == [CHUNK, CHUNK]
     assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0], [1]]
-    # K6 at d=2: every root sweeps 65 sets, so chunks straddle roots
-    index = build_index_auto(gen_gnm(6, 15, 9, 0), 1)[0]
-    chunks = sweep_against_reference(index, 2, [0, 1, 2])
-    assert list(map(len, chunks)) == [64, 64, 64, 3]
-    assert [root for chunk in chunks for root, _ in chunk] == [0] * 65 + [1] * 65 + [2] * 65
+    # with m=CHUNK+1 every such root sweeps CHUNK+1 sets, so chunks straddle roots
+    index = build_index_auto(gen_gnm(n, CHUNK + 1, 9, 0), 1)[0]
+    chunks = sweep_against_reference(index, 2, [0, 1, 2], [near(index, u) for u in (0, 1, 2)])
+    assert list(map(len, chunks)) == [CHUNK, CHUNK, CHUNK, 3]
+    assert [root for chunk in chunks for root, _ in chunk] == \
+        [0] * (CHUNK + 1) + [1] * (CHUNK + 1) + [2] * (CHUNK + 1)
     # a path at d=1: 5 roots of 4 pairs each share one chunk
     index = build_index_auto(Graph(5, [(i, i + 1, 1 + i) for i in range(4)]), 1)[0]
     chunks = sweep_against_reference(index, 1, list(range(5)))
