@@ -22,12 +22,13 @@ The build goes by groups of consecutive roots whose (root, set) pairs to
 sweep fill a chunk.  A group takes every set's side masks at its roots
 from per-edge masks made once; the deletion sweep (_deleted_all_pairs)
 repairs each root's distances under each set that damages an owned
-column, by Bellman-Ford over CHUNK = 128 pairs at a time, into the rows'
+column, by Bellman-Ford over CHUNK = 128 pairs at a time, into flat
 candidate buffers.  It is exact, as undamaged distances are right from
 the start and no walk's code sum undercuts the unique shortest path's,
 and it stays in int64, as banned arcs' sums are overwritten, not added
-to.  Then the owned rows' candidates are ranked, small rows of a group
-together.  Their side masks at u and at v are packed into bitsets along
+to.  Then consecutive rows are ranked in batches of at most FILL_BYTES
+of working memory, or one wider row alone, padded from those buffers.
+Their side masks at u and at v are packed into bitsets along
 the candidate axis and ANDed; a key's winner is the first set bit, found
 as the first nonzero byte plus that byte's leading zeros.  Lengths are
 undirected and the constraints of (u, v, u', v', b1, b2) and (v, u, v',
@@ -53,7 +54,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_lis
 
 
 CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
+FILL_BYTES = 128 << 10  # estimated working bytes of a fill batch (_fill_bytes)
 UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
 
 
@@ -107,8 +109,9 @@ def check_build_size(n: int, m: int, d: int) -> None:
     k pairs and all of them fewer than CHUNK, 128.  A chunk adds, per pair,
     an int64 sum, its copy in numpy's broadcast buffer and a ban flag per arc
     (2m arcs), the set's edge flags, an int64 code and a damage flag per
-    vertex, and the extracted codes and ranks per column.  Failing before
-    anything is allocated beats an overcommitted allocation killed later.
+    vertex, and the extracted codes and ranks per column.  The fill takes
+    FILL_BYTES, or _fill_bytes of a row of one candidate per subset.  Failing
+    before anything is allocated beats an overcommitted allocation killed later.
     """
     if d < 1:
         raise BuildError(f"failure budget d={d} out of range, must be >= 1")
@@ -124,7 +127,7 @@ def check_build_size(n: int, m: int, d: int) -> None:
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
     slots = 2 * n ** 3 * (n - 1) * (1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 3)
     need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
-            + CHUNK * (35 * m + 17 * n + 24 * (n // 2)))
+            + CHUNK * (35 * m + 17 * n + 24 * (n // 2)) + max(FILL_BYTES, _fill_bytes(n, sets)))
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
@@ -231,12 +234,12 @@ class OracleTables:
 
 
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
-    """Per-edge (edge, root, vertex, bit) bool masks, derived once per build.
+    """Per-edge (vertex, bit, root, edge) bool masks, derived once per build.
 
     They unpack the index's vertex bitmasks, the ones the query engine ORs:
-    [e, r, x, 0]: e lies on the tree path r->x, bit x of _below[r][e];
-    [e, r, x, 1]: that, or _sub[r][x], x's subtree rooted at r, holds an
-    endpoint of e.  Row m, the clean edge that pads short sets, is all False.
+    [x, 0, r, e]: e lies on the tree path r->x, bit x of _below[r][e];
+    [x, 1, r, e]: that, or _sub[r][x], x's subtree rooted at r, holds an
+    endpoint of e.  Edge m, the clean edge that pads short sets, is all False.
     """
     graph = index.graph
     n, m = graph.n, graph.m
@@ -250,37 +253,41 @@ def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
 
     ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
     touched = unpack(index._sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
-    bad = np.zeros((m + 1, n, n, 2), dtype=bool)
-    bad[:m, :, :, 0] = unpack(index._below, m).transpose(1, 0, 2)
-    bad[:m, :, :, 1] = bad[:m, :, :, 0] | touched.transpose(2, 0, 1)
+    bad = np.zeros((n, 2, n, m + 1), dtype=bool)
+    bad[:, 0, :, :m] = unpack(index._below, m).transpose(2, 0, 1)
+    bad[:, 1, :, :m] = bad[:, 0, :, :m] | touched.transpose(1, 0, 2)
     return bad
 
 
 def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
-    """(set, vertex, bit) feasibility at root, for ids' rows of edge ids.
+    """(vertex, bit, ...) feasibility at root, for ids' rows of edge ids.
 
-    root may be an array broadcast against ids' leading axes.  bit 0 needs
-    a clean tree path root->vertex, bit 1 also no failed endpoint in the
-    vertex's subtree.  The one place the build derives clean (root, vertex)
-    pairs, from bad = _edge_masks(index), the index's vertex bitmasks that
-    the query engine's FailureView reads too.
+    root may be an array broadcast against ids' leading axes, which make
+    the trailing axes of the result.  bit 0 needs a clean tree path
+    root->vertex, bit 1 also no failed endpoint in the vertex's subtree.
+    The one place the build derives clean (root, vertex) pairs, from bad =
+    _edge_masks(index), the index's vertex bitmasks that the query engine's
+    FailureView reads too.
     """
-    fb = bad[ids[..., 0], root]
+    n, _, roots, edges = bad.shape
+    flat, root = bad.reshape(n, 2, roots * edges), np.asarray(root) * edges
+    fb = np.take(flat, root + ids[..., 0], axis=-1)
     for j in range(1, ids.shape[-1]):
-        fb |= bad[ids[..., j], root]
+        fb |= np.take(flat, root + ids[..., j], axis=-1)
     return np.logical_not(fb, out=fb)
 
 
 def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
                        roots: Sequence[int], cols: Sequence[list[int]],
-                       clean: np.ndarray) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+                       clean: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The candidates of each row (root, x), x in cols, by deletion sweep.
 
-    Root roots[i] owns the columns cols[i], and clean[i, s, x] is False
+    Root roots[i] owns the columns cols[i], and clean[x, i, s] is False
     where set s (edge ids ids[s]) hits the tree path roots[i]->x.  Returns
-    per root its rows (x, codes, sets): int64 codes root->x and int32 set
-    indices, first the empty set at the base distance, then, ascending,
-    each set that damages x.
+    flat buffers of int64 codes root->x and int32 set indices, and each
+    row's start and size in them, rows in the order of cols: a row holds
+    first the empty set at the base distance, then, ascending, each set
+    that damages x.
 
     The (root, set) pairs whose set damages an owned column go, root by
     root, in chunks of CHUNK to one Bellman-Ford, _relax, over (vertex,
@@ -301,7 +308,7 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
     # each root's columns, padded with the root, which no set damages
     at = np.array([c + [r] * (width - len(c)) for r, c in zip(roots.tolist(), cols)],
                   dtype=np.int64).reshape(len(roots), width)
-    hit = ~clean.transpose(0, 2, 1)[np.arange(len(roots))[:, None], at]  # (root, column, set)
+    hit = ~clean[at, np.arange(len(roots))[:, None]]  # (root, column, set)
     pairs = np.flatnonzero(hit.any(axis=1)).astype(np.int32)  # i * sets + s, ascending
     hit[:, :, 0] = True  # the empty set, which damages nothing, opens every row
     size = hit.sum(axis=2)
@@ -317,7 +324,7 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
     for lo in range(0, len(pairs), CHUNK):
         r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
         row = index.codes[roots[r], arcs.order[:, None]]  # (position, pair)
-        row[~clean[r, s, arcs.order[:, None]]] = unreachable
+        row[~clean[arcs.order[:, None], r, s]] = unreachable
         banned = np.zeros((index.graph.m + 1, len(s)), dtype=bool)
         banned[ids[s].T, np.arange(len(s))] = True
         _relax(row, banned[arcs.edge], arcs, unreachable)
@@ -327,74 +334,94 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
         codes[(offset[r] + rank)[hp]] = row[place[r], np.arange(len(s))[:, None]][hp]
     sets = np.flatnonzero(hit)  # (i * width + j) * sets + s: the rows' sets, in order
     sets = (sets % len(ids)).astype(np.int32)
-    bounds = np.append(start, len(codes)).tolist()
-    return [[(x, codes[bounds[k]:bounds[k + 1]], sets[bounds[k]:bounds[k + 1]])
-             for k, x in enumerate(c, i * width)] for i, c in enumerate(cols)]
+    real = np.arange(width) < np.array(list(map(len, cols)), dtype=np.int64)[:, None]
+    return codes, sets, start[real], size[real]
 
 
 def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
                  cols: list[list[int]], ids: np.ndarray, bad: np.ndarray, cells: np.ndarray,
-                 palettes: dict, progress: Callable[[int, int], None] | None) -> np.ndarray:
+                 palettes: list, progress: Callable[[int, int], None] | None) -> np.ndarray:
     """Fill the rows (u, v), v in cols[i], of a group of roots u = roots[i];
     returns cells, widened if a palette outgrew them."""
-    at = _side_masks(bad, ids, np.array(roots)[:, None])  # (root, set, vertex, bit)
-    swept = _deleted_all_pairs(index, arcs, ids, roots, cols, at[..., 0])
-    # consecutive rows, of any roots, share a batch while its AND stays
-    # within 8 bytes per key
-    batch, most = [], 0  # most: the batch's widest row, in bytes per key
-    for row in [(i, u, *row) for i, u in enumerate(roots) for row in swept[i]]:
-        wide = (len(row[3]) + 7) // 8
-        if batch and (len(batch) + 1) * max(most, wide) > 8:
-            cells = _fill_rows(batch, ids, bad, at, cells, palettes)
-            batch, most = [], 0
-        batch.append(row)
-        most = max(most, wide)
-    if batch:
-        cells = _fill_rows(batch, ids, bad, at, cells, palettes)
+    n = index.graph.n
+    at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
+    codes, sets, start, size = _deleted_all_pairs(index, arcs, ids, roots, cols, at[:, 0])
+    i = np.repeat(np.arange(len(roots)), list(map(len, cols)))
+    us, vs = np.array(roots)[i], np.array(list(chain.from_iterable(cols)), dtype=np.int64)
+    # consecutive rows share a batch while count x widest row's bytes fit
+    cut, most = [], 0  # each batch's first row; the batch's widest row
+    for k, cost in enumerate(_fill_bytes(n, size).tolist()):
+        most = max(most, cost)
+        if not cut or (k + 1 - cut[-1]) * most > FILL_BYTES:
+            cut.append(k)
+            most = cost
+    for lo, hi in zip(cut, cut[1:] + [len(size)]):
+        cells = _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
+                           at, ids, bad, cells, palettes)
     if progress is not None:
         for u in roots:
-            progress(u + 1, index.graph.n)
+            progress(u + 1, n)
     return cells
 
 
-def _fill_rows(batch: list[tuple[int, int, int, np.ndarray, np.ndarray]], ids: np.ndarray,
-               bad: np.ndarray, at: np.ndarray, cells: np.ndarray, palettes: dict) -> np.ndarray:
-    """Rows (u, v) and their palette for a batch of (i, u, v, codes, sets)
-    candidates; at[i] holds root u's side masks.  Each row goes to its pair's
-    slots in cells, as is when u < v, else with its axes swapped.  Returns
-    cells, widened to uint16 if a palette outgrew uint8."""
-    n = at.shape[2]
-    count, width = len(batch), max(len(row[3]) for row in batch)
-    code = np.full((count, width), -1, dtype=np.int64)  # sorts after the empty set
-    cand = np.zeros((count, width), dtype=np.int32)
-    for k, (*_, code_buf, set_buf) in enumerate(batch):
-        code[k, :len(code_buf)] = code_buf
-        cand[k, :len(set_buf)] = set_buf
-    line = np.arange(count)[:, None]
-    order = np.argsort(-code, axis=1, kind="stable")  # ties keep set order
-    code, cand = code[line, order], cand[line, order]
-    i, us, vs = map(np.array, list(zip(*batch))[:3])
-    # (row, vertex, bit, byte) bitsets at u and at v; bit k is candidate k
-    a, b = (np.packbits(fb.transpose(0, 2, 3, 1), axis=-1)
-            for fb in (at[i[:, None], cand], _side_masks(bad, ids[cand], vs[:, None])))
-    rank = np.empty((count, n, n, 2, 2), dtype=np.int64)  # into code and cand, flattened
-    for b1 in (0, 1):
-        both = a[:, :, None, b1, None] & b[:, None]  # (row, u', v', b2, byte)
-        first = both.astype(bool).argmax(axis=-1).ravel()
-        byte = both.reshape(first.size, -1)[np.arange(first.size), first]
-        rank[:, :, :, b1] = (first * 8 + _LEAD[byte]).reshape(count, n, n, 2)
-    rank += line[:, :, None, None, None] * width
-    used = np.zeros((count, width), dtype=bool)
-    used.ravel()[rank] = True
-    if cells.dtype == np.uint8 and used.sum(axis=1).max() > UINT8_ENTRIES:
+def _fill_bytes(n: int, width):
+    """Working bytes, bar numpy's fixed ufunc buffers, that a row of width
+    candidates adds to its fill batch: per candidate its sort, its 2n side
+    masks and its bits in the n^2 ANDs; per key its rank and temporaries."""
+    return (2 * n + 40 + n * n // 8) * width + 28 * n * n
+
+
+def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
+               size: np.ndarray, codes: np.ndarray, sets: np.ndarray, at: np.ndarray,
+               ids: np.ndarray, bad: np.ndarray, cells: np.ndarray, palettes: list) -> np.ndarray:
+    """Rows (us[k], vs[k]) and their palettes for a batch: row k's candidates
+    are codes and sets [start[k], start[k] + size[k]), and at[:, :, i[k]] is
+    its root's (vertex, bit, set) side masks.  A row goes to its pair's slots
+    with its axes swapped when u > v.  Returns cells, widened to uint16 if a
+    palette outgrew uint8.  The dels keep to _fill_bytes."""
+    n, count, width = at.shape[0], len(i), int(size.max())
+    # each row's candidates, padded with repeats of its last, in rank order:
+    # code descending, ties in set order.  A repeat never wins a key
+    take = start[:, None] + np.minimum(np.arange(width), size[:, None] - 1)
+    take = take[np.arange(count)[:, None], np.argsort(-codes[take], axis=1, kind="stable")]
+    cand = sets[take]
+    # (vertex, bit, row, byte) bitsets at u and at v, bit k for candidate k;
+    # at v, the AND of each edge's.  Bits past the last candidate are unread
+    a = np.take(at.reshape(n, 2, -1), i[:, None] * len(ids) + cand, axis=-1)
+    a = np.packbits(a, axis=-1)
+    b = np.bitwise_and.reduce([np.packbits(_side_masks(bad, ids[cand, j:j + 1], vs[:, None]),
+                                           axis=-1) for j in range(ids.shape[1])])
+    del cand
+    flip = (us > vs)[:, None]  # the rows stored as (v, u): their sides swap
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    # a key's winner is the first set bit of its bitsets' AND: the first
+    # nonzero byte, then that byte's leading zeros
+    off = np.arange(n * 2 * count).reshape(n, 2, count) * a.shape[-1]  # bitsets' first bytes
+    line, used = np.arange(count) * width, np.zeros((count, width), dtype=bool)
+    rank = np.empty((count, n, n, 2, 2), dtype=np.min_scalar_type(count * width))  # into take
+    for b1, b2 in product((0, 1), repeat=2):
+        both = np.bitwise_and(a[:, None, b1], b[None, :, b2])  # (u', v', row, byte)
+        first = np.not_equal(both, 0, out=both.view(bool)).argmax(axis=-1)
+        del both
+        byte = a.ravel()[first + off[:, None, b1]] & b.ravel()[first + off[None, :, b2]]
+        first <<= 3
+        first += _LEAD[byte]
+        first += line
+        used.ravel()[first] = True
+        rank[..., b1, b2] = first.transpose(2, 0, 1)
+        del first
+    sizes = used.sum(axis=1)
+    if cells.dtype == np.uint8 and sizes.max() > UINT8_ENTRIES:
         cells = cells.astype(np.uint16)
-    row = (np.cumsum(used, axis=1) - 1).astype(cells.dtype).ravel()[rank]
-    flip = us > vs
-    row[flip] = row[flip].transpose(0, 2, 1, 4, 3)
+    slot = (np.cumsum(used, axis=1) - 1).astype(cells.dtype).ravel()
+    row = np.empty(rank.shape, dtype=cells.dtype)
+    for b1, b2 in product((0, 1), repeat=2):
+        row[..., b1, b2] = slot[rank[..., b1, b2]]
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    cells[1:].reshape(-1, n, n, 2, 2)[lo * (2 * n - 1 - lo) // 2 + hi - lo - 1] = row
-    for k, (u, v) in enumerate(zip(lo.tolist(), hi.tolist())):
-        palettes[u, v] = code[k, used[k]], cand[k, used[k]]
+    pair = lo * (2 * n + 1 - lo) // 2 + hi - lo  # among pairs u <= v, row-major
+    cells[1:].reshape(-1, n, n, 2, 2)[pair - lo - 1] = row  # among pairs u < v
+    won = take[used]
+    palettes.append((pair, sizes, codes[won], sets[won]))
     return cells
 
 
@@ -424,8 +451,10 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     except MemoryError:
         raise BuildError(
             f"cannot allocate {2 * n ** 3 * (n - 1)} table slots for n={n}") from None
-    palettes = {(u, u): (index.codes[u, u:u + 1], np.zeros(1, dtype=np.int32))
-                for u in range(n)}
+    # per batch, its rows' pairs u <= v, palette sizes and entries
+    diagonal = np.arange(n)  # one entry each, the empty set at distance 0
+    palettes = [(diagonal * (2 * n + 1 - diagonal) // 2, np.ones(n, dtype=np.int64),
+                 index.codes[diagonal, diagonal], np.zeros(n, dtype=np.int32))]
     arcs = _arc_list(index)
     cols = [[v for v in range(n) if v != u and (v > u) == ((u + v) % 2 == 1)] for u in range(n)]
     # groups of consecutive roots, each closed once its swept pairs fill a
@@ -439,10 +468,11 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             cells = _build_roots(index, arcs, list(range(lo, u + 1)), cols[lo:u + 1], ids, bad,
                                  cells, palettes, progress)
             lo, swept = u + 1, 0
-    del arcs, bad, cols  # the assembly below sets the build's memory peak
-    code, cand = zip(*(palettes[pair] for pair in combinations_with_replacement(range(n), 2)))
-    winners = ids[np.concatenate(cand)]
+    del arcs, bad, cols  # the assembly's peak stays below the sweep's, which sets the build's
+    pair, size, code, cand = map(np.concatenate, zip(*palettes))
+    order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
+    winners = ids[cand[order]]
     real = winners < graph.m
-    return OracleTables(graph, d, tie_seed, index.codec, cells,
-                        np.array(list(map(len, code)), dtype=np.int64), np.concatenate(code),
-                        real.sum(axis=1, dtype=np.int64), winners[real].astype(np.int64))
+    return OracleTables(graph, d, tie_seed, index.codec, cells, size[np.argsort(pair)],
+                        code[order], real.sum(axis=1, dtype=np.int64),
+                        winners[real].astype(np.int64))

@@ -8,6 +8,7 @@ lines.  One more graph is verified exhaustively at budget 4.
 """
 import io
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -145,20 +146,22 @@ def test_preprocessing_scales_with_enumeration():
     graph = gen_gnm(8, 14, 32, seed=42)
     index, _, used = build_index_auto(graph, 1)
     counts = {d: len(enumerate_failure_sets(graph.m, d)) for d in (1, 2, 3)}
-    times = dict.fromkeys(counts, float("inf"))
-    # interleaved rounds, so a slow stretch of the machine hits no d alone
-    for _ in range(5):
+    times = {d: [] for d in counts}
+    # the process's CPU time, which other work on the machine does not
+    # count, in 40 interleaved rounds; a round's builds run back to back,
+    # so their ratio, taken per round, sees one state of the machine
+    for _ in range(40):
         for d in counts:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             build_tables(index, d, used)
-            times[d] = min(times[d], time.perf_counter() - t0)
+            times[d].append(time.process_time() - t0)
     ratios = []
     for lo, hi in ((1, 2), (2, 3)):
-        time_ratio = times[hi] / times[lo]
+        time_ratio = statistics.median(b / a for a, b in zip(times[lo], times[hi]))
         set_ratio = counts[hi] / counts[lo]
         assert set_ratio / 3 <= time_ratio <= 3 * set_ratio, \
             (lo, hi, time_ratio, set_ratio)
-        ratios.append(f"d={lo}->{hi} time x{time_ratio:.1f} "
+        ratios.append(f"d={lo}->{hi} time x{time_ratio:.2f} "
                       f"vs sets x{set_ratio:.1f}")
     print(f"preprocessing tracks the enumeration size: PASS ({'; '.join(ratios)})")
 

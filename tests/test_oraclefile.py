@@ -319,21 +319,24 @@ def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
 def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch):
     # no palette of a real build has outgrown uint8 so far; with the limit
     # at 9 g6's pair (1, 4), 10 entries, does, after rows of pairs up to 9
-    # entries were written as uint8, so the build widens them once
+    # entries were written as uint8, so the build widens them once.  One
+    # row per fill call: rows (0, 1), (0, 3), (0, 5) and (1, 2) go as uint8
     narrow = oracle6_d2
     widths = []
     fill = ftoracle.tables._fill_rows
 
-    def spy(batch, ids, bad, at, cells, palettes):
-        out = fill(batch, ids, bad, at, cells, palettes)
+    def spy(*args):
+        out = fill(*args)
+        cells = args[-2]
         widths.append((cells.itemsize, out.itemsize))
         return out
 
     monkeypatch.setattr(ftoracle.tables, "UINT8_ENTRIES", 9)
+    monkeypatch.setattr(ftoracle.tables, "FILL_BYTES", 0)
     monkeypatch.setattr(ftoracle.tables, "_fill_rows", spy)
     wide = build_oracle(g6, d=2, seed=1)
     monkeypatch.undo()
-    assert widths[:3] == [(1, 1), (1, 1), (1, 2)] and set(widths[3:]) == {(2, 2)}
+    assert widths[:5] == [(1, 1)] * 4 + [(1, 2)] and set(widths[5:]) == {(2, 2)}
     blob = oracle_file_bytes(wide)
     loaded = load_oracle(io.BytesIO(blob))
     assert oracle_file_bytes(loaded) == blob

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from ftoracle import tables as tables_module
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
+from ftoracle.oraclefile import oracle_file_bytes
 from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
-                             _edge_masks, _side_masks, build_tables, check_build_size,
+                             _edge_masks, _fill_bytes, _side_masks, build_tables, check_build_size,
                              constraint_holds, enumerate_failure_sets, failure_set_count)
 
 from conftest import TableKey, encode, tree_path_edges
@@ -89,8 +90,8 @@ def test_constraint_matches_vectorized_masks(idx1, idx6):
         for si, failed in enumerate(sets):
             for key in keys(n):
                 expect = constraint_holds(index, failed, key)
-                assert bool(fb[key.u][si, key.up, key.b1] and
-                            fb[key.v][si, key.vp, key.b2]) == expect
+                assert bool(fb[key.u][key.up, key.b1, si] and
+                            fb[key.v][key.vp, key.b2, si]) == expect
 
 
 # -- enumeration order ----------------------------------------------------------
@@ -305,6 +306,44 @@ def test_progress_reports_each_root(idx6):
     assert calls == [(k, 7) for k in range(1, 8)]
 
 
+@pytest.mark.parametrize("n, m, d, limit, expect", [
+    (10, 16, 1, 256, (True, False, False)),
+    (9, 24, 3, 256, (False, True, False)),
+    (8, 16, 4, 256, (False, True, False)),
+    (10, 16, 1, 5, (True, False, True)),
+], ids=["d1", "d3", "d4", "d1-widen"])
+def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expect):
+    # the build writes the same file with FILL_BYTES at 0, one row per fill
+    # call, as in its default batches.  Those hold, as expect says: rows of
+    # several roots and widths in one batch; a row too wide to share one;
+    # a palette that outgrows uint8 (UINT8_ENTRIES patched) in a batch of
+    # several rows
+    calls = []
+    fill = tables_module._fill_rows
+
+    def spy(i, us, vs, start, size, *rest):
+        out = fill(i, us, vs, start, size, *rest)
+        calls.append((us.tolist(), size.tolist(), rest[-2].itemsize, out.itemsize))
+        return out
+
+    graph, budget = gen_gnm(n, m, 32, 0), tables_module.FILL_BYTES
+    monkeypatch.setattr(tables_module, "UINT8_ENTRIES", limit)
+    monkeypatch.setattr(tables_module, "_fill_rows", spy)
+    blob = oracle_file_bytes(build_oracle(graph, d, seed=1))
+    batches = calls[:]
+    calls.clear()
+    monkeypatch.setattr(tables_module, "FILL_BYTES", 0)
+    assert oracle_file_bytes(build_oracle(graph, d, seed=1)) == blob
+    assert [len(us) for us, *_ in calls] == [1] * (n * (n - 1) // 2)
+    assert sum(len(us) for us, *_ in batches) == len(calls) > len(batches)
+    mixed = any(len(set(us)) > 1 and len(set(size)) > 1 for us, size, *_ in batches)
+    wide = any(len(us) == 1 and 2 * _fill_bytes(n, size[0]) > budget
+               for us, size, *_ in batches)
+    widened = any(len(us) > 1 and (old, new) == (1, 2) for us, _, old, new in batches)
+    assert (mixed, wide, widened) == expect
+    assert batches[-1][3] == calls[-1][3] == (2 if limit < 256 else 1)
+
+
 def test_deleted_distances_match_reference(idx6, ref6):
     g = idx6.graph
     codec = idx6.codec
@@ -312,17 +351,25 @@ def test_deleted_distances_match_reference(idx6, ref6):
     sets = enumerate_failure_sets(g.m, 2)
     cols = list(range(g.n))
     for u in cols:
-        clean = _side_masks(bad, id_matrix(sets, g.m, 2), u)[:, :, 0]
-        _, codes, found = zip(*_deleted_all_pairs(idx6, _arc_list(idx6), id_matrix(sets, g.m, 2),
-                                                  [u], [cols], clean[None])[0])
+        clean = _side_masks(bad, id_matrix(sets, g.m, 2), u)[:, 0]
+        swept = _deleted_all_pairs(idx6, _arc_list(idx6), id_matrix(sets, g.m, 2),
+                                   [u], [cols], clean[:, None])
+        _, codes, found = zip(*swept_rows(swept, [cols])[0])
         for v in cols:
             # the empty set first, then every damaging set: each is longer
-            damaging = [si for si in range(len(sets)) if not clean[si, v]]
+            damaging = [si for si in range(len(sets)) if not clean[v, si]]
             assert list(found[v]) == [0] + damaging
             dist = dict(zip(found[v], codes[v]))
             for si, failed in enumerate(sets):
                 code = dist.get(si, int(idx6.codes[u, v]))
                 assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
+
+
+def swept_rows(swept, cols):
+    """_deleted_all_pairs' flat buffers as, per root, its rows (x, codes, sets)."""
+    codes, sets, start, size = swept
+    bounds = iter(zip(start.tolist(), (start + size).tolist()))
+    return [[(x, codes[a:b], sets[a:b]) for x, (a, b) in zip(c, bounds)] for c in cols]
 
 
 def sweep_against_reference(index, d, roots, cols=None):
@@ -339,7 +386,7 @@ def sweep_against_reference(index, d, roots, cols=None):
     sets = enumerate_failure_sets(graph.m, d)
     ids = id_matrix(sets, graph.m, d)
     cols = [list(range(graph.n))] * len(roots) if cols is None else cols
-    clean = _side_masks(_edge_masks(index), ids, np.array(roots)[:, None])[..., 0]
+    clean = _side_masks(_edge_masks(index), ids, np.array(roots)[:, None])[:, 0]
     chunks = []
     relax = tables_module._relax
 
@@ -352,7 +399,8 @@ def sweep_against_reference(index, d, roots, cols=None):
 
     tables_module._relax = spy
     try:
-        swept = _deleted_all_pairs(index, _arc_list(index), ids, roots, cols, clean)
+        swept = swept_rows(_deleted_all_pairs(index, _arc_list(index), ids, roots, cols, clean),
+                           cols)
     finally:
         tables_module._relax = relax
     assert len(swept) == len(roots)
@@ -381,8 +429,9 @@ def test_sweep_disconnecting_sets_give_unreachable_exactly():
     # on a path every damaging set disconnects its column
     index = build_index_auto(path, 1)[0]
     ids = id_matrix(enumerate_failure_sets(4, 2), 4, 2)
-    clean = _side_masks(_edge_masks(index), ids, 0)[None, :, :, 0]
-    (rows,) = _deleted_all_pairs(index, _arc_list(index), ids, [0], [[4]], clean)
+    clean = _side_masks(_edge_masks(index), ids, 0)[:, 0, None]
+    (rows,) = swept_rows(_deleted_all_pairs(index, _arc_list(index), ids, [0], [[4]], clean),
+                         [[4]])
     assert rows[0][1][1:].tolist() == [index.codec.unreachable_code] * (len(rows[0][1]) - 1)
 
 
