@@ -7,6 +7,10 @@ path, and the answer is the minimum of the bound and pivot-split subqueries
 with a decremented budget.  The budget argument makes the recursion finite;
 exactness at budget |D| follows from the pivot contract.
 
+The pivot loop is a branch and bound.  A subquery's code is that of a walk
+in G - D, so at least its pair's base code, and a pivot whose detour cannot
+beat the best bound so far is skipped: every answer and memo entry is kept.
+
 A damaged query builds one FailureView of D and the whole recursion runs
 on it: damage tests are bit tests, each root's key tree is built once, and
 the memo and the query's stats live in the view.  An undamaged query
@@ -82,6 +86,7 @@ class Oracle:
                 stats.max_depth = 1
             return index._dist[u][v]
         view = FailureView(index, failed, stats)
+        view._paths[u] = damage  # view.path(u) would OR the same masks again
         code = self._query_r(u, v, view, len(failed))
         if stats is not None:
             stats.key_trees += len(view.trees)
@@ -92,27 +97,31 @@ class Oracle:
 
         Every call is on a damaged pair, view.path(a) >> b & 1: the fast
         path answers an undamaged top call, and a pivot w is a hit, so a
-        failure lies on both tree paths a->w and w->b.
+        failure lies on both tree paths a->w and w->b.  A pivot is skipped
+        when a lower bound on left + right, base codes for the parts not yet
+        known, reaches best: left >= rows[a][w] and right >= rows[w][b].
         """
         stats = view.stats
         if stats is not None:
             depth = len(view.failed) - r + 1
             if depth > stats.max_depth:
                 stats.max_depth = depth
-        unreachable = self.index.codec.unreachable_code
         if r == 0:
-            return unreachable
+            return self.index.codec.unreachable_code
         memo = view.memo
         cached = memo.get((a, b, r))
         if cached is not None:
             if stats is not None:
                 stats.memo_hits += 1
             return cached
-        bound, hits = self.engine.case_three(a, b, view)
-        best = bound
+        best, hits = self.engine.case_three(a, b, view)
+        rows = self.index._rows
         for w in sorted(hits):
+            to_b = rows[w][b]
+            if rows[a][w] + to_b >= best:
+                continue
             left = self._query_r(a, w, view, r - 1)
-            if left >= unreachable:
+            if left + to_b >= best:
                 continue
             right = self._query_r(w, b, view, r - 1)
             cand = left + right

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import pytest
 
 from ftoracle.graph import parse_graph
-from ftoracle.query import build_oracle
+from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import ReferenceOracle
 from ftoracle.spindex import build_index_auto
 
@@ -182,3 +182,39 @@ def underive(index):
     """Empty every per-root slot, as load leaves them."""
     for name in PER_ROOT:
         setattr(index, name, [None] * index.graph.n)
+
+
+class UnprunedOracle(Oracle):
+    """The query with every pivot recursed on, as before the branch and bound.
+
+    Its answers are the reference for the pruned Oracle._query_r, and its
+    counters the ceiling for the pruned query's.
+    """
+
+    def _query_r(self, a, b, view, r):
+        stats = view.stats
+        if stats is not None:
+            depth = len(view.failed) - r + 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+        unreachable = self.index.codec.unreachable_code
+        if r == 0:
+            return unreachable
+        memo = view.memo
+        cached = memo.get((a, b, r))
+        if cached is not None:
+            if stats is not None:
+                stats.memo_hits += 1
+            return cached
+        bound, hits = self.engine.case_three(a, b, view)
+        best = bound
+        for w in sorted(hits):
+            left = self._query_r(a, w, view, r - 1)
+            if left >= unreachable:
+                continue
+            right = self._query_r(w, b, view, r - 1)
+            cand = left + right
+            if cand < best:
+                best = cand
+        memo[(a, b, r)] = best
+        return best

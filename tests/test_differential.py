@@ -22,7 +22,7 @@ from ftoracle.hitset import QueryStats
 from ftoracle.reference import enumerate_instances
 from ftoracle.tables import LengthCodec
 
-from conftest import underive
+from conftest import UnprunedOracle, underive
 
 
 def _tree(n, wmax, seed):
@@ -52,9 +52,23 @@ def test_answers_do_not_depend_on_derivation_order():
     assert count == 232 * 42
 
 
-# recorded over the counters of every query below, when query_composite
-# still passed stats by hand through _query_r and the three cases
-QUERY_STATS_DIGEST = "a0bae9fb065d302c3ed52597a2ca753ef2946511be90fdf5d363478816b0db85"
+# recorded over the counters of every query below, re-recorded once when
+# the pivot loop began to skip pivots whose lower bound cannot beat the
+# best bound so far; the unpruned loop still gives the earlier digest,
+# recorded when query_composite passed stats by hand through the cases
+QUERY_STATS_DIGEST = "566326832925def8f44f1bb4b9607206b3b3fdba366596488bcd686cd9c1bd8b"
+UNPRUNED_STATS_DIGEST = "a0bae9fb065d302c3ed52597a2ca753ef2946511be90fdf5d363478816b0db85"
+
+
+def stats_digest(oracle, graph, fresh):
+    digest = hashlib.sha256()
+    for u, v, failed in enumerate_instances(graph, 3):
+        if fresh:
+            underive(oracle.index)
+        stats = QueryStats()
+        oracle.query_composite(u, v, failed, stats=stats)
+        digest.update(repr(dataclasses.astuple(stats)).encode("ascii"))
+    return digest.hexdigest()
 
 
 def test_query_stats_pinned():
@@ -64,14 +78,51 @@ def test_query_stats_pinned():
     built = build_oracle(graph, 3, seed=1)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)), graph=graph)
     for oracle, fresh in ((built, False), (loaded, True)):
-        digest = hashlib.sha256()
-        for u, v, failed in enumerate_instances(graph, 3):
-            if fresh:
-                underive(oracle.index)
-            stats = QueryStats()
-            oracle.query_composite(u, v, failed, stats=stats)
-            digest.update(repr(dataclasses.astuple(stats)).encode("ascii"))
-        assert digest.hexdigest() == QUERY_STATS_DIGEST, fresh
+        assert stats_digest(oracle, graph, fresh) == QUERY_STATS_DIGEST, fresh
+
+
+def test_unpruned_reference_keeps_the_earlier_stats():
+    # UnprunedOracle is the reference below only while it is the old loop
+    graph = gen_gnm(7, 11, 32, 0)
+    built = build_oracle(graph, 3, seed=1)
+    unpruned = UnprunedOracle(built.index, built.tables)
+    assert stats_digest(unpruned, graph, False) == UNPRUNED_STATS_DIGEST
+
+
+def assert_prune_only_saves(graph, d):
+    """Every query pruned and unpruned: equal answers, and no counter of the
+    pruned query above the unpruned one.  Returns both case_three totals."""
+    pruned = build_oracle(graph, d, seed=1)
+    unpruned = UnprunedOracle(pruned.index, pruned.tables)
+    totals = [0, 0]
+    for u, v, failed in enumerate_instances(graph, d):
+        mine, ref = QueryStats(), QueryStats()
+        assert pruned.query_composite(u, v, failed, stats=mine) == \
+            unpruned.query_composite(u, v, failed, stats=ref), (u, v, failed)
+        for field in ("case_three_calls", "lookups", "key_trees", "max_depth"):
+            assert getattr(mine, field) <= getattr(ref, field), (field, u, v, failed)
+        totals[0] += mine.case_three_calls
+        totals[1] += ref.case_three_calls
+    return totals
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(2, 6), unit=st.booleans(), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+@example(shape=_complete, n=4, unit=True, seed=0, data=None)
+@example(shape=_complete, n=6, unit=False, seed=0, data=None)
+def test_pruned_query_matches_unpruned(shape, n, unit, seed, data):
+    # d = 4 only for n <= 4, as in the round trips above
+    top = 4 if n <= 4 else 3
+    d = top if data is None else data.draw(st.integers(1, top), label="d")
+    assert_prune_only_saves(shape(n, 1 if unit else 32, seed), d)
+
+
+def test_pruned_query_matches_unpruned_on_gnm():
+    assert_prune_only_saves(gen_gnm(7, 11, 32, 0), 3)
+    pruned, unpruned = assert_prune_only_saves(gen_gnm(10, 18, 32, 5), 3)
+    assert pruned < unpruned
 
 
 def assert_round_trip_exact(graph, d):
