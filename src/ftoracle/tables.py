@@ -18,23 +18,29 @@ then set index ascending (sets ascend by sorted edge-id sequence, () first).
 Every damaging set is a candidate of the row; one that did not lengthen
 the distance would rank after the empty set and so win no key.
 
-The build goes by groups of consecutive roots whose (root, set) pairs to
-sweep fill a chunk.  A group takes every set's side masks at its roots
-from per-edge masks made once; the deletion sweep (_deleted_all_pairs)
-repairs each root's distances under each set that damages an owned
-column, by Bellman-Ford over CHUNK = 128 pairs at a time, into flat
-candidate buffers.  It is exact, as undamaged distances are right from
-the start and no walk's code sum undercuts the unique shortest path's,
-and it stays in int64, as banned arcs' sums are overwritten, not added
-to.  Then consecutive rows are ranked in batches of at most FILL_BYTES
-of working memory, or one wider row alone, padded from those buffers.
-Their side masks at u and at v are packed into bitsets along
-the candidate axis and ANDed; a key's winner is the first set bit, found
-as the first nonzero byte plus that byte's leading zeros.  Lengths are
-undirected and the constraints of (u, v, u', v', b1, b2) and (v, u, v',
-u', b2, b1) agree, so row (v, u) is row (u, v) with its vertex axes and
-its bit axes swapped.  Root u owns (u, v) when (v > u) == (u + v is odd):
-each pair has one owner, each root at most n // 2 columns.
+The build has two phases.  Phase 1, the deletion sweep
+(_deleted_all_pairs), runs Bellman-Ford over CHUNK = 128 (root, set)
+pairs at a time, for the sets that the replacement-path branching of
+Malik, Mittal and Gupta (1989) reaches from each root: exact, as
+undamaged distances are right from the start and no walk's code sum
+undercuts the unique shortest path's, and in int64, as codes are at most
+2^62, steps below 2^62 (the codec's bound) and banned arcs' sums
+overwritten, not added to.  Phase 2 goes by groups of consecutive roots
+whose damaging (root, set) pairs fill a chunk.  A group takes every
+set's side masks at its roots from per-edge masks made once and lays out
+each row's candidates, the empty set and then every set that damages the
+row, each with its swept code or else the largest of its immediate
+subsets': deleting edges never shortens a path, so a set has the code of
+a least subset with that code, and phase 1 reaches each of those.  Then
+consecutive rows are ranked in batches of at most FILL_BYTES of working
+memory, or one wider row alone.  Their side masks at u and at v are
+packed into bitsets along the candidate axis and ANDed; a key's winner
+is the first set bit, found as the first nonzero byte plus that byte's
+leading zeros.  Lengths are undirected and the constraints of
+(u, v, u', v', b1, b2) and (v, u, v', u', b2, b1) agree, so row (v, u)
+is row (u, v) with its vertex axes and its bit axes swapped.  Root u
+owns (u, v) when (v > u) == (u + v is odd): each pair has one owner,
+each root at most n // 2 columns.
 
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
@@ -64,7 +70,7 @@ from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_lis
 
 
 CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
-FILL_BYTES = 128 << 10  # estimated working bytes of a fill batch (_fill_bytes)
+FILL_BYTES = 112 << 10  # estimated working bytes of a fill batch (_fill_bytes)
 UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
 
 
@@ -100,18 +106,24 @@ def check_build_size(n: int, m: int, d: int) -> None:
     may outgrow uint8, a uint16 slot plus the uint8 one it widens from.  Each
     palette entry takes an int64 code, set size and edge ids plus their
     read-path lists, charged at the bound of min(4n^2, sets) entries per
-    pair.  Each subset costs a tuple and list slot and a row of int32 edge
-    ids.  The sweep's group of roots costs, per subset and root, its side
-    masks (about 4n + 8 bytes while derived), a code and an index in each of
-    the root's at most n // 2 candidate buffers, a hit flag per buffer and a
-    pair index.  A group holds at most 1 + (CHUNK - 1) // k roots, k the sets
-    that hold a given edge, since every root before its last sweeps at least
-    k pairs and all of them fewer than CHUNK, 128.  A chunk adds, per pair,
-    an int64 sum, its copy in numpy's broadcast buffer and a ban flag per arc
-    (2m arcs), the set's edge flags, an int64 code and a damage flag per
-    vertex, and the extracted codes and ranks per column.  The fill takes
-    FILL_BYTES, or _fill_bytes of a row of one candidate per subset.  Failing
-    before anything is allocated beats an overcommitted allocation killed later.
+    pair.  Each subset costs a tuple and list slot, a row of int32 edge
+    ids, its own and its immediate subsets' indices (_levels) and, while
+    those are derived, a row of edge ids and three int64s.  Phase 1 costs,
+    per (root, subset), a next-level flag and, once swept, its int64 pair
+    index, the key it is stored under and per column a damage flag and an
+    int64 code.  Its chunk adds, per pair, an int64 sum, its copy in numpy's
+    broadcast buffer and a ban flag per arc (2m arcs), edge flags for the
+    set and its walks, an int64 code, first tight arc and two side-mask
+    flags per vertex, and per column a damage flag and four int64s.  Phase
+    2's group costs, per subset and root, its side masks (about 4n + 8
+    bytes while derived) and per column a hit flag, an int64 code and hit
+    index and the candidate's int64 code and int32 set index; a slice of
+    CHUNK sets adds two int64s per column.  A group holds at most
+    1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
+    every root before its last has at least k damaging sets and all of them
+    fewer than CHUNK.  The fill takes FILL_BYTES, or _fill_bytes of a row
+    of one candidate per subset.  Failing before anything is allocated
+    beats an overcommitted allocation killed later.
     """
     if d < 1:
         raise BuildError(f"failure budget d={d} out of range, must be >= 1")
@@ -120,14 +132,15 @@ def check_build_size(n: int, m: int, d: int) -> None:
         raise BuildError(f"failure budget d={d} with m={m} gives more failure "
                          f"sets than int32 set indices can address")
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    width = min(d, m)
-    per_set = 56 + 8 * width + 4 * max(1, width)
-    per_root = 4 * n + 8 + 13 * (n // 2) + 4
+    width, cols = min(d, m), n // 2
+    per_set = 84 + 16 * width + 4 * max(1, width) + n * (17 + 9 * cols)
+    per_root = 4 * n + 8 + 29 * cols
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
     slots = 2 * n ** 3 * (n - 1) * (1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 3)
     need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
-            + CHUNK * (35 * m + 17 * n + 24 * (n // 2)) + max(FILL_BYTES, _fill_bytes(n, sets)))
+            + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
+            + max(FILL_BYTES, _fill_bytes(n, sets)))
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
@@ -277,75 +290,183 @@ def _side_masks(bad: np.ndarray, ids: np.ndarray, root) -> np.ndarray:
     return np.logical_not(fb, out=fb)
 
 
-def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
-                       roots: Sequence[int], cols: Sequence[list[int]],
-                       clean: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates of each row (root, x), x in cols, by deletion sweep.
+def _set_index(rows: np.ndarray, m: int) -> np.ndarray:
+    """Each row's index in enumerate_failure_sets(m, d), for rows of a set's
+    ascending edge ids padded with m to width w = max(1, min(d, m)).
 
-    Root roots[i] owns the columns cols[i], and clean[x, i, s] is False
-    where set s (edge ids ids[s]) hits the tree path roots[i]->x.  Returns
-    flat buffers of int64 codes root->x and int32 set indices, and each
-    row's start and size in them, rows in the order of cols: a row holds
-    first the empty set at the base distance, then, ascending, each set
-    that damages x.
-
-    The (root, set) pairs whose set damages an owned column go, root by
-    root, in chunks of CHUNK to one Bellman-Ford, _relax, over (vertex,
-    pair) codes, vertices in arcs.order, with the set's arcs banned.  A
-    pair starts at the root's base codes with the set's damaged vertices at
-    unreachable_code.  Exact: undamaged codes are right from the start, as
-    deletions only lengthen paths, and an entry is always unreachable_code
-    or the sum over a walk avoiding the set, which never undercuts the
-    unique shortest path's code (see the query module).  int64, the dtype
-    of index.codes, holds every sum: entries are at most 2^62 and steps
-    below 2^62 (the codec's bound on max_len << shift), and overwriting
-    after the add keeps it so, where unreachable_code as the step of a
-    banned arc would reach 2^63 and wrap.
+    Sets ascend as sequences, a prefix first, so before (a_0, ..., a_k-1)
+    come, per slot i, the prefix (a_0, ..., a_i-1) and every set that
+    extends it by 1 to w - i edges above a_i-1, the least below a_i.  That
+    w - i may stand for d - i: at most m - i edges lie above a_i-1.
     """
+    width = rows.shape[1]
+    count = np.ones((width + 1, m + 1), dtype=np.int64)  # [j, r]: failure_set_count(r, j)
+    for j in range(1, width + 1):
+        count[j, 1:] += np.cumsum(count[j - 1, :-1])
+    index, prev = np.zeros(len(rows), dtype=np.int64), 0  # prev: a_i-1 + 1
+    for i in range(width):
+        edge = rows[:, i]
+        index += np.where(edge < m, 1 + count[width - i, m - prev] - count[width - i, m - edge], 0)
+        prev = np.minimum(edge + 1, m)
+    return index
+
+
+def _levels(ids: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per size k >= 2, the indices of the sets of k edges, and of their
+    immediate subsets: [j, i] is set i less the edge in its slot j."""
+    edges, levels, dtype = (ids < m).sum(axis=1), [], np.min_scalar_type(len(ids))
+    for k in range(2, ids.shape[1] + 1):
+        sets = np.flatnonzero(edges == k)
+        below = np.empty((k, len(sets)), dtype=dtype)
+        for j in range(k):
+            below[j] = _set_index(np.c_[np.delete(ids[sets], j, axis=1),
+                                        np.full(len(sets), m, dtype=ids.dtype)], m)
+        levels.append((sets.astype(dtype), below))
+    return levels
+
+
+def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
+                       cols: Sequence[list[int]], bad: np.ndarray,
+                       groups: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Phase 1: each root's codes under the sets that replacement-path
+    branching reaches from it, level by level across all roots.
+
+    Root r owns the columns cols[r]; bad = _edge_masks(index).  Level 1
+    holds each root's damaging singletons.  Level k + 1 adds to a level-k
+    set P the edges of one shortest path root->x of G - P, walked back by
+    first tight arcs (code[tail] + step == code[head], not banned), for each
+    owned x that P damages and leaves reachable.  One path is enough even
+    where G - P ties: if no proper subset of M has its root->x code, every
+    shortest path of G - P, P a proper subset of M, meets the rest of M.  A
+    level's pairs go in chunks of CHUNK to _relax, from the root's base
+    codes with the set's damaged vertices at unreachable_code and its arcs
+    banned, which is exact and stays in int64 (see the module docstring).
+
+    Returns per group of roots, from groups[g] up to the next group's first
+    root: its swept pairs as root * len(ids) + set index, level by level;
+    their damage flags at their root's columns, padded with the root; and
+    their int64 codes at the damaged ones (elsewhere a set leaves the base
+    code).  Each group's arrays are its own, to be freed once its rows are.
+    """
+    n, m, sets = index.graph.n, index.graph.m, len(ids)
     unreachable = index.codec.unreachable_code
-    roots = np.array(roots, dtype=np.int64)
     width = max(map(len, cols), default=0)
-    # each root's columns, padded with the root, which no set damages
+    at = np.array([c + [r] * (width - len(c)) for r, c in enumerate(cols)],
+                  dtype=np.int64).reshape(n, width)
+    place = np.argsort(arcs.order)  # each vertex's position in arcs.order
+    bounds = np.cumsum([0] + arcs.sizes).tolist()
+    spans = list(zip(bounds, bounds[1:]))[::-1]  # each slot's arcs, the last slot first
+    fresh = np.zeros((n, sets), dtype=bool)  # the next level's (root, set) pairs
+    single = np.flatnonzero((ids[:, 0] < m) & (ids[:, 1:] == m).all(axis=1))  # (0,), (1,), ...
+    fresh[:, single] = bad[at, 0, np.arange(n)[:, None], :m].any(axis=1)
+    key = np.min_scalar_type(n * sets)  # narrow, as the store stays while the rows fill
+    store = [[(np.zeros(0, dtype=key), np.zeros((0, width), dtype=bool),
+               np.zeros(0, dtype=np.int64))] for _ in groups]
+    for level in range(1, ids.shape[1] + 1):
+        pairs = np.flatnonzero(fresh)  # root * sets + set, ascending
+        fresh = np.zeros((n, sets), dtype=bool) if level < ids.shape[1] else None
+        hurt, found = [np.zeros((0, width), dtype=bool)], [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, len(pairs), CHUNK):
+            r, s = np.divmod(pairs[lo:lo + CHUNK], sets)
+            k = np.arange(len(s))
+            clean = _side_masks(bad, ids[s], r)[:, 0]  # (vertex, pair)
+            row = index.codes[r, arcs.order[:, None]]  # (position, pair)
+            row[~clean[arcs.order]] = unreachable
+            banned = np.zeros((m + 1, len(s)), dtype=bool)
+            banned[ids[s].T, k] = True
+            banned = banned[arcs.edge]
+            _relax(row, banned, arcs, unreachable)
+            pos = place[at[r]]  # (pair, column) positions
+            codes, damaged = row[pos, k[:, None]], ~clean[at[r], k[:, None]]
+            hurt.append(damaged)
+            found.append(codes[damaged])
+            if fresh is not None:
+                # walk back from each damaged, reachable column by first tight arcs
+                pred = np.zeros(row.shape, dtype=np.int64)
+                for a, b in spans:
+                    tight = row[arcs.tail[a:b]] + arcs.step[a:b, None] == row[:b - a]
+                    tight[banned[a:b]] = False
+                    np.copyto(pred[:b - a], np.arange(a, b)[:, None], where=tight)
+                pair, col = np.nonzero(damaged & (codes < unreachable))
+                x, on = pos[pair, col], np.zeros((len(s), m + 1), dtype=bool)
+                while len(x):
+                    arc = pred[x, pair]
+                    on[pair, arcs.edge[arc]] = True
+                    x = arcs.tail[arc]
+                    go = x != place[r[pair]]
+                    x, pair = x[go], pair[go]
+                # set s[k] plus each edge e it walked joins the next level at root r[k]
+                k, edge = np.nonzero(on)
+                grown = ids[s[k]]
+                grown[:, -1] = edge  # the last slot pads every set below the width
+                grown.sort(axis=1)
+                fresh[r[k], _set_index(grown, m)] = True
+                del pred, on
+            del row, pos, codes  # before the next chunk's relax
+        hurt, found = np.concatenate(hurt), np.concatenate(found)
+        cut = np.searchsorted(pairs, np.append(groups, n) * sets)  # each group's pairs
+        ends = np.concatenate(([0], np.cumsum(hurt.sum(axis=1))))[cut]
+        for g in np.flatnonzero(np.diff(cut)):
+            a, b = cut[g], cut[g + 1]
+            store[g].append((pairs[a:b].astype(key), hurt[a:b], found[ends[g]:ends[g + 1]]))
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in store]
+
+
+def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
+                    swept: tuple[np.ndarray, ...], roots: Sequence[int],
+                    cols: Sequence[list[int]], clean: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 2: the candidates of each row (root, x), x in cols.
+
+    Root roots[i], ascending, owns the columns cols[i], and clean[x, i, s]
+    is False where set s (edge ids ids[s]) hits the tree path roots[i]->x.
+    Returns flat buffers of int64 codes root->x and int32 set indices, and
+    each row's start and size in them, rows in the order of cols: a row
+    holds first the empty set at the base distance, then, ascending, each
+    set that damages x.  A set takes the code phase 1 swept at its root
+    where swept, the group's share of _deleted_all_pairs, holds one, or
+    else, sizes ascending (levels = _levels(ids, m)), the largest code of
+    its immediate subsets, a subset that does not damage x counting at the
+    base code.
+    """
+    count, roots = len(ids), np.array(roots, dtype=np.int64)
+    width = max(map(len, cols), default=0)
     at = np.array([c + [r] * (width - len(c)) for r, c in zip(roots.tolist(), cols)],
                   dtype=np.int64).reshape(len(roots), width)
     hit = ~clean[at, np.arange(len(roots))[:, None]]  # (root, column, set)
-    pairs = np.flatnonzero(hit.any(axis=1)).astype(np.int32)  # i * sets + s, ascending
     hit[:, :, 0] = True  # the empty set, which damages nothing, opens every row
     size = hit.sum(axis=2)
     start = np.cumsum(size).reshape(size.shape) - size  # each row's empty-set entry
-    codes = np.empty(size.sum(), dtype=np.int64)
-    codes[start] = index.codes[roots[:, None], at]
-    # pair p's entry in row (i, j) is start[i, j] plus its rank among the
-    # row's damaging sets: the count of hits in column j over all pairs up
-    # to p, less that of the roots before i
-    offset = start - np.cumsum(size - 1, axis=0) + size - 1
-    place = np.argsort(arcs.order)[at]  # the columns' positions in arcs.order
-    seen = np.zeros(width, dtype=np.int64)  # hits per column in the chunks so far
-    for lo in range(0, len(pairs), CHUNK):
-        r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
-        row = index.codes[roots[r], arcs.order[:, None]]  # (position, pair)
-        row[~clean[arcs.order[:, None], r, s]] = unreachable
-        banned = np.zeros((index.graph.m + 1, len(s)), dtype=bool)
-        banned[ids[s].T, np.arange(len(s))] = True
-        _relax(row, banned[arcs.edge], arcs, unreachable)
-        hp = hit[r, :, s]
-        rank = seen + np.cumsum(hp, axis=0)
-        seen = rank[-1]
-        codes[(offset[r] + rank)[hp]] = row[place[r], np.arange(len(s))[:, None]][hp]
-    sets = np.flatnonzero(hit)  # (i * width + j) * sets + s: the rows' sets, in order
-    sets = (sets % len(ids)).astype(np.int32)
     real = np.arange(width) < np.array(list(map(len, cols)), dtype=np.int64)[:, None]
-    return codes, sets, start[real], size[real]
+    # (set, row) codes: the base code, then the swept codes, then the rest
+    full = np.repeat(index.codes[roots[:, None], at].reshape(1, -1), count, axis=0)
+    pairs, damaged, found = swept
+    pair, col = np.nonzero(damaged)
+    r, sets = np.divmod(pairs[pair], count)
+    full[sets, np.searchsorted(roots, r) * width + col] = found
+    for level, below in levels:  # in slices of CHUNK sets, which bound the temporaries
+        for lo in range(0, len(level), CHUNK):
+            sets = level[lo:lo + CHUNK]
+            best = full.take(sets, axis=0)
+            for less in below[:, lo:lo + CHUNK]:
+                np.maximum(best, full.take(less, axis=0), out=best)
+            full[sets] = best
+    codes = full.T[hit.reshape(-1, count)]
+    del full
+    sets = np.flatnonzero(hit)  # (i * width + j) * count + s: the rows' sets, in order
+    sets %= count
+    return codes, sets.astype(np.int32), start[real], size[real]
 
 
-def _build_roots(index: ShortestPathIndex, arcs: _Arcs, roots: list[int],
-                 cols: list[list[int]], ids: np.ndarray, bad: np.ndarray, cells: np.ndarray,
-                 palettes: list, progress: Callable[[int, int], None] | None) -> np.ndarray:
-    """Fill the rows (u, v), v in cols[i], of a group of roots u = roots[i];
-    returns cells, widened if a palette outgrew them."""
+def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int]],
+                 ids: np.ndarray, levels: list, swept: tuple[np.ndarray, ...],
+                 bad: np.ndarray, cells: np.ndarray, palettes: list,
+                 progress: Callable[[int, int], None] | None) -> np.ndarray:
+    """Phase 2 for a group of roots u = roots[i]: lay out and fill the rows
+    (u, v), v in cols[i]; returns cells, widened if a palette outgrew them."""
     n = index.graph.n
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
-    codes, sets, start, size = _deleted_all_pairs(index, arcs, ids, roots, cols, at[:, 0])
+    codes, sets, start, size = _row_candidates(index, ids, levels, swept, roots, cols, at[:, 0])
     i = np.repeat(np.arange(len(roots)), list(map(len, cols)))
     us, vs = np.array(roots)[i], np.array(list(chain.from_iterable(cols)), dtype=np.int64)
     # consecutive rows share a batch while count x widest row's bytes fit
@@ -446,6 +567,20 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     ids = np.array([s + (graph.m,) * (width - len(s)) for s in enumerate_failure_sets(graph.m, d)],
                    dtype=np.int32).reshape(-1, width)
     bad = _edge_masks(index)
+    cols = [[v for v in range(n) if v != u and (v > u) == ((u + v) % 2 == 1)] for u in range(n)]
+    # groups of consecutive roots, each closed once its rows' damaging
+    # (root, set) pairs fill a chunk: the sets that meet a tree path from
+    # the root to an owned column
+    groups, damaging = [0], 0
+    for u in range(n - 1):
+        owned = sum(1 << v for v in cols[u])
+        damaging += len(ids) - failure_set_count(
+            graph.m - sum(1 for below in index._below[u] if below & owned), d)
+        if damaging >= CHUNK:
+            groups.append(u + 1)
+            damaging = 0
+    swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
+    levels = _levels(ids, graph.m)
     try:  # the diagonal rows' zero slot, then 4n^2 slots per pair u < v
         cells = np.zeros(1 + 2 * n ** 3 * (n - 1), dtype=np.uint8)
     except MemoryError:
@@ -455,20 +590,11 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     diagonal = np.arange(n)  # one entry each, the empty set at distance 0
     palettes = [(diagonal * (2 * n + 1 - diagonal) // 2, np.ones(n, dtype=np.int64),
                  index.codes[diagonal, diagonal], np.zeros(n, dtype=np.int32))]
-    arcs = _arc_list(index)
-    cols = [[v for v in range(n) if v != u and (v > u) == ((u + v) % 2 == 1)] for u in range(n)]
-    # groups of consecutive roots, each closed once its swept pairs fill a
-    # chunk; root u sweeps the sets that meet a tree path to an owned column
-    lo, swept = 0, 0
-    for u in range(n):
-        owned = sum(1 << v for v in cols[u])
-        swept += len(ids) - failure_set_count(
-            graph.m - sum(1 for below in index._below[u] if below & owned), d)
-        if swept >= CHUNK or u == n - 1:
-            cells = _build_roots(index, arcs, list(range(lo, u + 1)), cols[lo:u + 1], ids, bad,
-                                 cells, palettes, progress)
-            lo, swept = u + 1, 0
-    del arcs, bad, cols  # the assembly's peak stays below the sweep's, which sets the build's
+    for lo, hi in zip(groups, groups[1:] + [n]):
+        cells = _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0], bad,
+                             cells, palettes, progress)
+        del swept[0]  # once its rows are filled
+    del bad, cols, levels
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
     winners = ids[cand[order]]

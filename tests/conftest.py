@@ -8,12 +8,14 @@ the slowest thing the unit tests do.
 """
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from ftoracle.graph import parse_graph
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import ReferenceOracle
-from ftoracle.spindex import build_index_auto
+from ftoracle.spindex import _arc_list, _relax, build_index_auto
+from ftoracle.tables import CHUNK
 
 G1_TEXT = """\
 4 4
@@ -218,3 +220,46 @@ class UnprunedOracle(Oracle):
                 best = cand
         memo[(a, b, r)] = best
         return best
+
+
+def exhaustive_candidates(index, ids, levels, swept, roots, cols, clean):
+    """The rows' candidates by the exhaustive deletion sweep, the reference
+    for the build's two phases; a drop-in for tables._row_candidates that
+    ignores levels and swept.
+
+    Every (root, set) pair whose set damages an owned column goes, root by
+    root, in chunks of CHUNK to _relax, and each row gets the code of every
+    set that damages it, laid out as _row_candidates lays it out.
+    """
+    arcs = _arc_list(index)
+    unreachable = index.codec.unreachable_code
+    roots = np.array(roots, dtype=np.int64)
+    width = max(map(len, cols), default=0)
+    at = np.array([c + [r] * (width - len(c)) for r, c in zip(roots.tolist(), cols)],
+                  dtype=np.int64).reshape(len(roots), width)
+    hit = ~clean[at, np.arange(len(roots))[:, None]]  # (root, column, set)
+    pairs = np.flatnonzero(hit.any(axis=1))  # i * sets + s, ascending
+    hit[:, :, 0] = True
+    size = hit.sum(axis=2)
+    start = np.cumsum(size).reshape(size.shape) - size
+    codes = np.empty(size.sum(), dtype=np.int64)
+    codes[start] = index.codes[roots[:, None], at]
+    # pair p's entry in row (i, j) is start[i, j] plus its rank among the
+    # row's damaging sets
+    offset = start - np.cumsum(size - 1, axis=0) + size - 1
+    place = np.argsort(arcs.order)[at]
+    seen = np.zeros(width, dtype=np.int64)
+    for lo in range(0, len(pairs), CHUNK):
+        r, s = np.divmod(pairs[lo:lo + CHUNK], len(ids))
+        row = index.codes[roots[r], arcs.order[:, None]]
+        row[~clean[arcs.order[:, None], r, s]] = unreachable
+        banned = np.zeros((index.graph.m + 1, len(s)), dtype=bool)
+        banned[ids[s].T, np.arange(len(s))] = True
+        _relax(row, banned[arcs.edge], arcs, unreachable)
+        hp = hit[r, :, s]
+        rank = seen + np.cumsum(hp, axis=0)
+        seen = rank[-1]
+        codes[(offset[r] + rank)[hp]] = row[place[r], np.arange(len(s))[:, None]][hp]
+    sets = (np.flatnonzero(hit) % len(ids)).astype(np.int32)
+    real = np.arange(width) < np.array(list(map(len, cols)), dtype=np.int64)[:, None]
+    return codes, sets, start[real], size[real]

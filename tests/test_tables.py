@@ -15,10 +15,11 @@ from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
-                             _edge_masks, _fill_bytes, _side_masks, build_tables, check_build_size,
-                             constraint_holds, enumerate_failure_sets, failure_set_count)
+                             _edge_masks, _fill_bytes, _levels, _row_candidates, _side_masks,
+                             build_tables, check_build_size, constraint_holds,
+                             enumerate_failure_sets, failure_set_count)
 
-from conftest import TableKey, encode, tree_path_edges
+from conftest import TableKey, encode, exhaustive_candidates, tree_path_edges
 
 
 def id_matrix(sets, m, d):
@@ -344,49 +345,18 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     assert batches[-1][3] == calls[-1][3] == (2 if limit < 256 else 1)
 
 
-def test_deleted_distances_match_reference(idx6, ref6):
-    g = idx6.graph
-    codec = idx6.codec
-    bad = _edge_masks(idx6)
-    sets = enumerate_failure_sets(g.m, 2)
-    cols = list(range(g.n))
-    for u in cols:
-        clean = _side_masks(bad, id_matrix(sets, g.m, 2), u)[:, 0]
-        swept = _deleted_all_pairs(idx6, _arc_list(idx6), id_matrix(sets, g.m, 2),
-                                   [u], [cols], clean[:, None])
-        _, codes, found = zip(*swept_rows(swept, [cols])[0])
-        for v in cols:
-            # the empty set first, then every damaging set: each is longer
-            damaging = [si for si in range(len(sets)) if not clean[v, si]]
-            assert list(found[v]) == [0] + damaging
-            dist = dict(zip(found[v], codes[v]))
-            for si, failed in enumerate(sets):
-                code = dist.get(si, int(idx6.codes[u, v]))
-                assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
-
-
-def swept_rows(swept, cols):
-    """_deleted_all_pairs' flat buffers as, per root, its rows (x, codes, sets)."""
-    codes, sets, start, size = swept
-    bounds = iter(zip(start.tolist(), (start + size).tolist()))
-    return [[(x, codes[a:b], sets[a:b]) for x, (a, b) in zip(c, bounds)] for c in cols]
-
-
-def sweep_against_reference(index, d, roots, cols=None):
-    """Run the sweep over one group of roots and check every row it returns.
-
-    Each row (x, codes, sets) must hold the empty set, then exactly the
-    sets that hit the tree path root->x (by parent walks), ascending, and
-    each code must equal ReferenceOracle.dist_avoiding's length: exactly
-    unreachable_code where the set disconnects x, never negative.  Returns
-    the (root, set) pairs of every chunk the sweep relaxed, in order.
-    """
-    graph, codec = index.graph, index.codec
-    ref = ReferenceOracle(graph, index.tie)
-    sets = enumerate_failure_sets(graph.m, d)
-    ids = id_matrix(sets, graph.m, d)
+def both_phases(index, d, roots, cols=None):
+    """Run phase 1 for roots, ascending, owning cols (every vertex by
+    default), as one group, then phase 2 over them.  Returns per root its
+    rows (x, codes, sets), and the (root, set) pairs of every chunk phase 1
+    relaxed."""
+    graph = index.graph
+    ids = id_matrix(enumerate_failure_sets(graph.m, d), graph.m, d)
     cols = [list(range(graph.n))] * len(roots) if cols is None else cols
-    clean = _side_masks(_edge_masks(index), ids, np.array(roots)[:, None])[:, 0]
+    owned = [[] for _ in range(graph.n)]
+    for u, c in zip(roots, cols):
+        owned[u] = c
+    bad = _edge_masks(index)
     chunks = []
     relax = tables_module._relax
 
@@ -399,10 +369,54 @@ def sweep_against_reference(index, d, roots, cols=None):
 
     tables_module._relax = spy
     try:
-        swept = swept_rows(_deleted_all_pairs(index, _arc_list(index), ids, roots, cols, clean),
-                           cols)
+        (swept,) = _deleted_all_pairs(index, _arc_list(index), ids, owned, bad, [0])
     finally:
         tables_module._relax = relax
+    clean = _side_masks(bad, ids, np.array(roots)[:, None])[:, 0]
+    rows = _row_candidates(index, ids, _levels(ids, graph.m), swept, roots, cols, clean)
+    return swept_rows(rows, cols), chunks
+
+
+def test_deleted_distances_match_reference(idx6, ref6):
+    g = idx6.graph
+    codec = idx6.codec
+    sets = enumerate_failure_sets(g.m, 2)
+    clean = _side_masks(_edge_masks(idx6), id_matrix(sets, g.m, 2), np.arange(g.n)[:, None])[:, 0]
+    swept, _ = both_phases(idx6, 2, list(range(g.n)))
+    for u, rows in enumerate(swept):
+        _, codes, found = zip(*rows)
+        for v in range(g.n):
+            # the empty set first, then every damaging set: each is longer
+            damaging = [si for si in range(len(sets)) if not clean[v, u, si]]
+            assert list(found[v]) == [0] + damaging
+            dist = dict(zip(found[v], codes[v]))
+            for si, failed in enumerate(sets):
+                code = dist.get(si, int(idx6.codes[u, v]))
+                assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
+
+
+def swept_rows(swept, cols):
+    """_row_candidates' flat buffers as, per root, its rows (x, codes, sets)."""
+    codes, sets, start, size = swept
+    bounds = iter(zip(start.tolist(), (start + size).tolist()))
+    return [[(x, codes[a:b], sets[a:b]) for x, (a, b) in zip(c, bounds)] for c in cols]
+
+
+def sweep_against_reference(index, d, roots, cols=None):
+    """Run both phases over roots and check every row phase 2 lays out.
+
+    Each row (x, codes, sets) must hold the empty set, then exactly the
+    sets that hit the tree path root->x (by parent walks), ascending, and
+    each code must equal ReferenceOracle.dist_avoiding's length: exactly
+    unreachable_code where the set disconnects x, never negative.  So every
+    damaging set of every row has its exact code, swept or not.  Returns
+    the (root, set) pairs of every chunk phase 1 relaxed, in order.
+    """
+    graph, codec = index.graph, index.codec
+    ref = ReferenceOracle(graph, index.tie)
+    sets = enumerate_failure_sets(graph.m, d)
+    cols = [list(range(graph.n))] * len(roots) if cols is None else cols
+    swept, chunks = both_phases(index, d, roots, cols)
     assert len(swept) == len(roots)
     for u, owned, rows in zip(roots, cols, swept):
         assert [row[0] for row in rows] == owned
@@ -426,13 +440,12 @@ def test_sweep_disconnecting_sets_give_unreachable_exactly():
     for graph in (path, bridge):
         index = build_index_auto(graph, 1)[0]
         sweep_against_reference(index, 2, list(range(graph.n)))
-    # on a path every damaging set disconnects its column
+    # on a path every damaging set disconnects its column: phase 1 sweeps
+    # the singletons only, and every larger set takes their code
     index = build_index_auto(path, 1)[0]
-    ids = id_matrix(enumerate_failure_sets(4, 2), 4, 2)
-    clean = _side_masks(_edge_masks(index), ids, 0)[:, 0, None]
-    (rows,) = swept_rows(_deleted_all_pairs(index, _arc_list(index), ids, [0], [[4]], clean),
-                         [[4]])
+    (rows,), chunks = both_phases(index, 2, [0], [[4]])
     assert rows[0][1][1:].tolist() == [index.codec.unreachable_code] * (len(rows[0][1]) - 1)
+    assert len(rows[0][1]) == 1 + 4 + 6 and chunks == [[(0, (e,)) for e in range(4)]]
 
 
 def test_sweep_repairs_long_detours_on_a_cycle():
@@ -444,8 +457,9 @@ def test_sweep_repairs_long_detours_on_a_cycle():
 
 
 def test_sweep_with_unit_weights():
+    # unit weights tie many shortest paths of G - P: one walked path must do
     index = build_index_auto(gen_gnm(9, 16, 1, 3), 1)[0]
-    sweep_against_reference(index, 2, list(range(9)))
+    sweep_against_reference(index, 3, list(range(9)))
 
 
 @pytest.mark.parametrize("graph", [Graph(1, []), Graph(2, [(0, 1, 5)])], ids=["n1", "n2"])
@@ -469,27 +483,45 @@ def test_sweep_near_the_codec_limit(n, m, wmax):
 
 
 def test_sweep_chunks_stack_across_roots():
-    # at d=2, the sets that meet a given edge are the edge alone and with
-    # each other edge: m sets.  With m=CHUNK, a root whose column hangs on
-    # one tree edge sweeps exactly one chunk
-    def near(index, u):  # a child of u in u's tree
-        return [next(x for x in range(index.graph.n) if index._parent[u][x] == u)]
-
-    n = next(k for k in range(2, CHUNK) if k * (k - 1) // 2 > CHUNK)  # room for CHUNK+1 edges
-    index = build_index_auto(gen_gnm(n, CHUNK, 9, 0), 1)[0]
-    chunks = sweep_against_reference(index, 2, [0, 1], [near(index, u) for u in (0, 1)])
-    assert list(map(len, chunks)) == [CHUNK, CHUNK]
-    assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0], [1]]
-    # with m=CHUNK+1 every such root sweeps CHUNK+1 sets, so chunks straddle roots
-    index = build_index_auto(gen_gnm(n, CHUNK + 1, 9, 0), 1)[0]
-    chunks = sweep_against_reference(index, 2, [0, 1, 2], [near(index, u) for u in (0, 1, 2)])
-    assert list(map(len, chunks)) == [CHUNK, CHUNK, CHUNK, 3]
-    assert [root for chunk in chunks for root, _ in chunk] == \
-        [0] * (CHUNK + 1) + [1] * (CHUNK + 1) + [2] * (CHUNK + 1)
+    # every root owns every vertex: level 1 is each root's n - 1 tree edges,
+    # 13 * 12 = 156 pairs, so its first chunk straddles roots 0 to 10
+    index = build_index_auto(gen_gnm(13, 30, 9, 0), 1)[0]
+    chunks = sweep_against_reference(index, 2, list(range(13)))
+    levels = {}
+    for chunk in chunks:  # a chunk never mixes levels
+        (size,) = {len(s) for _, s in chunk}
+        levels.setdefault(size, []).append(chunk)
+    for size, level in levels.items():
+        # within a level, chunks are full but the last, and pairs ascend
+        assert [len(c) for c in level[:-1]] == [CHUNK] * (len(level) - 1)
+        pairs = [pair for chunk in level for pair in chunk]
+        assert pairs == sorted(set(pairs))
+    assert [len(c) for c in levels[1]] == [CHUNK, 156 - CHUNK]
+    assert sorted({root for root, _ in levels[1][0]}) == list(range(11))
+    assert len(levels[2]) > 1 and any(len({root for root, _ in c}) > 1 for c in levels[2])
     # a path at d=1: 5 roots of 4 pairs each share one chunk
     index = build_index_auto(Graph(5, [(i, i + 1, 1 + i) for i in range(4)]), 1)[0]
     chunks = sweep_against_reference(index, 1, list(range(5)))
     assert [sorted({root for root, _ in chunk}) for chunk in chunks] == [[0, 1, 2, 3, 4]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_tree, _complete, _sparse]),
+       n=st.integers(1, 7), unit=st.booleans(), d=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6))
+@example(shape=_complete, n=7, unit=True, d=4, seed=0)
+@example(shape=_complete, n=6, unit=False, d=4, seed=1)
+@example(shape=_tree, n=7, unit=True, d=4, seed=0)
+@example(shape=_sparse, n=7, unit=True, d=4, seed=2)
+def test_build_equals_exhaustive_sweep(shape, n, unit, d, seed):
+    # the file of the two-phase build is byte for byte the file of a build
+    # whose rows take every damaging set's code from the exhaustive sweep;
+    # unit weights tie shortest paths of G - P, trees disconnect
+    graph = shape(n, 1 if unit else 9, seed)
+    blob = oracle_file_bytes(build_oracle(graph, d, seed=1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables_module, "_row_candidates", exhaustive_candidates)
+        assert oracle_file_bytes(build_oracle(graph, d, seed=1)) == blob
 
 
 # -- pre-flight size check --------------------------------------------------------
