@@ -185,13 +185,32 @@ def tie_break_values(graph: Graph, seed: int) -> list[int]:
     return [rng.randint(1, hi) for _ in range(m)]
 
 
-def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free edge-id tuple; validates every id."""
+def failure_mask(graph: Graph, ids: Iterable[int]) -> int:
+    """Bit e set per failed edge e; one pass over ids, no id outside [0, m) shifted."""
+    m, seen, bad = len(graph.edges), 0, _INF
     try:
-        out = tuple(sorted(set(map(index, ids))))
+        for e in ids:
+            e = index(e)
+            if 0 <= e < m:
+                seen |= 1 << e
+            elif e < bad:
+                bad = e
     except TypeError as exc:
         raise GraphError(f"edge ids must be integers: {exc}") from None
-    if out and (out[0] < 0 or out[-1] >= graph.m):
-        bad = next(e for e in out if not 0 <= e < graph.m)
+    if bad < _INF:
         raise GraphError(f"unknown edge id {bad}")
-    return out
+    return seen
+
+
+def edge_ids(mask: int) -> tuple[int, ...]:
+    """The edge ids in an edge bitmask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
+    """Sorted duplicate-free edge-id tuple; validates every id."""
+    return edge_ids(failure_mask(graph, ids))

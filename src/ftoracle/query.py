@@ -13,9 +13,10 @@ beat the best bound so far is skipped: every answer and memo entry is kept.
 
 A damaged query builds one FailureView of D and the whole recursion runs
 on it: damage tests are bit tests, each root's key tree is built once, and
-the memo and the query's stats live in the view.  An undamaged query
-builds no view: bit v is clear in the OR of the index's masks _below[u][e]
-over D, the same OR that FailureView.path(u) makes.
+the memo and the query's stats live in the view.  The failure ids are
+checked in one pass into an edge bitmask of D, and a query whose tree path
+u->v carries none of those edges, one AND with the index's path-edge mask,
+is undamaged: it builds no failure tuple and no view.
 
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
@@ -30,7 +31,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .graph import CompositeLength, Graph, GraphError, canonical_failures
+from .graph import CompositeLength, Graph, GraphError, edge_ids, failure_mask
 from .hitset import FailureView, HitSetEngine, QueryStats
 from .spindex import ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
@@ -68,25 +69,20 @@ class Oracle:
         if not (0 <= u < n and 0 <= v < n):
             raise QueryError(f"vertex out of range: {u}, {v}")
         try:
-            failed = canonical_failures(self.graph, failures)
+            seen = failure_mask(self.graph, failures)
         except GraphError as exc:
             raise QueryError(str(exc)) from None
-        if len(failed) > self.d:
+        if seen.bit_count() > self.tables.d:
             raise QueryError(
-                f"{len(failed)} failures exceed the oracle budget d={self.d}")
+                f"{seen.bit_count()} failures exceed the oracle budget d={self.tables.d}")
         index = self.index
-        below = index._below[u]
-        if below is None:
-            below = index._finish_root(u)
-        damage = 0
-        for eid in failed:
-            damage |= below[eid]
-        if not damage >> v & 1:
+        paths = index._path_edges[u] or index._finish_path_edges(u)
+        if not paths[v] & seen:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index._dist[u][v]
+        failed = edge_ids(seen)
         view = FailureView(index, failed, stats)
-        view._paths[u] = damage  # view.path(u) would OR the same masks again
         code = self._query_r(u, v, view, len(failed))
         if stats is not None:
             stats.key_trees += len(view.trees)

@@ -26,7 +26,9 @@ loaded one derives root r on first use, and until then r's slots in the
 seven per-root lists (parents, parent edges, lengths, DFS order and the
 three masks) hold None.  The query's fast path, FailureView.path and the
 two parent-walk predicates test for None; every other reader runs after
-FailureView.path(r).
+FailureView.path(r).  An eighth list, _path_edges[r], entry x the edge
+bitmask of the tree path r->x, is derived from _below[r] by the query's
+fast path on r's first query; the build never derives it.
 """
 from __future__ import annotations
 
@@ -114,9 +116,9 @@ class ShortestPathIndex:
         _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
         self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
         self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
-        # per root, None until _finish_root derives it
+        # per root, None until derived: the last by _finish_path_edges, the rest by _finish_root
         (self._parent, self._parent_eid, self._dist, self._by_tin, self._anc,
-         self._sub, self._below) = ([None] * n for _ in range(7))
+         self._sub, self._below, self._path_edges) = ([None] * n for _ in range(8))
 
     def _finish_root(self, r: int) -> list[int]:
         """Derive root r's tree, base lengths, DFS order and masks.
@@ -161,6 +163,13 @@ class ShortestPathIndex:
         self._sub[r] = sub
         self._below[r] = below
         return below
+
+    def _finish_path_edges(self, r: int) -> list[int]:
+        """Derive and return _path_edges[r]: bit e of entry x is bit x of _below[r][e]."""
+        below = self._below[r] if self._below[r] is not None else self._finish_root(r)
+        self._path_edges[r] = [sum(1 << e for e, sub in enumerate(below) if sub >> x & 1)
+                               for x in range(self.graph.n)]
+        return self._path_edges[r]
 
     # -- predicates --------------------------------------------------------
 

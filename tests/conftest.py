@@ -180,9 +180,14 @@ def derived_roots(index):
     return {r for r, f in enumerate(filled) if True in f}
 
 
+def path_edge_roots(index):
+    """Roots whose path-edge masks the query's fast path has derived."""
+    return {r for r, paths in enumerate(index._path_edges) if paths is not None}
+
+
 def underive(index):
-    """Empty every per-root slot, as load leaves them."""
-    for name in PER_ROOT:
+    """Empty every per-root slot and the path-edge masks, as load leaves them."""
+    for name in PER_ROOT + ("_path_edges",):
         setattr(index, name, [None] * index.graph.n)
 
 

@@ -4,15 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import UNREACHABLE
+from ftoracle.graph import UNREACHABLE, GraphError, canonical_failures
 from ftoracle.hitset import FailureView, QueryStats
 from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import Oracle, QueryError, build_oracle
 from ftoracle.reference import ReferenceOracle, enumerate_instances
 
-from conftest import base_length, underive
+from conftest import base_length, derived_roots, path_edge_roots, underive
 
 
 def all_instances(graph, dmax):
@@ -147,3 +148,49 @@ def test_numpy_integer_vertices(oracle1_d1):
 def test_d_property(oracle1_d2, oracle6_d1):
     assert oracle1_d2.d == 2
     assert oracle6_d1.d == 1
+
+
+def _outcome(oracle, u, v, failures):
+    try:
+        return oracle.query_composite(u, v, failures)
+    except QueryError as exc:
+        return str(exc)
+
+
+@given(ids=st.lists(st.one_of(st.integers(-2, 11), st.sampled_from([10**30, -(10**30), 0.5])),
+                    max_size=6),
+       form=st.sampled_from(["list", "tuple", "iter", "numpy"]),
+       u=st.integers(0, 6), v=st.integers(0, 6))
+def test_raw_failure_ids_match_their_canonical_set(oracle6_d2, ids, form, u, v):
+    # duplicates, any order, numpy ints, one-shot iterators, unknown ids and
+    # non-integers: the answer is that of sorted(set(ids)), and a refusal
+    # carries the text of canonical_failures
+    if form == "numpy" and any(type(e) is not int or abs(e) > 2**62 for e in ids):
+        form = "list"
+    raw = {"list": list, "tuple": tuple, "iter": iter,
+           "numpy": lambda x: np.array(x, dtype=np.int64)}[form](ids)
+    try:
+        canonical_failures(oracle6_d2.graph, ids)
+    except GraphError as exc:
+        assert _outcome(oracle6_d2, u, v, raw) == str(exc)
+    else:
+        assert _outcome(oracle6_d2, u, v, raw) == _outcome(oracle6_d2, u, v, sorted(set(ids)))
+
+
+def test_build_derives_no_path_edges(g6):
+    oracle = build_oracle(g6, 2, seed=1)
+    assert derived_roots(oracle.index) == set(range(g6.n))
+    assert path_edge_roots(oracle.index) == set()
+
+
+def test_undamaged_query_after_load_derives_only_its_root(oracle6_d2, g6):
+    u, v, failed = next((u, v, f) for u, v, f in all_instances(g6, 2)
+                        if len(f) == 2 and not oracle6_d2.index.path_intersects(u, v, f))
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    index = loaded.index
+    assert derived_roots(index) == path_edge_roots(index) == set()
+    stats = QueryStats()
+    assert loaded.query_composite(u, v, failed[::-1], stats=stats) == \
+        base_length(oracle6_d2.index, u, v)
+    assert derived_roots(index) == path_edge_roots(index) == {u}
+    assert (stats.max_depth, stats.key_trees, stats.lookups) == (1, 0, 0)

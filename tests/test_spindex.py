@@ -168,6 +168,21 @@ def test_path_intersects_matches_parent_walk(idx1, idx6):
                     assert index.path_intersects(u, x, failed) == expect
 
 
+def test_path_edge_masks_match_path_intersects(idx1, idx3, idx6):
+    # the fast path's one AND against the parent walk, which reads no mask:
+    # every (u, v) and every failure set of at most d = 3 edges
+    wide = build_index_auto(gen_gnm(8, 14, 32, 42), 1)[0]
+    for index in (idx1, idx3, idx6, wide):
+        g = index.graph
+        for failed in all_failure_sets(g.m, 3):
+            seen = sum(1 << e for e in failed)
+            for u in range(g.n):
+                paths = index._path_edges[u] or index._finish_path_edges(u)
+                for v in range(g.n):
+                    assert bool(paths[v] & seen) == index.path_intersects(u, v, failed), \
+                        (g, u, v, failed)
+
+
 def test_subtree_touches_examples(idx1):
     assert not idx1.subtree_touches(0, 3, (0,))
     assert idx1.subtree_touches(0, 1, (2,))
