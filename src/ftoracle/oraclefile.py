@@ -1,6 +1,6 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 5 (all integers little-endian):
+Layout, version 6 (all integers little-endian):
 
     header   magic "FTDO", version u16, slot width W u16 (1 or 2), n u64,
              m u64, d u64, tie seed i64, sha256 of the canonical graph
@@ -8,8 +8,9 @@ Layout, version 5 (all integers little-endian):
     edges    m x (a u32, b u32, w u64, tie value u64)
     pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
     codes    P packed length codes i64, palette by palette
-    sizes    P set sizes i64, one per palette entry
-    ids      I edge ids i64, each entry's D* ascending, entry by entry
+    ids      I edge ids, u8 when m <= 256, else u16, each entry's D*
+             ascending, entry by entry
+    sizes    P set sizes u8, one per palette entry
     slots    2n^3(n-1) palette slots of W bytes, 4n^2 per pair u < v, in
              (pair, u', v', b1, b2) order, pairs row-major
     trailer  sha256 of everything before it
@@ -17,19 +18,21 @@ Layout, version 5 (all integers little-endian):
 Row (v, u) is row (u, v) with its u' and v' axes and its b1 and b2 axes
 swapped, and it uses the same palette, so each pair u < v stores its row
 once.  A diagonal row holds only slot 0 and is not stored.  W is 1 when
-every palette has at most 256 entries, else 2.  Every section's size
-follows from the header, and each before the slots is a multiple of 8
-bytes, so the palette arrays load as aligned zero-copy views; the slots
-are copied once, behind the diagonal rows' zero slot.  No layout depends
-on d, and sets are edge ids, so load never enumerates failure sets.  The
+every palette has at most 256 entries, else 2.  The widths of the ids
+and set sizes follow from m (tables.palette_dtypes), and the build's
+tables hold them at the same widths.  Every section's size follows from
+the header, and the sections before the ids are multiples of 8 bytes, so
+each palette array loads as an aligned zero-copy view; the slots are
+copied once, behind the diagonal rows' zero slot.  No layout depends on
+d, and sets are edge ids, so load never enumerates failure sets.  The
 length codec and the whole shortest-path index are derived, not stored:
 load range-checks the tie values and runs the build's Bellman-Ford on the
 stored graph, so the index cannot disagree with the graph, and each root's
 tree, whose uniqueness check may raise TieBreakError, is derived on its
 first query.  Before reading past the header, load runs the build's budget
 gate, check_build_size.  Every slot must lie below its pair's palette
-size.  Other versions, such as version 4 with its uint16 slots for every
-ordered pair, fail with a version error, and so does any slot width but 1
+size.  Other versions, such as version 5 with its int64 set sizes and
+edge ids, fail with a version error, and so does any slot width but 1
 or 2.  Saving the same build twice is byte-identical, and a load followed
 by a save reproduces the file exactly.
 """
@@ -45,10 +48,10 @@ import numpy as np
 from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, ShortestPathIndex
-from .tables import OracleTables, check_build_size
+from .tables import OracleTables, check_build_size, palette_dtypes
 
 MAGIC = b"FTDO"
-VERSION = 5
+VERSION = 6
 _HEADER = struct.Struct("<4sHHQQQq32sQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
@@ -68,13 +71,16 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
                      dtype=_EDGE)
     width = tables.slots.itemsize
+    id_type, size_type = palette_dtypes(graph.m)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, width, graph.n, graph.m, tables.d,
                               tables.tie_seed, bytes.fromhex(graph.digest()),
                               tables.codes.size, tables.ids.size),
                  edges.tobytes(),
-                 np.concatenate((tables.pair_sizes, tables.codes, tables.set_sizes,
-                                 tables.ids)).astype("<i8", copy=False).tobytes(),
+                 tables.pair_sizes.astype("<i8", copy=False).tobytes(),
+                 tables.codes.astype("<i8", copy=False).tobytes(),
+                 tables.ids.astype(id_type, copy=False).tobytes(),
+                 tables.set_sizes.astype(size_type, copy=False).tobytes(),
                  tables.slots.astype(f"<u{width}", copy=False).tobytes()):
         digest.update(part)
         target.write(part)
@@ -104,9 +110,12 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError(f"cannot load: {exc}") from None
     offset = _HEADER.size + m * _EDGE.itemsize
     pairs = n * (n + 1) // 2
-    words = pairs + 2 * entries + id_count
+    id_type, size_type = palette_dtypes(m)
     stored = 2 * n ** 3 * (n - 1)  # slots of the pairs u < v
-    size = offset + 8 * words + width * stored + _TRAILER
+    ids_at = offset + 8 * (pairs + entries)
+    sizes_at = ids_at + id_type.itemsize * id_count
+    slots_at = sizes_at + entries
+    size = slots_at + width * stored + _TRAILER
     if len(blob) != size:
         what = "truncated" if len(blob) < size else "trailing data in"
         raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
@@ -127,19 +136,20 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     except GraphError as exc:
         raise OracleFileError(f"stored tie values: {exc}") from None
 
-    pair_sizes, codes, set_sizes, ids = np.split(np.frombuffer(blob, "<i8", words, offset),
-                                                 np.cumsum([pairs, entries, entries]))
+    pair_sizes, codes = np.split(np.frombuffer(blob, "<i8", pairs + entries, offset), [pairs])
+    ids = np.frombuffer(blob, id_type, id_count, ids_at)
+    set_sizes = np.frombuffer(blob, size_type, entries, sizes_at)
     cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
-    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, offset + 8 * words)
+    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
     if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
         raise OracleFileError("palette code out of range")
-    if (set_sizes < 0).any() or (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
+    if (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
-    if (ids < 0).any() or (ids >= m).any():
+    if (ids >= m).any():
         raise OracleFileError("palette edge id out of range")
-    rising = np.diff(ids, prepend=-1) > 0  # or starts a set
+    rising = np.diff(ids.astype(np.int64), prepend=-1) > 0  # or starts a set
     rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
     if not rising.all():
         raise OracleFileError("palette set not strictly ascending")

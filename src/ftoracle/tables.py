@@ -96,6 +96,32 @@ def failure_set_count(m: int, d: int, cap: float = math.inf) -> int:
     return total
 
 
+def _failure_set_ids(m: int, d: int) -> np.ndarray:
+    """enumerate_failure_sets(m, d) as (set, slot) int32 edge ids, short sets
+    padded with the clean edge m to width max(1, min(d, m)); no list of
+    tuples is made."""
+    width = max(1, min(d, m))
+    ids = np.full((failure_set_count(m, d), width), m, dtype=np.int32)
+    at = 1  # row 0 is the empty set
+    for k in range(1, min(d, m) + 1):
+        count = math.comb(m, k)
+        flat = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.int32, count * k)
+        ids[at:at + count, :k] = flat.reshape(count, k)
+        at += count
+    # sets ascend as sequences, a prefix first: the padding sorts as -1
+    return ids[np.lexsort(np.where(ids == m, -1, ids).T[::-1])]
+
+
+def palette_dtypes(m: int) -> tuple[np.dtype, np.dtype]:
+    """The (edge id, set size) dtypes of the palettes, in memory and on file.
+
+    Edge ids are below m, so one byte holds them while m <= 256, else two
+    (n <= 128 keeps m < 2^13).  A set holds at most min(d, m) edges, which
+    one byte holds: m >= 256 forces d <= 4 under the int32 set gate.
+    """
+    return np.dtype("<u1" if m <= 256 else "<u2"), np.dtype("<u1")
+
+
 def check_build_size(n: int, m: int, d: int) -> None:
     """The one budget gate of build and load; raises BuildError.
 
@@ -104,9 +130,12 @@ def check_build_size(n: int, m: int, d: int) -> None:
     and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each of
     the 4n^2 keys of each pair u < v takes a uint8 slot, or, where a palette
     may outgrow uint8, a uint16 slot plus the uint8 one it widens from.  Each
-    palette entry takes an int64 code, set size and edge ids plus their
-    read-path lists, charged at the bound of min(4n^2, sets) entries per
-    pair.  Each subset costs a tuple and list slot, a row of int32 edge
+    palette entry is charged an int64 code, set size and edge ids plus their
+    read-path lists, at the bound of min(4n^2, sets) entries per pair; set
+    sizes and edge ids take one or two bytes (palette_dtypes), so that part
+    over-estimates until palettes are charged by their count.  Each subset
+    is charged a tuple and list slot, which covers the sort key and int64
+    order that _failure_set_ids sorts it by, and costs a row of int32 edge
     ids, its own and its immediate subsets' indices (_levels) and, while
     those are derived, a row of edge ids and three int64s.  Phase 1 costs,
     per (root, subset), a next-level flag and, once swept, its int64 pair
@@ -180,8 +209,9 @@ class OracleTables:
         self.slots = cells[1:].reshape(n * (n - 1) // 2, n, n, 2, 2)
         self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
         self.codes = codes            # int64, packed code per palette entry, pair by pair
-        self.set_sizes = set_sizes    # int64, |D*| per palette entry
-        self.ids = ids                # int64, every D*'s ascending edge ids, entry by entry
+        self.set_sizes = set_sizes    # uint8, |D*| per palette entry
+        self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
+                                      # ascending edge ids, entry by entry
         # the read path: cells[0] is the diagonal rows' zero slot, then the
         # slots; per ordered pair its palette start, its row's first cell and
         # the strides of u', v', b1 and b2.  Each palette entry becomes a
@@ -561,11 +591,7 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     graph = index.graph
     n = graph.n
     check_build_size(n, graph.m, d)
-    # (set, slot) edge ids, sets in enumeration order; short sets padded with
-    # the clean edge m.  No tuple of a set outlives this line.
-    width = max(1, min(d, graph.m))
-    ids = np.array([s + (graph.m,) * (width - len(s)) for s in enumerate_failure_sets(graph.m, d)],
-                   dtype=np.int32).reshape(-1, width)
+    ids = _failure_set_ids(graph.m, d)
     bad = _edge_masks(index)
     cols = [[v for v in range(n) if v != u and (v > u) == ((u + v) % 2 == 1)] for u in range(n)]
     # groups of consecutive roots, each closed once its rows' damaging
@@ -599,6 +625,7 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
     winners = ids[cand[order]]
     real = winners < graph.m
+    id_type, size_type = palette_dtypes(graph.m)
     return OracleTables(graph, d, tie_seed, index.codec, cells, size[np.argsort(pair)],
-                        code[order], real.sum(axis=1, dtype=np.int64),
-                        winners[real].astype(np.int64))
+                        code[order], real.sum(axis=1, dtype=size_type),
+                        winners[real].astype(id_type))

@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "9aef79903671a3afc09e52e248f87946dae22b49cefc59b2cf552005eaf7d607"),
+              "680ee9517001b6d5916d013542690986c1efa4d92bf6154d8ce548bcd511aac0"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "014ffa2b0f06adeb6a662816b57e7cff8298b2508288c0c7690cbdedb3b21712"),
+              "5f3fc57d0b26fd4fc52bd73ecb47a7b72dd32cca4db45ad7327a1bc551fe300c"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "373eaa912d2b606a80e26ba0ab85687fee166a355bdee8f7fd3d23b8ad0249af"),
+              "a37adee5ab5d8763838b79251c6f4ab165244b91b385bff3b15bf5712ca9d91c"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "07addc3e34e111e9b7b535183f6fdd692af6720c86110adf497bdd16fd1ab54e"),
+                "bf1bbd6b1590bf664030b12915194efd45efa82b190de485366580a3f65933b7"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "5f99413d9c6549b4beda5c6af76e728ebd8de243cd66b108009ea333efca97da"),
+                "f95b56e6defe84bd299d72a83be868fe591bc36911d7243f013b2812df358b53"),
     "path5-d2": (_path5, 2,
-                 "d88ae6051107b4bfc8d1e1e966b447619f91dc68790b504c2b7cd6bf7352389e"),
+                 "12d0c6b3b0b86a48da165bfb520eadf568ed22e6f477a185802a1022b47eb81b"),
     "k5-d1": (_k5, 1,
-              "bad93bbb5360ab1c7f19d499f3568d8ff8a1aa1a28dc43c8bf105d46bb03e641"),
+              "886de0e1a1e11824e224d81b91e8f9b43a2493b3b48906cac645f28c45c63d02"),
     "k5-d2": (_k5, 2,
-              "d4884dd06602a8c7d6c45b9f890897527fc0ec7def099e961b29930e39718ed0"),
+              "b2b9667079e6cfed549d4f65f91795525956bf082b971bcf68239d4593dc168c"),
     "k5-d3": (_k5, 3,
-              "ff7791bf8c6c6a07da6676a59d2057deb34221049b979ec99aab943e4b47911d"),
+              "f0856c17c40a40865b9c8af9e0c9ab1c7c920739c0b28bac95de8353dd592a59"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "85902e3c27066547293274449d8a926d7b41f2d8296166c054804e1deaf909d6"),
+                    "2616f4a7d4213b1cbaaf743763f0091a450c774d642b5aa3de464195f0a20f44"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "c3feecfa9aaec7f4dd5b9362088b2e8a04f11c2ac429b0be056aa2a6062ec98a"),
+                    "76aa4d9c3a4a645bc0c7728463fd7b79be8d6a5ab2fc2dc03534df81ee8ccb96"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "2c0cc1af35d3e9a656f678a39ca1946af8fb8faec5d593d47eb6ef0741b3aa77"),
+                    "e4af4347173536b060072bc7cde31a6d35019de9157f32cf907fe9dc68bb2342"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "acb545a3a837a86de559adbee2597761681abe795c598cb88f20bd6c47d7d94a"),
+                    "b8e6b20305d55563ce7ac86df8accce6a723e6631209f16c557a6572ed87e3d4"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "7f02bfdb6ae662913db02eb626346ce323f0d862941d42023dbb244ac03ecba3"),
+                    "7d2c78d619b0685ad6e2ed305ac742da66ffe613a0dc736b2d2846b2f167db62"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "1cd9b29dfea9f41a4d2ccfd53c3d1b737350dc0639baa62616f53d6d5869b681"),
+                    "c3d60100fbd50d341bded7c83f63a3b6dcb90ecfa605ac00f1dbe97362594d94"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "fe129c798c5cd7bf79e9d767a1b010d9cb3c36a3b983a9e492d6a4709f2ed28f"),
+                      "4ca1bbba3a15c9b469f6a3d7fbbe0f5a87985edc2926a4032fcd1e6de1ec6035"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "1200b1bcbae1ddda1936b3f919d772b5bc3fa9f330160d031cd40edd17a6620b"),
+                      "6094dfc543e857ce4a869d9c8c6276fd5983bcc0f3fe756fab1990953f142ec9"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "c379be7866afd1718630c09eba616c1b20fcaffb363a108e3c846c4b66ae661f"),
+                      "2c4131b39511bd5877fe60c1c25c9630b69e5244aa66635b5604949d165fd05d"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "dec4eba23dab2a4a9a4cc18a83c800b53fb59c2c11da22c5f00fa55a6697582d"),
+                      "fb0f0e5c40c02b81bc0326a1c771377b71617089f0a1c129693972458646ffa5"),
 }
 
 

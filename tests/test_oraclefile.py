@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import os
+import random
 import time
 
 import numpy as np
@@ -151,12 +152,13 @@ def test_file_size_is_fixed_width(oracle1_d2):
     blob = oracle_file_bytes(oracle1_d2)
     # the header names the palette totals, and they fix every section's size
     assert _HEADER.unpack_from(blob)[-2:] == (entries, ids)
-    # header, edges with tie values, palette sizes per pair u <= v, palette
-    # codes and set sizes i64, edge ids i64, 4n^2 u8 slots per pair u < v,
-    # sha256; no index, no mirrored and no diagonal rows
+    # header, edges with tie values, palette sizes per pair u <= v and
+    # palette codes i64, edge ids u8 (m <= 256), set sizes u8, 4n^2 u8
+    # slots per pair u < v, sha256; no index, no mirrored and no diagonal rows
     assert _HEADER.unpack_from(blob)[2] == tables.slots.itemsize == 1
+    assert tables.ids.itemsize == tables.set_sizes.itemsize == 1
     expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
-              entries * 16 + ids * 8 + n * (n - 1) // 2 * 4 * n * n + 32)
+              entries * 9 + ids + n * (n - 1) // 2 * 4 * n * n + 32)
     assert len(blob) == expect
 
 
@@ -179,12 +181,14 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-def test_rejects_version_4(oracle1_d1):
-    # version 4 stored a uint16 slot row for every ordered pair
+@pytest.mark.parametrize("version", [4, 5])
+def test_rejects_older_versions(oracle1_d1, version):
+    # version 4 stored a uint16 slot row for every ordered pair, version 5
+    # int64 set sizes and edge ids
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    blob[4:6] = (4).to_bytes(2, "little")
+    blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=r"unsupported oracle file version 4 \(expected 5\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 6\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -230,18 +234,21 @@ def _reseal(blob: bytearray) -> bytes:
 
 
 def _sections(tables) -> dict:
-    """Byte offset of each palette section of g1's file (n=4, m=4).
+    """Byte offset and item width of each palette section of g1's file
+    (n=4, m=4).
 
-    The table values are the palette codes, and each D* is its edge ids.
-    The slots start with the row of pair (0, 1), the first one stored.
+    The table values are the palette codes, and each D* is its edge ids,
+    one byte each as m <= 256; so is each set size.  The slots start with
+    the row of pair (0, 1), the first one stored.
     """
     off = _HEADER.size + 4 * 24
     sections = {}
-    for name, words in (("pair_sizes", 10), ("values", len(tables.codes)),
-                        ("set_sizes", len(tables.codes)), ("dstar", len(tables.ids)),
-                        ("slots", 0)):
-        sections[name] = off
-        off += 8 * words
+    for name, count, width in (("pair_sizes", 10, 8), ("values", len(tables.codes), 8),
+                               ("dstar", len(tables.ids), 1),
+                               ("set_sizes", len(tables.codes), 1),
+                               ("slots", 0, tables.slots.itemsize)):
+        sections[name] = off, width
+        off += count * width
     return sections
 
 
@@ -257,13 +264,12 @@ def test_rejects_out_of_range_entries(oracle1_d1, section, value):
     # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
     # entry; each case edits the first item of its section.  A slot's value
     # counts from the last entry of its row's palette, pair (0, 1)'s, so
-    # slots-1 writes the first slot out of range
+    # slots-1 writes the first slot out of range.  dstar-1 writes the byte
+    # 0xFF, as the edge ids are one byte each
     tables = oracle1_d1.tables
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    off = _sections(tables)[section]
-    width = 8
+    off, width = _sections(tables)[section]
     if section == "slots":
-        width = tables.slots.itemsize
         value += int(tables.pair_sizes[1]) - 1  # pairs u <= v: (0, 0), then (0, 1)
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
     with pytest.raises(OracleFileError, match=_REJECTED[section]):
@@ -276,9 +282,10 @@ def test_rejects_sets_not_strictly_ascending(oracle1_d2):
     lo = int(tables.set_sizes[:p].sum())
     first, second = tables.ids[lo:lo + 2].tolist()
     blob = bytearray(oracle_file_bytes(oracle1_d2))
-    off = _sections(tables)["dstar"] + 8 * lo
+    off, width = _sections(tables)["dstar"]
+    off += width * lo
     for pair in ((second, first), (first, first)):
-        blob[off:off + 16] = np.array(pair, dtype="<i8").tobytes()
+        blob[off:off + 2 * width] = np.array(pair, dtype=f"<u{width}").tobytes()
         with pytest.raises(OracleFileError, match="not strictly ascending"):
             load_oracle(io.BytesIO(_reseal(blob)))
 
@@ -361,6 +368,33 @@ def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch)
                 continue
             with pytest.raises(OracleFileError, match="slot out of range"):
                 load_oracle(io.BytesIO(_reseal(blob)))
+
+
+@pytest.mark.parametrize("m, id_width", [(256, 1), (257, 2)])
+def test_edge_id_width_follows_m(m, id_width):
+    # ids are below m: one byte holds them up to m = 256, two past it.
+    # gen_gnm(24, 257) stores edge 256 in some palette
+    built = build_oracle(gen_gnm(24, m, 32, 0), d=1, seed=1)
+    blob = oracle_file_bytes(built)
+    loaded = load_oracle(io.BytesIO(blob))
+    assert oracle_file_bytes(loaded) == blob
+    assert built.tables.ids.itemsize == id_width
+    assert built.tables.set_sizes.itemsize == 1
+    for name in ("slots", "pair_sizes", "codes", "set_sizes", "ids"):
+        assert getattr(loaded.tables, name).dtype == getattr(built.tables, name).dtype, name
+    rng = random.Random(m)
+    for e in range(m):  # every edge fails once
+        u, v = rng.randrange(24), rng.randrange(24)
+        assert loaded.query_composite(u, v, (e,)) == built.query_composite(u, v, (e,))
+        assert loaded.query_composite(u, v) == built.query_composite(u, v)
+    if id_width == 2:  # edge 256 needs two bytes; an id at or above m is refused
+        tables, out = built.tables, bytearray(blob)
+        assert int(tables.ids.max()) == m - 1
+        off = _HEADER.size + 24 * m + 8 * (len(tables.pair_sizes) + len(tables.codes))
+        for value in (m, 2 ** 16 - 1):
+            out[off:off + 2] = value.to_bytes(2, "little")
+            with pytest.raises(OracleFileError, match="edge id out of range"):
+                load_oracle(io.BytesIO(_reseal(out)))
 
 
 def _with_budget(blob: bytes, d: int) -> bytes:

@@ -15,9 +15,9 @@ from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
-                             _edge_masks, _fill_bytes, _levels, _row_candidates, _side_masks,
-                             build_tables, check_build_size, constraint_holds,
-                             enumerate_failure_sets, failure_set_count)
+                             _edge_masks, _failure_set_ids, _fill_bytes, _levels,
+                             _row_candidates, _side_masks, build_tables, check_build_size,
+                             constraint_holds, enumerate_failure_sets, failure_set_count)
 
 from conftest import TableKey, encode, exhaustive_candidates, tree_path_edges
 
@@ -111,6 +111,15 @@ def test_enumerate_failure_sets_degenerate_budget():
 @pytest.mark.parametrize("m, d", [(0, 1), (4, 2), (4, 9), (7, 3)])
 def test_failure_set_count_matches_enumeration(m, d):
     assert failure_set_count(m, d) == len(enumerate_failure_sets(m, d))
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 12, 18, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_failure_set_ids_match_enumeration(m, d):
+    # the build's id matrix, made without a tuple per set, d > m included
+    ids = _failure_set_ids(m, d)
+    assert ids.dtype == np.int32
+    assert np.array_equal(ids, id_matrix(enumerate_failure_sets(m, d), m, d))
 
 
 def test_failure_set_count_stops_past_cap():
