@@ -16,7 +16,7 @@ from .graph import Graph, GraphError, parse_graph
 from .hitset import QueryStats
 from .oraclefile import OracleFileError, load_oracle, save_oracle
 from .query import QueryError, build_oracle
-from .reference import verify_instance
+from .reference import GuardError, verify_instance
 from .spindex import TieBreakError
 from .tables import BuildError
 from .version import __version__
@@ -88,7 +88,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     oracle = build_oracle(graph, args.d, seed=args.seed)
-    report = verify_instance(oracle, samples=args.samples, seed=args.seed)
+    try:
+        report = verify_instance(oracle, samples=args.samples, seed=args.seed)
+    except GuardError as exc:  # a lookup the index let through breaks its key's constraint
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -31,8 +31,8 @@ once per damaged query as vertex bitmasks and shared by its recursion
 with the query's stats.  "D hits the tree path r->x" is path(r) >> x & 1,
 "D touches w's subtree" is _sub[r][w] & ends, and tree edge e's child end
 is the end in _below[r][e], 0 off the tree.  Lookups here are unguarded;
-verify's reference.CheckedEngine guards each by the index's parent walks,
-which read no mask, so a verify run checks the masks independently.
+verify's reference.CheckedEngine guards each by walks of the reference's
+own Dijkstra trees, so a verify run checks the masks independently.
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:

@@ -7,7 +7,8 @@ query path relies on: replacement paths decompose into few shortest-path
 segments (their "rank" is at most the failure count), recursion pivots
 strictly decrease that rank, and every hitting-set outcome either returns
 the exact distance or names a vertex of the true replacement path.  Its
-CheckedEngine guards every lookup and records every case_three outcome.
+CheckedEngine guards every lookup by the reference's own Dijkstra trees,
+never the index's, and records every case_three outcome.
 """
 from __future__ import annotations
 
@@ -15,13 +16,13 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graph import CompositeLength, Graph, UNREACHABLE, ZERO_LENGTH
 from .hitset import FailureView, HitSetEngine, HitSetOutcome, QueryStats, hit_budget
 from .query import Oracle
 from .spindex import ShortestPathIndex
-from .tables import OracleTables, constraint_holds
+from .tables import OracleTables
 
 
 class GuardError(AssertionError):
@@ -29,16 +30,17 @@ class GuardError(AssertionError):
 
 
 class CheckedEngine(HitSetEngine):
-    """Verify's engine: guards each lookup, records (u, v, failed, outcome) per case_three."""
+    """Verify's engine: guards each lookup by its reference's trees, records each case_three."""
 
     def __init__(self, index: ShortestPathIndex, tables: OracleTables):
         super().__init__(index, tables)
+        self.ref = ReferenceOracle(index.graph, index.tie)
         self.records: list[tuple[int, int, tuple[int, ...], HitSetOutcome]] = []
 
     def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
                 view: FailureView) -> tuple[int, tuple[int, ...]]:
         key = (u, v, up, vp, b1, b2)
-        if not constraint_holds(self.index, view.failed, key):
+        if not self.ref.constraint_holds(view.failed, key):
             raise GuardError(f"unguarded lookup {key} under {view.failed}")
         return super()._lookup(u, v, up, vp, b1, b2, view)
 
@@ -109,6 +111,27 @@ class ReferenceOracle:
             path.append(pu[path[-1]])
         path.reverse()
         return path
+
+    def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
+        """True iff a failed edge lies on root's tree path to x, walked by this oracle."""
+        parent = self._pairs(())[1][root]
+        while x != root:
+            if self.graph.edge_id(parent[x], x) in failed:
+                return True
+            x = parent[x]
+        return False
+
+    def subtree_touches(self, root: int, w: int, failed: Iterable[int]) -> bool:
+        """True iff w's subtree in root's tree holds an endpoint of a failed edge."""
+        return any(w in self.replacement_path((), root, p)
+                   for eid in failed for p in self.graph.edges[eid][:2])
+
+    def constraint_holds(self, failed: Collection[int], key: tuple[int, ...]) -> bool:
+        """tables.constraint_holds, by walks of these trees."""
+        u, v, up, vp, b1, b2 = key
+        return not (self.path_intersects(u, up, failed) or self.path_intersects(v, vp, failed)
+                    or b1 and self.subtree_touches(u, up, failed)
+                    or b2 and self.subtree_touches(v, vp, failed))
 
     def rank_of_path(self, path: Sequence[int]) -> int:
         """Fewest single edges interleaving unfailed-shortest-path segments.
@@ -238,7 +261,6 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
         raise ValueError(f"samples must be at least 1, got {samples}")
     mode = "exhaustive" if samples is None else "sampled"
     graph = oracle.graph
-    ref = ReferenceOracle(graph, oracle.index.tie)
     index = oracle.index
     d = oracle.d
     budget = hit_budget(d)
@@ -248,7 +270,7 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
     # a private oracle, so the caller's keeps its own plain engine
     checked = Oracle(index, oracle.tables)
     engine = checked.engine = CheckedEngine(index, oracle.tables)
-    records = engine.records
+    ref, records = engine.ref, engine.records
     for u, v, failed in enumerate_instances(graph, d, mode, samples or 0, seed):
         stats = QueryStats()
         records.clear()
@@ -271,8 +293,7 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
             if r_uv > len(failed):
                 report.rank_violations += 1
             for w in path[1:-1]:
-                if index.path_intersects(u, w, failed) and \
-                        index.path_intersects(v, w, failed):
+                if ref.path_intersects(u, w, failed) and ref.path_intersects(v, w, failed):
                     r_uw = ref.rank(failed, u, w)
                     r_wv = ref.rank(failed, w, v)
                     if r_uw > r_uv - 1 or r_wv > r_uv - 1:
@@ -286,8 +307,7 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
                 if not on_path:
                     report.bound_violations += 1
             for w in outcome.hits:
-                if not (index.path_intersects(a, w, fset) and
-                        index.path_intersects(b, w, fset)):
+                if not (ref.path_intersects(a, w, fset) and ref.path_intersects(b, w, fset)):
                     report.hit_check_violations += 1
             if len(outcome.hits) > report.max_hits:
                 report.max_hits = len(outcome.hits)

@@ -19,20 +19,19 @@ as DFS-entry bits, so v's own entry number is its highest bit, and the
 LCA of x and y, their deepest common ancestor, is
 _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _ends[e] is e's
 endpoints, so the child end of tree edge e, the one end below it, is
-_below[r][e] & _ends[e].  path_intersects and subtree_touches answer the
-same questions by walking the parent arrays, and read no mask, so they
-check the masks independently.  A built index derives every root; a
-loaded one derives root r on first use, and until then r's slots in the
-seven per-root lists (parents, parent edges, lengths, DFS order and the
-three masks) hold None.  The query's fast path, FailureView.path and the
-two parent-walk predicates test for None; every other reader runs after
-FailureView.path(r).  An eighth list, _path_edges[r], entry x the edge
-bitmask of the tree path r->x, is derived from _below[r] by the query's
-fast path on r's first query; the build never derives it.
+_below[r][e] & _ends[e].  The parents themselves are not kept; the
+verifier checks the masks against the reference's own Dijkstra trees.  A
+built index derives every root; a loaded one derives root r on first
+use, and until then r's slots in the five per-root lists (lengths, DFS
+order and the three masks) hold None.  The query's fast path,
+FailureView.path and path_intersects test for None; every other reader
+runs after one of them has derived r.  A sixth list, _path_edges[r], entry x
+the edge bitmask of the tree path r->x, is derived from _below[r] by the
+query's fast path on r's first query; the build never derives it.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,8 +116,8 @@ class ShortestPathIndex:
         self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
         self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
         # per root, None until derived: the last by _finish_path_edges, the rest by _finish_root
-        (self._parent, self._parent_eid, self._dist, self._by_tin, self._anc,
-         self._sub, self._below, self._path_edges) = ([None] * n for _ in range(8))
+        (self._dist, self._by_tin, self._anc, self._sub, self._below,
+         self._path_edges) = ([None] * n for _ in range(6))
 
     def _finish_root(self, r: int) -> list[int]:
         """Derive root r's tree, base lengths, DFS order and masks.
@@ -156,8 +155,6 @@ class ShortestPathIndex:
             sub[parent[v]] |= sub[v]
             below[parent_eid[v]] = sub[v]
 
-        self._parent[r] = parent
-        self._parent_eid[r] = parent_eid
         self._by_tin[r] = by_tin
         self._anc[r] = anc
         self._sub[r] = sub
@@ -171,32 +168,10 @@ class ShortestPathIndex:
                                for x in range(self.graph.n)]
         return self._path_edges[r]
 
-    # -- predicates --------------------------------------------------------
-
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
-        """True iff some failed edge lies on the tree path root -> x."""
-        if self._parent[root] is None:
-            self._finish_root(root)
-        parent, parent_eid = self._parent[root], self._parent_eid[root]
-        while x != root:
-            if parent_eid[x] in failed:
-                return True
-            x = parent[x]
-        return False
-
-    def subtree_touches(self, root: int, w: int, failed: Iterable[int]) -> bool:
-        """True iff the subtree of w (rooted at root) contains a failed endpoint."""
-        if self._parent[root] is None:
-            self._finish_root(root)
-        parent = self._parent[root]
-        edges = self.graph.edges
-        for eid in failed:
-            for p in edges[eid][:2]:
-                while p != w and p != root:
-                    p = parent[p]
-                if p == w:
-                    return True
-        return False
+        """True iff a failed edge lies on the tree path root -> x; ids outside [0, m) never do."""
+        below = self._below[root] if self._below[root] is not None else self._finish_root(root)
+        return any(0 <= e < len(below) and below[e] >> x & 1 for e in failed)
 
 
 def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,

@@ -181,17 +181,13 @@ def check_build_size(n: int, m: int, d: int) -> None:
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
                      key: tuple[int, int, int, int, int, int]) -> bool:
-    """The constraint a failure set must satisfy to be dominated by key's entry."""
+    """The constraint a set must meet to be dominated by key's entry, read off the masks."""
     u, v, up, vp, b1, b2 = key
-    if index.path_intersects(u, up, failed):
-        return False
-    if index.path_intersects(v, vp, failed):
-        return False
-    if b1 and index.subtree_touches(u, up, failed):
-        return False
-    if b2 and index.subtree_touches(v, vp, failed):
-        return False
-    return True
+    ends = 0
+    for eid in failed:
+        ends |= index._ends[eid]
+    return not (index.path_intersects(u, up, failed) or index.path_intersects(v, vp, failed)
+                or b1 and index._sub[u][up] & ends or b2 and index._sub[v][vp] & ends)
 
 
 class OracleTables:
@@ -419,12 +415,16 @@ def _deleted_all_pairs(index: ShortestPathIndex, arcs: _Arcs, ids: np.ndarray,
                     np.copyto(pred[:b - a], np.arange(a, b)[:, None], where=tight)
                 pair, col = np.nonzero(damaged & (codes < unreachable))
                 x, on = pos[pair, col], np.zeros((len(s), m + 1), dtype=bool)
-                while len(x):
+                for _ in range(n - 1):  # codes fall along the walk: n - 1 arcs at most
                     arc = pred[x, pair]
                     on[pair, arcs.edge[arc]] = True
                     x = arcs.tail[arc]
                     go = x != place[r[pair]]
                     x, pair = x[go], pair[go]
+                    if not len(x):
+                        break
+                if len(x):
+                    raise RuntimeError("internal error: a phase 1 walk-back passed n - 1 arcs")
                 # set s[k] plus each edge e it walked joins the next level at root r[k]
                 k, edge = np.nonzero(on)
                 grown = ids[s[k]]

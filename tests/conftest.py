@@ -6,11 +6,13 @@ fails.  Everything derived from them (indexes, tables, reference oracles)
 is built once per session; the graphs are tiny, but table builds are still
 the slowest thing the unit tests do.
 """
+import functools
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from ftoracle import spindex
 from ftoracle.graph import parse_graph
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import ReferenceOracle
@@ -135,14 +137,16 @@ def encode(codec, length):
     return (length.true_len << codec.shift) | length.tie_key
 
 
+@functools.cache
+def reference_of(index):
+    """A reference oracle on index's graph and ties: its own Dijkstra trees."""
+    return ReferenceOracle(index.graph, index.tie)
+
+
 def tree_path_edges(index, root, x):
-    """Edge ids on the tree path root -> x, by explicit parent walking."""
-    out = set()
-    v = x
-    while v != root:
-        out.add(index._parent_eid[root][v])
-        v = index._parent[root][v]
-    return out
+    """Edge ids on the tree path root -> x, walked by the reference's parents."""
+    path = tree_path(index, root, x)
+    return {index.graph.edge_id(a, b) for a, b in zip(path, path[1:])}
 
 
 def base_length(index, u, v):
@@ -153,12 +157,23 @@ def base_length(index, u, v):
 
 
 def tree_path(index, root, v):
-    """Vertices of the tree path root -> v (both inclusive)."""
-    path = [v]
-    while path[-1] != root:
-        path.append(index._parent[root][path[-1]])
-    path.reverse()
-    return path
+    """Vertices of the tree path root -> v (both inclusive), walked by the
+    reference's parents, which share nothing with the index."""
+    return reference_of(index).replacement_path((), root, v)
+
+
+def mask_parents(index, root):
+    """The index's tree of root as read off its masks: per vertex its parent
+    and parent edge, -1 at the root.  Tree edge e's child end is the end in
+    _below[root][e]."""
+    below = index._below[root] if index._below[root] is not None else index._finish_root(root)
+    parent, parent_eid = [-1] * index.graph.n, [-1] * index.graph.n
+    for eid, (a, b, _) in enumerate(index.graph.edges):
+        child = below[eid] & index._ends[eid]
+        if child:
+            c = child.bit_length() - 1
+            parent[c], parent_eid[c] = a + b - c, eid
+    return parent, parent_eid
 
 
 def lca(index, root, x, y):
@@ -169,11 +184,11 @@ def lca(index, root, x, y):
 
 # the index's per-root lists: filled for every root by a build, and for
 # root r by _finish_root(r) on r's first use after a load
-PER_ROOT = ("_parent", "_parent_eid", "_dist", "_by_tin", "_anc", "_sub", "_below")
+PER_ROOT = ("_dist", "_by_tin", "_anc", "_sub", "_below")
 
 
 def derived_roots(index):
-    """Roots whose per-root lists are filled; a root has all seven or none."""
+    """Roots whose per-root lists are filled; a root has all five or none."""
     filled = [{getattr(index, name)[r] is not None for name in PER_ROOT}
               for r in range(index.graph.n)]
     assert all(len(f) == 1 for f in filled), filled
@@ -268,3 +283,32 @@ def exhaustive_candidates(index, ids, levels, swept, roots, cols, clean):
     sets = (np.flatnonzero(hit) % len(ids)).astype(np.int32)
     real = np.arange(width) < np.array(list(map(len, cols)), dtype=np.int64)[:, None]
     return codes, sets, start[real], size[real]
+
+
+def swap_parents(monkeypatch, root):
+    """Make root's tree wrong wherever the index derives it from now on.
+
+    spindex._check_unique is wrapped so that, for root, two vertices that
+    lie on neither one's tree path and have different parents swap parent
+    and parent edge.  The result is still a tree over every vertex, so the
+    derivation succeeds, but its masks disagree with the codes.
+    """
+    real = spindex._check_unique
+
+    def swapped(adj, r, row):
+        parent, parent_eid = real(adj, r, row)
+        if r == root:
+            def ancestors(x):
+                out = {x}
+                while x != r:
+                    x = parent[x]
+                    out.add(x)
+                return out
+            a, b = next((a, b) for a in range(len(row)) for b in range(a + 1, len(row))
+                        if r not in (a, b) and parent[a] != parent[b]
+                        and a not in ancestors(b) and b not in ancestors(a))
+            parent[a], parent[b] = parent[b], parent[a]
+            parent_eid[a], parent_eid[b] = parent_eid[b], parent_eid[a]
+        return parent, parent_eid
+
+    monkeypatch.setattr(spindex, "_check_unique", swapped)

@@ -25,7 +25,7 @@ from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import (ReferenceOracle, VerifyReport, dijkstra_composite,
                                 enumerate_instances, verify_instance)
 from ftoracle.spindex import build_index_auto
-from ftoracle.tables import build_tables, constraint_holds, enumerate_failure_sets
+from ftoracle.tables import build_tables, enumerate_failure_sets
 
 from conftest import G1_TEXT, G3_TEXT, G6_TEXT, TableKey, tree_path_edges
 
@@ -122,7 +122,7 @@ def test_table_dominance_and_tightness():
             entry = oracle.tables.lookup(*key)
             assert entry.l_star == ref.dist_avoiding(entry.d_star, u, v), key
             for failed in sets:
-                if constraint_holds(oracle.index, failed, key):
+                if ref.constraint_holds(failed, key):
                     assert entry.l_star >= ref.dist_avoiding(failed, u, v), \
                         (key, failed)
                     checked += 1

@@ -5,11 +5,12 @@ import json
 import pytest
 
 import ftoracle.cli as cli
+from ftoracle.generate import gen_gnm
 from ftoracle.graph import parse_graph
-from ftoracle.oraclefile import _HEADER
+from ftoracle.oraclefile import _HEADER, load_oracle
 from ftoracle.reference import VerifyReport
 
-from conftest import G1_TEXT, G6_TEXT
+from conftest import G1_TEXT, G6_TEXT, swap_parents
 
 
 @pytest.fixture()
@@ -205,6 +206,23 @@ def test_verify_failure_exits_one(g1_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_instance", lambda *a, **k: bad)
     assert cli.main(["verify", "-g", g1_path, "-d", "2"]) == 1
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_verify_guard_error_exits_one(tmp_path, capsys, monkeypatch):
+    # verify runs on a loaded oracle whose root 0 derives a wrong tree: the
+    # guard's GuardError becomes one error line and exit 1, no traceback
+    graph_path = tmp_path / "g.graph"
+    graph_path.write_text(gen_gnm(8, 12, 32, 0).to_text())
+    saved = str(tmp_path / "g.oracle")
+    assert cli.main(["build", "-g", str(graph_path), "-d", "2", "-o", saved]) == 0
+    capsys.readouterr()
+    swap_parents(monkeypatch, 0)
+    monkeypatch.setattr(cli, "build_oracle", lambda graph, d, seed: load_oracle(saved, graph))
+    assert cli.main(["verify", "-g", str(graph_path), "-d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: unguarded lookup ")
 
 
 def test_gen_writes_parseable_graph(tmp_path, capsys):

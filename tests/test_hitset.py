@@ -154,8 +154,9 @@ def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
     # row (4, 0) is row (0, 4) transposed, so searching from 4 with the
     # clean anchor on the 0 side must see the same replacement length
     engine = CheckedEngine(oracle6_d1.index, oracle6_d1.tables)
-    assert not oracle6_d1.index.path_intersects(0, 5, (2,))
-    assert not oracle6_d1.index.subtree_touches(0, 5, (2,))
+    ref = engine.ref
+    assert not ref.path_intersects(0, 5, (2,))
+    assert not ref.subtree_touches(0, 5, (2,))
     bound, _ = engine.case_two(4, 0, 5, view(oracle6_d1, (2,)))
     assert decoded(oracle6_d1, bound).true_len == 7
 
@@ -224,11 +225,10 @@ from ftoracle.graph import parse_graph
 from ftoracle.hitset import FailureView
 from ftoracle.query import build_oracle
 from ftoracle.reference import CheckedEngine, GuardError
-from ftoracle.tables import constraint_holds
 assert sys.flags.optimize, "not running under -O"
 oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
-assert not constraint_holds(oracle.index, (0,), (0, 2, 1, 2, 0, 0))
 engine = CheckedEngine(oracle.index, oracle.tables)
+assert not engine.ref.constraint_holds((0,), (0, 2, 1, 2, 0, 0))
 try:
     engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)))
 except GuardError:

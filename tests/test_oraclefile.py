@@ -99,7 +99,7 @@ def test_derived_roots_equal_the_built_index(oracle6_d2):
 
 
 def test_constraints_match_on_a_fresh_load(oracle6_d2, g6):
-    # the parent-walk predicates derive their roots on first use
+    # constraint_holds derives its roots on first use
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
     assert derived_roots(loaded.index) == set()
     sets = enumerate_failure_sets(g6.m, 2)

@@ -1,15 +1,14 @@
 """Brute-force reference: avoidance distances, path ranks, the verifier."""
 import pytest
 
-from ftoracle import reference
 from ftoracle.generate import gen_gnm
 from ftoracle.hitset import HitSetEngine, HitSetOutcome
+from ftoracle.oraclefile import load_oracle, save_oracle
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import (CheckedEngine, GuardError, ReferenceOracle,
                                 enumerate_instances, verify_instance)
-from ftoracle.tables import constraint_holds
 
-from conftest import base_length, tree_path
+from conftest import base_length, mask_parents, swap_parents, tree_path
 
 
 def test_dist_avoiding_examples(ref1):
@@ -39,10 +38,14 @@ def test_replacement_path_disconnected(ref1):
 
 
 def test_replacement_path_without_failures_is_tree_path(oracle6_d1, ref6):
+    # the reference's Dijkstra trees against the index's, read off its masks
     for u in range(7):
+        parent = mask_parents(oracle6_d1.index, u)[0]
         for v in range(7):
-            assert ref6.replacement_path((), u, v) == \
-                tree_path(oracle6_d1.index, u, v)
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            assert ref6.replacement_path((), u, v) == path[::-1]
 
 
 def test_rank_of_detour(ref1):
@@ -159,6 +162,7 @@ def test_verify_guards_every_lookup_while_running(oracle1_d1, monkeypatch):
     engine = oracle1_d1.engine
     caller_engines, lookup_engines, guards = [], [], []
     real_dist, real_lookup = ReferenceOracle.dist_avoiding, HitSetEngine._lookup
+    real_guard = ReferenceOracle.constraint_holds
 
     def spy_dist(self, failed, u, v):
         caller_engines.append(oracle1_d1.engine)
@@ -168,13 +172,13 @@ def test_verify_guards_every_lookup_while_running(oracle1_d1, monkeypatch):
         lookup_engines.append(type(self))
         return real_lookup(self, *args)
 
-    def spy_guard(*args):
+    def spy_guard(self, *args):
         guards.append(args)
-        return constraint_holds(*args)
+        return real_guard(self, *args)
 
     monkeypatch.setattr(ReferenceOracle, "dist_avoiding", spy_dist)
     monkeypatch.setattr(HitSetEngine, "_lookup", spy_lookup)
-    monkeypatch.setattr(reference, "constraint_holds", spy_guard)
+    monkeypatch.setattr(ReferenceOracle, "constraint_holds", spy_guard)
     report = verify_instance(oracle1_d1)
     assert report.ok
     assert caller_engines and all(e is engine for e in caller_engines)
@@ -239,3 +243,19 @@ def test_verify_raises_on_unguarded_lookup(oracle6_d1, monkeypatch):
     monkeypatch.setattr(HitSetEngine, "case_three", unguarded)
     with pytest.raises(GuardError, match="unguarded lookup"):
         verify_instance(oracle6_d1)
+
+
+def test_guard_catches_a_swapped_loaded_tree(tmp_path, monkeypatch):
+    # each root in turn derives, on first use after a load, a tree with two
+    # parents swapped; the guard walks the reference's own trees, not the
+    # index's, so an exhaustive replay raises
+    oracle = build_oracle(gen_gnm(8, 12, 32, 0), 2, seed=1)
+    saved = str(tmp_path / "g.oracle")
+    save_oracle(oracle, saved)
+    for root in range(oracle.graph.n):
+        with monkeypatch.context() as patch:
+            swap_parents(patch, root)
+            loaded = load_oracle(saved)
+            with pytest.raises(GuardError, match="unguarded lookup"):
+                verify_instance(loaded)
+            assert mask_parents(loaded.index, root) != mask_parents(oracle.index, root)

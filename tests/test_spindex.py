@@ -17,7 +17,8 @@ from ftoracle.hitset import FailureView
 from ftoracle.reference import dijkstra_composite
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
-from conftest import base_length, derived_roots, encode, lca, tree_path, tree_path_edges
+from conftest import (base_length, derived_roots, encode, lca, mask_parents, reference_of,
+                      tree_path, tree_path_edges)
 
 
 def plain_dijkstra(graph, source):
@@ -67,10 +68,12 @@ def _unit_complete(n, seed):
 # -- tree shape and distances -----------------------------------------------
 
 def test_g1_root0_parents(idx1):
-    assert idx1._parent[0][1] == 0
-    assert idx1._parent[0][2] == 1
-    assert idx1._parent[0][3] == 2
-    assert idx1._parent[0][0] == -1
+    # the reference's Dijkstra parents, and the index's tree read off its masks
+    for parent in (reference_of(idx1)._pairs(())[1][0], mask_parents(idx1, 0)[0]):
+        assert parent[1] == 0
+        assert parent[2] == 1
+        assert parent[3] == 2
+        assert parent[0] == -1
 
 
 def test_g1_distances(idx1):
@@ -79,8 +82,9 @@ def test_g1_distances(idx1):
 
 
 def test_g6_root0_shape(idx6):
-    assert idx6._parent[0][5] == 1
-    assert idx6._parent[0][6] == 3
+    for parent in (reference_of(idx6)._pairs(())[1][0], mask_parents(idx6, 0)[0]):
+        assert parent[5] == 1
+        assert parent[6] == 3
     assert base_length(idx6, 0, 6).true_len == 4
 
 
@@ -110,13 +114,17 @@ def test_distance_symmetric(idx6):
 
 
 def test_parent_edge_recurrence(idx6):
+    # the index's tree, read off its masks, is the reference's, and each
+    # tree edge adds its packed step to the code
     g = idx6.graph
     for r in range(g.n):
+        parent, parent_eid = mask_parents(idx6, r)
+        assert parent == reference_of(idx6)._pairs(())[1][r]
         for v in range(g.n):
             if v == r:
                 continue
-            p = idx6._parent[r][v]
-            e = idx6._parent_eid[r][v]
+            p = parent[v]
+            e = parent_eid[v]
             assert set(g.edges[e][:2]) == {p, v}
             assert idx6.codes[r, v] == idx6.codes[r, p] + idx6._step[e]
 
@@ -169,39 +177,67 @@ def test_path_intersects_matches_parent_walk(idx1, idx6):
 
 
 def test_path_edge_masks_match_path_intersects(idx1, idx3, idx6):
-    # the fast path's one AND against the parent walk, which reads no mask:
-    # every (u, v) and every failure set of at most d = 3 edges
+    # the fast path's one AND and path_intersects against the reference's
+    # walk, which reads no mask: every (u, v) and every failure set of at
+    # most d = 3 edges
     wide = build_index_auto(gen_gnm(8, 14, 32, 42), 1)[0]
     for index in (idx1, idx3, idx6, wide):
         g = index.graph
+        ref = reference_of(index)
         for failed in all_failure_sets(g.m, 3):
             seen = sum(1 << e for e in failed)
             for u in range(g.n):
                 paths = index._path_edges[u] or index._finish_path_edges(u)
                 for v in range(g.n):
-                    assert bool(paths[v] & seen) == index.path_intersects(u, v, failed), \
-                        (g, u, v, failed)
+                    expect = ref.path_intersects(u, v, failed)
+                    assert bool(paths[v] & seen) == expect, (g, u, v, failed)
+                    assert index.path_intersects(u, v, failed) == expect, (g, u, v, failed)
+
+
+def test_path_intersects_ignores_ids_outside_the_edges(idx1, idx6):
+    # no id outside [0, m) lies on a tree path; a plain _below[root][e]
+    # read would take the last edge for e = -1
+    for index in (idx1, idx6):
+        m = index.graph.m
+        for u in range(index.graph.n):
+            for x in range(index.graph.n):
+                assert not index.path_intersects(u, x, (-1,))
+                assert not index.path_intersects(u, x, (m,))
+                assert index.path_intersects(u, x, (-1, m, m - 1)) == \
+                    index.path_intersects(u, x, (m - 1,))
+
+
+def touches(index, root, w, failed):
+    """The index's answer: w's subtree mask holds a failed endpoint."""
+    return bool(index._sub[root][w] & FailureView(index, failed).ends)
 
 
 def test_subtree_touches_examples(idx1):
-    assert not idx1.subtree_touches(0, 3, (0,))
-    assert idx1.subtree_touches(0, 1, (2,))
+    ref = reference_of(idx1)
+    assert not ref.subtree_touches(0, 3, (0,))
+    assert ref.subtree_touches(0, 1, (2,))
+    assert not touches(idx1, 0, 3, (0,))
+    assert touches(idx1, 0, 1, (2,))
 
 
 def test_subtree_touches_at_root(idx1):
     for r in range(4):
         for eid in range(4):
-            assert idx1.subtree_touches(r, r, (eid,))
+            assert reference_of(idx1).subtree_touches(r, r, (eid,))
+            assert touches(idx1, r, r, (eid,))
 
 
 def test_subtree_touches_matches_interval_free_scan(idx6):
-    # recompute by collecting the subtree with an explicit DFS
+    # recompute by collecting the subtree of the reference's tree with an
+    # explicit DFS
     g = idx6.graph
+    ref = reference_of(idx6)
     for r in range(g.n):
         children = [[] for _ in range(g.n)]
+        parent = ref._pairs(())[1][r]
         for v in range(g.n):
-            if idx6._parent[r][v] >= 0:
-                children[idx6._parent[r][v]].append(v)
+            if parent[v] >= 0:
+                children[parent[v]].append(v)
         for w in range(g.n):
             sub = set()
             stack = [w]
@@ -212,13 +248,18 @@ def test_subtree_touches_matches_interval_free_scan(idx6):
             for eid in range(g.m):
                 a, b = g.edges[eid][:2]
                 expect = a in sub or b in sub
-                assert idx6.subtree_touches(r, w, (eid,)) == expect
+                assert ref.subtree_touches(r, w, (eid,)) == expect
+                assert touches(idx6, r, w, (eid,)) == expect
 
 
 def is_clean(index, root, w, failed):
-    """No failure on the path root -> w and none hanging below w."""
-    return not index.path_intersects(root, w, failed) and \
-        not index.subtree_touches(root, w, failed)
+    """No failure on the path root -> w and none hanging below w, by the
+    reference's walks; the index's FailureView.clean agrees."""
+    ref = reference_of(index)
+    clean = not ref.path_intersects(root, w, failed) and \
+        not ref.subtree_touches(root, w, failed)
+    assert FailureView(index, failed).clean(root, w) == clean
+    return clean
 
 
 def test_is_clean_examples(idx3, idx6):
@@ -255,19 +296,20 @@ def test_lca_matches_path_walk(idx6):
 @example(shape=_unit_complete, n=5, seed=0)
 @example(shape=_complete, n=7, seed=0)
 def test_masks_match_interval_predicates(shape, n, seed):
-    # the query engine's bit tests against the parent-walk predicates, for
+    # the query engine's bit tests against the reference's parent walks, for
     # every root, vertex and failure set of size <= 3, and the LCA against
     # a path walk
     index, _, _ = build_index_auto(shape(n, seed), seed=1)
     g = index.graph
+    ref = reference_of(index)
     for failed in all_failure_sets(g.m, 3):
         view = FailureView(index, failed)
         for r in range(g.n):
             path = view.path(r)
             sub = index._sub[r]
             for x in range(g.n):
-                assert path >> x & 1 == index.path_intersects(r, x, failed)
-                assert bool(sub[x] & view.ends) == index.subtree_touches(r, x, failed)
+                assert path >> x & 1 == ref.path_intersects(r, x, failed)
+                assert bool(sub[x] & view.ends) == ref.subtree_touches(r, x, failed)
     for r in range(g.n):
         for x in range(g.n):
             px = tree_path(index, r, x)
@@ -282,7 +324,7 @@ def test_masks_match_interval_predicates(shape, n, seed):
     for ix in (index, clone):
         for r in range(g.n):
             below = ix._below[r] if ix._below[r] is not None else ix._finish_root(r)
-            child = {eid: c for c, eid in enumerate(ix._parent_eid[r]) if eid >= 0}
+            child = {g.edge_id(p, c): c for c, p in enumerate(ref._pairs(())[1][r]) if p >= 0}
             for eid in range(g.m):
                 want = 1 << child[eid] if eid in child else 0
                 assert below[eid] & ix._ends[eid] == want, (r, eid)
@@ -344,8 +386,9 @@ def test_out_of_range_tie_rejected(g1, bad):
 
 
 def test_unique_parent_per_root(idx6):
+    # the index's masks give every vertex but the root a parent edge
     for r in range(7):
-        roots = [v for v in range(7) if idx6._parent[r][v] < 0]
+        roots = [v for v in range(7) if mask_parents(idx6, r)[0][v] < 0]
         assert roots == [r]
 
 
@@ -357,8 +400,7 @@ def test_from_arrays_reproduces_predicates(idx6):
     for r in range(g.n):
         clone._finish_root(r)
         assert derived_roots(clone) == set(range(r + 1))
-        assert clone._parent[r] == idx6._parent[r]
-        assert clone._parent_eid[r] == idx6._parent_eid[r]
+        assert mask_parents(clone, r) == mask_parents(idx6, r)
         assert clone._anc[r] == idx6._anc[r]
         assert clone._sub[r] == idx6._sub[r]
         assert clone._below[r] == idx6._below[r]
@@ -402,7 +444,7 @@ def test_deterministic_across_builds(g6):
     b, tie_b, seed_b = build_index_auto(g6, seed=1)
     assert tie_a == tie_b
     assert seed_a == seed_b
-    assert a._parent == b._parent
+    assert [mask_parents(a, r) for r in range(g6.n)] == [mask_parents(b, r) for r in range(g6.n)]
     assert a._anc == b._anc
     assert a._sub == b._sub
     assert a._below == b._below

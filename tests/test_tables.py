@@ -1,5 +1,6 @@
 """Table build: constraint predicate, maximization, dominance, packing."""
 import os
+import signal
 import time
 from itertools import combinations, combinations_with_replacement, product
 
@@ -19,7 +20,8 @@ from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted
                              _row_candidates, _side_masks, build_tables, check_build_size,
                              constraint_holds, enumerate_failure_sets, failure_set_count)
 
-from conftest import TableKey, encode, exhaustive_candidates, tree_path_edges
+from conftest import (TableKey, encode, exhaustive_candidates, reference_of, swap_parents,
+                      tree_path, tree_path_edges)
 
 
 def id_matrix(sets, m, d):
@@ -36,9 +38,10 @@ def all_keys(n):
 
 
 def feasible_sets(index, key, d):
-    m = index.graph.m
-    for failed in enumerate_failure_sets(m, d):
-        if constraint_holds(index, failed, key):
+    """The sets that meet key's constraint by the reference's tree walks."""
+    ref = reference_of(index)
+    for failed in enumerate_failure_sets(index.graph.m, d):
+        if ref.constraint_holds(failed, key):
             yield failed
 
 
@@ -54,19 +57,26 @@ def best_by_reference(ref, index, key, d):
 
 # -- constraint predicate -----------------------------------------------------
 
+def both_constraints(index, failed, key):
+    """The index's constraint, checked against the reference's tree walks."""
+    holds = constraint_holds(index, failed, key)
+    assert reference_of(index).constraint_holds(failed, key) == holds
+    return holds
+
+
 def test_empty_set_always_feasible(idx1):
     for key in all_keys(4):
-        assert constraint_holds(idx1, (), key)
+        assert both_constraints(idx1, (), key)
 
 
 def test_constraint_blocks_damaged_anchor_path(idx1):
-    assert not constraint_holds(idx1, (0,), TableKey(0, 2, 1, 2, 0, 0))
+    assert not both_constraints(idx1, (0,), TableKey(0, 2, 1, 2, 0, 0))
 
 
 def test_constraint_blocks_touched_subtree(idx1):
-    assert not constraint_holds(idx1, (3,), TableKey(0, 2, 1, 2, 1, 0))
+    assert not both_constraints(idx1, (3,), TableKey(0, 2, 1, 2, 1, 0))
     # same set passes once the subtree bit is dropped
-    assert constraint_holds(idx1, (3,), TableKey(0, 2, 1, 2, 0, 0))
+    assert both_constraints(idx1, (3,), TableKey(0, 2, 1, 2, 0, 0))
 
 
 def side_keys(n):
@@ -90,7 +100,7 @@ def test_constraint_matches_vectorized_masks(idx1, idx6):
         fb = [_side_masks(bad, ids, root) for root in range(n)]
         for si, failed in enumerate(sets):
             for key in keys(n):
-                expect = constraint_holds(index, failed, key)
+                expect = both_constraints(index, failed, key)
                 assert bool(fb[key.u][key.up, key.b1, si] and
                             fb[key.v][key.vp, key.b2, si]) == expect
 
@@ -182,18 +192,30 @@ def test_build_rejects_zero_budget(idx1):
         build_tables(idx1, 0, tie_seed=1)
 
 
+def test_wrong_tree_raises_in_the_walk_back(monkeypatch):
+    # root 0's tree with two parents swapped gives masks that disagree with
+    # the codes, so phase 1's walk-back meets a vertex with no tight arc,
+    # whose default arc 0 can lead into a cycle.  The walk is bounded at
+    # n - 1 arcs and raises; the alarm turns a hang into a failure
+    def hung(signum, frame):
+        raise TimeoutError("the build hung")
+
+    swap_parents(monkeypatch, 0)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="walk-back passed n - 1 arcs"):
+            build_oracle(gen_gnm(8, 12, 32, 0), 2, seed=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- pruned build against the dense all-keys update -----------------------------
 
 def walk_subtree(index, root, x):
-    """Vertices whose parent walk toward root passes x (x's subtree)."""
-    out = set()
-    for y in range(index.graph.n):
-        w = y
-        while w not in (x, root):
-            w = index._parent[root][w]
-        if w == x:
-            out.add(y)
-    return out
+    """Vertices whose reference tree path from root passes x (x's subtree)."""
+    return {y for y in range(index.graph.n) if x in tree_path(index, root, y)}
 
 
 def dense_build(index, d):
@@ -201,8 +223,8 @@ def dense_build(index, d):
 
     Every set runs the reference's Dijkstra from scratch per root and
     compares-and-copies over all 4*n^4 keys in set order, with side masks
-    derived directly by walking the parent arrays, not from the index's
-    vertex bitmasks.
+    derived directly by walking the reference's Dijkstra parents, not from
+    the index's vertex bitmasks.
     """
     graph = index.graph
     n = graph.n
@@ -415,11 +437,12 @@ def sweep_against_reference(index, d, roots, cols=None):
     """Run both phases over roots and check every row phase 2 lays out.
 
     Each row (x, codes, sets) must hold the empty set, then exactly the
-    sets that hit the tree path root->x (by parent walks), ascending, and
-    each code must equal ReferenceOracle.dist_avoiding's length: exactly
-    unreachable_code where the set disconnects x, never negative.  So every
-    damaging set of every row has its exact code, swept or not.  Returns
-    the (root, set) pairs of every chunk phase 1 relaxed, in order.
+    sets that hit the tree path root->x (by the reference's parent walks),
+    ascending, and each code must equal ReferenceOracle.dist_avoiding's
+    length: exactly unreachable_code where the set disconnects x, never
+    negative.  So every damaging set of every row has its exact code, swept
+    or not.  Returns the (root, set) pairs of every chunk phase 1 relaxed,
+    in order.
     """
     graph, codec = index.graph, index.codec
     ref = ReferenceOracle(graph, index.tie)
@@ -585,7 +608,7 @@ def test_exact_at_maximizer(request, oracle_name):
     ref = ReferenceOracle(oracle.graph, oracle.index.tie)
     for key in all_keys(oracle.graph.n):
         entry = oracle.tables.lookup(*key)
-        assert constraint_holds(oracle.index, entry.d_star, key)
+        assert both_constraints(oracle.index, entry.d_star, key)
         assert entry.l_star == ref.dist_avoiding(entry.d_star, key.u, key.v)
 
 
