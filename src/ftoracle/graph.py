@@ -203,7 +203,7 @@ def failure_mask(graph: Graph, ids: Iterable[int]) -> int:
 
 
 def edge_ids(mask: int) -> tuple[int, ...]:
-    """The edge ids in an edge bitmask, ascending."""
+    """The set bits of a bitmask, ascending: an edge mask's ids, a vertex mask's vertices."""
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

@@ -23,28 +23,29 @@ The three cases differ in how much is already known:
 
 What a D* edge adds in case_two or case_three (a bound, a hit, a helper)
 depends only on (u, v, F, edge), not on the key whose lookup returned it,
-so a case takes the min of its lookups' codes and visits each distinct
-unfailed edge of their D* once: min and set union ignore repeats and order.
+so a case reads all its keys in one _read, the min of their codes and the
+union of their D*, in any order, and visits each unfailed edge once.
 
 All three run on a FailureView: the damage of one failure set D, derived
 once per damaged query as vertex bitmasks and shared by its recursion
 with the query's stats.  "D hits the tree path r->x" is path(r) >> x & 1,
 "D touches w's subtree" is _sub[r][w] & ends, and tree edge e's child end
-is the end in _below[r][e], 0 off the tree.  Lookups here are unguarded;
-verify's reference.CheckedEngine guards each by walks of the reference's
+is the end in _below[r][e], 0 off the tree.  Reads here are unguarded;
+verify's reference.CheckedEngine guards each key by walks of the reference's
 own Dijkstra trees, so a verify run checks the masks independently.
 
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
 the failed endpoints themselves and every branching vertex in between.
-The cases only visit its vertices, so it is kept as that vertex list,
-built at most once per root and view.
+It is kept as a vertex mask, built at most once per root and view; the
+keys case_two and case_three read at r are key_tree(r) & ~path(r).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .graph import edge_ids
 from .spindex import ShortestPathIndex
 from .tables import OracleTables
 
@@ -67,25 +68,27 @@ class QueryStats:
 
 
 def build_induced_key_tree(index: ShortestPathIndex, root: int,
-                           failed: Sequence[int]) -> list[int]:
-    """Key vertices of root's tree under failed, in DFS order; O(d log d).
+                           failed: Sequence[int]) -> int:
+    """Vertex mask of root's key tree under failed; O(d log d).
 
-    They are the failure endpoints and the LCAs of DFS-adjacent ones, read
-    off the marks _anc[root][x], x's ancestors' DFS entry bits: x's own entry
-    is its mark's highest bit, so marks sort in DFS order, and the LCA of x
-    and y enters at the highest bit their marks share.  Entries are kept as
-    bit lengths, one above the bit, and mapped back through _by_tin.  Root
-    must be derived: FailureView.key_tree(r) runs after view.path(r).
+    Its vertices are the failure endpoints and the LCAs of DFS-adjacent
+    ones, read off the marks _anc[root][x], x's ancestors' DFS entry bits:
+    x's own entry is its mark's highest bit, so marks sort in DFS order, and
+    the LCA of x and y enters at the highest bit their marks share, which
+    _by_tin maps back to a vertex.  Root must be derived:
+    FailureView.key_tree(r) runs after view.path(r).
     """
     assert failed, "key tree is only defined for a nonempty failure set"
     edges, anc, by_tin = index.graph.edges, index._anc[root], index._by_tin[root]
-    marks = []
+    keys, marks = 0, []
     for eid in failed:
         a, b, _ = edges[eid]
+        keys |= 1 << a | 1 << b
         marks += anc[a], anc[b]
     marks.sort()
-    marks += map(int.__and__, marks[:-1], marks[1:])
-    return [by_tin[t - 1] for t in sorted(set(map(int.bit_length, marks)))]
+    for x, y in zip(marks, marks[1:]):
+        keys |= 1 << by_tin[(x & y).bit_length() - 1]
+    return keys
 
 
 class FailureView:
@@ -96,12 +99,11 @@ class FailureView:
         self.index = index
         self.failed = failed
         self.stats = stats
-        self.failed_set = frozenset(failed)
         self.ends = 0
         for eid in failed:
             self.ends |= index._ends[eid]
         self._paths: list[int | None] = [None] * index.graph.n
-        self.trees: dict[int, list[int]] = {}
+        self.trees: dict[int, int] = {}
         self.memo: dict[tuple[int, int, int], int] = {}
 
     def path(self, r: int) -> int:
@@ -121,7 +123,7 @@ class FailureView:
         """No failure on the tree path r->w and no failed endpoint below w."""
         return not (self.path(r) >> w & 1 or self.index._sub[r][w] & self.ends)
 
-    def key_tree(self, r: int) -> list[int]:
+    def key_tree(self, r: int) -> int:
         tree = self.trees.get(r)
         if tree is None:
             tree = self.trees[r] = build_induced_key_tree(self.index, r, self.failed)
@@ -129,23 +131,32 @@ class FailureView:
 
 
 class HitSetEngine:
-    """Case analysis over guarded table lookups for one (index, tables) pair."""
+    """Case analysis over table reads for one (index, tables) pair."""
 
     def __init__(self, index: ShortestPathIndex, tables: OracleTables):
         self.index = index
         self.tables = tables
 
-    def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
-                view: FailureView) -> tuple[int, tuple[int, ...]]:
+    def _read(self, u: int, v: int, ups: Sequence[int], vps: Sequence[int],
+              b1: int, b2: int, view: FailureView) -> tuple[int, set[int]]:
+        """(min code, union of D*) over the keys (u, v, up, vp, b1, b2), up in ups, vp in vps."""
         if view.stats is not None:
-            view.stats.lookups += 1
-        return self.tables.read(u, v, up, vp, b1, b2)
+            view.stats.lookups += len(ups) * len(vps)
+        read = self.tables.read
+        bound, union = self.index.codec.unreachable_code, set()
+        for up in ups:
+            for vp in vps:
+                code, d_star = read(u, v, up, vp, b1, b2)
+                if code < bound:
+                    bound = code
+                union.update(d_star)
+        return bound, union
 
     def case_one(self, u: int, v: int, up: int, vp: int, view: FailureView) -> HitSetOutcome:
-        """Both anchors known clean: one lookup, hits from its stored set."""
+        """Both anchors known clean: one key, hits from its stored set."""
         assert view.clean(u, up), "source anchor is not clean"
         assert view.clean(v, vp), "sink anchor is not clean"
-        code, d_star = self._lookup(u, v, up, vp, 1, 1, view)
+        code, d_star = self._read(u, v, [up], [vp], 1, 1, view)
         # only vertices with damage on both sides are useful recursion pivots
         both = view.path(u) & view.path(v)
         edges = self.index.graph.edges
@@ -158,18 +169,13 @@ class HitSetEngine:
         assert view.clean(v, anchor), "anchor is not clean"
         path_u, path_v = view.path(u), view.path(v)
         edges = index.graph.edges
-        bound = index.codec.unreachable_code
         hits: set[int] = set()
         helpers: set[int] = set()
-        union: set[int] = set()
         below_u = index._below[u]
 
-        for c in view.key_tree(u):
-            if not path_u >> c & 1:
-                code, d_star = self._lookup(u, v, c, anchor, 0, 1, view)
-                bound = min(bound, code)
-                union.update(d_star)
-        union -= view.failed_set
+        keys = edge_ids(view.key_tree(u) & ~path_u)
+        bound, union = self._read(u, v, keys, [anchor], 0, 1, view)
+        union.difference_update(view.failed)
         for eid in union:
             a, b, _ = edges[eid]
             if a > b:
@@ -191,34 +197,27 @@ class HitSetEngine:
         return HitSetOutcome(bound, frozenset(hits))
 
     def case_three(self, u: int, v: int, view: FailureView) -> HitSetOutcome:
-        """No anchors known: enumerate key-tree edge pairs on both sides."""
+        """No anchors known: read every pair of clean key-tree vertices of u and v."""
         index = self.index
         path_u, path_v = view.path(u), view.path(v)
         assert path_u >> v & 1, "case_three requires a damaged u-v path"
         stats = view.stats
         if stats is not None:
             stats.case_three_calls += 1
-        tree_u = view.key_tree(u)
-        tree_v = [cv for cv in view.key_tree(v) if not path_v >> cv & 1]
+        keys_u = edge_ids(view.key_tree(u) & ~path_u)
+        keys_v = edge_ids(view.key_tree(v) & ~path_v)
         edges = index.graph.edges
         step = index._step
         base_u, base_v = index._rows[u], index._rows[v]
         below_u, below_v = index._below[u], index._below[v]
-        bound = index.codec.unreachable_code
-        union: set[int] = set()
         hits: set[int] = set()
         helpers_u: set[int] = set()
         helpers_v: set[int] = set()
 
-        for cu in tree_u:
-            if not path_u >> cu & 1:
-                for cv in tree_v:
-                    code, d_star = self._lookup(u, v, cu, cv, 0, 0, view)
-                    bound = min(bound, code)
-                    union.update(d_star)
+        bound, union = self._read(u, v, keys_u, keys_v, 0, 0, view)
         # a hit x below needs damage on both tree paths u->x and v->x; each
         # branch adds x only where the branch test already shows both
-        union -= view.failed_set
+        union.difference_update(view.failed)
         for eid in union:
             a, b, _ = edges[eid]
             for x, y in ((a, b), (b, a)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .graph import CompositeLength, Graph, UNREACHABLE, ZERO_LENGTH
@@ -30,19 +30,20 @@ class GuardError(AssertionError):
 
 
 class CheckedEngine(HitSetEngine):
-    """Verify's engine: guards each lookup by its reference's trees, records each case_three."""
+    """Verify's engine: guards each key read by its reference's trees, records each case_three."""
 
     def __init__(self, index: ShortestPathIndex, tables: OracleTables):
         super().__init__(index, tables)
         self.ref = ReferenceOracle(index.graph, index.tie)
         self.records: list[tuple[int, int, tuple[int, ...], HitSetOutcome]] = []
 
-    def _lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int,
-                view: FailureView) -> tuple[int, tuple[int, ...]]:
-        key = (u, v, up, vp, b1, b2)
-        if not self.ref.constraint_holds(view.failed, key):
-            raise GuardError(f"unguarded lookup {key} under {view.failed}")
-        return super()._lookup(u, v, up, vp, b1, b2, view)
+    def _read(self, u: int, v: int, ups: Sequence[int], vps: Sequence[int],
+              b1: int, b2: int, view: FailureView) -> tuple[int, set[int]]:
+        for up, vp in product(ups, vps):
+            key = (u, v, up, vp, b1, b2)
+            if not self.ref.constraint_holds(view.failed, key):
+                raise GuardError(f"unguarded lookup {key} under {view.failed}")
+        return super()._read(u, v, ups, vps, b1, b2, view)
 
     def case_three(self, u: int, v: int, view: FailureView) -> HitSetOutcome:
         outcome = super().case_three(u, v, view)

@@ -58,15 +58,15 @@ def oracle_gnm10_d3():
 # -- induced key tree -----------------------------------------------------------
 
 def test_key_tree_g1_tail_failure(idx1):
-    assert build_induced_key_tree(idx1, 0, (2,)) == [2, 3]
+    assert build_induced_key_tree(idx1, 0, (2,)) == 1 << 2 | 1 << 3
 
 
 def test_key_tree_g1_root_failure(idx1):
-    assert build_induced_key_tree(idx1, 0, (0,)) == [0, 1]
+    assert build_induced_key_tree(idx1, 0, (0,)) == 1 << 0 | 1 << 1
 
 
 def test_key_tree_g6_middle_failure(idx6):
-    assert build_induced_key_tree(idx6, 0, (2,)) == [2, 3]
+    assert build_induced_key_tree(idx6, 0, (2,)) == 1 << 2 | 1 << 3
 
 
 def test_key_tree_requires_failures(idx1):
@@ -80,6 +80,7 @@ def test_key_tree_matches_brute_force(idx1, idx6, oracle_gnm10_d3):
         for root in range(g.n):
             for failed in nonempty_failure_sets(g.m, dmax):
                 tree = build_induced_key_tree(index, root, failed)
+                keys = {x for x in range(g.n) if tree >> x & 1}
                 induced = brute_induced_edges(index, root, failed)
 
                 # degree inside the induced tree, plus one for the root,
@@ -93,22 +94,17 @@ def test_key_tree_matches_brute_force(idx1, idx6, oracle_gnm10_d3):
                 endpoints = {p for eid in failed for p in g.edges[eid][:2]}
                 expect_keys = {v for v, dg in deg.items() if dg >= 3}
                 expect_keys |= endpoints
-                assert set(tree) == expect_keys
-                # each key vertex once, in DFS order: a vertex's DFS
-                # entry number is the highest bit of its ancestor mask
-                tin = [index._anc[root][x].bit_length() - 1 for x in tree]
-                assert tin == sorted(set(tin))
-                marks = [index._anc[root][x] for x in tree]
-                assert marks == sorted(marks)
+                assert tree < 1 << g.n
+                assert keys == expect_keys
                 for v, dg in deg.items():
-                    if v not in tree:
+                    if v not in keys:
                         assert dg == 2
 
 
 def test_key_tree_size_linear_in_failures(idx6):
     for failed in nonempty_failure_sets(8, 3):
         tree = build_induced_key_tree(idx6, 0, failed)
-        assert len(tree) <= 4 * len(failed) + 1
+        assert tree.bit_count() <= 4 * len(failed) + 1
 
 
 # -- case one ---------------------------------------------------------------------
@@ -164,11 +160,11 @@ def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
 def test_case_two_all_edges_discarded(oracle1_d1):
     # with the single key-tree child sitting below the failure, every edge
     # is discarded and the fold never starts; the view's cached key tree of
-    # root 0 is seeded with that child
+    # root 0 is seeded with that child's mask
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
     v = view(oracle1_d1, (0,))
-    v.trees[0] = [1]
+    v.trees[0] = 1 << 1
     bound, hits = engine.case_two(0, 2, 3, v)
     assert decoded(oracle1_d1, bound) == UNREACHABLE
     assert hits == frozenset()
@@ -216,7 +212,19 @@ def test_guarded_lookup_rejects_violated_constraint(oracle1_d1):
     engine = CheckedEngine(oracle1_d1.index, oracle1_d1.tables)
     # edge 0 lies on the tree path 0->1, so (0,) breaks the key's constraint
     with pytest.raises(GuardError, match="unguarded lookup"):
-        engine._lookup(0, 2, 1, 2, 0, 0, view(oracle1_d1, (0,)))
+        engine._read(0, 2, [1], [2], 0, 0, view(oracle1_d1, (0,)))
+
+
+def test_read_guards_every_key(oracle1_d1):
+    # a read's first key is feasible and its second is not: the guard must
+    # check every key of the batch, not only the first
+    engine = CheckedEngine(oracle1_d1.index, oracle1_d1.tables)
+    stats = QueryStats()
+    assert engine.ref.constraint_holds((0,), (0, 2, 0, 2, 0, 0))
+    assert not engine.ref.constraint_holds((0,), (0, 2, 1, 2, 0, 0))
+    with pytest.raises(GuardError, match=r"unguarded lookup \(0, 2, 1, 2, 0, 0\)"):
+        engine._read(0, 2, [0, 1], [2], 0, 0, view(oracle1_d1, (0,), stats))
+    assert stats.lookups == 0
 
 
 GUARD_UNDER_O = f"""
@@ -230,7 +238,7 @@ oracle = build_oracle(parse_graph({G1_TEXT!r}), d=1, seed=1)
 engine = CheckedEngine(oracle.index, oracle.tables)
 assert not engine.ref.constraint_holds((0,), (0, 2, 1, 2, 0, 0))
 try:
-    engine._lookup(0, 2, 1, 2, 0, 0, FailureView(oracle.index, (0,)))
+    engine._read(0, 2, [1], [2], 0, 0, FailureView(oracle.index, (0,)))
 except GuardError:
     print("guard raised")
 """

@@ -156,35 +156,37 @@ def test_verify_leaves_caller_engine(oracle1_d1):
     assert type(engine) is HitSetEngine
 
 
-def test_verify_guards_every_lookup_while_running(oracle1_d1, monkeypatch):
+def test_verify_guards_every_lookup_while_running(oracle1_d2, monkeypatch):
     # the caller's engine stays the same plain engine during the run, not
-    # just after it, while every lookup the run makes is guarded first
-    engine = oracle1_d1.engine
-    caller_engines, lookup_engines, guards = [], [], []
-    real_dist, real_lookup = ReferenceOracle.dist_avoiding, HitSetEngine._lookup
+    # just after it, while every key of every read the run makes is guarded
+    # first; at d = 2 some reads take several keys
+    engine = oracle1_d2.engine
+    caller_engines, read_engines, keys, guards = [], [], [], []
+    real_dist, real_read = ReferenceOracle.dist_avoiding, HitSetEngine._read
     real_guard = ReferenceOracle.constraint_holds
 
     def spy_dist(self, failed, u, v):
-        caller_engines.append(oracle1_d1.engine)
+        caller_engines.append(oracle1_d2.engine)
         return real_dist(self, failed, u, v)
 
-    def spy_lookup(self, *args):
-        lookup_engines.append(type(self))
-        return real_lookup(self, *args)
+    def spy_read(self, u, v, ups, vps, *args):
+        read_engines.append(type(self))
+        keys.append(len(ups) * len(vps))
+        return real_read(self, u, v, ups, vps, *args)
 
     def spy_guard(self, *args):
         guards.append(args)
         return real_guard(self, *args)
 
     monkeypatch.setattr(ReferenceOracle, "dist_avoiding", spy_dist)
-    monkeypatch.setattr(HitSetEngine, "_lookup", spy_lookup)
+    monkeypatch.setattr(HitSetEngine, "_read", spy_read)
     monkeypatch.setattr(ReferenceOracle, "constraint_holds", spy_guard)
-    report = verify_instance(oracle1_d1)
+    report = verify_instance(oracle1_d2)
     assert report.ok
     assert caller_engines and all(e is engine for e in caller_engines)
     assert type(engine) is HitSetEngine
-    assert lookup_engines and all(t is CheckedEngine for t in lookup_engines)
-    assert len(guards) == len(lookup_engines)
+    assert read_engines and all(t is CheckedEngine for t in read_engines)
+    assert len(guards) == sum(keys) > len(keys)
 
 
 def test_verify_records_every_case_three(oracle6_d2, monkeypatch):
@@ -237,7 +239,7 @@ def test_verify_raises_on_unguarded_lookup(oracle6_d1, monkeypatch):
     real = HitSetEngine.case_three
 
     def unguarded(self, u, v, view):
-        self._lookup(u, v, v, v, 0, 0, view)
+        self._read(u, v, [v], [v], 0, 0, view)
         return real(self, u, v, view)
 
     monkeypatch.setattr(HitSetEngine, "case_three", unguarded)
