@@ -142,15 +142,7 @@ class HitSetEngine:
         """(min code, union of D*) over the keys (u, v, up, vp, b1, b2), up in ups, vp in vps."""
         if view.stats is not None:
             view.stats.lookups += len(ups) * len(vps)
-        read = self.tables.read
-        bound, union = self.index.codec.unreachable_code, set()
-        for up in ups:
-            for vp in vps:
-                code, d_star = read(u, v, up, vp, b1, b2)
-                if code < bound:
-                    bound = code
-                union.update(d_star)
-        return bound, union
+        return self.tables.read_block(u, v, ups, vps, b1, b2)
 
     def case_one(self, u: int, v: int, up: int, vp: int, view: FailureView) -> HitSetOutcome:
         """Both anchors known clean: one key, hits from its stored set."""

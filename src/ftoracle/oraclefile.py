@@ -1,40 +1,53 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 6 (all integers little-endian):
+Layout, version 7 (all integers little-endian):
 
     header   magic "FTDO", version u16, slot width W u16 (1 or 2), n u64,
              m u64, d u64, tie seed i64, sha256 of the canonical graph
-             text, palette entries P u64, palette edge ids I u64
+             text, palette entries P u64, palette edge ids I u64, matrix
+             slots S u64
     edges    m x (a u32, b u32, w u64, tie value u64)
     pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
     codes    P packed length codes i64, palette by palette
     ids      I edge ids, u8 when m <= 256, else u16, each entry's D*
              ascending, entry by entry
     sizes    P set sizes u8, one per palette entry
-    slots    2n^3(n-1) palette slots of W bytes, 4n^2 per pair u < v, in
-             (pair, u', v', b1, b2) order, pairs row-major
+    classes  n(n-1)/2 x 4n class ids u8, pairs u < v row-major: the 2n
+             row classes of (u', b1) at 2u' + b1, then the 2n column
+             classes of (v', b2) at 2v' + b2
+    matrices S palette slots of W bytes, each pair's ku x kv matrix
+             row-major, pairs u < v row-major
     trailer  sha256 of everything before it
 
-Row (v, u) is row (u, v) with its u' and v' axes and its b1 and b2 axes
-swapped, and it uses the same palette, so each pair u < v stores its row
-once.  A diagonal row holds only slot 0 and is not stored.  W is 1 when
-every palette has at most 256 entries, else 2.  The widths of the ids
-and set sizes follow from m (tables.palette_dtypes), and the build's
-tables hold them at the same widths.  Every section's size follows from
-the header, and the sections before the ids are multiples of 8 bytes, so
-each palette array loads as an aligned zero-copy view; the slots are
-copied once, behind the diagonal rows' zero slot.  No layout depends on
-d, and sets are edge ids, so load never enumerates failure sets.  The
-length codec and the whole shortest-path index are derived, not stored:
-load range-checks the tie values and runs the build's Bellman-Ford on the
-stored graph, so the index cannot disagree with the graph, and each root's
-tree, whose uniqueness check may raise TieBreakError, is derived on its
-first query.  Before reading past the header, load runs the build's budget
-gate, check_build_size.  Every slot must lie below its pair's palette
-size.  Other versions, such as version 5 with its int64 set sizes and
-edge ids, fail with a version error, and so does any slot width but 1
-or 2.  Saving the same build twice is byte-identical, and a load followed
-by a save reproduces the file exactly.
+A pair u < v's slots, the 4n^2 keys of row (u, v) as a 2n x 2n matrix, are
+stored as class ids and a matrix of the distinct rows and columns
+(tables.OracleTables): key (u, v, u', v', b1, b2) holds the matrix's slot
+at (row class of (u', b1), column class of (v', b2)).  Classes are
+numbered in order of first appearance, so ku and kv are the ids' maxima
+plus one, and no two classes of a pair have equal rows or columns, so the
+encoding is canonical.  Row (v, u) is row (u, v) with its u' and v' axes
+and its b1 and b2 axes swapped, and it uses the same palette, so each pair
+u < v stores its row once.  A diagonal row holds only slot 0 and is not
+stored.  W is 1 when every palette has at most 256 entries, else 2.  The
+widths of the ids and set sizes follow from m (tables.palette_dtypes), and
+the build's tables hold them at the same widths.  Every section's size
+follows from the header, and the sections before the ids are multiples of
+8 bytes, so each palette array loads as an aligned zero-copy view; the
+matrices are copied once, behind the diagonal rows' zero slot.  No layout
+depends on d, and sets are edge ids, so load never enumerates failure
+sets.  The length codec and the whole shortest-path index are derived, not
+stored: load range-checks the tie values and runs the build's Bellman-Ford
+on the stored graph, so the index cannot disagree with the graph, and each
+root's tree, whose uniqueness check may raise TieBreakError, is derived on
+its first query.  Before reading past the header, load runs the build's
+budget gate, check_build_size.  Each palette's codes must not increase,
+its last entry must be the empty set at its pair's base code, and no other
+entry may be empty.  Class ids must come in order of first appearance,
+the header's S must be the sum of ku * kv, and every matrix slot must lie
+below its pair's palette size.  Other versions, such as version 6 with
+its 4n^2 slots per pair, fail with a version error, and so does any slot
+width but 1 or 2.  Saving the same build twice is byte-identical, and a
+load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -51,8 +64,8 @@ from .spindex import BuildError, ShortestPathIndex
 from .tables import OracleTables, check_build_size, palette_dtypes
 
 MAGIC = b"FTDO"
-VERSION = 6
-_HEADER = struct.Struct("<4sHHQQQq32sQQ")
+VERSION = 7
+_HEADER = struct.Struct("<4sHHQQQq32sQQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
 
@@ -70,18 +83,19 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     graph, index, tables = oracle.graph, oracle.index, oracle.tables
     edges = np.array([(a, b, w, t) for (a, b, w), t in zip(graph.edges, index.tie)],
                      dtype=_EDGE)
-    width = tables.slots.itemsize
+    width = tables.matrices.itemsize
     id_type, size_type = palette_dtypes(graph.m)
     digest = hashlib.sha256()
     for part in (_HEADER.pack(MAGIC, VERSION, width, graph.n, graph.m, tables.d,
                               tables.tie_seed, bytes.fromhex(graph.digest()),
-                              tables.codes.size, tables.ids.size),
+                              tables.codes.size, tables.ids.size, tables.matrices.size),
                  edges.tobytes(),
                  tables.pair_sizes.astype("<i8", copy=False).tobytes(),
                  tables.codes.astype("<i8", copy=False).tobytes(),
                  tables.ids.astype(id_type, copy=False).tobytes(),
                  tables.set_sizes.astype(size_type, copy=False).tobytes(),
-                 tables.slots.astype(f"<u{width}", copy=False).tobytes()):
+                 tables.classes.tobytes(),
+                 tables.matrices.astype(f"<u{width}", copy=False).tobytes()):
         digest.update(part)
         target.write(part)
     target.write(digest.digest())
@@ -95,7 +109,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
-    magic, version, width, n, m, d, tie_seed, digest, entries, id_count = \
+    magic, version, width, n, m, d, tie_seed, digest, entries, id_count, stored = \
         _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise OracleFileError(f"not an oracle file (magic {magic!r})")
@@ -111,10 +125,11 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     offset = _HEADER.size + m * _EDGE.itemsize
     pairs = n * (n + 1) // 2
     id_type, size_type = palette_dtypes(m)
-    stored = 2 * n ** 3 * (n - 1)  # slots of the pairs u < v
+    lower = n * (n - 1) // 2  # pairs u < v
     ids_at = offset + 8 * (pairs + entries)
     sizes_at = ids_at + id_type.itemsize * id_count
-    slots_at = sizes_at + entries
+    classes_at = sizes_at + entries
+    slots_at = classes_at + 4 * n * lower
     size = slots_at + width * stored + _TRAILER
     if len(blob) != size:
         what = "truncated" if len(blob) < size else "trailing data in"
@@ -139,25 +154,46 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     pair_sizes, codes = np.split(np.frombuffer(blob, "<i8", pairs + entries, offset), [pairs])
     ids = np.frombuffer(blob, id_type, id_count, ids_at)
     set_sizes = np.frombuffer(blob, size_type, entries, sizes_at)
-    cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
-    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
+    classes = np.frombuffer(blob, np.uint8, 4 * n * lower, classes_at).reshape(lower, 2, 2 * n)
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
-    if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
+    if codes.min() < 0 or codes.max() > index.codec.unreachable_code:
         raise OracleFileError("palette code out of range")
-    if (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
+    if set_sizes.max() > min(d, m) or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
-    if (ids >= m).any():
+    if id_count and ids.max() >= m:
         raise OracleFileError("palette edge id out of range")
-    rising = np.diff(ids.astype(np.int64), prepend=-1) > 0  # or starts a set
+    rising = np.ones(id_count, dtype=bool)  # or starts a set
+    np.greater(ids[1:], ids[:-1], out=rising[1:])
     rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
     if not rising.all():
         raise OracleFileError("palette set not strictly ascending")
-    rows = cells[1:].reshape(n * (n - 1) // 2, 4 * n * n)
-    u = np.arange(n)
-    if (rows.max(axis=1) >= np.delete(pair_sizes, u * n - u * (u - 1) // 2)).any():  # u < v
+    last = np.cumsum(pair_sizes) - 1  # each palette's last entry
+    climbs = codes[1:] > codes[:-1]
+    climbs[last[:-1]] = False  # from one palette to the next
+    if climbs.any():
+        raise OracleFileError("palette codes not in descending order")
+    vertex = np.arange(n)
+    upper = vertex[:, None] <= vertex  # pairs u <= v
+    if set_sizes[last].any() or (codes[last] != index.codes[upper]).any():
+        raise OracleFileError("palette does not end with the empty set at its pair's base code")
+    if np.count_nonzero(set_sizes) != entries - pairs:
+        raise OracleFileError("palette holds the empty set before its end")
+    # the running maximum stays below 2n - 1 up to a first violation
+    seen = np.maximum.accumulate(classes, axis=2)
+    if classes[:, :, 0].any() or (classes[:, :, 1:] > seen[:, :, :-1] + 1).any():
+        raise OracleFileError("class ids not in order of first appearance")
+    kinds = seen[:, :, -1].astype(np.int64) + 1  # (ku, kv) per pair, up to 256
+    size = kinds[:, 0] * kinds[:, 1]
+    if size.sum() != stored:
+        raise OracleFileError(f"header names {stored} matrix slots, the class ids "
+                              f"{size.sum()}")
+    cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
+    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
+    if lower and (np.maximum.reduceat(cells[1:], np.cumsum(size) - size)
+                  >= pair_sizes[(vertex[:, None] < vertex)[upper]]).any():
         raise OracleFileError("palette slot out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, pair_sizes,
+    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, classes, pair_sizes,
                                       codes, set_sizes, ids))
 
 

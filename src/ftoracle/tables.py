@@ -46,9 +46,21 @@ A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
 row keeps a palette of its winners as (code, D*), in candidate order, and
 each key a slot into it.  Row (v, u) shares row (u, v)'s palette, kept per
-pair u <= v, and its slots too: they are stored once, for u < v, in
-(pair, u', v', b1, b2) order, and a read of row (v, u) takes them with the
-strides of u' and v', and of b1 and b2, swapped.  A diagonal row holds
+pair u <= v, and its slots too, stored once for u < v.  A pair's slots form
+a 2n x 2n matrix, rows (u', b1) and columns (v', b2), with few distinct
+rows and columns, as a key's winner depends on u' only through its side
+bitset.  So a pair stores a class id per row and per column, equal rows
+(columns) sharing a class, numbered in order of first appearance, and a
+ku x kv matrix of slots, one per row class and column class.  ku and kv
+are at most 2n, so the ids are uint8; they are the ids' maxima plus one.
+Equal rows share a class and no two classes have equal rows or columns,
+so the encoding is canonical.  The filled rows wait for their encoding
+(_encode) until, at the end of a group, its estimated work reaches the
+2n^3(n - 1) bytes of the rows' uint8 slots, at least ENCODE_BYTES and at
+most FILL_BYTES, or FILL_BYTES within a group: the 2n^4 slots are never
+held at once, and one encoding takes several groups of few rows.
+A read of row (v, u) takes the pair's column classes for u' and row
+classes for v', with the matrix strides swapped.  A diagonal row holds
 only slot 0, its palette's one entry, the zero distance, so it is not
 stored.  Slots are uint8 while every palette fits, else uint16: a row has
 4n^2 keys, so at most 4n^2 entries, and its slots fit in uint16 for
@@ -72,6 +84,8 @@ from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_lis
 CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
 FILL_BYTES = 112 << 10  # estimated working bytes of a fill batch (_fill_bytes)
 UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
+ENCODE_BYTES = 32 << 10  # least estimated working bytes (_encode_bytes) of the rows
+                         # that _encode takes at once, between groups of roots
 
 
 @dataclass(frozen=True)
@@ -127,9 +141,10 @@ def check_build_size(n: int, m: int, d: int) -> None:
 
     In order, it refuses d < 1, more than 2^31 failure sets (the build's
     pair, set and candidate indices are int32), more than physical memory,
-    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each of
-    the 4n^2 keys of each pair u < v takes a uint8 slot, or, where a palette
-    may outgrow uint8, a uint16 slot plus the uint8 one it widens from.  Each
+    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each pair
+    u < v takes 4n uint8 class ids, held by its batch, the table and its
+    read copy, and at most 4n^2 matrix slots, held by its batch and the
+    table, uint8, or uint16 where a palette may outgrow uint8.  Each
     palette entry is charged an int64 code, set size and edge ids plus their
     read-path lists, at the bound of min(4n^2, sets) entries per pair; set
     sizes and edge ids take one or two bytes (palette_dtypes), so that part
@@ -151,8 +166,12 @@ def check_build_size(n: int, m: int, d: int) -> None:
     1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
     every root before its last has at least k damaging sets and all of them
     fewer than CHUNK.  The fill takes FILL_BYTES, or _fill_bytes of a row
-    of one candidate per subset.  Failing before anything is allocated
-    beats an overcommitted allocation killed later.
+    of one candidate per subset, and the class encoding of the pending rows
+    FILL_BYTES, at which a group encodes them, plus _encode_bytes per row
+    of the batch that passed it; a batch holds at most
+    FILL_BYTES // _fill_bytes(n, 1) rows, or one.
+    Failing before anything is allocated beats an overcommitted allocation
+    killed later.
     """
     if d < 1:
         raise BuildError(f"failure budget d={d} out of range, must be >= 1")
@@ -166,10 +185,12 @@ def check_build_size(n: int, m: int, d: int) -> None:
     per_root = 4 * n + 8 + 29 * cols
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
-    slots = 2 * n ** 3 * (n - 1) * (1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 3)
+    slot = 1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 2
+    slots = n * (n - 1) // 2 * (3 * 4 * n + 2 * 4 * n * n * slot)
+    batch = max(1, FILL_BYTES // _fill_bytes(n, 1))
     need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
-            + max(FILL_BYTES, _fill_bytes(n, sets)))
+            + max(FILL_BYTES, _fill_bytes(n, sets)) + FILL_BYTES + batch * _encode_bytes(n, slot))
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
@@ -194,37 +215,44 @@ class OracleTables:
     """Palette tables over all 4*n^4 keys, plus build metadata."""
 
     def __init__(self, graph: Graph, d: int, tie_seed: int, codec: LengthCodec,
-                 cells: np.ndarray, pair_sizes: np.ndarray, codes: np.ndarray,
-                 set_sizes: np.ndarray, ids: np.ndarray):
+                 cells: np.ndarray, classes: np.ndarray, pair_sizes: np.ndarray,
+                 codes: np.ndarray, set_sizes: np.ndarray, ids: np.ndarray):
         n = graph.n
         self.graph = graph
         self.d = d
         self.tie_seed = tie_seed
         self.codec = codec
-        # uint8 or uint16, (pair u < v, u', v', b1, b2), into the pair's palette
-        self.slots = cells[1:].reshape(n * (n - 1) // 2, n, n, 2, 2)
+        self.classes = classes        # uint8, (pair u < v, rows | columns, 2n), class ids of
+                                      # (u', b1) and of (v', b2), at 2u' + b1 and 2v' + b2
+        self.matrices = cells[1:]     # uint8 or uint16, each pair's ku x kv slots, row-major
         self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
         self.codes = codes            # int64, packed code per palette entry, pair by pair
         self.set_sizes = set_sizes    # uint8, |D*| per palette entry
         self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
                                       # ascending edge ids, entry by entry
         # the read path: cells[0] is the diagonal rows' zero slot, then the
-        # slots; per ordered pair its palette start, its row's first cell and
-        # the strides of u', v', b1 and b2.  Each palette entry becomes a
-        # (code, D*) tuple on first read
+        # matrices; _cls is 2n zero ids for the diagonal rows, then the class
+        # ids.  Per ordered pair: its palette start, its matrix's first cell,
+        # where the ids of u' and of v' start, and the strides of their
+        # classes.  Each palette entry becomes a (code, D*) tuple on first read
         self._cells = memoryview(cells)
+        self._cls = memoryview(np.concatenate((np.zeros(2 * n, dtype=np.uint8), classes.ravel())))
         starts = iter((np.cumsum(pair_sizes) - pair_sizes).tolist())  # pairs u <= v
+        kinds = classes.max(axis=2, initial=0).astype(np.int64) + 1  # (ku, kv) per pair
+        size = kinds[:, 0] * kinds[:, 1]
+        lower = zip((np.cumsum(size) - size + 1).tolist(), kinds[:, 1].tolist(),
+                    range(2 * n, 2 * n + 4 * n * len(classes), 4 * n))  # pairs u < v
         self._rows = rows = [[None] * n for _ in range(n)]
-        base = 1
         for u in range(n):
             rows[u][u] = (next(starts), 0, 0, 0, 0, 0)
             for v in range(u + 1, n):
                 start = next(starts)
-                rows[u][v] = (start, base, 4 * n, 4, 2, 1)
-                rows[v][u] = (start, base, 4, 4 * n, 1, 2)
-                base += 4 * n * n
-        self._bounds = [0] + np.cumsum(set_sizes).tolist()
+                base, kv, a = next(lower)  # a: where the pair's row ids start, then its column ids
+                rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
+                rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
+        self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
+        self._unreachable = codec.unreachable_code
 
     @property
     def entry_count(self) -> int:
@@ -240,7 +268,17 @@ class OracleTables:
         where = {s: i for i, s in enumerate(self.subsets)}
         bounds = self._bounds
         return self._dense(np.array([where[tuple(self.ids[a:b].tolist())] for a, b in
-                                     zip(bounds, bounds[1:])], dtype=np.int32))
+                                     zip(bounds.tolist(), bounds[1:].tolist())], dtype=np.int32))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The slots of the pairs u < v, (pair, u', v', b1, b2), decoded."""
+        n = self.graph.n
+        rows, cols = self.classes.astype(np.int64).reshape(-1, 2, n, 2).transpose(1, 0, 2, 3)
+        kv = cols.max(axis=(1, 2), initial=0) + 1
+        size = (rows.max(axis=(1, 2), initial=0) + 1) * kv
+        at = (np.cumsum(size) - size)[:, None, None] + rows * kv[:, None, None]  # (pair, u', b1)
+        return self.matrices[at[:, :, None, :, None] + cols[:, None, :, None, :]]
 
     def _dense(self, per_entry: np.ndarray) -> np.ndarray:
         n = self.graph.n
@@ -262,12 +300,40 @@ class OracleTables:
 
     def read(self, u: int, v: int, up: int, vp: int, b1: int,
              b2: int) -> tuple[int, tuple[int, ...]]:
-        """(packed code, D*) stored at key, unchecked; the query engine's read."""
-        start, base, su, sv, s1, s2 = self._rows[u][v]
-        p = start + self._cells[base + up * su + vp * sv + b1 * s1 + b2 * s2]
+        """(packed code, D*) stored at key, unchecked."""
+        start, base, a, sa, b, sb = self._rows[u][v]
+        cls = self._cls
+        return self._entry(start + self._cells[base + cls[a + 2 * up + b1] * sa
+                                               + cls[b + 2 * vp + b2] * sb])
+
+    def read_block(self, u: int, v: int, ups: Sequence[int], vps: Sequence[int],
+                   b1: int, b2: int) -> tuple[int, set[int]]:
+        """(min code, union of D*) over the keys (u, v, up, vp, b1, b2), up in
+        ups, vp in vps, unchecked; the query engine's read.  It reads each
+        up's and each vp's class once, then the matrix cells."""
+        start, base, a, sa, b, sb = self._rows[u][v]
+        cls, cells, entries = self._cls, self._cells, self._entries
+        a += b1
+        b += b2
+        rows = []  # a loop, not a comprehension, which costs a frame
+        for up in ups:
+            rows.append(base + cls[a + 2 * up] * sa)
+        bound, union = self._unreachable, set()
+        for vp in vps:
+            col = cls[b + 2 * vp] * sb
+            for row in rows:
+                entry = entries[start + cells[row + col]]
+                if entry is None:
+                    entry = self._entry(start + cells[row + col])
+                if entry[0] < bound:
+                    bound = entry[0]
+                union.update(entry[1])
+        return bound, union
+
+    def _entry(self, p: int) -> tuple[int, tuple[int, ...]]:
         entry = self._entries[p]
         if entry is None:
-            d_star = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
+            d_star = tuple(self.ids[self._bounds.item(p):self._bounds.item(p + 1)].tolist())
             entry = self._entries[p] = (self.codes.item(p), d_star)
         return entry
 
@@ -490,10 +556,12 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
 
 def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int]],
                  ids: np.ndarray, levels: list, swept: tuple[np.ndarray, ...],
-                 bad: np.ndarray, cells: np.ndarray, palettes: list,
-                 progress: Callable[[int, int], None] | None) -> np.ndarray:
+                 bad: np.ndarray, palettes: list, pending: list, slots: list,
+                 progress: Callable[[int, int], None] | None) -> None:
     """Phase 2 for a group of roots u = roots[i]: lay out and fill the rows
-    (u, v), v in cols[i]; returns cells, widened if a palette outgrew them."""
+    (u, v), v in cols[i], into palettes and pending (see _fill_rows), and
+    class-encode pending into slots should it pass FILL_BYTES of encoding
+    work."""
     n = index.graph.n
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
     codes, sets, start, size = _row_candidates(index, ids, levels, swept, roots, cols, at[:, 0])
@@ -507,12 +575,13 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
             cut.append(k)
             most = cost
     for lo, hi in zip(cut, cut[1:] + [len(size)]):
-        cells = _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
-                           at, ids, bad, cells, palettes)
+        _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
+                   at, ids, bad, palettes, pending)
+        if _pending_bytes(pending, n) >= FILL_BYTES:
+            slots.append(_encode(pending))
     if progress is not None:
         for u in roots:
             progress(u + 1, n)
-    return cells
 
 
 def _fill_bytes(n: int, width):
@@ -524,12 +593,14 @@ def _fill_bytes(n: int, width):
 
 def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
                size: np.ndarray, codes: np.ndarray, sets: np.ndarray, at: np.ndarray,
-               ids: np.ndarray, bad: np.ndarray, cells: np.ndarray, palettes: list) -> np.ndarray:
+               ids: np.ndarray, bad: np.ndarray, palettes: list, pending: list) -> None:
     """Rows (us[k], vs[k]) and their palettes for a batch: row k's candidates
     are codes and sets [start[k], start[k] + size[k]), and at[:, :, i[k]] is
-    its root's (vertex, bit, set) side masks.  A row goes to its pair's slots
-    with its axes swapped when u > v.  Returns cells, widened to uint16 if a
-    palette outgrew uint8.  The dels keep to _fill_bytes."""
+    its root's (vertex, bit, set) side masks.  A row goes to its pair's
+    slot matrix with its axes swapped when u > v.  Appends to palettes the
+    rows' pairs u <= v, palette sizes and entries, and to pending their
+    pairs u < v and (row, 2n, 2n) slot matrices, uint16 if a palette
+    outgrew uint8.  The dels keep to _fill_bytes."""
     n, count, width = at.shape[0], len(i), int(size.max())
     # each row's candidates, padded with repeats of its last, in rank order:
     # code descending, ties in set order.  A repeat never wins a key
@@ -549,7 +620,7 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
     # nonzero byte, then that byte's leading zeros
     off = np.arange(n * 2 * count).reshape(n, 2, count) * a.shape[-1]  # bitsets' first bytes
     line, used = np.arange(count) * width, np.zeros((count, width), dtype=bool)
-    rank = np.empty((count, n, n, 2, 2), dtype=np.min_scalar_type(count * width))  # into take
+    rank = np.empty((count, n, 2, n, 2), dtype=np.min_scalar_type(count * width))  # into take
     for b1, b2 in product((0, 1), repeat=2):
         both = np.bitwise_and(a[:, None, b1], b[None, :, b2])  # (u', v', row, byte)
         first = np.not_equal(both, 0, out=both.view(bool)).argmax(axis=-1)
@@ -559,21 +630,102 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
         first += _LEAD[byte]
         first += line
         used.ravel()[first] = True
-        rank[..., b1, b2] = first.transpose(2, 0, 1)
+        rank[:, :, b1, :, b2] = first.transpose(2, 0, 1)
         del first
     sizes = used.sum(axis=1)
-    if cells.dtype == np.uint8 and sizes.max() > UINT8_ENTRIES:
-        cells = cells.astype(np.uint16)
-    slot = (np.cumsum(used, axis=1) - 1).astype(cells.dtype).ravel()
-    row = np.empty(rank.shape, dtype=cells.dtype)
-    for b1, b2 in product((0, 1), repeat=2):
-        row[..., b1, b2] = slot[rank[..., b1, b2]]
+    slot = (np.cumsum(used, axis=1) - 1).astype(
+        np.uint8 if sizes.max() <= UINT8_ENTRIES else np.uint16).ravel()
+    mat = slot[rank]
+    del rank
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     pair = lo * (2 * n + 1 - lo) // 2 + hi - lo  # among pairs u <= v, row-major
-    cells[1:].reshape(-1, n, n, 2, 2)[pair - lo - 1] = row  # among pairs u < v
+    # rows (u', b1), columns (v', b2), of pairs u < v
+    pending.append((pair - lo - 1, mat.reshape(count, 2 * n, 2 * n)))
     won = take[used]
     palettes.append((pair, sizes, codes[won], sets[won]))
-    return cells
+
+
+def _encode(pending: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pending rows' pairs, (2, 2n) class ids, matrix sizes and class
+    matrices, at the widest width among them; empties pending."""
+    pair = np.concatenate([pair for pair, _ in pending])
+    mats = np.concatenate([mat for _, mat in pending])
+    pending.clear()
+    count, size = mats.shape[:2]
+    # the lines to classify: the rows' matrices, then their transposes,
+    # each line padded to whole uint64 words and closed by a word naming its
+    # matrix, so that lines of two matrices never equal
+    step = 8 // mats.itemsize
+    lines = np.zeros((2 * count, size, (_words(size, mats.itemsize) + 1) * step), mats.dtype)
+    lines[:count, :, :size] = mats
+    lines[count:, :, :size] = mats.transpose(0, 2, 1)
+    words = lines.view(np.uint64)
+    words[:, :, -1] = np.arange(2 * count)[:, None]
+    classes, first = _classes(words)
+    keep = first[:count, :, None] & first[count:, None, :]  # one cell per class pair
+    return (pair, classes.reshape(2, count, -1).transpose(1, 0, 2), keep.sum(axis=(1, 2)),
+            mats[keep])
+
+
+def _pending_bytes(pending: list, n: int) -> int:
+    """The estimated working bytes of _encode(pending)."""
+    return (sum(len(pair) for pair, _ in pending)
+            * _encode_bytes(n, max(mat.itemsize for _, mat in pending)))
+
+
+def _encode_bytes(n: int, itemsize: int) -> int:
+    """Working bytes that a row adds to its _encode call: its 4n lines,
+    padded to whole words and one more, twice (the lines and their check),
+    and per line its sort, its run and its rank, about eight int64s."""
+    return 4 * n * (16 * _words(2 * n, itemsize) + 80)
+
+
+def _words(size: int, itemsize: int) -> int:
+    """uint64 words that hold a line of size slots of itemsize bytes."""
+    return -(-size * itemsize // 8)
+
+
+def _classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids of the rows of each matrix of a (count, size, words) uint64
+    stack whose rows differ between matrices: equal rows of a matrix share
+    a class, numbered in order of first appearance.  Returns the (count,
+    size) uint8 ids and the mask of each class's first row.
+
+    The rows are hashed, sorted by hash, and each checked against the first
+    row of its hash; unequal rows of equal hash, vanishingly rare, fall
+    back to sorting the rows themselves.  So the hash decides which rows
+    are compared, never a class.
+    """
+    count, size, width = words.shape
+    words = words.reshape(count * size, width)
+    key = np.dot(words, _MIX[:width])
+    order = key.argsort(kind="stable")  # so each run starts with its first row
+    key = key[order]
+    lead = _leads(key[1:] != key[:-1], order)
+    if (words[lead] != words).any():
+        order = np.lexsort(words.T)
+        key = words[order]
+        lead = _leads((key[1:] != key[:-1]).any(axis=1), order)
+    first = lead == np.arange(len(lead))
+    # a class's id is its first row's count of first rows less one, exact
+    # modulo 256 as ids lie below 2n <= 256
+    rank = np.cumsum(first.reshape(count, size), axis=1, dtype=np.uint8).ravel()
+    return (rank[lead] - 1).reshape(count, size), first.reshape(count, size)
+
+
+def _leads(new: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each row's first row among the rows of equal keys, given a stable
+    order that sorts the keys and, per sorted row past the first, whether
+    its key differs from the one before."""
+    new = np.concatenate(([True], new))
+    lead = np.empty(len(order), dtype=np.intp)
+    lead[order] = order[new][np.cumsum(new) - 1]
+    return lead
+
+
+# odd multipliers of _classes' row hash, one per word: a line of 2n <= 256
+# uint8 or uint16 slots takes at most 64 words, and _encode adds one
+_MIX = np.random.default_rng(2021).integers(0, 2 ** 63, 65, dtype=np.uint64) * 2 + 1
 
 
 # leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -607,25 +759,38 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             damaging = 0
     swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
     levels = _levels(ids, graph.m)
-    try:  # the diagonal rows' zero slot, then 4n^2 slots per pair u < v
-        cells = np.zeros(1 + 2 * n ** 3 * (n - 1), dtype=np.uint8)
-    except MemoryError:
-        raise BuildError(
-            f"cannot allocate {2 * n ** 3 * (n - 1)} table slots for n={n}") from None
-    # per batch, its rows' pairs u <= v, palette sizes and entries
+    # per batch, its rows' pairs u <= v, palette sizes and entries, and, per
+    # encoding, their pairs u < v, class ids, matrix sizes and matrices
     diagonal = np.arange(n)  # one entry each, the empty set at distance 0
     palettes = [(diagonal * (2 * n + 1 - diagonal) // 2, np.ones(n, dtype=np.int64),
                  index.codes[diagonal, diagonal], np.zeros(n, dtype=np.int32))]
+    slots, pending = [(np.zeros(0, dtype=np.int64), np.zeros((0, 2, 2 * n), dtype=np.uint8),
+                       np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))], []
+    budget = min(FILL_BYTES, max(ENCODE_BYTES, 2 * n ** 3 * (n - 1)))  # see the docstring
     for lo, hi in zip(groups, groups[1:] + [n]):
-        cells = _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0], bad,
-                             cells, palettes, progress)
+        _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0], bad,
+                     palettes, pending, slots, progress)
         del swept[0]  # once its rows are filled
+        if pending and (hi == n or _pending_bytes(pending, n) >= budget):
+            slots.append(_encode(pending))
     del bad, cols, levels
+    classes = np.empty((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
+    size = np.zeros(len(classes), dtype=np.int64)  # each pair's matrix slots
+    for pair, cls, count, _ in slots:
+        classes[pair], size[pair] = cls, count
+    at = (np.cumsum(size) - size + 1).tolist()  # each pair's first cell, behind the zero slot
+    cells = np.zeros(1 + int(size.sum()), dtype=np.result_type(*(mat for *_, mat in slots)))
+    while slots:
+        pair, _, count, mat = slots.pop()
+        src = 0
+        for p, c in zip(pair.tolist(), count.tolist()):
+            cells[at[p]:at[p] + c] = mat[src:src + c]
+            src += c
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
     winners = ids[cand[order]]
     real = winners < graph.m
     id_type, size_type = palette_dtypes(graph.m)
-    return OracleTables(graph, d, tie_seed, index.codec, cells, size[np.argsort(pair)],
+    return OracleTables(graph, d, tie_seed, index.codec, cells, classes, size[np.argsort(pair)],
                         code[order], real.sum(axis=1, dtype=size_type),
                         winners[real].astype(id_type))

@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "680ee9517001b6d5916d013542690986c1efa4d92bf6154d8ce548bcd511aac0"),
+              "052ef3f59f3d97826ca2bec43f46b32d5d1f0e6407b4a42431474db3eed563d4"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "5f3fc57d0b26fd4fc52bd73ecb47a7b72dd32cca4db45ad7327a1bc551fe300c"),
+              "0fb9d758ef344c780da2d505331b6b11c547d8e1d2ef073a8dc2dac20bdeaa57"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "a37adee5ab5d8763838b79251c6f4ab165244b91b385bff3b15bf5712ca9d91c"),
+              "d3552a9f5f86c1ff17d4336285a5493de90827b314ce9bd0845f222721ae5171"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "bf1bbd6b1590bf664030b12915194efd45efa82b190de485366580a3f65933b7"),
+                "c2016e34d33c9ad35005bd94305be9b6caa46910054d1b1a0fae444c0e772bb7"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "f95b56e6defe84bd299d72a83be868fe591bc36911d7243f013b2812df358b53"),
+                "b4549d48505637e1d16371cc26e2117f91eadeb7785a7bef374730e92ae88882"),
     "path5-d2": (_path5, 2,
-                 "12d0c6b3b0b86a48da165bfb520eadf568ed22e6f477a185802a1022b47eb81b"),
+                 "48e16a2c80f6e41e8f61b3e7b103ca1a91aaa7914c7af053e5a10d8bf12f12fd"),
     "k5-d1": (_k5, 1,
-              "886de0e1a1e11824e224d81b91e8f9b43a2493b3b48906cac645f28c45c63d02"),
+              "48bef075bac575f4920c3f0c332ea3d0d49f040da9bc459cfcb52f73e2b3f25c"),
     "k5-d2": (_k5, 2,
-              "b2b9667079e6cfed549d4f65f91795525956bf082b971bcf68239d4593dc168c"),
+              "64510219f2535daa9ec79bcfdac3f076f2620dc9e45b79159c0b3413e04903f2"),
     "k5-d3": (_k5, 3,
-              "f0856c17c40a40865b9c8af9e0c9ab1c7c920739c0b28bac95de8353dd592a59"),
+              "ba08303e47910c8d84af7129b0e72c8598e2ddff598c9b3dab0b71a89171e18f"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "2616f4a7d4213b1cbaaf743763f0091a450c774d642b5aa3de464195f0a20f44"),
+                    "1714d5d027e0cf3e541e2d9fe7408a380dd59b3d4e12f13f9d74be9e4d0b6cf4"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "76aa4d9c3a4a645bc0c7728463fd7b79be8d6a5ab2fc2dc03534df81ee8ccb96"),
+                    "10960a9ec3ad95476a916fd42bcbe35c74ce5c50d25653560b9445606a8aa2a6"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "e4af4347173536b060072bc7cde31a6d35019de9157f32cf907fe9dc68bb2342"),
+                    "44b2e1a6827aa5717b8a55cd7b266e2e3307d4dfb37ad4b21c538a2bf2a5e390"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "b8e6b20305d55563ce7ac86df8accce6a723e6631209f16c557a6572ed87e3d4"),
+                    "38b3602f8650d1d531c5911a78d128ea65c4ebcc3c9d7cc829560d7b2b589400"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "7d2c78d619b0685ad6e2ed305ac742da66ffe613a0dc736b2d2846b2f167db62"),
+                    "06844a88386808d6f3b5ba28946a9a0777f73d5316fc59cdcfe87e8b8892c188"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "c3d60100fbd50d341bded7c83f63a3b6dcb90ecfa605ac00f1dbe97362594d94"),
+                    "e734594714e55f8ac3c1989c0d99e5eede8a93d11936110cd4df914659d5804e"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "4ca1bbba3a15c9b469f6a3d7fbbe0f5a87985edc2926a4032fcd1e6de1ec6035"),
+                      "9da7b8e9c0d52067451adb2371283977ea2cc1fe51a51ae235652d2505e496de"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "6094dfc543e857ce4a869d9c8c6276fd5983bcc0f3fe756fab1990953f142ec9"),
+                      "76bfa11a223df49e4e9cb8887d68ec96a7f98343f3fb75b3d67550e9ac43b862"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "2c4131b39511bd5877fe60c1c25c9630b69e5244aa66635b5604949d165fd05d"),
+                      "307254fbc4c7fd2adfe58102596f29164b0d2cac924617336511b55f00ef8fbf"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "fb0f0e5c40c02b81bc0326a1c771377b71617089f0a1c129693972458646ffa5"),
+                      "70a1e9f92b4b6b1a166d8f5a3e6a3738c7f5de45094358fd5e4154f09fc01721"),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import ftoracle.cli as cli
 import ftoracle.tables
-from ftoracle.oraclefile import (OracleFileError, _HEADER, load_oracle,
+from ftoracle.oraclefile import (OracleFileError, _EDGE, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError
@@ -30,6 +30,16 @@ def test_same_build_same_bytes(g1):
     a = oracle_file_bytes(build_oracle(g1, d=2, seed=1))
     b = oracle_file_bytes(build_oracle(g1, d=2, seed=1))
     assert a == b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_same_build_same_bytes_at_every_budget(d):
+    # the class encoding is canonical: a second build, and a load followed
+    # by a save, write the same bytes
+    graph = gen_gnm(8, 14, 32, 5)
+    blob = oracle_file_bytes(build_oracle(graph, d, seed=1))
+    assert oracle_file_bytes(build_oracle(graph, d, seed=1)) == blob
+    assert oracle_file_bytes(load_oracle(io.BytesIO(blob))) == blob
 
 
 def test_load_then_save_is_identity(oracle6_d1):
@@ -148,18 +158,23 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
 def test_file_size_is_fixed_width(oracle1_d2):
     g, tables = oracle1_d2.graph, oracle1_d2.tables
     n, m = g.n, g.m
-    entries, ids = len(tables.codes), len(tables.ids)
+    entries, ids, slots = len(tables.codes), len(tables.ids), len(tables.matrices)
     blob = oracle_file_bytes(oracle1_d2)
-    # the header names the palette totals, and they fix every section's size
-    assert _HEADER.unpack_from(blob)[-2:] == (entries, ids)
+    # the header names the palette and matrix totals, and they fix every
+    # section's size
+    assert _HEADER.unpack_from(blob)[-3:] == (entries, ids, slots)
     # header, edges with tie values, palette sizes per pair u <= v and
-    # palette codes i64, edge ids u8 (m <= 256), set sizes u8, 4n^2 u8
-    # slots per pair u < v, sha256; no index, no mirrored and no diagonal rows
-    assert _HEADER.unpack_from(blob)[2] == tables.slots.itemsize == 1
+    # palette codes i64, edge ids u8 (m <= 256), set sizes u8, 4n u8 class
+    # ids per pair u < v, the u8 matrix slots, sha256; no index, no mirrored
+    # and no diagonal rows
+    assert _HEADER.unpack_from(blob)[2] == tables.matrices.itemsize == 1
     assert tables.ids.itemsize == tables.set_sizes.itemsize == 1
     expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
-              entries * 9 + ids + n * (n - 1) // 2 * 4 * n * n + 32)
+              entries * 9 + ids + n * (n - 1) // 2 * 4 * n + slots + 32)
     assert len(blob) == expect
+    # each pair u < v holds one slot per row class and column class
+    kinds = tables.classes.max(axis=2).astype(np.int64) + 1
+    assert slots == kinds.prod(axis=1).sum() < n * (n - 1) // 2 * 4 * n * n
 
 
 def test_rejects_other_graph(oracle1_d1, g6):
@@ -181,14 +196,14 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-@pytest.mark.parametrize("version", [4, 5])
+@pytest.mark.parametrize("version", [4, 5, 6])
 def test_rejects_older_versions(oracle1_d1, version):
     # version 4 stored a uint16 slot row for every ordered pair, version 5
-    # int64 set sizes and edge ids
+    # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=rf"unsupported oracle file version {version} \(expected 6\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 7\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -234,19 +249,23 @@ def _reseal(blob: bytearray) -> bytes:
 
 
 def _sections(tables) -> dict:
-    """Byte offset and item width of each palette section of g1's file
-    (n=4, m=4).
+    """Byte offset and item width of each palette section of the tables'
+    file.
 
     The table values are the palette codes, and each D* is its edge ids,
-    one byte each as m <= 256; so is each set size.  The slots start with
-    the row of pair (0, 1), the first one stored.
+    one byte each while m <= 256; so is each set size and class id.  The
+    classes and the slots, the matrices, start with pair (0, 1), the first
+    one stored.
     """
-    off = _HEADER.size + 4 * 24
+    n, m = tables.graph.n, tables.graph.m
+    off = _HEADER.size + m * 24
     sections = {}
-    for name, count, width in (("pair_sizes", 10, 8), ("values", len(tables.codes), 8),
-                               ("dstar", len(tables.ids), 1),
+    for name, count, width in (("pair_sizes", n * (n + 1) // 2, 8),
+                               ("values", len(tables.codes), 8),
+                               ("dstar", len(tables.ids), tables.ids.itemsize),
                                ("set_sizes", len(tables.codes), 1),
-                               ("slots", 0, tables.slots.itemsize)):
+                               ("classes", tables.classes.size, 1),
+                               ("slots", 0, tables.matrices.itemsize)):
         sections[name] = off, width
         off += count * width
     return sections
@@ -290,6 +309,130 @@ def test_rejects_sets_not_strictly_ascending(oracle1_d2):
             load_oracle(io.BytesIO(_reseal(blob)))
 
 
+def _palettes(tables) -> list[range]:
+    """Each pair u <= v's palette entries, pairs row-major."""
+    ends = np.cumsum(tables.pair_sizes).tolist()
+    return [range(b - size, b) for b, size in zip(ends, tables.pair_sizes.tolist())]
+
+
+def _edit(oracle, *edits: tuple[str, int, tuple[int, ...]]) -> bytes:
+    """The file re-sealed with, per edit (section, at, values), the items at,
+    at + 1, ... of section set to values."""
+    blob = bytearray(oracle_file_bytes(oracle))
+    for section, at, values in edits:
+        off, width = _sections(oracle.tables)[section]
+        for k, value in enumerate(values):
+            blob[off + width * (at + k):off + width * (at + k + 1)] = \
+                value.to_bytes(width, "little", signed=section in ("pair_sizes", "values"))
+    return _reseal(blob)
+
+
+def test_rejects_palette_codes_that_rise(oracle6_d2):
+    # codes fall along each palette, in candidate order; swap two entries'
+    # codes, leaving the last, the base code, in place
+    tables = oracle6_d2.tables
+    k = next(k for p in _palettes(tables) for k in p[:-2] if tables.codes[k] > tables.codes[k + 1])
+    first, second = tables.codes[k:k + 2].tolist()
+    with pytest.raises(OracleFileError, match="palette codes not in descending order"):
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("values", k, (second, first)))))
+
+
+def test_rejects_palette_not_ending_at_its_base_code(oracle6_d2):
+    # every palette ends with the empty set at its pair's base code, which
+    # load derives from the stored graph: a lowered last code is refused,
+    # and so are tie values re-sealed without the base codes they give
+    tables = oracle6_d2.tables
+    last = _palettes(tables)[1][-1]  # pair (0, 1)
+    lowered = _edit(oracle6_d2, ("values", last, (int(tables.codes[last]) - 1,)))
+    square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    retied = _with_ties(oracle_file_bytes(build_oracle(square, d=1, seed=1)), 4, 4, base=False)
+    for blob in (lowered, retied):
+        with pytest.raises(OracleFileError, match="palette does not end with the empty set "
+                                                  "at its pair's base code"):
+            load_oracle(io.BytesIO(blob))
+
+
+def test_rejects_empty_set_before_a_palettes_end(oracle6_d2):
+    # one-edge sets (a,) then (b,), a != b, neither last in its palette:
+    # as () and the ascending (a, b) the ids keep their count
+    tables = oracle6_d2.tables
+    sizes, start = tables.set_sizes.tolist(), np.cumsum(tables.set_sizes) - tables.set_sizes
+    ids = tables.ids.tolist()
+    k = next(k for p in _palettes(tables) for k in p[:-2]
+             if sizes[k] == sizes[k + 1] == 1 and ids[start[k]] != ids[start[k] + 1])
+    at = int(start[k])
+    pair = tuple(sorted(tables.ids[at:at + 2].tolist()))
+    with pytest.raises(OracleFileError, match="palette holds the empty set before its end"):
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("set_sizes", k, (0, 2)), ("dstar", at, pair))))
+
+
+@pytest.mark.parametrize("at, value", [(0, 1), (1, 2), (5, 4)])
+def test_rejects_class_ids_out_of_first_appearance_order(oracle6_d2, at, value):
+    # pair (0, 1)'s row classes start 0 and never pass the largest so far
+    # by more than 1
+    classes = oracle6_d2.tables.classes[0, 0].tolist()
+    assert value > max(classes[:at], default=-1) + 1
+    with pytest.raises(OracleFileError, match="class ids not in order of first appearance"):
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("classes", at, (value,)))))
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_rejects_header_matrix_count_that_disagrees_with_the_classes(oracle6_d2, change):
+    # a header that names one slot more or fewer, in a file of that size
+    tables = oracle6_d2.tables
+    stored = len(tables.matrices)
+    blob = bytearray(oracle_file_bytes(oracle6_d2))[:-32]
+    # the header's last field is the matrix slot count
+    blob[_HEADER.size - 8:_HEADER.size] = (stored + change).to_bytes(8, "little")
+    blob = blob[:-1] if change < 0 else blob + b"\x00"
+    with pytest.raises(OracleFileError, match=f"header names {stored + change} matrix "
+                                              f"slots, the class ids {stored}"):
+        load_oracle(io.BytesIO(_reseal(blob + bytes(32))))
+
+
+def test_loads_a_pair_of_256_row_classes(monkeypatch):
+    # at n = 128 a pair's 2n = 256 rows may all differ: ids up to 255, and
+    # ku = 256, which load must count past uint8.  A 128-vertex path at
+    # d = 1 with one-entry palettes, but for pair (0, 1): failing edge 0
+    # cuts it, and each of its 256 rows is a class of its own
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}.__getitem__)
+    n = 128
+    index = ShortestPathIndex(Graph(n, [(i, i + 1, 1) for i in range(n - 1)]), list(range(1, n)))
+    pair_sizes = np.ones(n * (n + 1) // 2, dtype=np.int64)
+    pair_sizes[1] = 2  # pairs u <= v: (0, 0), (0, 1), ...
+    codes = np.insert(index.codes[np.triu_indices(n)], 1, index.codec.unreachable_code)
+    set_sizes = np.zeros(len(codes), dtype=np.uint8)
+    set_sizes[1] = 1
+    classes = np.zeros((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
+    classes[0, 0] = np.arange(2 * n)
+    cells = np.zeros(1 + 2 * n + len(classes) - 1, dtype=np.uint8)
+    cells[2:1 + 2 * n:2] = 1  # rows (u', 1) of pair (0, 1) read the empty set, the rest the cut
+    tables = ftoracle.tables.OracleTables(index.graph, 1, 1, index.codec, cells, classes,
+                                          pair_sizes, codes, set_sizes, np.zeros(1, np.uint8))
+    blob = oracle_file_bytes(Oracle(index, tables))
+    loaded = load_oracle(io.BytesIO(blob)).tables
+    assert np.array_equal(loaded.classes, classes) and np.array_equal(loaded.matrices, cells[1:])
+    for up, b1 in itertools.product(range(n), (0, 1)):
+        assert loaded.read(0, 1, up, 5, b1, 1) == \
+            ((index.codec.unreachable_code, (0,)) if b1 == 0 else (int(index.codes[0, 1]), ()))
+
+
+def test_rejects_matrix_slot_beyond_its_own_palette(oracle6_d2):
+    # each slot is checked against its own pair's palette size: the last
+    # slot of the pair u < v with the smallest palette, set to that size,
+    # lies below larger palettes' sizes and is still refused
+    tables = oracle6_d2.tables
+    n = tables.graph.n
+    lower = np.delete(tables.pair_sizes, [u * n - u * (u - 1) // 2 for u in range(n)])
+    pair = int(lower.argmin())
+    assert lower[pair] < lower.max()
+    kinds = tables.classes.max(axis=2).astype(np.int64) + 1
+    last = int(kinds.prod(axis=1)[:pair + 1].sum()) - 1
+    assert load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]) - 1,)))))
+    with pytest.raises(OracleFileError, match="palette slot out of range"):
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]),)))))
+
+
 def test_rejects_sets_longer_than_budget(oracle1_d2):
     # g1 at d=2 stores two-edge sets; a header claiming d=1 cannot hold them
     with pytest.raises(OracleFileError, match="set size out of range"):
@@ -326,40 +469,45 @@ def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
 def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch):
     # no palette of a real build has outgrown uint8 so far; with the limit
     # at 9 g6's pair (1, 4), 10 entries, does, after rows of pairs up to 9
-    # entries were written as uint8, so the build widens them once.  One
-    # row per fill call: rows (0, 1), (0, 3), (0, 5) and (1, 2) go as uint8
+    # entries were written as uint8, so its matrix and every later one of
+    # a palette above 9 entries goes as uint16, and the tables widen the
+    # uint8 ones once.  One row per fill call: rows (0, 1), (0, 3), (0, 5)
+    # and (1, 2) go as uint8
     narrow = oracle6_d2
-    widths = []
+    widths, sizes = [], []
     fill = ftoracle.tables._fill_rows
 
     def spy(*args):
-        out = fill(*args)
-        cells = args[-2]
-        widths.append((cells.itemsize, out.itemsize))
-        return out
+        fill(*args)
+        palettes, slots = args[-2:]
+        sizes.append(int(palettes[-1][1].max()))
+        widths.append(slots[-1][-1].itemsize)
 
     monkeypatch.setattr(ftoracle.tables, "UINT8_ENTRIES", 9)
     monkeypatch.setattr(ftoracle.tables, "FILL_BYTES", 0)
     monkeypatch.setattr(ftoracle.tables, "_fill_rows", spy)
     wide = build_oracle(g6, d=2, seed=1)
     monkeypatch.undo()
-    assert widths[:5] == [(1, 1)] * 4 + [(1, 2)] and set(widths[5:]) == {(2, 2)}
+    assert widths[:5] == [1] * 4 + [2] and sizes[4] == 10
+    assert widths == [1 + (size > 9) for size in sizes]
     blob = oracle_file_bytes(wide)
     loaded = load_oracle(io.BytesIO(blob))
     assert oracle_file_bytes(loaded) == blob
     assert _HEADER.unpack_from(blob)[2] == 2
-    assert narrow.tables.slots.dtype == np.uint8
+    assert narrow.tables.matrices.dtype == narrow.tables.slots.dtype == np.uint8
     for tables in (wide.tables, loaded.tables):
-        assert tables.slots.dtype == np.uint16
+        assert tables.matrices.dtype == tables.slots.dtype == np.uint16
+        assert np.array_equal(tables.matrices, narrow.tables.matrices)
+        assert np.array_equal(tables.classes, narrow.tables.classes)
         assert np.array_equal(tables.slots, narrow.tables.slots)
         assert logical_digest(tables) == logical_digest(narrow.tables)
     for u, v, failed in enumerate_instances(g6, 2):
         assert loaded.query_composite(u, v, failed) == narrow.query_composite(u, v, failed)
     # at both widths load refuses a slot at or above its pair's palette size
     for oracle in (narrow, wide):
-        width = oracle.tables.slots.itemsize
+        width = oracle.tables.matrices.itemsize
         blob = bytearray(oracle_file_bytes(oracle))
-        last = len(blob) - 32 - width  # the last slot, of pair (5, 6)
+        last = len(blob) - 32 - width  # the last matrix slot, of pair (5, 6)
         size = int(oracle.tables.pair_sizes[-2])  # pairs u <= v: ..., (5, 6), (6, 6)
         for value in (size - 1, size, 256 ** width - 1):
             blob[last:last + width] = value.to_bytes(width, "little")
@@ -449,16 +597,13 @@ def test_rejects_budget_beyond_physical_memory():
 
 
 def test_tied_file_loads_and_its_query_raises(tmp_path):
-    # a unit-weight 4-cycle re-sealed with every tie value 1: 0 reaches 2
-    # both ways round at the same composite length.  The index is derived
-    # from the stored graph, so it cannot hide the tie; the first query
-    # that visits root 0 raises
+    # a unit-weight 4-cycle re-sealed with every tie value 1, and each
+    # palette's last entry, the empty set, at the base code these tie
+    # values give: 0 reaches 2 both ways round at the same composite
+    # length.  The index is derived from the stored graph, so it cannot
+    # hide the tie; the first query that visits root 0 raises
     square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    blob = bytearray(oracle_file_bytes(build_oracle(square, d=1, seed=1)))
-    for eid in range(4):
-        off = _HEADER.size + 24 * eid + 16  # edge record eid, tie field
-        blob[off:off + 8] = (1).to_bytes(8, "little")
-    tied = _reseal(blob)
+    tied = _with_ties(oracle_file_bytes(build_oracle(square, d=1, seed=1)), 4, 4)
     loaded = load_oracle(io.BytesIO(tied))
     assert loaded.index.tie == [1, 1, 1, 1]
     with pytest.raises(TieBreakError, match="root 0: vertex 2 has 2 optimal predecessors"):
@@ -466,6 +611,26 @@ def test_tied_file_loads_and_its_query_raises(tmp_path):
     path = tmp_path / "tied.oracle"
     path.write_bytes(tied)
     assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "2"]) == 2
+
+
+def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
+    """The file re-sealed with every tie value 1 and, if base, each palette's
+    last code at the base code of the index those tie values give."""
+    out = bytearray(blob)
+    for eid in range(m):
+        off = _HEADER.size + 24 * eid + 16  # edge record eid, tie field
+        out[off:off + 8] = (1).to_bytes(8, "little")
+    if base:
+        graph = Graph(n, [(int(a), int(b), int(w)) for a, b, w, _ in np.frombuffer(
+            blob, _EDGE, m, _HEADER.size).tolist()])
+        pairs = n * (n + 1) // 2
+        off = _HEADER.size + 24 * m
+        sizes = np.frombuffer(blob, "<i8", pairs, off)
+        last = off + 8 * (pairs + np.cumsum(sizes) - 1)  # each palette's last code
+        codes = ShortestPathIndex.from_arrays(graph, [1] * m).codes
+        for at, code in zip(last.tolist(), codes[np.triu_indices(n)].tolist()):
+            out[at:at + 8] = code.to_bytes(8, "little")
+    return _reseal(out)
 
 
 @pytest.mark.parametrize("tie", [0, 8 * 4 * 4 * 4 + 1, 2 ** 64 - 1])

@@ -1,4 +1,5 @@
 """Table build: constraint predicate, maximization, dominance, packing."""
+import io
 import os
 import signal
 import time
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from ftoracle import tables as tables_module
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
-from ftoracle.oraclefile import oracle_file_bytes
+from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
 from ftoracle.spindex import build_index_auto
@@ -22,6 +23,7 @@ from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted
 
 from conftest import (TableKey, encode, exhaustive_candidates, reference_of, swap_parents,
                       tree_path, tree_path_edges)
+from test_file_digests import PINNED
 
 
 def id_matrix(sets, m, d):
@@ -332,6 +334,98 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     assert next(stored, None) is None
 
 
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_slot_classes_are_minimal_and_decode_to_the_values(name):
+    # each pair u < v's row and column classes come in order of first
+    # appearance, its matrix has no two equal rows and no two equal
+    # columns, and the matrix cell of a key's classes is its slot, in both
+    # rows of the pair; the built and the loaded tables agree
+    make, d, _ = PINNED[name]
+    built = build_oracle(make(), d, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
+    for tables in (built.tables, loaded.tables):
+        n, values = tables.graph.n, tables.values
+        starts = (np.cumsum(tables.pair_sizes) - tables.pair_sizes).tolist()
+        start = dict(zip(combinations_with_replacement(range(n), 2), starts))
+        at = 0
+        for (u, v), (rows, cols) in zip(combinations(range(n), 2), tables.classes.tolist()):
+            for ids in (rows, cols):
+                assert [x for k, x in enumerate(ids) if x not in ids[:k]] == \
+                    list(range(max(ids) + 1))
+            ku, kv = max(rows) + 1, max(cols) + 1
+            matrix = tables.matrices[at:at + ku * kv].reshape(ku, kv).tolist()
+            at += ku * kv
+            assert len(set(map(tuple, matrix))) == ku
+            assert len(set(zip(*matrix))) == kv
+            for up, b1, vp, b2 in product(range(n), (0, 1), range(n), (0, 1)):
+                code = tables.codes[start[u, v] + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
+                assert values[u, v, up, vp, b1, b2] == values[v, u, vp, up, b2, b1] == code
+                assert tables.read(u, v, up, vp, b1, b2)[0] == code
+        assert at == len(tables.matrices)
+    assert np.array_equal(loaded.tables.classes, built.tables.classes)
+
+
+def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
+    """Class ids of a matrix's rows in order of first appearance, and which
+    rows come first in their class."""
+    seen: dict = {}
+    ids = [seen.setdefault(tuple(row), len(seen)) for row in matrix]
+    return ids, [ids.index(c) == k for k, c in enumerate(ids)]
+
+
+@pytest.mark.parametrize("dtype, size", [(np.uint8, 20), (np.uint8, 32), (np.uint8, 14),
+                                         (np.uint16, 10)])
+@pytest.mark.parametrize("collide", [False, True])
+def test_encode_numbers_lines_by_first_appearance(monkeypatch, dtype, size, collide):
+    # square slot matrices whose rows and columns repeat within and across
+    # matrices; with collide, every multiplier is 0, so all lines share one
+    # hash and _classes sorts the lines themselves
+    rng = np.random.default_rng(size)
+    high = np.iinfo(dtype).max  # words whose top bits are set
+    base = rng.choice(np.array([0, 1, high], dtype=dtype), (6, 3, 3))
+    r, c = rng.integers(0, 3, (2, 6, size))
+    mats = base[np.arange(6)[:, None, None], r[:, :, None], c[:, None, :]]
+    mats[3] = mats[1]  # equal matrices, whose lines keep their own classes
+    mats[0, 0, :8] = high  # two rows that differ only in their first slot
+    mats[0, 1] = mats[0, 0]
+    mats[0, 1, 0] = 0
+    if collide:
+        monkeypatch.setattr(tables_module, "_MIX", np.zeros_like(tables_module._MIX))
+    pending = [(np.arange(3), mats[:3].copy()), (np.arange(3, 6), mats[3:].copy())]
+    pair, classes, sizes, matrices = tables_module._encode(pending)
+    assert pending == [] and pair.tolist() == list(range(6))
+    assert classes.dtype == np.uint8 and matrices.dtype == dtype
+    at = 0
+    for k, mat in enumerate(mats.tolist()):
+        rows, first_rows = _first_appearance(mat)
+        cols, first_cols = _first_appearance([list(col) for col in zip(*mat)])
+        assert classes[k].tolist() == [rows, cols]
+        expect = [[x for x, f in zip(row, first_cols) if f] for row, f in zip(mat, first_rows) if f]
+        assert sizes[k] == len(expect) * len(expect[0])
+        assert matrices[at:at + sizes[k]].tolist() == sum(expect, [])
+        at += sizes[k]
+    assert at == len(matrices)
+
+
+def test_encode_numbers_256_distinct_lines():
+    # at n = 128 a row's matrix holds 2n = 256 rows and columns, all
+    # distinct at worst: ids 0 to 255, which a uint8 count of first lines
+    # reaches modulo 256
+    line = np.arange(256)
+    mats = np.stack([(line[:, None] + line) % 256, (line[:, None] % 128 + line) % 256])
+    _, classes, sizes, _ = tables_module._encode([(np.arange(2), mats.astype(np.uint8))])
+    assert classes[0].tolist() == [list(range(256))] * 2
+    assert classes[1].tolist() == [list(range(128)) * 2, list(range(256))]
+    assert sizes.tolist() == [256 * 256, 128 * 256]
+
+
+def test_build_with_colliding_hashes_writes_the_same_file(monkeypatch):
+    graph = gen_gnm(8, 12, 32, 0)
+    blob = oracle_file_bytes(build_oracle(graph, 2, seed=1))
+    monkeypatch.setattr(tables_module, "_MIX", np.zeros_like(tables_module._MIX))
+    assert oracle_file_bytes(build_oracle(graph, 2, seed=1)) == blob
+
+
 def test_progress_reports_each_root(idx6):
     calls = []
     build_tables(idx6, 1, 1, progress=lambda done, total: calls.append((done, total)))
@@ -349,31 +443,33 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     # call, as in its default batches.  Those hold, as expect says: rows of
     # several roots and widths in one batch; a row too wide to share one;
     # a palette that outgrows uint8 (UINT8_ENTRIES patched) in a batch of
-    # several rows
+    # several rows, whose matrices go as uint16
     calls = []
     fill = tables_module._fill_rows
 
     def spy(i, us, vs, start, size, *rest):
-        out = fill(i, us, vs, start, size, *rest)
-        calls.append((us.tolist(), size.tolist(), rest[-2].itemsize, out.itemsize))
-        return out
+        fill(i, us, vs, start, size, *rest)
+        calls.append((us.tolist(), size.tolist(), rest[-1][-1][-1].itemsize))
 
     graph, budget = gen_gnm(n, m, 32, 0), tables_module.FILL_BYTES
     monkeypatch.setattr(tables_module, "UINT8_ENTRIES", limit)
     monkeypatch.setattr(tables_module, "_fill_rows", spy)
-    blob = oracle_file_bytes(build_oracle(graph, d, seed=1))
+    built = build_oracle(graph, d, seed=1)
+    blob = oracle_file_bytes(built)
     batches = calls[:]
     calls.clear()
     monkeypatch.setattr(tables_module, "FILL_BYTES", 0)
-    assert oracle_file_bytes(build_oracle(graph, d, seed=1)) == blob
+    alone = build_oracle(graph, d, seed=1)
+    assert oracle_file_bytes(alone) == blob
     assert [len(us) for us, *_ in calls] == [1] * (n * (n - 1) // 2)
     assert sum(len(us) for us, *_ in batches) == len(calls) > len(batches)
-    mixed = any(len(set(us)) > 1 and len(set(size)) > 1 for us, size, *_ in batches)
+    mixed = any(len(set(us)) > 1 and len(set(size)) > 1 for us, size, _ in batches)
     wide = any(len(us) == 1 and 2 * _fill_bytes(n, size[0]) > budget
-               for us, size, *_ in batches)
-    widened = any(len(us) > 1 and (old, new) == (1, 2) for us, _, old, new in batches)
+               for us, size, _ in batches)
+    widened = any(len(us) > 1 and width == 2 for us, _, width in batches)
     assert (mixed, wide, widened) == expect
-    assert batches[-1][3] == calls[-1][3] == (2 if limit < 256 else 1)
+    for tables in (built.tables, alone.tables):
+        assert tables.matrices.itemsize == (2 if limit < 256 else 1)
 
 
 def both_phases(index, d, roots, cols=None):
