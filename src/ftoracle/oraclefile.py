@@ -40,14 +40,15 @@ stored: load range-checks the tie values and runs the build's Bellman-Ford
 on the stored graph, so the index cannot disagree with the graph, and each
 root's tree, whose uniqueness check may raise TieBreakError, is derived on
 its first query.  Before reading past the header, load runs the build's
-budget gate, check_build_size.  Each palette's codes must not increase,
-its last entry must be the empty set at its pair's base code, and no other
-entry may be empty.  Class ids must come in order of first appearance,
-the header's S must be the sum of ku * kv, and every matrix slot must lie
-below its pair's palette size.  Other versions, such as version 6 with
-its 4n^2 slots per pair, fail with a version error, and so does any slot
-width but 1 or 2.  Saving the same build twice is byte-identical, and a
-load followed by a save reproduces the file exactly.
+budget gate, check_build_size, charged for the header's S matrix slots.
+Each palette's codes must not increase, its last entry must be the empty
+set at its pair's base code, and no other entry may be empty.  Class ids
+must come in order of first appearance, the header's S must be the sum of
+ku * kv, and every matrix slot must lie below its pair's palette size.
+Other versions, such as version 6 with its 4n^2 slots per pair, fail with
+a version error, and so does any slot width but 1 or 2.  Saving the same
+build twice is byte-identical, and a load followed by a save reproduces
+the file exactly.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ import numpy as np
 from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, ShortestPathIndex
-from .tables import OracleTables, check_build_size, palette_dtypes
+from .tables import OracleTables, check_build_size, class_bounds, palette_dtypes
 
 MAGIC = b"FTDO"
 VERSION = 7
@@ -119,7 +120,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if width not in (1, 2):
         raise OracleFileError(f"unsupported slot width {width} (expected 1 or 2)")
     try:
-        check_build_size(n, m, d)
+        check_build_size(n, m, d, width * stored)
     except BuildError as exc:
         raise OracleFileError(f"cannot load: {exc}") from None
     offset = _HEADER.size + m * _EDGE.itemsize
@@ -157,14 +158,13 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     classes = np.frombuffer(blob, np.uint8, 4 * n * lower, classes_at).reshape(lower, 2, 2 * n)
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
-    if codes.min() < 0 or codes.max() > index.codec.unreachable_code:
+    if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
         raise OracleFileError("palette code out of range")
-    if set_sizes.max() > min(d, m) or set_sizes.sum() != id_count:
+    if (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
-    if id_count and ids.max() >= m:
+    if (ids >= m).any():
         raise OracleFileError("palette edge id out of range")
-    rising = np.ones(id_count, dtype=bool)  # or starts a set
-    np.greater(ids[1:], ids[:-1], out=rising[1:])
+    rising = np.diff(ids.astype(np.int64), prepend=-1) > 0  # or starts a set
     rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
     if not rising.all():
         raise OracleFileError("palette set not strictly ascending")
@@ -183,14 +183,13 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     seen = np.maximum.accumulate(classes, axis=2)
     if classes[:, :, 0].any() or (classes[:, :, 1:] > seen[:, :, :-1] + 1).any():
         raise OracleFileError("class ids not in order of first appearance")
-    kinds = seen[:, :, -1].astype(np.int64) + 1  # (ku, kv) per pair, up to 256
-    size = kinds[:, 0] * kinds[:, 1]
-    if size.sum() != stored:
+    _, bounds = class_bounds(classes)
+    if bounds[-1] != stored:
         raise OracleFileError(f"header names {stored} matrix slots, the class ids "
-                              f"{size.sum()}")
+                              f"{bounds[-1]}")
     cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
     cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
-    if lower and (np.maximum.reduceat(cells[1:], np.cumsum(size) - size)
+    if lower and (np.maximum.reduceat(cells[1:], bounds[:-1])
                   >= pair_sizes[(vertex[:, None] < vertex)[upper]]).any():
         raise OracleFileError("palette slot out of range")
     return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, classes, pair_sizes,

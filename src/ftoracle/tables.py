@@ -136,7 +136,7 @@ def palette_dtypes(m: int) -> tuple[np.dtype, np.dtype]:
     return np.dtype("<u1" if m <= 256 else "<u2"), np.dtype("<u1")
 
 
-def check_build_size(n: int, m: int, d: int) -> None:
+def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) -> None:
     """The one budget gate of build and load; raises BuildError.
 
     In order, it refuses d < 1, more than 2^31 failure sets (the build's
@@ -144,7 +144,10 @@ def check_build_size(n: int, m: int, d: int) -> None:
     and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each pair
     u < v takes 4n uint8 class ids, held by its batch, the table and its
     read copy, and at most 4n^2 matrix slots, held by its batch and the
-    table, uint8, or uint16 where a palette may outgrow uint8.  Each
+    table, uint8, or uint16 where a palette may outgrow uint8.  Load
+    passes matrix_bytes, its file's matrices, which it holds once, and it
+    holds the class ids twice (the read copy and the order check's running
+    maxima), in place of the build's class ids, matrices and encoding.  Each
     palette entry is charged an int64 code, set size and edge ids plus their
     read-path lists, at the bound of min(4n^2, sets) entries per pair; set
     sizes and edge ids take one or two bytes (palette_dtypes), so that part
@@ -166,9 +169,9 @@ def check_build_size(n: int, m: int, d: int) -> None:
     1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
     every root before its last has at least k damaging sets and all of them
     fewer than CHUNK.  The fill takes FILL_BYTES, or _fill_bytes of a row
-    of one candidate per subset, and the class encoding of the pending rows
-    FILL_BYTES, at which a group encodes them, plus _encode_bytes per row
-    of the batch that passed it; a batch holds at most
+    of one candidate per subset, and the build's class encoding of the
+    pending rows FILL_BYTES, at which a group encodes them, plus
+    _encode_bytes per row of the batch that passed it; a batch holds at most
     FILL_BYTES // _fill_bytes(n, 1) rows, or one.
     Failing before anything is allocated beats an overcommitted allocation
     killed later.
@@ -186,11 +189,15 @@ def check_build_size(n: int, m: int, d: int) -> None:
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = n * (n + 1) // 2 * min(4 * n * n, sets)
     slot = 1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 2
-    slots = n * (n - 1) // 2 * (3 * 4 * n + 2 * 4 * n * n * slot)
-    batch = max(1, FILL_BYTES // _fill_bytes(n, 1))
+    if matrix_bytes is None:
+        batch = max(1, FILL_BYTES // _fill_bytes(n, 1))
+        slots = (n * (n - 1) // 2 * (3 * 4 * n + 2 * 4 * n * n * slot)
+                 + FILL_BYTES + batch * _encode_bytes(n, slot))
+    else:
+        slots = n * (n - 1) // 2 * 2 * 4 * n + matrix_bytes
     need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
-            + max(FILL_BYTES, _fill_bytes(n, sets)) + FILL_BYTES + batch * _encode_bytes(n, slot))
+            + max(FILL_BYTES, _fill_bytes(n, sets)))
     if need > phys:
         raise BuildError(
             f"build needs about {need / 2 ** 30:.3g} GiB for n={n} m={m} d={d}, "
@@ -198,6 +205,14 @@ def check_build_size(n: int, m: int, d: int) -> None:
     if n > 128:
         raise BuildError(f"n={n} gives rows of {4 * n * n} keys, more than uint16 "
                          f"palette slots can address (n <= 128)")
+
+
+def class_bounds(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair u < v's int64 (ku, kv), its class ids' maxima plus one, and
+    its matrix's bounds among the matrices, from (pair, rows | columns, 2n)
+    class ids: pair p's ku x kv slots are [bounds[p], bounds[p + 1])."""
+    kinds = classes.max(axis=2, initial=0).astype(np.int64) + 1
+    return kinds, np.concatenate(([0], np.cumsum(kinds[:, 0] * kinds[:, 1])))
 
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
@@ -238,9 +253,8 @@ class OracleTables:
         self._cells = memoryview(cells)
         self._cls = memoryview(np.concatenate((np.zeros(2 * n, dtype=np.uint8), classes.ravel())))
         starts = iter((np.cumsum(pair_sizes) - pair_sizes).tolist())  # pairs u <= v
-        kinds = classes.max(axis=2, initial=0).astype(np.int64) + 1  # (ku, kv) per pair
-        size = kinds[:, 0] * kinds[:, 1]
-        lower = zip((np.cumsum(size) - size + 1).tolist(), kinds[:, 1].tolist(),
+        kinds, bounds = class_bounds(classes)
+        lower = zip((bounds[:-1] + 1).tolist(), kinds[:, 1].tolist(),
                     range(2 * n, 2 * n + 4 * n * len(classes), 4 * n))  # pairs u < v
         self._rows = rows = [[None] * n for _ in range(n)]
         for u in range(n):
@@ -250,7 +264,7 @@ class OracleTables:
                 base, kv, a = next(lower)  # a: where the pair's row ids start, then its column ids
                 rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
                 rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
-        self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
+        self._bounds = [0] + np.cumsum(set_sizes).tolist()
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = codec.unreachable_code
 
@@ -268,16 +282,15 @@ class OracleTables:
         where = {s: i for i, s in enumerate(self.subsets)}
         bounds = self._bounds
         return self._dense(np.array([where[tuple(self.ids[a:b].tolist())] for a, b in
-                                     zip(bounds.tolist(), bounds[1:].tolist())], dtype=np.int32))
+                                     zip(bounds, bounds[1:])], dtype=np.int32))
 
     @cached_property
     def slots(self) -> np.ndarray:
         """The slots of the pairs u < v, (pair, u', v', b1, b2), decoded."""
         n = self.graph.n
+        kinds, bounds = class_bounds(self.classes)
         rows, cols = self.classes.astype(np.int64).reshape(-1, 2, n, 2).transpose(1, 0, 2, 3)
-        kv = cols.max(axis=(1, 2), initial=0) + 1
-        size = (rows.max(axis=(1, 2), initial=0) + 1) * kv
-        at = (np.cumsum(size) - size)[:, None, None] + rows * kv[:, None, None]  # (pair, u', b1)
+        at = bounds[:-1, None, None] + rows * kinds[:, 1, None, None]  # (pair, u', b1)
         return self.matrices[at[:, :, None, :, None] + cols[:, None, :, None, :]]
 
     def _dense(self, per_entry: np.ndarray) -> np.ndarray:
@@ -333,7 +346,7 @@ class OracleTables:
     def _entry(self, p: int) -> tuple[int, tuple[int, ...]]:
         entry = self._entries[p]
         if entry is None:
-            d_star = tuple(self.ids[self._bounds.item(p):self._bounds.item(p + 1)].tolist())
+            d_star = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
             entry = self._entries[p] = (self.codes.item(p), d_star)
         return entry
 
@@ -689,43 +702,21 @@ def _classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class ids of the rows of each matrix of a (count, size, words) uint64
     stack whose rows differ between matrices: equal rows of a matrix share
     a class, numbered in order of first appearance.  Returns the (count,
-    size) uint8 ids and the mask of each class's first row.
-
-    The rows are hashed, sorted by hash, and each checked against the first
-    row of its hash; unequal rows of equal hash, vanishingly rare, fall
-    back to sorting the rows themselves.  So the hash decides which rows
-    are compared, never a class.
-    """
+    size) uint8 ids and the mask of each class's first row."""
     count, size, width = words.shape
     words = words.reshape(count * size, width)
-    key = np.dot(words, _MIX[:width])
-    order = key.argsort(kind="stable")  # so each run starts with its first row
-    key = key[order]
-    lead = _leads(key[1:] != key[:-1], order)
-    if (words[lead] != words).any():
-        order = np.lexsort(words.T)
-        key = words[order]
-        lead = _leads((key[1:] != key[:-1]).any(axis=1), order)
+    order = np.lexsort(words.T)  # stable, so each run of equal rows starts with its first
+    line = words[order]
+    new = np.empty(len(order), dtype=bool)  # where a run starts
+    new[0] = True
+    (line[1:] != line[:-1]).any(axis=1, out=new[1:])
+    lead = np.empty(len(order), dtype=np.intp)  # each row's first equal row
+    lead[order] = order[new][np.cumsum(new) - 1]
     first = lead == np.arange(len(lead))
     # a class's id is its first row's count of first rows less one, exact
     # modulo 256 as ids lie below 2n <= 256
     rank = np.cumsum(first.reshape(count, size), axis=1, dtype=np.uint8).ravel()
     return (rank[lead] - 1).reshape(count, size), first.reshape(count, size)
-
-
-def _leads(new: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Each row's first row among the rows of equal keys, given a stable
-    order that sorts the keys and, per sorted row past the first, whether
-    its key differs from the one before."""
-    new = np.concatenate(([True], new))
-    lead = np.empty(len(order), dtype=np.intp)
-    lead[order] = order[new][np.cumsum(new) - 1]
-    return lead
-
-
-# odd multipliers of _classes' row hash, one per word: a line of 2n <= 256
-# uint8 or uint16 slots takes at most 64 words, and _encode adds one
-_MIX = np.random.default_rng(2021).integers(0, 2 ** 63, 65, dtype=np.uint64) * 2 + 1
 
 
 # leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -775,11 +766,10 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             slots.append(_encode(pending))
     del bad, cols, levels
     classes = np.empty((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
-    size = np.zeros(len(classes), dtype=np.int64)  # each pair's matrix slots
-    for pair, cls, count, _ in slots:
-        classes[pair], size[pair] = cls, count
-    at = (np.cumsum(size) - size + 1).tolist()  # each pair's first cell, behind the zero slot
-    cells = np.zeros(1 + int(size.sum()), dtype=np.result_type(*(mat for *_, mat in slots)))
+    for pair, cls, _, _ in slots:
+        classes[pair] = cls
+    at = (class_bounds(classes)[1] + 1).tolist()  # each pair's first cell, behind the zero slot
+    cells = np.zeros(at[-1], dtype=np.result_type(*(mat for *_, mat in slots)))
     while slots:
         pair, _, count, mat = slots.pop()
         src = 0

@@ -19,8 +19,9 @@ from ftoracle.graph import Graph, GraphError
 from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
-from ftoracle.spindex import ShortestPathIndex, TieBreakError
-from ftoracle.tables import constraint_holds, enumerate_failure_sets
+from ftoracle.spindex import BuildError, ShortestPathIndex, TieBreakError
+from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
+                             enumerate_failure_sets)
 
 from conftest import PER_ROOT, base_length, derived_roots, underive
 from test_file_digests import PINNED, logical_digest
@@ -426,8 +427,7 @@ def test_rejects_matrix_slot_beyond_its_own_palette(oracle6_d2):
     lower = np.delete(tables.pair_sizes, [u * n - u * (u - 1) // 2 for u in range(n)])
     pair = int(lower.argmin())
     assert lower[pair] < lower.max()
-    kinds = tables.classes.max(axis=2).astype(np.int64) + 1
-    last = int(kinds.prod(axis=1)[:pair + 1].sum()) - 1
+    last = int(class_bounds(tables.classes)[1][pair + 1]) - 1
     assert load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]) - 1,)))))
     with pytest.raises(OracleFileError, match="palette slot out of range"):
         load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]),)))))
@@ -594,6 +594,41 @@ def test_rejects_budget_beyond_physical_memory():
     with pytest.raises(OracleFileError, match="physical memory"):
         load_oracle(io.BytesIO(bad))
     assert time.perf_counter() - start < 1.0
+
+
+def _least_memory(check) -> int:
+    """The fewest bytes of physical memory at which check() passes the budget gate."""
+    lo, hi = 0, 2 ** 40
+    while lo < hi:
+        mid = (lo + hi) // 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sysconf", {"SC_PHYS_PAGES": mid, "SC_PAGE_SIZE": 1}.__getitem__)
+            try:
+                check()
+                hi = mid
+            except (BuildError, OracleFileError) as exc:
+                assert "physical memory" in str(exc)
+                lo = mid + 1
+    return lo
+
+
+def test_load_gate_charges_the_headers_matrix_slots(oracle6_d2, monkeypatch):
+    # load is charged its file's S matrix slots, not the 4n^2 slots per
+    # pair and the encoding that the build charges: it loads at the least
+    # memory the gate admits for the file's matrix bytes, and one byte
+    # fewer refuses it
+    blob = oracle_file_bytes(oracle6_d2)
+    graph, held = oracle6_d2.graph, oracle6_d2.tables.matrices.nbytes
+    gate = lambda *matrix_bytes: lambda: check_build_size(graph.n, graph.m, 2, *matrix_bytes)
+    least = _least_memory(gate(held))
+    assert least - _least_memory(gate(0)) == held
+    assert least < _least_memory(gate()) - graph.n * (graph.n - 1) // 2 * 4 * graph.n ** 2
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": least, "SC_PAGE_SIZE": 1}.__getitem__)
+    assert np.array_equal(load_oracle(io.BytesIO(blob)).tables.matrices,
+                          oracle6_d2.tables.matrices)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": least - 1, "SC_PAGE_SIZE": 1}.__getitem__)
+    with pytest.raises(OracleFileError, match="cannot load: .* physical memory"):
+        load_oracle(io.BytesIO(blob))
 
 
 def test_tied_file_loads_and_its_query_raises(tmp_path):

@@ -375,11 +375,9 @@ def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
 
 @pytest.mark.parametrize("dtype, size", [(np.uint8, 20), (np.uint8, 32), (np.uint8, 14),
                                          (np.uint16, 10)])
-@pytest.mark.parametrize("collide", [False, True])
-def test_encode_numbers_lines_by_first_appearance(monkeypatch, dtype, size, collide):
+def test_encode_numbers_lines_by_first_appearance(dtype, size):
     # square slot matrices whose rows and columns repeat within and across
-    # matrices; with collide, every multiplier is 0, so all lines share one
-    # hash and _classes sorts the lines themselves
+    # matrices
     rng = np.random.default_rng(size)
     high = np.iinfo(dtype).max  # words whose top bits are set
     base = rng.choice(np.array([0, 1, high], dtype=dtype), (6, 3, 3))
@@ -389,8 +387,6 @@ def test_encode_numbers_lines_by_first_appearance(monkeypatch, dtype, size, coll
     mats[0, 0, :8] = high  # two rows that differ only in their first slot
     mats[0, 1] = mats[0, 0]
     mats[0, 1, 0] = 0
-    if collide:
-        monkeypatch.setattr(tables_module, "_MIX", np.zeros_like(tables_module._MIX))
     pending = [(np.arange(3), mats[:3].copy()), (np.arange(3, 6), mats[3:].copy())]
     pair, classes, sizes, matrices = tables_module._encode(pending)
     assert pending == [] and pair.tolist() == list(range(6))
@@ -417,13 +413,6 @@ def test_encode_numbers_256_distinct_lines():
     assert classes[0].tolist() == [list(range(256))] * 2
     assert classes[1].tolist() == [list(range(128)) * 2, list(range(256))]
     assert sizes.tolist() == [256 * 256, 128 * 256]
-
-
-def test_build_with_colliding_hashes_writes_the_same_file(monkeypatch):
-    graph = gen_gnm(8, 12, 32, 0)
-    blob = oracle_file_bytes(build_oracle(graph, 2, seed=1))
-    monkeypatch.setattr(tables_module, "_MIX", np.zeros_like(tables_module._MIX))
-    assert oracle_file_bytes(build_oracle(graph, 2, seed=1)) == blob
 
 
 def test_progress_reports_each_root(idx6):
