@@ -35,20 +35,21 @@ follows from the header, and the sections before the ids are multiples of
 8 bytes, so each palette array loads as an aligned zero-copy view; the
 matrices are copied once, behind the diagonal rows' zero slot.  No layout
 depends on d, and sets are edge ids, so load never enumerates failure
-sets.  The length codec and the whole shortest-path index are derived, not
-stored: load range-checks the tie values and runs the build's Bellman-Ford
-on the stored graph, so the index cannot disagree with the graph, and each
-root's tree, whose uniqueness check may raise TieBreakError, is derived on
-its first query.  Before reading past the header, load runs the build's
-budget gate, check_build_size, charged for the header's S matrix slots.
-Each palette's codes must not increase, its last entry must be the empty
-set at its pair's base code, and no other entry may be empty.  Class ids
-must come in order of first appearance, the header's S must be the sum of
-ku * kv, and every matrix slot must lie below its pair's palette size.
-Other versions, such as version 6 with its 4n^2 slots per pair, fail with
-a version error, and so does any slot width but 1 or 2.  Saving the same
-build twice is byte-identical, and a load followed by a save reproduces
-the file exactly.
+sets.  The length codec and the shortest-path index are derived, not
+stored; the base codes are each palette's last code.  Load range-checks
+the tie values and certifies those codes on the stored graph (from_arrays,
+which computes none), so the index cannot disagree with the graph, and
+each root's tree, whose uniqueness check may raise TieBreakError, is
+derived on its first query.  Before reading past the header, load runs the
+build's budget gate, check_build_size, charged for the header's S matrix
+slots.  A diagonal pair's palette holds one entry, each palette's codes
+must not increase, its last entry must be the empty set at its pair's base
+code, and no other entry may be empty.  Class ids must come in order of
+first appearance, the header's S must be the sum of ku * kv, and every
+matrix slot must lie below its pair's palette size.  Other versions, such
+as version 6 with its 4n^2 slots per pair, fail with a version error, and
+so does any slot width but 1 or 2.  Saving the same build twice is
+byte-identical, and a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ import numpy as np
 
 from .graph import Graph, GraphError
 from .query import Oracle
-from .spindex import BuildError, ShortestPathIndex
+from .spindex import BuildError, CodeError, LengthCodec, ShortestPathIndex
 from .tables import OracleTables, check_build_size, class_bounds, palette_dtypes
 
 MAGIC = b"FTDO"
@@ -69,6 +70,7 @@ VERSION = 7
 _HEADER = struct.Struct("<4sHHQQQq32sQQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
+_NOT_BASE = "palette does not end with the empty set at its pair's base code"
 
 
 class OracleFileError(ValueError):
@@ -147,24 +149,25 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if graph is not None and graph.digest() != digest.hex():
         raise OracleFileError("oracle file was built for a different graph")
 
-    try:
-        index = ShortestPathIndex.from_arrays(g, edges["tie"].tolist())
-    except GraphError as exc:
-        raise OracleFileError(f"stored tie values: {exc}") from None
-
     pair_sizes, codes = np.split(np.frombuffer(blob, "<i8", pairs + entries, offset), [pairs])
     ids = np.frombuffer(blob, id_type, id_count, ids_at)
     set_sizes = np.frombuffer(blob, size_type, entries, sizes_at)
     classes = np.frombuffer(blob, np.uint8, 4 * n * lower, classes_at).reshape(lower, 2, 2 * n)
     if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
         raise OracleFileError("palette sizes out of range")
-    if (codes < 0).any() or (codes > index.codec.unreachable_code).any():
+    vertex = np.arange(n)
+    upper = vertex[:, None] <= vertex  # pairs u <= v
+    strict = (vertex[:, None] < vertex)[upper]  # which of them are pairs u < v
+    if (pair_sizes[~strict] != 1).any():
+        raise OracleFileError("diagonal palette holds more than the empty set")
+    if codes.min() < 0 or codes.max() > LengthCodec.unreachable_code:
         raise OracleFileError("palette code out of range")
-    if (set_sizes > min(d, m)).any() or set_sizes.sum() != id_count:
+    if set_sizes.max(initial=0) > min(d, m) or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
-    if (ids >= m).any():
+    if ids.size and ids.max() >= m:
         raise OracleFileError("palette edge id out of range")
-    rising = np.diff(ids.astype(np.int64), prepend=-1) > 0  # or starts a set
+    rising = np.empty(id_count, dtype=bool)  # above the id before it, or starts a set
+    np.greater(ids[1:], ids[:-1], out=rising[1:])
     rising[(np.cumsum(set_sizes) - set_sizes)[set_sizes > 0]] = True
     if not rising.all():
         raise OracleFileError("palette set not strictly ascending")
@@ -173,10 +176,16 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     climbs[last[:-1]] = False  # from one palette to the next
     if climbs.any():
         raise OracleFileError("palette codes not in descending order")
-    vertex = np.arange(n)
-    upper = vertex[:, None] <= vertex  # pairs u <= v
-    if set_sizes[last].any() or (codes[last] != index.codes[upper]).any():
-        raise OracleFileError("palette does not end with the empty set at its pair's base code")
+    base = np.empty((n, n), dtype=np.int64)  # each pair's last code, mirrored
+    base[upper] = base.T[upper] = codes[last]
+    if set_sizes[last].any():
+        raise OracleFileError(_NOT_BASE)
+    try:
+        index = ShortestPathIndex.from_arrays(g, edges["tie"].tolist(), base)
+    except GraphError as exc:
+        raise OracleFileError(f"stored tie values: {exc}") from None
+    except CodeError:
+        raise OracleFileError(_NOT_BASE) from None
     if np.count_nonzero(set_sizes) != entries - pairs:
         raise OracleFileError("palette holds the empty set before its end")
     # the running maximum stays below 2n - 1 up to a first violation
@@ -189,8 +198,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
                               f"{bounds[-1]}")
     cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
     cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
-    if lower and (np.maximum.reduceat(cells[1:], bounds[:-1])
-                  >= pair_sizes[(vertex[:, None] < vertex)[upper]]).any():
+    if lower and (np.maximum.reduceat(cells[1:], bounds[:-1]) >= pair_sizes[strict]).any():
         raise OracleFileError("palette slot out of range")
     return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, classes, pair_sizes,
                                       codes, set_sizes, ids))

@@ -5,11 +5,12 @@ LengthCodec into integer codes that order like the pairs, and the index
 keeps all base distances as one (n, n) int64 code array.  The query
 engine reads them as Python-int rows and adds each edge's packed step.
 One batched Bellman-Ford, _relax, is the engine's only shortest-path
-routine: the index build and the oracle file load (from_arrays) run it
-once over all roots from scratch, with no arc banned, and the table
-build's deletion sweep runs it per failure set.  It tracks no parents;
-each root's uniqueness check scans every vertex's optimal predecessors
-anyway, and the unique one is the tree parent.  After that check, one
+routine: the index build runs it once over all roots from scratch, with
+no arc banned, and the table build's deletion sweep runs it per failure
+set; the oracle file load (from_arrays) only certifies the codes its
+file stores.  _relax tracks no parents; each root's uniqueness check
+scans every vertex's optimal predecessors anyway, and the unique one is
+the tree parent.  After that check, one
 DFS per root derives the index's one damage encoding, Python-int vertex
 bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
 below tree edge e (0 off the tree), so "e lies on the tree path r->x" is
@@ -49,14 +50,18 @@ class BuildError(RuntimeError):
     """Table build cannot proceed at this input scale."""
 
 
+class CodeError(ValueError):
+    """Claimed base codes are not the graph's shortest-path codes."""
+
+
 class LengthCodec:
     """Packs a composite length into one int64 so numpy can order and merge."""
+    unreachable_code = 1 << 62
 
     def __init__(self, n: int, m: int, max_weight: int):
         max_tie_sum = max(1, (n - 1) * TIE_RANGE_FACTOR * m * n * n if m else 1)
         self.shift = max_tie_sum.bit_length() + 1
         self.mask = (1 << self.shift) - 1
-        self.unreachable_code = 1 << 62
         self.max_len = (n - 1) * max_weight
         if m and (self.max_len << self.shift) >= self.unreachable_code:
             raise BuildError(
@@ -74,22 +79,43 @@ class ShortestPathIndex:
     def __init__(self, graph: Graph, tie: Sequence[int]):
         graph.validate()
         self._base(graph, tie)
-        for r in range(graph.n):  # the table build reads every root
+        # one column per root, the deletion sweep's empty set started from
+        # scratch: every vertex unreachable but the root itself
+        n = graph.n
+        arcs = _arc_list(self)
+        place = np.argsort(arcs.order)
+        dist = np.full((n, n), self.codec.unreachable_code, dtype=np.int64)
+        dist[place, np.arange(n)] = 0
+        _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
+        self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
+        self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
+        for r in range(n):  # the table build reads every root
             self._finish_root(r)
 
     @classmethod
-    def from_arrays(cls, graph: Graph, tie: Sequence[int]) -> "ShortestPathIndex":
-        """Rebuild from a stored graph and its tie values (oracle file load).
-
-        Runs the build's Bellman-Ford and derives no root.
-        """
+    def from_arrays(cls, graph: Graph, tie: Sequence[int],
+                    codes: np.ndarray) -> "ShortestPathIndex":
+        """Rebuild from a stored graph, its tie values and its claimed int64
+        (root, vertex) base codes in [0, 2^62] (oracle file load), deriving
+        no root.  Certifies the codes, as steps are >= 1: they are the
+        shortest codes iff each root's own is 0, no arc lowers a code and
+        every other vertex has a tight arc in.  Raises CodeError if not."""
         index = cls.__new__(cls)
         index._base(graph, tie)
+        ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 3)[:, :2]
+        tail, head = ends.ravel(), ends[:, ::-1].ravel()  # a -> b and b -> a per edge
+        # per (root, arc): the code the arc offers its head, less the head's code
+        gap = codes[:, tail] + np.repeat(np.array(index._step, dtype=np.int64), 2) - codes[:, head]
+        roots, tight = np.nonzero(gap == 0)
+        reached = np.eye(graph.n, dtype=bool)  # a root needs no arc in
+        reached[roots, head[tight]] = True
+        if np.diagonal(codes).any() or (gap < 0).any() or not reached.all():
+            raise CodeError("base codes are not the graph's shortest-path codes")
+        index.codes, index._rows = codes, codes.tolist()
         return index
 
     def _base(self, graph: Graph, tie: Sequence[int]) -> None:
-        """Check the tie values; derive the codec, the packed edge steps and,
-        by one _relax from scratch, the base codes of every (root, vertex) pair."""
+        """Check the tie values; derive the codec and edge steps; derive no root."""
         n, m = graph.n, graph.m
         if len(tie) != m:
             raise GraphError(f"expected {m} tie values, got {len(tie)}")
@@ -106,15 +132,6 @@ class ShortestPathIndex:
         self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
                      for row in graph.adj]
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
-        # one column per root, the deletion sweep's empty set started from
-        # scratch: every vertex unreachable but the root itself
-        arcs = _arc_list(self)
-        place = np.argsort(arcs.order)
-        dist = np.full((n, n), self.codec.unreachable_code, dtype=np.int64)
-        dist[place, np.arange(n)] = 0
-        _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
-        self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
-        self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
         # per root, None until derived: the last by _finish_path_edges, the rest by _finish_root
         (self._dist, self._by_tin, self._anc, self._sub, self._below,
          self._path_edges) = ([None] * n for _ in range(6))

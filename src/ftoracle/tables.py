@@ -264,7 +264,7 @@ class OracleTables:
                 base, kv, a = next(lower)  # a: where the pair's row ids start, then its column ids
                 rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
                 rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
-        self._bounds = [0] + np.cumsum(set_sizes).tolist()
+        self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = codec.unreachable_code
 

@@ -15,8 +15,8 @@ import pytest
 from ftoracle import spindex
 from ftoracle.graph import parse_graph
 from ftoracle.query import Oracle, build_oracle
-from ftoracle.reference import ReferenceOracle
-from ftoracle.spindex import _arc_list, _relax, build_index_auto
+from ftoracle.reference import ReferenceOracle, dijkstra_composite
+from ftoracle.spindex import LengthCodec, _arc_list, _relax, build_index_auto
 from ftoracle.tables import CHUNK
 
 G1_TEXT = """\
@@ -135,6 +135,14 @@ def encode(codec, length):
     if length.is_unreachable:
         return codec.unreachable_code
     return (length.true_len << codec.shift) | length.tie_key
+
+
+def reference_codes(graph, tie):
+    """(root, vertex) int64 base codes by the reference's own Dijkstra, which
+    needs no unique shortest paths."""
+    codec = LengthCodec(graph.n, graph.m, max((w for _, _, w in graph.edges), default=1))
+    return np.array([[encode(codec, length) for length in dijkstra_composite(graph, tie, r)[0]]
+                     for r in range(graph.n)], dtype=np.int64)
 
 
 @functools.cache

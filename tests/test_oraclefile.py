@@ -1,4 +1,5 @@
 """Binary oracle files: round trips, byte identity, corruption detection."""
+import copy
 import hashlib
 import io
 import itertools
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import ftoracle.cli as cli
 import ftoracle.tables
+from ftoracle import spindex
 from ftoracle.oraclefile import (OracleFileError, _EDGE, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
@@ -23,7 +25,7 @@ from ftoracle.spindex import BuildError, ShortestPathIndex, TieBreakError
 from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
                              enumerate_failure_sets)
 
-from conftest import PER_ROOT, base_length, derived_roots, underive
+from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
 from test_file_digests import PINNED, logical_digest
 
 
@@ -92,12 +94,14 @@ def test_queries_derive_only_the_roots_they_visit(oracle6_d2, g6, monkeypatch):
 
 def test_derived_roots_equal_the_built_index(oracle6_d2):
     # g6 and every pinned build, loaded; and the largest n a file may hold,
-    # whose index from_arrays rebuilds as load does (its tables would not fit)
+    # whose index from_arrays rebuilds from its codes as load does (its
+    # tables would not fit)
     oracles = [oracle6_d2] + [build_oracle(make(), d, seed=1) for make, d, _ in PINNED.values()]
     pairs = [(o.index, load_oracle(io.BytesIO(oracle_file_bytes(o))).index) for o in oracles]
     path = Graph(128, [(i, i + 1, 1) for i in range(127)])
     path_index = ShortestPathIndex(path, list(range(1, 128)))
-    pairs.append((path_index, ShortestPathIndex.from_arrays(path, path_index.tie)))
+    pairs.append((path_index, ShortestPathIndex.from_arrays(path, path_index.tie,
+                                                            path_index.codes.copy())))
     for built, index in pairs:
         assert derived_roots(index) == set()
         assert np.array_equal(index.codes, built.codes)
@@ -340,8 +344,8 @@ def test_rejects_palette_codes_that_rise(oracle6_d2):
 
 def test_rejects_palette_not_ending_at_its_base_code(oracle6_d2):
     # every palette ends with the empty set at its pair's base code, which
-    # load derives from the stored graph: a lowered last code is refused,
-    # and so are tie values re-sealed without the base codes they give
+    # load certifies against the stored graph: a lowered last code is
+    # refused, and so are tie values re-sealed without the base codes they give
     tables = oracle6_d2.tables
     last = _palettes(tables)[1][-1]  # pair (0, 1)
     lowered = _edit(oracle6_d2, ("values", last, (int(tables.codes[last]) - 1,)))
@@ -351,6 +355,54 @@ def test_rejects_palette_not_ending_at_its_base_code(oracle6_d2):
         with pytest.raises(OracleFileError, match="palette does not end with the empty set "
                                                   "at its pair's base code"):
             load_oracle(io.BytesIO(blob))
+
+
+_BASE_CODE = "palette does not end with the empty set at its pair's base code"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rejects_any_base_code_off_by_one(name):
+    # each pair u < v's last code raised or lowered by 1, or a diagonal
+    # pair's set to 1: the stored codes are no longer the shortest codes,
+    # and load's certificate refuses them
+    make, d, _ = PINNED[name]
+    oracle = build_oracle(make(), d, seed=1)
+    n = oracle.graph.n
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    for (u, v), palette in zip(pairs, _palettes(oracle.tables)):
+        code = int(oracle.tables.codes[palette[-1]])
+        for bad in ((code - 1, code + 1) if u < v else (1,)):
+            with pytest.raises(OracleFileError, match=_BASE_CODE):
+                load_oracle(io.BytesIO(_edit(oracle, ("values", palette[-1], (bad,)))))
+
+
+def test_load_runs_no_bellman_ford(oracle6_d2, monkeypatch):
+    # load checks the stored base codes; only the build computes them
+    calls = []
+    monkeypatch.setattr(spindex, "_relax", lambda *args: calls.append("_relax"))
+    monkeypatch.setattr(spindex, "_arc_list", lambda *args: calls.append("_arc_list"))
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    assert calls == []
+    assert np.array_equal(loaded.index.codes, oracle6_d2.index.codes)
+
+
+def test_rejects_diagonal_palette_beyond_the_empty_set(oracle6_d2):
+    # a pair (u, u) holds one entry, the empty set at code 0, and every read
+    # of that pair takes its palette's first entry: a set spliced in front
+    # of pair (1, 1)'s, written with the header's P and I to match and a
+    # fresh trailer, would be read there
+    built, n = oracle6_d2.tables, oracle6_d2.graph.n
+    tables = copy.copy(built)
+    at = int(built.pair_sizes[:n].sum())  # pair (1, 1)'s entry, after row 0's n pairs
+    tables.pair_sizes = built.pair_sizes.copy()
+    tables.pair_sizes[n] += 1
+    tables.codes = np.insert(built.codes, at, 1)
+    tables.set_sizes = np.insert(built.set_sizes, at, 1)
+    tables.ids = np.insert(built.ids, int(built.set_sizes[:at].sum()), 0)
+    blob = oracle_file_bytes(Oracle(oracle6_d2.index, tables))
+    assert len(blob) == len(oracle_file_bytes(oracle6_d2)) + 8 + 1 + 1
+    with pytest.raises(OracleFileError, match="diagonal palette holds more than the empty set"):
+        load_oracle(io.BytesIO(blob))
 
 
 def test_rejects_empty_set_before_a_palettes_end(oracle6_d2):
@@ -662,7 +714,7 @@ def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
         off = _HEADER.size + 24 * m
         sizes = np.frombuffer(blob, "<i8", pairs, off)
         last = off + 8 * (pairs + np.cumsum(sizes) - 1)  # each palette's last code
-        codes = ShortestPathIndex.from_arrays(graph, [1] * m).codes
+        codes = reference_codes(graph, [1] * m)
         for at, code in zip(last.tolist(), codes[np.triu_indices(n)].tolist()):
             out[at:at + 8] = code.to_bytes(8, "little")
     return _reseal(out)

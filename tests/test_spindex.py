@@ -17,8 +17,8 @@ from ftoracle.hitset import FailureView
 from ftoracle.reference import dijkstra_composite
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
-from conftest import (base_length, derived_roots, encode, lca, mask_parents, reference_of,
-                      tree_path, tree_path_edges)
+from conftest import (base_length, derived_roots, encode, lca, mask_parents, reference_codes,
+                      reference_of, tree_path, tree_path_edges)
 
 
 def plain_dijkstra(graph, source):
@@ -319,7 +319,7 @@ def test_masks_match_interval_predicates(shape, n, seed):
     # the query's tree-child rule: e's end in _below[r][e] is the vertex whose
     # parent edge e is, and an edge off the tree has neither end there; on a
     # clone each root is derived on its first use here
-    clone = ShortestPathIndex.from_arrays(g, index.tie)
+    clone = ShortestPathIndex.from_arrays(g, index.tie, index.codes.copy())
     assert derived_roots(clone) == set()
     for ix in (index, clone):
         for r in range(g.n):
@@ -394,7 +394,7 @@ def test_unique_parent_per_root(idx6):
 
 def test_from_arrays_reproduces_predicates(idx6):
     g = idx6.graph
-    clone = ShortestPathIndex.from_arrays(g, idx6.tie)
+    clone = ShortestPathIndex.from_arrays(g, idx6.tie, idx6.codes.copy())
     assert derived_roots(clone) == set()
     assert np.array_equal(clone.codes, idx6.codes)
     for r in range(g.n):
@@ -415,13 +415,45 @@ def test_from_arrays_reproduces_predicates(idx6):
                     idx6.path_intersects(u, x, (eid,))
 
 
+def test_from_arrays_certifies_the_codes(idx1, idx6):
+    # the built codes pass; any one code off by 1, one of a pair's two codes
+    # or both, or the codes of other tie values, do not
+    for index in (idx1, idx6):
+        g, codes = index.graph, index.codes
+        ShortestPathIndex.from_arrays(g, index.tie, codes.copy())
+        for u, v in combinations(range(g.n), 2):
+            for change in (-1, 1):
+                for cells in ([(u, v)], [(v, u)], [(u, v), (v, u)]):
+                    bad = codes.copy()
+                    for cell in cells:
+                        bad[cell] += change
+                    with pytest.raises(spindex.CodeError):
+                        ShortestPathIndex.from_arrays(g, index.tie, bad)
+        for u in range(g.n):
+            bad = codes.copy()
+            bad[u, u] = 1
+            with pytest.raises(spindex.CodeError):
+                ShortestPathIndex.from_arrays(g, index.tie, bad)
+    other = [t + 1 for t in idx6.tie]
+    with pytest.raises(spindex.CodeError):
+        ShortestPathIndex.from_arrays(idx6.graph, other, idx6.codes.copy())
+    assert np.array_equal(ShortestPathIndex.from_arrays(
+        idx6.graph, other, reference_codes(idx6.graph, other)).codes,
+        ShortestPathIndex(idx6.graph, other).codes)
+
+
 TREE_CHECK_UNDER_O = """
 import sys
+import numpy as np
 from ftoracle.graph import Graph
-from ftoracle.spindex import ShortestPathIndex, TieBreakError
+from ftoracle.reference import dijkstra_composite
+from ftoracle.spindex import LengthCodec, ShortestPathIndex, TieBreakError
 assert sys.flags.optimize, "not running under -O"
 square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-index = ShortestPathIndex.from_arrays(square, [1, 1, 1, 1])
+shift = LengthCodec(4, 4, 1).shift  # the reference's lengths, packed
+codes = np.array([[(length.true_len << shift) + length.tie_key for length in
+                   dijkstra_composite(square, [1] * 4, r)[0]] for r in range(4)])
+index = ShortestPathIndex.from_arrays(square, [1, 1, 1, 1], codes)
 try:
     index.path_intersects(0, 2, ())
 except TieBreakError as exc:
