@@ -32,24 +32,27 @@ stored.  W is 1 when every palette has at most 256 entries, else 2.  The
 widths of the ids and set sizes follow from m (tables.palette_dtypes), and
 the build's tables hold them at the same widths.  Every section's size
 follows from the header, and the sections before the ids are multiples of
-8 bytes, so each palette array loads as an aligned zero-copy view; the
-matrices are copied once, behind the diagonal rows' zero slot.  No layout
-depends on d, and sets are edge ids, so load never enumerates failure
-sets.  The length codec and the shortest-path index are derived, not
-stored; the base codes are each palette's last code.  Load range-checks
-the tie values and certifies those codes on the stored graph (from_arrays,
-which computes none), so the index cannot disagree with the graph, and
-each root's tree, whose uniqueness check may raise TieBreakError, is
-derived on its first query.  Before reading past the header, load runs the
-build's budget gate, check_build_size, charged for the header's S matrix
-slots.  A diagonal pair's palette holds one entry, each palette's codes
-must not increase, its last entry must be the empty set at its pair's base
-code, and no other entry may be empty.  Class ids must come in order of
-first appearance, the header's S must be the sum of ku * kv, and every
-matrix slot must lie below its pair's palette size.  Other versions, such
-as version 6 with its 4n^2 slots per pair, fail with a version error, and
-so does any slot width but 1 or 2.  Saving the same build twice is
-byte-identical, and a load followed by a save reproduces the file exactly.
+8 bytes, so each palette array loads as an aligned zero-copy view.  The
+class ids and matrices load as views too, and the tables in memory are
+these sections; only 2-byte matrices at an odd offset are copied.  No
+layout depends on d, and sets are edge ids, so load never enumerates
+failure sets.  The length codec and the shortest-path index are derived,
+not stored; the base codes are each palette's last code.  Load
+range-checks the tie values and certifies those codes on the stored graph
+with the build's own certificate (from_arrays, which computes none), so
+the index cannot disagree with the graph, and a file whose tie values
+leave two shortest paths tied is refused; each root's tree is derived on
+its first query from the tree arcs the certificate kept.  Before reading
+past the header, load runs the build's budget gate, check_build_size,
+charged for the header's S matrix slots.  A diagonal pair's palette holds
+one entry, each palette's codes must not increase, its last entry must be
+the empty set at its pair's base code, and no other entry may be empty.
+Class ids must come in order of first appearance, the header's S must be
+the sum of ku * kv, and every matrix slot must lie below its pair's
+palette size.  Other versions, such as version 6 with its 4n^2 slots per
+pair, fail with a version error, and so does any slot width but 1 or 2.
+Saving the same build twice is byte-identical, and a load followed by a
+save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -62,8 +65,8 @@ import numpy as np
 
 from .graph import Graph, GraphError
 from .query import Oracle
-from .spindex import BuildError, CodeError, LengthCodec, ShortestPathIndex
-from .tables import OracleTables, check_build_size, class_bounds, palette_dtypes
+from .spindex import BuildError, CodeError, LengthCodec, ShortestPathIndex, TieBreakError
+from .tables import OracleTables, check_build_size, palette_dtypes
 
 MAGIC = b"FTDO"
 VERSION = 7
@@ -182,7 +185,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError(_NOT_BASE)
     try:
         index = ShortestPathIndex.from_arrays(g, edges["tie"].tolist(), base)
-    except GraphError as exc:
+    except (GraphError, TieBreakError) as exc:
         raise OracleFileError(f"stored tie values: {exc}") from None
     except CodeError:
         raise OracleFileError(_NOT_BASE) from None
@@ -192,16 +195,17 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     seen = np.maximum.accumulate(classes, axis=2)
     if classes[:, :, 0].any() or (classes[:, :, 1:] > seen[:, :, :-1] + 1).any():
         raise OracleFileError("class ids not in order of first appearance")
-    _, bounds = class_bounds(classes)
+    # copied only if unaligned, which a memoryview cannot index
+    matrices = np.require(np.frombuffer(blob, f"<u{width}", stored, slots_at), requirements="A")
+    tables = OracleTables(g, d, tie_seed, index.codec, matrices, classes, pair_sizes, codes,
+                          set_sizes, ids)
+    bounds = tables.matrix_bounds
     if bounds[-1] != stored:
         raise OracleFileError(f"header names {stored} matrix slots, the class ids "
                               f"{bounds[-1]}")
-    cells = np.zeros(1 + stored, dtype=(np.uint8, np.uint16)[width - 1])
-    cells[1:] = np.frombuffer(blob, f"<u{width}", stored, slots_at)
-    if lower and (np.maximum.reduceat(cells[1:], bounds[:-1]) >= pair_sizes[strict]).any():
+    if lower and (np.maximum.reduceat(matrices, bounds[:-1]) >= pair_sizes[strict]).any():
         raise OracleFileError("palette slot out of range")
-    return Oracle(index, OracleTables(g, d, tie_seed, index.codec, cells, classes, pair_sizes,
-                                      codes, set_sizes, ids))
+    return Oracle(index, tables)
 
 
 def oracle_file_bytes(oracle: Oracle) -> bytes:

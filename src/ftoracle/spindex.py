@@ -7,15 +7,15 @@ engine reads them as Python-int rows and adds each edge's packed step.
 One batched Bellman-Ford, _relax, is the engine's only shortest-path
 routine: the index build runs it once over all roots from scratch, with
 no arc banned, and the table build's deletion sweep runs it per failure
-set; the oracle file load (from_arrays) only certifies the codes its
-file stores.  _relax tracks no parents; each root's uniqueness check
-scans every vertex's optimal predecessors anyway, and the unique one is
-the tree parent.  After that check, one
-DFS per root derives the index's one damage encoding, Python-int vertex
-bitmasks: _sub[r][w] is w's subtree, _below[r][e] the vertices
-below tree edge e (0 off the tree), so "e lies on the tree path r->x" is
-_below[r][e] >> x & 1.  The table build unpacks them into numpy masks and
-the query engine ORs them per failure set.  _anc[r][v] holds v's ancestors
+set; the oracle file load (from_arrays) computes none.  Both send their
+codes through one numpy certificate, _certify, which keeps each vertex's
+one tight arc in as its tree arc, so both refuse the same ties, at once.
+From those arcs one DFS per root derives the index's one damage
+encoding, Python-int vertex bitmasks: _sub[r][w] is w's subtree,
+_below[r][e] the vertices below tree edge e (0 off the tree), so "e lies
+on the tree path r->x" is _below[r][e] >> x & 1.  The table build
+unpacks them into numpy masks and the query engine ORs them per failure
+set.  _anc[r][v] holds v's ancestors
 as DFS-entry bits, so v's own entry number is its highest bit, and the
 LCA of x and y, their deepest common ancestor, is
 _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _ends[e] is e's
@@ -87,8 +87,7 @@ class ShortestPathIndex:
         dist = np.full((n, n), self.codec.unreachable_code, dtype=np.int64)
         dist[place, np.arange(n)] = 0
         _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
-        self.codes = dist[place].T.copy()  # int64 (root, vertex): packed base distances
-        self._rows = self.codes.tolist()  # the same codes as Python ints, for the query
+        self._certify(dist[place].T.copy())
         for r in range(n):  # the table build reads every root
             self._finish_root(r)
 
@@ -97,21 +96,10 @@ class ShortestPathIndex:
                     codes: np.ndarray) -> "ShortestPathIndex":
         """Rebuild from a stored graph, its tie values and its claimed int64
         (root, vertex) base codes in [0, 2^62] (oracle file load), deriving
-        no root.  Certifies the codes, as steps are >= 1: they are the
-        shortest codes iff each root's own is 0, no arc lowers a code and
-        every other vertex has a tight arc in.  Raises CodeError if not."""
+        no root.  Raises CodeError or TieBreakError as _certify does."""
         index = cls.__new__(cls)
         index._base(graph, tie)
-        ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 3)[:, :2]
-        tail, head = ends.ravel(), ends[:, ::-1].ravel()  # a -> b and b -> a per edge
-        # per (root, arc): the code the arc offers its head, less the head's code
-        gap = codes[:, tail] + np.repeat(np.array(index._step, dtype=np.int64), 2) - codes[:, head]
-        roots, tight = np.nonzero(gap == 0)
-        reached = np.eye(graph.n, dtype=bool)  # a root needs no arc in
-        reached[roots, head[tight]] = True
-        if np.diagonal(codes).any() or (gap < 0).any() or not reached.all():
-            raise CodeError("base codes are not the graph's shortest-path codes")
-        index.codes, index._rows = codes, codes.tolist()
+        index._certify(codes)
         return index
 
     def _base(self, graph: Graph, tie: Sequence[int]) -> None:
@@ -127,31 +115,54 @@ class ShortestPathIndex:
         self.tie = list(tie)
         self.codec = LengthCodec(n, m, max((w for _, _, w in graph.edges), default=1))
         shift = self.codec.shift
-        # packed length of each edge, and (neighbor, edge id, that length)
-        self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]
-        self._adj = [[(nb, eid, self._step[eid]) for nb, eid, _ in row]
-                     for row in graph.adj]
+        self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
         # per root, None until derived: the last by _finish_path_edges, the rest by _finish_root
         (self._dist, self._by_tin, self._anc, self._sub, self._below,
          self._path_edges) = ([None] * n for _ in range(6))
 
-    def _finish_root(self, r: int) -> list[int]:
-        """Derive root r's tree, base lengths, DFS order and masks.
+    def _certify(self, codes: np.ndarray) -> None:
+        """Keep codes, int64 (root, vertex) in [0, 2^62], as the base codes,
+        and each (root, vertex)'s tree arc, its one tight arc in.
 
-        Returns _below[r].  Raises TieBreakError, before it writes
-        anything, unless r's shortest paths are unique.
+        As steps are >= 1, the codes are the shortest codes iff each root's
+        own is 0, no arc lowers a code and every other vertex has a tight
+        arc in; raises CodeError if not.  Raises TieBreakError if a vertex
+        has several: then its shortest paths from that root are not unique.
         """
-        parent, parent_eid = _check_unique(self._adj, r, self._rows[r])
+        n = self.graph.n
+        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 3)[:, :2]
+        # arc 2e runs a -> b along edge e = (a, b), arc 2e + 1 back
+        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        # per (root, arc): the code the arc offers its head, less the head's code
+        gap = codes[:, tail] + np.repeat(np.array(self._step, dtype=np.int64), 2) - codes[:, head]
+        roots, arcs = np.nonzero(gap == 0)
+        tight = np.bincount(roots * n + head[arcs], minlength=n * n).reshape(n, n)
+        np.fill_diagonal(tight, 1)  # a root needs no arc in
+        if np.diagonal(codes).any() or (gap < 0).any() or not tight.all():
+            raise CodeError("base codes are not the graph's shortest-path codes")
+        several = np.flatnonzero(tight > 1)
+        if len(several):
+            r, v = divmod(int(several[0]), n)
+            raise TieBreakError(f"root {r}: vertex {v} has {tight[r, v]} optimal predecessors")
+        self._tree = np.zeros((n, n), dtype=np.min_scalar_type(len(tail)))  # a root's own unread
+        self._tree[roots, head[arcs]] = arcs
+        self.codes, self._rows = codes, codes.tolist()
+
+    def _finish_root(self, r: int) -> list[int]:
+        """Derive root r's base lengths, DFS order and masks from its tree
+        arcs; returns _below[r]."""
         graph = self.graph
         n = graph.n
         shift, mask = self.codec.shift, self.codec.mask
         # a connected graph's index holds no UNREACHABLE code
         self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
 
+        tree, parent, parent_eid = self._tree[r].tolist(), [-1] * n, [-1] * n
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n - 1, -1, -1):  # children listed descending, popped ascending
-            if parent[v] >= 0:
+            if v != r:  # its tree arc's tail and edge
+                parent[v], parent_eid[v] = graph.edges[tree[v] >> 1][tree[v] & 1], tree[v] >> 1
                 children[parent[v]].append(v)
 
         by_tin: list[int] = []  # vertices in DFS-entry (preorder) order
@@ -191,26 +202,6 @@ class ShortestPathIndex:
         return any(0 <= e < len(below) and below[e] >> x & 1 for e in failed)
 
 
-def _check_unique(adj: list[list[tuple[int, int, int]]], r: int,
-                  row: list[int]) -> tuple[list[int], list[int]]:
-    """Parent and parent edge of every vertex: its one optimal predecessor.
-
-    Raises TieBreakError when a non-root vertex has none or several.
-    """
-    n = len(row)
-    parent = [-1] * n
-    parent_eid = [-1] * n
-    for v in range(n):
-        if v == r:
-            continue
-        preds = [(nb, eid) for nb, eid, step in adj[v] if row[nb] + step == row[v]]
-        if len(preds) != 1:
-            raise TieBreakError(
-                f"root {r}: vertex {v} has {len(preds)} optimal predecessors")
-        parent[v], parent_eid[v] = preds[0]
-    return parent, parent_eid
-
-
 class _Arcs(NamedTuple):
     """_relax's vertex order and its directed arcs, slot by slot.
 
@@ -229,12 +220,12 @@ class _Arcs(NamedTuple):
 
 def _arc_list(index: ShortestPathIndex) -> _Arcs:
     """The arcs of index's graph, made once per index and once per table build."""
-    adj = index._adj
+    adj = index.graph.adj  # per vertex, (neighbor, edge id, weight) per arc in
     order = sorted(range(len(adj)), key=lambda v: -len(adj[v]))
     slots = [[adj[v][k] for v in order if len(adj[v]) > k] for k in range(len(adj[order[0]]))]
     arcs = np.array([arc for slot in slots for arc in slot], dtype=np.int64).reshape(-1, 3)
-    return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1], arcs[:, 2],
-                list(map(len, slots)))
+    return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1],
+                 np.array(index._step, dtype=np.int64)[arcs[:, 1]], list(map(len, slots)))
 
 
 def _relax(row: np.ndarray, banned: np.ndarray, arcs: _Arcs, unreachable: int) -> None:

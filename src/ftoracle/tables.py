@@ -62,7 +62,10 @@ held at once, and one encoding takes several groups of few rows.
 A read of row (v, u) takes the pair's column classes for u' and row
 classes for v', with the matrix strides swapped.  A diagonal row holds
 only slot 0, its palette's one entry, the zero distance, so it is not
-stored.  Slots are uint8 while every palette fits, else uint16: a row has
+stored; lookup answers its keys from that entry, and the query engine,
+whose every read pair is damaged, never reads one.  The tables in memory
+are the oracle file's sections, which the read path reads in place.
+Slots are uint8 while every palette fits, else uint16: a row has
 4n^2 keys, so at most 4n^2 entries, and its slots fit in uint16 for
 n <= 128.
 """
@@ -142,12 +145,12 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     In order, it refuses d < 1, more than 2^31 failure sets (the build's
     pair, set and candidate indices are int32), more than physical memory,
     and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each pair
-    u < v takes 4n uint8 class ids, held by its batch, the table and its
-    read copy, and at most 4n^2 matrix slots, held by its batch and the
-    table, uint8, or uint16 where a palette may outgrow uint8.  Load
-    passes matrix_bytes, its file's matrices, which it holds once, and it
-    holds the class ids twice (the read copy and the order check's running
-    maxima), in place of the build's class ids, matrices and encoding.  Each
+    u < v takes 4n uint8 class ids, held by its batch and the table and
+    charged once more, and at most 4n^2 matrix slots, held by its batch and
+    the table, uint8, or uint16 where a palette may outgrow uint8.  Load
+    passes matrix_bytes, its file's matrices, which it holds once, and it is
+    charged the class ids twice (the order check's running maxima and their
+    sums), in place of the build's class ids, matrices and encoding.  Each
     palette entry is charged an int64 code, set size and edge ids plus their
     read-path lists, at the bound of min(4n^2, sets) entries per pair; set
     sizes and edge ids take one or two bytes (palette_dtypes), so that part
@@ -230,7 +233,7 @@ class OracleTables:
     """Palette tables over all 4*n^4 keys, plus build metadata."""
 
     def __init__(self, graph: Graph, d: int, tie_seed: int, codec: LengthCodec,
-                 cells: np.ndarray, classes: np.ndarray, pair_sizes: np.ndarray,
+                 matrices: np.ndarray, classes: np.ndarray, pair_sizes: np.ndarray,
                  codes: np.ndarray, set_sizes: np.ndarray, ids: np.ndarray):
         n = graph.n
         self.graph = graph
@@ -239,26 +242,27 @@ class OracleTables:
         self.codec = codec
         self.classes = classes        # uint8, (pair u < v, rows | columns, 2n), class ids of
                                       # (u', b1) and of (v', b2), at 2u' + b1 and 2v' + b2
-        self.matrices = cells[1:]     # uint8 or uint16, each pair's ku x kv slots, row-major
+        self.matrices = matrices      # uint8 or uint16, each pair's ku x kv slots, row-major
         self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
         self.codes = codes            # int64, packed code per palette entry, pair by pair
         self.set_sizes = set_sizes    # uint8, |D*| per palette entry
         self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
                                       # ascending edge ids, entry by entry
-        # the read path: cells[0] is the diagonal rows' zero slot, then the
-        # matrices; _cls is 2n zero ids for the diagonal rows, then the class
-        # ids.  Per ordered pair: its palette start, its matrix's first cell,
+        kinds, self.matrix_bounds = class_bounds(classes)  # int64, see class_bounds
+        # the read path reads the matrices and class ids in place.  Per
+        # ordered pair u != v: its palette start, its matrix's first slot,
         # where the ids of u' and of v' start, and the strides of their
-        # classes.  Each palette entry becomes a (code, D*) tuple on first read
-        self._cells = memoryview(cells)
-        self._cls = memoryview(np.concatenate((np.zeros(2 * n, dtype=np.uint8), classes.ravel())))
+        # classes; per diagonal pair, whose keys all read its palette's one
+        # entry, only its palette start.  Each palette entry becomes a
+        # (code, D*) tuple on first read
+        self._cells = memoryview(matrices)
+        self._cls = memoryview(classes.reshape(-1))
         starts = iter((np.cumsum(pair_sizes) - pair_sizes).tolist())  # pairs u <= v
-        kinds, bounds = class_bounds(classes)
-        lower = zip((bounds[:-1] + 1).tolist(), kinds[:, 1].tolist(),
-                    range(2 * n, 2 * n + 4 * n * len(classes), 4 * n))  # pairs u < v
+        lower = zip(self.matrix_bounds[:-1].tolist(), kinds[:, 1].tolist(),
+                    range(0, 4 * n * len(classes), 4 * n))  # pairs u < v
         self._rows = rows = [[None] * n for _ in range(n)]
         for u in range(n):
-            rows[u][u] = (next(starts), 0, 0, 0, 0, 0)
+            rows[u][u] = (next(starts),)
             for v in range(u + 1, n):
                 start = next(starts)
                 base, kv, a = next(lower)  # a: where the pair's row ids start, then its column ids
@@ -308,21 +312,18 @@ class OracleTables:
             raise ValueError(f"table key out of range: {(u, v, up, vp, b1, b2)}")
         if b1 not in (0, 1) or b2 not in (0, 1):
             raise ValueError(f"table key bits must be 0/1: {(u, v, up, vp, b1, b2)}")
-        code, d_star = self.read(u, v, up, vp, b1, b2)
+        if u == v:
+            code, d_star = self._entry(self._rows[u][u][0])
+        else:
+            code, union = self.read_block(u, v, (up,), (vp,), b1, b2)
+            d_star = tuple(sorted(union))
         return TableEntry(d_star, self.codec.decode(code))
-
-    def read(self, u: int, v: int, up: int, vp: int, b1: int,
-             b2: int) -> tuple[int, tuple[int, ...]]:
-        """(packed code, D*) stored at key, unchecked."""
-        start, base, a, sa, b, sb = self._rows[u][v]
-        cls = self._cls
-        return self._entry(start + self._cells[base + cls[a + 2 * up + b1] * sa
-                                               + cls[b + 2 * vp + b2] * sb])
 
     def read_block(self, u: int, v: int, ups: Sequence[int], vps: Sequence[int],
                    b1: int, b2: int) -> tuple[int, set[int]]:
         """(min code, union of D*) over the keys (u, v, up, vp, b1, b2), up in
-        ups, vp in vps, unchecked; the query engine's read.  It reads each
+        ups, vp in vps, u != v, unchecked; the query engine's read, which
+        never reads a diagonal pair, as those store no matrix.  It reads each
         up's and each vp's class once, then the matrix cells."""
         start, base, a, sa, b, sb = self._rows[u][v]
         cls, cells, entries = self._cls, self._cells, self._entries
@@ -768,19 +769,19 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     classes = np.empty((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
     for pair, cls, _, _ in slots:
         classes[pair] = cls
-    at = (class_bounds(classes)[1] + 1).tolist()  # each pair's first cell, behind the zero slot
-    cells = np.zeros(at[-1], dtype=np.result_type(*(mat for *_, mat in slots)))
+    at = class_bounds(classes)[1].tolist()  # each pair's first slot
+    matrices = np.empty(at[-1], dtype=np.result_type(*(mat for *_, mat in slots)))
     while slots:
         pair, _, count, mat = slots.pop()
         src = 0
         for p, c in zip(pair.tolist(), count.tolist()):
-            cells[at[p]:at[p] + c] = mat[src:src + c]
+            matrices[at[p]:at[p] + c] = mat[src:src + c]
             src += c
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
     winners = ids[cand[order]]
     real = winners < graph.m
     id_type, size_type = palette_dtypes(graph.m)
-    return OracleTables(graph, d, tie_seed, index.codec, cells, classes, size[np.argsort(pair)],
+    return OracleTables(graph, d, tie_seed, index.codec, matrices, classes, size[np.argsort(pair)],
                         code[order], real.sum(axis=1, dtype=size_type),
                         winners[real].astype(id_type))

@@ -296,27 +296,29 @@ def exhaustive_candidates(index, ids, levels, swept, roots, cols, clean):
 def swap_parents(monkeypatch, root):
     """Make root's tree wrong wherever the index derives it from now on.
 
-    spindex._check_unique is wrapped so that, for root, two vertices that
-    lie on neither one's tree path and have different parents swap parent
-    and parent edge.  The result is still a tree over every vertex, so the
-    derivation succeeds, but its masks disagree with the codes.
+    ShortestPathIndex._certify is wrapped so that, for root, two vertices
+    that lie on neither one's tree path and have different parents swap
+    tree arcs, and so parent and parent edge.  The result is still a tree
+    over every vertex, so the derivation succeeds, but its masks disagree
+    with the codes.
     """
-    real = spindex._check_unique
+    real = spindex.ShortestPathIndex._certify
 
-    def swapped(adj, r, row):
-        parent, parent_eid = real(adj, r, row)
-        if r == root:
-            def ancestors(x):
-                out = {x}
-                while x != r:
-                    x = parent[x]
-                    out.add(x)
-                return out
-            a, b = next((a, b) for a in range(len(row)) for b in range(a + 1, len(row))
-                        if r not in (a, b) and parent[a] != parent[b]
-                        and a not in ancestors(b) and b not in ancestors(a))
-            parent[a], parent[b] = parent[b], parent[a]
-            parent_eid[a], parent_eid[b] = parent_eid[b], parent_eid[a]
-        return parent, parent_eid
+    def swapped(self, codes):
+        real(self, codes)
+        tree, edges = self._tree[root], self.graph.edges
+        parent = [edges[arc >> 1][arc & 1] for arc in tree.tolist()]  # the arc's tail
 
-    monkeypatch.setattr(spindex, "_check_unique", swapped)
+        def ancestors(x):
+            out = {x}
+            while x != root:
+                x = parent[x]
+                out.add(x)
+            return out
+        n = len(parent)
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if root not in (a, b) and parent[a] != parent[b]
+                    and a not in ancestors(b) and b not in ancestors(a))
+        tree[[a, b]] = tree[[b, a]]
+
+    monkeypatch.setattr(spindex.ShortestPathIndex, "_certify", swapped)

@@ -21,7 +21,7 @@ from ftoracle.graph import Graph, GraphError
 from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
-from ftoracle.spindex import BuildError, ShortestPathIndex, TieBreakError
+from ftoracle.spindex import BuildError, ShortestPathIndex
 from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
                              enumerate_failure_sets)
 
@@ -458,16 +458,16 @@ def test_loads_a_pair_of_256_row_classes(monkeypatch):
     set_sizes[1] = 1
     classes = np.zeros((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
     classes[0, 0] = np.arange(2 * n)
-    cells = np.zeros(1 + 2 * n + len(classes) - 1, dtype=np.uint8)
-    cells[2:1 + 2 * n:2] = 1  # rows (u', 1) of pair (0, 1) read the empty set, the rest the cut
-    tables = ftoracle.tables.OracleTables(index.graph, 1, 1, index.codec, cells, classes,
+    matrices = np.zeros(2 * n + len(classes) - 1, dtype=np.uint8)
+    matrices[1:2 * n:2] = 1  # rows (u', 1) of pair (0, 1) read the empty set, the rest the cut
+    tables = ftoracle.tables.OracleTables(index.graph, 1, 1, index.codec, matrices, classes,
                                           pair_sizes, codes, set_sizes, np.zeros(1, np.uint8))
     blob = oracle_file_bytes(Oracle(index, tables))
     loaded = load_oracle(io.BytesIO(blob)).tables
-    assert np.array_equal(loaded.classes, classes) and np.array_equal(loaded.matrices, cells[1:])
+    assert np.array_equal(loaded.classes, classes) and np.array_equal(loaded.matrices, matrices)
     for up, b1 in itertools.product(range(n), (0, 1)):
-        assert loaded.read(0, 1, up, 5, b1, 1) == \
-            ((index.codec.unreachable_code, (0,)) if b1 == 0 else (int(index.codes[0, 1]), ()))
+        assert loaded.read_block(0, 1, (up,), (5,), b1, 1) == \
+            ((index.codec.unreachable_code, {0}) if b1 == 0 else (int(index.codes[0, 1]), set()))
 
 
 def test_rejects_matrix_slot_beyond_its_own_palette(oracle6_d2):
@@ -683,18 +683,17 @@ def test_load_gate_charges_the_headers_matrix_slots(oracle6_d2, monkeypatch):
         load_oracle(io.BytesIO(blob))
 
 
-def test_tied_file_loads_and_its_query_raises(tmp_path):
+def test_tied_file_is_refused_at_load(tmp_path):
     # a unit-weight 4-cycle re-sealed with every tie value 1, and each
     # palette's last entry, the empty set, at the base code these tie
     # values give: 0 reaches 2 both ways round at the same composite
-    # length.  The index is derived from the stored graph, so it cannot
-    # hide the tie; the first query that visits root 0 raises
+    # length.  The codes pass as shortest codes, but the certificate that
+    # the build runs too finds two tight arcs into 2, so load refuses it
     square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     tied = _with_ties(oracle_file_bytes(build_oracle(square, d=1, seed=1)), 4, 4)
-    loaded = load_oracle(io.BytesIO(tied))
-    assert loaded.index.tie == [1, 1, 1, 1]
-    with pytest.raises(TieBreakError, match="root 0: vertex 2 has 2 optimal predecessors"):
-        loaded.query(0, 2)
+    with pytest.raises(OracleFileError, match="stored tie values: root 0: vertex 2 has 2 "
+                                              "optimal predecessors"):
+        load_oracle(io.BytesIO(tied))
     path = tmp_path / "tied.oracle"
     path.write_bytes(tied)
     assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "2"]) == 2

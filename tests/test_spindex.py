@@ -1,5 +1,6 @@
 """Tree index: distances, ancestor masks, damage predicates, uniqueness."""
 import heapq
+import io
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ftoracle import spindex
+from ftoracle import build_oracle, load_oracle, oracle_file_bytes, spindex
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError
 from ftoracle.hitset import FailureView
@@ -19,6 +20,7 @@ from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
 from conftest import (base_length, derived_roots, encode, lca, mask_parents, reference_codes,
                       reference_of, tree_path, tree_path_edges)
+from test_file_digests import PINNED
 
 
 def plain_dijkstra(graph, source):
@@ -393,26 +395,38 @@ def test_unique_parent_per_root(idx6):
 
 
 def test_from_arrays_reproduces_predicates(idx6):
-    g = idx6.graph
-    clone = ShortestPathIndex.from_arrays(g, idx6.tie, idx6.codes.copy())
+    # a root derived from certified codes has the built root's parents,
+    # masks and lengths: g6's index rebuilt by from_arrays, and each pinned
+    # build's loaded back from its file
+    pairs = [(idx6, ShortestPathIndex.from_arrays(idx6.graph, idx6.tie, idx6.codes.copy()))]
+    for name in sorted(PINNED):
+        make, d, _ = PINNED[name]
+        built = build_oracle(make(), d, seed=1)
+        pairs.append((built.index, load_oracle(io.BytesIO(oracle_file_bytes(built))).index))
+    for index, clone in pairs:
+        _same_roots(index, clone)
+
+
+def _same_roots(index, clone):
+    g = index.graph
     assert derived_roots(clone) == set()
-    assert np.array_equal(clone.codes, idx6.codes)
+    assert np.array_equal(clone.codes, index.codes)
     for r in range(g.n):
         clone._finish_root(r)
         assert derived_roots(clone) == set(range(r + 1))
-        assert mask_parents(clone, r) == mask_parents(idx6, r)
-        assert clone._anc[r] == idx6._anc[r]
-        assert clone._sub[r] == idx6._sub[r]
-        assert clone._below[r] == idx6._below[r]
-    assert clone._anc == idx6._anc
-    assert clone._sub == idx6._sub
-    assert clone._below == idx6._below
+        assert mask_parents(clone, r) == mask_parents(index, r)
+        assert clone._anc[r] == index._anc[r]
+        assert clone._sub[r] == index._sub[r]
+        assert clone._below[r] == index._below[r]
+    assert clone._anc == index._anc
+    assert clone._sub == index._sub
+    assert clone._below == index._below
     for u in range(g.n):
         for x in range(g.n):
-            assert base_length(clone, u, x) == base_length(idx6, u, x)
+            assert base_length(clone, u, x) == base_length(index, u, x)
             for eid in range(g.m):
                 assert clone.path_intersects(u, x, (eid,)) == \
-                    idx6.path_intersects(u, x, (eid,))
+                    index.path_intersects(u, x, (eid,))
 
 
 def test_from_arrays_certifies_the_codes(idx1, idx6):
@@ -453,17 +467,16 @@ square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
 shift = LengthCodec(4, 4, 1).shift  # the reference's lengths, packed
 codes = np.array([[(length.true_len << shift) + length.tie_key for length in
                    dijkstra_composite(square, [1] * 4, r)[0]] for r in range(4)])
-index = ShortestPathIndex.from_arrays(square, [1, 1, 1, 1], codes)
 try:
-    index.path_intersects(0, 2, ())
+    ShortestPathIndex.from_arrays(square, [1, 1, 1, 1], codes)
 except TieBreakError as exc:
     print(exc)
 """
 
 
 def test_tree_check_survives_optimized_mode():
-    # python -O strips assert statements; the uniqueness check that makes a
-    # loaded root's parents a tree must not depend on them
+    # python -O strips assert statements; the certificate that refuses tied
+    # codes, and so makes a loaded root's tree arcs a tree, must not depend on them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-O", "-c", TREE_CHECK_UNDER_O], env=env,
                           capture_output=True, text=True, timeout=60)

@@ -314,8 +314,10 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     entries = list(zip(tables.codes.tolist(), sets))
     pairs = list(combinations_with_replacement(range(n), 2))
     assert len(tables.pair_sizes) == len(pairs)
-    # every key's palette entry, as the read path finds it
-    entry = {key: tables.read(*key) for key in product(*[range(n)] * 4, (0, 1), (0, 1))}
+    # every key's palette entry, as lookup finds it
+    entry = {key: (encode(tables.codec, found.l_star), found.d_star)
+             for key in product(*[range(n)] * 4, (0, 1), (0, 1))
+             for found in [tables.lookup(*key)]}
     stored = iter(tables.slots)  # the rows of pairs u < v, row-major
     start = 0
     for (u, v), size in zip(pairs, tables.pair_sizes.tolist()):
@@ -360,7 +362,7 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
             for up, b1, vp, b2 in product(range(n), (0, 1), range(n), (0, 1)):
                 code = tables.codes[start[u, v] + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
                 assert values[u, v, up, vp, b1, b2] == values[v, u, vp, up, b2, b1] == code
-                assert tables.read(u, v, up, vp, b1, b2)[0] == code
+                assert tables.read_block(u, v, (up,), (vp,), b1, b2)[0] == code
         assert at == len(tables.matrices)
     assert np.array_equal(loaded.tables.classes, built.tables.classes)
 
@@ -715,9 +717,12 @@ def test_warm_up_entry_is_plain_maximum(oracle1_d2, ref1):
 
 
 def test_diagonal_distance_is_zero(oracle6_d1):
-    for u in range(7):
-        assert oracle6_d1.tables.lookup(u, u, u, u, 0, 0).l_star == \
-            CompositeLength(0, 0)
+    # every key of a diagonal row, built and loaded: D* = () at distance 0
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d1)))
+    for tables in (oracle6_d1.tables, loaded.tables):
+        for u, up, vp, b1, b2 in product(range(7), range(7), range(7), (0, 1), (0, 1)):
+            entry = tables.lookup(u, u, up, vp, b1, b2)
+            assert entry.l_star == CompositeLength(0, 0) and entry.d_star == ()
 
 
 def test_unreachable_entries_decode(oracle1_d2):
