@@ -202,13 +202,26 @@ def failure_mask(graph: Graph, ids: Iterable[int]) -> int:
     return seen
 
 
+# _BYTE_BITS[k][x]: the set bits of x << 8k, ascending, for the low 4 bytes
+_BYTE_BITS = [[tuple(8 * k + i for i in range(8) if x >> i & 1) for x in range(256)]
+              for k in range(4)]
+
+
 def edge_ids(mask: int) -> tuple[int, ...]:
-    """The set bits of a bitmask, ascending: an edge mask's ids, a vertex mask's vertices."""
-    out = []
+    """The set bits of a bitmask, ascending: an edge mask's ids, a vertex mask's vertices.
+
+    The low 32 bits are read a byte at a time from _BYTE_BITS, the rest bit by bit.
+    """
+    t0, t1, t2, t3 = _BYTE_BITS
+    out = t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24 & 255]
+    mask >>= 32
+    if not mask:
+        return out
+    high = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
+        high.append((mask & -mask).bit_length() + 31)
         mask &= mask - 1
-    return tuple(out)
+    return out + tuple(high)
 
 
 def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:

@@ -37,8 +37,10 @@ own Dijkstra trees, so a verify run checks the masks independently.
 The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
 the failed endpoints themselves and every branching vertex in between.
-It is kept as a vertex mask, built at most once per root and view; the
-keys case_two and case_three read at r are key_tree(r) & ~path(r).
+It is built as a vertex mask from the failed edges' endpoint marks, which
+the index derives per root on that root's first key tree.  The keys
+case_two and case_three read at r, the key tree & ~path(r), are listed at
+most once per root and view, by FailureView.keys(r).
 """
 from __future__ import annotations
 
@@ -72,27 +74,34 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     """Vertex mask of root's key tree under failed; O(d log d).
 
     Its vertices are the failure endpoints and the LCAs of DFS-adjacent
-    ones, read off the marks _anc[root][x], x's ancestors' DFS entry bits:
-    x's own entry is its mark's highest bit, so marks sort in DFS order, and
-    the LCA of x and y enters at the highest bit their marks share, which
-    _by_tin maps back to a vertex.  Root must be derived:
-    FailureView.key_tree(r) runs after view.path(r).
+    ones, read off the marks _anc[root][x], x's ancestors' DFS entry bits,
+    one pair per failed edge from _marks[root]: x's own entry is its mark's
+    highest bit, so marks sort in DFS order, and the LCA of x and y enters
+    at the highest bit their marks share, which _by_tin maps back to a
+    vertex.  Root must be derived: FailureView.keys(r) runs view.path(r)
+    first.
     """
     assert failed, "key tree is only defined for a nonempty failure set"
-    edges, anc, by_tin = index.graph.edges, index._anc[root], index._by_tin[root]
+    edge_marks = index._marks[root] or index._finish_marks(root)
+    ends, by_tin = index._ends, index._by_tin[root]
     keys, marks = 0, []
     for eid in failed:
-        a, b, _ = edges[eid]
-        keys |= 1 << a | 1 << b
-        marks += anc[a], anc[b]
+        keys |= ends[eid]
+        marks += edge_marks[eid]
     marks.sort()
-    for x, y in zip(marks, marks[1:]):
+    x = marks[0]
+    for y in marks[1:]:
         keys |= 1 << by_tin[(x & y).bit_length() - 1]
+        x = y
     return keys
 
 
 class FailureView:
-    """One failure set's damage, derived once and shared by a whole query."""
+    """One failure set's damage, derived once and shared by a whole query.
+
+    Per root, path(r) is cached in _paths and keys(r), the clean key-tree
+    vertices, in trees; the memo holds the recursion's answers.
+    """
 
     def __init__(self, index: ShortestPathIndex, failed: tuple[int, ...],
                  stats: QueryStats | None = None):
@@ -103,7 +112,7 @@ class FailureView:
         for eid in failed:
             self.ends |= index._ends[eid]
         self._paths: list[int | None] = [None] * index.graph.n
-        self.trees: dict[int, int] = {}
+        self.trees: dict[int, tuple[int, ...]] = {}
         self.memo: dict[tuple[int, int, int], int] = {}
 
     def path(self, r: int) -> int:
@@ -123,11 +132,13 @@ class FailureView:
         """No failure on the tree path r->w and no failed endpoint below w."""
         return not (self.path(r) >> w & 1 or self.index._sub[r][w] & self.ends)
 
-    def key_tree(self, r: int) -> int:
-        tree = self.trees.get(r)
-        if tree is None:
-            tree = self.trees[r] = build_induced_key_tree(self.index, r, self.failed)
-        return tree
+    def keys(self, r: int) -> tuple[int, ...]:
+        """Root r's clean key-tree vertices, ascending: its key tree & ~path(r)."""
+        keys = self.trees.get(r)
+        if keys is None:  # path(r) first: on a loaded index it derives r
+            keys = self.trees[r] = edge_ids(
+                ~self.path(r) & build_induced_key_tree(self.index, r, self.failed))
+        return keys
 
 
 class HitSetEngine:
@@ -165,8 +176,7 @@ class HitSetEngine:
         helpers: set[int] = set()
         below_u = index._below[u]
 
-        keys = edge_ids(view.key_tree(u) & ~path_u)
-        bound, union = self._read(u, v, keys, [anchor], 0, 1, view)
+        bound, union = self._read(u, v, view.keys(u), [anchor], 0, 1, view)
         union.difference_update(view.failed)
         for eid in union:
             a, b, _ = edges[eid]
@@ -196,8 +206,6 @@ class HitSetEngine:
         stats = view.stats
         if stats is not None:
             stats.case_three_calls += 1
-        keys_u = edge_ids(view.key_tree(u) & ~path_u)
-        keys_v = edge_ids(view.key_tree(v) & ~path_v)
         edges = index.graph.edges
         step = index._step
         base_u, base_v = index._rows[u], index._rows[v]
@@ -206,42 +214,50 @@ class HitSetEngine:
         helpers_u: set[int] = set()
         helpers_v: set[int] = set()
 
-        bound, union = self._read(u, v, keys_u, keys_v, 0, 0, view)
-        # a hit x below needs damage on both tree paths u->x and v->x; each
-        # branch adds x only where the branch test already shows both
+        bound, union = self._read(u, v, view.keys(u), view.keys(v), 0, 0, view)
+        # each D* edge e = (a, b) has its four damage bits read once for both
+        # orientations, a->b (a on u's side) and b->a.  One clean from both
+        # roots gives a bound.  One whose u-side end is clean from u and whose
+        # v-side end y is damaged from v gives u a helper y if e is u's tree
+        # edge into y with no failed endpoint below (and the same with u and
+        # v swapped).  A hit x needs damage on both tree paths u->x and v->x:
+        # a is one if b is damaged from v too, e is off v's tree, or b is
+        # clean from u and e off u's tree (and the same with a and b swapped)
         union.difference_update(view.failed)
+        failed_ends = view.ends
         for eid in union:
             a, b, _ = edges[eid]
-            for x, y in ((a, b), (b, a)):
-                u_clean = not path_u >> x & 1
-                v_clean = not path_v >> y & 1
-                if u_clean and v_clean:
-                    cand = base_u[x] + step[eid] + base_v[y]
-                    if cand < bound:
-                        bound = cand
-                elif not u_clean and not v_clean:
-                    if path_v >> x & 1:
-                        hits.add(x)
-                elif u_clean:
-                    low = below_u[eid]
-                    if not low:
-                        if path_u >> y & 1:
-                            hits.add(y)
-                    elif low >> y & 1 and not low & view.ends:
-                        helpers_u.add(y)
-                else:
-                    low = below_v[eid]
-                    if not low:
-                        if path_v >> x & 1:
-                            hits.add(x)
-                    elif low >> x & 1 and not low & view.ends:
-                        helpers_v.add(x)
+            ua, ub, va, vb = path_u >> a & 1, path_u >> b & 1, path_v >> a & 1, path_v >> b & 1
+            if not ua | vb:
+                cand = base_u[a] + step[eid] + base_v[b]
+                if cand < bound:
+                    bound = cand
+            if not ub | va:
+                cand = base_u[b] + step[eid] + base_v[a]
+                if cand < bound:
+                    bound = cand
+            low_u, low_v = below_u[eid], below_v[eid]
+            if ua & va and (vb or not low_v or not ub | low_u):
+                hits.add(a)
+            if ub & vb and (va or not low_v or not ua | low_u):
+                hits.add(b)
+            if low_u and not low_u & failed_ends:
+                if vb and not ua and low_u >> b & 1:
+                    helpers_u.add(b)
+                if va and not ub and low_u >> a & 1:
+                    helpers_u.add(a)
+            if low_v and not low_v & failed_ends:
+                if ua and not vb and low_v >> a & 1:
+                    helpers_v.add(a)
+                if ub and not va and low_v >> b & 1:
+                    helpers_v.add(b)
 
-        for a, b, helpers in ((u, v, helpers_v), (v, u, helpers_u)):
-            for h in sorted(helpers):
-                sub = self.case_two(a, b, h, view)
-                bound = min(bound, sub.bound)
-                hits |= sub.hits
+        if helpers_u or helpers_v:
+            for a, b, helpers in ((u, v, helpers_v), (v, u, helpers_u)):
+                for h in sorted(helpers):
+                    sub = self.case_two(a, b, h, view)
+                    bound = min(bound, sub.bound)
+                    hits |= sub.hits
 
         if stats is not None and len(hits) > stats.max_hits:
             stats.max_hits = len(hits)

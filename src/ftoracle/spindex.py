@@ -26,9 +26,11 @@ built index derives every root; a loaded one derives root r on first
 use, and until then r's slots in the five per-root lists (lengths, DFS
 order and the three masks) hold None.  The query's fast path,
 FailureView.path and path_intersects test for None; every other reader
-runs after one of them has derived r.  A sixth list, _path_edges[r], entry x
-the edge bitmask of the tree path r->x, is derived from _below[r] by the
-query's fast path on r's first query; the build never derives it.
+runs after one of them has derived r.  Two more per-root lists are
+derived only at query time, never by build or load: _path_edges[r], entry
+x the edge bitmask of the tree path r->x, from _below[r] by the fast path
+on r's first query, and _marks[r], entry e edge e's endpoints' _anc[r]
+marks, by r's first key tree.
 """
 from __future__ import annotations
 
@@ -117,9 +119,10 @@ class ShortestPathIndex:
         shift = self.codec.shift
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
-        # per root, None until derived: the last by _finish_path_edges, the rest by _finish_root
+        # per root, None until derived: the last two by _finish_path_edges
+        # and _finish_marks, the rest by _finish_root
         (self._dist, self._by_tin, self._anc, self._sub, self._below,
-         self._path_edges) = ([None] * n for _ in range(6))
+         self._path_edges, self._marks) = ([None] * n for _ in range(7))
 
     def _certify(self, codes: np.ndarray) -> None:
         """Keep codes, int64 (root, vertex) in [0, 2^62], as the base codes,
@@ -195,6 +198,12 @@ class ShortestPathIndex:
         self._path_edges[r] = [sum(1 << e for e, sub in enumerate(below) if sub >> x & 1)
                                for x in range(self.graph.n)]
         return self._path_edges[r]
+
+    def _finish_marks(self, r: int) -> list[tuple[int, int]]:
+        """Derive and return _marks[r]: entry e is edge e's endpoints' _anc[r] marks."""
+        anc = self._anc[r]
+        self._marks[r] = [(anc[a], anc[b]) for a, b, _ in self.graph.edges]
+        return self._marks[r]
 
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff a failed edge lies on the tree path root -> x; ids outside [0, m) never do."""

@@ -208,9 +208,15 @@ def path_edge_roots(index):
     return {r for r, paths in enumerate(index._path_edges) if paths is not None}
 
 
+def mark_roots(index):
+    """Roots whose edge marks a key tree has derived."""
+    return {r for r, marks in enumerate(index._marks) if marks is not None}
+
+
 def underive(index):
-    """Empty every per-root slot and the path-edge masks, as load leaves them."""
-    for name in PER_ROOT + ("_path_edges",):
+    """Empty every per-root slot, the path-edge masks and the edge marks, as
+    load leaves them."""
+    for name in PER_ROOT + ("_path_edges", "_marks"):
         setattr(index, name, [None] * index.graph.n)
 
 

@@ -253,7 +253,8 @@ def test_gen_tree(tmp_path, capsys):
     out = str(tmp_path / "t.graph")
     assert cli.main(["gen", "-n", "5", "-m", "4", "--wmax", "10",
                      "--seed", "1", "-o", out]) == 0
-    g = parse_graph(open(out).read())
+    with open(out, encoding="ascii") as fh:
+        g = parse_graph(fh.read())
     assert g.m == g.n - 1
 
 

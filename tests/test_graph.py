@@ -181,6 +181,40 @@ def test_failure_mask_bits(g1):
     assert edge_ids(0) == ()
 
 
+def bit_scan(mask):
+    """The set bits of mask, ascending, one bit test each."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# edge_ids reads bytes 0-3 from tables and the bits from 32 up one by one;
+# masks run up to n = 128's most edges, 128 * 127 / 2 = 8128
+TABLE_BOUNDARIES = [8, 16, 24, 32]
+TOP_BIT = 8127
+
+
+@given(st.sets(st.one_of(st.sampled_from([b + k for b in TABLE_BOUNDARIES for k in (-1, 0)]),
+                         st.integers(0, 40), st.integers(0, TOP_BIT)), max_size=64))
+def test_edge_ids_matches_a_bit_scan(bits):
+    mask = sum(1 << b for b in bits)
+    assert edge_ids(mask) == bit_scan(mask) == tuple(sorted(bits))
+
+
+@pytest.mark.parametrize("boundary", TABLE_BOUNDARIES)
+def test_edge_ids_across_a_table_boundary(boundary):
+    # set bits on both sides of the boundary, alone, with the bits below
+    # it, and with the lowest and highest bit
+    for mask in (0b11 << boundary - 1, (1 << boundary + 1) - 1,
+                 1 | 0b11 << boundary - 1 | 1 << TOP_BIT):
+        assert edge_ids(mask) == bit_scan(mask)
+
+
+def test_edge_ids_of_every_bit():
+    full = (1 << TOP_BIT + 1) - 1
+    assert edge_ids(full) == bit_scan(full) == tuple(range(TOP_BIT + 1))
+    for b in TABLE_BOUNDARIES:
+        assert edge_ids(full ^ 1 << b) == bit_scan(full ^ 1 << b)
+
+
 @pytest.mark.parametrize("ids", [[9, 0.7], [-1, "1"], [0, 9, 2, None], iter([7, 1, 0.5])])
 def test_canonical_failures_non_integer_after_bad_id(g1, ids):
     # a non-integer is refused wherever it stands, even after an unknown id

@@ -15,7 +15,7 @@ import pytest
 
 import ftoracle
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import UNREACHABLE
+from ftoracle.graph import UNREACHABLE, edge_ids
 from ftoracle.hitset import (FailureView, HitSetEngine, QueryStats,
                              build_induced_key_tree, hit_budget)
 from ftoracle.query import build_oracle
@@ -159,12 +159,12 @@ def test_case_two_mirrored_matches_forward_swap(oracle6_d1):
 
 def test_case_two_all_edges_discarded(oracle1_d1):
     # with the single key-tree child sitting below the failure, every edge
-    # is discarded and the fold never starts; the view's cached key tree of
-    # root 0 is seeded with that child's mask
+    # is discarded and the fold never starts; the view's cached keys of root
+    # 0 are seeded with the clean vertices of that child's mask
     engine = HitSetEngine(oracle1_d1.index, oracle1_d1.tables)
     assert oracle1_d1.index.path_intersects(0, 1, (0,))
     v = view(oracle1_d1, (0,))
-    v.trees[0] = 1 << 1
+    v.trees[0] = edge_ids(1 << 1 & ~v.path(0))
     bound, hits = engine.case_two(0, 2, 3, v)
     assert decoded(oracle1_d1, bound) == UNREACHABLE
     assert hits == frozenset()

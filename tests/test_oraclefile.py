@@ -17,7 +17,7 @@ from ftoracle import spindex
 from ftoracle.oraclefile import (OracleFileError, _EDGE, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import Graph, GraphError
+from ftoracle.graph import Graph, GraphError, edge_ids
 from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import enumerate_instances
@@ -25,7 +25,8 @@ from ftoracle.spindex import BuildError, ShortestPathIndex
 from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
                              enumerate_failure_sets)
 
-from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
+from conftest import (PER_ROOT, base_length, derived_roots, mark_roots, reference_codes,
+                      underive)
 from test_file_digests import PINNED, logical_digest
 
 
@@ -64,7 +65,8 @@ def test_load_derives_no_root(oracle6_d2, monkeypatch):
     view = FailureView(loaded.index, (0, 5))
     view.path(3)
     assert calls == [3]
-    assert view.key_tree(3) == build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
+    tree = build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
+    assert view.keys(3) == edge_ids(tree & ~view.path(3))
     assert calls == [3]
 
 
@@ -111,6 +113,23 @@ def test_derived_roots_equal_the_built_index(oracle6_d2):
         assert derived_roots(index) == set(range(index.graph.n))
         for name in PER_ROOT:
             assert getattr(index, name) == getattr(built, name), name
+
+
+def test_loaded_key_trees_equal_the_built_index(oracle6_d2, g6):
+    # on a fresh load, each view derives its roots and each key tree its
+    # root's edge marks
+    built = oracle6_d2.index
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
+    assert mark_roots(loaded) == set()
+    sets = enumerate_failure_sets(g6.m, 2)[1:]
+    for failed in random.Random(0).sample(sets, 16):
+        view = FailureView(loaded, failed)
+        for r in range(g6.n):
+            view.path(r)
+            assert build_induced_key_tree(loaded, r, failed) == \
+                build_induced_key_tree(built, r, failed), (failed, r)
+    assert derived_roots(loaded) == mark_roots(loaded) == set(range(g6.n))
+    assert loaded._marks == built._marks
 
 
 def test_constraints_match_on_a_fresh_load(oracle6_d2, g6):

@@ -13,7 +13,7 @@ from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import Oracle, QueryError, build_oracle
 from ftoracle.reference import ReferenceOracle, enumerate_instances
 
-from conftest import base_length, derived_roots, path_edge_roots, underive
+from conftest import base_length, derived_roots, mark_roots, path_edge_roots, underive
 
 
 def all_instances(graph, dmax):
@@ -181,6 +181,22 @@ def test_build_derives_no_path_edges(g6):
     oracle = build_oracle(g6, 2, seed=1)
     assert derived_roots(oracle.index) == set(range(g6.n))
     assert path_edge_roots(oracle.index) == set()
+
+
+def test_build_and_load_derive_no_marks(g6):
+    # a key tree derives its root's edge marks; build and load derive none
+    oracle = build_oracle(g6, 2, seed=1)
+    assert mark_roots(oracle.index) == set()
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle)))
+    assert mark_roots(loaded.index) == set()
+    u, v, failed = next((u, v, f) for u, v, f in all_instances(g6, 2)
+                        if f and oracle.index.path_intersects(u, v, f))
+    stats = QueryStats()
+    loaded.query_composite(u, v, failed, stats=stats)
+    assert stats.key_trees >= 2
+    assert {u, v} <= mark_roots(loaded.index) <= derived_roots(loaded.index)
+    underive(loaded.index)
+    assert mark_roots(loaded.index) == set()
 
 
 def test_undamaged_query_after_load_derives_only_its_root(oracle6_d2, g6):
