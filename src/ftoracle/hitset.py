@@ -78,8 +78,7 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     one pair per failed edge from _marks[root]: x's own entry is its mark's
     highest bit, so marks sort in DFS order, and the LCA of x and y enters
     at the highest bit their marks share, which _by_tin maps back to a
-    vertex.  Root must be derived: FailureView.keys(r) runs view.path(r)
-    first.
+    vertex.  Root need not be derived: _finish_marks derives it.
     """
     assert failed, "key tree is only defined for a nonempty failure set"
     edge_marks = index._marks[root] or index._finish_marks(root)
@@ -135,7 +134,7 @@ class FailureView:
     def keys(self, r: int) -> tuple[int, ...]:
         """Root r's clean key-tree vertices, ascending: its key tree & ~path(r)."""
         keys = self.trees.get(r)
-        if keys is None:  # path(r) first: on a loaded index it derives r
+        if keys is None:
             keys = self.trees[r] = edge_ids(
                 ~self.path(r) & build_induced_key_tree(self.index, r, self.failed))
         return keys

@@ -21,16 +21,17 @@ LCA of x and y, their deepest common ancestor, is
 _by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _ends[e] is e's
 endpoints, so the child end of tree edge e, the one end below it, is
 _below[r][e] & _ends[e].  The parents themselves are not kept; the
-verifier checks the masks against the reference's own Dijkstra trees.  A
-built index derives every root; a loaded one derives root r on first
-use, and until then r's slots in the five per-root lists (lengths, DFS
-order and the three masks) hold None.  The query's fast path,
-FailureView.path and path_intersects test for None; every other reader
-runs after one of them has derived r.  Two more per-root lists are
-derived only at query time, never by build or load: _path_edges[r], entry
-x the edge bitmask of the tree path r->x, from _below[r] by the fast path
-on r's first query, and _marks[r], entry e edge e's endpoints' _anc[r]
-marks, by r's first key tree.
+verifier checks the masks against the reference's own Dijkstra trees.
+Built and loaded indexes hold the same: neither derives a root until its
+first use, and until then r's slots in the four per-root lists (DFS order
+and the three masks) hold None.  The table build reads every root once,
+through _derive, which keeps nothing.  The fast path's
+_finish_path_edges, FailureView.path, path_intersects and _finish_marks
+test for None; every other reader runs after one of them has derived r.  Three more per-root lists are derived only at query
+time: the fast path's _dist[r], the base lengths, and _path_edges[r],
+entry x the edge bitmask of the tree path r->x, on r's first query, and
+_marks[r], entry e edge e's endpoints' _anc[r] marks, by r's first key
+tree.
 """
 from __future__ import annotations
 
@@ -90,8 +91,6 @@ class ShortestPathIndex:
         dist[place, np.arange(n)] = 0
         _relax(dist, np.zeros((len(arcs.tail), n), dtype=bool), arcs, self.codec.unreachable_code)
         self._certify(dist[place].T.copy())
-        for r in range(n):  # the table build reads every root
-            self._finish_root(r)
 
     @classmethod
     def from_arrays(cls, graph: Graph, tie: Sequence[int],
@@ -119,8 +118,8 @@ class ShortestPathIndex:
         shift = self.codec.shift
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
-        # per root, None until derived: the last two by _finish_path_edges
-        # and _finish_marks, the rest by _finish_root
+        # per root, None until derived: _dist and _path_edges by
+        # _finish_path_edges, _marks by _finish_marks, the rest by _finish_root
         (self._dist, self._by_tin, self._anc, self._sub, self._below,
          self._path_edges, self._marks) = ([None] * n for _ in range(7))
 
@@ -153,14 +152,14 @@ class ShortestPathIndex:
         self.codes, self._rows = codes, codes.tolist()
 
     def _finish_root(self, r: int) -> list[int]:
-        """Derive root r's base lengths, DFS order and masks from its tree
-        arcs; returns _below[r]."""
+        """Derive and keep root r's DFS order and masks; returns _below[r]."""
+        self._by_tin[r], self._anc[r], self._sub[r], self._below[r] = self._derive(r)
+        return self._below[r]
+
+    def _derive(self, r: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Root r's _by_tin, _anc, _sub and _below from its tree arcs; keeps nothing."""
         graph = self.graph
         n = graph.n
-        shift, mask = self.codec.shift, self.codec.mask
-        # a connected graph's index holds no UNREACHABLE code
-        self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
-
         tree, parent, parent_eid = self._tree[r].tolist(), [-1] * n, [-1] * n
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n - 1, -1, -1):  # children listed descending, popped ascending
@@ -185,22 +184,24 @@ class ShortestPathIndex:
         for v in by_tin[:0:-1]:  # children before parents, root left out
             sub[parent[v]] |= sub[v]
             below[parent_eid[v]] = sub[v]
-
-        self._by_tin[r] = by_tin
-        self._anc[r] = anc
-        self._sub[r] = sub
-        self._below[r] = below
-        return below
+        return by_tin, anc, sub, below
 
     def _finish_path_edges(self, r: int) -> list[int]:
-        """Derive and return _path_edges[r]: bit e of entry x is bit x of _below[r][e]."""
+        """Derive _dist[r], root r's base lengths, and return _path_edges[r]:
+        bit e of entry x is bit x of _below[r][e]."""
         below = self._below[r] if self._below[r] is not None else self._finish_root(r)
+        shift, mask = self.codec.shift, self.codec.mask
+        # a connected graph's index holds no UNREACHABLE code
+        self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
         self._path_edges[r] = [sum(1 << e for e, sub in enumerate(below) if sub >> x & 1)
                                for x in range(self.graph.n)]
         return self._path_edges[r]
 
     def _finish_marks(self, r: int) -> list[tuple[int, int]]:
-        """Derive and return _marks[r]: entry e is edge e's endpoints' _anc[r] marks."""
+        """Derive and return _marks[r]: entry e is edge e's endpoints' _anc[r]
+        marks; derives root r first if need be."""
+        if self._anc[r] is None:
+            self._finish_root(r)
         anc = self._anc[r]
         self._marks[r] = [(anc[a], anc[b]) for a, b, _ in self.graph.edges]
         return self._marks[r]

@@ -27,7 +27,8 @@ undercuts the unique shortest path's, and in int64, as codes are at most
 2^62, steps below 2^62 (the codec's bound) and banned arcs' sums
 overwritten, not added to.  Phase 2 goes by groups of consecutive roots
 whose damaging (root, set) pairs fill a chunk.  A group takes every
-set's side masks at its roots from per-edge masks made once and lays out
+set's side masks at its roots from per-edge masks, made once from each
+root's index masks, which the build derives and drops, and lays out
 each row's candidates, the empty set and then every set that damages the
 row, each with its swept code or else the largest of its immediate
 subsets': deleting edges never shortens a path, so a set has the code of
@@ -45,11 +46,11 @@ each root at most n // 2 columns.
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
 row keeps a palette of its winners as (code, D*), in candidate order, and
-each key a slot into it.  Row (v, u) shares row (u, v)'s palette, kept per
-pair u <= v, and its slots too, stored once for u < v.  A pair's slots form
-a 2n x 2n matrix, rows (u', b1) and columns (v', b2), with few distinct
-rows and columns, as a key's winner depends on u' only through its side
-bitset.  So a pair stores a class id per row and per column, equal rows
+each key a slot into it; the build gathers palettes per group of roots.
+Row (v, u) shares row (u, v)'s palette, kept per pair u <= v, and its
+slots too, stored once for u < v.  A pair's slots form a 2n x 2n matrix,
+rows (u', b1) and columns (v', b2), with few distinct rows and columns,
+as a key's winner depends on u' only through its side bitset.  So a pair stores a class id per row and per column, equal rows
 (columns) sharing a class, numbered in order of first appearance, and a
 ku x kv matrix of slots, one per row class and column class.  ku and kv
 are at most 2n, so the ids are uint8; they are the ids' maxima plus one.
@@ -355,7 +356,8 @@ class OracleTables:
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
     """Per-edge (vertex, bit, root, edge) bool masks, derived once per build.
 
-    They unpack the index's vertex bitmasks, the ones the query engine ORs:
+    They unpack the index's vertex bitmasks, the ones the query engine ORs,
+    derived root by root by index._derive and dropped once unpacked:
     [x, 0, r, e]: e lies on the tree path r->x, bit x of _below[r][e];
     [x, 1, r, e]: that, or _sub[r][x], x's subtree rooted at r, holds an
     endpoint of e.  Edge m, the clean edge that pads short sets, is all False.
@@ -371,9 +373,10 @@ def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
         return bits.reshape(n, count, 8 * size)[:, :, :n].view(bool)
 
     ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
-    touched = unpack(index._sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
+    sub, below = zip(*(index._derive(r)[2:] for r in range(n)))
+    touched = unpack(sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
     bad = np.zeros((n, 2, n, m + 1), dtype=bool)
-    bad[:, 0, :, :m] = unpack(index._below, m).transpose(2, 0, 1)
+    bad[:, 0, :, :m] = unpack(below, m).transpose(2, 0, 1)
     bad[:, 1, :, :m] = bad[:, 0, :, :m] | touched.transpose(1, 0, 2)
     return bad
 
@@ -573,9 +576,9 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
                  bad: np.ndarray, palettes: list, pending: list, slots: list,
                  progress: Callable[[int, int], None] | None) -> None:
     """Phase 2 for a group of roots u = roots[i]: lay out and fill the rows
-    (u, v), v in cols[i], into palettes and pending (see _fill_rows), and
-    class-encode pending into slots should it pass FILL_BYTES of encoding
-    work."""
+    (u, v), v in cols[i], into pending (see _fill_rows) and, joined into
+    one part per group, palettes, and class-encode pending into slots should
+    it pass FILL_BYTES of encoding work."""
     n = index.graph.n
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
     codes, sets, start, size = _row_candidates(index, ids, levels, swept, roots, cols, at[:, 0])
@@ -588,11 +591,14 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
         if not cut or (k + 1 - cut[-1]) * most > FILL_BYTES:
             cut.append(k)
             most = cost
+    parts = []  # this group's palette parts, one per batch
     for lo, hi in zip(cut, cut[1:] + [len(size)]):
         _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
-                   at, ids, bad, palettes, pending)
+                   at, ids, bad, parts, pending)
         if _pending_bytes(pending, n) >= FILL_BYTES:
             slots.append(_encode(pending))
+    if parts:  # none where the group owns no row, as at n = 1
+        palettes.append(tuple(map(np.concatenate, zip(*parts))))
     if progress is not None:
         for u in roots:
             progress(u + 1, n)
@@ -743,16 +749,15 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     # the root to an owned column
     groups, damaging = [0], 0
     for u in range(n - 1):
-        owned = sum(1 << v for v in cols[u])
         damaging += len(ids) - failure_set_count(
-            graph.m - sum(1 for below in index._below[u] if below & owned), d)
+            graph.m - int(bad[cols[u], 0, u].any(axis=0).sum()), d)
         if damaging >= CHUNK:
             groups.append(u + 1)
             damaging = 0
     swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
     levels = _levels(ids, graph.m)
-    # per batch, its rows' pairs u <= v, palette sizes and entries, and, per
-    # encoding, their pairs u < v, class ids, matrix sizes and matrices
+    # per group of roots, its rows' pairs u <= v, palette sizes and entries,
+    # and, per encoding, their pairs u < v, class ids, matrix sizes and matrices
     diagonal = np.arange(n)  # one entry each, the empty set at distance 0
     palettes = [(diagonal * (2 * n + 1 - diagonal) // 2, np.ones(n, dtype=np.int64),
                  index.codes[diagonal, diagonal], np.zeros(n, dtype=np.int32))]

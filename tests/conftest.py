@@ -65,19 +65,19 @@ def g6():
 @pytest.fixture(scope="session")
 def idx1(g1):
     index, _, _ = build_index_auto(g1, seed=1)
-    return index
+    return derive_all(index)
 
 
 @pytest.fixture(scope="session")
 def idx3(g3):
     index, _, _ = build_index_auto(g3, seed=1)
-    return index
+    return derive_all(index)
 
 
 @pytest.fixture(scope="session")
 def idx6(g6):
     index, _, _ = build_index_auto(g6, seed=1)
-    return index
+    return derive_all(index)
 
 
 @pytest.fixture(scope="session")
@@ -158,9 +158,9 @@ def tree_path_edges(index, root, x):
 
 
 def base_length(index, u, v):
-    """Base u-v length; derives root u first, as a loaded index may not have."""
+    """Base u-v length; derives root u's lengths first, as the fast path does."""
     if index._dist[u] is None:
-        index._finish_root(u)
+        index._finish_path_edges(u)
     return index._dist[u][v]
 
 
@@ -190,22 +190,33 @@ def lca(index, root, x, y):
     return index._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
 
 
-# the index's per-root lists: filled for every root by a build, and for
-# root r by _finish_root(r) on r's first use after a load
-PER_ROOT = ("_dist", "_by_tin", "_anc", "_sub", "_below")
+# the index's per-root lists, filled for root r by _finish_root(r) on r's
+# first use after a build or a load
+PER_ROOT = ("_by_tin", "_anc", "_sub", "_below")
 
 
 def derived_roots(index):
-    """Roots whose per-root lists are filled; a root has all five or none."""
+    """Roots whose per-root lists are filled; a root has all four or none."""
     filled = [{getattr(index, name)[r] is not None for name in PER_ROOT}
               for r in range(index.graph.n)]
     assert all(len(f) == 1 for f in filled), filled
     return {r for r, f in enumerate(filled) if True in f}
 
 
+def derive_all(index):
+    """Derive every root's per-root lists, as a first use of each would; returns index."""
+    for r in set(range(index.graph.n)) - derived_roots(index):
+        index._finish_root(r)
+    return index
+
+
 def path_edge_roots(index):
-    """Roots whose path-edge masks the query's fast path has derived."""
-    return {r for r, paths in enumerate(index._path_edges) if paths is not None}
+    """Roots whose path-edge masks and base lengths the query's fast path
+    has derived; a root has both or neither."""
+    filled = [(paths is not None, dist is not None)
+              for paths, dist in zip(index._path_edges, index._dist)]
+    assert all(p == q for p, q in filled), filled
+    return {r for r, (p, _) in enumerate(filled) if p}
 
 
 def mark_roots(index):
@@ -214,9 +225,9 @@ def mark_roots(index):
 
 
 def underive(index):
-    """Empty every per-root slot, the path-edge masks and the edge marks, as
-    load leaves them."""
-    for name in PER_ROOT + ("_path_edges", "_marks"):
+    """Empty every per-root slot, the path-edge masks, base lengths and edge
+    marks, as build and load leave them."""
+    for name in PER_ROOT + ("_dist", "_path_edges", "_marks"):
         setattr(index, name, [None] * index.graph.n)
 
 

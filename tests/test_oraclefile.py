@@ -25,8 +25,8 @@ from ftoracle.spindex import BuildError, ShortestPathIndex
 from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
                              enumerate_failure_sets)
 
-from conftest import (PER_ROOT, base_length, derived_roots, mark_roots, reference_codes,
-                      underive)
+from conftest import (PER_ROOT, base_length, derived_roots, mark_roots, path_edge_roots,
+                      reference_codes, underive)
 from test_file_digests import PINNED, logical_digest
 
 
@@ -70,8 +70,9 @@ def test_load_derives_no_root(oracle6_d2, monkeypatch):
     assert calls == [3]
 
 
-def test_queries_derive_only_the_roots_they_visit(oracle6_d2, g6, monkeypatch):
-    built = oracle6_d2
+def test_queries_derive_only_the_roots_they_visit(g6, monkeypatch):
+    # on a built index as on a loaded one, each from no root derived
+    built = build_oracle(g6, 2, seed=1)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
     ends = set()
     query_r = Oracle._query_r
@@ -83,66 +84,95 @@ def test_queries_derive_only_the_roots_they_visit(oracle6_d2, g6, monkeypatch):
     monkeypatch.setattr(Oracle, "_query_r", spy)
     damaged = 0
     for u, v, failed in enumerate_instances(g6, 2):
-        underive(loaded.index)
-        ends.clear()
-        assert loaded.query_composite(u, v, failed) == built.query_composite(u, v, failed)
-        if not built.index.path_intersects(u, v, failed):
-            assert derived_roots(loaded.index) == {u}
-        else:
-            damaged += 1
-            assert u in derived_roots(loaded.index) <= ends
+        answers = []
+        for oracle in (built, loaded):
+            underive(oracle.index)
+            ends.clear()
+            answers.append(oracle.query_composite(u, v, failed))
+            if not oracle.index.path_intersects(u, v, failed):
+                assert derived_roots(oracle.index) == {u}
+            else:
+                damaged += 1
+                assert u in derived_roots(oracle.index) <= ends
+        assert answers[0] == answers[1]
     assert damaged > 0
 
 
-def test_derived_roots_equal_the_built_index(oracle6_d2):
+def test_derived_roots_equal_the_built_index(g6):
     # g6 and every pinned build, loaded; and the largest n a file may hold,
     # whose index from_arrays rebuilds from its codes as load does (its
-    # tables would not fit)
-    oracles = [oracle6_d2] + [build_oracle(make(), d, seed=1) for make, d, _ in PINNED.values()]
+    # tables would not fit).  Built and loaded, each derives no root until
+    # its first use, and then the same lists
+    oracles = [build_oracle(g6, 2, seed=1)] + [build_oracle(make(), d, seed=1)
+                                               for make, d, _ in PINNED.values()]
     pairs = [(o.index, load_oracle(io.BytesIO(oracle_file_bytes(o))).index) for o in oracles]
     path = Graph(128, [(i, i + 1, 1) for i in range(127)])
     path_index = ShortestPathIndex(path, list(range(1, 128)))
     pairs.append((path_index, ShortestPathIndex.from_arrays(path, path_index.tie,
                                                             path_index.codes.copy())))
     for built, index in pairs:
-        assert derived_roots(index) == set()
+        assert derived_roots(built) == derived_roots(index) == set()
         assert np.array_equal(index.codes, built.codes)
         assert index.codes.dtype == built.codes.dtype
-        for r in range(index.graph.n):
-            base_length(index, r, r)
-        assert derived_roots(index) == set(range(index.graph.n))
-        for name in PER_ROOT:
+        for ix in (built, index):
+            for r in range(ix.graph.n):
+                base_length(ix, r, r)
+            assert derived_roots(ix) == path_edge_roots(ix) == set(range(ix.graph.n))
+        for name in PER_ROOT + ("_dist", "_path_edges"):
             assert getattr(index, name) == getattr(built, name), name
 
 
-def test_loaded_key_trees_equal_the_built_index(oracle6_d2, g6):
-    # on a fresh load, each view derives its roots and each key tree its
-    # root's edge marks
-    built = oracle6_d2.index
-    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
-    assert mark_roots(loaded) == set()
+def test_loaded_key_trees_equal_the_built_index(g6):
+    # on a fresh build and a fresh load, each view derives its roots and
+    # each key tree its root's edge marks
+    oracle = build_oracle(g6, 2, seed=1)
+    built = oracle.index
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle))).index
+    assert mark_roots(loaded) == mark_roots(built) == set()
+    assert derived_roots(loaded) == derived_roots(built) == set()
     sets = enumerate_failure_sets(g6.m, 2)[1:]
     for failed in random.Random(0).sample(sets, 16):
-        view = FailureView(loaded, failed)
+        views = FailureView(loaded, failed), FailureView(built, failed)
         for r in range(g6.n):
-            view.path(r)
+            for view in views:
+                view.path(r)
             assert build_induced_key_tree(loaded, r, failed) == \
                 build_induced_key_tree(built, r, failed), (failed, r)
-    assert derived_roots(loaded) == mark_roots(loaded) == set(range(g6.n))
+    for index in (loaded, built):
+        assert derived_roots(index) == mark_roots(index) == set(range(g6.n))
     assert loaded._marks == built._marks
 
 
-def test_constraints_match_on_a_fresh_load(oracle6_d2, g6):
-    # constraint_holds derives its roots on first use
-    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
-    assert derived_roots(loaded.index) == set()
+def test_key_trees_derive_their_own_root(oracle6_d2, g6):
+    # on a fresh load, with no view and no path call first, a key tree
+    # derives its root, and no path edges
+    built = oracle6_d2.index
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
+    assert derived_roots(loaded) == set()
+    sets = enumerate_failure_sets(g6.m, 2)[1:]
+    for failed in random.Random(0).sample(sets, 16):
+        for r in range(g6.n):
+            assert build_induced_key_tree(loaded, r, failed) == \
+                build_induced_key_tree(built, r, failed), (failed, r)
+    assert derived_roots(loaded) == mark_roots(loaded) == set(range(g6.n))
+    assert path_edge_roots(loaded) == set()
+
+
+def test_constraints_match_on_a_fresh_load(g6):
+    # constraint_holds derives its roots on first use, on a fresh build as
+    # on a fresh load
+    oracle = build_oracle(g6, 2, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle)))
+    assert derived_roots(loaded.index) == derived_roots(oracle.index) == set()
     sets = enumerate_failure_sets(g6.m, 2)
     for key in itertools.product(range(g6.n), repeat=4):
         for b1, b2 in itertools.product((0, 1), repeat=2):
             for failed in sets:
                 assert constraint_holds(loaded.index, failed, key + (b1, b2)) == \
-                    constraint_holds(oracle6_d2.index, failed, key + (b1, b2))
-    assert derived_roots(loaded.index) == set(range(g6.n))
+                    constraint_holds(oracle.index, failed, key + (b1, b2))
+    assert derived_roots(loaded.index) == derived_roots(oracle.index) == set(range(g6.n))
+    for name in PER_ROOT:
+        assert getattr(loaded.index, name) == getattr(oracle.index, name), name
 
 
 def test_loaded_oracle_answers_match(oracle6_d2, g6):

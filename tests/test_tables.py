@@ -21,8 +21,8 @@ from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted
                              _row_candidates, _side_masks, build_tables, check_build_size,
                              constraint_holds, enumerate_failure_sets, failure_set_count)
 
-from conftest import (TableKey, encode, exhaustive_candidates, reference_of, swap_parents,
-                      tree_path, tree_path_edges)
+from conftest import (TableKey, derive_all, derived_roots, encode, exhaustive_candidates,
+                      reference_of, swap_parents, tree_path, tree_path_edges)
 from test_file_digests import PINNED
 
 
@@ -105,6 +105,39 @@ def test_constraint_matches_vectorized_masks(idx1, idx6):
                 expect = both_constraints(index, failed, key)
                 assert bool(fb[key.u][key.up, key.b1, si] and
                             fb[key.v][key.vp, key.b2, si]) == expect
+
+
+def test_edge_masks_unpack_every_roots_lists(g6):
+    # _edge_masks derives each root itself and keeps none: its masks are
+    # those of a fully derived index's lists, bit by bit, on g6 and every
+    # pinned graph
+    graphs = [g6] + [make() for make, _, _ in PINNED.values()]
+    for graph in graphs:
+        index = build_index_auto(graph, 1)[0]
+        bad = _edge_masks(index)
+        assert derived_roots(index) == set()
+        derive_all(index)
+        n, m = graph.n, graph.m
+        expect = np.zeros((n, 2, n, m + 1), dtype=bool)
+        for r, x, e in product(range(n), range(n), range(m)):
+            expect[x, 0, r, e] = index._below[r][e] >> x & 1
+            expect[x, 1, r, e] = expect[x, 0, r, e] or index._sub[r][x] & index._ends[e]
+        assert np.array_equal(bad, expect)
+
+
+def test_no_root_is_derived_while_batches_fill(monkeypatch):
+    # the build reads each root's lists once, for its masks, and keeps no
+    # root through the fill; the part of the build's peak this test guards
+    fill, seen = tables_module._fill_rows, []
+    monkeypatch.setattr(tables_module, "_fill_rows",
+                        lambda *args: seen.append(derived_roots(index)) or fill(*args))
+    for graph, d in ((gen_gnm(16, 32, 32, 0), 2), (gen_gnm(10, 18, 32, 0), 3)):
+        index = build_index_auto(graph, 1)[0]
+        seen.clear()
+        build_tables(index, d, 1)
+        assert len(seen) > 1
+        assert all(roots == set() for roots in seen)
+        assert derived_roots(index) == set()
 
 
 # -- enumeration order ----------------------------------------------------------
