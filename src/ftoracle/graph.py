@@ -101,6 +101,8 @@ class Graph:
             if key in seen:
                 raise GraphError(f"edge {eid}: duplicate edge {a}-{b}")
             seen.add(key)
+        if self.m < self.n - 1:  # refused before anything of size n is made
+            raise GraphError(f"graph is disconnected: {self.m} edges cannot join {self.n} vertices")
         reached = [False] * self.n
         reached[0] = True
         stack = [0]
@@ -137,7 +139,10 @@ class Graph:
 def parse_graph(text: str | bytes) -> Graph:
     """Parse and validate the text format described in the module docstring."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"graph file is not UTF-8 text: {exc}") from None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

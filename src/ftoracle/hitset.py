@@ -38,7 +38,7 @@ The key tree of a root is the failure-endpoint-induced subtree of that
 root's shortest-path tree, contracted to the O(d) vertices that matter:
 the failed endpoints themselves and every branching vertex in between.
 It is built as a vertex mask from the failed edges' endpoint marks, which
-the index derives per root on that root's first key tree.  The keys
+the index derives per root with the rest of that root's lists.  The keys
 case_two and case_three read at r, the key tree & ~path(r), are listed at
 most once per root and view, by FailureView.keys(r).
 """
@@ -74,15 +74,16 @@ def build_induced_key_tree(index: ShortestPathIndex, root: int,
     """Vertex mask of root's key tree under failed; O(d log d).
 
     Its vertices are the failure endpoints and the LCAs of DFS-adjacent
-    ones, read off the marks _anc[root][x], x's ancestors' DFS entry bits,
-    one pair per failed edge from _marks[root]: x's own entry is its mark's
-    highest bit, so marks sort in DFS order, and the LCA of x and y enters
-    at the highest bit their marks share, which _by_tin maps back to a
-    vertex.  Root need not be derived: _finish_marks derives it.
+    ones, read off x's mark, its ancestors' DFS entry bits, one pair per
+    failed edge from _marks[root]: x's own entry is its mark's highest bit,
+    so marks sort in DFS order, and the LCA of x and y enters at the
+    highest bit their marks share, which _by_tin maps back to a vertex.
+    Root need not be derived: _finish_root derives it.
     """
     assert failed, "key tree is only defined for a nonempty failure set"
-    edge_marks = index._marks[root] or index._finish_marks(root)
-    ends, by_tin = index._ends, index._by_tin[root]
+    if index._marks[root] is None:
+        index._finish_root(root)
+    edge_marks, ends, by_tin = index._marks[root], index._ends, index._by_tin[root]
     keys, marks = 0, []
     for eid in failed:
         keys |= ends[eid]
@@ -118,10 +119,10 @@ class FailureView:
         """Mask of the vertices x whose tree path r->x a failed edge lies on."""
         mask = self._paths[r]
         if mask is None:
-            below = self.index._below[r]
-            if below is None:
-                below = self.index._finish_root(r)
-            mask = 0
+            index = self.index
+            if index._below[r] is None:
+                index._finish_root(r)
+            below, mask = index._below[r], 0
             for eid in self.failed:
                 mask |= below[eid]
             self._paths[r] = mask

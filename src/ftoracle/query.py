@@ -76,8 +76,9 @@ class Oracle:
             raise QueryError(
                 f"{seen.bit_count()} failures exceed the oracle budget d={self.tables.d}")
         index = self.index
-        paths = index._path_edges[u] or index._finish_path_edges(u)
-        if not paths[v] & seen:
+        if index._path_edges[u] is None:
+            index._finish_root(u)
+        if not index._path_edges[u][v] & seen:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
             return index._dist[u][v]

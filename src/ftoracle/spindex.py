@@ -15,23 +15,19 @@ encoding, Python-int vertex bitmasks: _sub[r][w] is w's subtree,
 _below[r][e] the vertices below tree edge e (0 off the tree), so "e lies
 on the tree path r->x" is _below[r][e] >> x & 1.  The table build
 unpacks them into numpy masks and the query engine ORs them per failure
-set.  _anc[r][v] holds v's ancestors
-as DFS-entry bits, so v's own entry number is its highest bit, and the
-LCA of x and y, their deepest common ancestor, is
-_by_tin[r][(anc[x] & anc[y]).bit_length() - 1].  _ends[e] is e's
-endpoints, so the child end of tree edge e, the one end below it, is
-_below[r][e] & _ends[e].  The parents themselves are not kept; the
-verifier checks the masks against the reference's own Dijkstra trees.
+set.  _ends[e] is e's endpoints, so the child end of tree edge e, the one
+end below it, is _below[r][e] & _ends[e].  The parents themselves are not
+kept; the verifier checks the masks against the reference's own Dijkstra
+trees.
 Built and loaded indexes hold the same: neither derives a root until its
-first use, and until then r's slots in the four per-root lists (DFS order
-and the three masks) hold None.  The table build reads every root once,
-through _derive, which keeps nothing.  The fast path's
-_finish_path_edges, FailureView.path, path_intersects and _finish_marks
-test for None; every other reader runs after one of them has derived r.  Three more per-root lists are derived only at query
-time: the fast path's _dist[r], the base lengths, and _path_edges[r],
-entry x the edge bitmask of the tree path r->x, on r's first query, and
-_marks[r], entry e edge e's endpoints' _anc[r] marks, by r's first key
-tree.
+first use, and until then r's slots in the six per-root lists hold None.
+_finish_root(r) fills all six at once: besides _sub[r] and _below[r],
+_by_tin[r], the vertices in DFS-entry order; _marks[r], entry e edge e's
+endpoints' ancestor marks, a vertex's mark holding its ancestors'
+DFS-entry bits, so the LCA of x and y enters at the highest bit their
+marks share; _path_edges[r], entry x the edge bitmask of the tree path
+r->x; and _dist[r], the fast path's base lengths.  The table build reads
+every root once, through _derive, which keeps nothing.
 """
 from __future__ import annotations
 
@@ -118,10 +114,9 @@ class ShortestPathIndex:
         shift = self.codec.shift
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
-        # per root, None until derived: _dist and _path_edges by
-        # _finish_path_edges, _marks by _finish_marks, the rest by _finish_root
-        (self._dist, self._by_tin, self._anc, self._sub, self._below,
-         self._path_edges, self._marks) = ([None] * n for _ in range(7))
+        # per root, None until _finish_root derives it
+        (self._by_tin, self._sub, self._below, self._marks, self._path_edges,
+         self._dist) = ([None] * n for _ in range(6))
 
     def _certify(self, codes: np.ndarray) -> None:
         """Keep codes, int64 (root, vertex) in [0, 2^62], as the base codes,
@@ -151,13 +146,17 @@ class ShortestPathIndex:
         self._tree[roots, head[arcs]] = arcs
         self.codes, self._rows = codes, codes.tolist()
 
-    def _finish_root(self, r: int) -> list[int]:
-        """Derive and keep root r's DFS order and masks; returns _below[r]."""
-        self._by_tin[r], self._anc[r], self._sub[r], self._below[r] = self._derive(r)
-        return self._below[r]
+    def _finish_root(self, r: int) -> None:
+        """Derive and keep all six of root r's per-root lists."""
+        self._by_tin[r], anc, self._sub[r], self._below[r], self._path_edges[r] = self._derive(r)
+        self._marks[r] = [(anc[a], anc[b]) for a, b, _ in self.graph.edges]
+        shift, mask = self.codec.shift, self.codec.mask
+        # a connected graph's index holds no UNREACHABLE code
+        self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
 
-    def _derive(self, r: int) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Root r's _by_tin, _anc, _sub and _below from its tree arcs; keeps nothing."""
+    def _derive(self, r: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """Root r's DFS order, ancestor marks, _sub, _below and tree-path edge
+        masks from its tree arcs; keeps nothing."""
         graph = self.graph
         n = graph.n
         tree, parent, parent_eid = self._tree[r].tolist(), [-1] * n, [-1] * n
@@ -174,41 +173,25 @@ class ShortestPathIndex:
             by_tin.append(v)
             stack += children[v]
 
-        anc = [0] * n
+        # anc[v]: v's ancestors' DFS-entry bits, v's own the highest
+        anc, paths = [0] * n, [0] * n
         anc[r] = 1
         for i in range(1, n):
             v = by_tin[i]
             anc[v] = anc[parent[v]] | 1 << i
+            paths[v] = paths[parent[v]] | 1 << parent_eid[v]
         sub = [1 << v for v in range(n)]
         below = [0] * graph.m  # 0 off the tree
         for v in by_tin[:0:-1]:  # children before parents, root left out
             sub[parent[v]] |= sub[v]
             below[parent_eid[v]] = sub[v]
-        return by_tin, anc, sub, below
-
-    def _finish_path_edges(self, r: int) -> list[int]:
-        """Derive _dist[r], root r's base lengths, and return _path_edges[r]:
-        bit e of entry x is bit x of _below[r][e]."""
-        below = self._below[r] if self._below[r] is not None else self._finish_root(r)
-        shift, mask = self.codec.shift, self.codec.mask
-        # a connected graph's index holds no UNREACHABLE code
-        self._dist[r] = [CompositeLength(c >> shift, c & mask) for c in self._rows[r]]
-        self._path_edges[r] = [sum(1 << e for e, sub in enumerate(below) if sub >> x & 1)
-                               for x in range(self.graph.n)]
-        return self._path_edges[r]
-
-    def _finish_marks(self, r: int) -> list[tuple[int, int]]:
-        """Derive and return _marks[r]: entry e is edge e's endpoints' _anc[r]
-        marks; derives root r first if need be."""
-        if self._anc[r] is None:
-            self._finish_root(r)
-        anc = self._anc[r]
-        self._marks[r] = [(anc[a], anc[b]) for a, b, _ in self.graph.edges]
-        return self._marks[r]
+        return by_tin, anc, sub, below, paths
 
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff a failed edge lies on the tree path root -> x; ids outside [0, m) never do."""
-        below = self._below[root] if self._below[root] is not None else self._finish_root(root)
+        if self._below[root] is None:
+            self._finish_root(root)
+        below = self._below[root]
         return any(0 <= e < len(below) and below[e] >> x & 1 for e in failed)
 
 

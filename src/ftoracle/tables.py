@@ -373,7 +373,7 @@ def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
         return bits.reshape(n, count, 8 * size)[:, :, :n].view(bool)
 
     ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
-    sub, below = zip(*(index._derive(r)[2:] for r in range(n)))
+    sub, below = zip(*(index._derive(r)[2:4] for r in range(n)))
     touched = unpack(sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
     bad = np.zeros((n, 2, n, m + 1), dtype=bool)
     bad[:, 0, :, :m] = unpack(below, m).transpose(2, 0, 1)

@@ -158,9 +158,9 @@ def tree_path_edges(index, root, x):
 
 
 def base_length(index, u, v):
-    """Base u-v length; derives root u's lengths first, as the fast path does."""
+    """Base u-v length; derives root u first, as the fast path does."""
     if index._dist[u] is None:
-        index._finish_path_edges(u)
+        index._finish_root(u)
     return index._dist[u][v]
 
 
@@ -174,7 +174,9 @@ def mask_parents(index, root):
     """The index's tree of root as read off its masks: per vertex its parent
     and parent edge, -1 at the root.  Tree edge e's child end is the end in
     _below[root][e]."""
-    below = index._below[root] if index._below[root] is not None else index._finish_root(root)
+    if index._below[root] is None:
+        index._finish_root(root)
+    below = index._below[root]
     parent, parent_eid = [-1] * index.graph.n, [-1] * index.graph.n
     for eid, (a, b, _) in enumerate(index.graph.edges):
         child = below[eid] & index._ends[eid]
@@ -185,18 +187,19 @@ def mask_parents(index, root):
 
 
 def lca(index, root, x, y):
-    """Deepest common ancestor of x and y, read off the DFS-entry marks."""
-    anc = index._anc[root]
-    return index._by_tin[root][(anc[x] & anc[y]).bit_length() - 1]
+    """Deepest common ancestor of x and y, read off the DFS-entry ancestor
+    marks that _derive returns and _finish_root keeps only per edge."""
+    by_tin, anc = index._derive(root)[:2]
+    return by_tin[(anc[x] & anc[y]).bit_length() - 1]
 
 
-# the index's per-root lists, filled for root r by _finish_root(r) on r's
-# first use after a build or a load
-PER_ROOT = ("_by_tin", "_anc", "_sub", "_below")
+# the index's per-root lists, all six filled for root r by _finish_root(r)
+# on r's first use after a build or a load
+PER_ROOT = ("_by_tin", "_sub", "_below", "_marks", "_path_edges", "_dist")
 
 
 def derived_roots(index):
-    """Roots whose per-root lists are filled; a root has all four or none."""
+    """Roots whose per-root lists are filled; a root has all six or none."""
     filled = [{getattr(index, name)[r] is not None for name in PER_ROOT}
               for r in range(index.graph.n)]
     assert all(len(f) == 1 for f in filled), filled
@@ -210,24 +213,9 @@ def derive_all(index):
     return index
 
 
-def path_edge_roots(index):
-    """Roots whose path-edge masks and base lengths the query's fast path
-    has derived; a root has both or neither."""
-    filled = [(paths is not None, dist is not None)
-              for paths, dist in zip(index._path_edges, index._dist)]
-    assert all(p == q for p, q in filled), filled
-    return {r for r, (p, _) in enumerate(filled) if p}
-
-
-def mark_roots(index):
-    """Roots whose edge marks a key tree has derived."""
-    return {r for r, marks in enumerate(index._marks) if marks is not None}
-
-
 def underive(index):
-    """Empty every per-root slot, the path-edge masks, base lengths and edge
-    marks, as build and load leave them."""
-    for name in PER_ROOT + ("_dist", "_path_edges", "_marks"):
+    """Empty every per-root slot, as build and load leave them."""
+    for name in PER_ROOT:
         setattr(index, name, [None] * index.graph.n)
 
 

@@ -77,6 +77,23 @@ def test_build_beyond_physical_memory_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("text, message", [
+    (b"3 2\n0 1 5\n1 2 \xff\n", "not UTF-8"),
+    (b"10000000 0\n", "disconnected"),
+])
+def test_malformed_graph_exits_2(tmp_path, capsys, command, text, message):
+    # a usage error, not verify's exit 1 for a violation, and no traceback
+    path = tmp_path / "bad.graph"
+    path.write_bytes(text)
+    argv = [command, "-g", str(path), "-d", "1"]
+    if command == "build":
+        argv += ["-o", str(tmp_path / "x.oracle")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_build_rejects_missing_graph(tmp_path, capsys):
     rc = cli.main(["build", "-g", str(tmp_path / "nope"), "-d", "1",
                    "-o", str(tmp_path / "x")])

@@ -1,5 +1,6 @@
 """Graph parsing, validation, tie-break assignment and composite lengths."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ def test_parse_rejects_self_loop():
 def test_parse_rejects_disconnected():
     with pytest.raises(GraphError, match="disconnected"):
         parse_graph("4 2\n0 1 1\n2 3 1\n")
+    # n - 1 edges, a triangle and an edge apart: found by the search
+    with pytest.raises(GraphError, match="disconnected: reached 3 of 5"):
+        parse_graph("5 4\n0 1 1\n1 2 1\n0 2 1\n3 4 1\n")
+
+
+def test_parse_rejects_non_utf8_bytes():
+    with pytest.raises(GraphError, match="not UTF-8"):
+        parse_graph(b"3 2\n0 1 5\n1 2 \xff\n")
+
+
+def test_parse_refuses_too_few_edges_before_any_size_n_work():
+    # 10^7 vertices and no edge: refused from the counts alone, with none
+    # of the n adjacency lists or reach flags made
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="disconnected"):
+            parse_graph(b"10000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("text, pattern", [

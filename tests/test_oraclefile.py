@@ -25,8 +25,7 @@ from ftoracle.spindex import BuildError, ShortestPathIndex
 from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
                              enumerate_failure_sets)
 
-from conftest import (PER_ROOT, base_length, derived_roots, mark_roots, path_edge_roots,
-                      reference_codes, underive)
+from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
 from test_file_digests import PINNED, logical_digest
 
 
@@ -117,18 +116,17 @@ def test_derived_roots_equal_the_built_index(g6):
         for ix in (built, index):
             for r in range(ix.graph.n):
                 base_length(ix, r, r)
-            assert derived_roots(ix) == path_edge_roots(ix) == set(range(ix.graph.n))
-        for name in PER_ROOT + ("_dist", "_path_edges"):
+            assert derived_roots(ix) == set(range(ix.graph.n))
+        for name in PER_ROOT:
             assert getattr(index, name) == getattr(built, name), name
 
 
 def test_loaded_key_trees_equal_the_built_index(g6):
-    # on a fresh build and a fresh load, each view derives its roots and
-    # each key tree its root's edge marks
+    # on a fresh build and a fresh load, each view derives its roots, edge
+    # marks included, and each key tree reads them
     oracle = build_oracle(g6, 2, seed=1)
     built = oracle.index
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle))).index
-    assert mark_roots(loaded) == mark_roots(built) == set()
     assert derived_roots(loaded) == derived_roots(built) == set()
     sets = enumerate_failure_sets(g6.m, 2)[1:]
     for failed in random.Random(0).sample(sets, 16):
@@ -139,13 +137,13 @@ def test_loaded_key_trees_equal_the_built_index(g6):
             assert build_induced_key_tree(loaded, r, failed) == \
                 build_induced_key_tree(built, r, failed), (failed, r)
     for index in (loaded, built):
-        assert derived_roots(index) == mark_roots(index) == set(range(g6.n))
+        assert derived_roots(index) == set(range(g6.n))
     assert loaded._marks == built._marks
 
 
 def test_key_trees_derive_their_own_root(oracle6_d2, g6):
     # on a fresh load, with no view and no path call first, a key tree
-    # derives its root, and no path edges
+    # derives its root, whole, and only its root
     built = oracle6_d2.index
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2))).index
     assert derived_roots(loaded) == set()
@@ -154,8 +152,8 @@ def test_key_trees_derive_their_own_root(oracle6_d2, g6):
         for r in range(g6.n):
             assert build_induced_key_tree(loaded, r, failed) == \
                 build_induced_key_tree(built, r, failed), (failed, r)
-    assert derived_roots(loaded) == mark_roots(loaded) == set(range(g6.n))
-    assert path_edge_roots(loaded) == set()
+            assert derived_roots(loaded) == set(range(r + 1))
+        underive(loaded)
 
 
 def test_constraints_match_on_a_fresh_load(g6):

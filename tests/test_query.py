@@ -14,8 +14,7 @@ from ftoracle.query import Oracle, QueryError, build_oracle
 from ftoracle.reference import ReferenceOracle, enumerate_instances
 from ftoracle.spindex import ShortestPathIndex
 
-from conftest import (base_length, derive_all, derived_roots, mark_roots, path_edge_roots,
-                      tree_path_edges, underive)
+from conftest import base_length, derive_all, derived_roots, tree_path_edges, underive
 
 
 def all_instances(graph, dmax):
@@ -112,9 +111,12 @@ def test_budget_exceeded(oracle1_d1):
         oracle1_d1.query(0, 2, (1, 2))
 
 
-def test_vertex_out_of_range(oracle1_d1):
-    with pytest.raises(QueryError, match="vertex"):
-        oracle1_d1.query(0, 4)
+@pytest.mark.parametrize("u, v", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+def test_vertex_out_of_range(oracle1_d1, u, v):
+    # source and sink each checked at both ends of [0, n), n = 4
+    assert oracle1_d1.graph.n == 4
+    with pytest.raises(QueryError, match="vertex out of range"):
+        oracle1_d1.query(u, v)
 
 
 def test_unknown_edge_id(oracle1_d1):
@@ -181,7 +183,8 @@ def test_raw_failure_ids_match_their_canonical_set(oracle6_d2, ids, form, u, v):
 
 def test_build_derives_no_root(g6, monkeypatch):
     # the twin of test_load_derives_no_root: a built index holds what a
-    # loaded one holds, and a first undamaged query derives only its source
+    # loaded one holds, and a first undamaged query derives exactly its
+    # source, whole, in one step
     calls = []
     finish = ShortestPathIndex._finish_root
     monkeypatch.setattr(ShortestPathIndex, "_finish_root",
@@ -189,49 +192,41 @@ def test_build_derives_no_root(g6, monkeypatch):
     oracle = build_oracle(g6, 2, seed=1)
     index = oracle.index
     assert calls == []
-    assert derived_roots(index) == path_edge_roots(index) == mark_roots(index) == set()
+    assert derived_roots(index) == set()
     # undamaged by the reference's own tree paths, which derive no root
     u, v, failed = next((u, v, f) for u, v, f in all_instances(g6, 2)
                         if len(f) == 2 and not set(f) & tree_path_edges(index, u, v))
     stats = QueryStats()
     answer = oracle.query_composite(u, v, failed, stats=stats)
     assert calls == [u]
-    assert derived_roots(index) == path_edge_roots(index) == {u}
-    assert mark_roots(index) == set()
+    assert derived_roots(index) == {u}
     assert (stats.max_depth, stats.key_trees, stats.lookups) == (1, 0, 0)
     assert answer == base_length(index, u, v)
-
-
-def test_build_derives_no_path_edges(g6):
-    # a build derives no root, and deriving every root derives no base
-    # lengths or path-edge masks: only the fast path derives those
-    oracle = build_oracle(g6, 2, seed=1)
-    assert derived_roots(oracle.index) == set()
-    assert path_edge_roots(oracle.index) == set()
-    derive_all(oracle.index)
-    assert derived_roots(oracle.index) == set(range(g6.n))
-    assert path_edge_roots(oracle.index) == set()
+    derive_all(index)
+    assert derived_roots(index) == set(range(g6.n))
+    assert sorted(calls) == list(range(g6.n))
 
 
 def test_build_and_load_derive_no_marks(g6):
-    # a key tree derives its root's edge marks; build and load derive none,
+    # a key tree reads its root's edge marks; build and load derive none,
     # and no root either
     oracle = build_oracle(g6, 2, seed=1)
-    assert mark_roots(oracle.index) == derived_roots(oracle.index) == set()
+    assert derived_roots(oracle.index) == set()
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle)))
-    assert mark_roots(loaded.index) == derived_roots(loaded.index) == set()
+    assert derived_roots(loaded.index) == set()
     u, v, failed = next((u, v, f) for u, v, f in all_instances(g6, 2)
                         if f and oracle.index.path_intersects(u, v, f))
+    underive(oracle.index)
     stats = QueryStats()
     loaded.query_composite(u, v, failed, stats=stats)
     assert stats.key_trees >= 2
-    assert {u, v} <= mark_roots(loaded.index) <= derived_roots(loaded.index)
-    # the same query on the built index derives the same marks
+    assert {u, v} <= derived_roots(loaded.index)
+    # the same query on the built index derives the same roots and marks
     oracle.query_composite(u, v, failed)
-    assert mark_roots(oracle.index) == mark_roots(loaded.index)
+    assert derived_roots(oracle.index) == derived_roots(loaded.index)
     assert oracle.index._marks == loaded.index._marks
     underive(loaded.index)
-    assert mark_roots(loaded.index) == set()
+    assert derived_roots(loaded.index) == set()
 
 
 def test_undamaged_query_after_load_derives_only_its_root(oracle6_d2, g6):
@@ -239,9 +234,9 @@ def test_undamaged_query_after_load_derives_only_its_root(oracle6_d2, g6):
                         if len(f) == 2 and not oracle6_d2.index.path_intersects(u, v, f))
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
     index = loaded.index
-    assert derived_roots(index) == path_edge_roots(index) == set()
+    assert derived_roots(index) == set()
     stats = QueryStats()
     assert loaded.query_composite(u, v, failed[::-1], stats=stats) == \
         base_length(oracle6_d2.index, u, v)
-    assert derived_roots(index) == path_edge_roots(index) == {u}
+    assert derived_roots(index) == {u}
     assert (stats.max_depth, stats.key_trees, stats.lookups) == (1, 0, 0)

@@ -18,8 +18,8 @@ from ftoracle.hitset import FailureView
 from ftoracle.reference import dijkstra_composite
 from ftoracle.spindex import ShortestPathIndex, TieBreakError, build_index_auto
 
-from conftest import (base_length, derived_roots, encode, lca, mask_parents, reference_codes,
-                      reference_of, tree_path, tree_path_edges)
+from conftest import (PER_ROOT, base_length, derive_all, derived_roots, encode, lca,
+                      mask_parents, reference_codes, reference_of, tree_path, tree_path_edges)
 from test_file_digests import PINNED
 
 
@@ -189,11 +189,28 @@ def test_path_edge_masks_match_path_intersects(idx1, idx3, idx6):
         for failed in all_failure_sets(g.m, 3):
             seen = sum(1 << e for e in failed)
             for u in range(g.n):
-                paths = index._path_edges[u] or index._finish_path_edges(u)
+                if index._path_edges[u] is None:
+                    index._finish_root(u)
+                paths = index._path_edges[u]
                 for v in range(g.n):
                     expect = ref.path_intersects(u, v, failed)
                     assert bool(paths[v] & seen) == expect, (g, u, v, failed)
                     assert index.path_intersects(u, v, failed) == expect, (g, u, v, failed)
+
+
+def test_path_edge_masks_match_the_tree_paths():
+    # _path_edges[r][x], built along the DFS, against the reference's walk
+    # and against a plain bit scan of the masks: bit e of entry x is bit x
+    # of _below[r][e]
+    graphs = {make().to_text(): make() for make, _, _ in PINNED.values()}
+    for graph in graphs.values():
+        index = derive_all(build_index_auto(graph, 1)[0])
+        for r in range(graph.n):
+            below = index._below[r]
+            for x in range(graph.n):
+                scan = sum(1 << e for e, sub in enumerate(below) if sub >> x & 1)
+                walk = sum(1 << e for e in tree_path_edges(index, r, x))
+                assert index._path_edges[r][x] == walk == scan, (graph, r, x)
 
 
 def test_path_intersects_ignores_ids_outside_the_edges(idx1, idx6):
@@ -325,7 +342,9 @@ def test_masks_match_interval_predicates(shape, n, seed):
     assert derived_roots(clone) == set()
     for ix in (index, clone):
         for r in range(g.n):
-            below = ix._below[r] if ix._below[r] is not None else ix._finish_root(r)
+            if ix._below[r] is None:
+                ix._finish_root(r)
+            below = ix._below[r]
             child = {g.edge_id(p, c): c for c, p in enumerate(ref._pairs(())[1][r]) if p >= 0}
             for eid in range(g.m):
                 want = 1 << child[eid] if eid in child else 0
@@ -415,12 +434,11 @@ def _same_roots(index, clone):
         clone._finish_root(r)
         assert derived_roots(clone) == set(range(r + 1))
         assert mask_parents(clone, r) == mask_parents(index, r)
-        assert clone._anc[r] == index._anc[r]
-        assert clone._sub[r] == index._sub[r]
-        assert clone._below[r] == index._below[r]
-    assert clone._anc == index._anc
-    assert clone._sub == index._sub
-    assert clone._below == index._below
+        assert clone._derive(r) == index._derive(r)  # the ancestor marks too
+        for name in PER_ROOT:
+            assert getattr(clone, name)[r] == getattr(index, name)[r], (r, name)
+    for name in PER_ROOT:
+        assert getattr(clone, name) == getattr(index, name), name
     for u in range(g.n):
         for x in range(g.n):
             assert base_length(clone, u, x) == base_length(index, u, x)
@@ -490,6 +508,7 @@ def test_deterministic_across_builds(g6):
     assert tie_a == tie_b
     assert seed_a == seed_b
     assert [mask_parents(a, r) for r in range(g6.n)] == [mask_parents(b, r) for r in range(g6.n)]
-    assert a._anc == b._anc
-    assert a._sub == b._sub
-    assert a._below == b._below
+    assert derived_roots(a) == derived_roots(b) == set(range(g6.n))
+    assert [a._derive(r) for r in range(g6.n)] == [b._derive(r) for r in range(g6.n)]
+    for name in PER_ROOT:
+        assert getattr(a, name) == getattr(b, name), name
