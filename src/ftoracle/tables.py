@@ -15,8 +15,10 @@ path is longer, or none is left.  The empty set is feasible for every key.
 So a key holds the base entry unless some damaging set is feasible, and
 then the first feasible candidate of its row in the order code descending,
 then set index ascending (sets ascend by sorted edge-id sequence, () first).
-Every damaging set is a candidate of the row; one that did not lengthen
-the distance would rank after the empty set and so win no key.
+A row's candidates are the empty set and each damaging set off its
+prefix's code (the set less its last edge): the prefix, a subset, is
+feasible wherever the set is and ranks first at equal codes, so a set at
+its code wins no key, as one that did not lengthen the distance would not.
 
 The build has two phases.  Phase 1, the deletion sweep
 (_deleted_all_pairs), runs Bellman-Ford over CHUNK = 128 (root, set)
@@ -29,15 +31,15 @@ overwritten, not added to.  Phase 2 goes by groups of consecutive roots
 whose damaging (root, set) pairs fill a chunk.  A group takes every
 set's side masks at its roots from per-edge masks, made once from each
 root's index masks, which the build derives and drops, and lays out
-each row's candidates, the empty set and then every set that damages the
-row, each with its swept code or else the largest of its immediate
-subsets': deleting edges never shortens a path, so a set has the code of
-a least subset with that code, and phase 1 reaches each of those.  Then
-consecutive rows are ranked in batches of at most FILL_BYTES of working
-memory, or one wider row alone.  Their side masks at u and at v are
-packed into bitsets along the candidate axis and ANDed; a key's winner
-is the first set bit, found as the first nonzero byte plus that byte's
-leading zeros.  Lengths are undirected and the constraints of
+each row's candidates, the empty set and then the sets that damage the
+row off their prefix's code, each with its swept code or else the largest
+of its immediate subsets': deleting edges never shortens a path, so a set
+has the code of a least subset with that code, and phase 1 reaches each
+of those.  Then consecutive rows are ranked in batches of at most
+FILL_BYTES of working memory, or one wider row alone.  Their side masks
+at u and at v are packed into bitsets along the candidate axis and ANDed;
+a key's winner is the first set bit, found as the first nonzero byte plus
+that byte's leading zeros.  Lengths are undirected and the constraints of
 (u, v, u', v', b1, b2) and (v, u, v', u', b2, b1) agree, so row (v, u)
 is row (u, v) with its vertex axes and its bit axes swapped.  Root u
 owns (u, v) when (v > u) == (u + v is odd): each pair has one owner,
@@ -536,11 +538,11 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
     Returns flat buffers of int64 codes root->x and int32 set indices, and
     each row's start and size in them, rows in the order of cols: a row
     holds first the empty set at the base distance, then, ascending, each
-    set that damages x.  A set takes the code phase 1 swept at its root
-    where swept, the group's share of _deleted_all_pairs, holds one, or
-    else, sizes ascending (levels = _levels(ids, m)), the largest code of
-    its immediate subsets, a subset that does not damage x counting at the
-    base code.
+    set that damages x off its prefix's code (see the module docstring).
+    A set takes the code phase 1 swept at its root where swept, the
+    group's share of _deleted_all_pairs, holds one, or else, sizes
+    ascending (levels = _levels(ids, m)), the largest code of its immediate
+    subsets, a subset that does not damage x counting at the base code.
     """
     count, roots = len(ids), np.array(roots, dtype=np.int64)
     width = max(map(len, cols), default=0)
@@ -548,8 +550,6 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
                   dtype=np.int64).reshape(len(roots), width)
     hit = ~clean[at, np.arange(len(roots))[:, None]]  # (root, column, set)
     hit[:, :, 0] = True  # the empty set, which damages nothing, opens every row
-    size = hit.sum(axis=2)
-    start = np.cumsum(size).reshape(size.shape) - size  # each row's empty-set entry
     real = np.arange(width) < np.array(list(map(len, cols)), dtype=np.int64)[:, None]
     # (set, row) codes: the base code, then the swept codes, then the rest
     full = np.repeat(index.codes[roots[:, None], at].reshape(1, -1), count, axis=0)
@@ -561,11 +561,15 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
         for lo in range(0, len(level), CHUNK):
             sets = level[lo:lo + CHUNK]
             best = full.take(sets, axis=0)
-            for less in below[:, lo:lo + CHUNK]:
-                np.maximum(best, full.take(less, axis=0), out=best)
+            for less in below[:, lo:lo + CHUNK]:  # the last: the prefix
+                sub = full.take(less, axis=0)
+                np.maximum(best, sub, out=best)
             full[sets] = best
+            hit.reshape(-1, count)[:, sets] &= (best != sub).T  # off the prefix's code
     codes = full.T[hit.reshape(-1, count)]
     del full
+    size = hit.sum(axis=2)  # after full goes, as the sum's int64 cast is as large
+    start = np.cumsum(size).reshape(size.shape) - size  # each row's empty-set entry
     sets = np.flatnonzero(hit)  # (i * width + j) * count + s: the rows' sets, in order
     sets %= count
     return codes, sets.astype(np.int32), start[real], size[real]

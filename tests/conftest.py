@@ -262,7 +262,8 @@ def exhaustive_candidates(index, ids, levels, swept, roots, cols, clean):
 
     Every (root, set) pair whose set damages an owned column goes, root by
     root, in chunks of CHUNK to _relax, and each row gets the code of every
-    set that damages it, laid out as _row_candidates lays it out.
+    set that damages it, laid out as _row_candidates lays out its rows,
+    which leave out the sets at their prefix's code.
     """
     arcs = _arc_list(index)
     unreachable = index.codec.unreachable_code

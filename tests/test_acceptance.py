@@ -145,7 +145,8 @@ def test_structural_size_and_lookup_bounds(sweep):
 def test_preprocessing_scales_with_enumeration(monkeypatch):
     # phase 1 sweeps only the sets a replacement-path branching reaches, but
     # ranking the candidates (phase 2, _build_roots: the layout and
-    # _fill_rows) still touches every damaging set, so its time tracks the
+    # _fill_rows) still takes every set's code at every row, and ranks the
+    # damaging sets off their prefix's code, so its time tracks the
     # enumeration both ways; the whole build's only from above
     graph = gen_gnm(8, 14, 32, seed=42)
     index, _, used = build_index_auto(graph, 1)

@@ -458,7 +458,7 @@ def test_progress_reports_each_root(idx6):
 
 @pytest.mark.parametrize("n, m, d, limit, expect", [
     (10, 16, 1, 256, (True, False, False)),
-    (9, 24, 3, 256, (False, True, False)),
+    (9, 36, 3, 256, (False, True, False)),
     (8, 16, 4, 256, (False, True, False)),
     (10, 16, 1, 5, (True, False, True)),
 ], ids=["d1", "d3", "d4", "d1-widen"])
@@ -494,6 +494,37 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     assert (mixed, wide, widened) == expect
     for tables in (built.tables, alone.tables):
         assert tables.matrices.itemsize == (2 if limit < 256 else 1)
+
+
+@pytest.mark.parametrize("n, m, d, kept, damaging", [
+    (10, 18, 3, 5157, 12870),
+    (16, 32, 2, 4746, 8969),
+], ids=["n10-d3", "n16-d2"])
+def test_rows_leave_out_sets_at_their_prefix_code(monkeypatch, n, m, d, kept, damaging):
+    # a set at its prefix's code (the set less its last edge) ranks after
+    # the prefix, which is feasible wherever the set is, so it wins no key
+    # and its row leaves it out.  The rows' candidates, each row's empty
+    # set included, as kept and as every damaging set (exhaustive_candidates)
+    counts, palettes = [0, 0], []
+    rows, fill = tables_module._row_candidates, tables_module._fill_rows
+
+    def spy_rows(*args):
+        out = rows(*args)
+        counts[0] += int(out[3].sum())
+        counts[1] += int(exhaustive_candidates(*args)[3].sum())
+        return out
+
+    def spy_fill(i, us, vs, start, size, codes, sets, *rest):
+        fill(i, us, vs, start, size, codes, sets, *rest)
+        _, sizes, _, won = rest[-2][-1]
+        for a, b, lo, hi in zip(start, start + size, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+            palettes.append(set(won[lo:hi].tolist()) <= set(sets[a:b].tolist()))
+
+    monkeypatch.setattr(tables_module, "_row_candidates", spy_rows)
+    monkeypatch.setattr(tables_module, "_fill_rows", spy_fill)
+    build_oracle(gen_gnm(n, m, 32, 0), d, seed=1)
+    assert counts == [kept, damaging]
+    assert len(palettes) == n * (n - 1) // 2 and all(palettes)
 
 
 def both_phases(index, d, roots, cols=None):
@@ -537,13 +568,20 @@ def test_deleted_distances_match_reference(idx6, ref6):
     for u, rows in enumerate(swept):
         _, codes, found = zip(*rows)
         for v in range(g.n):
-            # the empty set first, then every damaging set: each is longer
+            # the empty set first, then, ascending, each damaging set (each
+            # is longer) whose length differs from its prefix's, the set
+            # less its last edge
             damaging = [si for si in range(len(sets)) if not clean[v, u, si]]
-            assert list(found[v]) == [0] + damaging
-            dist = dict(zip(found[v], codes[v]))
+            dist = dict(zip(found[v].tolist(), codes[v].tolist()))
+            assert found[v].tolist() == [0] + [si for si in damaging if si in dist]
             for si, failed in enumerate(sets):
-                code = dist.get(si, int(idx6.codes[u, v]))
-                assert codec.decode(code) == ref6.dist_avoiding(failed, u, v)
+                length = ref6.dist_avoiding(failed, u, v)
+                if si in dist:
+                    assert codec.decode(dist[si]) == length
+                if si in damaging:  # left out just where it has its prefix's length
+                    assert (si in dist) == (length != ref6.dist_avoiding(failed[:-1], u, v))
+                else:  # the base code
+                    assert codec.decode(int(idx6.codes[u, v])) == length
 
 
 def swept_rows(swept, cols):
@@ -556,13 +594,15 @@ def swept_rows(swept, cols):
 def sweep_against_reference(index, d, roots, cols=None):
     """Run both phases over roots and check every row phase 2 lays out.
 
-    Each row (x, codes, sets) must hold the empty set, then exactly the
-    sets that hit the tree path root->x (by the reference's parent walks),
-    ascending, and each code must equal ReferenceOracle.dist_avoiding's
+    Each row (x, codes, sets) must hold the empty set, then, ascending,
+    exactly the sets that hit the tree path root->x (by the reference's
+    parent walks) and whose ReferenceOracle.dist_avoiding length differs
+    from their prefix's, the set less its last edge; each damaging set left
+    out has its prefix's length.  Each code must equal the reference's
     length: exactly unreachable_code where the set disconnects x, never
-    negative.  So every damaging set of every row has its exact code, swept
-    or not.  Returns the (root, set) pairs of every chunk phase 1 relaxed,
-    in order.
+    negative.  So every kept set of every row has its exact code, swept or
+    not.  Returns the (root, set) pairs of every chunk phase 1 relaxed, in
+    order.
     """
     graph, codec = index.graph, index.codec
     ref = ReferenceOracle(graph, index.tie)
@@ -575,8 +615,16 @@ def sweep_against_reference(index, d, roots, cols=None):
         for x, codes, found in rows:
             assert codes.dtype == np.int64 and found.dtype == np.int32
             path = tree_path_edges(index, u, x)
-            assert found.tolist() == [0] + [si for si, s in enumerate(sets) if path & set(s)]
-            for si, code in zip(found.tolist(), codes.tolist()):
+            kept = found.tolist()
+            assert kept[0] == 0 and kept[1:] == sorted(set(kept[1:]))
+            chosen = set(kept)
+            for si, s in enumerate(sets[1:], 1):
+                if path & set(s):  # damaging: kept just where its length is not its prefix's
+                    longer = ref.dist_avoiding(s, u, x) != ref.dist_avoiding(s[:-1], u, x)
+                    assert (si in chosen) == longer, (u, x, s)
+                else:
+                    assert si not in chosen, (u, x, s)
+            for si, code in zip(kept, codes.tolist()):
                 expect = ref.dist_avoiding(sets[si], u, x)
                 assert codec.decode(code) == expect, (u, x, sets[si])
                 assert 0 <= code <= codec.unreachable_code
@@ -593,11 +641,14 @@ def test_sweep_disconnecting_sets_give_unreachable_exactly():
         index = build_index_auto(graph, 1)[0]
         sweep_against_reference(index, 2, list(range(graph.n)))
     # on a path every damaging set disconnects its column: phase 1 sweeps
-    # the singletons only, and every larger set takes their code
+    # the singletons only, and every larger set takes their code, its
+    # prefix's, and so leaves the row
     index = build_index_auto(path, 1)[0]
     (rows,), chunks = both_phases(index, 2, [0], [[4]])
     assert rows[0][1][1:].tolist() == [index.codec.unreachable_code] * (len(rows[0][1]) - 1)
-    assert len(rows[0][1]) == 1 + 4 + 6 and chunks == [[(0, (e,)) for e in range(4)]]
+    sets = enumerate_failure_sets(4, 2)
+    assert rows[0][2].tolist() == [0] + [sets.index((e,)) for e in range(4)]
+    assert len(rows[0][1]) == 1 + 4 and chunks == [[(0, (e,)) for e in range(4)]]
 
 
 def test_sweep_repairs_long_detours_on_a_cycle():
