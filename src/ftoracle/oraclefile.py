@@ -1,14 +1,14 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 7 (all integers little-endian):
+Layout, version 8 (all integers little-endian):
 
-    header   magic "FTDO", version u16, slot width W u16 (1 or 2), n u64,
-             m u64, d u64, tie seed i64, sha256 of the canonical graph
-             text, palette entries P u64, palette edge ids I u64, matrix
-             slots S u64
+    header   magic "FTDO", version u16, slot width W u8 (1 or 2), code
+             width C u8 (4 or 8), n u64, m u64, d u64, tie seed i64, sha256
+             of the canonical graph text, palette entries P u64, palette
+             edge ids I u64, matrix slots S u64
     edges    m x (a u32, b u32, w u64, tie value u64)
     pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
-    codes    P packed length codes i64, palette by palette
+    codes    P packed length codes of C bytes, palette by palette
     ids      I edge ids, u8 when m <= 256, else u16, each entry's D*
              ascending, entry by entry
     sizes    P set sizes u8, one per palette entry
@@ -28,10 +28,11 @@ plus one, and no two classes of a pair have equal rows or columns, so the
 encoding is canonical.  Row (v, u) is row (u, v) with its u' and v' axes
 and its b1 and b2 axes swapped, and it uses the same palette, so each pair
 u < v stores its row once.  A diagonal row holds only slot 0 and is not
-stored.  W is 1 when every palette has at most 256 entries, else 2.  The
-widths of the ids and set sizes follow from m (tables.palette_dtypes), and
-the build's tables hold them at the same widths.  Every section's size
-follows from the header, and the sections before the ids are multiples of
+stored.  W is 1 when every palette has at most 256 entries, else 2; C is 4
+(2^32 - 1 for unreachable) when every finite code is below 2^32 - 1, else
+8.  The build's tables hold the codes (tables.narrow_codes), ids and set
+sizes (tables.palette_dtypes, by m) at these widths.  Every section's size
+follows from the header, and the sections before the codes are multiples of
 8 bytes, so each palette array loads as an aligned zero-copy view.  The
 class ids and matrices load as views too, and the tables in memory are
 these sections; only 2-byte matrices at an odd offset are copied.  No
@@ -49,10 +50,10 @@ one entry, each palette's codes must not increase, its last entry must be
 the empty set at its pair's base code, and no other entry may be empty.
 Class ids must come in order of first appearance, the header's S must be
 the sum of ku * kv, and every matrix slot must lie below its pair's
-palette size.  Other versions, such as version 6 with its 4n^2 slots per
-pair, fail with a version error, and so does any slot width but 1 or 2.
-Saving the same build twice is byte-identical, and a load followed by a
-save reproduces the file exactly.
+palette size.  Other versions, such as version 7, fail with a version
+error, and so does a slot width but 1 or 2, a code width but 4 or 8, or
+i8 codes that fit u4.  Saving the same build twice is byte-identical, and
+a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -66,11 +67,11 @@ import numpy as np
 from .graph import Graph, GraphError
 from .query import Oracle
 from .spindex import BuildError, CodeError, LengthCodec, ShortestPathIndex, TieBreakError
-from .tables import OracleTables, check_build_size, palette_dtypes
+from .tables import OracleTables, check_build_size, narrow_codes, palette_dtypes, wide_codes
 
 MAGIC = b"FTDO"
-VERSION = 7
-_HEADER = struct.Struct("<4sHHQQQq32sQQQ")
+VERSION = 8
+_HEADER = struct.Struct("<4sHBBQQQq32sQQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
 _NOT_BASE = "palette does not end with the empty set at its pair's base code"
@@ -92,12 +93,12 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     width = tables.matrices.itemsize
     id_type, size_type = palette_dtypes(graph.m)
     digest = hashlib.sha256()
-    for part in (_HEADER.pack(MAGIC, VERSION, width, graph.n, graph.m, tables.d,
-                              tables.tie_seed, bytes.fromhex(graph.digest()),
+    for part in (_HEADER.pack(MAGIC, VERSION, width, tables.codes.itemsize, graph.n, graph.m,
+                              tables.d, tables.tie_seed, bytes.fromhex(graph.digest()),
                               tables.codes.size, tables.ids.size, tables.matrices.size),
                  edges.tobytes(),
                  tables.pair_sizes.astype("<i8", copy=False).tobytes(),
-                 tables.codes.astype("<i8", copy=False).tobytes(),
+                 tables.codes.astype(tables.codes.dtype.newbyteorder("<"), copy=False).tobytes(),
                  tables.ids.astype(id_type, copy=False).tobytes(),
                  tables.set_sizes.astype(size_type, copy=False).tobytes(),
                  tables.classes.tobytes(),
@@ -115,7 +116,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
-    magic, version, width, n, m, d, tie_seed, digest, entries, id_count, stored = \
+    magic, version, width, code_width, n, m, d, tie_seed, digest, entries, id_count, stored = \
         _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise OracleFileError(f"not an oracle file (magic {magic!r})")
@@ -124,6 +125,8 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
                               f"(expected {VERSION}); rebuild the oracle")
     if width not in (1, 2):
         raise OracleFileError(f"unsupported slot width {width} (expected 1 or 2)")
+    if code_width not in (4, 8):
+        raise OracleFileError(f"unsupported code width {code_width} (expected 4 or 8)")
     try:
         check_build_size(n, m, d, width * stored)
     except BuildError as exc:
@@ -132,7 +135,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     pairs = n * (n + 1) // 2
     id_type, size_type = palette_dtypes(m)
     lower = n * (n - 1) // 2  # pairs u < v
-    ids_at = offset + 8 * (pairs + entries)
+    ids_at = offset + 8 * pairs + code_width * entries
     sizes_at = ids_at + id_type.itemsize * id_count
     classes_at = sizes_at + entries
     slots_at = classes_at + 4 * n * lower
@@ -152,7 +155,8 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if graph is not None and graph.digest() != digest.hex():
         raise OracleFileError("oracle file was built for a different graph")
 
-    pair_sizes, codes = np.split(np.frombuffer(blob, "<i8", pairs + entries, offset), [pairs])
+    pair_sizes = np.frombuffer(blob, "<i8", pairs, offset)
+    codes = np.frombuffer(blob, "<u4" if code_width == 4 else "<i8", entries, offset + 8 * pairs)
     ids = np.frombuffer(blob, id_type, id_count, ids_at)
     set_sizes = np.frombuffer(blob, size_type, entries, sizes_at)
     classes = np.frombuffer(blob, np.uint8, 4 * n * lower, classes_at).reshape(lower, 2, 2 * n)
@@ -165,6 +169,8 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError("diagonal palette holds more than the empty set")
     if codes.min() < 0 or codes.max() > LengthCodec.unreachable_code:
         raise OracleFileError("palette code out of range")
+    if code_width == 8 and narrow_codes(codes) is not codes:  # one file per build
+        raise OracleFileError("8-byte palette codes whose finite values fit in 4 bytes")
     if set_sizes.max(initial=0) > min(d, m) or set_sizes.sum() != id_count:
         raise OracleFileError("palette set size out of range")
     if ids.size and ids.max() >= m:
@@ -180,7 +186,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if climbs.any():
         raise OracleFileError("palette codes not in descending order")
     base = np.empty((n, n), dtype=np.int64)  # each pair's last code, mirrored
-    base[upper] = base.T[upper] = codes[last]
+    base[upper] = base.T[upper] = wide_codes(codes[last])
     if set_sizes[last].any():
         raise OracleFileError(_NOT_BASE)
     try:

@@ -90,6 +90,7 @@ from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_lis
 CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
 FILL_BYTES = 112 << 10  # estimated working bytes of a fill batch (_fill_bytes)
 UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
+NARROW_UNREACHABLE = 2 ** 32 - 1  # the unreachable code of uint32 palette codes
 ENCODE_BYTES = 32 << 10  # least estimated working bytes (_encode_bytes) of the rows
                          # that _encode takes at once, between groups of roots
 
@@ -142,6 +143,18 @@ def palette_dtypes(m: int) -> tuple[np.dtype, np.dtype]:
     return np.dtype("<u1" if m <= 256 else "<u2"), np.dtype("<u1")
 
 
+def narrow_codes(codes: np.ndarray) -> np.ndarray:
+    """int64 palette codes as stored: uint32 when every finite code fits, else as given."""
+    fits = codes.max(initial=0, where=codes < LengthCodec.unreachable_code) < NARROW_UNREACHABLE
+    return np.minimum(codes, NARROW_UNREACHABLE).astype(np.uint32) if fits else codes
+
+
+def wide_codes(codes: np.ndarray) -> np.ndarray:
+    """Stored palette codes as int64, unreachable at LengthCodec.unreachable_code."""
+    return codes if codes.dtype == np.int64 else np.where(
+        codes == NARROW_UNREACHABLE, np.int64(LengthCodec.unreachable_code), codes)
+
+
 def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) -> None:
     """The one budget gate of build and load; raises BuildError.
 
@@ -155,8 +168,8 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     charged the class ids twice (the order check's running maxima and their
     sums), in place of the build's class ids, matrices and encoding.  Each
     palette entry is charged an int64 code, set size and edge ids plus their
-    read-path lists, at the bound of min(4n^2, sets) entries per pair; set
-    sizes and edge ids take one or two bytes (palette_dtypes), so that part
+    read-path lists, at the bound of min(4n^2, sets) entries per pair; codes
+    may take four bytes and set sizes and edge ids one or two, so that part
     over-estimates until palettes are charged by their count.  Each subset
     is charged a tuple and list slot, which covers the sort key and int64
     order that _failure_set_ids sorts it by, and costs a row of int32 edge
@@ -247,7 +260,7 @@ class OracleTables:
                                       # (u', b1) and of (v', b2), at 2u' + b1 and 2v' + b2
         self.matrices = matrices      # uint8 or uint16, each pair's ku x kv slots, row-major
         self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
-        self.codes = codes            # int64, packed code per palette entry, pair by pair
+        self.codes = codes            # uint32 or int64 (narrow_codes), per entry, pair by pair
         self.set_sizes = set_sizes    # uint8, |D*| per palette entry
         self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
                                       # ascending edge ids, entry by entry
@@ -274,6 +287,7 @@ class OracleTables:
         self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = codec.unreachable_code
+        self._sentinel = NARROW_UNREACHABLE if codes.dtype == np.uint32 else self._unreachable
 
     @property
     def entry_count(self) -> int:
@@ -281,7 +295,7 @@ class OracleTables:
 
     # dense views, derived on first use by tests and benchmarks only: int64
     # codes, the subsets in enumeration order, int32 indices into them
-    values = cached_property(lambda self: self._dense(self.codes))
+    values = cached_property(lambda self: self._dense(wide_codes(self.codes)))
     subsets = cached_property(lambda self: enumerate_failure_sets(self.graph.m, self.d))
 
     @cached_property
@@ -351,7 +365,8 @@ class OracleTables:
         entry = self._entries[p]
         if entry is None:
             d_star = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
-            entry = self._entries[p] = (self.codes.item(p), d_star)
+            code = self.codes.item(p)
+            entry = self._entries[p] = (self._unreachable if code == self._sentinel else code, d_star)
         return entry
 
 
@@ -788,9 +803,8 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             src += c
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
-    winners = ids[cand[order]]
+    code, winners = narrow_codes(code)[order], ids[cand[order]]
     real = winners < graph.m
     id_type, size_type = palette_dtypes(graph.m)
     return OracleTables(graph, d, tie_seed, index.codec, matrices, classes, size[np.argsort(pair)],
-                        code[order], real.sum(axis=1, dtype=size_type),
-                        winners[real].astype(id_type))
+                        code, real.sum(axis=1, dtype=size_type), winners[real].astype(id_type))

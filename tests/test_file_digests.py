@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "052ef3f59f3d97826ca2bec43f46b32d5d1f0e6407b4a42431474db3eed563d4"),
+              "08ff53e50d85a806b3dc0976bebe955cee7608f154e9abbf3f7d7ef627efc241"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "0fb9d758ef344c780da2d505331b6b11c547d8e1d2ef073a8dc2dac20bdeaa57"),
+              "3816c59a4ce2517225652970deafa65d0a2ec3bedc81a715719ca85eecadfe5e"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "d3552a9f5f86c1ff17d4336285a5493de90827b314ce9bd0845f222721ae5171"),
+              "afb961714338fa725ae49d5f254163734a86204a17b095ebc1b790a00388c30a"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "c2016e34d33c9ad35005bd94305be9b6caa46910054d1b1a0fae444c0e772bb7"),
+                "31d47d3785a1d5b5bf31300de0dc661957f756bba98a9f590ca1b6cc0c8b137e"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "b4549d48505637e1d16371cc26e2117f91eadeb7785a7bef374730e92ae88882"),
+                "7d3acb0f31d5f8158a2a16e033562010f8a6abb95e2077b4955a3e07f90bf4fc"),
     "path5-d2": (_path5, 2,
-                 "48e16a2c80f6e41e8f61b3e7b103ca1a91aaa7914c7af053e5a10d8bf12f12fd"),
+                 "680de4479392d5a04716c3508dd54ae48260c87bfd89e20da16e732ce06ffc16"),
     "k5-d1": (_k5, 1,
-              "48bef075bac575f4920c3f0c332ea3d0d49f040da9bc459cfcb52f73e2b3f25c"),
+              "e44bd73d85e043f45b108ce6ab70f6e1cc9154d7af8e6cb917bfec068724127d"),
     "k5-d2": (_k5, 2,
-              "64510219f2535daa9ec79bcfdac3f076f2620dc9e45b79159c0b3413e04903f2"),
+              "8802823bd4bb3d5b4ecc812eec682edc89efd22c15820f0936cd184465ee39e3"),
     "k5-d3": (_k5, 3,
-              "ba08303e47910c8d84af7129b0e72c8598e2ddff598c9b3dab0b71a89171e18f"),
+              "99e5c8f31c1f438fa8b405ebf3a38e266b8d2efbcca2b41961be166a5dc3249a"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "1714d5d027e0cf3e541e2d9fe7408a380dd59b3d4e12f13f9d74be9e4d0b6cf4"),
+                    "5e2907fd2c9d65f0b2a6079b394add8e4c1fc4f78195af4b6e35c44064b445dd"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "10960a9ec3ad95476a916fd42bcbe35c74ce5c50d25653560b9445606a8aa2a6"),
+                    "f9eea23f4ab2127dccbd60181db99a39e33458c5de4cb3e483440a846d64d83e"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "44b2e1a6827aa5717b8a55cd7b266e2e3307d4dfb37ad4b21c538a2bf2a5e390"),
+                    "5a013283e247ef1d5ea2fee01e58ae08f1e0d820f3476ff845b086fbf1353467"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "38b3602f8650d1d531c5911a78d128ea65c4ebcc3c9d7cc829560d7b2b589400"),
+                    "fdb39166b69f994e8dc88d70c69656a839dc57b748b1d8c6c60367b8f5156757"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "06844a88386808d6f3b5ba28946a9a0777f73d5316fc59cdcfe87e8b8892c188"),
+                    "c6760fd2a8d8481c207300e933105e993250a060b9a32e3a240a1dce0177a57c"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "e734594714e55f8ac3c1989c0d99e5eede8a93d11936110cd4df914659d5804e"),
+                    "769f1178d028c1af0b8d8d2f80571554b4d48e66b63e00935116ad403690bebf"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "9da7b8e9c0d52067451adb2371283977ea2cc1fe51a51ae235652d2505e496de"),
+                      "3512895545ec65de06e58b08ea859ede9c8d19c6d8968f9710649c84f1861142"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "76bfa11a223df49e4e9cb8887d68ec96a7f98343f3fb75b3d67550e9ac43b862"),
+                      "be54faf5896c322c2f172a46efcecacb21dd3e53b7fa3b696636328d48a14668"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "307254fbc4c7fd2adfe58102596f29164b0d2cac924617336511b55f00ef8fbf"),
+                      "579368a92239f18172899712e49edff5a25e7329754ac5b3259c65c771984e71"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "70a1e9f92b4b6b1a166d8f5a3e6a3738c7f5de45094358fd5e4154f09fc01721"),
+                      "3ab1baf672e03a51fd82eae4eff53a02e1ccd54f35c6bdd106f1c75ea2d3ea1d"),
 }
 
 

@@ -20,10 +20,10 @@ from ftoracle.generate import gen_gnm
 from ftoracle.graph import Graph, GraphError, edge_ids
 from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
-from ftoracle.reference import enumerate_instances
-from ftoracle.spindex import BuildError, ShortestPathIndex
-from ftoracle.tables import (check_build_size, class_bounds, constraint_holds,
-                             enumerate_failure_sets)
+from ftoracle.reference import ReferenceOracle, enumerate_instances
+from ftoracle.spindex import BuildError, LengthCodec, ShortestPathIndex
+from ftoracle.tables import (NARROW_UNREACHABLE, check_build_size, class_bounds,
+                             constraint_holds, enumerate_failure_sets)
 
 from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
 from test_file_digests import PINNED, logical_digest
@@ -215,18 +215,118 @@ def test_file_size_is_fixed_width(oracle1_d2):
     # the header names the palette and matrix totals, and they fix every
     # section's size
     assert _HEADER.unpack_from(blob)[-3:] == (entries, ids, slots)
-    # header, edges with tie values, palette sizes per pair u <= v and
-    # palette codes i64, edge ids u8 (m <= 256), set sizes u8, 4n u8 class
+    # header, edges with tie values, palette sizes per pair u <= v i64 and
+    # palette codes u4, edge ids u8 (m <= 256), set sizes u8, 4n u8 class
     # ids per pair u < v, the u8 matrix slots, sha256; no index, no mirrored
     # and no diagonal rows
-    assert _HEADER.unpack_from(blob)[2] == tables.matrices.itemsize == 1
-    assert tables.ids.itemsize == tables.set_sizes.itemsize == 1
+    assert _HEADER.unpack_from(blob)[2:4] == (tables.matrices.itemsize, tables.codes.itemsize)
+    assert tables.matrices.itemsize == tables.ids.itemsize == tables.set_sizes.itemsize == 1
+    assert tables.codes.dtype == np.uint32
     expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
-              entries * 9 + ids + n * (n - 1) // 2 * 4 * n + slots + 32)
+              entries * 5 + ids + n * (n - 1) // 2 * 4 * n + slots + 32)
     assert len(blob) == expect
     # each pair u < v holds one slot per row class and column class
     kinds = tables.classes.max(axis=2).astype(np.int64) + 1
     assert slots == kinds.prod(axis=1).sum() < n * (n - 1) // 2 * 4 * n * n
+
+
+@pytest.fixture(scope="module")
+def wide_oracle():
+    # weights up to 2^20: the largest finite code of gen_gnm(10, 18) takes
+    # more than 32 bits, so its file stores int64 codes
+    return build_oracle(gen_gnm(10, 18, 1 << 20, 0), d=2, seed=1)
+
+
+def test_int64_codes_round_trip(wide_oracle):
+    blob = oracle_file_bytes(wide_oracle)
+    assert _HEADER.unpack_from(blob)[3] == 8
+    loaded = load_oracle(io.BytesIO(blob))
+    assert oracle_file_bytes(loaded) == blob
+    for tables in (wide_oracle.tables, loaded.tables):
+        assert tables.codes.dtype == tables.values.dtype == np.int64
+        assert tables.codes.max() == LengthCodec.unreachable_code
+    assert np.array_equal(loaded.tables.codes, wide_oracle.tables.codes)
+    graph = wide_oracle.graph
+    reference = ReferenceOracle(graph, wide_oracle.index.tie)
+    rng = random.Random(0)
+    sets = enumerate_failure_sets(graph.m, 2)
+    for _ in range(300):
+        u, v, failed = rng.randrange(graph.n), rng.randrange(graph.n), rng.choice(sets)
+        assert loaded.query_composite(u, v, failed) == reference.dist_avoiding(failed, u, v)
+
+
+@pytest.mark.parametrize("make, d", [PINNED["path5-d2"][:2], (lambda: gen_gnm(10, 18, 32, 0), 3)],
+                         ids=["path5-d2", "gnm10x18-s0-d3"])
+def test_uint32_codes_decode_as_the_int64_build(make, d, monkeypatch):
+    # builds whose codes fit uint32 and that store unreachable entries.
+    # The same build with its codes kept at int64 is the decoding: every
+    # values cell and every key's lookup agree, built and loaded, and the
+    # stored 2^32 - 1 reads as the codec's unreachable code
+    graph = make()
+    narrow = build_oracle(graph, d, seed=1)
+    monkeypatch.setattr(ftoracle.tables, "narrow_codes", lambda codes: codes)
+    wide = build_oracle(graph, d, seed=1).tables
+    monkeypatch.undo()
+    assert wide.codes.dtype == np.int64
+    unreachable = wide.codes == LengthCodec.unreachable_code
+    assert unreachable.any() and wide.codes[~unreachable].max() < NARROW_UNREACHABLE
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(narrow))).tables
+    n = graph.n
+    keys = list(itertools.product(*[range(n)] * 4, (0, 1), (0, 1)))
+    for tables in (narrow.tables, loaded):
+        assert tables.codes.dtype == np.uint32
+        assert np.array_equal(tables.codes == NARROW_UNREACHABLE, unreachable)
+        assert tables.values.dtype == np.int64
+        assert np.array_equal(tables.values, wide.values)
+        for key in keys:
+            assert tables.lookup(*key) == wide.lookup(*key)
+
+
+@pytest.mark.parametrize("oracle", ["oracle6_d2", "wide_oracle"])
+def test_load_reads_palettes_in_place(request, oracle):
+    # the codes, edge ids and set sizes are aligned views into the file's
+    # bytes, at either code width: the codes add no copy to load
+    blob = oracle_file_bytes(request.getfixturevalue(oracle))
+    loaded = load_oracle(io.BytesIO(blob)).tables
+    held = np.frombuffer(loaded.codes.base, np.uint8)
+    assert held.tobytes() == blob
+    for name in ("codes", "ids", "set_sizes"):
+        view = getattr(loaded, name)
+        assert np.shares_memory(view, held), name
+        assert view.flags.aligned and not view.flags.owndata, name
+
+
+def _wide_but_fits(oracle) -> bytes:
+    """The file with its uint32 codes written as int64, unreachable at 2^62."""
+    tables = copy.copy(oracle.tables)
+    tables.codes = ftoracle.tables.wide_codes(tables.codes)
+    return oracle_file_bytes(Oracle(oracle.index, tables))
+
+
+def _code_width(oracle, width) -> bytes:
+    """The file re-sealed with another code width in its header."""
+    blob = bytearray(oracle_file_bytes(oracle))
+    blob[7] = width  # after magic, version and slot width
+    return _reseal(blob)
+
+
+def _unreachable_base(oracle) -> bytes:
+    """The file with pair (0, 1)'s last code, its base code, at uint32's unreachable."""
+    return _edit(oracle, ("values", _palettes(oracle.tables)[1][-1], (NARROW_UNREACHABLE,)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda o: _code_width(o, 2), r"unsupported code width 2 \(expected 4 or 8\)"),
+    (_wide_but_fits, "8-byte palette codes whose finite values fit in 4 bytes"),
+    (_unreachable_base, "palette does not end with the empty set at its pair's base code")],
+    ids=["code-width-2", "int64-that-fits", "unreachable-base-code"])
+def test_rejects_code_sections_off_their_width(oracle6_d2, tmp_path, make, message):
+    blob = make(oracle6_d2)
+    with pytest.raises(OracleFileError, match=message):
+        load_oracle(io.BytesIO(blob))
+    path = tmp_path / "bad.oracle"
+    path.write_bytes(blob)
+    assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "1"]) == 2
 
 
 def test_rejects_other_graph(oracle1_d1, g6):
@@ -248,21 +348,22 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-@pytest.mark.parametrize("version", [4, 5, 6])
+@pytest.mark.parametrize("version", [4, 5, 6, 7])
 def test_rejects_older_versions(oracle1_d1, version):
     # version 4 stored a uint16 slot row for every ordered pair, version 5
-    # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v
+    # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v,
+    # version 7 int64 palette codes and a u16 slot width
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=rf"unsupported oracle file version {version} \(expected 7\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 8\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
-@pytest.mark.parametrize("width", [0, 3, 4, 8, 2 ** 16 - 1])
+@pytest.mark.parametrize("width", [0, 3, 4, 8, 2 ** 8 - 1])
 def test_rejects_other_slot_widths(oracle1_d1, width):
     blob = bytearray(oracle_file_bytes(oracle1_d1))
-    blob[6:8] = width.to_bytes(2, "little")  # after magic and version
+    blob[6] = width  # after magic and version
     with pytest.raises(OracleFileError, match=f"unsupported slot width {width} "
                                               r"\(expected 1 or 2\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
@@ -304,7 +405,8 @@ def _sections(tables) -> dict:
     """Byte offset and item width of each palette section of the tables'
     file.
 
-    The table values are the palette codes, and each D* is its edge ids,
+    The table values are the palette codes, four or eight bytes each (the
+    header's code width, the tables' itemsize), and each D* is its edge ids,
     one byte each while m <= 256; so is each set size and class id.  The
     classes and the slots, the matrices, start with pair (0, 1), the first
     one stored.
@@ -313,7 +415,7 @@ def _sections(tables) -> dict:
     off = _HEADER.size + m * 24
     sections = {}
     for name, count, width in (("pair_sizes", n * (n + 1) // 2, 8),
-                               ("values", len(tables.codes), 8),
+                               ("values", len(tables.codes), tables.codes.itemsize),
                                ("dstar", len(tables.ids), tables.ids.itemsize),
                                ("set_sizes", len(tables.codes), 1),
                                ("classes", tables.classes.size, 1),
@@ -331,14 +433,16 @@ _REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
 @pytest.mark.parametrize("section, value", [
     ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
     ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1)])
-def test_rejects_out_of_range_entries(oracle1_d1, section, value):
+def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value):
     # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
     # entry; each case edits the first item of its section.  A slot's value
     # counts from the last entry of its row's palette, pair (0, 1)'s, so
     # slots-1 writes the first slot out of range.  dstar-1 writes the byte
-    # 0xFF, as the edge ids are one byte each
-    tables = oracle1_d1.tables
-    blob = bytearray(oracle_file_bytes(oracle1_d1))
+    # 0xFF, as the edge ids are one byte each.  Every 4-byte code is in
+    # range, so the codes go out of range in a file of 8-byte codes
+    oracle = wide_oracle if section == "values" else oracle1_d1
+    tables = oracle.tables
+    blob = bytearray(oracle_file_bytes(oracle))
     off, width = _sections(tables)[section]
     if section == "slots":
         value += int(tables.pair_sizes[1]) - 1  # pairs u <= v: (0, 0), then (0, 1)
@@ -375,7 +479,7 @@ def _edit(oracle, *edits: tuple[str, int, tuple[int, ...]]) -> bytes:
         off, width = _sections(oracle.tables)[section]
         for k, value in enumerate(values):
             blob[off + width * (at + k):off + width * (at + k + 1)] = \
-                value.to_bytes(width, "little", signed=section in ("pair_sizes", "values"))
+                value.to_bytes(width, "little", signed=width == 8)  # the i8 sections
     return _reseal(blob)
 
 
@@ -447,7 +551,7 @@ def test_rejects_diagonal_palette_beyond_the_empty_set(oracle6_d2):
     tables.set_sizes = np.insert(built.set_sizes, at, 1)
     tables.ids = np.insert(built.ids, int(built.set_sizes[:at].sum()), 0)
     blob = oracle_file_bytes(Oracle(oracle6_d2.index, tables))
-    assert len(blob) == len(oracle_file_bytes(oracle6_d2)) + 8 + 1 + 1
+    assert len(blob) == len(oracle_file_bytes(oracle6_d2)) + built.codes.itemsize + 1 + 1
     with pytest.raises(OracleFileError, match="diagonal palette holds more than the empty set"):
         load_oracle(io.BytesIO(blob))
 
@@ -637,7 +741,7 @@ def test_edge_id_width_follows_m(m, id_width):
     if id_width == 2:  # edge 256 needs two bytes; an id at or above m is refused
         tables, out = built.tables, bytearray(blob)
         assert int(tables.ids.max()) == m - 1
-        off = _HEADER.size + 24 * m + 8 * (len(tables.pair_sizes) + len(tables.codes))
+        off = _HEADER.size + 24 * m + 8 * len(tables.pair_sizes) + tables.codes.nbytes
         for value in (m, 2 ** 16 - 1):
             out[off:off + 2] = value.to_bytes(2, "little")
             with pytest.raises(OracleFileError, match="edge id out of range"):
@@ -756,13 +860,13 @@ def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
     if base:
         graph = Graph(n, [(int(a), int(b), int(w)) for a, b, w, _ in np.frombuffer(
             blob, _EDGE, m, _HEADER.size).tolist()])
-        pairs = n * (n + 1) // 2
+        pairs, width = n * (n + 1) // 2, blob[7]  # header byte 7: the code width
         off = _HEADER.size + 24 * m
         sizes = np.frombuffer(blob, "<i8", pairs, off)
-        last = off + 8 * (pairs + np.cumsum(sizes) - 1)  # each palette's last code
+        last = off + 8 * pairs + width * (np.cumsum(sizes) - 1)  # each palette's last code
         codes = reference_codes(graph, [1] * m)
         for at, code in zip(last.tolist(), codes[np.triu_indices(n)].tolist()):
-            out[at:at + 8] = code.to_bytes(8, "little")
+            out[at:at + width] = code.to_bytes(width, "little")
     return _reseal(out)
 
 

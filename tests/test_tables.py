@@ -19,7 +19,8 @@ from ftoracle.spindex import build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
                              _edge_masks, _failure_set_ids, _fill_bytes, _levels,
                              _row_candidates, _side_masks, build_tables, check_build_size,
-                             constraint_holds, enumerate_failure_sets, failure_set_count)
+                             constraint_holds, enumerate_failure_sets, failure_set_count,
+                             wide_codes)
 
 from conftest import (TableKey, derive_all, derived_roots, encode, exhaustive_candidates,
                       reference_of, swap_parents, tree_path, tree_path_edges)
@@ -344,7 +345,7 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     assert tables.slots.dtype == np.uint8
     assert tables.slots.shape == (n * (n - 1) // 2, n, n, 2, 2)
     sets = [tuple(s.tolist()) for s in np.split(tables.ids, np.cumsum(tables.set_sizes)[:-1])]
-    entries = list(zip(tables.codes.tolist(), sets))
+    entries = list(zip(wide_codes(tables.codes).tolist(), sets))
     pairs = list(combinations_with_replacement(range(n), 2))
     assert len(tables.pair_sizes) == len(pairs)
     # every key's palette entry, as lookup finds it
@@ -379,7 +380,7 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
     built = build_oracle(make(), d, seed=1)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
     for tables in (built.tables, loaded.tables):
-        n, values = tables.graph.n, tables.values
+        n, values, codes = tables.graph.n, tables.values, wide_codes(tables.codes)
         starts = (np.cumsum(tables.pair_sizes) - tables.pair_sizes).tolist()
         start = dict(zip(combinations_with_replacement(range(n), 2), starts))
         at = 0
@@ -393,7 +394,7 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
             assert len(set(map(tuple, matrix))) == ku
             assert len(set(zip(*matrix))) == kv
             for up, b1, vp, b2 in product(range(n), (0, 1), range(n), (0, 1)):
-                code = tables.codes[start[u, v] + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
+                code = codes[start[u, v] + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
                 assert values[u, v, up, vp, b1, b2] == values[v, u, vp, up, b2, b1] == code
                 assert tables.read_block(u, v, (up,), (vp,), b1, b2)[0] == code
         assert at == len(tables.matrices)
