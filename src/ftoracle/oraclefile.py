@@ -1,59 +1,60 @@
 """Binary oracle files: everything needed to answer queries without rebuilding.
 
-Layout, version 8 (all integers little-endian):
+Layout, version 9 (all integers little-endian):
 
     header   magic "FTDO", version u16, slot width W u8 (1 or 2), code
              width C u8 (4 or 8), n u64, m u64, d u64, tie seed i64, sha256
              of the canonical graph text, palette entries P u64, palette
              edge ids I u64, matrix slots S u64
     edges    m x (a u32, b u32, w u64, tie value u64)
-    pairs    n(n+1)/2 palette sizes i64, pairs u <= v row-major
+    pairs    n(n-1)/2 palette sizes i64, one per pair u < v
     codes    P packed length codes of C bytes, palette by palette
     ids      I edge ids, u8 when m <= 256, else u16, each entry's D*
              ascending, entry by entry
     sizes    P set sizes u8, one per palette entry
-    classes  n(n-1)/2 x 4n class ids u8, pairs u < v row-major: the 2n
-             row classes of (u', b1) at 2u' + b1, then the 2n column
-             classes of (v', b2) at 2v' + b2
+    classes  n(n-1)/2 x 4n class ids u8, pair by pair: the 2n row classes
+             of (u', b1) at 2u' + b1, then the 2n column classes of
+             (v', b2) at 2v' + b2
     matrices S palette slots of W bytes, each pair's ku x kv matrix
-             row-major, pairs u < v row-major
+             row-major, pair by pair
     trailer  sha256 of everything before it
 
-A pair u < v's slots, the 4n^2 keys of row (u, v) as a 2n x 2n matrix, are
-stored as class ids and a matrix of the distinct rows and columns
-(tables.OracleTables): key (u, v, u', v', b1, b2) holds the matrix's slot
-at (row class of (u', b1), column class of (v', b2)).  Classes are
-numbered in order of first appearance, so ku and kv are the ids' maxima
-plus one, and no two classes of a pair have equal rows or columns, so the
-encoding is canonical.  Row (v, u) is row (u, v) with its u' and v' axes
-and its b1 and b2 axes swapped, and it uses the same palette, so each pair
-u < v stores its row once.  A diagonal row holds only slot 0 and is not
+Every section numbers the pairs u < v row-major.  A pair's slots, the 4n^2
+keys of row (u, v) as a 2n x 2n matrix, are stored as class ids and a
+matrix of the distinct rows and columns (tables.OracleTables): key (u, v,
+u', v', b1, b2) holds the matrix's slot at (row class of (u', b1), column
+class of (v', b2)).  Classes are numbered in order of first appearance, so
+ku and kv are the ids' maxima plus one, and no two classes of a pair have
+equal rows or columns, so the encoding is canonical.  Row (v, u) is row
+(u, v) with its u' and v' axes and its b1 and b2 axes swapped, and it uses
+the same palette, so each pair u < v stores its row once.  Every key of a
+diagonal row holds the empty set at distance 0, so no part of one is
 stored.  W is 1 when every palette has at most 256 entries, else 2; C is 4
 (2^32 - 1 for unreachable) when every finite code is below 2^32 - 1, else
 8.  The build's tables hold the codes (tables.narrow_codes), ids and set
 sizes (tables.palette_dtypes, by m) at these widths.  Every section's size
-follows from the header, and the sections before the codes are multiples of
-8 bytes, so each palette array loads as an aligned zero-copy view.  The
+follows from the header, and the sections before the codes are multiples
+of 8 bytes, so each palette array loads as an aligned zero-copy view.  The
 class ids and matrices load as views too, and the tables in memory are
 these sections; only 2-byte matrices at an odd offset are copied.  No
 layout depends on d, and sets are edge ids, so load never enumerates
 failure sets.  The length codec and the shortest-path index are derived,
-not stored; the base codes are each palette's last code.  Load
-range-checks the tie values and certifies those codes on the stored graph
-with the build's own certificate (from_arrays, which computes none), so
-the index cannot disagree with the graph, and a file whose tie values
-leave two shortest paths tied is refused; each root's tree is derived on
-its first query from the tree arcs the certificate kept.  Before reading
-past the header, load runs the build's budget gate, check_build_size,
-charged for the header's S matrix slots.  A diagonal pair's palette holds
-one entry, each palette's codes must not increase, its last entry must be
-the empty set at its pair's base code, and no other entry may be empty.
-Class ids must come in order of first appearance, the header's S must be
-the sum of ku * kv, and every matrix slot must lie below its pair's
-palette size.  Other versions, such as version 7, fail with a version
-error, and so does a slot width but 1 or 2, a code width but 4 or 8, or
-i8 codes that fit u4.  Saving the same build twice is byte-identical, and
-a load followed by a save reproduces the file exactly.
+not stored; the base codes are each palette's last code, and a vertex's
+own is 0.  Load range-checks the tie values and certifies those codes on
+the stored graph with the build's own certificate (from_arrays, which
+computes none), so the index cannot disagree with the graph, and a file
+whose tie values leave two shortest paths tied is refused; each root's
+tree is derived on its first query from the tree arcs the certificate
+kept.  Before reading past the header, load runs the build's budget gate,
+check_build_size, charged for the header's S matrix slots.  Each palette's
+codes must not increase, its last entry must be the empty set at its
+pair's base code, and no other entry may be empty.  Class ids must come in
+order of first appearance, the header's S must be the sum of ku * kv, and
+every matrix slot must lie below its pair's palette size.  Other versions,
+such as version 8, fail with a version error, and so does a slot width but
+1 or 2, a code width but 4 or 8, or i8 codes that fit u4.  Saving the same
+build twice is byte-identical, and a load followed by a save reproduces
+the file exactly.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ from .spindex import BuildError, CodeError, LengthCodec, ShortestPathIndex, TieB
 from .tables import OracleTables, check_build_size, narrow_codes, palette_dtypes, wide_codes
 
 MAGIC = b"FTDO"
-VERSION = 8
+VERSION = 9
 _HEADER = struct.Struct("<4sHBBQQQq32sQQQ")
 _EDGE = np.dtype([("a", "<u4"), ("b", "<u4"), ("w", "<u8"), ("tie", "<u8")])
 _TRAILER = hashlib.sha256().digest_size
@@ -132,13 +133,12 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     except BuildError as exc:
         raise OracleFileError(f"cannot load: {exc}") from None
     offset = _HEADER.size + m * _EDGE.itemsize
-    pairs = n * (n + 1) // 2
+    pairs = n * (n - 1) // 2  # pairs u < v
     id_type, size_type = palette_dtypes(m)
-    lower = n * (n - 1) // 2  # pairs u < v
     ids_at = offset + 8 * pairs + code_width * entries
     sizes_at = ids_at + id_type.itemsize * id_count
     classes_at = sizes_at + entries
-    slots_at = classes_at + 4 * n * lower
+    slots_at = classes_at + 4 * n * pairs
     size = slots_at + width * stored + _TRAILER
     if len(blob) != size:
         what = "truncated" if len(blob) < size else "trailing data in"
@@ -159,15 +159,11 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     codes = np.frombuffer(blob, "<u4" if code_width == 4 else "<i8", entries, offset + 8 * pairs)
     ids = np.frombuffer(blob, id_type, id_count, ids_at)
     set_sizes = np.frombuffer(blob, size_type, entries, sizes_at)
-    classes = np.frombuffer(blob, np.uint8, 4 * n * lower, classes_at).reshape(lower, 2, 2 * n)
-    if pair_sizes.min() < 1 or pair_sizes.max() > 4 * n * n or pair_sizes.sum() != entries:
+    classes = np.frombuffer(blob, np.uint8, 4 * n * pairs, classes_at).reshape(pairs, 2, 2 * n)
+    if (pair_sizes.min(initial=1) < 1 or pair_sizes.max(initial=0) > 4 * n * n
+            or pair_sizes.sum() != entries):
         raise OracleFileError("palette sizes out of range")
-    vertex = np.arange(n)
-    upper = vertex[:, None] <= vertex  # pairs u <= v
-    strict = (vertex[:, None] < vertex)[upper]  # which of them are pairs u < v
-    if (pair_sizes[~strict] != 1).any():
-        raise OracleFileError("diagonal palette holds more than the empty set")
-    if codes.min() < 0 or codes.max() > LengthCodec.unreachable_code:
+    if codes.min(initial=0) < 0 or codes.max(initial=0) > LengthCodec.unreachable_code:
         raise OracleFileError("palette code out of range")
     if code_width == 8 and narrow_codes(codes) is not codes:  # one file per build
         raise OracleFileError("8-byte palette codes whose finite values fit in 4 bytes")
@@ -185,8 +181,9 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     climbs[last[:-1]] = False  # from one palette to the next
     if climbs.any():
         raise OracleFileError("palette codes not in descending order")
-    base = np.empty((n, n), dtype=np.int64)  # each pair's last code, mirrored
-    base[upper] = base.T[upper] = wide_codes(codes[last])
+    base = np.zeros((n, n), dtype=np.int64)  # each pair's last code, mirrored; own codes 0
+    base[np.less.outer(range(n), range(n))] = wide_codes(codes[last])
+    base += base.T
     if set_sizes[last].any():
         raise OracleFileError(_NOT_BASE)
     try:
@@ -209,7 +206,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if bounds[-1] != stored:
         raise OracleFileError(f"header names {stored} matrix slots, the class ids "
                               f"{bounds[-1]}")
-    if lower and (np.maximum.reduceat(matrices, bounds[:-1]) >= pair_sizes[strict]).any():
+    if pairs and (np.maximum.reduceat(matrices, bounds[:-1]) >= pair_sizes).any():
         raise OracleFileError("palette slot out of range")
     return Oracle(index, tables)
 

@@ -225,7 +225,6 @@ class VerifyReport:
     lookup_budget_violations: int = 0
     max_depth: int = 0
     max_rank: int = 0
-    answers: list | None = None
 
     @property
     def ok(self) -> bool:
@@ -255,8 +254,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
-                    collect_answers: bool = False) -> VerifyReport:
+def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0) -> VerifyReport:
     """Check answers and contracts on every instance, or on samples drawn from seed."""
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -265,9 +263,7 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
     index = oracle.index
     d = oracle.d
     budget = hit_budget(d)
-    report = VerifyReport(graph.digest(), d, mode,
-                          hits_budget=budget, lookup_budget=budget,
-                          answers=[] if collect_answers else None)
+    report = VerifyReport(graph.digest(), d, mode, hits_budget=budget, lookup_budget=budget)
     # a private oracle, so the caller's keeps its own plain engine
     checked = Oracle(index, oracle.tables)
     engine = checked.engine = CheckedEngine(index, oracle.tables)
@@ -279,8 +275,6 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0,
         truth = ref.dist_avoiding(failed, u, v)
         report.instances += 1
         report.case_three_calls += stats.case_three_calls
-        if collect_answers:
-            report.answers.append(answer)
         if answer != truth:
             report.mismatches += 1
             if len(report.mismatch_examples) < 5:

@@ -49,28 +49,28 @@ A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
 row keeps a palette of its winners as (code, D*), in candidate order, and
 each key a slot into it; the build gathers palettes per group of roots.
-Row (v, u) shares row (u, v)'s palette, kept per pair u <= v, and its
-slots too, stored once for u < v.  A pair's slots form a 2n x 2n matrix,
-rows (u', b1) and columns (v', b2), with few distinct rows and columns,
-as a key's winner depends on u' only through its side bitset.  So a pair stores a class id per row and per column, equal rows
-(columns) sharing a class, numbered in order of first appearance, and a
-ku x kv matrix of slots, one per row class and column class.  ku and kv
-are at most 2n, so the ids are uint8; they are the ids' maxima plus one.
-Equal rows share a class and no two classes have equal rows or columns,
-so the encoding is canonical.  The filled rows wait for their encoding
-(_encode) until, at the end of a group, its estimated work reaches the
-2n^3(n - 1) bytes of the rows' uint8 slots, at least ENCODE_BYTES and at
-most FILL_BYTES, or FILL_BYTES within a group: the 2n^4 slots are never
-held at once, and one encoding takes several groups of few rows.
-A read of row (v, u) takes the pair's column classes for u' and row
-classes for v', with the matrix strides swapped.  A diagonal row holds
-only slot 0, its palette's one entry, the zero distance, so it is not
-stored; lookup answers its keys from that entry, and the query engine,
+Row (v, u) shares row (u, v)'s palette and slots, stored once per pair
+u < v; every table section numbers these pairs row-major.  A pair's slots
+form a 2n x 2n matrix, rows (u', b1) and columns (v', b2), with few
+distinct rows and columns, as a key's winner depends on u' only through
+its side bitset.  So a pair stores a class id per row and per column,
+equal rows (columns) sharing a class, numbered in order of first
+appearance, and a ku x kv matrix of slots, one per row class and column
+class.  ku and kv are at most 2n, so the ids are uint8; they are the ids'
+maxima plus one.  Equal rows share a class and no two classes have equal
+rows or columns, so the encoding is canonical.  The filled rows wait for
+their encoding (_encode) until, at the end of a group, its estimated work
+reaches the 2n^3(n - 1) bytes of the rows' uint8 slots, at least
+ENCODE_BYTES and at most FILL_BYTES, or FILL_BYTES within a group: the
+2n^4 slots are never held at once, and one encoding takes several groups
+of few rows.  A read of row (v, u) takes the pair's column classes for u'
+and row classes for v', with the matrix strides swapped.  Every key of a
+diagonal row holds the empty set at distance 0, so no part of one is built
+or stored; lookup answers its keys with code 0, and the query engine,
 whose every read pair is damaged, never reads one.  The tables in memory
-are the oracle file's sections, which the read path reads in place.
-Slots are uint8 while every palette fits, else uint16: a row has
-4n^2 keys, so at most 4n^2 entries, and its slots fit in uint16 for
-n <= 128.
+are the oracle file's sections, which the read path reads in place.  Slots
+are uint8 while every palette fits, else uint16: a row has 4n^2 keys, so
+at most 4n^2 entries, and its slots fit in uint16 for n <= 128.
 """
 from __future__ import annotations
 
@@ -168,7 +168,7 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     charged the class ids twice (the order check's running maxima and their
     sums), in place of the build's class ids, matrices and encoding.  Each
     palette entry is charged an int64 code, set size and edge ids plus their
-    read-path lists, at the bound of min(4n^2, sets) entries per pair; codes
+    read-path lists, at the bound of min(4n^2, sets) per pair u < v; codes
     may take four bytes and set sizes and edge ids one or two, so that part
     over-estimates until palettes are charged by their count.  Each subset
     is charged a tuple and list slot, which covers the sort key and int64
@@ -202,18 +202,18 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
         raise BuildError(f"failure budget d={d} with m={m} gives more failure "
                          f"sets than int32 set indices can address")
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    width, cols = min(d, m), n // 2
+    width, cols, pairs = min(d, m), n // 2, n * (n - 1) // 2
     per_set = 84 + 16 * width + 4 * max(1, width) + n * (17 + 9 * cols)
     per_root = 4 * n + 8 + 29 * cols
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
-    entries = n * (n + 1) // 2 * min(4 * n * n, sets)
+    entries = pairs * min(4 * n * n, sets)
     slot = 1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 2
     if matrix_bytes is None:
         batch = max(1, FILL_BYTES // _fill_bytes(n, 1))
-        slots = (n * (n - 1) // 2 * (3 * 4 * n + 2 * 4 * n * n * slot)
-                 + FILL_BYTES + batch * _encode_bytes(n, slot))
+        slots = (pairs * (3 * 4 * n + 2 * 4 * n * n * slot) + FILL_BYTES
+                 + batch * _encode_bytes(n, slot))
     else:
-        slots = n * (n - 1) // 2 * 2 * 4 * n + matrix_bytes
+        slots = pairs * 2 * 4 * n + matrix_bytes
     need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
             + max(FILL_BYTES, _fill_bytes(n, sets)))
@@ -259,7 +259,7 @@ class OracleTables:
         self.classes = classes        # uint8, (pair u < v, rows | columns, 2n), class ids of
                                       # (u', b1) and of (v', b2), at 2u' + b1 and 2v' + b2
         self.matrices = matrices      # uint8 or uint16, each pair's ku x kv slots, row-major
-        self.pair_sizes = pair_sizes  # int64, palette size per pair u <= v, row-major
+        self.pair_sizes = pair_sizes  # int64, palette size per pair u < v, row-major
         self.codes = codes            # uint32 or int64 (narrow_codes), per entry, pair by pair
         self.set_sizes = set_sizes    # uint8, |D*| per palette entry
         self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
@@ -268,22 +268,18 @@ class OracleTables:
         # the read path reads the matrices and class ids in place.  Per
         # ordered pair u != v: its palette start, its matrix's first slot,
         # where the ids of u' and of v' start, and the strides of their
-        # classes; per diagonal pair, whose keys all read its palette's one
-        # entry, only its palette start.  Each palette entry becomes a
-        # (code, D*) tuple on first read
+        # classes; a diagonal pair, whose keys all hold the empty set at
+        # code 0, has none.  Each palette entry becomes a (code, D*) tuple
+        # on first read
         self._cells = memoryview(matrices)
         self._cls = memoryview(classes.reshape(-1))
-        starts = iter((np.cumsum(pair_sizes) - pair_sizes).tolist())  # pairs u <= v
-        lower = zip(self.matrix_bounds[:-1].tolist(), kinds[:, 1].tolist(),
-                    range(0, 4 * n * len(classes), 4 * n))  # pairs u < v
         self._rows = rows = [[None] * n for _ in range(n)]
-        for u in range(n):
-            rows[u][u] = (next(starts),)
-            for v in range(u + 1, n):
-                start = next(starts)
-                base, kv, a = next(lower)  # a: where the pair's row ids start, then its column ids
-                rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
-                rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
+        for (u, v), start, base, kv, a in zip(  # a: the pair's row ids, then its column ids
+                combinations(range(n), 2), (np.cumsum(pair_sizes) - pair_sizes).tolist(),
+                self.matrix_bounds[:-1].tolist(), kinds[:, 1].tolist(),
+                range(0, 4 * n * len(classes), 4 * n)):
+            rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
+            rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
         self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = codec.unreachable_code
@@ -294,7 +290,8 @@ class OracleTables:
         return 4 * self.graph.n ** 4
 
     # dense views, derived on first use by tests and benchmarks only: int64
-    # codes, the subsets in enumeration order, int32 indices into them
+    # codes, the subsets in enumeration order, int32 indices into them; a
+    # diagonal key reads 0, code 0 and subset 0, the empty set
     values = cached_property(lambda self: self._dense(wide_codes(self.codes)))
     subsets = cached_property(lambda self: enumerate_failure_sets(self.graph.m, self.d))
 
@@ -320,7 +317,9 @@ class OracleTables:
         lo, hi = np.triu_indices(n, 1)
         slots[lo, hi] = self.slots
         slots[hi, lo] = self.slots.transpose(0, 2, 1, 4, 3)
-        start = np.array([[row[0] for row in rows] for rows in self._rows], dtype=np.int64)
+        start = np.full((n, n), len(per_entry), dtype=np.int64)  # the diagonal's 0, appended
+        start[lo, hi] = start[hi, lo] = np.cumsum(self.pair_sizes) - self.pair_sizes
+        per_entry = np.concatenate((per_entry, np.zeros(1, dtype=per_entry.dtype)))
         return per_entry[start.reshape(n, n, 1, 1, 1, 1) + slots]
 
     def lookup(self, u: int, v: int, up: int, vp: int, b1: int, b2: int) -> TableEntry:
@@ -330,17 +329,15 @@ class OracleTables:
         if b1 not in (0, 1) or b2 not in (0, 1):
             raise ValueError(f"table key bits must be 0/1: {(u, v, up, vp, b1, b2)}")
         if u == v:
-            code, d_star = self._entry(self._rows[u][u][0])
-        else:
-            code, union = self.read_block(u, v, (up,), (vp,), b1, b2)
-            d_star = tuple(sorted(union))
-        return TableEntry(d_star, self.codec.decode(code))
+            return TableEntry((), self.codec.decode(0))
+        code, union = self.read_block(u, v, (up,), (vp,), b1, b2)
+        return TableEntry(tuple(sorted(union)), self.codec.decode(code))
 
     def read_block(self, u: int, v: int, ups: Sequence[int], vps: Sequence[int],
                    b1: int, b2: int) -> tuple[int, set[int]]:
         """(min code, union of D*) over the keys (u, v, up, vp, b1, b2), up in
         ups, vp in vps, u != v, unchecked; the query engine's read, which
-        never reads a diagonal pair, as those store no matrix.  It reads each
+        never reads a diagonal pair, as those store nothing.  It reads each
         up's and each vp's class once, then the matrix cells."""
         start, base, a, sa, b, sb = self._rows[u][v]
         cls, cells, entries = self._cls, self._cells, self._entries
@@ -637,8 +634,8 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
     are codes and sets [start[k], start[k] + size[k]), and at[:, :, i[k]] is
     its root's (vertex, bit, set) side masks.  A row goes to its pair's
     slot matrix with its axes swapped when u > v.  Appends to palettes the
-    rows' pairs u <= v, palette sizes and entries, and to pending their
-    pairs u < v and (row, 2n, 2n) slot matrices, uint16 if a palette
+    rows' pairs u < v, row-major, palette sizes and entries, and to pending
+    their pairs and (row, 2n, 2n) slot matrices, uint16 if a palette
     outgrew uint8.  The dels keep to _fill_bytes."""
     n, count, width = at.shape[0], len(i), int(size.max())
     # each row's candidates, padded with repeats of its last, in rank order:
@@ -677,9 +674,8 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
     mat = slot[rank]
     del rank
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    pair = lo * (2 * n + 1 - lo) // 2 + hi - lo  # among pairs u <= v, row-major
-    # rows (u', b1), columns (v', b2), of pairs u < v
-    pending.append((pair - lo - 1, mat.reshape(count, 2 * n, 2 * n)))
+    pair = lo * (2 * n - 3 - lo) // 2 + hi - 1  # among pairs u < v, row-major
+    pending.append((pair, mat.reshape(count, 2 * n, 2 * n)))  # rows (u', b1), columns (v', b2)
     won = take[used]
     palettes.append((pair, sizes, codes[won], sets[won]))
 
@@ -753,9 +749,9 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
                  progress: Callable[[int, int], None] | None = None) -> OracleTables:
     """Exhaustive maximization over failure sets of size <= d, row by row.
 
-    A diagonal row holds only the empty set's entry, the zero distance;
-    each root fills its owned rows, which cover each pair u < v once.
-    progress(done, n) is called once per root.
+    Each root fills its owned rows, which cover each pair u < v once; a
+    diagonal row, whose keys all hold the empty set at distance 0, is not
+    built.  progress(done, n) is called once per root.
     """
     graph = index.graph
     n = graph.n
@@ -775,11 +771,10 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             damaging = 0
     swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
     levels = _levels(ids, graph.m)
-    # per group of roots, its rows' pairs u <= v, palette sizes and entries,
-    # and, per encoding, their pairs u < v, class ids, matrix sizes and matrices
-    diagonal = np.arange(n)  # one entry each, the empty set at distance 0
-    palettes = [(diagonal * (2 * n + 1 - diagonal) // 2, np.ones(n, dtype=np.int64),
-                 index.codes[diagonal, diagonal], np.zeros(n, dtype=np.int32))]
+    # per group of roots, its rows' pairs, palette sizes and entries, and,
+    # per encoding, their pairs, class ids, matrix sizes and matrices
+    empty = np.zeros(0, dtype=np.int64)
+    palettes = [(empty, empty, empty, np.zeros(0, dtype=np.int32))]
     slots, pending = [(np.zeros(0, dtype=np.int64), np.zeros((0, 2, 2 * n), dtype=np.uint8),
                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))], []
     budget = min(FILL_BYTES, max(ENCODE_BYTES, 2 * n ** 3 * (n - 1)))  # see the docstring

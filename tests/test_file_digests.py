@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "08ff53e50d85a806b3dc0976bebe955cee7608f154e9abbf3f7d7ef627efc241"),
+              "07beb3324d29798ecd2a77dcc1bffd50b15019cc768d7468ad4cdfdfa1c2c5db"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "3816c59a4ce2517225652970deafa65d0a2ec3bedc81a715719ca85eecadfe5e"),
+              "bc6d43cd1c4acf139ba6285fab99570b6905d5a693d677695d7cd1b460ee4f09"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "afb961714338fa725ae49d5f254163734a86204a17b095ebc1b790a00388c30a"),
+              "f4e2090f60b213b9f6bcb0bed1c284c1160cf453c308b5954ed58a91f503453f"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "31d47d3785a1d5b5bf31300de0dc661957f756bba98a9f590ca1b6cc0c8b137e"),
+                "9993aacea60db789b9a2a528bcaac0b2507efe431b6aa82f9051821c240e7411"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "7d3acb0f31d5f8158a2a16e033562010f8a6abb95e2077b4955a3e07f90bf4fc"),
+                "972f4e668f5d4e0a2dd33cbb5f2b810b171a8908ab3aa14ffa6f4772e1a1615a"),
     "path5-d2": (_path5, 2,
-                 "680de4479392d5a04716c3508dd54ae48260c87bfd89e20da16e732ce06ffc16"),
+                 "e6008e9a2f6a8ea8acd1be4bcec52e6cff24a454d880c787b25e60d4e083c8d6"),
     "k5-d1": (_k5, 1,
-              "e44bd73d85e043f45b108ce6ab70f6e1cc9154d7af8e6cb917bfec068724127d"),
+              "de229025e7b845e7b59490e0b66d4ccf72666ed48ce2416a75ed2b61866eb19b"),
     "k5-d2": (_k5, 2,
-              "8802823bd4bb3d5b4ecc812eec682edc89efd22c15820f0936cd184465ee39e3"),
+              "47f6d9c2058d8e1cc08d15dbf9f7c6d9791d7a1ae7a1a829d2f29ebb9bf5359c"),
     "k5-d3": (_k5, 3,
-              "99e5c8f31c1f438fa8b405ebf3a38e266b8d2efbcca2b41961be166a5dc3249a"),
+              "ccacc4c5aed903a6c98af843994b1f5908e16dac7653ef40d4e211cad92d01dd"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "5e2907fd2c9d65f0b2a6079b394add8e4c1fc4f78195af4b6e35c44064b445dd"),
+                    "458d9a9043e00cf5abb6e3753c6209ee585eab1c3b7237c71220f063cf941478"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "f9eea23f4ab2127dccbd60181db99a39e33458c5de4cb3e483440a846d64d83e"),
+                    "754bab23e461961bc4cca2e31484ac2454905ae3b1497c6f7068284b78491aeb"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "5a013283e247ef1d5ea2fee01e58ae08f1e0d820f3476ff845b086fbf1353467"),
+                    "bccf899fb5712fa4da3dea89e9f9deb60ee9001d73882801a9e9a68b45b82f23"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "fdb39166b69f994e8dc88d70c69656a839dc57b748b1d8c6c60367b8f5156757"),
+                    "cab0beb0405751b8589d01567f09534200ab5ba23f32d58ba511b1df4fd5c9d9"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "c6760fd2a8d8481c207300e933105e993250a060b9a32e3a240a1dce0177a57c"),
+                    "655d9d1d98599718c9b05ef76d2f27850388a88a4cf7d9d83c9432e3ef02d7d4"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "769f1178d028c1af0b8d8d2f80571554b4d48e66b63e00935116ad403690bebf"),
+                    "2121081f34cc57da0c4010e27d05367a3fba3c08624aacd3e0bf21b340031f21"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "3512895545ec65de06e58b08ea859ede9c8d19c6d8968f9710649c84f1861142"),
+                      "e2cb030b12cc4485a10cd7919c4b164ce7c7cc07ee0b5f275fb7df02df6d8557"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "be54faf5896c322c2f172a46efcecacb21dd3e53b7fa3b696636328d48a14668"),
+                      "07cb22aac8111e6c4cfb77f2cc9ef8b4894c2472275d07a8e1db31e3995237f5"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "579368a92239f18172899712e49edff5a25e7329754ac5b3259c65c771984e71"),
+                      "d597d9ddca0afbd1d2747733a494bef19590ce17ce272aa21a6cb0250f7ab08a"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "3ab1baf672e03a51fd82eae4eff53a02e1ccd54f35c6bdd106f1c75ea2d3ea1d"),
+                      "235904337e1b40d03b9e0cd1cf63db3721c074d1bfc3881e8f281fd57f5caa93"),
 }
 
 

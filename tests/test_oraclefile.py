@@ -53,6 +53,9 @@ def test_load_then_save_is_identity(oracle6_d1):
 
 def test_load_derives_no_root(oracle6_d2, monkeypatch):
     blob = oracle_file_bytes(oracle6_d2)
+    # the reference key tree, taken before the spy: it may derive root 3 of
+    # the built index, which other tests share
+    tree = build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
     calls = []
     finish = ShortestPathIndex._finish_root
     monkeypatch.setattr(ShortestPathIndex, "_finish_root",
@@ -64,7 +67,6 @@ def test_load_derives_no_root(oracle6_d2, monkeypatch):
     view = FailureView(loaded.index, (0, 5))
     view.path(3)
     assert calls == [3]
-    tree = build_induced_key_tree(oracle6_d2.index, 3, (0, 5))
     assert view.keys(3) == edge_ids(tree & ~view.path(3))
     assert calls == [3]
 
@@ -215,14 +217,14 @@ def test_file_size_is_fixed_width(oracle1_d2):
     # the header names the palette and matrix totals, and they fix every
     # section's size
     assert _HEADER.unpack_from(blob)[-3:] == (entries, ids, slots)
-    # header, edges with tie values, palette sizes per pair u <= v i64 and
+    # header, edges with tie values, per pair u < v a palette size i64,
     # palette codes u4, edge ids u8 (m <= 256), set sizes u8, 4n u8 class
     # ids per pair u < v, the u8 matrix slots, sha256; no index, no mirrored
     # and no diagonal rows
     assert _HEADER.unpack_from(blob)[2:4] == (tables.matrices.itemsize, tables.codes.itemsize)
     assert tables.matrices.itemsize == tables.ids.itemsize == tables.set_sizes.itemsize == 1
     assert tables.codes.dtype == np.uint32
-    expect = (_HEADER.size + m * 24 + n * (n + 1) // 2 * 8 +
+    expect = (_HEADER.size + m * 24 + n * (n - 1) // 2 * 8 +
               entries * 5 + ids + n * (n - 1) // 2 * 4 * n + slots + 32)
     assert len(blob) == expect
     # each pair u < v holds one slot per row class and column class
@@ -312,7 +314,7 @@ def _code_width(oracle, width) -> bytes:
 
 def _unreachable_base(oracle) -> bytes:
     """The file with pair (0, 1)'s last code, its base code, at uint32's unreachable."""
-    return _edit(oracle, ("values", _palettes(oracle.tables)[1][-1], (NARROW_UNREACHABLE,)))
+    return _edit(oracle, ("values", _palettes(oracle.tables)[0][-1], (NARROW_UNREACHABLE,)))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -348,15 +350,16 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-@pytest.mark.parametrize("version", [4, 5, 6, 7])
+@pytest.mark.parametrize("version", [4, 5, 6, 7, 8])
 def test_rejects_older_versions(oracle1_d1, version):
     # version 4 stored a uint16 slot row for every ordered pair, version 5
     # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v,
-    # version 7 int64 palette codes and a u16 slot width
+    # version 7 int64 palette codes and a u16 slot width, version 8 a
+    # palette per pair u <= v
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=rf"unsupported oracle file version {version} \(expected 8\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 9\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -408,13 +411,12 @@ def _sections(tables) -> dict:
     The table values are the palette codes, four or eight bytes each (the
     header's code width, the tables' itemsize), and each D* is its edge ids,
     one byte each while m <= 256; so is each set size and class id.  The
-    classes and the slots, the matrices, start with pair (0, 1), the first
-    one stored.
+    sections start with pair (0, 1), the first one stored.
     """
     n, m = tables.graph.n, tables.graph.m
     off = _HEADER.size + m * 24
     sections = {}
-    for name, count, width in (("pair_sizes", n * (n + 1) // 2, 8),
+    for name, count, width in (("pair_sizes", n * (n - 1) // 2, 8),
                                ("values", len(tables.codes), tables.codes.itemsize),
                                ("dstar", len(tables.ids), tables.ids.itemsize),
                                ("set_sizes", len(tables.codes), 1),
@@ -434,10 +436,11 @@ _REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
     ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
     ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1)])
 def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value):
-    # g1 has n=4, m=4 and, at d=1, five failure sets; row (0, 0) holds one
-    # entry; each case edits the first item of its section.  A slot's value
-    # counts from the last entry of its row's palette, pair (0, 1)'s, so
-    # slots-1 writes the first slot out of range.  dstar-1 writes the byte
+    # g1 has n=4, m=4 and, at d=1, five failure sets; each case edits the
+    # first item of its section, of pair (0, 1).  A slot's value counts from
+    # the last entry of that pair's palette, so slots-1 writes the first
+    # slot out of range, and a set size's from the first entry's, as any
+    # change breaks the sizes' sum.  dstar-1 writes the byte
     # 0xFF, as the edge ids are one byte each.  Every 4-byte code is in
     # range, so the codes go out of range in a file of 8-byte codes
     oracle = wide_oracle if section == "values" else oracle1_d1
@@ -445,7 +448,9 @@ def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value):
     blob = bytearray(oracle_file_bytes(oracle))
     off, width = _sections(tables)[section]
     if section == "slots":
-        value += int(tables.pair_sizes[1]) - 1  # pairs u <= v: (0, 0), then (0, 1)
+        value += int(tables.pair_sizes[0]) - 1
+    if section == "set_sizes":
+        value += int(tables.set_sizes[0])
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
     with pytest.raises(OracleFileError, match=_REJECTED[section]):
         load_oracle(io.BytesIO(_reseal(blob)))
@@ -466,7 +471,7 @@ def test_rejects_sets_not_strictly_ascending(oracle1_d2):
 
 
 def _palettes(tables) -> list[range]:
-    """Each pair u <= v's palette entries, pairs row-major."""
+    """Each pair u < v's palette entries, pairs row-major."""
     ends = np.cumsum(tables.pair_sizes).tolist()
     return [range(b - size, b) for b, size in zip(ends, tables.pair_sizes.tolist())]
 
@@ -498,7 +503,7 @@ def test_rejects_palette_not_ending_at_its_base_code(oracle6_d2):
     # load certifies against the stored graph: a lowered last code is
     # refused, and so are tie values re-sealed without the base codes they give
     tables = oracle6_d2.tables
-    last = _palettes(tables)[1][-1]  # pair (0, 1)
+    last = _palettes(tables)[0][-1]  # pair (0, 1)
     lowered = _edit(oracle6_d2, ("values", last, (int(tables.codes[last]) - 1,)))
     square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     retied = _with_ties(oracle_file_bytes(build_oracle(square, d=1, seed=1)), 4, 4, base=False)
@@ -513,16 +518,13 @@ _BASE_CODE = "palette does not end with the empty set at its pair's base code"
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_rejects_any_base_code_off_by_one(name):
-    # each pair u < v's last code raised or lowered by 1, or a diagonal
-    # pair's set to 1: the stored codes are no longer the shortest codes,
-    # and load's certificate refuses them
+    # each pair u < v's last code raised or lowered by 1: the stored codes
+    # are no longer the shortest codes, and load's certificate refuses them
     make, d, _ = PINNED[name]
     oracle = build_oracle(make(), d, seed=1)
-    n = oracle.graph.n
-    pairs = [(u, v) for u in range(n) for v in range(u, n)]
-    for (u, v), palette in zip(pairs, _palettes(oracle.tables)):
+    for palette in _palettes(oracle.tables):
         code = int(oracle.tables.codes[palette[-1]])
-        for bad in ((code - 1, code + 1) if u < v else (1,)):
+        for bad in (code - 1, code + 1):
             with pytest.raises(OracleFileError, match=_BASE_CODE):
                 load_oracle(io.BytesIO(_edit(oracle, ("values", palette[-1], (bad,)))))
 
@@ -535,25 +537,6 @@ def test_load_runs_no_bellman_ford(oracle6_d2, monkeypatch):
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
     assert calls == []
     assert np.array_equal(loaded.index.codes, oracle6_d2.index.codes)
-
-
-def test_rejects_diagonal_palette_beyond_the_empty_set(oracle6_d2):
-    # a pair (u, u) holds one entry, the empty set at code 0, and every read
-    # of that pair takes its palette's first entry: a set spliced in front
-    # of pair (1, 1)'s, written with the header's P and I to match and a
-    # fresh trailer, would be read there
-    built, n = oracle6_d2.tables, oracle6_d2.graph.n
-    tables = copy.copy(built)
-    at = int(built.pair_sizes[:n].sum())  # pair (1, 1)'s entry, after row 0's n pairs
-    tables.pair_sizes = built.pair_sizes.copy()
-    tables.pair_sizes[n] += 1
-    tables.codes = np.insert(built.codes, at, 1)
-    tables.set_sizes = np.insert(built.set_sizes, at, 1)
-    tables.ids = np.insert(built.ids, int(built.set_sizes[:at].sum()), 0)
-    blob = oracle_file_bytes(Oracle(oracle6_d2.index, tables))
-    assert len(blob) == len(oracle_file_bytes(oracle6_d2)) + built.codes.itemsize + 1 + 1
-    with pytest.raises(OracleFileError, match="diagonal palette holds more than the empty set"):
-        load_oracle(io.BytesIO(blob))
 
 
 def test_rejects_empty_set_before_a_palettes_end(oracle6_d2):
@@ -602,11 +585,11 @@ def test_loads_a_pair_of_256_row_classes(monkeypatch):
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}.__getitem__)
     n = 128
     index = ShortestPathIndex(Graph(n, [(i, i + 1, 1) for i in range(n - 1)]), list(range(1, n)))
-    pair_sizes = np.ones(n * (n + 1) // 2, dtype=np.int64)
-    pair_sizes[1] = 2  # pairs u <= v: (0, 0), (0, 1), ...
-    codes = np.insert(index.codes[np.triu_indices(n)], 1, index.codec.unreachable_code)
+    pair_sizes = np.ones(n * (n - 1) // 2, dtype=np.int64)
+    pair_sizes[0] = 2  # pair (0, 1)
+    codes = np.insert(index.codes[np.triu_indices(n, 1)], 0, index.codec.unreachable_code)
     set_sizes = np.zeros(len(codes), dtype=np.uint8)
-    set_sizes[1] = 1
+    set_sizes[0] = 1
     classes = np.zeros((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
     classes[0, 0] = np.arange(2 * n)
     matrices = np.zeros(2 * n + len(classes) - 1, dtype=np.uint8)
@@ -626,14 +609,13 @@ def test_rejects_matrix_slot_beyond_its_own_palette(oracle6_d2):
     # slot of the pair u < v with the smallest palette, set to that size,
     # lies below larger palettes' sizes and is still refused
     tables = oracle6_d2.tables
-    n = tables.graph.n
-    lower = np.delete(tables.pair_sizes, [u * n - u * (u - 1) // 2 for u in range(n)])
-    pair = int(lower.argmin())
-    assert lower[pair] < lower.max()
+    sizes = tables.pair_sizes
+    pair = int(sizes.argmin())
+    assert sizes[pair] < sizes.max()
     last = int(class_bounds(tables.classes)[1][pair + 1]) - 1
-    assert load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]) - 1,)))))
+    assert load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(sizes[pair]) - 1,)))))
     with pytest.raises(OracleFileError, match="palette slot out of range"):
-        load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(lower[pair]),)))))
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(sizes[pair]),)))))
 
 
 def test_rejects_sets_longer_than_budget(oracle1_d2):
@@ -711,7 +693,7 @@ def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch)
         width = oracle.tables.matrices.itemsize
         blob = bytearray(oracle_file_bytes(oracle))
         last = len(blob) - 32 - width  # the last matrix slot, of pair (5, 6)
-        size = int(oracle.tables.pair_sizes[-2])  # pairs u <= v: ..., (5, 6), (6, 6)
+        size = int(oracle.tables.pair_sizes[-1])
         for value in (size - 1, size, 256 ** width - 1):
             blob[last:last + width] = value.to_bytes(width, "little")
             if value < size:
@@ -860,12 +842,12 @@ def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
     if base:
         graph = Graph(n, [(int(a), int(b), int(w)) for a, b, w, _ in np.frombuffer(
             blob, _EDGE, m, _HEADER.size).tolist()])
-        pairs, width = n * (n + 1) // 2, blob[7]  # header byte 7: the code width
+        pairs, width = n * (n - 1) // 2, blob[7]  # header byte 7: the code width
         off = _HEADER.size + 24 * m
         sizes = np.frombuffer(blob, "<i8", pairs, off)
         last = off + 8 * pairs + width * (np.cumsum(sizes) - 1)  # each palette's last code
         codes = reference_codes(graph, [1] * m)
-        for at, code in zip(last.tolist(), codes[np.triu_indices(n)].tolist()):
+        for at, code in zip(last.tolist(), codes[np.triu_indices(n, 1)].tolist()):
             out[at:at + width] = code.to_bytes(width, "little")
     return _reseal(out)
 

@@ -11,10 +11,12 @@ from ftoracle.graph import UNREACHABLE, GraphError, canonical_failures
 from ftoracle.hitset import FailureView, QueryStats
 from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import Oracle, QueryError, build_oracle
-from ftoracle.reference import ReferenceOracle, enumerate_instances
+from ftoracle.reference import ReferenceOracle, enumerate_instances, verify_instance
 from ftoracle.spindex import ShortestPathIndex
+from ftoracle.tables import OracleTables
 
 from conftest import base_length, derive_all, derived_roots, tree_path_edges, underive
+from test_file_digests import PINNED
 
 
 def all_instances(graph, dmax):
@@ -73,8 +75,27 @@ def test_g6_detour(oracle6_d1):
 
 
 def test_self_query_is_zero(oracle6_d2):
-    for u in range(7):
-        assert oracle6_d2.query(u, u, (2, 5)) == 0
+    # under each F of up to d edges, on the built and on the loaded oracle
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(oracle6_d2)))
+    graph = oracle6_d2.graph
+    for oracle in (oracle6_d2, loaded):
+        for k in range(oracle.d + 1):
+            for failed in combinations(range(graph.m), k):
+                for u in range(graph.n):
+                    assert oracle.query(u, u, failed) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_no_query_reads_a_diagonal_key(d, monkeypatch):
+    # the tables store nothing for a pair (u, u): every read of the query
+    # engine, over every instance that verify checks, is of a pair u != v
+    oracle = build_oracle(PINNED["gnm8x12-s0-d2"][0](), d, seed=1)
+    pairs = []
+    read = OracleTables.read_block
+    monkeypatch.setattr(OracleTables, "read_block",
+                        lambda self, u, v, *rest: pairs.append((u, v)) or read(self, u, v, *rest))
+    assert verify_instance(oracle).ok
+    assert pairs and all(u != v for u, v in pairs)
 
 
 def test_no_failures_equals_base_distance(oracle6_d1):

@@ -124,12 +124,9 @@ def test_verify_random_graph():
     assert report.instances == (1 + 12 + 66) * 8 * 7
 
 
-def test_verify_sampled_collects_answers(oracle6_d2):
+def test_verify_sampled_checks_the_sample_count(oracle6_d2):
     report = verify_instance(oracle6_d2, samples=50, seed=3)
     assert report.instances == 50
-    assert report.answers is None
-    replay = verify_instance(oracle6_d2, samples=50, seed=3, collect_answers=True)
-    assert len(replay.answers) == 50
 
 
 @pytest.mark.parametrize("samples", [0, -3])
