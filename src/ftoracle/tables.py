@@ -39,43 +39,46 @@ of those.  Then consecutive rows are ranked in batches of at most
 FILL_BYTES of working memory, or one wider row alone.  Their side masks
 at u and at v are packed into bitsets along the candidate axis and ANDed;
 a key's winner is the first set bit, found as the first nonzero byte plus
-that byte's leading zeros.  Lengths are undirected and the constraints of
-(u, v, u', v', b1, b2) and (v, u, v', u', b2, b1) agree, so row (v, u)
-is row (u, v) with its vertex axes and its bit axes swapped.  Root u
-owns (u, v) when (v > u) == (u + v is odd): each pair has one owner,
-each root at most n // 2 columns.
+that byte's leading zeros, and a row keeps the candidates that win a key.
+Lengths are undirected and the constraints of (u, v, u', v', b1, b2) and
+(v, u, v', u', b2, b1) agree, so row (v, u) is row (u, v) with its vertex
+axes and its bit axes swapped, and has the same winners.  Root u owns
+(u, v) when (v > u) == (u + v is odd): each pair has one owner, each root
+at most n // 2 columns.
 
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
-row keeps a palette of its winners as (code, D*), in candidate order, and
-each key a slot into it; the build gathers palettes per group of roots.
-Row (v, u) shares row (u, v)'s palette and slots, stored once per pair
-u < v; every table section numbers these pairs row-major.  A pair's slots
-form a 2n x 2n matrix, rows (u', b1) and columns (v', b2), with few
-distinct rows and columns, as a key's winner depends on u' only through
-its side bitset.  So a pair stores a class id per row and per column,
-equal rows (columns) sharing a class, numbered in order of first
-appearance, and a ku x kv matrix of slots, one per row class and column
-class.  ku and kv are at most 2n, so the ids are uint8; they are the ids'
-maxima plus one.  Equal rows share a class and no two classes have equal
-rows or columns, so the encoding is canonical.  The filled rows wait for
-their encoding (_encode) until, at the end of a group, its estimated work
-reaches the 2n^3(n - 1) bytes of the rows' uint8 slots, at least
-ENCODE_BYTES and at most FILL_BYTES, or FILL_BYTES within a group: the
-2n^4 slots are never held at once, and one encoding takes several groups
-of few rows.  A read of row (v, u) takes the pair's column classes for u'
-and row classes for v', with the matrix strides swapped.  Every key of a
-diagonal row holds the empty set at distance 0, so no part of one is built
-or stored; lookup answers its keys with code 0, and the query engine,
-whose every read pair is damaged, never reads one.  The tables in memory
-are the oracle file's sections, which the read path reads in place.  Slots
-are uint8 while every palette fits, else uint16: a row has 4n^2 keys, so
-at most 4n^2 entries, and its slots fit in uint16 for n <= 128.
+row keeps a palette of its winners as (code, D*), in candidate order; the
+build gathers palettes per group of roots.  Row (v, u) shares row (u, v)'s
+palette, stored once per pair u < v; every table section numbers these
+pairs row-major.  The palettes are all the tables store.  A key's winner
+is the first entry of its pair's palette whose D* meets the key's
+constraint, as an entry ranked before it that met it would have won the
+key.  So a pair's slots, each key's index into its palette, are derived
+on the pair's first read (OracleTables._derive), for built and loaded
+tables alike: each entry's side masks at u and at v, read off the roots'
+masks (_root_masks, made once per root from the index's _below, _sub and
+_ends), are packed into bitsets along the palette, equal bitsets of a
+side are merged, and each pair of distinct bitsets takes the first set
+bit of their AND.  A pair's slots form a 2n x 2n matrix, rows (u', b1)
+and columns (v', b2), with few distinct rows and columns.  So a pair
+keeps a class id per row and per column, equal rows (columns) sharing a
+class, numbered in order of first appearance (_distinct), and a ku x kv
+matrix of slots, one per row class and column class; ku and kv are at
+most 2n, so the ids are uint8.  The slots are uint8 while the palette has
+at most 256 entries, else uint16: a row has 4n^2 keys, so at most 4n^2
+entries, and its slots fit in uint16 for n <= 128.  A read of row (v, u)
+takes the pair's column classes for u' and row classes for v', with the
+matrix strides swapped.  Every key of a diagonal row holds the empty set
+at distance 0, so no part of one is built or stored; lookup answers its
+keys with code 0, and the query engine, whose every read pair is
+damaged, never reads one.
 """
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -91,8 +94,6 @@ CHUNK = 128  # (root, set) pairs the deletion sweep relaxes together
 FILL_BYTES = 112 << 10  # estimated working bytes of a fill batch (_fill_bytes)
 UINT8_ENTRIES = 256  # palette entries that uint8 slots can address
 NARROW_UNREACHABLE = 2 ** 32 - 1  # the unreachable code of uint32 palette codes
-ENCODE_BYTES = 32 << 10  # least estimated working bytes (_encode_bytes) of the rows
-                         # that _encode takes at once, between groups of roots
 
 
 @dataclass(frozen=True)
@@ -155,19 +156,17 @@ def wide_codes(codes: np.ndarray) -> np.ndarray:
         codes == NARROW_UNREACHABLE, np.int64(LengthCodec.unreachable_code), codes)
 
 
-def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) -> None:
+def check_build_size(n: int, m: int, d: int) -> None:
     """The one budget gate of build and load; raises BuildError.
 
     In order, it refuses d < 1, more than 2^31 failure sets (the build's
     pair, set and candidate indices are int32), more than physical memory,
-    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory: each pair
-    u < v takes 4n uint8 class ids, held by its batch and the table and
-    charged once more, and at most 4n^2 matrix slots, held by its batch and
-    the table, uint8, or uint16 where a palette may outgrow uint8.  Load
-    passes matrix_bytes, its file's matrices, which it holds once, and it is
-    charged the class ids twice (the order check's running maxima and their
-    sums), in place of the build's class ids, matrices and encoding.  Each
-    palette entry is charged an int64 code, set size and edge ids plus their
+    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory, at build
+    and at load alike: what the tables derive as they are read, per pair
+    u < v its 4n uint8 class ids and at most 4n^2 matrix slots, uint8, or
+    uint16 where a palette may outgrow uint8, and per root its side masks,
+    two bits per edge and vertex (OracleTables._derive).  Each palette
+    entry is charged an int64 code, set size and edge ids plus their
     read-path lists, at the bound of min(4n^2, sets) per pair u < v; codes
     may take four bytes and set sizes and edge ids one or two, so that part
     over-estimates until palettes are charged by their count.  Each subset
@@ -188,10 +187,7 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
     every root before its last has at least k damaging sets and all of them
     fewer than CHUNK.  The fill takes FILL_BYTES, or _fill_bytes of a row
-    of one candidate per subset, and the build's class encoding of the
-    pending rows FILL_BYTES, at which a group encodes them, plus
-    _encode_bytes per row of the batch that passed it; a batch holds at most
-    FILL_BYTES // _fill_bytes(n, 1) rows, or one.
+    of one candidate per subset.
     Failing before anything is allocated beats an overcommitted allocation
     killed later.
     """
@@ -208,13 +204,8 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     roots = min(n, 1 + (CHUNK - 1) // max(1, failure_set_count(m - 1, d - 1, CHUNK)))
     entries = pairs * min(4 * n * n, sets)
     slot = 1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 2
-    if matrix_bytes is None:
-        batch = max(1, FILL_BYTES // _fill_bytes(n, 1))
-        slots = (pairs * (3 * 4 * n + 2 * 4 * n * n * slot) + FILL_BYTES
-                 + batch * _encode_bytes(n, slot))
-    else:
-        slots = pairs * 2 * 4 * n + matrix_bytes
-    need = (slots + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
+    derived = pairs * (4 * n + 4 * n * n * slot) + n * (m + 1) * 2 * ((n + 7) // 8)
+    need = (derived + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
             + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
             + max(FILL_BYTES, _fill_bytes(n, sets)))
     if need > phys:
@@ -224,14 +215,6 @@ def check_build_size(n: int, m: int, d: int, matrix_bytes: int | None = None) ->
     if n > 128:
         raise BuildError(f"n={n} gives rows of {4 * n * n} keys, more than uint16 "
                          f"palette slots can address (n <= 128)")
-
-
-def class_bounds(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair u < v's int64 (ku, kv), its class ids' maxima plus one, and
-    its matrix's bounds among the matrices, from (pair, rows | columns, 2n)
-    class ids: pair p's ku x kv slots are [bounds[p], bounds[p + 1])."""
-    kinds = classes.max(axis=2, initial=0).astype(np.int64) + 1
-    return kinds, np.concatenate(([0], np.cumsum(kinds[:, 0] * kinds[:, 1])))
 
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
@@ -248,41 +231,31 @@ def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
 class OracleTables:
     """Palette tables over all 4*n^4 keys, plus build metadata."""
 
-    def __init__(self, graph: Graph, d: int, tie_seed: int, codec: LengthCodec,
-                 matrices: np.ndarray, classes: np.ndarray, pair_sizes: np.ndarray,
+    def __init__(self, index: ShortestPathIndex, d: int, tie_seed: int, pair_sizes: np.ndarray,
                  codes: np.ndarray, set_sizes: np.ndarray, ids: np.ndarray):
-        n = graph.n
-        self.graph = graph
+        n = index.graph.n
+        self.index = index
+        self.graph = index.graph
         self.d = d
         self.tie_seed = tie_seed
-        self.codec = codec
-        self.classes = classes        # uint8, (pair u < v, rows | columns, 2n), class ids of
-                                      # (u', b1) and of (v', b2), at 2u' + b1 and 2v' + b2
-        self.matrices = matrices      # uint8 or uint16, each pair's ku x kv slots, row-major
+        self.codec = index.codec
         self.pair_sizes = pair_sizes  # int64, palette size per pair u < v, row-major
         self.codes = codes            # uint32 or int64 (narrow_codes), per entry, pair by pair
         self.set_sizes = set_sizes    # uint8, |D*| per palette entry
         self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
                                       # ascending edge ids, entry by entry
-        kinds, self.matrix_bounds = class_bounds(classes)  # int64, see class_bounds
-        # the read path reads the matrices and class ids in place.  Per
-        # ordered pair u != v: its palette start, its matrix's first slot,
-        # where the ids of u' and of v' start, and the strides of their
-        # classes; a diagonal pair, whose keys all hold the empty set at
-        # code 0, has none.  Each palette entry becomes a (code, D*) tuple
-        # on first read
-        self._cells = memoryview(matrices)
-        self._cls = memoryview(classes.reshape(-1))
-        self._rows = rows = [[None] * n for _ in range(n)]
-        for (u, v), start, base, kv, a in zip(  # a: the pair's row ids, then its column ids
-                combinations(range(n), 2), (np.cumsum(pair_sizes) - pair_sizes).tolist(),
-                self.matrix_bounds[:-1].tolist(), kinds[:, 1].tolist(),
-                range(0, 4 * n * len(classes), 4 * n)):
-            rows[u][v] = (start, base, a, kv, a + 2 * n, 1)
-            rows[v][u] = (start, base, a + 2 * n, 1, a, kv)
+        # per ordered pair u != v, from its first read (_derive): its palette
+        # start, its 4n class ids, where the ids of u' and of v' start in them
+        # and the strides of their classes, and its class matrix's slots; a
+        # diagonal pair, whose keys all hold the empty set at code 0, has
+        # none.  Per root, its packed side masks (_root).  Each palette entry
+        # becomes a (code, D*) tuple on first read
+        self._rows: list[list[tuple | None]] = [[None] * n for _ in range(n)]
+        self._masks: list[np.ndarray | None] = [None] * n
+        self._starts = np.cumsum(pair_sizes) - pair_sizes
         self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
-        self._unreachable = codec.unreachable_code
+        self._unreachable = index.codec.unreachable_code
         self._sentinel = NARROW_UNREACHABLE if codes.dtype == np.uint32 else self._unreachable
 
     @property
@@ -306,10 +279,16 @@ class OracleTables:
     def slots(self) -> np.ndarray:
         """The slots of the pairs u < v, (pair, u', v', b1, b2), decoded."""
         n = self.graph.n
-        kinds, bounds = class_bounds(self.classes)
-        rows, cols = self.classes.astype(np.int64).reshape(-1, 2, n, 2).transpose(1, 0, 2, 3)
-        at = bounds[:-1, None, None] + rows * kinds[:, 1, None, None]  # (pair, u', b1)
-        return self.matrices[at[:, :, None, :, None] + cols[:, None, :, None, :]]
+        mats = [matrix[ids[0][:, None], ids[1]] for ids, matrix in
+                (self.pair_classes(u, v) for u, v in combinations(range(n), 2))]
+        return np.array(mats or np.zeros((0, 2 * n, 2 * n), dtype=np.uint8)).reshape(
+            -1, n, 2, n, 2).transpose(0, 1, 3, 2, 4)
+
+    def pair_classes(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pair u < v's (2, 2n) uint8 class ids, of (u', b1) at [0, 2u' + b1]
+        and of (v', b2) at [1, 2v' + b2], and its ku x kv matrix of slots."""
+        _, cls, _, kv, _, _, cells = self._rows[u][v] or self._derive(u, v)
+        return np.frombuffer(cls, np.uint8).reshape(2, -1), np.asarray(cells).reshape(-1, kv)
 
     def _dense(self, per_entry: np.ndarray) -> np.ndarray:
         n = self.graph.n
@@ -318,7 +297,7 @@ class OracleTables:
         slots[lo, hi] = self.slots
         slots[hi, lo] = self.slots.transpose(0, 2, 1, 4, 3)
         start = np.full((n, n), len(per_entry), dtype=np.int64)  # the diagonal's 0, appended
-        start[lo, hi] = start[hi, lo] = np.cumsum(self.pair_sizes) - self.pair_sizes
+        start[lo, hi] = start[hi, lo] = self._starts
         per_entry = np.concatenate((per_entry, np.zeros(1, dtype=per_entry.dtype)))
         return per_entry[start.reshape(n, n, 1, 1, 1, 1) + slots]
 
@@ -339,13 +318,13 @@ class OracleTables:
         ups, vp in vps, u != v, unchecked; the query engine's read, which
         never reads a diagonal pair, as those store nothing.  It reads each
         up's and each vp's class once, then the matrix cells."""
-        start, base, a, sa, b, sb = self._rows[u][v]
-        cls, cells, entries = self._cls, self._cells, self._entries
+        start, cls, a, sa, b, sb, cells = self._rows[u][v] or self._derive(u, v)
+        entries = self._entries
         a += b1
         b += b2
         rows = []  # a loop, not a comprehension, which costs a frame
         for up in ups:
-            rows.append(base + cls[a + 2 * up] * sa)
+            rows.append(cls[a + 2 * up] * sa)
         bound, union = self._unreachable, set()
         for vp in vps:
             col = cls[b + 2 * vp] * sb
@@ -366,32 +345,90 @@ class OracleTables:
             entry = self._entries[p] = (self._unreachable if code == self._sentinel else code, d_star)
         return entry
 
+    def _derive(self, u: int, v: int) -> tuple:
+        """Derive pair (u, v)'s slots, both rows, from its palette; returns
+        row (u, v)'s read state (see the module docstring)."""
+        n, m = self.graph.n, self.graph.m
+        lo, hi = min(u, v), max(u, v)
+        pair = lo * (2 * n - 3 - lo) // 2 + hi - 1
+        start, size = self._starts.item(pair), self.pair_sizes.item(pair)
+        sizes = self.set_sizes[start:start + size]
+        # the entries' edge ids, short sets padded with the clean edge m
+        sets = np.full((size, max(1, int(sizes.max()))), m, dtype=np.intp)
+        sets[np.arange(sets.shape[1]) < sizes[:, None]] = \
+            self.ids[self._bounds[start]:self._bounds[start + size]]
+        sides = []  # per root, rows (x, b) at 2x + b: the distinct bitsets, each row's id
+        for r in (lo, hi):
+            masks = self._masks[r]
+            if masks is None:
+                masks = self._masks[r] = self._root(r)
+            bad = masks[sets[:, 0]]
+            for j in range(1, sets.shape[1]):
+                bad |= masks[sets[:, j]]
+            bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(2, 1, 0)
+            bits = np.packbits(bits.reshape(2 * n, size) ^ 1, axis=-1)  # feasible, entry 0 on top
+            ids, first = _distinct(bits)
+            sides.append((bits[first], ids))
+        (a, ida), (b, idb) = sides
+        # each distinct pair's slot: the first set bit of the AND, as in _fill_rows
+        both = a[:, None] & b[None]
+        first = np.not_equal(both, 0).argmax(axis=-1)
+        byte = both.ravel()[first + np.arange(0, both.size, both.shape[-1]).reshape(first.shape)]
+        slots = (8 * first + _LEAD[byte]).astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
+        rows, keep_rows = _distinct(slots)
+        cols, keep_cols = _distinct(slots.T)
+        matrix = slots[keep_rows][:, keep_cols]
+        cls, kv = rows[ida].tobytes() + cols[idb].tobytes(), matrix.shape[1]
+        cells = array(matrix.dtype.char, matrix.tobytes())
+        self._rows[lo][hi] = (start, cls, 0, kv, 2 * n, 1, cells)
+        self._rows[hi][lo] = (start, cls, 2 * n, 1, 0, kv, cells)
+        return self._rows[u][v]
 
-def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
-    """Per-edge (vertex, bit, root, edge) bool masks, derived once per build.
+    def _root(self, r: int) -> np.ndarray:
+        """Root r's _root_masks from the index's lists, packed along the vertices."""
+        index = self.index
+        if index._below[r] is None:
+            index._finish_root(r)
+        return np.packbits(_root_masks(_edge_ends(self.graph), index._sub[r], index._below[r]),
+                           axis=-1, bitorder="little")
 
-    They unpack the index's vertex bitmasks, the ones the query engine ORs,
-    derived root by root by index._derive and dropped once unpacked:
-    [x, 0, r, e]: e lies on the tree path r->x, bit x of _below[r][e];
-    [x, 1, r, e]: that, or _sub[r][x], x's subtree rooted at r, holds an
-    endpoint of e.  Edge m, the clean edge that pads short sets, is all False.
+
+def _edge_ends(graph: Graph) -> np.ndarray:
+    """Each edge's (a, b), int64."""
+    return np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(graph.m, 2)
+
+
+def _root_masks(ends: np.ndarray, sub: list[int], below: list[int]) -> np.ndarray:
+    """(edge, bit, vertex) bool masks of one root, from its _sub and _below
+    lists and the edges' ends (_edge_ends).
+
+    [e, 0, x]: e lies on the tree path root->x, bit x of below[e];
+    [e, 1, x]: that, or sub[x], x's subtree, holds an endpoint of e.  Edge
+    m, the clean edge that pads short sets, is all False.
     """
-    graph = index.graph
-    n, m = graph.n, graph.m
+    n, m = len(sub), len(below)
     size = (n + 7) // 8
 
-    def unpack(masks: list[list[int]], count: int) -> np.ndarray:
-        # (root, count, vertex) bools, bit x of each mask at [..., x]
-        raw = b"".join(mask.to_bytes(size, "little") for row in masks for mask in row)
+    def unpack(masks: list[int]) -> np.ndarray:
+        # (mask, vertex) bools, bit x of each mask at [..., x]
+        raw = b"".join(mask.to_bytes(size, "little") for mask in masks)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits.reshape(n, count, 8 * size)[:, :, :n].view(bool)
+        return bits.reshape(len(masks), 8 * size)[:, :n].view(bool)
 
-    ends = np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(m, 2)
-    sub, below = zip(*(index._derive(r)[2:4] for r in range(n)))
-    touched = unpack(sub, n)[:, :, ends].any(axis=-1)  # (root, vertex, edge)
-    bad = np.zeros((n, 2, n, m + 1), dtype=bool)
-    bad[:, 0, :, :m] = unpack(below, m).transpose(2, 0, 1)
-    bad[:, 1, :, :m] = bad[:, 0, :, :m] | touched.transpose(1, 0, 2)
+    bad = np.zeros((m + 1, 2, n), dtype=bool)
+    bad[:m, 0] = unpack(below)
+    bad[:m, 1] = bad[:m, 0] | unpack(sub)[:, ends].any(axis=-1).T
+    return bad
+
+
+def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
+    """Per-edge (vertex, bit, root, edge) bool masks, derived once per build:
+    each root's _root_masks, from its lists as index._derive derives them
+    and the build drops them, the ones the query engine ORs."""
+    n, m, ends = index.graph.n, index.graph.m, _edge_ends(index.graph)
+    bad = np.empty((n, 2, n, m + 1), dtype=bool)
+    for r in range(n):
+        bad[:, :, r] = _root_masks(ends, *index._derive(r)[2:4]).transpose(2, 1, 0)
     return bad
 
 
@@ -589,12 +626,11 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
 
 def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int]],
                  ids: np.ndarray, levels: list, swept: tuple[np.ndarray, ...],
-                 bad: np.ndarray, palettes: list, pending: list, slots: list,
+                 bad: np.ndarray, palettes: list,
                  progress: Callable[[int, int], None] | None) -> None:
-    """Phase 2 for a group of roots u = roots[i]: lay out and fill the rows
-    (u, v), v in cols[i], into pending (see _fill_rows) and, joined into
-    one part per group, palettes, and class-encode pending into slots should
-    it pass FILL_BYTES of encoding work."""
+    """Phase 2 for a group of roots u = roots[i]: lay out the rows (u, v),
+    v in cols[i], and fill their palettes (see _fill_rows), joined into one
+    part per group, into palettes."""
     n = index.graph.n
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
     codes, sets, start, size = _row_candidates(index, ids, levels, swept, roots, cols, at[:, 0])
@@ -610,9 +646,7 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
     parts = []  # this group's palette parts, one per batch
     for lo, hi in zip(cut, cut[1:] + [len(size)]):
         _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
-                   at, ids, bad, parts, pending)
-        if _pending_bytes(pending, n) >= FILL_BYTES:
-            slots.append(_encode(pending))
+                   at, ids, bad, parts)
     if parts:  # none where the group owns no row, as at n = 1
         palettes.append(tuple(map(np.concatenate, zip(*parts))))
     if progress is not None:
@@ -623,20 +657,20 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
 def _fill_bytes(n: int, width):
     """Working bytes, bar numpy's fixed ufunc buffers, that a row of width
     candidates adds to its fill batch: per candidate its sort, its 2n side
-    masks and its bits in the n^2 ANDs; per key its rank and temporaries."""
+    masks and its bits in the n^2 ANDs; per key its first set bit and the
+    temporaries that find it."""
     return (2 * n + 40 + n * n // 8) * width + 28 * n * n
 
 
 def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
                size: np.ndarray, codes: np.ndarray, sets: np.ndarray, at: np.ndarray,
-               ids: np.ndarray, bad: np.ndarray, palettes: list, pending: list) -> None:
-    """Rows (us[k], vs[k]) and their palettes for a batch: row k's candidates
-    are codes and sets [start[k], start[k] + size[k]), and at[:, :, i[k]] is
-    its root's (vertex, bit, set) side masks.  A row goes to its pair's
-    slot matrix with its axes swapped when u > v.  Appends to palettes the
-    rows' pairs u < v, row-major, palette sizes and entries, and to pending
-    their pairs and (row, 2n, 2n) slot matrices, uint16 if a palette
-    outgrew uint8.  The dels keep to _fill_bytes."""
+               ids: np.ndarray, bad: np.ndarray, palettes: list) -> None:
+    """The palettes of the rows (us[k], vs[k]) of a batch: row k's
+    candidates are codes and sets [start[k], start[k] + size[k]), and
+    at[:, :, i[k]] is its root's (vertex, bit, set) side masks.  Appends to
+    palettes the rows' pairs u < v, row-major, palette sizes and entries,
+    the candidates that win a key, in rank order.  The dels keep to
+    _fill_bytes."""
     n, count, width = at.shape[0], len(i), int(size.max())
     # each row's candidates, padded with repeats of its last, in rank order:
     # code descending, ties in set order.  A repeat never wins a key
@@ -650,13 +684,11 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
     b = np.bitwise_and.reduce([np.packbits(_side_masks(bad, ids[cand, j:j + 1], vs[:, None]),
                                            axis=-1) for j in range(ids.shape[1])])
     del cand
-    flip = (us > vs)[:, None]  # the rows stored as (v, u): their sides swap
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
     # a key's winner is the first set bit of its bitsets' AND: the first
-    # nonzero byte, then that byte's leading zeros
+    # nonzero byte, then that byte's leading zeros.  A row (v, u), u > v,
+    # has the winners of row (u, v), its sides swapped
     off = np.arange(n * 2 * count).reshape(n, 2, count) * a.shape[-1]  # bitsets' first bytes
     line, used = np.arange(count) * width, np.zeros((count, width), dtype=bool)
-    rank = np.empty((count, n, 2, n, 2), dtype=np.min_scalar_type(count * width))  # into take
     for b1, b2 in product((0, 1), repeat=2):
         both = np.bitwise_and(a[:, None, b1], b[None, :, b2])  # (u', v', row, byte)
         first = np.not_equal(both, 0, out=both.view(bool)).argmax(axis=-1)
@@ -666,79 +698,28 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
         first += _LEAD[byte]
         first += line
         used.ravel()[first] = True
-        rank[:, :, b1, :, b2] = first.transpose(2, 0, 1)
         del first
-    sizes = used.sum(axis=1)
-    slot = (np.cumsum(used, axis=1) - 1).astype(
-        np.uint8 if sizes.max() <= UINT8_ENTRIES else np.uint16).ravel()
-    mat = slot[rank]
-    del rank
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    pair = lo * (2 * n - 3 - lo) // 2 + hi - 1  # among pairs u < v, row-major
-    pending.append((pair, mat.reshape(count, 2 * n, 2 * n)))  # rows (u', b1), columns (v', b2)
     won = take[used]
-    palettes.append((pair, sizes, codes[won], sets[won]))
+    palettes.append((lo * (2 * n - 3 - lo) // 2 + hi - 1, used.sum(axis=1), codes[won],
+                     sets[won]))
 
 
-def _encode(pending: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pending rows' pairs, (2, 2n) class ids, matrix sizes and class
-    matrices, at the widest width among them; empties pending."""
-    pair = np.concatenate([pair for pair, _ in pending])
-    mats = np.concatenate([mat for _, mat in pending])
-    pending.clear()
-    count, size = mats.shape[:2]
-    # the lines to classify: the rows' matrices, then their transposes,
-    # each line padded to whole uint64 words and closed by a word naming its
-    # matrix, so that lines of two matrices never equal
-    step = 8 // mats.itemsize
-    lines = np.zeros((2 * count, size, (_words(size, mats.itemsize) + 1) * step), mats.dtype)
-    lines[:count, :, :size] = mats
-    lines[count:, :, :size] = mats.transpose(0, 2, 1)
-    words = lines.view(np.uint64)
-    words[:, :, -1] = np.arange(2 * count)[:, None]
-    classes, first = _classes(words)
-    keep = first[:count, :, None] & first[count:, None, :]  # one cell per class pair
-    return (pair, classes.reshape(2, count, -1).transpose(1, 0, 2), keep.sum(axis=(1, 2)),
-            mats[keep])
-
-
-def _pending_bytes(pending: list, n: int) -> int:
-    """The estimated working bytes of _encode(pending)."""
-    return (sum(len(pair) for pair, _ in pending)
-            * _encode_bytes(n, max(mat.itemsize for _, mat in pending)))
-
-
-def _encode_bytes(n: int, itemsize: int) -> int:
-    """Working bytes that a row adds to its _encode call: its 4n lines,
-    padded to whole words and one more, twice (the lines and their check),
-    and per line its sort, its run and its rank, about eight int64s."""
-    return 4 * n * (16 * _words(2 * n, itemsize) + 80)
-
-
-def _words(size: int, itemsize: int) -> int:
-    """uint64 words that hold a line of size slots of itemsize bytes."""
-    return -(-size * itemsize // 8)
-
-
-def _classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class ids of the rows of each matrix of a (count, size, words) uint64
-    stack whose rows differ between matrices: equal rows of a matrix share
-    a class, numbered in order of first appearance.  Returns the (count,
-    size) uint8 ids and the mask of each class's first row."""
-    count, size, width = words.shape
-    words = words.reshape(count * size, width)
-    order = np.lexsort(words.T)  # stable, so each run of equal rows starts with its first
-    line = words[order]
-    new = np.empty(len(order), dtype=bool)  # where a run starts
-    new[0] = True
-    (line[1:] != line[:-1]).any(axis=1, out=new[1:])
-    lead = np.empty(len(order), dtype=np.intp)  # each row's first equal row
-    lead[order] = order[new][np.cumsum(new) - 1]
-    first = lead == np.arange(len(lead))
-    # a class's id is its first row's count of first rows less one, exact
-    # modulo 256 as ids lie below 2n <= 256
-    rank = np.cumsum(first.reshape(count, size), axis=1, dtype=np.uint8).ravel()
-    return (rank[lead] - 1).reshape(count, size), first.reshape(count, size)
+def _distinct(lines: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Class ids of the rows of a 2-D array of at most 256 rows, as uint8:
+    equal rows share a class, numbered in order of first appearance.  Also
+    each class's first row."""
+    raw, width = lines.tobytes(), lines.shape[1] * lines.itemsize
+    seen: dict[bytes, int] = {}
+    ids, first = [], []
+    for k in range(len(lines)):
+        row = raw[k * width:(k + 1) * width]
+        c = seen.get(row)
+        if c is None:
+            c = seen[row] = len(first)
+            first.append(k)
+        ids.append(c)
+    return np.array(ids, dtype=np.uint8), first
 
 
 # leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -771,35 +752,18 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             damaging = 0
     swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
     levels = _levels(ids, graph.m)
-    # per group of roots, its rows' pairs, palette sizes and entries, and,
-    # per encoding, their pairs, class ids, matrix sizes and matrices
+    # per group of roots, its rows' pairs, palette sizes and entries
     empty = np.zeros(0, dtype=np.int64)
     palettes = [(empty, empty, empty, np.zeros(0, dtype=np.int32))]
-    slots, pending = [(np.zeros(0, dtype=np.int64), np.zeros((0, 2, 2 * n), dtype=np.uint8),
-                       np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))], []
-    budget = min(FILL_BYTES, max(ENCODE_BYTES, 2 * n ** 3 * (n - 1)))  # see the docstring
     for lo, hi in zip(groups, groups[1:] + [n]):
         _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0], bad,
-                     palettes, pending, slots, progress)
+                     palettes, progress)
         del swept[0]  # once its rows are filled
-        if pending and (hi == n or _pending_bytes(pending, n) >= budget):
-            slots.append(_encode(pending))
     del bad, cols, levels
-    classes = np.empty((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
-    for pair, cls, _, _ in slots:
-        classes[pair] = cls
-    at = class_bounds(classes)[1].tolist()  # each pair's first slot
-    matrices = np.empty(at[-1], dtype=np.result_type(*(mat for *_, mat in slots)))
-    while slots:
-        pair, _, count, mat = slots.pop()
-        src = 0
-        for p, c in zip(pair.tolist(), count.tolist()):
-            matrices[at[p]:at[p] + c] = mat[src:src + c]
-            src += c
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
     code, winners = narrow_codes(code)[order], ids[cand[order]]
     real = winners < graph.m
     id_type, size_type = palette_dtypes(graph.m)
-    return OracleTables(graph, d, tie_seed, index.codec, matrices, classes, size[np.argsort(pair)],
-                        code, real.sum(axis=1, dtype=size_type), winners[real].astype(id_type))
+    return OracleTables(index, d, tie_seed, size[np.argsort(pair)], code,
+                        real.sum(axis=1, dtype=size_type), winners[real].astype(id_type))

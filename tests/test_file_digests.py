@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "07beb3324d29798ecd2a77dcc1bffd50b15019cc768d7468ad4cdfdfa1c2c5db"),
+              "666f1afefec950eec84e05de35bd590c26e1740114af175abc2bdf06631e8ef9"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "bc6d43cd1c4acf139ba6285fab99570b6905d5a693d677695d7cd1b460ee4f09"),
+              "a9940bf223424971e909f4edfeb97456f6b9cf2fee6b0b1f41b6f0c3f3c6e639"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "f4e2090f60b213b9f6bcb0bed1c284c1160cf453c308b5954ed58a91f503453f"),
+              "6e937eb75acf193a5e734754fd07ab3846f54ee52931dd8575697a01c230a107"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "9993aacea60db789b9a2a528bcaac0b2507efe431b6aa82f9051821c240e7411"),
+                "f455ca66c11039060fcfb035436f3d9f6436e17be2394acd324f2a938e1ea14a"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "972f4e668f5d4e0a2dd33cbb5f2b810b171a8908ab3aa14ffa6f4772e1a1615a"),
+                "2ea39b38a1c71cea5a451b2907be8bfca05058df381c1dc0fe0e6df8b89d3e9d"),
     "path5-d2": (_path5, 2,
-                 "e6008e9a2f6a8ea8acd1be4bcec52e6cff24a454d880c787b25e60d4e083c8d6"),
+                 "7ce0de499df8749a746ee12ceba540440ead9c937bc096bb9c7e8cf1f8c19917"),
     "k5-d1": (_k5, 1,
-              "de229025e7b845e7b59490e0b66d4ccf72666ed48ce2416a75ed2b61866eb19b"),
+              "8465a94e4cae97ef176c0c8f74afaf77c9b23be8f5d53488a86a6c21acecf05f"),
     "k5-d2": (_k5, 2,
-              "47f6d9c2058d8e1cc08d15dbf9f7c6d9791d7a1ae7a1a829d2f29ebb9bf5359c"),
+              "d0246a31dda769f5116cc9c04040a96866911803d9e7577891a6e66db0d6e7e9"),
     "k5-d3": (_k5, 3,
-              "ccacc4c5aed903a6c98af843994b1f5908e16dac7653ef40d4e211cad92d01dd"),
+              "5ac8417968d2e8e4935c569e243aae95a51ecf62dad0807788ff512acb1984d9"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "458d9a9043e00cf5abb6e3753c6209ee585eab1c3b7237c71220f063cf941478"),
+                    "25ff25c59168b05bc4d4f32014c0084e5c42083875326bc7bc7793a0f2777b17"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "754bab23e461961bc4cca2e31484ac2454905ae3b1497c6f7068284b78491aeb"),
+                    "ca2a35d9dbb56bf2b7db6fddf328e3cfb541a14bb1280f97c8041f70916b4b3f"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "bccf899fb5712fa4da3dea89e9f9deb60ee9001d73882801a9e9a68b45b82f23"),
+                    "08099ca13824fc339990d698e7872d423a8a359727aaed5157389458a07f70f1"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "cab0beb0405751b8589d01567f09534200ab5ba23f32d58ba511b1df4fd5c9d9"),
+                    "156e4e2691a88df846baf87f1e4c58afd5f4a883d08c6dc4576dddce153a1c59"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "655d9d1d98599718c9b05ef76d2f27850388a88a4cf7d9d83c9432e3ef02d7d4"),
+                    "7ebef948e4df4a5009af2cc49856dec2bb77024635e46f345a9ef1ae53d1dcca"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "2121081f34cc57da0c4010e27d05367a3fba3c08624aacd3e0bf21b340031f21"),
+                    "bf26c6bb69c402d5694d11c77e3b70b820e059b0719c9561d24855ac231c5d28"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "e2cb030b12cc4485a10cd7919c4b164ce7c7cc07ee0b5f275fb7df02df6d8557"),
+                      "6af5fb61dc6fd8b6a920780f9fac6712cb18796cdf127525415dc77f98c70549"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "07cb22aac8111e6c4cfb77f2cc9ef8b4894c2472275d07a8e1db31e3995237f5"),
+                      "d1b7106fc7691db5781fa4149170dd350e5979ddefe8bb812c58038eb93609d2"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "d597d9ddca0afbd1d2747733a494bef19590ce17ce272aa21a6cb0250f7ab08a"),
+                      "385d1ae4b9922c9af5fce64a22c0fc9c83c9cce9194552c498be4c8f299ef5ab"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "235904337e1b40d03b9e0cd1cf63db3721c074d1bfc3881e8f281fd57f5caa93"),
+                      "9d9b04bdc0575dc7ee8220394552928add4fb8a9fec0a18c29e48c4286828f93"),
 }
 
 

@@ -22,8 +22,8 @@ from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import ReferenceOracle, enumerate_instances
 from ftoracle.spindex import BuildError, LengthCodec, ShortestPathIndex
-from ftoracle.tables import (NARROW_UNREACHABLE, check_build_size, class_bounds,
-                             constraint_holds, enumerate_failure_sets)
+from ftoracle.tables import (NARROW_UNREACHABLE, OracleTables, check_build_size,
+                             constraint_holds, enumerate_failure_sets, narrow_codes)
 
 from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
 from test_file_digests import PINNED, logical_digest
@@ -37,8 +37,8 @@ def test_same_build_same_bytes(g1):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_same_build_same_bytes_at_every_budget(d):
-    # the class encoding is canonical: a second build, and a load followed
-    # by a save, write the same bytes
+    # the palettes are canonical: a second build, and a load followed by a
+    # save, write the same bytes
     graph = gen_gnm(8, 14, 32, 5)
     blob = oracle_file_bytes(build_oracle(graph, d, seed=1))
     assert oracle_file_bytes(build_oracle(graph, d, seed=1)) == blob
@@ -97,6 +97,45 @@ def test_queries_derive_only_the_roots_they_visit(g6, monkeypatch):
                 assert u in derived_roots(oracle.index) <= ends
         assert answers[0] == answers[1]
     assert damaged > 0
+
+
+def test_queries_derive_only_the_pairs_they_read(g6, monkeypatch):
+    # load derives no pair and no root's masks; on a built oracle as on a
+    # loaded one, queries derive the pairs they read, each once for both
+    # its rows, and each root's masks at most once
+    built = build_oracle(g6, 2, seed=1)
+    truth = [(u, v, failed, built.query_composite(u, v, failed))
+             for u, v, failed in enumerate_instances(g6, 2)]
+    built = build_oracle(g6, 2, seed=1)
+    read, pairs, roots = {}, {}, {}  # per tables: pairs read, pairs derived, roots derived
+    derive, root, read_block = OracleTables._derive, OracleTables._root, OracleTables.read_block
+
+    def spy_read(self, u, v, *rest):
+        read.setdefault(id(self), set()).add((min(u, v), max(u, v)))
+        return read_block(self, u, v, *rest)
+
+    def spy_derive(self, u, v):
+        pairs.setdefault(id(self), []).append((min(u, v), max(u, v)))
+        return derive(self, u, v)
+
+    def spy_root(self, r):
+        roots.setdefault(id(self), []).append(r)
+        return root(self, r)
+
+    monkeypatch.setattr(OracleTables, "read_block", spy_read)
+    monkeypatch.setattr(OracleTables, "_derive", spy_derive)
+    monkeypatch.setattr(OracleTables, "_root", spy_root)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
+    assert read == pairs == roots == {}
+    for oracle in (loaded, built):
+        key = id(oracle.tables)
+        for u, v, failed, answer in truth:
+            assert oracle.query_composite(u, v, failed) == answer
+            assert set(pairs.get(key, [])) == read.get(key, set())
+            assert len(pairs.get(key, [])) == len(read.get(key, set()))
+            assert len(set(roots.get(key, []))) == len(roots.get(key, []))
+            assert set(roots.get(key, [])) <= {r for pair in read.get(key, ()) for r in pair}
+        assert len(pairs[key]) > 0
 
 
 def test_derived_roots_equal_the_built_index(g6):
@@ -212,24 +251,17 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
 def test_file_size_is_fixed_width(oracle1_d2):
     g, tables = oracle1_d2.graph, oracle1_d2.tables
     n, m = g.n, g.m
-    entries, ids, slots = len(tables.codes), len(tables.ids), len(tables.matrices)
+    entries, ids = len(tables.codes), len(tables.ids)
     blob = oracle_file_bytes(oracle1_d2)
-    # the header names the palette and matrix totals, and they fix every
-    # section's size
-    assert _HEADER.unpack_from(blob)[-3:] == (entries, ids, slots)
+    # the header names the palette totals, and they fix every section's size
+    assert _HEADER.size == 88 and _HEADER.unpack_from(blob)[-2:] == (entries, ids)
     # header, edges with tie values, per pair u < v a palette size i64,
-    # palette codes u4, edge ids u8 (m <= 256), set sizes u8, 4n u8 class
-    # ids per pair u < v, the u8 matrix slots, sha256; no index, no mirrored
-    # and no diagonal rows
-    assert _HEADER.unpack_from(blob)[2:4] == (tables.matrices.itemsize, tables.codes.itemsize)
-    assert tables.matrices.itemsize == tables.ids.itemsize == tables.set_sizes.itemsize == 1
+    # palette codes u4, edge ids u8 (m <= 256), set sizes u8, sha256; no
+    # index, no slots, no mirrored and no diagonal rows
+    assert _HEADER.unpack_from(blob)[2] == tables.codes.itemsize
+    assert tables.ids.itemsize == tables.set_sizes.itemsize == 1
     assert tables.codes.dtype == np.uint32
-    expect = (_HEADER.size + m * 24 + n * (n - 1) // 2 * 8 +
-              entries * 5 + ids + n * (n - 1) // 2 * 4 * n + slots + 32)
-    assert len(blob) == expect
-    # each pair u < v holds one slot per row class and column class
-    kinds = tables.classes.max(axis=2).astype(np.int64) + 1
-    assert slots == kinds.prod(axis=1).sum() < n * (n - 1) // 2 * 4 * n * n
+    assert len(blob) == _HEADER.size + m * 24 + n * (n - 1) // 2 * 8 + entries * 5 + ids + 32
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +273,7 @@ def wide_oracle():
 
 def test_int64_codes_round_trip(wide_oracle):
     blob = oracle_file_bytes(wide_oracle)
-    assert _HEADER.unpack_from(blob)[3] == 8
+    assert _HEADER.unpack_from(blob)[2] == 8
     loaded = load_oracle(io.BytesIO(blob))
     assert oracle_file_bytes(loaded) == blob
     for tables in (wide_oracle.tables, loaded.tables):
@@ -308,7 +340,7 @@ def _wide_but_fits(oracle) -> bytes:
 def _code_width(oracle, width) -> bytes:
     """The file re-sealed with another code width in its header."""
     blob = bytearray(oracle_file_bytes(oracle))
-    blob[7] = width  # after magic, version and slot width
+    blob[6] = width  # after magic and version, the low byte
     return _reseal(blob)
 
 
@@ -350,25 +382,16 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-@pytest.mark.parametrize("version", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [4, 5, 6, 7, 8, 9])
 def test_rejects_older_versions(oracle1_d1, version):
     # version 4 stored a uint16 slot row for every ordered pair, version 5
     # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v,
     # version 7 int64 palette codes and a u16 slot width, version 8 a
-    # palette per pair u <= v
+    # palette per pair u <= v, version 9 each pair's class ids and slots
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=rf"unsupported oracle file version {version} \(expected 9\)"):
-        load_oracle(io.BytesIO(_reseal(blob)))
-
-
-@pytest.mark.parametrize("width", [0, 3, 4, 8, 2 ** 8 - 1])
-def test_rejects_other_slot_widths(oracle1_d1, width):
-    blob = bytearray(oracle_file_bytes(oracle1_d1))
-    blob[6] = width  # after magic and version
-    with pytest.raises(OracleFileError, match=f"unsupported slot width {width} "
-                                              r"\(expected 1 or 2\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 10\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -410,8 +433,8 @@ def _sections(tables) -> dict:
 
     The table values are the palette codes, four or eight bytes each (the
     header's code width, the tables' itemsize), and each D* is its edge ids,
-    one byte each while m <= 256; so is each set size and class id.  The
-    sections start with pair (0, 1), the first one stored.
+    one byte each while m <= 256; so is each set size.  The sections start
+    with pair (0, 1), the first one stored.
     """
     n, m = tables.graph.n, tables.graph.m
     off = _HEADER.size + m * 24
@@ -419,36 +442,30 @@ def _sections(tables) -> dict:
     for name, count, width in (("pair_sizes", n * (n - 1) // 2, 8),
                                ("values", len(tables.codes), tables.codes.itemsize),
                                ("dstar", len(tables.ids), tables.ids.itemsize),
-                               ("set_sizes", len(tables.codes), 1),
-                               ("classes", tables.classes.size, 1),
-                               ("slots", 0, tables.matrices.itemsize)):
+                               ("set_sizes", 0, 1)):
         sections[name] = off, width
         off += count * width
     return sections
 
 
 _REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
-             "pair_sizes": "sizes out of range", "set_sizes": "set size out of range",
-             "slots": "slot out of range"}
+             "pair_sizes": "sizes out of range", "set_sizes": "set size out of range"}
 
 
 @pytest.mark.parametrize("section, value", [
     ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
-    ("pair_sizes", 0), ("set_sizes", 1), ("slots", 1)])
+    ("pair_sizes", 0), ("set_sizes", 1)])
 def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value):
     # g1 has n=4, m=4 and, at d=1, five failure sets; each case edits the
-    # first item of its section, of pair (0, 1).  A slot's value counts from
-    # the last entry of that pair's palette, so slots-1 writes the first
-    # slot out of range, and a set size's from the first entry's, as any
-    # change breaks the sizes' sum.  dstar-1 writes the byte
+    # first item of its section, of pair (0, 1).  A set size's value counts
+    # from the first entry's, as any change breaks the sizes' sum.  dstar-1
+    # writes the byte
     # 0xFF, as the edge ids are one byte each.  Every 4-byte code is in
     # range, so the codes go out of range in a file of 8-byte codes
     oracle = wide_oracle if section == "values" else oracle1_d1
     tables = oracle.tables
     blob = bytearray(oracle_file_bytes(oracle))
     off, width = _sections(tables)[section]
-    if section == "slots":
-        value += int(tables.pair_sizes[0]) - 1
     if section == "set_sizes":
         value += int(tables.set_sizes[0])
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
@@ -553,69 +570,55 @@ def test_rejects_empty_set_before_a_palettes_end(oracle6_d2):
         load_oracle(io.BytesIO(_edit(oracle6_d2, ("set_sizes", k, (0, 2)), ("dstar", at, pair))))
 
 
-@pytest.mark.parametrize("at, value", [(0, 1), (1, 2), (5, 4)])
-def test_rejects_class_ids_out_of_first_appearance_order(oracle6_d2, at, value):
-    # pair (0, 1)'s row classes start 0 and never pass the largest so far
-    # by more than 1
-    classes = oracle6_d2.tables.classes[0, 0].tolist()
-    assert value > max(classes[:at], default=-1) + 1
-    with pytest.raises(OracleFileError, match="class ids not in order of first appearance"):
-        load_oracle(io.BytesIO(_edit(oracle6_d2, ("classes", at, (value,)))))
+def test_loads_a_pair_of_256_row_classes(monkeypatch):
+    # at n = 128 a pair's 2n = 256 rows may all differ: ids up to 255 and
+    # ku = 256, which the derivation must count past uint8.  A 128-vertex
+    # path, from 1 at one end through 0 at position 64 to 127, plus heavy
+    # chords (path[k], path[k + 2]); d = 1 with one-entry palettes, but
+    # for pair (0, 1), whose palette lists the path edges from 1's end,
+    # then the chords from 127's end.  From 1 the (v', 0) columns then
+    # read every row's path edges and the (v', 1) columns its chords, and
+    # each row (u', b1) at 0, on its arm of the path, meets a set of its own
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}.__getitem__)
+    n = 128
+    path = [1] + list(range(2, 65)) + [0] + list(range(65, n))
+    graph = Graph(n, [(path[i], path[i + 1], 1) for i in range(n - 1)]
+                  + [(path[k], path[k + 2], 1000) for k in range(n - 2)])
+    index = ShortestPathIndex(graph, list(range(1, graph.m + 1)))
+    order = list(range(n - 1)) + list(range(graph.m - 1, n - 2, -1))  # edge ids
+    pair_sizes = np.ones(n * (n - 1) // 2, dtype=np.int64)
+    pair_sizes[0] = len(order) + 1  # pair (0, 1)
+    base = index.codes[np.triu_indices(n, 1)].tolist()
+    codes = narrow_codes(np.array([base[0] + len(order) - k for k in range(len(order))] + base))
+    set_sizes = (np.arange(len(codes)) < len(order)).astype(np.uint8)
+    tables = OracleTables(index, 1, 1, pair_sizes, codes, set_sizes, np.array(order, np.uint8))
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(Oracle(index, tables)))).tables
+    for t in (tables, loaded):
+        classes, matrix = t.pair_classes(0, 1)
+        assert classes[0].tolist() == list(range(2 * n)) and matrix.shape == (2 * n, 254)
+        assert matrix.dtype == np.uint8
+    # a key's entry is the first of the palette that meets its constraint
+    rng = random.Random(0)
+    keys = [(up, vp, b1, b2) for up, b1 in itertools.product(range(n), (0, 1))
+            for vp, b2 in ((1, 0), (rng.randrange(n), rng.randrange(2)))]
+    for up, vp, b1, b2 in keys:
+        k = next(k for k, e in enumerate(order + [None])
+                 if e is None or constraint_holds(index, (e,), (0, 1, up, vp, b1, b2)))
+        assert loaded.read_block(0, 1, (up,), (vp,), b1, b2) == \
+            (int(codes[k]), {order[k]} if k < len(order) else set())
 
 
 @pytest.mark.parametrize("change", [-1, 1])
-def test_rejects_header_matrix_count_that_disagrees_with_the_classes(oracle6_d2, change):
-    # a header that names one slot more or fewer, in a file of that size
-    tables = oracle6_d2.tables
-    stored = len(tables.matrices)
+def test_rejects_header_entry_count_that_disagrees_with_the_pair_sizes(oracle6_d2, change):
+    # a header that names one palette entry more or fewer, in a file of
+    # that size: one more or one fewer 4-byte code and 1-byte set size
     blob = bytearray(oracle_file_bytes(oracle6_d2))[:-32]
-    # the header's last field is the matrix slot count
-    blob[_HEADER.size - 8:_HEADER.size] = (stored + change).to_bytes(8, "little")
-    blob = blob[:-1] if change < 0 else blob + b"\x00"
-    with pytest.raises(OracleFileError, match=f"header names {stored + change} matrix "
-                                              f"slots, the class ids {stored}"):
+    entries = len(oracle6_d2.tables.codes)
+    # the header's last two fields are the entry and edge id counts
+    blob[_HEADER.size - 16:_HEADER.size - 8] = (entries + change).to_bytes(8, "little")
+    blob = blob[:-5] if change < 0 else blob + bytes(5)
+    with pytest.raises(OracleFileError, match="palette sizes out of range"):
         load_oracle(io.BytesIO(_reseal(blob + bytes(32))))
-
-
-def test_loads_a_pair_of_256_row_classes(monkeypatch):
-    # at n = 128 a pair's 2n = 256 rows may all differ: ids up to 255, and
-    # ku = 256, which load must count past uint8.  A 128-vertex path at
-    # d = 1 with one-entry palettes, but for pair (0, 1): failing edge 0
-    # cuts it, and each of its 256 rows is a class of its own
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}.__getitem__)
-    n = 128
-    index = ShortestPathIndex(Graph(n, [(i, i + 1, 1) for i in range(n - 1)]), list(range(1, n)))
-    pair_sizes = np.ones(n * (n - 1) // 2, dtype=np.int64)
-    pair_sizes[0] = 2  # pair (0, 1)
-    codes = np.insert(index.codes[np.triu_indices(n, 1)], 0, index.codec.unreachable_code)
-    set_sizes = np.zeros(len(codes), dtype=np.uint8)
-    set_sizes[0] = 1
-    classes = np.zeros((n * (n - 1) // 2, 2, 2 * n), dtype=np.uint8)
-    classes[0, 0] = np.arange(2 * n)
-    matrices = np.zeros(2 * n + len(classes) - 1, dtype=np.uint8)
-    matrices[1:2 * n:2] = 1  # rows (u', 1) of pair (0, 1) read the empty set, the rest the cut
-    tables = ftoracle.tables.OracleTables(index.graph, 1, 1, index.codec, matrices, classes,
-                                          pair_sizes, codes, set_sizes, np.zeros(1, np.uint8))
-    blob = oracle_file_bytes(Oracle(index, tables))
-    loaded = load_oracle(io.BytesIO(blob)).tables
-    assert np.array_equal(loaded.classes, classes) and np.array_equal(loaded.matrices, matrices)
-    for up, b1 in itertools.product(range(n), (0, 1)):
-        assert loaded.read_block(0, 1, (up,), (5,), b1, 1) == \
-            ((index.codec.unreachable_code, {0}) if b1 == 0 else (int(index.codes[0, 1]), set()))
-
-
-def test_rejects_matrix_slot_beyond_its_own_palette(oracle6_d2):
-    # each slot is checked against its own pair's palette size: the last
-    # slot of the pair u < v with the smallest palette, set to that size,
-    # lies below larger palettes' sizes and is still refused
-    tables = oracle6_d2.tables
-    sizes = tables.pair_sizes
-    pair = int(sizes.argmin())
-    assert sizes[pair] < sizes.max()
-    last = int(class_bounds(tables.classes)[1][pair + 1]) - 1
-    assert load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(sizes[pair]) - 1,)))))
-    with pytest.raises(OracleFileError, match="palette slot out of range"):
-        load_oracle(io.BytesIO(_edit(oracle6_d2, ("slots", last, (int(sizes[pair]),)))))
 
 
 def test_rejects_sets_longer_than_budget(oracle1_d2):
@@ -653,54 +656,31 @@ def test_rejects_rows_too_wide_for_uint16_slots(oracle1_d1, monkeypatch):
 
 def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch):
     # no palette of a real build has outgrown uint8 so far; with the limit
-    # at 9 g6's pair (1, 4), 10 entries, does, after rows of pairs up to 9
-    # entries were written as uint8, so its matrix and every later one of
-    # a palette above 9 entries goes as uint16, and the tables widen the
-    # uint8 ones once.  One row per fill call: rows (0, 1), (0, 3), (0, 5)
-    # and (1, 2) go as uint8
+    # at 9, g6's pairs of more than 9 entries, such as (1, 4) with 10,
+    # derive uint16 matrices and the rest uint8, built and loaded alike,
+    # with the same class ids and slots.  The file stores no slots, so it
+    # does not change
     narrow = oracle6_d2
-    widths, sizes = [], []
-    fill = ftoracle.tables._fill_rows
-
-    def spy(*args):
-        fill(*args)
-        palettes, slots = args[-2:]
-        sizes.append(int(palettes[-1][1].max()))
-        widths.append(slots[-1][-1].itemsize)
-
+    blob = oracle_file_bytes(narrow)
+    pairs = list(itertools.combinations(range(g6.n), 2))
+    sizes = dict(zip(pairs, narrow.tables.pair_sizes.tolist()))
+    expect = {pair: narrow.tables.pair_classes(*pair) for pair in pairs}  # before the patch
+    assert sizes[1, 4] == 10 and narrow.tables.slots.dtype == np.uint8
     monkeypatch.setattr(ftoracle.tables, "UINT8_ENTRIES", 9)
-    monkeypatch.setattr(ftoracle.tables, "FILL_BYTES", 0)
-    monkeypatch.setattr(ftoracle.tables, "_fill_rows", spy)
     wide = build_oracle(g6, d=2, seed=1)
-    monkeypatch.undo()
-    assert widths[:5] == [1] * 4 + [2] and sizes[4] == 10
-    assert widths == [1 + (size > 9) for size in sizes]
-    blob = oracle_file_bytes(wide)
     loaded = load_oracle(io.BytesIO(blob))
-    assert oracle_file_bytes(loaded) == blob
-    assert _HEADER.unpack_from(blob)[2] == 2
-    assert narrow.tables.matrices.dtype == narrow.tables.slots.dtype == np.uint8
+    assert oracle_file_bytes(wide) == oracle_file_bytes(loaded) == blob
     for tables in (wide.tables, loaded.tables):
-        assert tables.matrices.dtype == tables.slots.dtype == np.uint16
-        assert np.array_equal(tables.matrices, narrow.tables.matrices)
-        assert np.array_equal(tables.classes, narrow.tables.classes)
+        for pair in pairs:
+            classes, matrix = tables.pair_classes(*pair)
+            assert matrix.dtype == (np.uint16 if sizes[pair] > 9 else np.uint8)
+            assert np.array_equal(classes, expect[pair][0])
+            assert np.array_equal(matrix, expect[pair][1])
+        assert tables.slots.dtype == np.uint16
         assert np.array_equal(tables.slots, narrow.tables.slots)
         assert logical_digest(tables) == logical_digest(narrow.tables)
     for u, v, failed in enumerate_instances(g6, 2):
         assert loaded.query_composite(u, v, failed) == narrow.query_composite(u, v, failed)
-    # at both widths load refuses a slot at or above its pair's palette size
-    for oracle in (narrow, wide):
-        width = oracle.tables.matrices.itemsize
-        blob = bytearray(oracle_file_bytes(oracle))
-        last = len(blob) - 32 - width  # the last matrix slot, of pair (5, 6)
-        size = int(oracle.tables.pair_sizes[-1])
-        for value in (size - 1, size, 256 ** width - 1):
-            blob[last:last + width] = value.to_bytes(width, "little")
-            if value < size:
-                load_oracle(io.BytesIO(_reseal(blob)))
-                continue
-            with pytest.raises(OracleFileError, match="slot out of range"):
-                load_oracle(io.BytesIO(_reseal(blob)))
 
 
 @pytest.mark.parametrize("m, id_width", [(256, 1), (257, 2)])
@@ -797,23 +777,22 @@ def _least_memory(check) -> int:
     return lo
 
 
-def test_load_gate_charges_the_headers_matrix_slots(oracle6_d2, monkeypatch):
-    # load is charged its file's S matrix slots, not the 4n^2 slots per
-    # pair and the encoding that the build charges: it loads at the least
-    # memory the gate admits for the file's matrix bytes, and one byte
-    # fewer refuses it
+def test_load_gate_charges_what_the_build_charges(oracle6_d2, monkeypatch):
+    # load is charged, as the build is, the class ids and slots its tables
+    # derive as they are read: at the least memory the gate admits for
+    # (n, m, d) g6 builds and its file loads, and one byte fewer refuses both
     blob = oracle_file_bytes(oracle6_d2)
-    graph, held = oracle6_d2.graph, oracle6_d2.tables.matrices.nbytes
-    gate = lambda *matrix_bytes: lambda: check_build_size(graph.n, graph.m, 2, *matrix_bytes)
-    least = _least_memory(gate(held))
-    assert least - _least_memory(gate(0)) == held
-    assert least < _least_memory(gate()) - graph.n * (graph.n - 1) // 2 * 4 * graph.n ** 2
+    graph = oracle6_d2.graph
+    least = _least_memory(lambda: check_build_size(graph.n, graph.m, 2))
+    assert least == _least_memory(lambda: load_oracle(io.BytesIO(blob)))
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": least, "SC_PAGE_SIZE": 1}.__getitem__)
-    assert np.array_equal(load_oracle(io.BytesIO(blob)).tables.matrices,
-                          oracle6_d2.tables.matrices)
+    assert oracle_file_bytes(build_oracle(graph, 2, seed=1)) == blob
+    assert oracle_file_bytes(load_oracle(io.BytesIO(blob))) == blob
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": least - 1, "SC_PAGE_SIZE": 1}.__getitem__)
     with pytest.raises(OracleFileError, match="cannot load: .* physical memory"):
         load_oracle(io.BytesIO(blob))
+    with pytest.raises(BuildError, match="physical memory"):
+        build_oracle(graph, 2, seed=1)
 
 
 def test_tied_file_is_refused_at_load(tmp_path):
@@ -842,7 +821,7 @@ def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
     if base:
         graph = Graph(n, [(int(a), int(b), int(w)) for a, b, w, _ in np.frombuffer(
             blob, _EDGE, m, _HEADER.size).tolist()])
-        pairs, width = n * (n - 1) // 2, blob[7]  # header byte 7: the code width
+        pairs, width = n * (n - 1) // 2, blob[6]  # header byte 6: the code width
         off = _HEADER.size + 24 * m
         sizes = np.frombuffer(blob, "<i8", pairs, off)
         last = off + 8 * pairs + width * (np.cumsum(sizes) - 1)  # each palette's last code

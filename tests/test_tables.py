@@ -369,33 +369,86 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_slot_classes_are_minimal_and_decode_to_the_values(name):
-    # each pair u < v's row and column classes come in order of first
-    # appearance, its matrix has no two equal rows and no two equal
+    # each pair u < v's derived row and column classes come in order of
+    # first appearance, its matrix has no two equal rows and no two equal
     # columns, and the matrix cell of a key's classes is its slot, in both
-    # rows of the pair; the built and the loaded tables agree
+    # rows of the pair; the built and the loaded tables derive the same
+    # class ids and matrices, byte for byte
     make, d, _ = PINNED[name]
     built = build_oracle(make(), d, seed=1)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
     for tables in (built.tables, loaded.tables):
         n, values, codes = tables.graph.n, tables.values, wide_codes(tables.codes)
         starts = (np.cumsum(tables.pair_sizes) - tables.pair_sizes).tolist()
-        at = 0
-        for (u, v), start, (rows, cols) in zip(combinations(range(n), 2), starts,
-                                               tables.classes.tolist()):
+        for (u, v), start in zip(combinations(range(n), 2), starts):
+            classes, matrix = tables.pair_classes(u, v)
+            rows, cols = classes.tolist()
             for ids in (rows, cols):
                 assert [x for k, x in enumerate(ids) if x not in ids[:k]] == \
                     list(range(max(ids) + 1))
-            ku, kv = max(rows) + 1, max(cols) + 1
-            matrix = tables.matrices[at:at + ku * kv].reshape(ku, kv).tolist()
-            at += ku * kv
-            assert len(set(map(tuple, matrix))) == ku
-            assert len(set(zip(*matrix))) == kv
+            assert matrix.shape == (max(rows) + 1, max(cols) + 1)
+            matrix = matrix.tolist()
+            assert len(set(map(tuple, matrix))) == len(matrix)
+            assert len(set(zip(*matrix))) == len(matrix[0])
             for up, b1, vp, b2 in product(range(n), (0, 1), range(n), (0, 1)):
                 code = codes[start + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
                 assert values[u, v, up, vp, b1, b2] == values[v, u, vp, up, b2, b1] == code
                 assert tables.read_block(u, v, (up,), (vp,), b1, b2)[0] == code
-        assert at == len(tables.matrices)
-    assert np.array_equal(loaded.tables.classes, built.tables.classes)
+    for u, v in combinations(range(built.graph.n), 2):
+        for mine, theirs in zip(loaded.tables.pair_classes(u, v), built.tables.pair_classes(u, v)):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def palettes_of(tables):
+    """Each pair u < v, row-major, and its palette's D*s in stored order."""
+    n = tables.graph.n
+    bounds = np.cumsum([0] + tables.set_sizes.tolist()).tolist()
+    ids, start = tables.ids.tolist(), 0
+    for (u, v), size in zip(combinations(range(n), 2), tables.pair_sizes.tolist()):
+        yield (u, v), [tuple(ids[bounds[p]:bounds[p + 1]]) for p in range(start, start + size)]
+        start += size
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_derived_slots_are_the_first_feasible_entries(name):
+    # every derived slot, built and loaded, is the index of the first entry
+    # of its pair's palette whose D* passes constraint_holds for the key
+    make, d, _ = PINNED[name]
+    built = build_oracle(make(), d, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
+    n = built.graph.n
+    for oracle in (built, loaded):
+        slots = oracle.tables.slots
+        for k, ((u, v), palette) in enumerate(palettes_of(oracle.tables)):
+            for up, vp, b1, b2 in product(range(n), range(n), (0, 1), (0, 1)):
+                first = next(i for i, d_star in enumerate(palette)
+                             if constraint_holds(oracle.index, d_star, (u, v, up, vp, b1, b2)))
+                assert slots[k, up, vp, b1, b2] == first
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 10), extra=st.integers(0, 12), d=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+def test_derived_slots_match_constraint_holds(n, extra, d, seed):
+    # the same on a sample of graphs, n <= 10 and d = 1-3, built and loaded,
+    # key by key.  A key's constraint is that of its two sides, each of them
+    # the constraint of a key whose other anchor is its root, bit 0: so
+    # each entry is tested at 4n keys per pair, not at all 4n^2
+    graph = gen_gnm(n, min(n * (n - 1) // 2, n - 1 + extra), 9, seed)
+    built = build_oracle(graph, d, seed=1)
+    loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
+    for oracle in (built, loaded):
+        slots = oracle.tables.slots
+        for k, ((u, v), palette) in enumerate(palettes_of(oracle.tables)):
+            sides = [[[constraint_holds(oracle.index, d_star, key) for d_star in palette]
+                      for key in keys]
+                     for keys in ([(u, v, x, v, b, 0) for x in range(n) for b in (0, 1)],
+                                  [(u, v, u, x, 0, b) for x in range(n) for b in (0, 1)])]
+            for (up, b1), (vp, b2) in product(product(range(n), (0, 1)), repeat=2):
+                a, b = sides[0][2 * up + b1], sides[1][2 * vp + b2]
+                first = next(i for i in range(len(palette)) if a[i] and b[i])
+                assert constraint_holds(oracle.index, palette[first], (u, v, up, vp, b1, b2))
+                assert slots[k, up, vp, b1, b2] == first
 
 
 def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
@@ -409,31 +462,29 @@ def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
 @pytest.mark.parametrize("dtype, size", [(np.uint8, 20), (np.uint8, 32), (np.uint8, 14),
                                          (np.uint16, 10)])
 def test_encode_numbers_lines_by_first_appearance(dtype, size):
-    # square slot matrices whose rows and columns repeat within and across
-    # matrices
+    # square slot matrices whose rows and columns repeat; each matrix's
+    # rows and, transposed, its columns are classed by _distinct, and the
+    # class matrix keeps each class's first row and column
     rng = np.random.default_rng(size)
-    high = np.iinfo(dtype).max  # words whose top bits are set
+    high = np.iinfo(dtype).max  # slots whose top bits are set
     base = rng.choice(np.array([0, 1, high], dtype=dtype), (6, 3, 3))
     r, c = rng.integers(0, 3, (2, 6, size))
     mats = base[np.arange(6)[:, None, None], r[:, :, None], c[:, None, :]]
-    mats[3] = mats[1]  # equal matrices, whose lines keep their own classes
     mats[0, 0, :8] = high  # two rows that differ only in their first slot
     mats[0, 1] = mats[0, 0]
     mats[0, 1, 0] = 0
-    pending = [(np.arange(3), mats[:3].copy()), (np.arange(3, 6), mats[3:].copy())]
-    pair, classes, sizes, matrices = tables_module._encode(pending)
-    assert pending == [] and pair.tolist() == list(range(6))
-    assert classes.dtype == np.uint8 and matrices.dtype == dtype
-    at = 0
-    for k, mat in enumerate(mats.tolist()):
-        rows, first_rows = _first_appearance(mat)
-        cols, first_cols = _first_appearance([list(col) for col in zip(*mat)])
-        assert classes[k].tolist() == [rows, cols]
-        expect = [[x for x, f in zip(row, first_cols) if f] for row, f in zip(mat, first_rows) if f]
-        assert sizes[k] == len(expect) * len(expect[0])
-        assert matrices[at:at + sizes[k]].tolist() == sum(expect, [])
-        at += sizes[k]
-    assert at == len(matrices)
+    for mat in mats:
+        rows, first_rows = tables_module._distinct(mat)
+        cols, first_cols = tables_module._distinct(mat.T)
+        assert rows.dtype == cols.dtype == np.uint8
+        expect_rows, expect_first_rows = _first_appearance(mat.tolist())
+        expect_cols, expect_first_cols = _first_appearance(mat.T.tolist())
+        assert [rows.tolist(), cols.tolist()] == [expect_rows, expect_cols]
+        assert [first_rows, first_cols] == [[k for k, f in enumerate(expect_first_rows) if f],
+                                            [k for k, f in enumerate(expect_first_cols) if f]]
+        assert mat[first_rows][:, first_cols].tolist() == \
+            [[x for x, f in zip(row, expect_first_cols) if f]
+             for row, f in zip(mat.tolist(), expect_first_rows) if f]
 
 
 def test_encode_numbers_256_distinct_lines():
@@ -442,10 +493,12 @@ def test_encode_numbers_256_distinct_lines():
     # reaches modulo 256
     line = np.arange(256)
     mats = np.stack([(line[:, None] + line) % 256, (line[:, None] % 128 + line) % 256])
-    _, classes, sizes, _ = tables_module._encode([(np.arange(2), mats.astype(np.uint8))])
-    assert classes[0].tolist() == [list(range(256))] * 2
-    assert classes[1].tolist() == [list(range(128)) * 2, list(range(256))]
-    assert sizes.tolist() == [256 * 256, 128 * 256]
+    mats = mats.astype(np.uint8)
+    assert [tables_module._distinct(m)[0].tolist() for m in (mats[0], mats[0].T)] == \
+        [list(range(256))] * 2
+    rows, first = tables_module._distinct(mats[1])
+    assert rows.tolist() == list(range(128)) * 2 and first == list(range(128))
+    assert tables_module._distinct(mats[1].T)[0].tolist() == list(range(256))
 
 
 def test_progress_reports_each_root(idx6):
@@ -465,13 +518,13 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     # call, as in its default batches.  Those hold, as expect says: rows of
     # several roots and widths in one batch; a row too wide to share one;
     # a palette that outgrows uint8 (UINT8_ENTRIES patched) in a batch of
-    # several rows, whose matrices go as uint16
+    # several rows, whose pair derives its matrix as uint16
     calls = []
     fill = tables_module._fill_rows
 
     def spy(i, us, vs, start, size, *rest):
         fill(i, us, vs, start, size, *rest)
-        calls.append((us.tolist(), size.tolist(), rest[-1][-1][-1].itemsize))
+        calls.append((us.tolist(), size.tolist(), int(rest[-1][-1][1].max())))
 
     graph, budget = gen_gnm(n, m, 32, 0), tables_module.FILL_BYTES
     monkeypatch.setattr(tables_module, "UINT8_ENTRIES", limit)
@@ -488,10 +541,10 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     mixed = any(len(set(us)) > 1 and len(set(size)) > 1 for us, size, _ in batches)
     wide = any(len(us) == 1 and 2 * _fill_bytes(n, size[0]) > budget
                for us, size, _ in batches)
-    widened = any(len(us) > 1 and width == 2 for us, _, width in batches)
+    widened = any(len(us) > 1 and most > limit for us, _, most in batches)
     assert (mixed, wide, widened) == expect
     for tables in (built.tables, alone.tables):
-        assert tables.matrices.itemsize == (2 if limit < 256 else 1)
+        assert tables.slots.itemsize == (2 if limit < 256 else 1)
 
 
 @pytest.mark.parametrize("n, m, d, kept, damaging", [
@@ -514,7 +567,7 @@ def test_rows_leave_out_sets_at_their_prefix_code(monkeypatch, n, m, d, kept, da
 
     def spy_fill(i, us, vs, start, size, codes, sets, *rest):
         fill(i, us, vs, start, size, codes, sets, *rest)
-        _, sizes, _, won = rest[-2][-1]
+        _, sizes, _, won = rest[-1][-1]
         for a, b, lo, hi in zip(start, start + size, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
             palettes.append(set(won[lo:hi].tolist()) <= set(sets[a:b].tolist()))
 
