@@ -18,10 +18,10 @@ from .oraclefile import OracleFileError, load_oracle, save_oracle
 from .query import QueryError, build_oracle
 from .reference import GuardError, verify_instance
 from .spindex import TieBreakError
-from .tables import BuildError
+from .tables import BuildError, PaletteError
 from .version import __version__
 
-USAGE_ERRORS = (GraphError, QueryError, OracleFileError, BuildError,
+USAGE_ERRORS = (GraphError, QueryError, OracleFileError, PaletteError, BuildError,
                 TieBreakError, OSError)
 
 

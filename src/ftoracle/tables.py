@@ -48,31 +48,36 @@ at most n // 2 columns.
 
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
-row keeps a palette of its winners as (code, D*), in candidate order; the
-build gathers palettes per group of roots.  Row (v, u) shares row (u, v)'s
-palette, stored once per pair u < v; every table section numbers these
-pairs row-major.  The palettes are all the tables store.  A key's winner
-is the first entry of its pair's palette whose D* meets the key's
-constraint, as an entry ranked before it that met it would have won the
-key.  So a pair's slots, each key's index into its palette, are derived
-on the pair's first read (OracleTables._derive), for built and loaded
-tables alike: each entry's side masks at u and at v, read off the roots'
-masks (_root_masks, made once per root from the index's _below, _sub and
-_ends), are packed into bitsets along the palette, equal bitsets of a
-side are merged, and each pair of distinct bitsets takes the first set
-bit of their AND.  A pair's slots form a 2n x 2n matrix, rows (u', b1)
-and columns (v', b2), with few distinct rows and columns.  So a pair
-keeps a class id per row and per column, equal rows (columns) sharing a
-class, numbered in order of first appearance (_distinct), and a ku x kv
-matrix of slots, one per row class and column class; ku and kv are at
-most 2n, so the ids are uint8.  The slots are uint8 while the palette has
-at most 256 entries, else uint16: a row has 4n^2 keys, so at most 4n^2
-entries, and its slots fit in uint16 for n <= 128.  A read of row (v, u)
-takes the pair's column classes for u' and row classes for v', with the
-matrix strides swapped.  Every key of a diagonal row holds the empty set
-at distance 0, so no part of one is built or stored; lookup answers its
-keys with code 0, and the query engine, whose every read pair is
-damaged, never reads one.
+row keeps a palette of its winners as (code, D*), in candidate order;
+the build gathers palettes per group of roots.  Row (v, u) shares row
+(u, v)'s palette, stored once per pair u < v, pairs row-major.  A D* is
+a row of w = max(1, min(d, m)) ascending edge ids padded with the clean
+edge m (_failure_set_ids); the empty set, all padding, has the lowest
+code and so ends its pair's palette.  The palettes are all the tables
+store.  A key's winner is the first entry of its pair's palette whose D*
+meets the key's constraint, as an entry ranked before it that met it
+would have won the key.  So a pair's slots, each key's index into its
+palette, are derived on the pair's first read (OracleTables._derive),
+for built and loaded tables alike: each entry's side masks at u and at
+v, read off the roots' masks (_root_masks, made once per root from the
+index's _below, _sub and _ends), are packed into bitsets along the
+palette, equal bitsets of a side are merged, and each pair of distinct
+bitsets takes the first set bit of their AND.  There each nonempty D*
+must hit the tree path u->v and each entry be the slot of some key, as
+in every palette a build stores.  A pair's slots form a 2n x 2n matrix,
+rows (u', b1) and columns (v', b2), with few distinct rows and columns.
+So a pair keeps a class id per row and per column, equal rows (columns)
+sharing a class, numbered in order of first appearance (_distinct), and
+a ku x kv matrix of slots, one per row class and column class; rows
+(u, 1), (v, 0) and (v, 1) admit only the empty set, and so do the like
+columns, so ku and kv are at most 2n - 2 and the ids are uint8.  The
+slots are uint8 while the palette has at most 256 entries, else uint16:
+a row has 4n^2 keys, so at most 4n^2 entries, and its slots fit in
+uint16 for n <= 128.  A read of row (v, u) takes the pair's column
+classes for u' and row classes for v', with the matrix strides swapped.
+Every key of a diagonal row holds the empty set at distance 0, so no
+part of one is built or stored; lookup answers its keys with code 0, and
+the query engine, whose every read pair is damaged, never reads one.
 """
 from __future__ import annotations
 
@@ -134,14 +139,13 @@ def _failure_set_ids(m: int, d: int) -> np.ndarray:
     return ids[np.lexsort(np.where(ids == m, -1, ids).T[::-1])]
 
 
-def palette_dtypes(m: int) -> tuple[np.dtype, np.dtype]:
-    """The (edge id, set size) dtypes of the palettes, in memory and on file.
+def palette_id_dtype(m: int) -> np.dtype:
+    """The dtype of the palettes' edge ids, in memory and on file.
 
-    Edge ids are below m, so one byte holds them while m <= 256, else two
-    (n <= 128 keeps m < 2^13).  A set holds at most min(d, m) edges, which
-    one byte holds: m >= 256 forces d <= 4 under the int32 set gate.
+    Ids are below m and the pad is m itself, so one byte holds them while
+    m < 256, else two (n <= 128 keeps m < 2^13).
     """
-    return np.dtype("<u1" if m <= 256 else "<u2"), np.dtype("<u1")
+    return np.dtype("<u1" if m < 256 else "<u2")
 
 
 def narrow_codes(codes: np.ndarray) -> np.ndarray:
@@ -166,10 +170,10 @@ def check_build_size(n: int, m: int, d: int) -> None:
     u < v its 4n uint8 class ids and at most 4n^2 matrix slots, uint8, or
     uint16 where a palette may outgrow uint8, and per root its side masks,
     two bits per edge and vertex (OracleTables._derive).  Each palette
-    entry is charged an int64 code, set size and edge ids plus their
-    read-path lists, at the bound of min(4n^2, sets) per pair u < v; codes
-    may take four bytes and set sizes and edge ids one or two, so that part
-    over-estimates until palettes are charged by their count.  Each subset
+    entry is charged an int64 code, its row of max(1, min(d, m)) edge ids
+    at their width (palette_id_dtype) and its read-path lists, at the bound
+    of min(4n^2, sets) per pair u < v; codes may take four bytes, so that
+    part over-estimates until palettes are charged by their count.  Each subset
     is charged a tuple and list slot, which covers the sort key and int64
     order that _failure_set_ids sorts it by, and costs a row of int32 edge
     ids, its own and its immediate subsets' indices (_levels) and, while
@@ -205,7 +209,8 @@ def check_build_size(n: int, m: int, d: int) -> None:
     entries = pairs * min(4 * n * n, sets)
     slot = 1 if min(4 * n * n, sets) <= UINT8_ENTRIES else 2
     derived = pairs * (4 * n + 4 * n * n * slot) + n * (m + 1) * 2 * ((n + 7) // 8)
-    need = (derived + entries * (160 + 24 * width) + sets * (per_set + roots * per_root)
+    row = max(1, width) * palette_id_dtype(m).itemsize
+    need = (derived + entries * (152 + 16 * width + row) + sets * (per_set + roots * per_root)
             + CHUNK * (36 * m + 18 * n + 2 + 33 * cols + 16 * roots * cols)
             + max(FILL_BYTES, _fill_bytes(n, sets)))
     if need > phys:
@@ -228,11 +233,15 @@ def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],
                 or b1 and index._sub[u][up] & ends or b2 and index._sub[v][vp] & ends)
 
 
+class PaletteError(ValueError):
+    """A palette that no build stores, found on its pair's first read."""
+
+
 class OracleTables:
     """Palette tables over all 4*n^4 keys, plus build metadata."""
 
     def __init__(self, index: ShortestPathIndex, d: int, tie_seed: int, pair_sizes: np.ndarray,
-                 codes: np.ndarray, set_sizes: np.ndarray, ids: np.ndarray):
+                 codes: np.ndarray, ids: np.ndarray):
         n = index.graph.n
         self.index = index
         self.graph = index.graph
@@ -241,9 +250,8 @@ class OracleTables:
         self.codec = index.codec
         self.pair_sizes = pair_sizes  # int64, palette size per pair u < v, row-major
         self.codes = codes            # uint32 or int64 (narrow_codes), per entry, pair by pair
-        self.set_sizes = set_sizes    # uint8, |D*| per palette entry
-        self.ids = ids                # uint8 or uint16 (palette_dtypes), every D*'s
-                                      # ascending edge ids, entry by entry
+        self.ids = ids                # uint8 or uint16 (palette_id_dtype), per entry
+                                      # a row of its D*'s ascending edge ids, padded with m
         # per ordered pair u != v, from its first read (_derive): its palette
         # start, its 4n class ids, where the ids of u' and of v' start in them
         # and the strides of their classes, and its class matrix's slots; a
@@ -253,7 +261,6 @@ class OracleTables:
         self._rows: list[list[tuple | None]] = [[None] * n for _ in range(n)]
         self._masks: list[np.ndarray | None] = [None] * n
         self._starts = np.cumsum(pair_sizes) - pair_sizes
-        self._bounds = np.concatenate(([0], np.cumsum(set_sizes, dtype=np.int64)))
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = index.codec.unreachable_code
         self._sentinel = NARROW_UNREACHABLE if codes.dtype == np.uint32 else self._unreachable
@@ -268,12 +275,8 @@ class OracleTables:
     values = cached_property(lambda self: self._dense(wide_codes(self.codes)))
     subsets = cached_property(lambda self: enumerate_failure_sets(self.graph.m, self.d))
 
-    @cached_property
-    def dstar_idx(self) -> np.ndarray:
-        where = {s: i for i, s in enumerate(self.subsets)}
-        bounds = self._bounds
-        return self._dense(np.array([where[tuple(self.ids[a:b].tolist())] for a, b in
-                                     zip(bounds, bounds[1:])], dtype=np.int32))
+    dstar_idx = cached_property(lambda self: self._dense(
+        _set_index(self.ids.astype(np.int64), self.graph.m).astype(np.int32)))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -340,23 +343,20 @@ class OracleTables:
     def _entry(self, p: int) -> tuple[int, tuple[int, ...]]:
         entry = self._entries[p]
         if entry is None:
-            d_star = tuple(self.ids[self._bounds[p]:self._bounds[p + 1]].tolist())
+            m = self.graph.m
+            d_star = tuple(e for e in self.ids[p].tolist() if e < m)
             code = self.codes.item(p)
             entry = self._entries[p] = (self._unreachable if code == self._sentinel else code, d_star)
         return entry
 
     def _derive(self, u: int, v: int) -> tuple:
-        """Derive pair (u, v)'s slots, both rows, from its palette; returns
-        row (u, v)'s read state (see the module docstring)."""
-        n, m = self.graph.n, self.graph.m
+        """Derive pair (u, v)'s slots, both rows, from its palette, or raise
+        PaletteError; returns row (u, v)'s read state (see the module docstring)."""
+        n = self.graph.n
         lo, hi = min(u, v), max(u, v)
         pair = lo * (2 * n - 3 - lo) // 2 + hi - 1
         start, size = self._starts.item(pair), self.pair_sizes.item(pair)
-        sizes = self.set_sizes[start:start + size]
-        # the entries' edge ids, short sets padded with the clean edge m
-        sets = np.full((size, max(1, int(sizes.max()))), m, dtype=np.intp)
-        sets[np.arange(sets.shape[1]) < sizes[:, None]] = \
-            self.ids[self._bounds[start]:self._bounds[start + size]]
+        sets = self.ids[start:start + size]  # padded with the clean edge m
         sides = []  # per root, rows (x, b) at 2x + b: the distinct bitsets, each row's id
         for r in (lo, hi):
             masks = self._masks[r]
@@ -366,6 +366,8 @@ class OracleTables:
             for j in range(1, sets.shape[1]):
                 bad |= masks[sets[:, j]]
             bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(2, 1, 0)
+            if r == lo and not bits[hi, 0, :-1].all():  # all but the last, the empty set
+                raise PaletteError(f"pair ({lo}, {hi}): a palette set misses the base path")
             bits = np.packbits(bits.reshape(2 * n, size) ^ 1, axis=-1)  # feasible, entry 0 on top
             ids, first = _distinct(bits)
             sides.append((bits[first], ids))
@@ -375,6 +377,8 @@ class OracleTables:
         first = np.not_equal(both, 0).argmax(axis=-1)
         byte = both.ravel()[first + np.arange(0, both.size, both.shape[-1]).reshape(first.shape)]
         slots = (8 * first + _LEAD[byte]).astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
+        if not np.bincount(slots.ravel(), minlength=size).all():
+            raise PaletteError(f"pair ({lo}, {hi}): a palette entry wins no key")
         rows, keep_rows = _distinct(slots)
         cols, keep_cols = _distinct(slots.T)
         matrix = slots[keep_rows][:, keep_cols]
@@ -762,8 +766,5 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
     del bad, cols, levels
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair
-    code, winners = narrow_codes(code)[order], ids[cand[order]]
-    real = winners < graph.m
-    id_type, size_type = palette_dtypes(graph.m)
-    return OracleTables(index, d, tie_seed, size[np.argsort(pair)], code,
-                        real.sum(axis=1, dtype=size_type), winners[real].astype(id_type))
+    return OracleTables(index, d, tie_seed, size[np.argsort(pair)], narrow_codes(code)[order],
+                        ids[cand[order]].astype(palette_id_dtype(graph.m)))

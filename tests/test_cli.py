@@ -227,14 +227,22 @@ def test_verify_failure_exits_one(g1_path, capsys, monkeypatch):
 
 def test_verify_guard_error_exits_one(tmp_path, capsys, monkeypatch):
     # verify runs on a loaded oracle whose root 0 derives a wrong tree: the
-    # guard's GuardError becomes one error line and exit 1, no traceback
+    # guard's GuardError becomes one error line and exit 1, no traceback.
+    # Its tables derive their slots on an intact load's index, as a pair's
+    # first read would refuse a palette that misses the swapped tree path
     graph_path = tmp_path / "g.graph"
     graph_path.write_text(gen_gnm(8, 12, 32, 0).to_text())
     saved = str(tmp_path / "g.oracle")
     assert cli.main(["build", "-g", str(graph_path), "-d", "2", "-o", saved]) == 0
     capsys.readouterr()
+    intact = load_oracle(saved).index
     swap_parents(monkeypatch, 0)
-    monkeypatch.setattr(cli, "build_oracle", lambda graph, d, seed: load_oracle(saved, graph))
+
+    def swapped(graph, d, seed):
+        oracle = load_oracle(saved, graph)
+        oracle.tables.index = intact
+        return oracle
+    monkeypatch.setattr(cli, "build_oracle", swapped)
     assert cli.main(["verify", "-g", str(graph_path), "-d", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -30,43 +30,43 @@ def _path5():
 # name -> (graph factory, d, sha256 of oracle_file_bytes(build_oracle(g, d, seed=1)))
 PINNED = {
     "n1-d1": (lambda: Graph(1, []), 1,
-              "666f1afefec950eec84e05de35bd590c26e1740114af175abc2bdf06631e8ef9"),
+              "3227d6e09d531ff5638f1292684e3f13b9c11eb806c2ae5d207111ee5d6024b0"),
     "n1-d2": (lambda: Graph(1, []), 2,
-              "a9940bf223424971e909f4edfeb97456f6b9cf2fee6b0b1f41b6f0c3f3c6e639"),
+              "264e9303cff4adb13398c40a93aa27b176d5c6d3e8d83e1b6bb6eb49108e2310"),
     "n1-d3": (lambda: Graph(1, []), 3,
-              "6e937eb75acf193a5e734754fd07ab3846f54ee52931dd8575697a01c230a107"),
+              "3b084390b30585b6bedd65f716189d0f4985728e10f8a0bd206ae7d388e3dc0e"),
     "edge-d1": (lambda: Graph(2, [(0, 1, 7)]), 1,
-                "f455ca66c11039060fcfb035436f3d9f6436e17be2394acd324f2a938e1ea14a"),
+                "71af76ff0457e5005a88cb6630a48ce78d7ef417c4e5f2dcfd61ab53960925da"),
     "edge-d3": (lambda: Graph(2, [(0, 1, 7)]), 3,
-                "2ea39b38a1c71cea5a451b2907be8bfca05058df381c1dc0fe0e6df8b89d3e9d"),
+                "f89f4cd0a1f43fb403717f04672ffc152aa6ed4168a3dd639c6ce133cd1cd0e4"),
     "path5-d2": (_path5, 2,
-                 "7ce0de499df8749a746ee12ceba540440ead9c937bc096bb9c7e8cf1f8c19917"),
+                 "703bd386b168cf9430a2a2c5c5f2febfbd18f07e24cf00734f81ac8e9b4c9873"),
     "k5-d1": (_k5, 1,
-              "8465a94e4cae97ef176c0c8f74afaf77c9b23be8f5d53488a86a6c21acecf05f"),
+              "3cc05557479c2eeeb8f25bf1a491305e1e1a0cc0a05662de33a2ae57790880c8"),
     "k5-d2": (_k5, 2,
-              "d0246a31dda769f5116cc9c04040a96866911803d9e7577891a6e66db0d6e7e9"),
+              "e8c77842e9d9f72f7d6a51846fa7beb002cbc5dd4c377302659679e5f7fe52fa"),
     "k5-d3": (_k5, 3,
-              "5ac8417968d2e8e4935c569e243aae95a51ecf62dad0807788ff512acb1984d9"),
+              "cdc33a88232feffd3bfea3af02e28151f59264853d77241d81f854a3c12b544e"),
     "tree7-s0-d1": (lambda: gen_gnm(7, 6, 1, 0), 1,
-                    "25ff25c59168b05bc4d4f32014c0084e5c42083875326bc7bc7793a0f2777b17"),
+                    "c71acb7c4a08286b51abb95cf5a807e87ea2cbdf83ab7231b58d081f5af0b987"),
     "tree7-s0-d2": (lambda: gen_gnm(7, 6, 1, 0), 2,
-                    "ca2a35d9dbb56bf2b7db6fddf328e3cfb541a14bb1280f97c8041f70916b4b3f"),
+                    "69bf3fbcf71269ab8d37ba0ef1910e5b0108615234cb6c08b399b6e9030ce8d1"),
     "tree7-s1-d1": (lambda: gen_gnm(7, 6, 1, 1), 1,
-                    "08099ca13824fc339990d698e7872d423a8a359727aaed5157389458a07f70f1"),
+                    "50f45072cbb19f9d10c05bd60939443da5885ccd6c412321fcfa1289d2e70d93"),
     "tree7-s1-d2": (lambda: gen_gnm(7, 6, 1, 1), 2,
-                    "156e4e2691a88df846baf87f1e4c58afd5f4a883d08c6dc4576dddce153a1c59"),
+                    "6e7368c8c54bc78ad0b5469a1a60f0d7033f3a02f30ce3a207318fb3f038c9a7"),
     "tree7-s2-d1": (lambda: gen_gnm(7, 6, 1, 2), 1,
-                    "7ebef948e4df4a5009af2cc49856dec2bb77024635e46f345a9ef1ae53d1dcca"),
+                    "638cc94c01235490187e8005d62c9ccd0cf88234a1fad497f4e6550636de89bb"),
     "tree7-s2-d2": (lambda: gen_gnm(7, 6, 1, 2), 2,
-                    "bf26c6bb69c402d5694d11c77e3b70b820e059b0719c9561d24855ac231c5d28"),
+                    "b91e9ff1e1b60d405e5cf19c4a01a5050e9faf810a71d22ea4b631c1e12e5a82"),
     "gnm8x12-s0-d2": (lambda: gen_gnm(8, 12, 32, 0), 2,
-                      "6af5fb61dc6fd8b6a920780f9fac6712cb18796cdf127525415dc77f98c70549"),
+                      "a39df1952e06c3a673e97aa529c1544e1fddcdd40495987eb814c8b08cfdfe6b"),
     "gnm8x12-s1-d2": (lambda: gen_gnm(8, 12, 32, 1), 2,
-                      "d1b7106fc7691db5781fa4149170dd350e5979ddefe8bb812c58038eb93609d2"),
+                      "74f453770148069b4f30fa148a9215124acaf84a511303d7449394ad8784a1c3"),
     "gnm8x12-s2-d2": (lambda: gen_gnm(8, 12, 32, 2), 2,
-                      "385d1ae4b9922c9af5fce64a22c0fc9c83c9cce9194552c498be4c8f299ef5ab"),
+                      "b0931c69cb2cbd65ae27a00670a0146e47d96e2f025dc6dbf11905194dca6901"),
     "gnm8x14-s0-d3": (lambda: gen_gnm(8, 14, 32, 0), 3,
-                      "9d9b04bdc0575dc7ee8220394552928add4fb8a9fec0a18c29e48c4286828f93"),
+                      "0112fa9725c8b3bdf87d6171a76c5ace482577626474059cb65c356cbe6ee640"),
 }
 
 

@@ -22,7 +22,7 @@ from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
 from ftoracle.reference import ReferenceOracle, enumerate_instances
 from ftoracle.spindex import BuildError, LengthCodec, ShortestPathIndex
-from ftoracle.tables import (NARROW_UNREACHABLE, OracleTables, check_build_size,
+from ftoracle.tables import (NARROW_UNREACHABLE, OracleTables, PaletteError, check_build_size,
                              constraint_holds, enumerate_failure_sets, narrow_codes)
 
 from conftest import PER_ROOT, base_length, derived_roots, reference_codes, underive
@@ -231,7 +231,7 @@ def test_loaded_tables_bitwise_equal(oracle1_d2):
     assert loaded.tables.values.dtype == oracle1_d2.tables.values.dtype
     assert loaded.tables.dstar_idx.dtype == oracle1_d2.tables.dstar_idx.dtype
     assert loaded.tables.subsets == oracle1_d2.tables.subsets
-    for name in ("slots", "pair_sizes", "codes", "set_sizes", "ids"):
+    for name in ("slots", "pair_sizes", "codes", "ids"):
         mine, theirs = getattr(loaded.tables, name), getattr(oracle1_d2.tables, name)
         assert np.array_equal(mine, theirs)
         assert mine.dtype == theirs.dtype
@@ -250,18 +250,43 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
 
 def test_file_size_is_fixed_width(oracle1_d2):
     g, tables = oracle1_d2.graph, oracle1_d2.tables
-    n, m = g.n, g.m
-    entries, ids = len(tables.codes), len(tables.ids)
+    entries = len(tables.codes)
     blob = oracle_file_bytes(oracle1_d2)
-    # the header names the palette totals, and they fix every section's size
-    assert _HEADER.size == 88 and _HEADER.unpack_from(blob)[-2:] == (entries, ids)
-    # header, edges with tie values, per pair u < v a palette size i64,
-    # palette codes u4, edge ids u8 (m <= 256), set sizes u8, sha256; no
-    # index, no slots, no mirrored and no diagonal rows
+    # the header names the palette entries, and with m and d they fix every
+    # section's size
+    assert _HEADER.size == 80 and _HEADER.unpack_from(blob)[-1] == entries
+    # header, edges with tie values, palette codes u4, per entry a row of
+    # min(d, m) = 2 edge ids u8 (m < 256), sha256; no index, no slots, no
+    # sizes, no mirrored and no diagonal rows
     assert _HEADER.unpack_from(blob)[2] == tables.codes.itemsize
-    assert tables.ids.itemsize == tables.set_sizes.itemsize == 1
+    assert tables.ids.shape == (entries, 2) and tables.ids.itemsize == 1
     assert tables.codes.dtype == np.uint32
-    assert len(blob) == _HEADER.size + m * 24 + n * (n - 1) // 2 * 8 + entries * 5 + ids + 32
+    assert len(blob) == _HEADER.size + g.m * 24 + entries * (4 + 2) + 32
+
+
+# builds past the pinned ones: d = 4, and edge ids of either width
+EXTRA = {"gnm8x14-s5-d4": (lambda: gen_gnm(8, 14, 32, 5), 4),
+         "gnm24x255-s0-d1": (lambda: gen_gnm(24, 255, 32, 0), 1),
+         "gnm24x256-s0-d1": (lambda: gen_gnm(24, 256, 32, 0), 1)}
+
+
+def _layout_length(blob: bytes) -> int:
+    """80 + 24m + C*P + w*(id bytes)*P + 32, from the header's C, n, m, d
+    and P: w = max(1, min(d, m)) ids per row, one byte each while m < 256."""
+    _, _, width, _, m, d, _, _, entries = _HEADER.unpack_from(blob)
+    ids = 1 if m < 256 else 2
+    return 80 + 24 * m + width * entries + max(1, min(d, m)) * ids * entries + 32
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(EXTRA))
+def test_file_length_is_the_sum_of_its_sections(name):
+    make, d = PINNED[name][:2] if name in PINNED else EXTRA[name]
+    oracle = build_oracle(make(), d, seed=1)
+    blob = oracle_file_bytes(oracle)
+    m, tables = oracle.graph.m, oracle.tables
+    assert len(blob) == _layout_length(blob)
+    assert tables.ids.shape == (len(tables.codes), max(1, min(d, m)))
+    assert tables.ids.itemsize == (1 if m < 256 else 2)
 
 
 @pytest.fixture(scope="module")
@@ -318,13 +343,13 @@ def test_uint32_codes_decode_as_the_int64_build(make, d, monkeypatch):
 
 @pytest.mark.parametrize("oracle", ["oracle6_d2", "wide_oracle"])
 def test_load_reads_palettes_in_place(request, oracle):
-    # the codes, edge ids and set sizes are aligned views into the file's
-    # bytes, at either code width: the codes add no copy to load
+    # the codes and the rows of edge ids are aligned views into the file's
+    # bytes, at either code width: they add no copy to load
     blob = oracle_file_bytes(request.getfixturevalue(oracle))
     loaded = load_oracle(io.BytesIO(blob)).tables
     held = np.frombuffer(loaded.codes.base, np.uint8)
     assert held.tobytes() == blob
-    for name in ("codes", "ids", "set_sizes"):
+    for name in ("codes", "ids"):
         view = getattr(loaded, name)
         assert np.shares_memory(view, held), name
         assert view.flags.aligned and not view.flags.owndata, name
@@ -382,16 +407,17 @@ def test_rejects_unknown_version(oracle1_d1):
         load_oracle(io.BytesIO(bytes(blob)))
 
 
-@pytest.mark.parametrize("version", [4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [4, 5, 6, 7, 8, 9, 10])
 def test_rejects_older_versions(oracle1_d1, version):
     # version 4 stored a uint16 slot row for every ordered pair, version 5
     # int64 set sizes and edge ids, version 6 4n^2 slots per pair u < v,
     # version 7 int64 palette codes and a u16 slot width, version 8 a
-    # palette per pair u <= v, version 9 each pair's class ids and slots
+    # palette per pair u <= v, version 9 each pair's class ids and slots,
+    # version 10 each palette's size and each set's size
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     blob[4:6] = version.to_bytes(2, "little")
     with pytest.raises(OracleFileError,
-                       match=rf"unsupported oracle file version {version} \(expected 10\)"):
+                       match=rf"unsupported oracle file version {version} \(expected 11\)"):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
@@ -432,59 +458,45 @@ def _sections(tables) -> dict:
     file.
 
     The table values are the palette codes, four or eight bytes each (the
-    header's code width, the tables' itemsize), and each D* is its edge ids,
-    one byte each while m <= 256; so is each set size.  The sections start
-    with pair (0, 1), the first one stored.
+    header's code width, the tables' itemsize).  The D*s are rows of w edge
+    ids, one byte each while m < 256, read as one run: row p's slot j is
+    item p * w + j.  Both sections start with pair (0, 1), the first stored.
     """
-    n, m = tables.graph.n, tables.graph.m
-    off = _HEADER.size + m * 24
-    sections = {}
-    for name, count, width in (("pair_sizes", n * (n - 1) // 2, 8),
-                               ("values", len(tables.codes), tables.codes.itemsize),
-                               ("dstar", len(tables.ids), tables.ids.itemsize),
-                               ("set_sizes", 0, 1)):
-        sections[name] = off, width
-        off += count * width
-    return sections
+    off = _HEADER.size + tables.graph.m * 24
+    return {"values": (off, tables.codes.itemsize),
+            "dstar": (off + tables.codes.nbytes, tables.ids.itemsize)}
 
 
-_REJECTED = {"values": "code out of range", "dstar": "edge id out of range",
-             "pair_sizes": "sizes out of range", "set_sizes": "set size out of range"}
-
-
-@pytest.mark.parametrize("section, value", [
-    ("values", -1), ("values", (1 << 62) + 1), ("dstar", -1), ("dstar", 4), ("dstar", 5),
-    ("pair_sizes", 0), ("set_sizes", 1)])
-def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value):
+@pytest.mark.parametrize("section, value, message", [
+    pytest.param("values", -1, "code out of range", id="values--1"),
+    pytest.param("values", (1 << 62) + 1, "code out of range", id="values-4611686018427387905"),
+    pytest.param("dstar", -1, "edge id out of range", id="dstar--1"),
+    pytest.param("dstar", 4, "empty set before its end", id="dstar-4"),
+    pytest.param("dstar", 5, "edge id out of range", id="dstar-5")])
+def test_rejects_out_of_range_entries(oracle1_d1, wide_oracle, section, value, message):
     # g1 has n=4, m=4 and, at d=1, five failure sets; each case edits the
-    # first item of its section, of pair (0, 1).  A set size's value counts
-    # from the first entry's, as any change breaks the sizes' sum.  dstar-1
-    # writes the byte
-    # 0xFF, as the edge ids are one byte each.  Every 4-byte code is in
-    # range, so the codes go out of range in a file of 8-byte codes
+    # first item of its section, of pair (0, 1).  dstar-1 writes the byte
+    # 0xFF, as the edge ids are one byte each, and dstar-4 writes m, the
+    # pad, so pair (0, 1)'s first set reads as the empty set before its
+    # palette's end.  Every 4-byte code is in range, so the codes go out of
+    # range in a file of 8-byte codes
     oracle = wide_oracle if section == "values" else oracle1_d1
-    tables = oracle.tables
     blob = bytearray(oracle_file_bytes(oracle))
-    off, width = _sections(tables)[section]
-    if section == "set_sizes":
-        value += int(tables.set_sizes[0])
+    off, width = _sections(oracle.tables)[section]
     blob[off:off + width] = value.to_bytes(width, "little", signed=True)
-    with pytest.raises(OracleFileError, match=_REJECTED[section]):
+    with pytest.raises(OracleFileError, match=message):
         load_oracle(io.BytesIO(_reseal(blob)))
 
 
 def test_rejects_sets_not_strictly_ascending(oracle1_d2):
-    tables = oracle1_d2.tables
-    p = int(np.flatnonzero(tables.set_sizes == 2)[0])
-    lo = int(tables.set_sizes[:p].sum())
-    first, second = tables.ids[lo:lo + 2].tolist()
-    blob = bytearray(oracle_file_bytes(oracle1_d2))
-    off, width = _sections(tables)["dstar"]
-    off += width * lo
-    for pair in ((second, first), (first, first)):
-        blob[off:off + 2 * width] = np.array(pair, dtype=f"<u{width}").tobytes()
+    # a row of two edges, its ids swapped or repeated, or its first id moved
+    # after a pad, m
+    tables, m = oracle1_d2.tables, oracle1_d2.graph.m
+    p = next(p for p, row in enumerate(tables.ids.tolist()) if m not in row)
+    first, second = tables.ids[p].tolist()
+    for row in ((second, first), (first, first), (m, first)):
         with pytest.raises(OracleFileError, match="not strictly ascending"):
-            load_oracle(io.BytesIO(_reseal(blob)))
+            load_oracle(io.BytesIO(_edit(oracle1_d2, ("dstar", 2 * p, row))))
 
 
 def _palettes(tables) -> list[range]:
@@ -557,28 +569,81 @@ def test_load_runs_no_bellman_ford(oracle6_d2, monkeypatch):
 
 
 def test_rejects_empty_set_before_a_palettes_end(oracle6_d2):
-    # one-edge sets (a,) then (b,), a != b, neither last in its palette:
-    # as () and the ascending (a, b) the ids keep their count
-    tables = oracle6_d2.tables
-    sizes, start = tables.set_sizes.tolist(), np.cumsum(tables.set_sizes) - tables.set_sizes
-    ids = tables.ids.tolist()
-    k = next(k for p in _palettes(tables) for k in p[:-2]
-             if sizes[k] == sizes[k + 1] == 1 and ids[start[k]] != ids[start[k] + 1])
-    at = int(start[k])
-    pair = tuple(sorted(tables.ids[at:at + 2].tolist()))
+    # pair (0, 1)'s first set, not its palette's last, written as all
+    # padding: the file then holds more empty sets than pairs
+    tables, m = oracle6_d2.tables, oracle6_d2.graph.m
+    width = tables.ids.shape[1]
+    palette = _palettes(tables)[0]
+    assert len(palette) > 1
     with pytest.raises(OracleFileError, match="palette holds the empty set before its end"):
-        load_oracle(io.BytesIO(_edit(oracle6_d2, ("set_sizes", k, (0, 2)), ("dstar", at, pair))))
+        load_oracle(io.BytesIO(_edit(oracle6_d2, ("dstar", width * palette[0], (m,) * width))))
 
 
-def test_loads_a_pair_of_256_row_classes(monkeypatch):
-    # at n = 128 a pair's 2n = 256 rows may all differ: ids up to 255 and
-    # ku = 256, which the derivation must count past uint8.  A 128-vertex
-    # path, from 1 at one end through 0 at position 64 to 127, plus heavy
-    # chords (path[k], path[k + 2]); d = 1 with one-entry palettes, but
-    # for pair (0, 1), whose palette lists the path edges from 1's end,
-    # then the chords from 127's end.  From 1 the (v', 0) columns then
-    # read every row's path edges and the (v', 1) columns its chords, and
-    # each row (u', b1) at 0, on its arm of the path, meets a set of its own
+def _lie(oracle, lie: str) -> tuple[tuple[int, int], bytes]:
+    """A palette change that load cannot see, and the pair u < v it changes.
+
+    "edge-id": a one-edge set moved to an edge off its pair's tree path.
+    "swapped-rows": a set and a proper subset of it, the superset first,
+    swapped, so the superset, feasible only where the subset is, wins no key.
+    """
+    tables, m = oracle.tables, oracle.graph.m
+    width, index = tables.ids.shape[1], oracle.index
+    sets = [tuple(e for e in row if e < m) for row in tables.ids.tolist()]
+    palettes = zip(itertools.combinations(range(oracle.graph.n), 2), _palettes(tables))
+    if lie == "edge-id":
+        pair, k, e = next((pair, k, e) for pair, palette in palettes for k in palette
+                          if len(sets[k]) == 1 for e in range(m)
+                          if not index.path_intersects(*pair, (e,)))
+        return pair, _edit(oracle, ("dstar", width * k, (e,)))
+    pair, i, j = next((pair, i, j) for pair, palette in palettes for i in palette
+                      for j in palette if i < j and sets[j] and set(sets[j]) < set(sets[i]))
+    return pair, _edit(oracle, ("dstar", width * i, tables.ids[j].tolist()),
+                       ("dstar", width * j, tables.ids[i].tolist()))
+
+
+@pytest.mark.parametrize("lie, message", [("edge-id", "a palette set misses the base path"),
+                                          ("swapped-rows", "a palette entry wins no key")],
+                         ids=["edge-id", "swapped-rows"])
+def test_first_read_refuses_a_palette_no_build_makes(oracle6_d2, g6, tmp_path, monkeypatch,
+                                                     lie, message):
+    # the changed file loads; every query that reads no changed pair answers
+    # as the build does, and the first query that reads it is refused, with
+    # exit 2 in the CLI
+    pair, blob = _lie(oracle6_d2, lie)
+    loaded = load_oracle(io.BytesIO(blob))
+    derive, derived = OracleTables._derive, []  # the loaded tables' pairs, as derived
+
+    def spy(self, u, v):
+        if self is loaded.tables:
+            derived.append((min(u, v), max(u, v)))
+        return derive(self, u, v)
+    monkeypatch.setattr(OracleTables, "_derive", spy)
+    for u, v, failed in enumerate_instances(g6, 2):
+        try:
+            answer = loaded.query_composite(u, v, failed)
+        except PaletteError as exc:
+            assert derived[-1] == pair and str(exc) == f"pair {pair}: {message}"
+            break
+        assert pair not in derived
+        assert answer == oracle6_d2.query_composite(u, v, failed)
+    else:
+        pytest.fail("no query read the changed pair")
+    path = tmp_path / "lie.oracle"
+    path.write_bytes(blob)
+    fail = [arg for e in failed for arg in ("--fail", "%d-%d" % g6.edges[e][:2])]
+    assert cli.main(["query", "-o", str(path), "-s", str(u), "-t", str(v)] + fail) == 2
+
+
+def test_first_read_refuses_a_pair_of_256_row_classes(monkeypatch):
+    # at n = 128 a pair's 2n = 256 rows may all differ only in a palette no
+    # build makes: rows (u, 1), (v, 0) and (v, 1) of a built pair (u, v)
+    # admit only the empty set, as every other set hits the tree path u->v.
+    # A 128-vertex path, from 1 at one end through 0 at position 64 to 127,
+    # plus heavy chords (path[k], path[k + 2]); d = 1 with one-entry
+    # palettes, but for pair (0, 1), whose palette lists the path edges from
+    # 1's end, then the chords from 127's end.  Its rows would all differ,
+    # and it loads, as load derives no pair; its first read refuses it, for
+    # its sets off the path 0->1, while every other pair reads as stored
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 ** 28, "SC_PAGE_SIZE": 4096}.__getitem__)
     n = 128
     path = [1] + list(range(2, 65)) + [0] + list(range(65, n))
@@ -590,41 +655,51 @@ def test_loads_a_pair_of_256_row_classes(monkeypatch):
     pair_sizes[0] = len(order) + 1  # pair (0, 1)
     base = index.codes[np.triu_indices(n, 1)].tolist()
     codes = narrow_codes(np.array([base[0] + len(order) - k for k in range(len(order))] + base))
-    set_sizes = (np.arange(len(codes)) < len(order)).astype(np.uint8)
-    tables = OracleTables(index, 1, 1, pair_sizes, codes, set_sizes, np.array(order, np.uint8))
+    ids = np.array(order + [graph.m] * len(base), np.uint8).reshape(-1, 1)
+    tables = OracleTables(index, 1, 1, pair_sizes, codes, ids)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(Oracle(index, tables)))).tables
     for t in (tables, loaded):
-        classes, matrix = t.pair_classes(0, 1)
-        assert classes[0].tolist() == list(range(2 * n)) and matrix.shape == (2 * n, 254)
-        assert matrix.dtype == np.uint8
-    # a key's entry is the first of the palette that meets its constraint
-    rng = random.Random(0)
-    keys = [(up, vp, b1, b2) for up, b1 in itertools.product(range(n), (0, 1))
-            for vp, b2 in ((1, 0), (rng.randrange(n), rng.randrange(2)))]
-    for up, vp, b1, b2 in keys:
-        k = next(k for k, e in enumerate(order + [None])
-                 if e is None or constraint_holds(index, (e,), (0, 1, up, vp, b1, b2)))
-        assert loaded.read_block(0, 1, (up,), (vp,), b1, b2) == \
-            (int(codes[k]), {order[k]} if k < len(order) else set())
+        with pytest.raises(PaletteError, match=r"pair \(0, 1\): a palette set misses"):
+            t.read_block(0, 1, (0,), (1,), 0, 0)
+        assert t.read_block(0, 2, (5,), (9,), 1, 0) == (base[1], set())
 
 
 @pytest.mark.parametrize("change", [-1, 1])
 def test_rejects_header_entry_count_that_disagrees_with_the_pair_sizes(oracle6_d2, change):
-    # a header that names one palette entry more or fewer, in a file of
-    # that size: one more or one fewer 4-byte code and 1-byte set size
-    blob = bytearray(oracle_file_bytes(oracle6_d2))[:-32]
-    entries = len(oracle6_d2.tables.codes)
-    # the header's last two fields are the entry and edge id counts
-    blob[_HEADER.size - 16:_HEADER.size - 8] = (entries + change).to_bytes(8, "little")
-    blob = blob[:-5] if change < 0 else blob + bytes(5)
+    # the pair sizes are the runs that end at the all-padding rows.  A
+    # header that names one palette entry fewer, with the last code and row
+    # gone, leaves one pair without its empty set; one more, with a copy of
+    # the first code and row appended, leaves an entry after the last empty
+    # set.  Each file is of its header's size
+    tables = oracle6_d2.tables
+    codes, rows = tables.codes, tables.ids
+    codes, rows = (codes[:-1], rows[:-1]) if change < 0 else \
+        (np.append(codes, codes[:1]), np.concatenate((rows, rows[:1])))
+    blob = bytearray(oracle_file_bytes(oracle6_d2)[:_HEADER.size + 24 * oracle6_d2.graph.m])
+    blob[_HEADER.size - 8:_HEADER.size] = len(codes).to_bytes(8, "little")  # the entry count
+    blob += codes.tobytes() + rows.tobytes()
     with pytest.raises(OracleFileError, match="palette sizes out of range"):
         load_oracle(io.BytesIO(_reseal(blob + bytes(32))))
 
 
 def test_rejects_sets_longer_than_budget(oracle1_d2):
-    # g1 at d=2 stores two-edge sets; a header claiming d=1 cannot hold them
-    with pytest.raises(OracleFileError, match="set size out of range"):
+    # g1 at d=2 stores rows of two edge ids; a header claiming d=1 names
+    # rows of one, so a shorter file than this one
+    with pytest.raises(OracleFileError, match="trailing data in oracle file"):
         load_oracle(io.BytesIO(_with_budget(oracle_file_bytes(oracle1_d2), 1)))
+
+
+def test_rejects_budget_raised_past_the_stored_rows(oracle1_d1, tmp_path):
+    # g1 (m=4) at d=1 stores rows of one edge id; re-sealed as d=2, its
+    # header names rows of two, so a longer file: it is refused at load,
+    # and so no query of two failures reads tables built for one
+    blob = _with_budget(oracle_file_bytes(oracle1_d1), 2)
+    with pytest.raises(OracleFileError, match="truncated oracle file"):
+        load_oracle(io.BytesIO(blob))
+    path = tmp_path / "d2.oracle"
+    path.write_bytes(blob)
+    assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "2",
+                     "--fail", "0-1", "--fail", "2-3"]) == 2
 
 
 def test_load_never_enumerates_failure_sets(oracle6_d2, g6, monkeypatch):
@@ -683,28 +758,28 @@ def test_uint16_slots_when_a_palette_outgrows_uint8(oracle6_d2, g6, monkeypatch)
         assert loaded.query_composite(u, v, failed) == narrow.query_composite(u, v, failed)
 
 
-@pytest.mark.parametrize("m, id_width", [(256, 1), (257, 2)])
+@pytest.mark.parametrize("m, id_width", [(255, 1), (256, 2)])
 def test_edge_id_width_follows_m(m, id_width):
-    # ids are below m: one byte holds them up to m = 256, two past it.
-    # gen_gnm(24, 257) stores edge 256 in some palette
+    # ids are below m and the pad is m itself: one byte holds them while
+    # m < 256, two from m = 256 on
     built = build_oracle(gen_gnm(24, m, 32, 0), d=1, seed=1)
     blob = oracle_file_bytes(built)
     loaded = load_oracle(io.BytesIO(blob))
     assert oracle_file_bytes(loaded) == blob
+    assert len(blob) == _layout_length(blob)
     assert built.tables.ids.itemsize == id_width
-    assert built.tables.set_sizes.itemsize == 1
-    for name in ("slots", "pair_sizes", "codes", "set_sizes", "ids"):
+    assert built.tables.ids.max() == m  # the pad of every palette's empty set
+    for name in ("slots", "pair_sizes", "codes", "ids"):
         assert getattr(loaded.tables, name).dtype == getattr(built.tables, name).dtype, name
     rng = random.Random(m)
     for e in range(m):  # every edge fails once
         u, v = rng.randrange(24), rng.randrange(24)
         assert loaded.query_composite(u, v, (e,)) == built.query_composite(u, v, (e,))
         assert loaded.query_composite(u, v) == built.query_composite(u, v)
-    if id_width == 2:  # edge 256 needs two bytes; an id at or above m is refused
+    if id_width == 2:  # the pad 256 needs two bytes; an id above m is refused
         tables, out = built.tables, bytearray(blob)
-        assert int(tables.ids.max()) == m - 1
-        off = _HEADER.size + 24 * m + 8 * len(tables.pair_sizes) + tables.codes.nbytes
-        for value in (m, 2 ** 16 - 1):
+        off = _HEADER.size + 24 * m + tables.codes.nbytes
+        for value in (m + 1, 2 ** 16 - 1):
             out[off:off + 2] = value.to_bytes(2, "little")
             with pytest.raises(OracleFileError, match="edge id out of range"):
                 load_oracle(io.BytesIO(_reseal(out)))
@@ -730,8 +805,10 @@ def test_rejects_budget_beyond_int32_set_indices():
         load_oracle(io.BytesIO(_with_budget(blob, 36)))
     with pytest.raises(OracleFileError, match="int32"):
         load_oracle(io.BytesIO(_with_budget(blob, 2 ** 63 - 1)))
-    # a budget whose subsets int32 can index still loads the stored tables
-    assert load_oracle(io.BytesIO(_with_budget(blob, 2))).d == 2
+    # a budget whose subsets int32 can index passes the gate, and then
+    # names rows of two ids, which the file does not hold
+    with pytest.raises(OracleFileError, match="truncated oracle file"):
+        load_oracle(io.BytesIO(_with_budget(blob, 2)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -821,10 +898,11 @@ def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
     if base:
         graph = Graph(n, [(int(a), int(b), int(w)) for a, b, w, _ in np.frombuffer(
             blob, _EDGE, m, _HEADER.size).tolist()])
-        pairs, width = n * (n - 1) // 2, blob[6]  # header byte 6: the code width
+        _, _, width, _, _, d, _, _, entries = _HEADER.unpack_from(blob)
         off = _HEADER.size + 24 * m
-        sizes = np.frombuffer(blob, "<i8", pairs, off)
-        last = off + 8 * pairs + width * (np.cumsum(sizes) - 1)  # each palette's last code
+        rows = np.frombuffer(blob, np.uint8, entries * max(1, min(d, m)), off + width * entries)
+        # each palette's last code, at its all-padding row
+        last = off + width * np.flatnonzero(rows.reshape(entries, -1)[:, 0] == m)
         codes = reference_codes(graph, [1] * m)
         for at, code in zip(last.tolist(), codes[np.triu_indices(n, 1)].tolist()):
             out[at:at + width] = code.to_bytes(width, "little")

@@ -247,14 +247,18 @@ def test_verify_raises_on_unguarded_lookup(oracle6_d1, monkeypatch):
 def test_guard_catches_a_swapped_loaded_tree(tmp_path, monkeypatch):
     # each root in turn derives, on first use after a load, a tree with two
     # parents swapped; the guard walks the reference's own trees, not the
-    # index's, so an exhaustive replay raises
+    # index's, so an exhaustive replay raises.  The tables derive their slots
+    # on an intact load's index, as a pair's first read would refuse a palette
+    # that misses its swapped tree path before the guard saw a lookup
     oracle = build_oracle(gen_gnm(8, 12, 32, 0), 2, seed=1)
     saved = str(tmp_path / "g.oracle")
     save_oracle(oracle, saved)
+    intact = load_oracle(saved).index
     for root in range(oracle.graph.n):
         with monkeypatch.context() as patch:
             swap_parents(patch, root)
             loaded = load_oracle(saved)
+            loaded.tables.index = intact
             with pytest.raises(GuardError, match="unguarded lookup"):
                 verify_instance(loaded)
             assert mask_parents(loaded.index, root) != mask_parents(oracle.index, root)

@@ -344,7 +344,8 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     n = tables.graph.n
     assert tables.slots.dtype == np.uint8
     assert tables.slots.shape == (n * (n - 1) // 2, n, n, 2, 2)
-    sets = [tuple(s.tolist()) for s in np.split(tables.ids, np.cumsum(tables.set_sizes)[:-1])]
+    m = tables.graph.m
+    sets = [tuple(e for e in row if e < m) for row in tables.ids.tolist()]
     entries = list(zip(wide_codes(tables.codes).tolist(), sets))
     pairs = list(combinations(range(n), 2))
     assert len(tables.pair_sizes) == len(pairs)
@@ -387,6 +388,9 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
                 assert [x for k, x in enumerate(ids) if x not in ids[:k]] == \
                     list(range(max(ids) + 1))
             assert matrix.shape == (max(rows) + 1, max(cols) + 1)
+            # rows (u, 1), (v, 0) and (v, 1) admit only the empty set, and so
+            # do columns (v, 1), (u, 0) and (u, 1)
+            assert max(rows) < 2 * n - 2 and max(cols) < 2 * n - 2
             matrix = matrix.tolist()
             assert len(set(map(tuple, matrix))) == len(matrix)
             assert len(set(zip(*matrix))) == len(matrix[0])
@@ -401,11 +405,10 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
 
 def palettes_of(tables):
     """Each pair u < v, row-major, and its palette's D*s in stored order."""
-    n = tables.graph.n
-    bounds = np.cumsum([0] + tables.set_sizes.tolist()).tolist()
-    ids, start = tables.ids.tolist(), 0
+    n, m = tables.graph.n, tables.graph.m
+    sets, start = [tuple(e for e in row if e < m) for row in tables.ids.tolist()], 0
     for (u, v), size in zip(combinations(range(n), 2), tables.pair_sizes.tolist()):
-        yield (u, v), [tuple(ids[bounds[p]:bounds[p + 1]]) for p in range(start, start + size)]
+        yield (u, v), sets[start:start + size]
         start += size
 
 
