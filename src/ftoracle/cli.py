@@ -90,7 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle = build_oracle(graph, args.d, seed=args.seed)
     try:
         report = verify_instance(oracle, samples=args.samples, seed=args.seed)
-    except GuardError as exc:  # a lookup the index let through breaks its key's constraint
+    except (GuardError, PaletteError) as exc:  # an unguarded lookup, or a palette no build makes
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.summary())

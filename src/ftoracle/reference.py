@@ -190,7 +190,7 @@ def enumerate_instances(graph: Graph, d: int, mode: str = "exhaustive",
                         yield u, v, failed
     elif mode == "sampled":
         rng = random.Random(seed)
-        for _ in range(samples):
+        for _ in range(samples if n > 1 else 0):  # below two vertices no pair u != v
             u = rng.randrange(n)
             v = rng.randrange(n - 1)
             if v >= u:

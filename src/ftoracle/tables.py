@@ -61,19 +61,19 @@ palette, are derived on the pair's first read (OracleTables._derive),
 for built and loaded tables alike: each entry's side masks at u and at
 v, read off the roots' masks (_root_masks, made once per root from the
 index's _below, _sub and _ends), are packed into bitsets along the
-palette, equal bitsets of a side are merged, and each pair of distinct
-bitsets takes the first set bit of their AND.  There each nonempty D*
-must hit the tree path u->v and each entry be the slot of some key, as
-in every palette a build stores.  A pair's slots form a 2n x 2n matrix,
-rows (u', b1) and columns (v', b2), with few distinct rows and columns.
-So a pair keeps a class id per row and per column, equal rows (columns)
-sharing a class, numbered in order of first appearance (_distinct), and
-a ku x kv matrix of slots, one per row class and column class; rows
-(u, 1), (v, 0) and (v, 1) admit only the empty set, and so do the like
-columns, so ku and kv are at most 2n - 2 and the ids are uint8.  The
-slots are uint8 while the palette has at most 256 entries, else uint16:
-a row has 4n^2 keys, so at most 4n^2 entries, and its slots fit in
-uint16 for n <= 128.  A read of row (v, u) takes the pair's column
+palette, one per row (u', b1) at u and per column (v', b2) at v, of the
+entries that meet that side's constraint.  A pair's slots form a 2n x 2n
+matrix of these rows and columns, a key's slot the first set bit of its
+row's and column's AND.  So a pair keeps a class id per row and per
+column, equal bitsets of a side sharing a class, numbered in order of
+first appearance (_distinct), and a ku x kv matrix of slots, one per row
+class and column class.  There each nonempty D* must hit the tree path
+u->v and each entry be the slot of some key, as in every palette a build
+stores.  Rows (u, 1), (v, 0) and (v, 1) admit only the empty set, and so
+do the like columns, so ku and kv are at most 2n - 2 and the ids are
+uint8.  The slots are uint8 while the palette has at most 256 entries,
+else uint16: a row has 4n^2 keys, so at most 4n^2 entries, and its slots
+fit in uint16 for n <= 128.  A read of row (v, u) takes the pair's column
 classes for u' and row classes for v', with the matrix strides swapped.
 Every key of a diagonal row holds the empty set at distance 0, so no
 part of one is built or stored; lookup answers its keys with code 0, and
@@ -253,11 +253,11 @@ class OracleTables:
         self.ids = ids                # uint8 or uint16 (palette_id_dtype), per entry
                                       # a row of its D*'s ascending edge ids, padded with m
         # per ordered pair u != v, from its first read (_derive): its palette
-        # start, its 4n class ids, where the ids of u' and of v' start in them
-        # and the strides of their classes, and its class matrix's slots; a
-        # diagonal pair, whose keys all hold the empty set at code 0, has
-        # none.  Per root, its packed side masks (_root).  Each palette entry
-        # becomes a (code, D*) tuple on first read
+        # start, its 4n side class ids, where the ids of u' and of v' start in
+        # them and the strides of their classes, and its class matrix's
+        # slots; a diagonal pair, whose keys all hold the empty set at code 0,
+        # has none.  Per root, its packed side masks (_root).  Each palette
+        # entry becomes a (code, D*) tuple on first read
         self._rows: list[list[tuple | None]] = [[None] * n for _ in range(n)]
         self._masks: list[np.ndarray | None] = [None] * n
         self._starts = np.cumsum(pair_sizes) - pair_sizes
@@ -288,7 +288,7 @@ class OracleTables:
             -1, n, 2, n, 2).transpose(0, 1, 3, 2, 4)
 
     def pair_classes(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pair u < v's (2, 2n) uint8 class ids, of (u', b1) at [0, 2u' + b1]
+        """Pair u < v's (2, 2n) uint8 side class ids, of (u', b1) at [0, 2u' + b1]
         and of (v', b2) at [1, 2v' + b2], and its ku x kv matrix of slots."""
         _, cls, _, kv, _, _, cells = self._rows[u][v] or self._derive(u, v)
         return np.frombuffer(cls, np.uint8).reshape(2, -1), np.asarray(cells).reshape(-1, kv)
@@ -341,12 +341,10 @@ class OracleTables:
         return bound, union
 
     def _entry(self, p: int) -> tuple[int, tuple[int, ...]]:
-        entry = self._entries[p]
-        if entry is None:
-            m = self.graph.m
-            d_star = tuple(e for e in self.ids[p].tolist() if e < m)
-            code = self.codes.item(p)
-            entry = self._entries[p] = (self._unreachable if code == self._sentinel else code, d_star)
+        m = self.graph.m
+        d_star = tuple(e for e in self.ids[p].tolist() if e < m)
+        code = self.codes.item(p)
+        entry = self._entries[p] = (self._unreachable if code == self._sentinel else code, d_star)
         return entry
 
     def _derive(self, u: int, v: int) -> tuple:
@@ -372,18 +370,15 @@ class OracleTables:
             ids, first = _distinct(bits)
             sides.append((bits[first], ids))
         (a, ida), (b, idb) = sides
-        # each distinct pair's slot: the first set bit of the AND, as in _fill_rows
+        # each pair of side classes' slot: the first set bit of the AND, as in _fill_rows
         both = a[:, None] & b[None]
         first = np.not_equal(both, 0).argmax(axis=-1)
         byte = both.ravel()[first + np.arange(0, both.size, both.shape[-1]).reshape(first.shape)]
         slots = (8 * first + _LEAD[byte]).astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
         if not np.bincount(slots.ravel(), minlength=size).all():
             raise PaletteError(f"pair ({lo}, {hi}): a palette entry wins no key")
-        rows, keep_rows = _distinct(slots)
-        cols, keep_cols = _distinct(slots.T)
-        matrix = slots[keep_rows][:, keep_cols]
-        cls, kv = rows[ida].tobytes() + cols[idb].tobytes(), matrix.shape[1]
-        cells = array(matrix.dtype.char, matrix.tobytes())
+        cls, kv = ida.tobytes() + idb.tobytes(), len(b)
+        cells = array(slots.dtype.char, slots.tobytes())
         self._rows[lo][hi] = (start, cls, 0, kv, 2 * n, 1, cells)
         self._rows[hi][lo] = (start, cls, 2 * n, 1, 0, kv, cells)
         return self._rows[u][v]

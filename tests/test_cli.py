@@ -250,6 +250,37 @@ def test_verify_guard_error_exits_one(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: unguarded lookup ")
 
 
+def test_verify_palette_error_exits_one(tmp_path, capsys, monkeypatch):
+    # verify runs on a loaded oracle whose root 0 derives a wrong tree, so
+    # the first read of a pair whose palette sets miss the swapped tree path
+    # refuses it.  The tables are verify's own build, so that refusal is a
+    # violation: one error line and exit 1, no traceback
+    graph_path = tmp_path / "g.graph"
+    graph_path.write_text(gen_gnm(8, 12, 32, 0).to_text())
+    saved = str(tmp_path / "g.oracle")
+    assert cli.main(["build", "-g", str(graph_path), "-d", "2", "-o", saved]) == 0
+    capsys.readouterr()
+    swap_parents(monkeypatch, 0)
+    monkeypatch.setattr(cli, "build_oracle", lambda graph, d, seed: load_oracle(saved, graph))
+    assert cli.main(["verify", "-g", str(graph_path), "-d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "a palette set misses the base path" in captured.err
+
+
+@pytest.mark.parametrize("sample", [[], ["--samples", "5"]], ids=["exhaustive", "sampled"])
+def test_verify_one_vertex_graph(tmp_path, capsys, sample):
+    # the one-vertex graph has no pair u != v: exhaustive and sampled
+    # verify both check 0 instances and pass
+    graph_path = tmp_path / "one.graph"
+    graph_path.write_text("1 0\n")
+    assert cli.main(["verify", "-g", str(graph_path), "-d", "1"] + sample) == 0
+    out = capsys.readouterr().out
+    assert "instances checked: 0" in out and "result: PASS" in out
+
+
 def test_gen_writes_parseable_graph(tmp_path, capsys):
     out = str(tmp_path / "r.graph")
     rc = cli.main(["gen", "--model", "gnm", "-n", "8", "-m", "12",

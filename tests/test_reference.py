@@ -2,6 +2,7 @@
 import pytest
 
 from ftoracle.generate import gen_gnm
+from ftoracle.graph import Graph
 from ftoracle.hitset import HitSetEngine, HitSetOutcome
 from ftoracle.oraclefile import load_oracle, save_oracle
 from ftoracle.query import Oracle, build_oracle
@@ -96,6 +97,17 @@ def test_enumerate_sampled_deterministic(g6):
         assert u != v
         assert 1 <= len(failed) <= 3
         assert failed == tuple(sorted(failed))
+
+
+def test_enumerate_sampled_below_two_vertices_is_empty(g6):
+    # one vertex has no pair u != v, so a sample yields nothing; from two
+    # vertices on the draws are as before, which the benchmark's query
+    # streams and answer digests rest on
+    assert list(enumerate_instances(Graph(1, []), 2, "sampled", samples=5, seed=9)) == []
+    assert list(enumerate_instances(Graph(2, [(0, 1, 3)]), 1, "sampled", samples=4, seed=9)) == \
+        [(1, 0, (0,)), (0, 1, (0,)), (0, 1, (0,)), (0, 1, (0,))]
+    assert list(enumerate_instances(g6, 3, "sampled", samples=4, seed=9)) == \
+        [(3, 5, (1, 4)), (1, 6, (5,)), (4, 3, (1, 2, 4)), (4, 6, (6,))]
 
 
 def test_enumerate_rejects_unknown_mode(g1):

@@ -368,32 +368,48 @@ def test_palettes_hold_each_rows_distinct_winners(request, oracle_name):
     assert start == len(entries)
 
 
+def side_feasible(index, root, x, bit, d_star):
+    """d_star meets side root's constraint at (x, bit): no edge on the tree
+    path root->x and, with bit set, no endpoint in x's subtree."""
+    if index.path_intersects(root, x, d_star):  # derives the root first
+        return False
+    ends = 0
+    for e in d_star:
+        ends |= index._ends[e]
+    return not (bit and index._sub[root][x] & ends)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_slot_classes_are_minimal_and_decode_to_the_values(name):
     # each pair u < v's derived row and column classes come in order of
-    # first appearance, its matrix has no two equal rows and no two equal
-    # columns, and the matrix cell of a key's classes is its slot, in both
-    # rows of the pair; the built and the loaded tables derive the same
-    # class ids and matrices, byte for byte
+    # first appearance and are minimal over the side bitsets: two rows
+    # (u', b1) share a class iff the same palette entries meet side u's
+    # constraint there, and the same for the columns at side v.  The matrix
+    # cell of a key's classes is its slot, in both rows of the pair; the
+    # built and the loaded tables derive the same class ids and matrices,
+    # byte for byte
     make, d, _ = PINNED[name]
     built = build_oracle(make(), d, seed=1)
     loaded = load_oracle(io.BytesIO(oracle_file_bytes(built)))
     for tables in (built.tables, loaded.tables):
         n, values, codes = tables.graph.n, tables.values, wide_codes(tables.codes)
         starts = (np.cumsum(tables.pair_sizes) - tables.pair_sizes).tolist()
-        for (u, v), start in zip(combinations(range(n), 2), starts):
+        for ((u, v), palette), start in zip(palettes_of(tables), starts):
             classes, matrix = tables.pair_classes(u, v)
             rows, cols = classes.tolist()
-            for ids in (rows, cols):
+            for ids, root in ((rows, u), (cols, v)):
                 assert [x for k, x in enumerate(ids) if x not in ids[:k]] == \
                     list(range(max(ids) + 1))
+                feasible = [tuple(side_feasible(tables.index, root, x, bit, d_star)
+                                  for d_star in palette)
+                            for x, bit in product(range(n), (0, 1))]
+                for i, j in combinations(range(2 * n), 2):
+                    assert (ids[i] == ids[j]) == (feasible[i] == feasible[j])
             assert matrix.shape == (max(rows) + 1, max(cols) + 1)
             # rows (u, 1), (v, 0) and (v, 1) admit only the empty set, and so
             # do columns (v, 1), (u, 0) and (u, 1)
             assert max(rows) < 2 * n - 2 and max(cols) < 2 * n - 2
             matrix = matrix.tolist()
-            assert len(set(map(tuple, matrix))) == len(matrix)
-            assert len(set(zip(*matrix))) == len(matrix[0])
             for up, b1, vp, b2 in product(range(n), (0, 1), range(n), (0, 1)):
                 code = codes[start + matrix[rows[2 * up + b1]][cols[2 * vp + b2]]]
                 assert values[u, v, up, vp, b1, b2] == values[v, u, vp, up, b2, b1] == code
