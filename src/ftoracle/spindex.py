@@ -13,12 +13,12 @@ one tight arc in as its tree arc, so both refuse the same ties, at once.
 From those arcs one DFS per root derives the index's one damage
 encoding, Python-int vertex bitmasks: _sub[r][w] is w's subtree,
 _below[r][e] the vertices below tree edge e (0 off the tree), so "e lies
-on the tree path r->x" is _below[r][e] >> x & 1.  The table build
-unpacks them into numpy masks and the query engine ORs them per failure
-set.  _ends[e] is e's endpoints, so the child end of tree edge e, the one
-end below it, is _below[r][e] & _ends[e].  The parents themselves are not
-kept; the verifier checks the masks against the reference's own Dijkstra
-trees.
+on the tree path r->x" is _below[r][e] >> x & 1.  The tables pack their
+bytes into numpy masks and the query engine ORs them per failure set.
+_ends[e] is e's endpoints, so the child end of tree edge e, the one end
+below it, is _below[r][e] & _ends[e]; _endpoints holds the same as (m, 2)
+int64 (a, b) rows.  The parents themselves are not kept; the verifier
+checks the masks against the reference's own Dijkstra trees.
 Built and loaded indexes hold the same: neither derives a root until its
 first use, and until then r's slots in the six per-root lists hold None.
 _finish_root(r) fills all six at once: besides _sub[r] and _below[r],
@@ -114,6 +114,7 @@ class ShortestPathIndex:
         shift = self.codec.shift
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
+        self._endpoints = np.array([e[:2] for e in graph.edges], dtype=np.int64).reshape(m, 2)
         # per root, None until _finish_root derives it
         (self._by_tin, self._sub, self._below, self._marks, self._path_edges,
          self._dist) = ([None] * n for _ in range(6))
@@ -127,8 +128,7 @@ class ShortestPathIndex:
         arc in; raises CodeError if not.  Raises TieBreakError if a vertex
         has several: then its shortest paths from that root are not unique.
         """
-        n = self.graph.n
-        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 3)[:, :2]
+        n, ends = self.graph.n, self._endpoints
         # arc 2e runs a -> b along edge e = (a, b), arc 2e + 1 back
         tail, head = ends.ravel(), ends[:, ::-1].ravel()
         # per (root, arc): the code the arc offers its head, less the head's code

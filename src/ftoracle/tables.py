@@ -59,12 +59,12 @@ meets the key's constraint, as an entry ranked before it that met it
 would have won the key.  So a pair's slots, each key's index into its
 palette, are derived on the pair's first read (OracleTables._derive),
 for built and loaded tables alike: each entry's side masks at u and at
-v, read off the roots' masks (_root_masks, made once per root from the
-index's _below, _sub and _ends), are packed into bitsets along the
-palette, one per row (u', b1) at u and per column (v', b2) at v, of the
-entries that meet that side's constraint.  A pair's slots form a 2n x 2n
-matrix of these rows and columns, a key's slot the first set bit of its
-row's and column's AND.  So a pair keeps a class id per row and per
+v, read off the roots' packed masks (_root_masks, made once per root from
+the bytes of the index's _below and _sub), are packed into bitsets along
+the palette, both sides at once, one per row (u', b1) at u and per column
+(v', b2) at v, of the entries that meet that side's constraint.  A pair's
+slots form a 2n x 2n matrix of these rows and columns, a key's slot the
+first set bit of its row's and column's AND.  So a pair keeps a class id per row and per
 column, equal bitsets of a side sharing a class, numbered in order of
 first appearance (_distinct), and a ku x kv matrix of slots, one per row
 class and column class.  There each nonempty D* must hit the tree path
@@ -91,7 +91,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import CompositeLength, Graph
+from .graph import CompositeLength
 from .spindex import BuildError, LengthCodec, ShortestPathIndex, _Arcs, _arc_list, _relax
 
 
@@ -355,21 +355,20 @@ class OracleTables:
         pair = lo * (2 * n - 3 - lo) // 2 + hi - 1
         start, size = self._starts.item(pair), self.pair_sizes.item(pair)
         sets = self.ids[start:start + size]  # padded with the clean edge m
-        sides = []  # per root, rows (x, b) at 2x + b: the distinct bitsets, each row's id
         for r in (lo, hi):
-            masks = self._masks[r]
-            if masks is None:
-                masks = self._masks[r] = self._root(r)
-            bad = masks[sets[:, 0]]
-            for j in range(1, sets.shape[1]):
-                bad |= masks[sets[:, j]]
-            bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(2, 1, 0)
-            if r == lo and not bits[hi, 0, :-1].all():  # all but the last, the empty set
-                raise PaletteError(f"pair ({lo}, {hi}): a palette set misses the base path")
-            bits = np.packbits(bits.reshape(2 * n, size) ^ 1, axis=-1)  # feasible, entry 0 on top
-            ids, first = _distinct(bits)
-            sides.append((bits[first], ids))
-        (a, ida), (b, idb) = sides
+            if self._masks[r] is None:
+                self._masks[r] = self._root(r)
+        masks = np.stack((self._masks[lo], self._masks[hi]))  # (side, edge, bit, byte)
+        bad = masks[:, sets[:, 0]]
+        for j in range(1, sets.shape[1]):
+            bad |= masks[:, sets[:, j]]
+        bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(0, 3, 2, 1)
+        if not bits[0, hi, 0, :-1].all():  # all but the last, the empty set
+            raise PaletteError(f"pair ({lo}, {hi}): a palette set misses the base path")
+        # per side, rows (x, b) at 2x + b, feasible, entry 0 in the top bit
+        bits = np.packbits(bits.reshape(2, 2 * n, size) ^ 1, axis=-1)
+        (ida, first_a), (idb, first_b) = _distinct(bits[0]), _distinct(bits[1])
+        a, b = bits[0, first_a], bits[1, first_b]
         # each pair of side classes' slot: the first set bit of the AND, as in _fill_rows
         both = a[:, None] & b[None]
         first = np.not_equal(both, 0).argmax(axis=-1)
@@ -384,50 +383,46 @@ class OracleTables:
         return self._rows[u][v]
 
     def _root(self, r: int) -> np.ndarray:
-        """Root r's _root_masks from the index's lists, packed along the vertices."""
+        """Root r's _root_masks, from the index's lists."""
         index = self.index
         if index._below[r] is None:
             index._finish_root(r)
-        return np.packbits(_root_masks(_edge_ends(self.graph), index._sub[r], index._below[r]),
-                           axis=-1, bitorder="little")
-
-
-def _edge_ends(graph: Graph) -> np.ndarray:
-    """Each edge's (a, b), int64."""
-    return np.array([(a, b) for a, b, _ in graph.edges], dtype=np.int64).reshape(graph.m, 2)
+        return _root_masks(index._endpoints, index._sub[r], index._below[r])
 
 
 def _root_masks(ends: np.ndarray, sub: list[int], below: list[int]) -> np.ndarray:
-    """(edge, bit, vertex) bool masks of one root, from its _sub and _below
-    lists and the edges' ends (_edge_ends).
+    """(edge, bit, byte) uint8 masks of one root, bit x little-endian in
+    byte x // 8, from its _sub and _below lists and the edges' (a, b).
 
-    [e, 0, x]: e lies on the tree path root->x, bit x of below[e];
-    [e, 1, x]: that, or sub[x], x's subtree, holds an endpoint of e.  Edge
-    m, the clean edge that pads short sets, is all False.
+    Bit x of [e, 0]: e lies on the tree path root->x, bit x of below[e];
+    of [e, 1]: that, or sub[x], x's subtree, holds an endpoint of e.  Edge
+    m, the clean edge that pads short sets, is all 0.
     """
     n, m = len(sub), len(below)
     size = (n + 7) // 8
 
-    def unpack(masks: list[int]) -> np.ndarray:
-        # (mask, vertex) bools, bit x of each mask at [..., x]
+    def pack(masks: list[int]) -> np.ndarray:  # (mask, byte)
         raw = b"".join(mask.to_bytes(size, "little") for mask in masks)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits.reshape(len(masks), 8 * size)[:, :n].view(bool)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), size)
 
-    bad = np.zeros((m + 1, 2, n), dtype=bool)
-    bad[:m, 0] = unpack(below)
-    bad[:m, 1] = bad[:m, 0] | unpack(sub)[:, ends].any(axis=-1).T
+    # [a]: the vertices x whose subtree holds a, a and its ancestors
+    anc = np.packbits(np.unpackbits(pack(sub), axis=-1, count=n, bitorder="little").T,
+                      axis=-1, bitorder="little")
+    bad = np.zeros((m + 1, 2, size), dtype=np.uint8)
+    bad[:m, 0] = pack(below)
+    bad[:m, 1] = bad[:m, 0] | anc[ends[:, 0]] | anc[ends[:, 1]]
     return bad
 
 
 def _edge_masks(index: ShortestPathIndex) -> np.ndarray:
     """Per-edge (vertex, bit, root, edge) bool masks, derived once per build:
-    each root's _root_masks, from its lists as index._derive derives them
-    and the build drops them, the ones the query engine ORs."""
-    n, m, ends = index.graph.n, index.graph.m, _edge_ends(index.graph)
+    each root's _root_masks, unpacked, from its lists as index._derive
+    derives them and the build drops them, the ones the query engine ORs."""
+    n, m = index.graph.n, index.graph.m
     bad = np.empty((n, 2, n, m + 1), dtype=bool)
     for r in range(n):
-        bad[:, :, r] = _root_masks(ends, *index._derive(r)[2:4]).transpose(2, 1, 0)
+        masks = _root_masks(index._endpoints, *index._derive(r)[2:4])
+        bad[:, :, r] = np.unpackbits(masks, axis=-1, count=n, bitorder="little").T
     return bad
 
 

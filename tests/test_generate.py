@@ -1,9 +1,28 @@
 """Seeded random connected graphs."""
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import GraphError
+from ftoracle.graph import Graph, GraphError
+
+
+def listed_gnm(n, m, wmax, seed):
+    """gen_gnm's draws with every pair off the tree listed before the
+    sample, as the generator once did: its memory is quadratic in n."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs, used = [], set()
+    for i in range(1, n):
+        a, b = order[rng.randrange(i)], order[i]
+        pairs.append((a, b))
+        used.add((min(a, b), max(a, b)))
+    spare = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in used]
+    pairs.extend(rng.sample(spare, m - (n - 1)))
+    return Graph(n, [(a, b, rng.randint(1, wmax)) for a, b in pairs])
 
 
 def test_tree_when_minimal():
@@ -49,3 +68,24 @@ def test_generated_graphs_are_valid(n, extra, wmax, seed):
     g.validate()
     assert g.m == m
     assert all(1 <= w <= wmax for _, _, w in g.edges)
+
+
+@given(n=st.integers(1, 40), fill=st.floats(0, 1), wmax=st.integers(1, 64),
+       seed=st.integers(0, 10**9))
+def test_draws_match_the_listed_pairs(n, fill, wmax, seed):
+    # the spare pairs are counted, not listed, yet random.sample draws the
+    # same pairs from them; fill spans a tree to the complete graph
+    m = n - 1 + round(fill * (n - 1) * (n - 2) / 2)
+    assert gen_gnm(n, m, wmax, seed).to_text() == listed_gnm(n, m, wmax, seed).to_text()
+
+
+def test_tree_memory_is_linear_in_n():
+    # a tree of 3,000 vertices: listing the pairs off it, as listed_gnm
+    # does, peaks at about 436 MB
+    tracemalloc.start()
+    try:
+        gen_gnm(3000, 2999, 32, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20

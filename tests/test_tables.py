@@ -111,7 +111,8 @@ def test_constraint_matches_vectorized_masks(idx1, idx6):
 def test_edge_masks_unpack_every_roots_lists(g6):
     # _edge_masks derives each root itself and keeps none: its masks are
     # those of a fully derived index's lists, bit by bit, on g6 and every
-    # pinned graph
+    # pinned graph.  So are the packed masks a loaded oracle's first reads
+    # take, OracleTables._root, unpacked little-endian, edge m all 0
     graphs = [g6] + [make() for make, _, _ in PINNED.values()]
     for graph in graphs:
         index = build_index_auto(graph, 1)[0]
@@ -124,6 +125,12 @@ def test_edge_masks_unpack_every_roots_lists(g6):
             expect[x, 0, r, e] = index._below[r][e] >> x & 1
             expect[x, 1, r, e] = expect[x, 0, r, e] or index._sub[r][x] & index._ends[e]
         assert np.array_equal(bad, expect)
+        loaded = load_oracle(io.BytesIO(oracle_file_bytes(build_oracle(graph, 1, seed=1))))
+        for r in range(n):
+            packed = loaded.tables._root(r)
+            assert packed.dtype == np.uint8 and packed.shape == (m + 1, 2, (n + 7) // 8)
+            bits = np.unpackbits(packed, axis=-1, count=n, bitorder="little")
+            assert np.array_equal(bits.transpose(2, 1, 0), expect[:, :, r])
 
 
 def test_no_root_is_derived_while_batches_fill(monkeypatch):
@@ -478,46 +485,33 @@ def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
     return ids, [ids.index(c) == k for k, c in enumerate(ids)]
 
 
-@pytest.mark.parametrize("dtype, size", [(np.uint8, 20), (np.uint8, 32), (np.uint8, 14),
-                                         (np.uint16, 10)])
-def test_encode_numbers_lines_by_first_appearance(dtype, size):
-    # square slot matrices whose rows and columns repeat; each matrix's
-    # rows and, transposed, its columns are classed by _distinct, and the
-    # class matrix keeps each class's first row and column
-    rng = np.random.default_rng(size)
-    high = np.iinfo(dtype).max  # slots whose top bits are set
-    base = rng.choice(np.array([0, 1, high], dtype=dtype), (6, 3, 3))
-    r, c = rng.integers(0, 3, (2, 6, size))
-    mats = base[np.arange(6)[:, None, None], r[:, :, None], c[:, None, :]]
-    mats[0, 0, :8] = high  # two rows that differ only in their first slot
-    mats[0, 1] = mats[0, 0]
-    mats[0, 1, 0] = 0
-    for mat in mats:
-        rows, first_rows = tables_module._distinct(mat)
-        cols, first_cols = tables_module._distinct(mat.T)
-        assert rows.dtype == cols.dtype == np.uint8
-        expect_rows, expect_first_rows = _first_appearance(mat.tolist())
-        expect_cols, expect_first_cols = _first_appearance(mat.T.tolist())
-        assert [rows.tolist(), cols.tolist()] == [expect_rows, expect_cols]
-        assert [first_rows, first_cols] == [[k for k, f in enumerate(expect_first_rows) if f],
-                                            [k for k, f in enumerate(expect_first_cols) if f]]
-        assert mat[first_rows][:, first_cols].tolist() == \
-            [[x for x, f in zip(row, expect_first_cols) if f]
-             for row, f in zip(mat.tolist(), expect_first_rows) if f]
+@pytest.mark.parametrize("n, entries", [(10, 20), (16, 32), (7, 14), (5, 3)])
+def test_distinct_numbers_side_rows_by_first_appearance(n, entries):
+    # a side's 2n feasibility rows, packed along a palette of entries, as
+    # OracleTables._derive classes them: rows repeat, two differ only in
+    # entry 0's bit, the top bit, and the padding bits past the last entry
+    # are 0.  Each row equals its class's first row
+    rng = np.random.default_rng(entries)
+    bits = rng.integers(0, 2, (3, entries), dtype=np.uint8)[rng.integers(0, 3, 2 * n)]
+    bits[0] = 1
+    bits[1] = bits[0]
+    bits[1, 0] = 0
+    lines = np.packbits(bits, axis=-1)
+    ids, first = tables_module._distinct(lines)
+    assert ids.dtype == np.uint8
+    expect_ids, expect_first = _first_appearance(bits.tolist())
+    assert ids.tolist() == expect_ids
+    assert first == [k for k, f in enumerate(expect_first) if f]
+    assert np.array_equal(lines[first][ids], lines)
 
 
-def test_encode_numbers_256_distinct_lines():
-    # at n = 128 a row's matrix holds 2n = 256 rows and columns, all
-    # distinct at worst: ids 0 to 255, which a uint8 count of first lines
-    # reaches modulo 256
-    line = np.arange(256)
-    mats = np.stack([(line[:, None] + line) % 256, (line[:, None] % 128 + line) % 256])
-    mats = mats.astype(np.uint8)
-    assert [tables_module._distinct(m)[0].tolist() for m in (mats[0], mats[0].T)] == \
-        [list(range(256))] * 2
-    rows, first = tables_module._distinct(mats[1])
+def test_distinct_numbers_256_distinct_side_rows():
+    # at n = 128 a side holds 2n = 256 rows, all distinct at worst: ids 0
+    # to 255, which a uint8 count of first rows reaches modulo 256
+    lines = np.stack([np.arange(256), np.arange(256) * 7 % 256], axis=1).astype(np.uint8)
+    assert tables_module._distinct(lines)[0].tolist() == list(range(256))
+    rows, first = tables_module._distinct(lines[np.arange(256) % 128])
     assert rows.tolist() == list(range(128)) * 2 and first == list(range(128))
-    assert tables_module._distinct(mats[1].T)[0].tolist() == list(range(256))
 
 
 def test_progress_reports_each_root(idx6):
