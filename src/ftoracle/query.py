@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .graph import CompositeLength, Graph, GraphError, edge_ids, failure_mask
 from .hitset import FailureView, HitSetEngine, QueryStats
-from .spindex import ShortestPathIndex, build_index_auto
+from .spindex import MAX_TIE_RETRIES, BuildError, ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
 
 
@@ -130,7 +130,12 @@ class Oracle:
 
 def build_oracle(graph: Graph, d: int, seed: int = 1,
                  progress=None) -> Oracle:
-    """Pick a tie assignment with unique paths (the index validates), build all tables."""
+    """Pick a tie assignment with unique paths (the index validates), build all tables.
+
+    Refuses, with BuildError, a seed whose retries leave the file's int64."""
+    if not -2 ** 63 <= seed <= 2 ** 63 - MAX_TIE_RETRIES:
+        raise BuildError(f"tie seed {seed} out of range: it and its {MAX_TIE_RETRIES - 1} "
+                         f"retries must fit in int64")
     check_build_size(graph.n, graph.m, d)
     index, _, used_seed = build_index_auto(graph, seed)
     tables = build_tables(index, d, used_seed, progress)

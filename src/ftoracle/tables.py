@@ -39,7 +39,7 @@ of those.  Then consecutive rows are ranked in batches of at most
 FILL_BYTES of working memory, or one wider row alone.  Their side masks
 at u and at v are packed into bitsets along the candidate axis and ANDed;
 a key's winner is the first set bit, found as the first nonzero byte plus
-that byte's leading zeros, and a row keeps the candidates that win a key.
+that byte's leading zeros (_LEAD); a row keeps the winning candidates.
 Lengths are undirected and the constraints of (u, v, u', v', b1, b2) and
 (v, u, v', u', b2, b1) agree, so row (v, u) is row (u, v) with its vertex
 axes and its bit axes swapped, and has the same winners.  Root u owns
@@ -60,21 +60,22 @@ would have won the key.  So a pair's slots, each key's index into its
 palette, are derived on the pair's first read (OracleTables._derive),
 for built and loaded tables alike: each entry's side masks at u and at
 v, read off the roots' packed masks (_root_masks, made once per root from
-the bytes of the index's _below and _sub), are packed into bitsets along
-the palette, both sides at once, one per row (u', b1) at u and per column
-(v', b2) at v, of the entries that meet that side's constraint.  A pair's
+the bytes of the index's _below and _sub), give bool rows along the
+palette, both sides at once, one per row (u', b1) at u and per column
+(v', b2) at v, True where an entry meets that side's constraint.  A pair's
 slots form a 2n x 2n matrix of these rows and columns, a key's slot the
-first set bit of its row's and column's AND.  So a pair keeps a class id per row and per
-column, equal bitsets of a side sharing a class, numbered in order of
-first appearance (_distinct), and a ku x kv matrix of slots, one per row
-class and column class.  There each nonempty D* must hit the tree path
-u->v and each entry be the slot of some key, as in every palette a build
-stores.  Rows (u, 1), (v, 0) and (v, 1) admit only the empty set, and so
-do the like columns, so ku and kv are at most 2n - 2 and the ids are
-uint8.  The slots are uint8 while the palette has at most 256 entries,
-else uint16: a row has 4n^2 keys, so at most 4n^2 entries, and its slots
-fit in uint16 for n <= 128.  A read of row (v, u) takes the pair's column
-classes for u' and row classes for v', with the matrix strides swapped.
+first entry feasible at both, the argmax of their AND.  So a pair keeps a
+class id per row and per column, equal rows of a side sharing a class,
+numbered in order of first appearance (_distinct), and a ku x kv matrix of
+slots, one per row class and column class, ANDed FILL_BYTES at a time.
+There each nonempty D* must hit the tree path u->v and each entry be the
+slot of some key, as in every palette a build stores.  Rows (u, 1), (v, 0)
+and (v, 1) admit only the empty set, and so do the like columns, so ku and
+kv are at most 2n - 2 and the ids are uint8.  The slots are uint8 while
+the palette has at most 256 entries, else uint16: a row has 4n^2 keys, so
+at most 4n^2 entries, and its slots fit in uint16 for n <= 128.  A read of
+row (v, u) takes the pair's column classes for u' and row classes for v',
+with the matrix strides swapped.
 Every key of a diagonal row holds the empty set at distance 0, so no
 part of one is built or stored; lookup answers its keys with code 0, and
 the query engine, whose every read pair is damaged, never reads one.
@@ -163,40 +164,40 @@ def wide_codes(codes: np.ndarray) -> np.ndarray:
 def check_build_size(n: int, m: int, d: int) -> None:
     """The one budget gate of build and load; raises BuildError.
 
-    In order, it refuses d < 1, more than 2^31 failure sets (the build's
-    pair, set and candidate indices are int32), more than physical memory,
-    and n > 128 (a row's 4n^2 keys outgrow uint16 slots).  Memory, at build
-    and at load alike: what the tables derive as they are read, per pair
-    u < v its 4n uint8 class ids and at most 4n^2 matrix slots, uint8, or
-    uint16 where a palette may outgrow uint8, and per root its side masks,
-    two bits per edge and vertex (OracleTables._derive).  Each palette
-    entry is charged an int64 code, its row of max(1, min(d, m)) edge ids
-    at their width (palette_id_dtype) and its read-path lists, at the bound
-    of min(4n^2, sets) per pair u < v; codes may take four bytes, so that
-    part over-estimates until palettes are charged by their count.  Each subset
-    is charged a tuple and list slot, which covers the sort key and int64
-    order that _failure_set_ids sorts it by, and costs a row of int32 edge
-    ids, its own and its immediate subsets' indices (_levels) and, while
-    those are derived, a row of edge ids and three int64s.  Phase 1 costs,
-    per (root, subset), a next-level flag and, once swept, its int64 pair
-    index, the key it is stored under and per column a damage flag and an
-    int64 code.  Its chunk adds, per pair, an int64 sum, its copy in numpy's
-    broadcast buffer and a ban flag per arc (2m arcs), edge flags for the
-    set and its walks, an int64 code, first tight arc and two side-mask
-    flags per vertex, and per column a damage flag and four int64s.  Phase
-    2's group costs, per subset and root, its side masks (about 4n + 8
-    bytes while derived) and per column a hit flag, an int64 code and hit
-    index and the candidate's int64 code and int32 set index; a slice of
-    CHUNK sets adds two int64s per column.  A group holds at most
-    1 + (CHUNK - 1) // k roots, k the sets that hold a given edge, since
-    every root before its last has at least k damaging sets and all of them
-    fewer than CHUNK.  The fill takes FILL_BYTES, or _fill_bytes of a row
-    of one candidate per subset.
+    In order, it refuses d < 1 or d >= 2^64 (the file's d is a u64), more
+    than 2^31 failure sets (the build's pair, set and candidate indices are
+    int32), more than physical memory, and n > 128 (a row's 4n^2 keys
+    outgrow uint16 slots).  Memory, at build and at load alike: what the
+    tables derive as they are read, per pair u < v its 4n uint8 class ids
+    and at most 4n^2 matrix slots, uint8, or uint16 where a palette may
+    outgrow uint8, and per root its side masks, two bits per edge and vertex
+    (OracleTables._derive).  Each palette entry is charged an int64 code,
+    its row of max(1, min(d, m)) edge ids at their width (palette_id_dtype)
+    and its read-path lists, at the bound of min(4n^2, sets) per pair u < v;
+    codes may take four bytes, so that part over-estimates until palettes
+    are charged by their count.  Each subset is charged a tuple and list
+    slot, which covers the sort key and int64 order that _failure_set_ids
+    sorts it by, and costs a row of int32 edge ids, its own and its
+    immediate subsets' indices (_levels) and, while those are derived, a row
+    of edge ids and three int64s.  Phase 1 costs, per (root, subset), a
+    next-level flag and, once swept, its int64 pair index, the key it is
+    stored under and per column a damage flag and an int64 code.  Its chunk
+    adds, per pair, an int64 sum, its copy in numpy's broadcast buffer and a
+    ban flag per arc (2m arcs), edge flags for the set and its walks, an
+    int64 code, first tight arc and two side-mask flags per vertex, and per
+    column a damage flag and four int64s.  Phase 2's group costs, per subset
+    and root, its side masks (about 4n + 8 bytes while derived) and per
+    column a hit flag, an int64 code and hit index and the candidate's int64
+    code and int32 set index; a slice of CHUNK sets adds two int64s per
+    column.  A group holds at most 1 + (CHUNK - 1) // k roots, k the sets
+    that hold a given edge, since every root before its last has at least k
+    damaging sets and all of them fewer than CHUNK.  The fill takes
+    FILL_BYTES, or _fill_bytes of a row of one candidate per subset.
     Failing before anything is allocated beats an overcommitted allocation
     killed later.
     """
-    if d < 1:
-        raise BuildError(f"failure budget d={d} out of range, must be >= 1")
+    if not 1 <= d < 2 ** 64:
+        raise BuildError(f"failure budget d={d} out of range, must be >= 1 and < 2^64")
     sets = failure_set_count(m, d, 2 ** 31)
     if sets > 2 ** 31:
         raise BuildError(f"failure budget d={d} with m={m} gives more failure "
@@ -256,8 +257,9 @@ class OracleTables:
         # start, its 4n side class ids, where the ids of u' and of v' start in
         # them and the strides of their classes, and its class matrix's
         # slots; a diagonal pair, whose keys all hold the empty set at code 0,
-        # has none.  Per root, its packed side masks (_root).  Each palette
-        # entry becomes a (code, D*) tuple on first read
+        # has none.  Per root, its packed side masks (_root), until its n - 1
+        # pairs are derived.  Each palette entry becomes a (code, D*) tuple
+        # on first read
         self._rows: list[list[tuple | None]] = [[None] * n for _ in range(n)]
         self._masks: list[np.ndarray | None] = [None] * n
         self._starts = np.cumsum(pair_sizes) - pair_sizes
@@ -349,7 +351,8 @@ class OracleTables:
 
     def _derive(self, u: int, v: int) -> tuple:
         """Derive pair (u, v)'s slots, both rows, from its palette, or raise
-        PaletteError; returns row (u, v)'s read state (see the module docstring)."""
+        PaletteError; returns row (u, v)'s read state (see the module
+        docstring).  Drops a root's masks once its n - 1 pairs are derived."""
         n = self.graph.n
         lo, hi = min(u, v), max(u, v)
         pair = lo * (2 * n - 3 - lo) // 2 + hi - 1
@@ -359,27 +362,28 @@ class OracleTables:
             if self._masks[r] is None:
                 self._masks[r] = self._root(r)
         masks = np.stack((self._masks[lo], self._masks[hi]))  # (side, edge, bit, byte)
-        bad = masks[:, sets[:, 0]]
-        for j in range(1, sets.shape[1]):
-            bad |= masks[:, sets[:, j]]
+        bad = np.bitwise_or.reduce(masks[:, sets], axis=2)
         bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(0, 3, 2, 1)
         if not bits[0, hi, 0, :-1].all():  # all but the last, the empty set
             raise PaletteError(f"pair ({lo}, {hi}): a palette set misses the base path")
-        # per side, rows (x, b) at 2x + b, feasible, entry 0 in the top bit
-        bits = np.packbits(bits.reshape(2, 2 * n, size) ^ 1, axis=-1)
-        (ida, first_a), (idb, first_b) = _distinct(bits[0]), _distinct(bits[1])
-        a, b = bits[0, first_a], bits[1, first_b]
-        # each pair of side classes' slot: the first set bit of the AND, as in _fill_rows
-        both = a[:, None] & b[None]
-        first = np.not_equal(both, 0).argmax(axis=-1)
-        byte = both.ravel()[first + np.arange(0, both.size, both.shape[-1]).reshape(first.shape)]
-        slots = (8 * first + _LEAD[byte]).astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
+        ok = bits.reshape(2, 2 * n, size) == 0  # per side, rows (x, b) at 2x + b, feasible
+        (ida, first_a), (idb, first_b) = _distinct(ok[0]), _distinct(ok[1])
+        a, b = ok[0, first_a], ok[1, first_b]
+        # each pair of side classes' slot: the first entry feasible at both,
+        # the AND taken over at most FILL_BYTES, or one row class, at a time
+        rows = max(1, FILL_BYTES // b.size)
+        slots = np.concatenate([(a[k:k + rows, None] & b).argmax(axis=-1)
+                                for k in range(0, len(a), rows)])
+        slots = slots.astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
         if not np.bincount(slots.ravel(), minlength=size).all():
             raise PaletteError(f"pair ({lo}, {hi}): a palette entry wins no key")
         cls, kv = ida.tobytes() + idb.tobytes(), len(b)
         cells = array(slots.dtype.char, slots.tobytes())
         self._rows[lo][hi] = (start, cls, 0, kv, 2 * n, 1, cells)
         self._rows[hi][lo] = (start, cls, 2 * n, 1, 0, kv, cells)
+        for r in (lo, hi):
+            if self._rows[r].count(None) == 1:  # only the diagonal left: r's masks are done
+                self._masks[r] = None
         return self._rows[u][v]
 
     def _root(self, r: int) -> np.ndarray:
@@ -716,7 +720,7 @@ def _distinct(lines: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.array(ids, dtype=np.uint8), first
 
 
-# leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
+# _fill_rows' leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
 _LEAD = np.array([8] + [8 - b.bit_length() for b in range(1, 256)], dtype=np.int64)
 
 

@@ -94,6 +94,33 @@ def test_malformed_graph_exits_2(tmp_path, capsys, command, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", str(2 ** 63), "tie seed"),
+    ("--seed", str(2 ** 63 - 63), "tie seed"),  # its last retry passes int64
+    ("--seed", str(-2 ** 63 - 1), "tie seed"),
+    ("-d", str(2 ** 64), "failure budget"),
+])
+def test_values_the_header_cannot_hold_exit_2(g1_path, tmp_path, capsys, command, flag,
+                                              value, message):
+    # refused before any work, with one error line: no file is made at -o,
+    # and an oracle already there keeps its bytes
+    args = {"-d": "1", "--seed": "1", flag: value}
+    argv = [command, "-g", g1_path, "-d", args["-d"], "--seed", args["--seed"]]
+    out = tmp_path / "x.oracle"
+    if command == "build":
+        argv += ["-o", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+    if command == "build":
+        build(g1_path, tmp_path, 1, "x.oracle")
+        before = out.read_bytes()
+        assert cli.main(argv) == 2
+        assert out.read_bytes() == before
+
+
 def test_build_rejects_missing_graph(tmp_path, capsys):
     rc = cli.main(["build", "-g", str(tmp_path / "nope"), "-d", "1",
                    "-o", str(tmp_path / "x")])

@@ -1,4 +1,5 @@
 """Seeded random connected graphs."""
+import hashlib
 import random
 import tracemalloc
 
@@ -89,3 +90,18 @@ def test_tree_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, m, seed, digest", [
+    # random.sample draws a small share of a large population by indexing it
+    (3000, 6000, 0, "603167431b4c9ae12214374a131bf22d5db676581b080b02d3f024ca186c9a1f"),
+    # and copies a population that the sample nearly fills
+    (200, 19000, 1, "60a00bd55984d3a3d9d443d9257988872c23447a8faf027f67a67fc4a6bfb012"),
+    # a tree draws no extra edge
+    (20000, 19999, 0, "d7c77bb6e6dbdd19e88ca03d6fdbd3ca74424c9059c04505f7e99ffa1e9a5b6b"),
+])
+def test_large_graphs_are_pinned(n, m, seed, digest):
+    # past test_draws_match_the_listed_pairs' n <= 40, the text of a few
+    # large graphs is pinned, as the listing generator once drew them
+    text = gen_gnm(n, m, 32, seed).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -15,7 +15,7 @@ from ftoracle.graph import UNREACHABLE, CompositeLength, Graph
 from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import build_oracle
 from ftoracle.reference import ReferenceOracle, dijkstra_composite
-from ftoracle.spindex import build_index_auto
+from ftoracle.spindex import MAX_TIE_RETRIES, build_index_auto
 from ftoracle.tables import (CHUNK, BuildError, LengthCodec, _arc_list, _deleted_all_pairs,
                              _edge_masks, _failure_set_ids, _fill_bytes, _levels,
                              _row_candidates, _side_masks, build_tables, check_build_size,
@@ -235,6 +235,20 @@ def test_build_rejects_zero_budget(idx1):
         build_tables(idx1, 0, tie_seed=1)
 
 
+def test_build_refuses_what_the_file_header_cannot_hold():
+    # d is a u64 on file and the tie seed an int64, counting the up to
+    # MAX_TIE_RETRIES - 1 bumps that build_index_auto may add to it
+    g = gen_gnm(5, 6, 32, 0)
+    check_build_size(g.n, g.m, 2 ** 64 - 1)
+    with pytest.raises(BuildError, match="budget"):
+        check_build_size(g.n, g.m, 2 ** 64)
+    for seed in (-2 ** 63, 2 ** 63 - MAX_TIE_RETRIES):
+        assert build_oracle(g, 1, seed=seed).tables.tie_seed == seed
+    for seed in (-2 ** 63 - 1, 2 ** 63 - MAX_TIE_RETRIES + 1):
+        with pytest.raises(BuildError, match="tie seed"):
+            build_oracle(g, 1, seed=seed)
+
+
 def test_wrong_tree_raises_in_the_walk_back(monkeypatch):
     # root 0's tree with two parents swapped gives masks that disagree with
     # the codes, so phase 1's walk-back meets a vertex with no tight arc,
@@ -424,6 +438,41 @@ def test_slot_classes_are_minimal_and_decode_to_the_values(name):
     for u, v in combinations(range(built.graph.n), 2):
         for mine, theirs in zip(loaded.tables.pair_classes(u, v), built.tables.pair_classes(u, v)):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_chunked_and_derives_the_same_classes(name, monkeypatch):
+    # a first read ANDs its side classes' bool rows FILL_BYTES at a time, or
+    # one row class at a time where that is more; each pinned pair fits in
+    # one chunk, so a few bytes force chunks of one row class, and 100
+    # bytes chunks of several, and each pair's class ids and matrix must
+    # stay byte for byte
+    make, d, _ = PINNED[name]
+    blob = oracle_file_bytes(build_oracle(make(), d, seed=1))
+    whole = load_oracle(io.BytesIO(blob)).tables
+    for budget in (1, 100):
+        monkeypatch.setattr(tables_module, "FILL_BYTES", budget)
+        chunked = load_oracle(io.BytesIO(blob)).tables
+        for u, v in combinations(range(whole.graph.n), 2):
+            for mine, theirs in zip(chunked.pair_classes(u, v), whole.pair_classes(u, v)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def test_a_roots_masks_go_once_its_pairs_are_derived():
+    # a root's masks are read only by its pairs' first reads: they stay
+    # while one of its n - 1 pairs is underived, and go with the last
+    g = gen_gnm(8, 12, 32, 0)
+    tables = load_oracle(io.BytesIO(oracle_file_bytes(build_oracle(g, 2, seed=1)))).tables
+    r, last = 3, 5
+    for v in range(g.n):
+        if v not in (r, last):
+            tables.pair_classes(min(r, v), max(r, v))
+    assert tables._masks[r] is not None
+    tables.pair_classes(r, last)
+    assert tables._masks[r] is None
+    for u, v in combinations(range(g.n), 2):
+        tables.pair_classes(u, v)
+    assert tables._masks == [None] * g.n
 
 
 def palettes_of(tables):
