@@ -129,7 +129,10 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
     g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),
                           edges["w"].tolist())))
-    g.validate()
+    try:
+        g.validate()
+    except GraphError as exc:
+        raise OracleFileError(f"stored graph: {exc}") from None
     if g.digest() != digest.hex():
         raise OracleFileError("stored graph does not match its stored digest")
     if graph is not None and graph.digest() != digest.hex():

@@ -49,7 +49,7 @@ at most n // 2 columns.
 A key's value is the u-v distance in G - D* for its stored D*: within a
 row it is a function of D*, and few sets win any key of a row.  So each
 row keeps a palette of its winners as (code, D*), in candidate order;
-the build gathers palettes per group of roots.  Row (v, u) shares row
+the build gathers palettes batch by batch.  Row (v, u) shares row
 (u, v)'s palette, stored once per pair u < v, pairs row-major.  A D* is
 a row of w = max(1, min(d, m)) ascending edge ids padded with the clean
 edge m (_failure_set_ids); the empty set, all padding, has the lowest
@@ -71,7 +71,7 @@ slots, one per row class and column class, ANDed FILL_BYTES at a time.
 There each nonempty D* must hit the tree path u->v and each entry be the
 slot of some key, as in every palette a build stores.  Rows (u, 1), (v, 0)
 and (v, 1) admit only the empty set, and so do the like columns, so ku and
-kv are at most 2n - 2 and the ids are uint8.  The slots are uint8 while
+kv are at most 2n - 2 and each id is one byte.  The slots are uint8 while
 the palette has at most 256 entries, else uint16: a row has 4n^2 keys, so
 at most 4n^2 entries, and its slots fit in uint16 for n <= 128.  A read of
 row (v, u) takes the pair's column classes for u' and row classes for v',
@@ -367,8 +367,7 @@ class OracleTables:
         if not bits[0, hi, 0, :-1].all():  # all but the last, the empty set
             raise PaletteError(f"pair ({lo}, {hi}): a palette set misses the base path")
         ok = bits.reshape(2, 2 * n, size) == 0  # per side, rows (x, b) at 2x + b, feasible
-        (ida, first_a), (idb, first_b) = _distinct(ok[0]), _distinct(ok[1])
-        a, b = ok[0, first_a], ok[1, first_b]
+        (ida, a), (idb, b) = _distinct(ok[0]), _distinct(ok[1])
         # each pair of side classes' slot: the first entry feasible at both,
         # the AND taken over at most FILL_BYTES, or one row class, at a time
         rows = max(1, FILL_BYTES // b.size)
@@ -377,7 +376,7 @@ class OracleTables:
         slots = slots.astype(np.uint8 if size <= UINT8_ENTRIES else np.uint16)
         if not np.bincount(slots.ravel(), minlength=size).all():
             raise PaletteError(f"pair ({lo}, {hi}): a palette entry wins no key")
-        cls, kv = ida.tobytes() + idb.tobytes(), len(b)
+        cls, kv = ida + idb, len(b)
         cells = array(slots.dtype.char, slots.tobytes())
         self._rows[lo][hi] = (start, cls, 0, kv, 2 * n, 1, cells)
         self._rows[hi][lo] = (start, cls, 2 * n, 1, 0, kv, cells)
@@ -624,11 +623,11 @@ def _row_candidates(index: ShortestPathIndex, ids: np.ndarray, levels: list,
 
 def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int]],
                  ids: np.ndarray, levels: list, swept: tuple[np.ndarray, ...],
-                 bad: np.ndarray, palettes: list,
-                 progress: Callable[[int, int], None] | None) -> None:
+                 bad: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Phase 2 for a group of roots u = roots[i]: lay out the rows (u, v),
-    v in cols[i], and fill their palettes (see _fill_rows), joined into one
-    part per group, into palettes."""
+    v in cols[i], and fill their palettes in batches of consecutive rows.
+    Returns each batch's palette part (see _fill_rows), none where the
+    group owns no row, as at n = 1."""
     n = index.graph.n
     at = _side_masks(bad, ids, np.array(roots)[:, None])  # (vertex, bit, root, set)
     codes, sets, start, size = _row_candidates(index, ids, levels, swept, roots, cols, at[:, 0])
@@ -641,15 +640,8 @@ def _build_roots(index: ShortestPathIndex, roots: list[int], cols: list[list[int
         if not cut or (k + 1 - cut[-1]) * most > FILL_BYTES:
             cut.append(k)
             most = cost
-    parts = []  # this group's palette parts, one per batch
-    for lo, hi in zip(cut, cut[1:] + [len(size)]):
-        _fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
-                   at, ids, bad, parts)
-    if parts:  # none where the group owns no row, as at n = 1
-        palettes.append(tuple(map(np.concatenate, zip(*parts))))
-    if progress is not None:
-        for u in roots:
-            progress(u + 1, n)
+    return [_fill_rows(i[lo:hi], us[lo:hi], vs[lo:hi], start[lo:hi], size[lo:hi], codes, sets,
+                       at, ids, bad) for lo, hi in zip(cut, cut[1:] + [len(size)])]
 
 
 def _fill_bytes(n: int, width):
@@ -662,13 +654,13 @@ def _fill_bytes(n: int, width):
 
 def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
                size: np.ndarray, codes: np.ndarray, sets: np.ndarray, at: np.ndarray,
-               ids: np.ndarray, bad: np.ndarray, palettes: list) -> None:
+               ids: np.ndarray, bad: np.ndarray) -> tuple[np.ndarray, ...]:
     """The palettes of the rows (us[k], vs[k]) of a batch: row k's
     candidates are codes and sets [start[k], start[k] + size[k]), and
-    at[:, :, i[k]] is its root's (vertex, bit, set) side masks.  Appends to
-    palettes the rows' pairs u < v, row-major, palette sizes and entries,
-    the candidates that win a key, in rank order.  The dels keep to
-    _fill_bytes."""
+    at[:, :, i[k]] is its root's (vertex, bit, set) side masks.  Returns
+    the rows' pairs u < v, row-major, their palette sizes, and their
+    entries' int64 codes and int32 set indices: the candidates that win a
+    key, in rank order.  The dels keep to _fill_bytes."""
     n, count, width = at.shape[0], len(i), int(size.max())
     # each row's candidates, padded with repeats of its last, in rank order:
     # code descending, ties in set order.  A repeat never wins a key
@@ -699,25 +691,17 @@ def _fill_rows(i: np.ndarray, us: np.ndarray, vs: np.ndarray, start: np.ndarray,
         del first
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     won = take[used]
-    palettes.append((lo * (2 * n - 3 - lo) // 2 + hi - 1, used.sum(axis=1), codes[won],
-                     sets[won]))
+    return lo * (2 * n - 3 - lo) // 2 + hi - 1, used.sum(axis=1), codes[won], sets[won]
 
 
-def _distinct(lines: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Class ids of the rows of a 2-D array of at most 256 rows, as uint8:
-    equal rows share a class, numbered in order of first appearance.  Also
-    each class's first row."""
+def _distinct(lines: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Class ids of the rows of a 2-D array of at most 256 rows, one byte
+    each: equal rows share a class, numbered in order of first appearance.
+    Also the distinct rows, in class order."""
     raw, width = lines.tobytes(), lines.shape[1] * lines.itemsize
     seen: dict[bytes, int] = {}
-    ids, first = [], []
-    for k in range(len(lines)):
-        row = raw[k * width:(k + 1) * width]
-        c = seen.get(row)
-        if c is None:
-            c = seen[row] = len(first)
-            first.append(k)
-        ids.append(c)
-    return np.array(ids, dtype=np.uint8), first
+    ids = bytes([seen.setdefault(raw[k:k + width], len(seen)) for k in range(0, len(raw), width)])
+    return ids, np.frombuffer(b"".join(seen), lines.dtype).reshape(len(seen), lines.shape[1])
 
 
 # _fill_rows' leading zero bits of each nonzero byte; packbits puts candidate 0 in the top bit
@@ -750,13 +734,16 @@ def build_tables(index: ShortestPathIndex, d: int, tie_seed: int,
             damaging = 0
     swept = _deleted_all_pairs(index, _arc_list(index), ids, cols, bad, groups)
     levels = _levels(ids, graph.m)
-    # per group of roots, its rows' pairs, palette sizes and entries
+    # per fill batch, its rows' pairs, palette sizes and entries
     empty = np.zeros(0, dtype=np.int64)
     palettes = [(empty, empty, empty, np.zeros(0, dtype=np.int32))]
     for lo, hi in zip(groups, groups[1:] + [n]):
-        _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0], bad,
-                     palettes, progress)
+        palettes += _build_roots(index, list(range(lo, hi)), cols[lo:hi], ids, levels, swept[0],
+                                 bad)
         del swept[0]  # once its rows are filled
+        if progress is not None:
+            for u in range(lo, hi):
+                progress(u + 1, n)
     del bad, cols, levels
     pair, size, code, cand = map(np.concatenate, zip(*palettes))
     order = np.argsort(np.repeat(pair, size), kind="stable")  # entries pair by pair

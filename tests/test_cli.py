@@ -5,9 +5,11 @@ import json
 import pytest
 
 import ftoracle.cli as cli
+from ftoracle import reference
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import parse_graph
 from ftoracle.oraclefile import _HEADER, load_oracle
+from ftoracle.query import build_oracle
 from ftoracle.reference import VerifyReport
 
 from conftest import G1_TEXT, G6_TEXT, swap_parents
@@ -249,6 +251,28 @@ def test_verify_failure_exits_one(g1_path, capsys, monkeypatch):
     bad = VerifyReport("x" * 64, 2, "exhaustive", mismatches=1)
     monkeypatch.setattr(cli, "verify_instance", lambda *a, **k: bad)
     assert cli.main(["verify", "-g", g1_path, "-d", "2"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fault, counters", [
+    ("hit budget", ("hit_budget_violations", "lookup_budget_violations")),
+    ("rank", ("rank_violations", "rank_drop_violations")),
+], ids=["hit-budget", "rank"])
+def test_verify_counts_seeded_violations(g6_path, capsys, monkeypatch, fault, counters):
+    # a hit and lookup budget of 0, or every replacement path at rank 5,
+    # past d = 2: exhaustive verify counts the fault in its two counters
+    # and in no other, fails, and exits 1
+    if fault == "hit budget":
+        monkeypatch.setattr(reference, "hit_budget", lambda d: 0)
+    else:
+        monkeypatch.setattr(reference.ReferenceOracle, "rank_of_path", lambda self, path: 5)
+    graph = parse_graph(G6_TEXT)
+    report = reference.verify_instance(build_oracle(graph, 2, seed=1))
+    every = ("mismatches", "rank_violations", "rank_drop_violations", "bound_violations",
+             "hit_check_violations", "hit_budget_violations", "lookup_budget_violations")
+    assert {name for name in every if getattr(report, name)} == set(counters)
+    assert not report.ok
+    assert cli.main(["verify", "-g", g6_path, "-d", "2"]) == 1
     assert "result: FAIL" in capsys.readouterr().out
 
 

@@ -17,10 +17,10 @@ from ftoracle import spindex
 from ftoracle.oraclefile import (OracleFileError, _EDGE, _HEADER, load_oracle,
                                  oracle_file_bytes, save_oracle)
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import Graph, GraphError, edge_ids
+from ftoracle.graph import Graph, edge_ids, tie_break_values
 from ftoracle.hitset import FailureView, build_induced_key_tree
 from ftoracle.query import Oracle, build_oracle
-from ftoracle.reference import ReferenceOracle, enumerate_instances
+from ftoracle.reference import ReferenceOracle, enumerate_instances, verify_instance
 from ftoracle.spindex import BuildError, LengthCodec, ShortestPathIndex
 from ftoracle.tables import (NARROW_UNREACHABLE, OracleTables, PaletteError, check_build_size,
                              constraint_holds, enumerate_failure_sets, narrow_codes)
@@ -445,6 +445,40 @@ def test_rejects_tampered_graph(oracle1_d1):
     with pytest.raises(OracleFileError,
                        match="stored graph does not match its stored digest"):
         load_oracle(io.BytesIO(_reseal(blob)))
+
+
+@pytest.mark.parametrize("change, message", [
+    ("self-loop", "edge 0: self-loop"),
+    ("duplicate", "edge 1: duplicate edge"),
+    ("zero weight", "edge 0: nonpositive weight 0"),
+    ("endpoint", "edge 0: endpoint out of range"),
+    ("no vertex", "vertex count must be positive"),
+    ("no edge", "graph is disconnected"),
+], ids=["self-loop", "duplicate", "zero-weight", "endpoint", "no-vertex", "no-edge"])
+def test_rejects_an_invalid_stored_graph(tmp_path, change, message):
+    # a re-sealed file whose stored graph is no valid graph is a bad file:
+    # OracleFileError, not the GraphError of graph input, and exit 2
+    blob = bytearray(oracle_file_bytes(build_oracle(gen_gnm(8, 12, 32, 7), 2, seed=1)))
+    edge = _HEADER.size  # edge record 0: a u32, b u32, w u64, tie u64
+    if change == "self-loop":
+        blob[edge + 4:edge + 8] = blob[edge:edge + 4]
+    elif change == "duplicate":
+        blob[edge + 24:edge + 40] = blob[edge:edge + 16]  # edge 1's ends and weight
+    elif change == "zero weight":
+        blob[edge + 8:edge + 16] = bytes(8)
+    elif change == "endpoint":
+        blob[edge:edge + 4] = (99).to_bytes(4, "little")
+    elif change == "no vertex":
+        blob[8:16] = bytes(8)  # header n
+    else:  # n = 2, m = 0 and no palette entries: a header and a trailer
+        fields = list(_HEADER.unpack_from(blob))
+        fields[3:5], fields[8] = (2, 0), 0
+        blob = bytearray(_HEADER.pack(*fields) + bytes(32))
+    with pytest.raises(OracleFileError, match=f"stored graph: {message}"):
+        load_oracle(io.BytesIO(_reseal(blob)))
+    path = tmp_path / "invalid.oracle"
+    path.write_bytes(_reseal(blob))
+    assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "1"]) == 2
 
 
 def _reseal(blob: bytearray) -> bytes:
@@ -888,6 +922,23 @@ def test_tied_file_is_refused_at_load(tmp_path):
     assert cli.main(["query", "-o", str(path), "-s", "0", "-t", "2"]) == 2
 
 
+def test_a_tied_seed_retries_at_the_next():
+    # the unit 4-cycle ties at tie seed 461 (12 of the seeds 0-4999 tie,
+    # no two of them consecutive): the build draws again at 462, which the
+    # tables and the file's header keep, so a load and a save reproduce
+    # the file, and verify passes
+    square = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    with pytest.raises(spindex.TieBreakError):
+        ShortestPathIndex(square, tie_break_values(square, 461))
+    assert spindex.build_index_auto(square, 461)[2] == 462
+    oracle = build_oracle(square, 1, seed=461)
+    assert oracle.tables.tie_seed == 462
+    blob = oracle_file_bytes(oracle)
+    assert _HEADER.unpack_from(blob)[6] == 462
+    assert oracle_file_bytes(load_oracle(io.BytesIO(blob))) == blob
+    assert verify_instance(oracle).ok
+
+
 def _with_ties(blob: bytes, n: int, m: int, base: bool = True) -> bytes:
     """The file re-sealed with every tie value 1 and, if base, each palette's
     last code at the base code of the index those tie values give."""
@@ -915,5 +966,5 @@ def test_rejects_out_of_range_tie_values(oracle1_d1, tie):
     blob = bytearray(oracle_file_bytes(oracle1_d1))
     off = _HEADER.size + 16  # first edge record, tie field
     blob[off:off + 8] = tie.to_bytes(8, "little")
-    with pytest.raises((OracleFileError, GraphError), match="tie value"):
+    with pytest.raises(OracleFileError, match="stored tie values: .*tie value"):
         load_oracle(io.BytesIO(_reseal(blob)))

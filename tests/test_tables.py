@@ -534,33 +534,39 @@ def _first_appearance(matrix: list) -> tuple[list[int], list[bool]]:
     return ids, [ids.index(c) == k for k, c in enumerate(ids)]
 
 
-@pytest.mark.parametrize("n, entries", [(10, 20), (16, 32), (7, 14), (5, 3)])
-def test_distinct_numbers_side_rows_by_first_appearance(n, entries):
-    # a side's 2n feasibility rows, packed along a palette of entries, as
-    # OracleTables._derive classes them: rows repeat, two differ only in
-    # entry 0's bit, the top bit, and the padding bits past the last entry
-    # are 0.  Each row equals its class's first row
+@pytest.mark.parametrize("n, entries, packed", [
+    (10, 20, True), (16, 32, True), (7, 14, True), (5, 3, True), (10, 20, False),
+], ids=["10-20", "16-32", "7-14", "5-3", "bool-10-20"])
+def test_distinct_numbers_side_rows_by_first_appearance(n, entries, packed):
+    # a side's 2n feasibility rows along a palette of entries, as the bool
+    # rows that OracleTables._derive classes, or packed into bytes, where
+    # the padding bits past the last entry are 0: rows repeat, and two
+    # differ only in entry 0's bit.  The distinct rows come in class order,
+    # each its class's first row
     rng = np.random.default_rng(entries)
     bits = rng.integers(0, 2, (3, entries), dtype=np.uint8)[rng.integers(0, 3, 2 * n)]
     bits[0] = 1
     bits[1] = bits[0]
     bits[1, 0] = 0
-    lines = np.packbits(bits, axis=-1)
-    ids, first = tables_module._distinct(lines)
-    assert ids.dtype == np.uint8
+    lines = np.packbits(bits, axis=-1) if packed else bits == 1
+    ids, rows = tables_module._distinct(lines)
+    assert isinstance(ids, bytes)
     expect_ids, expect_first = _first_appearance(bits.tolist())
-    assert ids.tolist() == expect_ids
-    assert first == [k for k, f in enumerate(expect_first) if f]
-    assert np.array_equal(lines[first][ids], lines)
+    assert list(ids) == expect_ids
+    assert rows.dtype == lines.dtype
+    assert np.array_equal(rows, lines[[k for k, f in enumerate(expect_first) if f]])
+    assert np.array_equal(rows[list(ids)], lines)
 
 
 def test_distinct_numbers_256_distinct_side_rows():
     # at n = 128 a side holds 2n = 256 rows, all distinct at worst: ids 0
-    # to 255, which a uint8 count of first rows reaches modulo 256
-    lines = np.stack([np.arange(256), np.arange(256) * 7 % 256], axis=1).astype(np.uint8)
-    assert tables_module._distinct(lines)[0].tolist() == list(range(256))
-    rows, first = tables_module._distinct(lines[np.arange(256) % 128])
-    assert rows.tolist() == list(range(128)) * 2 and first == list(range(128))
+    # to 255, the most that one byte per id holds; as bytes and as bool rows
+    packed = np.stack([np.arange(256), np.arange(256) * 7 % 256], axis=1).astype(np.uint8)
+    for lines in (packed, np.unpackbits(packed, axis=-1) == 1):
+        ids, rows = tables_module._distinct(lines)
+        assert list(ids) == list(range(256)) and np.array_equal(rows, lines)
+        ids, rows = tables_module._distinct(lines[np.arange(256) % 128])
+        assert list(ids) == list(range(128)) * 2 and np.array_equal(rows, lines[:128])
 
 
 def test_progress_reports_each_root(idx6):
@@ -585,8 +591,9 @@ def test_fill_batches_leave_the_file_unchanged(monkeypatch, n, m, d, limit, expe
     fill = tables_module._fill_rows
 
     def spy(i, us, vs, start, size, *rest):
-        fill(i, us, vs, start, size, *rest)
-        calls.append((us.tolist(), size.tolist(), int(rest[-1][-1][1].max())))
+        part = fill(i, us, vs, start, size, *rest)
+        calls.append((us.tolist(), size.tolist(), int(part[1].max())))
+        return part
 
     graph, budget = gen_gnm(n, m, 32, 0), tables_module.FILL_BYTES
     monkeypatch.setattr(tables_module, "UINT8_ENTRIES", limit)
@@ -628,10 +635,10 @@ def test_rows_leave_out_sets_at_their_prefix_code(monkeypatch, n, m, d, kept, da
         return out
 
     def spy_fill(i, us, vs, start, size, codes, sets, *rest):
-        fill(i, us, vs, start, size, codes, sets, *rest)
-        _, sizes, _, won = rest[-1][-1]
+        _, sizes, _, won = part = fill(i, us, vs, start, size, codes, sets, *rest)
         for a, b, lo, hi in zip(start, start + size, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
             palettes.append(set(won[lo:hi].tolist()) <= set(sets[a:b].tolist()))
+        return part
 
     monkeypatch.setattr(tables_module, "_row_candidates", spy_rows)
     monkeypatch.setattr(tables_module, "_fill_rows", spy_fill)
