@@ -76,7 +76,7 @@ class Oracle:
             raise QueryError(
                 f"{seen.bit_count()} failures exceed the oracle budget d={self.tables.d}")
         index = self.index
-        if index._path_edges[u] is None:
+        if index._dist[u] is None:  # the last list _finish_root writes
             index._finish_root(u)
         if not index._path_edges[u][v] & seen:
             if stats is not None and stats.max_depth < 1:

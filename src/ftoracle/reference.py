@@ -1,14 +1,16 @@
 """Brute-force reference oracle and the instance verifier.
 
-Everything here recomputes from scratch with a plain Dijkstra so the main
-query path is checked against an implementation that shares none of its
-machinery.  The verifier also exercises the structural guarantees the
-query path relies on: replacement paths decompose into few shortest-path
-segments (their "rank" is at most the failure count), recursion pivots
-strictly decrease that rank, and every hitting-set outcome either returns
-the exact distance or names a vertex of the true replacement path.  Its
-CheckedEngine guards every lookup by the reference's own Dijkstra trees,
-never the index's, and records every case_three outcome.
+Everything here recomputes from scratch with a plain Dijkstra, one tree
+per (failure set, source) on first use, so the main query path is checked
+against an implementation that shares none of its machinery.  The reference
+keeps the intact graph's trees and only the current failure set's, as verify
+meets its sets one at a time.  The verifier also exercises the structural
+guarantees the query path relies on: replacement paths decompose into few
+shortest-path segments (their "rank" is at most the failure count),
+recursion pivots strictly decrease that rank, and every hitting-set outcome
+either returns the exact distance or names a vertex of the true replacement
+path.  Its CheckedEngine guards every lookup by the reference's own
+Dijkstra trees, never the index's, and records every case_three outcome.
 """
 from __future__ import annotations
 
@@ -79,43 +81,44 @@ def dijkstra_composite(graph: Graph, tie: Sequence[int], source: int,
     return dist, parent
 
 
+def _walk(tree: tuple[list, list], u: int, v: int) -> list[int] | None:
+    """Vertex list of u's tree path to v, None if v is unreachable."""
+    if tree[0][v].is_unreachable:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(tree[1][path[-1]])
+    return path[::-1]
+
+
 class ReferenceOracle:
-    """Per-failure-set all-pairs answers, cached, built by plain Dijkstra."""
+    """Plain-Dijkstra trees of the intact graph and of the current failure set, on first use."""
 
     def __init__(self, graph: Graph, tie: Sequence[int]):
         self.graph = graph
         self.tie = list(tie)
-        self._cache: dict[tuple[int, ...], tuple[list, list]] = {}
+        self._base: list[tuple[list, list] | None] = [None] * graph.n
+        self._failed, self._trees = (), []  # the current failure set and its trees
 
-    def _pairs(self, failed: tuple[int, ...]):
-        hit = self._cache.get(failed)
-        if hit is None:
-            banned = frozenset(failed)
-            runs = [dijkstra_composite(self.graph, self.tie, r, banned)
-                    for r in range(self.graph.n)]
-            hit = ([d for d, _ in runs], [p for _, p in runs])
-            self._cache[failed] = hit
-        return hit
+    def _tree(self, failed: tuple[int, ...], source: int) -> tuple[list, list]:
+        """(dist, parent) from source in G minus failed, a sorted tuple of distinct ids."""
+        if failed and failed != self._failed:
+            self._failed, self._trees = failed, [None] * self.graph.n
+        trees = self._trees if failed else self._base
+        if trees[source] is None:
+            trees[source] = dijkstra_composite(self.graph, self.tie, source, frozenset(failed))
+        return trees[source]
 
     def dist_avoiding(self, failed: Iterable[int], u: int, v: int) -> CompositeLength:
-        return self._pairs(tuple(sorted(set(failed))))[0][u][v]
+        return self._tree(tuple(sorted(set(failed))), u)[0][v]
 
     def replacement_path(self, failed: Iterable[int], u: int, v: int) -> list[int] | None:
         """Vertex list of the unique shortest u-v path in G minus failed edges."""
-        failed = tuple(sorted(set(failed)))
-        dists, parents = self._pairs(failed)
-        if dists[u][v].is_unreachable:
-            return None
-        path = [v]
-        pu = parents[u]
-        while path[-1] != u:
-            path.append(pu[path[-1]])
-        path.reverse()
-        return path
+        return _walk(self._tree(tuple(sorted(set(failed))), u), u, v)
 
     def path_intersects(self, root: int, x: int, failed: Collection[int]) -> bool:
         """True iff a failed edge lies on root's tree path to x, walked by this oracle."""
-        parent = self._pairs(())[1][root]
+        parent = self._tree((), root)[1]
         while x != root:
             if self.graph.edge_id(parent[x], x) in failed:
                 return True
@@ -124,8 +127,8 @@ class ReferenceOracle:
 
     def subtree_touches(self, root: int, w: int, failed: Iterable[int]) -> bool:
         """True iff w's subtree in root's tree holds an endpoint of a failed edge."""
-        return any(w in self.replacement_path((), root, p)
-                   for eid in failed for p in self.graph.edges[eid][:2])
+        tree = self._tree((), root)
+        return any(w in _walk(tree, root, p) for eid in failed for p in self.graph.edges[eid][:2])
 
     def constraint_holds(self, failed: Collection[int], key: tuple[int, ...]) -> bool:
         """tables.constraint_holds, by walks of these trees."""
@@ -141,10 +144,10 @@ class ReferenceOracle:
         shortest path of the intact graph (possibly trivial), joined by at
         most r single edges.  Dynamic program over segment boundaries.
         """
-        base = self._pairs(())[0]
         k = len(path) - 1
         if k <= 0:
             return 0
+        dists = [self._tree((), x)[0] for x in path[:-1]]
         pref_tl = [0] * (k + 1)
         pref_tk = [0] * (k + 1)
         for i in range(k):
@@ -153,7 +156,7 @@ class ReferenceOracle:
             pref_tk[i + 1] = pref_tk[i] + self.tie[eid]
 
         def shortest(i: int, j: int) -> bool:
-            d = base[path[i]][path[j]]
+            d = dists[i][path[j]]
             return pref_tl[j] - pref_tl[i] == d.true_len and \
                 pref_tk[j] - pref_tk[i] == d.tie_key
 
@@ -283,8 +286,7 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0) -
         if not truth.is_unreachable:
             path = ref.replacement_path(failed, u, v)
             r_uv = ref.rank_of_path(path)
-            if r_uv > report.max_rank:
-                report.max_rank = r_uv
+            report.max_rank = max(report.max_rank, r_uv)
             if r_uv > len(failed):
                 report.rank_violations += 1
             for w in path[1:-1]:
@@ -304,14 +306,11 @@ def verify_instance(oracle: Oracle, samples: int | None = None, seed: int = 0) -
             for w in outcome.hits:
                 if not (ref.path_intersects(a, w, fset) and ref.path_intersects(b, w, fset)):
                     report.hit_check_violations += 1
-            if len(outcome.hits) > report.max_hits:
-                report.max_hits = len(outcome.hits)
+            report.max_hits = max(report.max_hits, len(outcome.hits))
             if len(outcome.hits) > budget:
                 report.hit_budget_violations += 1
-        if stats.lookups > report.max_lookups:
-            report.max_lookups = stats.lookups
+        report.max_lookups = max(report.max_lookups, stats.lookups)
         if stats.lookups > budget:
             report.lookup_budget_violations += 1
-        if stats.max_depth > report.max_depth:
-            report.max_depth = stats.max_depth
+        report.max_depth = max(report.max_depth, stats.max_depth)
     return report

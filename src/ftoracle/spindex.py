@@ -148,6 +148,8 @@ class ShortestPathIndex:
 
     def _finish_root(self, r: int) -> None:
         """Derive and keep all six of root r's per-root lists."""
+        # another thread may read r's lists while they are written, in this
+        # order: a reader tests the list it reads, or one written after it
         self._by_tin[r], anc, self._sub[r], self._below[r], self._path_edges[r] = self._derive(r)
         self._marks[r] = [(anc[a], anc[b]) for a, b, _ in self.graph.edges]
         shift, mask = self.codec.shift, self.codec.mask

@@ -358,10 +358,14 @@ class OracleTables:
         pair = lo * (2 * n - 3 - lo) // 2 + hi - 1
         start, size = self._starts.item(pair), self.pair_sizes.item(pair)
         sets = self.ids[start:start + size]  # padded with the clean edge m
-        for r in (lo, hi):
-            if self._masks[r] is None:
-                self._masks[r] = self._root(r)
-        masks = np.stack((self._masks[lo], self._masks[hi]))  # (side, edge, bit, byte)
+        # another thread may derive this pair or drop a root's masks at any
+        # time: a reader tests the field it reads, or one written after it,
+        # so each root's masks are read once, into held, and stacked from there
+        held = [self._masks[lo], self._masks[hi]]
+        for side, r in enumerate((lo, hi)):
+            if held[side] is None:
+                held[side] = self._masks[r] = self._root(r)
+        masks = np.stack(held)  # (side, edge, bit, byte)
         bad = np.bitwise_or.reduce(masks[:, sets], axis=2)
         bits = np.unpackbits(bad, axis=-1, count=n, bitorder="little").transpose(0, 3, 2, 1)
         if not bits[0, hi, 0, :-1].all():  # all but the last, the empty set

@@ -108,6 +108,19 @@ def test_exact_at_budget_four():
           f"max depth {report.max_depth}, max lookups {report.max_lookups})")
 
 
+def test_exact_at_budget_five():
+    # five failures reach recursion depth 6, past every gated workload's
+    # d = 3; every contract field is gated, on all 382 failure sets
+    oracle = build_oracle(gen_gnm(6, 9, 32, 1), 5, seed=1)
+    report = verify_instance(oracle)
+    assert report.ok, report.summary()
+    assert report.instances == 382 * 30
+    assert report.max_hits <= hit_budget(5)
+    assert report.max_lookups <= hit_budget(5)
+    print(f"exact answers at budget 5: PASS ({report.instances} instances, "
+          f"max depth {report.max_depth}, max lookups {report.max_lookups})")
+
+
 def test_table_dominance_and_tightness():
     checked = 0
     for text, d in product((G1_TEXT, G3_TEXT, G6_TEXT), (1, 2)):
@@ -115,15 +128,15 @@ def test_table_dominance_and_tightness():
         oracle = build_oracle(graph, d, seed=1)
         ref = ReferenceOracle(graph, oracle.index.tie)
         n = graph.n
-        sets = enumerate_failure_sets(graph.m, d)
-        for u, v, up, vp, b1, b2 in product(range(n), range(n), range(n),
-                                            range(n), (0, 1), (0, 1)):
-            key = TableKey(u, v, up, vp, b1, b2)
-            entry = oracle.tables.lookup(*key)
-            assert entry.l_star == ref.dist_avoiding(entry.d_star, u, v), key
-            for failed in sets:
+        entries = {key: oracle.tables.lookup(*key) for key in map(TableKey._make, product(
+            range(n), range(n), range(n), range(n), (0, 1), (0, 1)))}
+        # the reference keeps one failure set's trees: visit a set at a time
+        for key, entry in sorted(entries.items(), key=lambda item: item[1].d_star):
+            assert entry.l_star == ref.dist_avoiding(entry.d_star, key.u, key.v), key
+        for failed in enumerate_failure_sets(graph.m, d):
+            for key, entry in entries.items():
                 if ref.constraint_holds(failed, key):
-                    assert entry.l_star >= ref.dist_avoiding(failed, u, v), \
+                    assert entry.l_star >= ref.dist_avoiding(failed, key.u, key.v), \
                         (key, failed)
                     checked += 1
     print(f"stored entries dominate every admissible failure set: PASS "

@@ -23,6 +23,18 @@ def test_parse_g1():
     assert g.edges == [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5)]
 
 
+def test_repr_names_the_counts():
+    assert repr(parse_graph(G1_TEXT)) == "Graph(n=4, m=4)"
+
+
+def test_eq_against_a_non_graph_is_false():
+    g = parse_graph(G1_TEXT)
+    assert g.__eq__(5) is NotImplemented
+    assert not g == 5
+    assert g != "4 4"
+    assert g == parse_graph(G1_TEXT)
+
+
 def test_parse_skips_comments_and_blanks():
     g = parse_graph("# header\n\n2 1\n# mid\n0 1 7\n")
     assert g.n == 2

@@ -1,5 +1,6 @@
 """Recursive query: exactness, budgets, argument checks."""
 import io
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -261,3 +262,33 @@ def test_undamaged_query_after_load_derives_only_its_root(oracle6_d2, g6):
         base_length(oracle6_d2.index, u, v)
     assert derived_roots(index) == {u}
     assert (stats.max_depth, stats.key_trees, stats.lookups) == (1, 0, 0)
+
+
+def test_a_second_thread_never_reads_a_half_derived_root():
+    # the first query on root 0 is held as it writes the root's edge marks,
+    # when _path_edges[0] is written and _marks[0] and _dist[0] are not; an
+    # undamaged query on root 0 from a second thread must not read the lists
+    # still unwritten, and both answer the reference's distance
+    oracle = build_oracle(gen_gnm(10, 18, 32, 0), 2)
+    index = oracle.index
+    truth = ReferenceOracle(oracle.graph, index.tie).dist_avoiding((), 0, 5).true_len
+    held, returned = threading.Event(), threading.Event()
+
+    class HeldMarks(list):
+        def __setitem__(self, r, value):
+            if not held.is_set():  # the first write only
+                held.set()
+                returned.wait(timeout=10)
+            super().__setitem__(r, value)
+
+    index._marks = HeldMarks(index._marks)
+    answers = []
+    first = threading.Thread(target=lambda: answers.append(oracle.query(0, 5)))
+    first.start()
+    assert held.wait(timeout=10)
+    try:
+        second = oracle.query(0, 5)
+    finally:
+        returned.set()
+        first.join(timeout=10)
+    assert answers == [second] == [truth]

@@ -1,4 +1,6 @@
 """Brute-force reference: avoidance distances, path ranks, the verifier."""
+import tracemalloc
+
 import pytest
 
 from ftoracle.generate import gen_gnm
@@ -134,6 +136,22 @@ def test_verify_random_graph():
     report = verify_instance(oracle)
     assert report.ok
     assert report.instances == (1 + 12 + 66) * 8 * 7
+
+
+def test_sampled_verify_memory_holds_for_ten_times_the_samples():
+    # the reference keeps the intact graph's trees and one failure set's,
+    # not every set it meets, so its peak does not grow with the samples
+    graph = gen_gnm(24, 48, 32, 0)
+    peaks = []
+    for samples in (200, 2000):
+        oracle = build_oracle(graph, 2)
+        tracemalloc.start()
+        try:
+            assert verify_instance(oracle, samples=samples, seed=1).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_verify_sampled_checks_the_sample_count(oracle6_d2):

@@ -71,7 +71,7 @@ def _unit_complete(n, seed):
 
 def test_g1_root0_parents(idx1):
     # the reference's Dijkstra parents, and the index's tree read off its masks
-    for parent in (reference_of(idx1)._pairs(())[1][0], mask_parents(idx1, 0)[0]):
+    for parent in (reference_of(idx1)._tree((), 0)[1], mask_parents(idx1, 0)[0]):
         assert parent[1] == 0
         assert parent[2] == 1
         assert parent[3] == 2
@@ -84,7 +84,7 @@ def test_g1_distances(idx1):
 
 
 def test_g6_root0_shape(idx6):
-    for parent in (reference_of(idx6)._pairs(())[1][0], mask_parents(idx6, 0)[0]):
+    for parent in (reference_of(idx6)._tree((), 0)[1], mask_parents(idx6, 0)[0]):
         assert parent[5] == 1
         assert parent[6] == 3
     assert base_length(idx6, 0, 6).true_len == 4
@@ -121,7 +121,7 @@ def test_parent_edge_recurrence(idx6):
     g = idx6.graph
     for r in range(g.n):
         parent, parent_eid = mask_parents(idx6, r)
-        assert parent == reference_of(idx6)._pairs(())[1][r]
+        assert parent == reference_of(idx6)._tree((), r)[1]
         for v in range(g.n):
             if v == r:
                 continue
@@ -253,7 +253,7 @@ def test_subtree_touches_matches_interval_free_scan(idx6):
     ref = reference_of(idx6)
     for r in range(g.n):
         children = [[] for _ in range(g.n)]
-        parent = ref._pairs(())[1][r]
+        parent = ref._tree((), r)[1]
         for v in range(g.n):
             if parent[v] >= 0:
                 children[parent[v]].append(v)
@@ -345,7 +345,7 @@ def test_masks_match_interval_predicates(shape, n, seed):
             if ix._below[r] is None:
                 ix._finish_root(r)
             below = ix._below[r]
-            child = {g.edge_id(p, c): c for c, p in enumerate(ref._pairs(())[1][r]) if p >= 0}
+            child = {g.edge_id(p, c): c for c, p in enumerate(ref._tree((), r)[1]) if p >= 0}
             for eid in range(g.m):
                 want = 1 << child[eid] if eid in child else 0
                 assert below[eid] & ix._ends[eid] == want, (r, eid)
