@@ -194,6 +194,11 @@ def failure_mask(graph: Graph, ids: Iterable[int]) -> int:
     """Bit e set per failed edge e; one pass over ids, no id outside [0, m) shifted."""
     m, seen, bad = len(graph.edges), 0, _INF
     try:
+        ids = iter(ids)
+    except TypeError:
+        raise GraphError(
+            f"failures must be an iterable of edge ids, got {type(ids).__name__}") from None
+    try:
         for e in ids:
             e = index(e)
             if 0 <= e < m:

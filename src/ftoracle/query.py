@@ -11,12 +11,17 @@ The pivot loop is a branch and bound.  A subquery's code is that of a walk
 in G - D, so at least its pair's base code, and a pivot whose detour cannot
 beat the best bound so far is skipped: every answer and memo entry is kept.
 
-A damaged query builds one FailureView of D and the whole recursion runs
-on it: damage tests are bit tests, each root's key tree is built once, and
-the memo and the query's stats live in the view.  The failure ids are
-checked in one pass into an edge bitmask of D, and a query whose tree path
-u->v carries none of those edges, one AND with the index's path-edge mask,
-is undamaged: it builds no failure tuple and no view.
+The entry makes D's edge bitmask in one pass.  Plain int vertices in [0, n)
+and a tuple or list of plain int ids in [0, m) take the typed pass, a type
+and range test and a bit lookup per id; any other input drops to the
+checked read, operator.index and failure_mask, which alone refuses, so a
+refusal keeps one type, text and order.  The damage test reads
+index._dist[u], the list _finish_root writes last, before _path_edges[u][v];
+a query whose tree path u->v carries none of D's edges, one AND, is
+undamaged and builds no failure tuple and no view.  A damaged query builds
+one FailureView of D and the whole recursion runs on it: damage tests are
+bit tests, each root's key tree is built once, and the memo and the query's
+stats live in the view.
 
 The recursion runs on packed length codes, the hitting-set engine's bounds
 included, and decodes once, at the API edge; an undamaged query returns
@@ -49,6 +54,9 @@ class Oracle:
         self.index = index
         self.tables = tables
         self.engine = HitSetEngine(index, tables)
+        # the typed pass's scalars and bit lookup; not the index's replaceable lists
+        self._n, self._d = index.graph.n, tables.d
+        self._bits = tuple(1 << e for e in range(index.graph.m))
 
     @property
     def d(self) -> int:
@@ -61,27 +69,37 @@ class Oracle:
 
     def query_composite(self, u: int, v: int, failures: Iterable[int] = (),
                         stats: QueryStats | None = None) -> CompositeLength:
-        n = self.graph.n
-        try:
-            u, v = operator.index(u), operator.index(v)
-        except TypeError as exc:
-            raise QueryError(f"vertices must be integers: {exc}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise QueryError(f"vertex out of range: {u}, {v}")
-        try:
-            seen = failure_mask(self.graph, failures)
-        except GraphError as exc:
-            raise QueryError(str(exc)) from None
-        if seen.bit_count() > self.tables.d:
-            raise QueryError(
-                f"{seen.bit_count()} failures exceed the oracle budget d={self.tables.d}")
+        n, bits, seen = self._n, self._bits, None
+        if (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+                and (type(failures) is tuple or type(failures) is list)):
+            seen = 0
+            for e in failures:
+                if type(e) is not int or not 0 <= e < len(bits):
+                    seen = None
+                    break
+                seen |= bits[e]
+        if seen is None:  # any other input: the checked read, which alone refuses
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError as exc:
+                raise QueryError(f"vertices must be integers: {exc}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise QueryError(f"vertex out of range: {u}, {v}")
+            try:
+                seen = failure_mask(self.graph, failures)
+            except GraphError as exc:
+                raise QueryError(str(exc)) from None
+        if seen.bit_count() > self._d:
+            raise QueryError(f"{seen.bit_count()} failures exceed the oracle budget d={self._d}")
         index = self.index
-        if index._dist[u] is None:  # the last list _finish_root writes
+        dist = index._dist[u]  # the last list _finish_root writes, so read first
+        if dist is None:
             index._finish_root(u)
+            dist = index._dist[u]
         if not index._path_edges[u][v] & seen:
             if stats is not None and stats.max_depth < 1:
                 stats.max_depth = 1
-            return index._dist[u][v]
+            return dist[v]
         failed = edge_ids(seen)
         view = FailureView(index, failed, stats)
         code = self._query_r(u, v, view, len(failed))

@@ -1,12 +1,18 @@
 """Recursive query: exactness, budgets, argument checks."""
 import io
+import os
+import subprocess
+import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ftoracle
+from ftoracle import query
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import UNREACHABLE, GraphError, canonical_failures
 from ftoracle.hitset import FailureView, QueryStats
@@ -176,6 +182,143 @@ def test_d_property(oracle1_d2, oracle6_d1):
     assert oracle6_d1.d == 1
 
 
+class _Ids(tuple):
+    pass
+
+
+class _IdList(list):
+    pass
+
+
+class _Vertex(int):
+    """An int subclass, which the typed pass never takes: its rows meet the checked read."""
+
+
+_NOT_INT = "'{}' object cannot be interpreted as an integer"
+_NOT_SCALAR = "only integer scalar arrays can be converted to a scalar index"
+
+# (id, u, v, failures, the answer of query or the exact QueryError text), on
+# oracle1_d1: n = m = 4, d = 1; query(0, 2) is 3 over edges 0 and 1, and 6
+# with either failed; a callable failures is made afresh for each call
+ENTRY_PINS = [
+    # vertices
+    ("bool-u", True, 2, (), 2),
+    ("bool-v-damaged", 0, True, (1,), 1),
+    ("numpy-vertices-damaged", np.int64(0), np.int32(2), (1,), 6),
+    ("numpy-vertices", np.uint8(1), np.int64(3), (), 3),
+    ("float-u", 1.0, 2, (), "vertices must be integers: " + _NOT_INT.format("float")),
+    ("float-v-damaged", 0, 2.0, (1,), "vertices must be integers: " + _NOT_INT.format("float")),
+    ("numpy-float-v", 0, np.float64(2), (1,),
+     "vertices must be integers: " + _NOT_INT.format("numpy.float64")),
+    ("str-u", "1", 2, (), "vertices must be integers: " + _NOT_INT.format("str")),
+    ("none-u", None, 2, (), "vertices must be integers: " + _NOT_INT.format("NoneType")),
+    ("none-v-damaged", 0, None, (1,), "vertices must be integers: " + _NOT_INT.format("NoneType")),
+    ("u-at-n", 4, 0, (), "vertex out of range: 4, 0"),
+    ("v-at-n", 0, 4, (), "vertex out of range: 0, 4"),
+    ("negative-u", -1, 0, (), "vertex out of range: -1, 0"),
+    ("negative-v-damaged", 0, -1, (1,), "vertex out of range: 0, -1"),
+    ("huge-u", 10**30, 0, (), f"vertex out of range: {10**30}, 0"),
+    # ids
+    ("bool-id-true", 0, 2, (True,), 6),
+    ("bool-id-false", 0, 2, (False,), 6),
+    ("bool-id-unknown-after", 0, 2, (4, True), "unknown edge id 4"),
+    ("numpy-scalar-id", 0, 2, (np.int64(1),), 6),
+    ("numpy-scalar-duplicate", 0, 2, (1, np.int64(1)), 6),
+    ("numpy-array", 0, 2, lambda: np.array([1]), 6),
+    ("numpy-array-undamaged", 0, 2, lambda: np.array([2, 2]), 3),
+    ("numpy-array-empty", 0, 2, lambda: np.array([], dtype=np.int64), 3),
+    ("numpy-array-2d", 0, 2, lambda: np.array([[1]]), "edge ids must be integers: " + _NOT_SCALAR),
+    ("numpy-array-as-id", 0, 2, lambda: (np.array([1, 2]),),
+     "edge ids must be integers: " + _NOT_SCALAR),
+    ("numpy-float-id", 0, 2, (np.float64(2),),
+     "edge ids must be integers: " + _NOT_INT.format("numpy.float64")),
+    ("float-id", 0, 2, (0.7,), "edge ids must be integers: " + _NOT_INT.format("float")),
+    ("float-id-after-valid", 0, 2, (1, 2.5),
+     "edge ids must be integers: " + _NOT_INT.format("float")),
+    ("str-id", 0, 2, ("1",), "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("none-id", 0, 2, (None,), "edge ids must be integers: " + _NOT_INT.format("NoneType")),
+    ("negative-id", 0, 2, (-1,), "unknown edge id -1"),
+    ("id-at-m", 0, 2, (4,), "unknown edge id 4"),
+    ("huge-id", 0, 2, (10**30,), f"unknown edge id {10**30}"),
+    ("id-past-int64", 0, 2, [1 << 70], f"unknown edge id {1 << 70}"),
+    # containers
+    ("tuple", 0, 2, (1,), 6),
+    ("list", 0, 2, [1], 6),
+    ("tuple-subclass", 0, 2, lambda: _Ids((1,)), 6),
+    ("list-subclass", 0, 2, lambda: _IdList([1]), 6),
+    ("iterator", 0, 2, lambda: iter([1]), 6),
+    ("generator", 0, 2, lambda: (e for e in (1,)), 6),
+    ("set", 0, 2, {1}, 6),
+    ("frozenset-undamaged", 0, 2, frozenset({2}), 3),
+    ("empty-tuple", 0, 2, (), 3),
+    ("empty-list", 0, 2, [], 3),
+    ("undamaged-tuple", 0, 2, (2,), 3),
+    ("undamaged-list", 0, 2, [3], 3),
+    ("str-failures", 0, 2, "1", "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("int-failures", 0, 2, 5, "failures must be an iterable of edge ids, got int"),
+    ("none-failures", 0, 2, None, "failures must be an iterable of edge ids, got NoneType"),
+    # the order of refusals: vertex type, vertex range, ids, budget
+    ("bad-v-before-range", 9, "1", (), "vertices must be integers: " + _NOT_INT.format("str")),
+    ("bad-u-before-range", "1", 9, (), "vertices must be integers: " + _NOT_INT.format("str")),
+    ("range-before-ids", 9, 0, ("x",), "vertex out of range: 9, 0"),
+    ("range-before-budget", 9, 0, (1, 2), "vertex out of range: 9, 0"),
+    ("ids-before-budget", 0, 2, (1, 2, 9), "unknown edge id 9"),
+    ("non-integer-after-unknown", 0, 2, (9, "x"),
+     "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("least-unknown-named", 0, 2, (9, -3, 7), "unknown edge id -3"),
+    ("duplicates-past-d", 0, 2, (1, 1, 1), 6),
+    ("undamaged-duplicates-past-d", 0, 2, [2, 2, 2, 2], 3),
+    ("budget", 0, 2, (1, 2), "2 failures exceed the oracle budget d=1"),
+    ("budget-after-duplicates", 0, 2, [1, 2, 1, 2], "2 failures exceed the oracle budget d=1"),
+    ("budget-undamaged", 0, 2, (2, 3), "2 failures exceed the oracle budget d=1"),
+]
+
+
+@pytest.mark.parametrize("vertex", [lambda x: x, lambda x: _Vertex(x) if type(x) is int else x],
+                         ids=["as-given", "int-subclass"])
+@pytest.mark.parametrize("u, v, failures, expected", [row[1:] for row in ENTRY_PINS],
+                         ids=[row[0] for row in ENTRY_PINS])
+def test_entry_answers_and_refusals(oracle1_d1, vertex, u, v, failures, expected):
+    # every input maps to one answer or one exact QueryError text; plain int
+    # vertices are also passed as an int subclass, which no plain-int pass
+    # may take, so both ways into the entry meet every row
+    failures = failures() if callable(failures) else failures
+    try:
+        got = oracle1_d1.query(vertex(u), vertex(v), failures)
+    except QueryError as exc:
+        assert type(exc) is QueryError
+        got = str(exc)
+    assert got == expected
+
+
+@pytest.mark.parametrize("u, v, failures, checked", [
+    (0, 2, (1,), False), (0, 2, [2, 2, 3], False), (3, 1, (), False), (0, 2, [], False),
+    (0, 2, (True,), True), (0, 2, (np.int64(1),), True), (np.int64(0), 2, (1,), True),
+    (0, True, (), True), (_Vertex(0), 2, (1,), True), (0, 2, _Ids((1,)), True),
+    (0, 2, _IdList([1]), True), (0, 2, iter([1]), True), (0, 2, np.array([1]), True),
+    (0, 2, {1}, True), (0, 2, (4,), True), (0, 2, (-1,), True), (0, 2, (1, 0.5), True),
+    (4, 0, (1,), False)],
+    ids=["tuple", "list-duplicates", "undamaged-empty", "empty-list", "bool-id",
+         "numpy-id", "numpy-vertex", "bool-vertex", "int-subclass-vertex", "tuple-subclass",
+         "list-subclass", "iterator", "numpy-array", "set", "unknown-id", "negative-id",
+         "float-id", "vertex-at-n"])
+def test_only_plain_int_input_skips_the_checked_read(oracle1_d1, monkeypatch, u, v, failures,
+                                                     checked):
+    # plain int vertices in [0, n) and a tuple or list of plain int ids in
+    # [0, m) make their edge mask in the typed pass; anything else goes
+    # through failure_mask, the one reader of arbitrary ids, unless a vertex
+    # is refused first
+    calls = []
+    read = query.failure_mask
+    monkeypatch.setattr(query, "failure_mask",
+                        lambda graph, ids: calls.append(ids) or read(graph, ids))
+    try:
+        oracle1_d1.query(u, v, failures)
+    except QueryError:
+        pass
+    assert calls == ([failures] if checked else [])
+
+
 def _outcome(oracle, u, v, failures):
     try:
         return oracle.query_composite(u, v, failures)
@@ -292,3 +435,57 @@ def test_a_second_thread_never_reads_a_half_derived_root():
         returned.set()
         first.join(timeout=10)
     assert answers == [second] == [truth]
+
+
+FRESH_LOADS_UNDER_THREADS = """
+import io, random, sys, threading
+from ftoracle.generate import gen_gnm
+from ftoracle.oraclefile import load_oracle, oracle_file_bytes
+from ftoracle.query import build_oracle
+from ftoracle.reference import enumerate_instances
+
+graph = gen_gnm(16, 32, 32, 0)
+warm = build_oracle(graph, 2)
+blob = oracle_file_bytes(warm)
+queries = list(enumerate_instances(graph, 2, "sampled", 60, seed=0))
+queries += [(u, v, ()) for u in range(16) for v in range(16)]
+truth = [warm.query_composite(u, v, f) for u, v, f in queries]
+sys.setswitchinterval(1e-6)
+wrong = []
+
+def ask(oracle, order):
+    try:
+        for i in order:
+            u, v, failed = queries[i]
+            answer = oracle.query_composite(u, v, failed)
+            if answer != truth[i]:
+                wrong.append((queries[i], answer, truth[i]))
+    except Exception as exc:
+        wrong.append(repr(exc))
+
+for load in range(40):
+    oracle = load_oracle(io.BytesIO(blob), graph=graph)
+    # one order for all four, so that they meet on the roots as they derive them
+    order = random.Random(load).sample(range(len(queries)), len(queries))
+    threads = [threading.Thread(target=ask, args=(oracle, order)) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+print(len(wrong), wrong[:3])
+sys.exit(1 if wrong else 0)
+"""
+
+
+def test_threads_on_fresh_loads_answer_as_a_warm_oracle():
+    # 4 threads share each of 40 fresh loads, ask the same queries in the
+    # same order and switch every microsecond, so a reader often meets a root
+    # that another thread is deriving; every answer must be the warm
+    # oracle's, and none may raise.  A fast path that tests _path_edges[u]
+    # and then reads _dist[u] raises here on most runs
+    src = str(Path(ftoracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_LOADS_UNDER_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
