@@ -1,6 +1,6 @@
 """Exact distance oracle for undirected weighted graphs under edge failures."""
 from .graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
-                    canonical_failures, parse_graph, tie_break_values)
+                    parse_graph, tie_break_values)
 from .generate import gen_gnm
 from .hitset import FailureView, HitSetEngine, HitSetOutcome, QueryStats
 from .oraclefile import OracleFileError, load_oracle, oracle_file_bytes, save_oracle
@@ -12,7 +12,7 @@ from .version import __version__
 
 __all__ = [
     "CompositeLength", "Graph", "GraphError", "UNREACHABLE",
-    "canonical_failures", "parse_graph", "tie_break_values",
+    "parse_graph", "tie_break_values",
     "gen_gnm",
     "FailureView", "HitSetEngine", "HitSetOutcome", "QueryStats",
     "OracleFileError", "load_oracle", "oracle_file_bytes", "save_oracle",

@@ -11,7 +11,7 @@ import hashlib
 import math
 import random
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 TIE_RANGE_FACTOR = 8
 
@@ -56,6 +56,8 @@ class Graph:
             self.edges = [(index(a), index(b), index(w)) for a, b, w in edges]
         except TypeError as exc:
             raise GraphError(f"vertex count and edge fields must be integers: {exc}") from None
+        except ValueError as exc:  # an edge of other than three fields
+            raise GraphError(f"each edge must be (a, b, w): {exc}") from None
         self._adj: list[list[tuple[int, int, int]]] | None = None
         self._pair_ids: dict[tuple[int, int], int] | None = None
 
@@ -190,28 +192,6 @@ def tie_break_values(graph: Graph, seed: int) -> list[int]:
     return [rng.randint(1, hi) for _ in range(m)]
 
 
-def failure_mask(graph: Graph, ids: Iterable[int]) -> int:
-    """Bit e set per failed edge e; one pass over ids, no id outside [0, m) shifted."""
-    m, seen, bad = len(graph.edges), 0, _INF
-    try:
-        ids = iter(ids)
-    except TypeError:
-        raise GraphError(
-            f"failures must be an iterable of edge ids, got {type(ids).__name__}") from None
-    try:
-        for e in ids:
-            e = index(e)
-            if 0 <= e < m:
-                seen |= 1 << e
-            elif e < bad:
-                bad = e
-    except TypeError as exc:
-        raise GraphError(f"edge ids must be integers: {exc}") from None
-    if bad < _INF:
-        raise GraphError(f"unknown edge id {bad}")
-    return seen
-
-
 # _BYTE_BITS[k][x]: the set bits of x << 8k, ascending, for the low 4 bytes
 _BYTE_BITS = [[tuple(8 * k + i for i in range(8) if x >> i & 1) for x in range(256)]
               for k in range(4)]
@@ -233,7 +213,3 @@ def edge_ids(mask: int) -> tuple[int, ...]:
         mask &= mask - 1
     return out + tuple(high)
 
-
-def canonical_failures(graph: Graph, ids: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free edge-id tuple; validates every id."""
-    return edge_ids(failure_mask(graph, ids))

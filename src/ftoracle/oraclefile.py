@@ -41,6 +41,9 @@ values leave two shortest paths tied is refused; each root's tree is
 derived on its first query from the tree arcs the certificate kept.
 Before reading past the header, load runs the build's budget gate,
 check_build_size, which charges what the tables derive as they are read.
+It refuses a header that names a larger file than the gate charges, then
+reads the size the header names and one byte more, so neither an endless
+stream nor trailing data is read to its end.
 No id may pass m, and each row's ids must ascend before its first pad
 and be pads after it, n(n-1)/2 rows must be all padding, the last row
 among them, each palette must hold at most 4n^2 entries, and its codes
@@ -100,7 +103,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if isinstance(source, str):
         with open(source, "rb") as fh:
             return load_oracle(fh, graph)
-    blob = source.read()
+    blob = source.read(_HEADER.size)
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
     magic, version, code_width, n, m, d, tie_seed, digest, entries = _HEADER.unpack_from(blob)
@@ -112,7 +115,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     if code_width not in (4, 8):
         raise OracleFileError(f"unsupported code width {code_width} (expected 4 or 8)")
     try:
-        check_build_size(n, m, d)
+        need = check_build_size(n, m, d)
     except BuildError as exc:
         raise OracleFileError(f"cannot load: {exc}") from None
     offset = _HEADER.size + m * _EDGE.itemsize
@@ -120,9 +123,13 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
     id_type, width = palette_id_dtype(m), max(1, min(d, m))
     rows_at = offset + code_width * entries
     size = rows_at + id_type.itemsize * width * entries + _TRAILER
-    if len(blob) != size:
-        what = "truncated" if len(blob) < size else "trailing data in"
-        raise OracleFileError(f"{what} oracle file: {len(blob)} bytes, expected {size}")
+    if size > need:  # no file the gate admits is larger than what it charges
+        raise OracleFileError(f"oracle header names {size} bytes, more than the gate's {need}")
+    blob += source.read(size - _HEADER.size)  # the named size, then one byte: no read to EOF
+    if len(blob) < size:
+        raise OracleFileError(f"truncated oracle file: {len(blob)} bytes, expected {size}")
+    if source.read(1):
+        raise OracleFileError(f"trailing data in oracle file: more than the {size} bytes expected")
     if hashlib.sha256(memoryview(blob)[:-_TRAILER]).digest() != blob[-_TRAILER:]:
         raise OracleFileError("oracle file does not match its sha256 digest trailer")
 

@@ -11,11 +11,11 @@ The pivot loop is a branch and bound.  A subquery's code is that of a walk
 in G - D, so at least its pair's base code, and a pivot whose detour cannot
 beat the best bound so far is skipped: every answer and memo entry is kept.
 
-The entry makes D's edge bitmask in one pass.  Plain int vertices in [0, n)
-and a tuple or list of plain int ids in [0, m) take the typed pass, a type
-and range test and a bit lookup per id; any other input drops to the
-checked read, operator.index and failure_mask, which alone refuses, so a
-refusal keeps one type, text and order.  The damage test reads
+The entry reads u, v and D in one pass, the one place that checks query
+ids: operator.index only for what is not a plain int, then a range test;
+one loop over D builds its edge bitmask, deduplicating, refusing a
+non-integer wherever it stands, naming the least unknown id, reading an
+iterator once and shifting no id outside [0, m).  The damage test reads
 index._dist[u], the list _finish_root writes last, before _path_edges[u][v];
 a query whose tree path u->v carries none of D's edges, one AND, is
 undamaged and builds no failure tuple and no view.  A damaged query builds
@@ -36,7 +36,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .graph import CompositeLength, Graph, GraphError, edge_ids, failure_mask
+from .graph import CompositeLength, Graph, edge_ids
 from .hitset import FailureView, HitSetEngine, QueryStats
 from .spindex import MAX_TIE_RETRIES, BuildError, ShortestPathIndex, build_index_auto
 from .tables import OracleTables, build_tables, check_build_size
@@ -54,7 +54,7 @@ class Oracle:
         self.index = index
         self.tables = tables
         self.engine = HitSetEngine(index, tables)
-        # the typed pass's scalars and bit lookup; not the index's replaceable lists
+        # the entry's scalars and bit lookup; not the index's replaceable lists
         self._n, self._d = index.graph.n, tables.d
         self._bits = tuple(1 << e for e in range(index.graph.m))
 
@@ -69,26 +69,32 @@ class Oracle:
 
     def query_composite(self, u: int, v: int, failures: Iterable[int] = (),
                         stats: QueryStats | None = None) -> CompositeLength:
-        n, bits, seen = self._n, self._bits, None
-        if (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
-                and (type(failures) is tuple or type(failures) is list)):
-            seen = 0
-            for e in failures:
-                if type(e) is not int or not 0 <= e < len(bits):
-                    seen = None
-                    break
-                seen |= bits[e]
-        if seen is None:  # any other input: the checked read, which alone refuses
-            try:
+        n, bits = self._n, self._bits
+        try:
+            if type(u) is not int or type(v) is not int:
                 u, v = operator.index(u), operator.index(v)
-            except TypeError as exc:
-                raise QueryError(f"vertices must be integers: {exc}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise QueryError(f"vertex out of range: {u}, {v}")
+        except TypeError as exc:
+            raise QueryError(f"vertices must be integers: {exc}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise QueryError(f"vertex out of range: {u}, {v}")
+        seen, bad, m = 0, None, len(bits)
+        try:
+            for e in failures:
+                if type(e) is not int:
+                    e = operator.index(e)
+                if 0 <= e < m:
+                    seen |= bits[e]
+                elif bad is None or e < bad:
+                    bad = e
+        except TypeError as exc:
             try:
-                seen = failure_mask(self.graph, failures)
-            except GraphError as exc:
-                raise QueryError(str(exc)) from None
+                iter(failures)
+            except TypeError:
+                raise QueryError("failures must be an iterable of edge ids, "
+                                 f"got {type(failures).__name__}") from None
+            raise QueryError(f"edge ids must be integers: {exc}") from None
+        if bad is not None:
+            raise QueryError(f"unknown edge id {bad}")
         if seen.bit_count() > self._d:
             raise QueryError(f"{seen.bit_count()} failures exceed the oracle budget d={self._d}")
         index = self.index

@@ -161,8 +161,8 @@ def wide_codes(codes: np.ndarray) -> np.ndarray:
         codes == NARROW_UNREACHABLE, np.int64(LengthCodec.unreachable_code), codes)
 
 
-def check_build_size(n: int, m: int, d: int) -> None:
-    """The one budget gate of build and load; raises BuildError.
+def check_build_size(n: int, m: int, d: int) -> int:
+    """The one budget gate of build and load; returns the bytes it charges or raises BuildError.
 
     In order, it refuses d < 1 or d >= 2^64 (the file's d is a u64), more
     than 2^31 failure sets (the build's pair, set and candidate indices are
@@ -221,6 +221,7 @@ def check_build_size(n: int, m: int, d: int) -> None:
     if n > 128:
         raise BuildError(f"n={n} gives rows of {4 * n * n} keys, more than uint16 "
                          f"palette slots can address (n <= 128)")
+    return need
 
 
 def constraint_holds(index: ShortestPathIndex, failed: Sequence[int],

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from ftoracle.generate import gen_gnm
 from ftoracle.graph import (CompositeLength, Graph, GraphError, UNREACHABLE,
-                            ZERO_LENGTH, canonical_failures, edge_ids,
-                            failure_mask, parse_graph, tie_break_values)
+                            ZERO_LENGTH, edge_ids, parse_graph, tie_break_values)
 from ftoracle.query import build_oracle
 from ftoracle.spindex import ShortestPathIndex
 
@@ -184,37 +183,6 @@ def test_unreachable_flag():
     assert not CompositeLength(0, 0).is_unreachable
 
 
-def test_canonical_failures(g1):
-    assert canonical_failures(g1, [2, 0, 2]) == (0, 2)
-    assert canonical_failures(g1, []) == ()
-    with pytest.raises(GraphError, match="unknown edge"):
-        canonical_failures(g1, [4])
-    # the smallest bad id is named, below the range or above it
-    with pytest.raises(GraphError, match=r"unknown edge id 5$"):
-        canonical_failures(g1, [7, 1, 5, 9])
-    with pytest.raises(GraphError, match=r"unknown edge id -2$"):
-        canonical_failures(g1, [6, -1, 0, -2])
-    with pytest.raises(GraphError, match=r"unknown edge id -1$"):
-        canonical_failures(g1, [-1])
-    ids = canonical_failures(g1, np.array([3, 1, 3], dtype=np.int64))
-    assert ids == (1, 3) and all(type(e) is int for e in ids)
-    assert canonical_failures(g1, iter([3, 0, 3])) == (0, 3)
-
-
-@pytest.mark.parametrize("ids", [[0.7], ["1"], [1, 2.0], [None]])
-def test_canonical_failures_rejects_non_integers(g1, ids):
-    # int() would truncate 0.7 to edge 0 and parse "1" as edge 1
-    with pytest.raises(GraphError, match="must be integers"):
-        canonical_failures(g1, ids)
-
-
-def test_failure_mask_bits(g1):
-    assert failure_mask(g1, [2, 0, 2]) == 0b101
-    assert failure_mask(g1, ()) == 0
-    assert edge_ids(0b1011) == (0, 1, 3)
-    assert edge_ids(0) == ()
-
-
 def bit_scan(mask):
     """The set bits of mask, ascending, one bit test each."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -243,56 +211,12 @@ def test_edge_ids_across_a_table_boundary(boundary):
 
 
 def test_edge_ids_of_every_bit():
+    assert edge_ids(0b1011) == (0, 1, 3)
+    assert edge_ids(0) == ()
     full = (1 << TOP_BIT + 1) - 1
     assert edge_ids(full) == bit_scan(full) == tuple(range(TOP_BIT + 1))
     for b in TABLE_BOUNDARIES:
         assert edge_ids(full ^ 1 << b) == bit_scan(full ^ 1 << b)
-
-
-@pytest.mark.parametrize("ids", [[9, 0.7], [-1, "1"], [0, 9, 2, None], iter([7, 1, 0.5])])
-def test_canonical_failures_non_integer_after_bad_id(g1, ids):
-    # a non-integer is refused wherever it stands, even after an unknown id
-    with pytest.raises(GraphError, match="must be integers"):
-        canonical_failures(g1, ids)
-
-
-def test_canonical_failures_names_smallest_bad_id_of_an_iterator(g1):
-    with pytest.raises(GraphError, match=r"unknown edge id -3$"):
-        canonical_failures(g1, iter([9, 1, -3, 5, -1, 1]))
-    with pytest.raises(GraphError, match=r"unknown edge id 4$"):
-        canonical_failures(g1, (x for x in [9, 4, 0, 4, 6]))
-
-
-def test_canonical_failures_reads_ids_once(g1):
-    class Once:
-        """An iterable that may be iterated only once, one pull per id."""
-
-        def __init__(self, ids):
-            self.ids, self.pulls, self.opened = ids, 0, False
-
-        def __iter__(self):
-            assert not self.opened, "ids read a second time"
-            self.opened = True
-            for e in self.ids:
-                self.pulls += 1
-                yield e
-
-    ok = Once([3, 0, 3])
-    assert canonical_failures(g1, ok) == (0, 3) and ok.pulls == 3
-    bad = Once([3, 8, 0, 6])
-    with pytest.raises(GraphError, match=r"unknown edge id 6$"):
-        canonical_failures(g1, bad)
-    assert bad.pulls == 4
-
-
-@pytest.mark.parametrize("ids, bad", [([10**30], 10**30), ([1, 10**30, 10**25], 10**25),
-                                      ([-(10**30), 0], -(10**30))])
-def test_canonical_failures_refuses_huge_ids_before_any_shift(g1, ids, bad):
-    # 1 << 10**30 raises OverflowError, so a GraphError shows no shift was made
-    with pytest.raises(GraphError, match=rf"unknown edge id {bad}$"):
-        canonical_failures(g1, ids)
-    with pytest.raises(GraphError, match=rf"unknown edge id {bad}$"):
-        failure_mask(g1, iter(ids))
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -304,6 +228,14 @@ def test_canonical_failures_refuses_huge_ids_before_any_shift(g1, ids, bad):
 def test_graph_rejects_non_integer_fields(n, edges):
     with pytest.raises(GraphError, match="must be integers"):
         Graph(n, edges)
+
+
+@pytest.mark.parametrize("edges", [[5], [(0, 1)], [(0, 1, 1, 9)]],
+                         ids=["not-a-triple", "two-fields", "four-fields"])
+def test_graph_refuses_an_edge_without_three_fields(edges):
+    # a short or long edge is a GraphError, not unpacking's bare ValueError
+    with pytest.raises(GraphError, match="edge"):
+        Graph(3, edges)
 
 
 def test_graph_accepts_numpy_integers():

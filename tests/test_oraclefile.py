@@ -434,6 +434,33 @@ def test_rejects_trailing_data(oracle1_d1):
         load_oracle(io.BytesIO(blob))
 
 
+class _Endless:
+    """A stream of head, then zero bytes without end, counting the bytes it serves."""
+
+    def __init__(self, head: bytes):
+        self.head, self.served = head, 0
+
+    def read(self, size: int = -1) -> bytes:
+        assert size >= 0, "read to the end of an endless stream"
+        out = self.head[self.served:self.served + size]
+        self.served += size
+        return out + bytes(size - len(out))
+
+
+def test_endless_stream_is_read_no_further_than_its_header_names(oracle1_d1):
+    # a valid header is read for its size and one byte more; a header that
+    # names more than the budget gate charges is refused before any read
+    blob = oracle_file_bytes(oracle1_d1)
+    huge = _HEADER.pack(*_HEADER.unpack_from(blob)[:-1], 2 ** 60)  # 2^60 palette entries
+    for head, error, most in ((b"", "not an oracle file", _HEADER.size),
+                              (blob, "trailing data in oracle file", len(blob) + 1),
+                              (huge, "more than the gate's", _HEADER.size)):
+        stream = _Endless(head)
+        with pytest.raises(OracleFileError, match=error):
+            load_oracle(stream)
+        assert stream.served <= most, error
+
+
 def test_rejects_tampered_graph(oracle1_d1):
     # change one edge weight: the trailer catches it; re-sealed, the
     # trailer passes and the stored graph fails the header's graph digest

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ftoracle
-from ftoracle import query
 from ftoracle.generate import gen_gnm
-from ftoracle.graph import UNREACHABLE, GraphError, canonical_failures
+from ftoracle.graph import UNREACHABLE
 from ftoracle.hitset import FailureView, QueryStats
 from ftoracle.oraclefile import load_oracle, oracle_file_bytes
 from ftoracle.query import Oracle, QueryError, build_oracle
@@ -129,54 +128,6 @@ def test_recursion_depth_within_budget(oracle6_d2):
         assert stats.max_depth <= len(failed) + 1
 
 
-def test_duplicate_failures_collapse(oracle1_d1):
-    # duplicates are deduplicated before the budget check
-    assert oracle1_d1.query(0, 2, [1, 1, 1]) == 6
-
-
-def test_budget_exceeded(oracle1_d1):
-    with pytest.raises(QueryError, match="budget"):
-        oracle1_d1.query(0, 2, (1, 2))
-
-
-@pytest.mark.parametrize("u, v", [(4, 0), (0, 4), (-1, 0), (0, -1)])
-def test_vertex_out_of_range(oracle1_d1, u, v):
-    # source and sink each checked at both ends of [0, n), n = 4
-    assert oracle1_d1.graph.n == 4
-    with pytest.raises(QueryError, match="vertex out of range"):
-        oracle1_d1.query(u, v)
-
-
-def test_unknown_edge_id(oracle1_d1):
-    with pytest.raises(QueryError, match="unknown edge"):
-        oracle1_d1.query(0, 2, (9,))
-
-
-@pytest.mark.parametrize("failures", [[0.7], ["1"], [np.float64(2)]])
-def test_non_integer_edge_id(oracle1_d1, failures):
-    with pytest.raises(QueryError, match="must be integers"):
-        oracle1_d1.query(0, 2, failures)
-
-
-@pytest.mark.parametrize("u, v, failures", [
-    (1.0, 2, ()), (0, 2.0, [1]), ("1", 2, ()), (0, np.float64(2), [1]), (None, 2, ())],
-    ids=["float-u", "float-v-damaged", "str-u", "numpy-float-v-damaged", "none-u"])
-def test_non_integer_vertex(oracle1_d1, u, v, failures):
-    # undamaged and damaged queries alike: refused, never truncated
-    with pytest.raises(QueryError, match="vertices must be integers"):
-        oracle1_d1.query(u, v, failures)
-
-
-def test_numpy_integer_edge_ids(oracle1_d1):
-    failed = np.array([1], dtype=np.int64)
-    assert oracle1_d1.query(0, 2, failed) == oracle1_d1.query(0, 2, [1]) == 6
-
-
-def test_numpy_integer_vertices(oracle1_d1):
-    assert oracle1_d1.query(np.int64(0), np.int32(2), [1]) == 6
-    assert oracle1_d1.query(np.uint8(1), np.int64(3)) == oracle1_d1.query(1, 3)
-
-
 def test_d_property(oracle1_d2, oracle6_d1):
     assert oracle1_d2.d == 2
     assert oracle6_d1.d == 1
@@ -191,7 +142,7 @@ class _IdList(list):
 
 
 class _Vertex(int):
-    """An int subclass, which the typed pass never takes: its rows meet the checked read."""
+    """An int subclass, which the entry converts with operator.index."""
 
 
 _NOT_INT = "'{}' object cannot be interpreted as an integer"
@@ -217,6 +168,7 @@ ENTRY_PINS = [
     ("v-at-n", 0, 4, (), "vertex out of range: 0, 4"),
     ("negative-u", -1, 0, (), "vertex out of range: -1, 0"),
     ("negative-v-damaged", 0, -1, (1,), "vertex out of range: 0, -1"),
+    ("negative-v", 0, -1, (), "vertex out of range: 0, -1"),
     ("huge-u", 10**30, 0, (), f"vertex out of range: {10**30}, 0"),
     # ids
     ("bool-id-true", 0, 2, (True,), 6),
@@ -233,14 +185,27 @@ ENTRY_PINS = [
     ("numpy-float-id", 0, 2, (np.float64(2),),
      "edge ids must be integers: " + _NOT_INT.format("numpy.float64")),
     ("float-id", 0, 2, (0.7,), "edge ids must be integers: " + _NOT_INT.format("float")),
+    # refused, not read as int() would: 0.7 as edge 0, 2.0 as edge 2, "1" as edge 1
+    ("float-id-list", 0, 2, [0.7], "edge ids must be integers: " + _NOT_INT.format("float")),
+    ("integral-float-id-after-valid", 0, 2, [1, 2.0],
+     "edge ids must be integers: " + _NOT_INT.format("float")),
+    ("numpy-float-id-list", 0, 2, [np.float64(2)],
+     "edge ids must be integers: " + _NOT_INT.format("numpy.float64")),
     ("float-id-after-valid", 0, 2, (1, 2.5),
      "edge ids must be integers: " + _NOT_INT.format("float")),
     ("str-id", 0, 2, ("1",), "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("str-id-list", 0, 2, ["1"], "edge ids must be integers: " + _NOT_INT.format("str")),
     ("none-id", 0, 2, (None,), "edge ids must be integers: " + _NOT_INT.format("NoneType")),
+    ("none-id-list", 0, 2, [None], "edge ids must be integers: " + _NOT_INT.format("NoneType")),
     ("negative-id", 0, 2, (-1,), "unknown edge id -1"),
     ("id-at-m", 0, 2, (4,), "unknown edge id 4"),
+    ("unknown-id", 0, 2, (9,), "unknown edge id 9"),
+    # 1 << 10**30 raises OverflowError, so its QueryError shows no id was shifted
     ("huge-id", 0, 2, (10**30,), f"unknown edge id {10**30}"),
     ("id-past-int64", 0, 2, [1 << 70], f"unknown edge id {1 << 70}"),
+    ("huge-ids-least-named", 0, 2, [1, 10**30, 10**25], f"unknown edge id {10**25}"),
+    ("huge-ids-iterator", 0, 2, lambda: iter([1, 10**30, 10**25]), f"unknown edge id {10**25}"),
+    ("huge-negative-id", 0, 2, [-(10**30), 0], f"unknown edge id {-(10**30)}"),
     # containers
     ("tuple", 0, 2, (1,), 6),
     ("list", 0, 2, [1], 6),
@@ -265,12 +230,30 @@ ENTRY_PINS = [
     ("ids-before-budget", 0, 2, (1, 2, 9), "unknown edge id 9"),
     ("non-integer-after-unknown", 0, 2, (9, "x"),
      "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("float-after-unknown", 0, 2, [9, 0.7],
+     "edge ids must be integers: " + _NOT_INT.format("float")),
+    ("str-after-negative", 0, 2, [-1, "1"], "edge ids must be integers: " + _NOT_INT.format("str")),
+    ("none-after-unknown", 0, 2, [0, 9, 2, None],
+     "edge ids must be integers: " + _NOT_INT.format("NoneType")),
+    ("float-after-unknown-iterator", 0, 2, lambda: iter([7, 1, 0.5]),
+     "edge ids must be integers: " + _NOT_INT.format("float")),
     ("least-unknown-named", 0, 2, (9, -3, 7), "unknown edge id -3"),
+    ("least-unknown-above-m", 0, 2, [7, 1, 5, 9], "unknown edge id 5"),
+    ("least-unknown-below-0", 0, 2, [6, -1, 0, -2], "unknown edge id -2"),
+    ("least-unknown-iterator", 0, 2, lambda: iter([9, 1, -3, 5, -1, 1]), "unknown edge id -3"),
+    ("least-unknown-generator", 0, 2, lambda: (e for e in [9, 4, 0, 4, 6]), "unknown edge id 4"),
     ("duplicates-past-d", 0, 2, (1, 1, 1), 6),
+    ("duplicates-past-d-list", 0, 2, [1, 1, 1], 6),
     ("undamaged-duplicates-past-d", 0, 2, [2, 2, 2, 2], 3),
     ("budget", 0, 2, (1, 2), "2 failures exceed the oracle budget d=1"),
     ("budget-after-duplicates", 0, 2, [1, 2, 1, 2], "2 failures exceed the oracle budget d=1"),
     ("budget-undamaged", 0, 2, (2, 3), "2 failures exceed the oracle budget d=1"),
+    # duplicates count once against the budget, in a list, an array and an iterator
+    ("budget-list-duplicates", 0, 2, [2, 0, 2], "2 failures exceed the oracle budget d=1"),
+    ("budget-numpy-duplicates", 0, 2, lambda: np.array([3, 1, 3], dtype=np.int64),
+     "2 failures exceed the oracle budget d=1"),
+    ("budget-iterator-duplicates", 0, 2, lambda: iter([3, 0, 3]),
+     "2 failures exceed the oracle budget d=1"),
 ]
 
 
@@ -280,50 +263,28 @@ ENTRY_PINS = [
                          ids=[row[0] for row in ENTRY_PINS])
 def test_entry_answers_and_refusals(oracle1_d1, vertex, u, v, failures, expected):
     # every input maps to one answer or one exact QueryError text; plain int
-    # vertices are also passed as an int subclass, which no plain-int pass
-    # may take, so both ways into the entry meet every row
+    # vertices are also passed as an int subclass, which the entry converts,
+    # so plain and converted vertices meet every row
     failures = failures() if callable(failures) else failures
+    assert _outcome(oracle1_d1.query, vertex(u), vertex(v), failures) == expected
+
+
+def _outcome(ask, u, v, failures):
+    """ask's answer, or the text of the QueryError it raises."""
     try:
-        got = oracle1_d1.query(vertex(u), vertex(v), failures)
+        return ask(u, v, failures)
     except QueryError as exc:
         assert type(exc) is QueryError
-        got = str(exc)
-    assert got == expected
-
-
-@pytest.mark.parametrize("u, v, failures, checked", [
-    (0, 2, (1,), False), (0, 2, [2, 2, 3], False), (3, 1, (), False), (0, 2, [], False),
-    (0, 2, (True,), True), (0, 2, (np.int64(1),), True), (np.int64(0), 2, (1,), True),
-    (0, True, (), True), (_Vertex(0), 2, (1,), True), (0, 2, _Ids((1,)), True),
-    (0, 2, _IdList([1]), True), (0, 2, iter([1]), True), (0, 2, np.array([1]), True),
-    (0, 2, {1}, True), (0, 2, (4,), True), (0, 2, (-1,), True), (0, 2, (1, 0.5), True),
-    (4, 0, (1,), False)],
-    ids=["tuple", "list-duplicates", "undamaged-empty", "empty-list", "bool-id",
-         "numpy-id", "numpy-vertex", "bool-vertex", "int-subclass-vertex", "tuple-subclass",
-         "list-subclass", "iterator", "numpy-array", "set", "unknown-id", "negative-id",
-         "float-id", "vertex-at-n"])
-def test_only_plain_int_input_skips_the_checked_read(oracle1_d1, monkeypatch, u, v, failures,
-                                                     checked):
-    # plain int vertices in [0, n) and a tuple or list of plain int ids in
-    # [0, m) make their edge mask in the typed pass; anything else goes
-    # through failure_mask, the one reader of arbitrary ids, unless a vertex
-    # is refused first
-    calls = []
-    read = query.failure_mask
-    monkeypatch.setattr(query, "failure_mask",
-                        lambda graph, ids: calls.append(ids) or read(graph, ids))
-    try:
-        oracle1_d1.query(u, v, failures)
-    except QueryError:
-        pass
-    assert calls == ([failures] if checked else [])
-
-
-def _outcome(oracle, u, v, failures):
-    try:
-        return oracle.query_composite(u, v, failures)
-    except QueryError as exc:
         return str(exc)
+
+
+def _canonical(m, ids):
+    """sorted(set(ids)), or the refusal: a non-integer anywhere, else the least unknown id."""
+    odd = [e for e in ids if type(e) is not int]
+    if odd:
+        return "edge ids must be integers: " + _NOT_INT.format(type(odd[0]).__name__)
+    bad = [e for e in ids if not 0 <= e < m]
+    return f"unknown edge id {min(bad)}" if bad else sorted(set(ids))
 
 
 @given(ids=st.lists(st.one_of(st.integers(-2, 11), st.sampled_from([10**30, -(10**30), 0.5])),
@@ -333,17 +294,44 @@ def _outcome(oracle, u, v, failures):
 def test_raw_failure_ids_match_their_canonical_set(oracle6_d2, ids, form, u, v):
     # duplicates, any order, numpy ints, one-shot iterators, unknown ids and
     # non-integers: the answer is that of sorted(set(ids)), and a refusal
-    # carries the text of canonical_failures
+    # carries the model's text
     if form == "numpy" and any(type(e) is not int or abs(e) > 2**62 for e in ids):
         form = "list"
     raw = {"list": list, "tuple": tuple, "iter": iter,
            "numpy": lambda x: np.array(x, dtype=np.int64)}[form](ids)
-    try:
-        canonical_failures(oracle6_d2.graph, ids)
-    except GraphError as exc:
-        assert _outcome(oracle6_d2, u, v, raw) == str(exc)
-    else:
-        assert _outcome(oracle6_d2, u, v, raw) == _outcome(oracle6_d2, u, v, sorted(set(ids)))
+    ask = oracle6_d2.query_composite
+    want = _canonical(oracle6_d2.graph.m, ids)
+    assert _outcome(ask, u, v, raw) == (_outcome(ask, u, v, want) if type(want) is list else want)
+
+
+class _Once:
+    """An iterable of ids that counts the iterators it opens and the ids it hands out."""
+
+    def __init__(self, ids):
+        self.ids, self.opens, self.pulls = ids, 0, 0
+
+    def __iter__(self):
+        self.opens += 1
+        return self._pull()
+
+    def _pull(self):
+        for e in self.ids:
+            self.pulls += 1
+            yield e
+
+
+@pytest.mark.parametrize("ids, expected, opens, pulls", [
+    ([1, 1], 6, 1, 2), ([3, 0, 3], "2 failures exceed the oracle budget d=1", 1, 3),
+    ([3, 8, 0, 6], "unknown edge id 6", 1, 4),
+    ([3, "x", 0], "edge ids must be integers: " + _NOT_INT.format("str"), 2, 2)],
+    ids=["answer", "budget", "unknown", "non-integer"])
+def test_entry_pulls_each_id_once(oracle1_d1, ids, expected, opens, pulls):
+    # one pass over D: each id is pulled once, up to the first non-integer;
+    # only a TypeError opens D again, to tell a non-iterable D apart, and
+    # that iterator pulls nothing
+    once = _Once(ids)
+    assert _outcome(oracle1_d1.query, 0, 2, once) == expected
+    assert (once.opens, once.pulls) == (opens, pulls)
 
 
 def test_build_derives_no_root(g6, monkeypatch):
