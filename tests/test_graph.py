@@ -107,6 +107,54 @@ def test_validate_rejects_bad_endpoint():
         Graph(2, [(0, 2, 1)]).validate()
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (4, [(0, 1, 1), (2, 2, 0), (5, 1, -1), (0, 1, 3)], "edge 1: self-loop at vertex 2"),
+    (3, [(0, 1, 1), (3, 3, 0)], "edge 1: endpoint out of range: 3 3"),
+    (3, [(0, 1, 1), (-1, 1, 1), (1, 1, 1)], "edge 1: endpoint out of range: -1 1"),
+    (3, [(0, 1, 1), (1, 0, 0), (1, 2, 1)], "edge 1: nonpositive weight 0"),
+    (3, [(0, 1, 2), (1, 2, 1), (1, 0, 2), (2, 2, 1)], "edge 2: duplicate edge 1-0"),
+    (0, [(0, 0, 0)], "vertex count must be positive, got 0"),
+    (5, [(0, 1, 1), (2, 2, 1)], "edge 1: self-loop at vertex 2"),
+    (5, [(0, 1, 1), (1, 2, 1)], "graph is disconnected: 2 edges cannot join 5 vertices"),
+    (5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 3, 1)], "edge 4: duplicate edge 4-3"),
+], ids=["self-loop-and-weight", "range-and-self-loop", "negative-end", "weight-and-duplicate",
+        "duplicate-then-self-loop", "no-vertex", "edge-before-count", "count", "edge-before-walk"])
+def test_validate_names_the_first_fault(n, edges, message):
+    # the first faulty edge is named with its first fault: range, self-loop,
+    # weight, duplicate; every edge fault comes before either disconnection
+    with pytest.raises(GraphError) as info:
+        Graph(n, edges).validate()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, edges, reached", [
+    (5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)], 3),
+    (6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)], 3),
+    (4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)], 1),
+], ids=["triangle-and-edge", "two-triangles", "vertex-0-alone"])
+def test_validate_walk_refuses_a_disconnected_graph_of_enough_edges(n, edges, reached):
+    # m >= n - 1, so only the walk from vertex 0 finds the graph disconnected
+    with pytest.raises(GraphError) as info:
+        Graph(n, edges).validate()
+    assert str(info.value) == f"graph is disconnected: reached {reached} of {n} vertices"
+
+
+@pytest.mark.parametrize("make", [lambda: Graph(1, []), lambda: Graph(2, [(1, 0, 7)]),
+                                  lambda: parse_graph(G1_TEXT), lambda: gen_gnm(10, 18, 32, 0),
+                                  lambda: gen_gnm(16, 32, 32, 3)],
+                         ids=["n1", "edge", "g1", "gnm10x18", "gnm16x32"])
+def test_validate_leaves_adj_as_adj_builds_it(make):
+    # the arcs' order is what _arc_list reads: after validate, adj holds,
+    # triple for triple and in order, what it builds on a graph never validated
+    validated = make()
+    validated.validate()
+    fresh = Graph(validated.n, validated.edges)
+    assert fresh._adj is None
+    assert validated.adj == fresh.adj
+    assert [[type(x) for t in arcs for x in t] for arcs in validated.adj] == \
+        [[int] * 3 * len(arcs) for arcs in fresh.adj]
+
+
 @pytest.mark.parametrize("graph, pattern", [
     (Graph(0, [(0, 1, 1)]), "vertex count"),
     (Graph(2, [(0, 2, 1)]), "out of range"),

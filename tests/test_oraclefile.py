@@ -995,3 +995,137 @@ def test_rejects_out_of_range_tie_values(oracle1_d1, tie):
     blob[off:off + 8] = tie.to_bytes(8, "little")
     with pytest.raises(OracleFileError, match="stored tie values: .*tie value"):
         load_oracle(io.BytesIO(_reseal(blob)))
+
+
+# Seeded single-byte edits of two files, each re-sealed, and what load makes
+# of each: (file, offset, byte written there, "loads" or the refusal's type
+# and exact text).  "gnm8x12" is PINNED's gnm8x12-s0-d2 file, 4-byte codes,
+# "wide" wide_oracle's, 8-byte codes.  Per file the offsets fall one in each
+# header field and one more anywhere in the header, then ten in the edge
+# records, ten in the codes and ten in the id rows; half the bytes are the
+# old one +-1, half any other.  Physical memory, which the budget gate's
+# text names, is fixed at 16 GiB.  Every check is pinned with the text it
+# gives and the order it runs in: the first failing check names the file.
+LOAD_PINS = [
+    ("gnm8x12", 3, 180, "OracleFileError: not an oracle file (magic b'FTD\\xb4')"),
+    ("gnm8x12", 5, 52,
+     "OracleFileError: unsupported oracle file version 13323 (expected 11); rebuild the oracle"),
+    ("gnm8x12", 7, 70, "OracleFileError: unsupported code width 17924 (expected 4 or 8)"),
+    ("gnm8x12", 11, 149,
+     "OracleFileError: cannot load: build needs about 7.27e+28 GiB for n=2499805192 m=12 d=2, "
+     "more than the 16 GiB of physical memory"),
+    ("gnm8x12", 23, 1,
+     "OracleFileError: cannot load: failure budget d=2 with m=72057594037927948 gives more "
+     "failure sets than int32 set indices can address"),
+    ("gnm8x12", 29, 137, "OracleFileError: truncated oracle file: 1684 bytes, expected 3824"),
+    ("gnm8x12", 33, 106, "loads"),
+    ("gnm8x12", 60, 227, "OracleFileError: stored graph does not match its stored digest"),
+    ("gnm8x12", 75, 210,
+     "OracleFileError: oracle header names 21139293844 bytes, more than the gate's 832692"),
+    ("gnm8x12", 71, 214, "OracleFileError: stored graph does not match its stored digest"),
+    ("gnm8x12", 123, 255,
+     "OracleFileError: stored tie values: edge 1: tie value 4278194743 outside [1, 6144]"),
+    ("gnm8x12", 158, 1, "OracleFileError: stored graph: edge 3: endpoint out of range: 5 65536"),
+    ("gnm8x12", 257, 1, "OracleFileError: stored graph does not match its stored digest"),
+    ("gnm8x12", 130, 39,
+     "OracleFileError: stored graph: edge 2: endpoint out of range: 2555905 2"),
+    ("gnm8x12", 257, 255, "OracleFileError: stored graph does not match its stored digest"),
+    ("gnm8x12", 243, 175,
+     "OracleFileError: stored tie values: edge 6: tie value 2936016483 outside [1, 6144]"),
+    ("gnm8x12", 193, 2,
+     "OracleFileError: palette does not end with the empty set at its pair's base code"),
+    ("gnm8x12", 176, 255, "OracleFileError: stored graph: edge 4: endpoint out of range: 255 3"),
+    ("gnm8x12", 115, 66, "OracleFileError: stored graph does not match its stored digest"),
+    ("gnm8x12", 248, 0, "OracleFileError: stored graph: edge 7: duplicate edge 0-3"),
+    ("gnm8x12", 986, 107, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 990, 20, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 807, 175, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 1018, 136, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 459, 1, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 433, 101,
+     "OracleFileError: palette does not end with the empty set at its pair's base code"),
+    ("gnm8x12", 1077, 46,
+     "OracleFileError: palette does not end with the empty set at its pair's base code"),
+    ("gnm8x12", 1212, 4, "OracleFileError: palette codes not in descending order"),
+    ("gnm8x12", 710, 254, "loads"),
+    ("gnm8x12", 1630, 2, "loads"),
+    ("gnm8x12", 1577, 176, "OracleFileError: palette edge id out of range"),
+    ("gnm8x12", 1553, 128, "OracleFileError: palette edge id out of range"),
+    ("gnm8x12", 1650, 11, "OracleFileError: palette sizes out of range"),
+    ("gnm8x12", 1444, 4, "loads"),
+    ("gnm8x12", 1226, 3, "OracleFileError: palette set not strictly ascending"),
+    ("gnm8x12", 1340, 0, "loads"),
+    ("gnm8x12", 1396, 8, "OracleFileError: palette set not strictly ascending"),
+    ("gnm8x12", 1360, 13, "OracleFileError: palette edge id out of range"),
+    ("gnm8x12", 1632, 3, "loads"),
+    ("wide", 1, 253, "OracleFileError: not an oracle file (magic b'F\\xfdDO')"),
+    ("wide", 4, 10,
+     "OracleFileError: unsupported oracle file version 10 (expected 11); rebuild the oracle"),
+    ("wide", 6, 9, "OracleFileError: unsupported code width 9 (expected 4 or 8)"),
+    ("wide", 11, 175,
+     "OracleFileError: cannot load: build needs about 1.38e+29 GiB for n=2936012810 m=18 d=2, "
+     "more than the 16 GiB of physical memory"),
+    ("wide", 20, 1,
+     "OracleFileError: cannot load: failure budget d=2 with m=4294967314 gives more failure "
+     "sets than int32 set indices can address"),
+    ("wide", 30, 251, "OracleFileError: truncated oracle file: 4774 bytes, expected 11542"),
+    ("wide", 39, 29, "loads"),
+    ("wide", 61, 199, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 77, 254,
+     "OracleFileError: oracle header names 2792759534555814 bytes, more than the gate's 2177704"),
+    ("wide", 49, 229, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 222, 113,
+     "OracleFileError: stored tie values: edge 5: tie value 31806672368305162 outside [1, 14400]"),
+    ("wide", 286, 252, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 436, 255,
+     "OracleFileError: stored tie values: edge 14: tie value 1095216673403 outside [1, 14400]"),
+    ("wide", 83, 239,
+     "OracleFileError: stored graph: edge 0: endpoint out of range: 4009754631 8"),
+    ("wide", 138, 218, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 94, 135, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 355, 79, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 212, 213, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 96, 153,
+     "OracleFileError: palette does not end with the empty set at its pair's base code"),
+    ("wide", 324, 2, "OracleFileError: stored graph does not match its stored digest"),
+    ("wide", 3280, 221, "loads"),
+    ("wide", 3848, 143, "OracleFileError: palette codes not in descending order"),
+    ("wide", 1239, 72, "OracleFileError: palette code out of range"),
+    ("wide", 1934, 1, "OracleFileError: palette code out of range"),
+    ("wide", 3034, 54, "OracleFileError: palette codes not in descending order"),
+    ("wide", 1739, 138, "loads"),
+    ("wide", 2016, 102, "OracleFileError: palette codes not in descending order"),
+    ("wide", 2351, 1, "loads"),
+    ("wide", 3730, 141, "loads"),
+    ("wide", 3761, 99, "loads"),
+    ("wide", 4676, 8, "loads"),
+    ("wide", 4560, 227, "OracleFileError: palette edge id out of range"),
+    ("wide", 4093, 8, "loads"),
+    ("wide", 4678, 9, "OracleFileError: palette set not strictly ascending"),
+    ("wide", 4674, 189, "OracleFileError: palette edge id out of range"),
+    ("wide", 3926, 11, "loads"),
+    ("wide", 4344, 186, "OracleFileError: palette edge id out of range"),
+    ("wide", 4068, 13, "loads"),
+    ("wide", 4377, 152, "OracleFileError: palette edge id out of range"),
+    ("wide", 3909, 187, "OracleFileError: palette edge id out of range"),
+]
+
+
+@pytest.mark.parametrize("name, offset, byte, expected", LOAD_PINS,
+                         ids=[f"{name}-{offset}-{byte}" for name, offset, byte, _ in LOAD_PINS])
+def test_load_pins(wide_oracle, monkeypatch, name, offset, byte, expected):
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 22, "SC_PAGE_SIZE": 4096}.__getitem__)
+    if name == "wide":
+        oracle = wide_oracle
+    else:
+        make, d = PINNED["gnm8x12-s0-d2"][:2]
+        oracle = build_oracle(make(), d, seed=1)
+    blob = bytearray(oracle_file_bytes(oracle))
+    assert blob[offset] != byte
+    blob[offset] = byte
+    try:
+        load_oracle(io.BytesIO(_reseal(blob)))
+        outcome = "loads"
+    except Exception as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    assert outcome == expected
