@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import defaultdict
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -88,36 +89,35 @@ class Graph:
             raise GraphError(f"no edge between {a} and {b}") from None
 
     def validate(self) -> None:
-        """Check ids, weights, simplicity and connectivity; raise GraphError."""
-        if self.n < 1:
-            raise GraphError(f"vertex count must be positive, got {self.n}")
-        seen: set[tuple[int, int]] = set()
+        """Check ids, weights, simplicity and connectivity, filling adj; raise GraphError."""
+        if (n := self.n) < 1:
+            raise GraphError(f"vertex count must be positive, got {n}")
+        adj = [[] for _ in range(n)] if self.m >= n - 1 else defaultdict(list)
+        seen: set[int] = set()
         for eid, (a, b, w) in enumerate(self.edges):
-            if not (0 <= a < self.n and 0 <= b < self.n):
+            if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"edge {eid}: endpoint out of range: {a} {b}")
             if a == b:
                 raise GraphError(f"edge {eid}: self-loop at vertex {a}")
             if w < 1:
                 raise GraphError(f"edge {eid}: nonpositive weight {w}")
-            key = (min(a, b), max(a, b))
+            key = a * n + b if a < b else b * n + a
             if key in seen:
                 raise GraphError(f"edge {eid}: duplicate edge {a}-{b}")
             seen.add(key)
-        if self.m < self.n - 1:  # refused before anything of size n is made
-            raise GraphError(f"graph is disconnected: {self.m} edges cannot join {self.n} vertices")
-        reached = [False] * self.n
-        reached[0] = True
-        stack = [0]
-        count = 1
+            adj[a].append((b, eid, w))
+            adj[b].append((a, eid, w))
+        if self.m < n - 1:  # refused after the edge checks, with no list of size n made
+            raise GraphError(f"graph is disconnected: {self.m} edges cannot join {n} vertices")
+        self._adj = adj
+        reached, stack = [True] + [False] * (n - 1), [0]
         while stack:
-            x = stack.pop()
-            for nb, _, _ in self.adj[x]:
+            for nb, _, _ in adj[stack.pop()]:
                 if not reached[nb]:
                     reached[nb] = True
-                    count += 1
                     stack.append(nb)
-        if count != self.n:
-            raise GraphError(f"graph is disconnected: reached {count} of {self.n} vertices")
+        if not all(reached):
+            raise GraphError(f"graph is disconnected: reached {sum(reached)} of {n} vertices")
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]

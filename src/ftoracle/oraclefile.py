@@ -33,30 +33,36 @@ zero-copy views, and the palettes in memory are these sections.  Only
 the rows' width depends on d, so a header whose d changes min(d, m)
 names a file of another length, and sets are edge ids, so load never
 enumerates failure sets.  The length codec and the shortest-path index
-are derived, not stored; a vertex's own base code is 0.  Load
-range-checks the tie values and certifies the base codes on the stored
-graph with the build's own certificate (from_arrays, which computes
-none), so the index cannot disagree with the graph, and a file whose tie
-values leave two shortest paths tied is refused; each root's tree is
-derived on its first query from the tree arcs the certificate kept.
-Before reading past the header, load runs the build's budget gate,
-check_build_size, which charges what the tables derive as they are read.
-It refuses a header that names a larger file than the gate charges, then
-reads the size the header names and one byte more, so neither an endless
-stream nor trailing data is read to its end.
-No id may pass m, and each row's ids must ascend before its first pad
-and be pads after it, n(n-1)/2 rows must be all padding, the last row
-among them, each palette must hold at most 4n^2 entries, and its codes
-must not increase; a pair's first read refuses a palette no build stores
-(tables.PaletteError).  Other versions, such as version 10, fail with a
-version error, and so does a code width but 4 or 8, or i8 codes that fit
-u4.  Saving the same build twice is byte-identical, and a load followed
-by a save reproduces the file exactly.
+are derived, not stored; a vertex's own base code is 0.
+
+Load refuses a file at the first check it fails, in this order: the
+magic, the version (other versions, such as version 10, fail with a
+version error), a code width but 4 or 8, the build's budget gate
+check_build_size, which charges what the tables derive as they are read,
+and a header naming a larger file than the gate charges; then it reads
+the size the header names and one byte more, so neither an endless
+stream nor trailing data is read to its end, and refuses a short file,
+trailing data and a wrong sha256 trailer.  The stored graph must pass
+Graph.validate and match the header's digest, and a given graph's.
+8-byte codes must lie in [0, 2^62] (no 4-byte code can leave it), their
+finite values must not all fit 4 bytes; no id may pass m; each row's ids
+must ascend before its first pad and be pads after it; n(n-1)/2 rows
+must be all padding, the last row among them; each palette must hold at
+most 4n^2 entries, and its codes must not increase.  Last, the tie
+values must lie in their range, and the base codes are certified on the
+stored graph with the build's own certificate (from_arrays, which
+computes none), so the index cannot disagree with the graph, and a file
+whose tie values leave two shortest paths tied is refused; each root's
+tree is derived on its first query from the tree arcs the certificate
+kept, and a pair's first read refuses a palette no build stores
+(tables.PaletteError).  Saving the same build twice is byte-identical,
+and a load followed by a save reproduces the file exactly.
 """
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import struct
 from typing import BinaryIO
 
@@ -78,10 +84,10 @@ class OracleFileError(ValueError):
     """Corrupt, truncated or mismatched oracle file."""
 
 
-def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
+def save_oracle(oracle: Oracle, target: str | os.PathLike | BinaryIO) -> None:
     """Serialize an oracle to a path or binary file object."""
-    if isinstance(target, str):
-        with open(target, "wb") as fh:
+    if not hasattr(target, "write"):  # a path
+        with open(os.fspath(target), "wb") as fh:
             save_oracle(oracle, fh)
         return
     graph, index, tables = oracle.graph, oracle.index, oracle.tables
@@ -98,11 +104,13 @@ def save_oracle(oracle: Oracle, target: str | BinaryIO) -> None:
     target.write(digest.digest())
 
 
-def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
-    """Load an oracle; if a graph is given its digest must match the file."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
+def load_oracle(source: str | os.PathLike | BinaryIO, graph: Graph | None = None) -> Oracle:
+    """Load an oracle from a path or binary stream; a given graph's digest must match the file."""
+    if not hasattr(source, "read"):  # a path
+        with open(os.fspath(source), "rb") as fh:
             return load_oracle(fh, graph)
+    if hasattr(source, "encoding"):  # a text stream
+        raise OracleFileError("oracle file opened in text mode; open it in binary mode")
     blob = source.read(_HEADER.size)
     if len(blob) < _HEADER.size:
         raise OracleFileError("truncated oracle file while reading header")
@@ -134,8 +142,7 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
         raise OracleFileError("oracle file does not match its sha256 digest trailer")
 
     edges = np.frombuffer(blob, _EDGE, m, _HEADER.size)
-    g = Graph(n, list(zip(edges["a"].tolist(), edges["b"].tolist(),
-                          edges["w"].tolist())))
+    g = Graph(n, list(zip(*(edges[field].tolist() for field in ("a", "b", "w")))))
     try:
         g.validate()
     except GraphError as exc:
@@ -147,28 +154,32 @@ def load_oracle(source: str | BinaryIO, graph: Graph | None = None) -> Oracle:
 
     codes = np.frombuffer(blob, "<u4" if code_width == 4 else "<i8", entries, offset)
     rows = np.frombuffer(blob, id_type, width * entries, rows_at).reshape(entries, width)
-    if codes.min(initial=0) < 0 or codes.max(initial=0) > LengthCodec.unreachable_code:
-        raise OracleFileError("palette code out of range")
-    if code_width == 8 and narrow_codes(codes) is not codes:  # one file per build
-        raise OracleFileError("8-byte palette codes whose finite values fit in 4 bytes")
+    if code_width == 8:  # no uint32 leaves [0, 2^62]
+        if codes.min(initial=0) < 0 or codes.max(initial=0) > LengthCodec.unreachable_code:
+            raise OracleFileError("palette code out of range")
+        if narrow_codes(codes) is not codes:  # one file per build
+            raise OracleFileError("8-byte palette codes whose finite values fit in 4 bytes")
     if rows.max(initial=0) > m:
         raise OracleFileError("palette edge id out of range")
-    # each id above the one before it, or a pad: then every id after it is one
-    if not ((rows[:, 1:] > rows[:, :-1]) | (rows[:, 1:] == m)).all():
-        raise OracleFileError("palette set not strictly ascending")
-    last = np.flatnonzero(rows[:, 0] == m)  # the all-padding rows, each palette's last
+    if width > 1:  # each id above the one before it, or a pad: then every id after it is one
+        ascends = rows.ravel()[1:] > np.minimum(rows.ravel()[:-1], m - 1)  # no id passes m
+        ascends[width - 1::width] = True  # from one row to the next
+        if not ascends.all():
+            raise OracleFileError("palette set not strictly ascending")
+    last = (rows[:, 0] == m).nonzero()[0]  # the all-padding rows, each palette's last
     if len(last) > pairs:
         raise OracleFileError("palette holds the empty set before its end")
-    pair_sizes = np.diff(last, prepend=-1)
-    if len(last) < pairs or pair_sizes.sum() != entries or pair_sizes.max(initial=0) > 4 * n * n:
+    pair_sizes = last + 1  # from the palette end before each to its own; the last ends the file
+    pair_sizes[1:] = last[1:] - last[:-1]
+    if len(last) < pairs or entries and rows[-1, 0] != m or pair_sizes.max(initial=0) > 4 * n * n:
         raise OracleFileError("palette sizes out of range")
     climbs = codes[1:] > codes[:-1]
     climbs[last[:-1]] = False  # from one palette to the next
     if climbs.any():
         raise OracleFileError("palette codes not in descending order")
     base = np.zeros((n, n), dtype=np.int64)  # each pair's last code, mirrored; own codes 0
-    base[np.less.outer(range(n), range(n))] = wide_codes(codes[last])
-    base += base.T
+    upper = np.arange(n)[:, None] < np.arange(n)  # the pairs u < v, row-major
+    base[upper] = base.T[upper] = wide_codes(codes[last])
     try:
         index = ShortestPathIndex.from_arrays(g, edges["tie"].tolist(), base)
     except (GraphError, TieBreakError) as exc:

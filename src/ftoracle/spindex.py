@@ -16,9 +16,10 @@ _below[r][e] the vertices below tree edge e (0 off the tree), so "e lies
 on the tree path r->x" is _below[r][e] >> x & 1.  The tables pack their
 bytes into numpy masks and the query engine ORs them per failure set.
 _ends[e] is e's endpoints, so the child end of tree edge e, the one end
-below it, is _below[r][e] & _ends[e]; _endpoints holds the same as (m, 2)
-int64 (a, b) rows.  The parents themselves are not kept; the verifier
-checks the masks against the reference's own Dijkstra trees.
+below it, is _below[r][e] & _ends[e]; _arcs holds each arc's int64 tail,
+head and step (arc 2e a -> b along edge e = (a, b), 2e + 1 back), and
+_endpoints the (a, b) rows.  The parents themselves are not kept; the
+verifier checks the masks against the reference's own Dijkstra trees.
 Built and loaded indexes hold the same: neither derives a root until its
 first use, and until then r's slots in the six per-root lists hold None.
 _finish_root(r) fills all six at once: besides _sub[r] and _below[r],
@@ -113,8 +114,10 @@ class ShortestPathIndex:
         self.codec = LengthCodec(n, m, max((w for _, _, w in graph.edges), default=1))
         shift = self.codec.shift
         self._step = [(w << shift) + t for (_, _, w), t in zip(graph.edges, self.tie)]  # per edge
+        arcs = np.array([(a, b, s, b, a, s) for (a, b, _), s in zip(graph.edges, self._step)],
+                        dtype=np.int64).reshape(2 * m, 3)
+        self._endpoints, self._arcs = arcs[::2, :2], arcs
         self._ends = [1 << a | 1 << b for a, b, _ in graph.edges]
-        self._endpoints = np.array([e[:2] for e in graph.edges], dtype=np.int64).reshape(m, 2)
         # per root, None until _finish_root derives it
         (self._by_tin, self._sub, self._below, self._marks, self._path_edges,
          self._dist) = ([None] * n for _ in range(6))
@@ -128,22 +131,20 @@ class ShortestPathIndex:
         arc in; raises CodeError if not.  Raises TieBreakError if a vertex
         has several: then its shortest paths from that root are not unique.
         """
-        n, ends = self.graph.n, self._endpoints
-        # arc 2e runs a -> b along edge e = (a, b), arc 2e + 1 back
-        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        n, arcs = self.graph.n, self._arcs
         # per (root, arc): the code the arc offers its head, less the head's code
-        gap = codes[:, tail] + np.repeat(np.array(self._step, dtype=np.int64), 2) - codes[:, head]
-        roots, arcs = np.nonzero(gap == 0)
-        tight = np.bincount(roots * n + head[arcs], minlength=n * n).reshape(n, n)
-        np.fill_diagonal(tight, 1)  # a root needs no arc in
-        if np.diagonal(codes).any() or (gap < 0).any() or not tight.all():
+        gap = codes.take(arcs[:, 0], 1) + arcs[:, 2] - codes.take(arcs[:, 1], 1)
+        roots, tight = np.nonzero(gap == 0)
+        keys = roots * n + arcs[:, 1].take(tight)  # per tight arc, its (root, head)
+        count = np.bincount(keys, minlength=n * n)
+        count[::n + 1] = 1  # a root needs no arc in
+        if codes.diagonal().any() or gap.min(initial=0) < 0 or not count.all():
             raise CodeError("base codes are not the graph's shortest-path codes")
-        several = np.flatnonzero(tight > 1)
-        if len(several):
-            r, v = divmod(int(several[0]), n)
-            raise TieBreakError(f"root {r}: vertex {v} has {tight[r, v]} optimal predecessors")
-        self._tree = np.zeros((n, n), dtype=np.min_scalar_type(len(tail)))  # a root's own unread
-        self._tree[roots, head[arcs]] = arcs
+        if len(keys) > n * (n - 1):  # each vertex has a tight arc in, so one has several
+            r, v = divmod(int((count > 1).argmax()), n)
+            raise TieBreakError(f"root {r}: vertex {v} has {count[r * n + v]} optimal predecessors")
+        self._tree = np.zeros((n, n), dtype=np.min_scalar_type(len(arcs)))  # a root's own unread
+        self._tree.put(keys, tight)
         self.codes, self._rows = codes, codes.tolist()
 
     def _finish_root(self, r: int) -> None:
@@ -220,7 +221,7 @@ def _arc_list(index: ShortestPathIndex) -> _Arcs:
     slots = [[adj[v][k] for v in order if len(adj[v]) > k] for k in range(len(adj[order[0]]))]
     arcs = np.array([arc for slot in slots for arc in slot], dtype=np.int64).reshape(-1, 3)
     return _Arcs(np.array(order), np.argsort(order)[arcs[:, 0]], arcs[:, 1],
-                 np.array(index._step, dtype=np.int64)[arcs[:, 1]], list(map(len, slots)))
+                 index._arcs[2 * arcs[:, 1], 2], list(map(len, slots)))
 
 
 def _relax(row: np.ndarray, banned: np.ndarray, arcs: _Arcs, unreachable: int) -> None:

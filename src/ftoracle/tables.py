@@ -263,7 +263,7 @@ class OracleTables:
         # on first read
         self._rows: list[list[tuple | None]] = [[None] * n for _ in range(n)]
         self._masks: list[np.ndarray | None] = [None] * n
-        self._starts = np.cumsum(pair_sizes) - pair_sizes
+        self._starts = pair_sizes.cumsum() - pair_sizes
         self._entries: list[tuple[int, tuple[int, ...]] | None] = [None] * len(codes)
         self._unreachable = index.codec.unreachable_code
         self._sentinel = NARROW_UNREACHABLE if codes.dtype == np.uint32 else self._unreachable

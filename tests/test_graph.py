@@ -155,6 +155,16 @@ def test_validate_leaves_adj_as_adj_builds_it(make):
         [[int] * 3 * len(arcs) for arcs in fresh.adj]
 
 
+def test_a_refused_graph_keeps_no_partial_adj():
+    # too few edges, or a fault after the first edges were read: validate
+    # raises with nothing cached, and adj still builds all n lists
+    for graph in (Graph(5, [(0, 1, 1), (1, 2, 1)]), Graph(3, [(0, 1, 1), (1, 1, 1), (1, 2, 1)])):
+        with pytest.raises(GraphError):
+            graph.validate()
+        assert graph._adj is None
+        assert len(graph.adj) == graph.n
+
+
 @pytest.mark.parametrize("graph, pattern", [
     (Graph(0, [(0, 1, 1)]), "vertex count"),
     (Graph(2, [(0, 2, 1)]), "out of range"),

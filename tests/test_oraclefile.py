@@ -248,6 +248,22 @@ def test_file_round_trip_via_path(oracle1_d1, tmp_path):
     assert loaded.query(0, 2, (1,)) == 6
 
 
+def test_file_round_trip_via_path_object(oracle1_d2, tmp_path):
+    # a path-like object is opened as a str path is, for save and load alike
+    path = tmp_path / "x.oracle"
+    save_oracle(oracle1_d2, path)
+    assert path.read_bytes() == oracle_file_bytes(oracle1_d2)
+    assert oracle_file_bytes(load_oracle(path)) == path.read_bytes()
+
+
+def test_rejects_a_text_mode_handle(oracle1_d1, tmp_path):
+    path = tmp_path / "x.oracle"
+    save_oracle(oracle1_d1, path)
+    for handle in (open(path, encoding="latin-1"), io.StringIO("FTDO" + "\0" * 200)):
+        with handle, pytest.raises(OracleFileError, match="text mode"):
+            load_oracle(handle)
+
+
 def test_file_size_is_fixed_width(oracle1_d2):
     g, tables = oracle1_d2.graph, oracle1_d2.tables
     entries = len(tables.codes)
