@@ -109,7 +109,6 @@ class Graph:
             adj[b].append((a, eid, w))
         if self.m < n - 1:  # refused after the edge checks, with no list of size n made
             raise GraphError(f"graph is disconnected: {self.m} edges cannot join {n} vertices")
-        self._adj = adj
         reached, stack = [True] + [False] * (n - 1), [0]
         while stack:
             for nb, _, _ in adj[stack.pop()]:
@@ -118,6 +117,7 @@ class Graph:
                     stack.append(nb)
         if not all(reached):
             raise GraphError(f"graph is disconnected: reached {sum(reached)} of {n} vertices")
+        self._adj = adj
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]

@@ -161,16 +161,13 @@ def load_oracle(source: str | os.PathLike | BinaryIO, graph: Graph | None = None
             raise OracleFileError("8-byte palette codes whose finite values fit in 4 bytes")
     if rows.max(initial=0) > m:
         raise OracleFileError("palette edge id out of range")
-    if width > 1:  # each id above the one before it, or a pad: then every id after it is one
-        ascends = rows.ravel()[1:] > np.minimum(rows.ravel()[:-1], m - 1)  # no id passes m
-        ascends[width - 1::width] = True  # from one row to the next
-        if not ascends.all():
-            raise OracleFileError("palette set not strictly ascending")
+    # each id above the one before it, or a pad: then every id after it is one
+    if not ((rows[:, 1:] > rows[:, :-1]) | (rows[:, 1:] == m)).all():
+        raise OracleFileError("palette set not strictly ascending")
     last = (rows[:, 0] == m).nonzero()[0]  # the all-padding rows, each palette's last
     if len(last) > pairs:
         raise OracleFileError("palette holds the empty set before its end")
-    pair_sizes = last + 1  # from the palette end before each to its own; the last ends the file
-    pair_sizes[1:] = last[1:] - last[:-1]
+    pair_sizes = last - np.concatenate(([-1], last[:-1]))  # from the palette end before each
     if len(last) < pairs or entries and rows[-1, 0] != m or pair_sizes.max(initial=0) > 4 * n * n:
         raise OracleFileError("palette sizes out of range")
     climbs = codes[1:] > codes[:-1]

@@ -16,9 +16,8 @@ _below[r][e] the vertices below tree edge e (0 off the tree), so "e lies
 on the tree path r->x" is _below[r][e] >> x & 1.  The tables pack their
 bytes into numpy masks and the query engine ORs them per failure set.
 _ends[e] is e's endpoints, so the child end of tree edge e, the one end
-below it, is _below[r][e] & _ends[e]; _arcs holds each arc's int64 tail,
-head and step (arc 2e a -> b along edge e = (a, b), 2e + 1 back), and
-_endpoints the (a, b) rows.  The parents themselves are not kept; the
+below it, is _below[r][e] & _ends[e]; int64 _arcs[2e] is (a, b, step) for
+e = (a, b) and _arcs[2e + 1] (b, a, step).  The parents are not kept; the
 verifier checks the masks against the reference's own Dijkstra trees.
 Built and loaded indexes hold the same: neither derives a root until its
 first use, and until then r's slots in the six per-root lists hold None.

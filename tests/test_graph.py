@@ -156,9 +156,12 @@ def test_validate_leaves_adj_as_adj_builds_it(make):
 
 
 def test_a_refused_graph_keeps_no_partial_adj():
-    # too few edges, or a fault after the first edges were read: validate
-    # raises with nothing cached, and adj still builds all n lists
-    for graph in (Graph(5, [(0, 1, 1), (1, 2, 1)]), Graph(3, [(0, 1, 1), (1, 1, 1), (1, 2, 1)])):
+    # too few edges, a fault after the first edges were read, or a walk that
+    # stops short: validate raises with nothing cached, and adj still builds
+    # all n lists
+    triangle_and_edge = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)]
+    for graph in (Graph(5, [(0, 1, 1), (1, 2, 1)]), Graph(3, [(0, 1, 1), (1, 1, 1), (1, 2, 1)]),
+                  Graph(5, triangle_and_edge)):
         with pytest.raises(GraphError):
             graph.validate()
         assert graph._adj is None
